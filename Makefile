@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
 .PHONY: all build test race vet fmt staticcheck check bench trajectory \
-	serve-smoke serve-bench decode-smoke decode-bench trace-smoke \
+	serve-smoke serve-bench decode-bench trace-smoke \
 	persist-smoke fleet-smoke isa-smoke fuzz
 
 all: build
@@ -48,16 +48,10 @@ serve-smoke:
 serve-bench:
 	sh scripts/serve_bench.sh $(LABEL)
 
-# Decode-equivalence smoke: multi vs fast vs canonical decode cmp on a
-# corpus program, a short decode benchmark, and the multi-beats-fast
-# throughput gate.
-decode-smoke:
-	sh scripts/decode_smoke.sh
-
-# Decode-kernel benchmark: canonical vs fast vs multi MB/s plus the
-# per-chunk-width table-size sweep, as Go benchmarks.
+# Decode-kernel benchmark: the multi-symbol kernel against the canonical
+# oracle, MB/s as Go benchmarks.
 decode-bench:
-	$(GO) test -run=^$$ -bench='BenchmarkDecode(Canonical|Fast|Multi)$$' -benchmem ./internal/huffman
+	$(GO) test -run=^$$ -bench='BenchmarkDecode(Canonical|Multi)$$' -benchmem ./internal/huffman
 
 # Tracing end-to-end smoke: ccrpd -trace under a ccrp-load burst, then
 # ccrp-spans must decompose every instrumented request stage.
@@ -86,9 +80,8 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeLine -fuzztime=$(FUZZTIME) ./internal/codepack
 	$(GO) test -run=^$$ -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/huffman
-	$(GO) test -run=^$$ -fuzz=FuzzFastDecoderDifferential -fuzztime=$(FUZZTIME) ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzMultiDecoderDifferential -fuzztime=$(FUZZTIME) ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzFSMDecode -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=^$$ -fuzz=FuzzCAMDecode -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=^$$ -fuzz=FuzzROMDecode -fuzztime=$(FUZZTIME) ./internal/decoder
-	$(GO) test -run=^$$ -fuzz=FuzzFastVsHardwareModels -fuzztime=$(FUZZTIME) ./internal/decoder
+	$(GO) test -run=^$$ -fuzz=FuzzMultiVsHardwareModels -fuzztime=$(FUZZTIME) ./internal/decoder

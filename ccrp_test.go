@@ -157,13 +157,15 @@ func TestRenderAllSmoke(t *testing.T) {
 // The paper's transparency claim, end to end: compress a program into a
 // ROM image, serialize it, reload it, decompress the text through the
 // (software twin of the) refill datapath, and execute the reconstructed
-// program — output must be identical to the original run.
+// program — output must be identical to the original run. espresso, the
+// largest corpus program, gives the multi-symbol decode kernel a real
+// corpus CROM end to end.
 func TestROMReconstructedProgramExecutesIdentically(t *testing.T) {
 	code, err := PreselectedCode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"eightq", "xlisp", "fpppp"} {
+	for _, name := range []string{"eightq", "xlisp", "fpppp", "espresso"} {
 		w, ok := WorkloadByName(name)
 		if !ok {
 			t.Fatalf("workload %s missing", name)

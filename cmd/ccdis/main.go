@@ -7,13 +7,11 @@
 // Usage:
 //
 //	ccdis [-version] prog.img
-//	ccdis -rom [-isa mips|rv32] [-decoder multi|fast|canonical] [-raw out.bin] prog.rom
+//	ccdis -rom [-isa mips|rv32] [-raw out.bin] prog.rom
 //
-// With -rom the input is a CROM file: every block is decompressed (with
-// the selected software decode path) and the recovered text is
-// disassembled. -raw additionally writes the decompressed text bytes to
-// a file, which is what the CI decode-equivalence smoke cmp's between
-// the multi, fast, and canonical decoders.
+// With -rom the input is a CROM file: every block is decompressed and
+// the recovered text is disassembled. -raw additionally writes the
+// decompressed text bytes to a file.
 package main
 
 import (
@@ -33,14 +31,13 @@ import (
 
 func main() {
 	romMode := flag.Bool("rom", false, "input is a compressed CROM image (ccpack output)")
-	decoder := flag.String("decoder", "multi", "decode path for -rom: "+strings.Join(core.DecoderChoices(), "|"))
 	rawOut := flag.String("raw", "", "with -rom, also write the decompressed text bytes to this file")
 	isaName := flag.String("isa", "", "ISA backend for -rom text ("+strings.Join(isa.Names(), "|")+"; default "+isa.DefaultName+")")
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
 	cliutil.HandleVersionFlag("ccdis", version)
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ccdis [-rom [-isa name] [-decoder multi|fast|canonical] [-raw out.bin]] prog.img")
+		fmt.Fprintln(os.Stderr, "usage: ccdis [-rom [-isa name] [-raw out.bin]] prog.img")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -55,11 +52,7 @@ func main() {
 		fatal(err)
 	}
 	if *romMode {
-		kind, derr := core.ParseDecoder(*decoder)
-		if derr != nil {
-			fatal(derr)
-		}
-		rom, rerr := core.ReadROMFileDecoder(f, kind)
+		rom, rerr := core.ReadROMFile(f)
 		if rerr != nil {
 			fatal(rerr)
 		}

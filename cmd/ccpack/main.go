@@ -5,21 +5,17 @@
 //
 // Usage:
 //
-//	ccpack [-o prog.rom] [-word] [-own] [-decoder multi|fast|canonical]
-//	       (-workload name | prog.img)
+//	ccpack [-o prog.rom] [-word] [-own] (-workload name | prog.img)
 //
 // By default the Preselected Bounded Huffman code (trained on the
 // ten-program corpus, hardwired in the decoder) is used; -own adds the
 // program's own bounded code as a second candidate with per-block tags.
-// -decoder selects the software decode path used to verify the image
-// (multi-symbol kernel by default; every path is byte-identical).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/core"
@@ -30,14 +26,9 @@ func main() {
 	word := flag.Bool("word", false, "word-align compressed blocks")
 	own := flag.Bool("own", false, "add the program's own bounded code as a second candidate")
 	wl := flag.String("workload", "", "compress a corpus workload instead of an image file")
-	decoder := flag.String("decoder", "multi", "verification decode path: "+strings.Join(core.DecoderChoices(), "|"))
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
 	cliutil.HandleVersionFlag("ccpack", version)
-	kind, err := core.ParseDecoder(*decoder)
-	if err != nil {
-		fatal(err)
-	}
 
 	var text []byte
 	var name string
@@ -71,7 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rom, err := core.BuildROM(text, core.Options{Codes: codes, WordAligned: *word, Decoder: kind})
+	rom, err := core.BuildROM(text, core.Options{Codes: codes, WordAligned: *word})
 	if err != nil {
 		fatal(err)
 	}

@@ -5,16 +5,10 @@
 // Usage:
 //
 //	ccrp-bench [-exp all|fig1|fig2|fig5|fig9|tables1-8|tables9-10|tables11-13|ablations|extensions|paging|codepack|rvc[,...]]
-//	           [-j N] [-decoder multi|fast|canonical] [-json out.json]
+//	           [-j N] [-json out.json]
 //	           [-trajectory out.json] [-label NAME]
 //	           [-metrics table|json|prom] [-events ev.jsonl] [-sample N]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//
-// -decoder selects the software decode path used when building and
-// verifying compressed images: the multi-symbol kernel (default), the
-// single-symbol table-driven fast decoder, or the canonical bit-serial
-// one. All are byte-identical and produce identical cycle counts; the
-// flag exists to keep every kernel benchmarkable.
 //
 // -j fans the performance sweeps out across N workers (default: all
 // CPUs; -j 1 preserves the sequential order of execution). Results are
@@ -39,7 +33,6 @@ import (
 	"strings"
 
 	"ccrp/internal/cliutil"
-	"ccrp/internal/core"
 	"ccrp/internal/experiments"
 	"ccrp/internal/sweep"
 )
@@ -47,7 +40,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run")
 	workers := flag.Int("j", runtime.NumCPU(), "parallel sweep workers (1 = sequential)")
-	decoder := flag.String("decoder", "multi", "software decode path: "+strings.Join(core.DecoderChoices(), "|"))
 	jsonOut := flag.String("json", "", `write experiment datapoints as JSON to this file ("-" for stdout)`)
 	trajOut := flag.String("trajectory", "", "write a timed -j1-vs-jN benchmark trajectory JSON to this file")
 	label := flag.String("label", "dev", "trajectory label recorded in -trajectory output")
@@ -55,12 +47,6 @@ func main() {
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
 	cliutil.HandleVersionFlag("ccrp-bench", version)
-
-	kind, err := core.ParseDecoder(*decoder)
-	if err != nil {
-		fatal(err)
-	}
-	experiments.SetDecoder(kind)
 
 	obs, err := obsFlags.Begin()
 	if err != nil {

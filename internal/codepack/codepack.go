@@ -201,7 +201,7 @@ func (c *Coder) DecodeLine(comp []byte, n int) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeLineInto expands a compressed line into dst (core.LineIntoDecoder),
+// DecodeLineInto expands a compressed line into dst (core.LineCodec),
 // the zero-allocation form of DecodeLine: the bit reader lives on the
 // stack and the caller owns the output buffer.
 func (c *Coder) DecodeLineInto(dst, comp []byte) error {

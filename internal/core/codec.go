@@ -13,25 +13,15 @@ type LineCodec interface {
 	Name() string
 	// EncodeLine compresses one cache line.
 	EncodeLine(line []byte) ([]byte, error)
-	// DecodeLine expands a compressed line back to n bytes.
-	DecodeLine(comp []byte, n int) ([]byte, error)
+	// DecodeLineInto expands a compressed line into dst (len(dst)
+	// bytes), which the caller owns, so the decode path stays off the
+	// heap.
+	DecodeLineInto(dst, comp []byte) error
 	// EncodedBits returns the exact compressed size of line in bits.
 	EncodedBits(line []byte) (int, error)
 	// BitLengths attributes encoded bits to output bytes for the
 	// streaming refill model.
 	BitLengths(line []byte) ([]int, error)
-}
-
-// LineIntoDecoder is the optional zero-allocation extension of
-// LineCodec: codecs that can expand a compressed line into a
-// caller-supplied buffer implement it, and hot paths
-// (ROM.DecompressLineInto, the serving decompress loop) type-assert for
-// it, falling back to DecodeLine plus a copy. It is a separate interface
-// so third-party LineCodec implementations keep compiling unchanged.
-type LineIntoDecoder interface {
-	// DecodeLineInto expands a compressed line into dst (len(dst) bytes)
-	// without allocating.
-	DecodeLineInto(dst, comp []byte) error
 }
 
 // huffmanLineCodec adapts a byte-Huffman code to the LineCodec interface.
@@ -48,14 +38,6 @@ func (h *huffmanLineCodec) Name() string { return "byte-huffman" }
 
 func (h *huffmanLineCodec) EncodeLine(line []byte) ([]byte, error) {
 	return h.code.EncodeToBytes(line)
-}
-
-func (h *huffmanLineCodec) DecodeLine(comp []byte, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := h.code.Multi().DecodeInto(out, comp); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (h *huffmanLineCodec) DecodeLineInto(dst, comp []byte) error {

@@ -583,17 +583,17 @@ func (testCodec) EncodeLine(line []byte) ([]byte, error) {
 	out := append([]byte{byte(n)}, line[:n]...)
 	return out, nil
 }
-func (testCodec) DecodeLine(comp []byte, n int) ([]byte, error) {
+func (testCodec) DecodeLineInto(dst, comp []byte) error {
 	if len(comp) == 0 {
-		return nil, errors.New("empty")
+		return errors.New("empty")
 	}
 	k := int(comp[0])
-	if k+1 > len(comp) || k > n {
-		return nil, errors.New("corrupt")
+	if k+1 > len(comp) || k > len(dst) {
+		return errors.New("corrupt")
 	}
-	out := make([]byte, n)
-	copy(out, comp[1:1+k])
-	return out, nil
+	n := copy(dst, comp[1:1+k])
+	clear(dst[n:])
+	return nil
 }
 func (testCodec) BitLengths(line []byte) ([]int, error) {
 	lens := make([]int, len(line))

@@ -9,9 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 
-	"ccrp/internal/bitio"
 	"ccrp/internal/huffman"
 	"ccrp/internal/lat"
 )
@@ -36,79 +34,6 @@ type Options struct {
 	// simplifying the fetch hardware at a small compression cost
 	// (Figure 1's fully-aligned layout; byte-aligned is the default).
 	WordAligned bool
-	// Decoder selects the software decode implementation used when
-	// expanding stored blocks (DecompressLine, Verify). The zero value
-	// is DecoderMulti — the multi-symbol table-driven path.
-	Decoder DecoderKind
-}
-
-// DecoderKind selects between the software decode implementations, all
-// proven byte-identical by differential tests.
-type DecoderKind int
-
-const (
-	// DecoderMulti decodes through huffman.MultiDecoder's multi-symbol
-	// tables with word-at-a-time bit refill — the fastest path and the
-	// default.
-	DecoderMulti DecoderKind = iota
-	// DecoderFast decodes through huffman.FastDecoder's one-symbol
-	// chunked lookup tables — the software twin of the paper's §3.4
-	// mapping ROM.
-	DecoderFast
-	// DecoderCanonical decodes bit-serially through the canonical
-	// tables — the software twin of the paper's FSM/shift-register option.
-	DecoderCanonical
-)
-
-// decoderNames maps each DecoderKind to its flag spelling; ParseDecoder
-// and flag help enumerate it so the valid set lives in one place.
-var decoderNames = [...]string{
-	DecoderMulti:     "multi",
-	DecoderFast:      "fast",
-	DecoderCanonical: "canonical",
-}
-
-// DecoderChoices returns the valid -decoder flag values, default first.
-func DecoderChoices() []string {
-	out := make([]string, len(decoderNames))
-	copy(out, decoderNames[:])
-	return out
-}
-
-// String returns the flag spelling of k.
-func (k DecoderKind) String() string {
-	if k >= 0 && int(k) < len(decoderNames) {
-		return decoderNames[k]
-	}
-	return "multi"
-}
-
-// ParseDecoder maps a flag value to a DecoderKind; the empty string
-// selects the default. Unknown names are rejected with the valid set in
-// the error.
-func ParseDecoder(s string) (DecoderKind, error) {
-	if s == "" {
-		return DecoderMulti, nil
-	}
-	for k, name := range decoderNames {
-		if s == name {
-			return DecoderKind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown decoder %q (want %s)", s, strings.Join(decoderNames[:], ", "))
-}
-
-// decodeLine expands stored into out using the code and configured
-// decoder kind; the single switch point between the software paths.
-func decodeLine(code *huffman.Code, kind DecoderKind, stored []byte, out []byte) error {
-	switch kind {
-	case DecoderCanonical:
-		return code.Decode(bitio.NewReader(stored), out)
-	case DecoderFast:
-		return code.Fast().DecodeInto(out, stored)
-	default:
-		return code.Multi().DecodeInto(out, stored)
-	}
 }
 
 // Line is one compressed (or raw) instruction block.
@@ -264,7 +189,9 @@ func (r *ROM) DecompressLine(i int) ([]byte, error) {
 // DecompressLineInto expands block i into dst, which must be exactly
 // LineSize bytes. This is the zero-allocation form of DecompressLine:
 // hot callers (the serving decompress path, Verify, page expansion) own
-// the buffer, so nothing on the decode path touches the heap.
+// the buffer, so nothing on the decode path touches the heap. Huffman
+// blocks expand through the code's memoized multi-symbol decoder
+// (huffman.Code.Multi), proven byte-identical to the canonical one.
 func (r *ROM) DecompressLineInto(i int, dst []byte) error {
 	if i < 0 || i >= len(r.Lines) {
 		return fmt.Errorf("core: line %d out of range", i)
@@ -280,22 +207,13 @@ func (r *ROM) DecompressLineInto(i int, dst []byte) error {
 		}
 		return nil
 	}
+	var err error
 	if r.opts.Codec != nil {
-		if d, ok := r.opts.Codec.(LineIntoDecoder); ok {
-			if err := d.DecodeLineInto(dst, l.Stored); err != nil {
-				return fmt.Errorf("core: line %d: %w", i, err)
-			}
-			return nil
-		}
-		out, err := r.opts.Codec.DecodeLine(l.Stored, LineSize)
-		if err != nil {
-			return fmt.Errorf("core: line %d: %w", i, err)
-		}
-		copy(dst, out)
-		return nil
+		err = r.opts.Codec.DecodeLineInto(dst, l.Stored)
+	} else {
+		err = r.opts.Codes[l.CodeIdx].Multi().DecodeInto(dst, l.Stored)
 	}
-	code := r.opts.Codes[l.CodeIdx]
-	if err := decodeLine(code, r.opts.Decoder, l.Stored, dst); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: line %d: %w", i, err)
 	}
 	return nil

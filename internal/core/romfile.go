@@ -92,16 +92,7 @@ func (r *ROM) WriteFile(w io.Writer) error {
 
 // ReadROMFile reconstructs a ROM image, decompressing every block to
 // recover the original line contents (and thereby verifying the file).
-// Blocks expand through the multi-symbol table-driven decoder; use
-// ReadROMFileDecoder to select another path.
 func ReadROMFile(rd io.Reader) (*ROM, error) {
-	return ReadROMFileDecoder(rd, DecoderMulti)
-}
-
-// ReadROMFileDecoder is ReadROMFile with an explicit decode path — the
-// hook ccdis -rom uses so the CI equivalence smoke can cmp the two
-// decoders' output on a real compressed image.
-func ReadROMFileDecoder(rd io.Reader, kind DecoderKind) (*ROM, error) {
 	var hdr [28]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadROMFile, err)
@@ -121,7 +112,12 @@ func ReadROMFileDecoder(rd io.Reader, kind DecoderKind) (*ROM, error) {
 	if nCodes < 1 || nCodes > 16 || origSize > 1<<26 || blockLen > 1<<26 || latLen > 1<<26 {
 		return nil, fmt.Errorf("%w: implausible header", ErrBadROMFile)
 	}
-	opts := Options{WordAligned: flags&(1<<16) != 0, Decoder: kind}
+	// BuildROM always pads the text to whole lines, so any other size
+	// is a malformed file, not a short last line.
+	if origSize%LineSize != 0 {
+		return nil, fmt.Errorf("%w: original size %d is not a multiple of the %d-byte line", ErrBadROMFile, origSize, LineSize)
+	}
+	opts := Options{WordAligned: flags&(1<<16) != 0}
 	for i := 0; i < nCodes; i++ {
 		var sz [4]byte
 		if _, err := io.ReadFull(rd, sz[:]); err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"ccrp/internal/huffman"
@@ -85,5 +87,13 @@ func TestReadROMFileRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadROMFile(bytes.NewReader(buf.Bytes()[:buf.Len()-10])); err == nil {
 		t.Error("truncated ROM accepted")
+	}
+	// BuildROM pads the text to whole lines, so an original size that is
+	// not a multiple of LineSize marks a malformed header.
+	unpadded := bytes.Clone(buf.Bytes())
+	size := binary.LittleEndian.Uint32(unpadded[8:])
+	binary.LittleEndian.PutUint32(unpadded[8:], size+17)
+	if _, err := ReadROMFile(bytes.NewReader(unpadded)); !errors.Is(err, ErrBadROMFile) {
+		t.Errorf("original size %d (not whole lines): err = %v, want ErrBadROMFile", size+17, err)
 	}
 }

@@ -137,12 +137,12 @@ func FuzzROMDecode(f *testing.F) {
 	})
 }
 
-// FuzzFastVsHardwareModels ties the tentpole together: on any input, the
-// software FastDecoder and all three hardware models either all succeed
+// FuzzMultiVsHardwareModels ties the tentpole together: on any input, the
+// software MultiDecoder and all three hardware models either all succeed
 // with identical output and bit position, or all fail.
-func FuzzFastVsHardwareModels(f *testing.F) {
+func FuzzMultiVsHardwareModels(f *testing.F) {
 	code := fuzzCode(f)
-	fast := huffman.NewFastDecoder(code)
+	multi := huffman.NewMultiDecoder(code)
 	fsm, err := NewFSM(code)
 	if err != nil {
 		f.Fatal(err)
@@ -156,10 +156,10 @@ func FuzzFastVsHardwareModels(f *testing.F) {
 		}
 		n %= 2048
 
-		fastOut := make([]byte, n)
-		fastR := bitio.NewReader(data)
-		fastErr := fast.Decode(fastR, fastOut)
-		decodeOK(t, "fast", fastErr)
+		multiOut := make([]byte, n)
+		multiR := bitio.NewReader(data)
+		multiErr := multi.Decode(multiR, multiOut)
+		decodeOK(t, "multi", multiErr)
 
 		models := []struct {
 			name   string
@@ -173,11 +173,11 @@ func FuzzFastVsHardwareModels(f *testing.F) {
 			out := make([]byte, n)
 			r := bitio.NewReader(data)
 			err := m.decode(r, out)
-			if (err == nil) != (fastErr == nil) {
-				t.Fatalf("%s err=%v, fast err=%v", m.name, err, fastErr)
+			if (err == nil) != (multiErr == nil) {
+				t.Fatalf("%s err=%v, multi err=%v", m.name, err, multiErr)
 			}
-			if err == nil && (!bytes.Equal(out, fastOut) || r.Pos() != fastR.Pos()) {
-				t.Fatalf("%s diverges from FastDecoder", m.name)
+			if err == nil && (!bytes.Equal(out, multiOut) || r.Pos() != multiR.Pos()) {
+				t.Fatalf("%s diverges from MultiDecoder", m.name)
 			}
 		}
 	})

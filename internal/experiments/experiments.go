@@ -156,31 +156,6 @@ func OwnCode(text []byte) (*huffman.Code, error) {
 	return boundedCode(huffman.HistogramOf(text), HuffmanBound)
 }
 
-// Decoder state: which software decode path (fast table-driven vs
-// canonical bit-serial) ROMs built by this package use. Set once at CLI
-// startup (ccrp-bench -decoder); the kind participates in the artifact
-// cache key so both variants can coexist in one process. The choice
-// never changes simulated cycle counts — the cycle model charges the
-// paper's fixed decoder rate — only host-side decode throughput.
-var (
-	decMu  sync.Mutex
-	decCur core.DecoderKind
-)
-
-// SetDecoder selects the decode path for subsequently built ROMs.
-func SetDecoder(k core.DecoderKind) {
-	decMu.Lock()
-	decCur = k
-	decMu.Unlock()
-}
-
-// CurrentDecoder returns the decode path SetDecoder last selected.
-func CurrentDecoder() core.DecoderKind {
-	decMu.Lock()
-	defer decMu.Unlock()
-	return decCur
-}
-
 // preselROM returns the program's compressed image under the preselected
 // code — the ROM every performance point of Tables 1-13 and Figure 9
 // shares. Built ROMs are read-only, so one instance serves concurrent
@@ -194,10 +169,9 @@ func preselROM(text []byte) (*core.ROM, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := CurrentDecoder()
-	return sweep.Get(artifacts(), sweep.Key("rom/preselected", HuffmanBound, int(dec), ck, text),
+	return sweep.Get(artifacts(), sweep.Key("rom/preselected", HuffmanBound, ck, text),
 		func() (*core.ROM, error) {
-			return core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}, Decoder: dec})
+			return core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}})
 		})
 }
 

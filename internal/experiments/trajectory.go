@@ -30,9 +30,6 @@ type Trajectory struct {
 	ByteIdentical  bool            `json:"byte_identical"`   // -j 1 vs -j N JSON outputs
 	PointsSHA256   string          `json:"points_sha256"`    // content address of Points
 	Points         json.RawMessage `json:"points"`           // the parallel run's BenchJSON
-	// DecodeBench compares the canonical and table-driven software
-	// decode paths (additive in schema 2; absent in pre-PR5 documents).
-	DecodeBench *DecodeBench `json:"decode_bench,omitempty"`
 }
 
 // BuildTrajectory runs the named experiments (all when names is empty)
@@ -83,9 +80,6 @@ func BuildTrajectory(names []string, workers int, label string) (*Trajectory, er
 	}
 	if parSec > 0 {
 		t.Speedup = seqSec / parSec
-	}
-	if t.DecodeBench, err = MeasureDecodeBench("espresso"); err != nil {
-		return nil, fmt.Errorf("experiments: decode benchmark: %w", err)
 	}
 	if !t.ByteIdentical {
 		return t, fmt.Errorf("experiments: -j 1 and -j %d outputs differ — sweep is not deterministic", workers)

@@ -30,10 +30,8 @@ type Code struct {
 	count      [65]int    // number of symbols of each length
 	symOrder   []byte     // symbols sorted by (length, value)
 
-	// Memoized table-driven decoders (see Fast and Multi); codes are
-	// immutable after NewCode, so one decoder serves every consumer.
-	fastOnce  sync.Once
-	fast      *FastDecoder
+	// Memoized table-driven decoder (see Multi); codes are immutable
+	// after NewCode, so one decoder serves every consumer.
 	multiOnce sync.Once
 	multi     *MultiDecoder
 }
@@ -163,6 +161,8 @@ func (c *Code) EncodeToBytes(data []byte) ([]byte, error) {
 
 // DecodeSymbol decodes one symbol from r using bit-serial canonical
 // decoding — the software twin of the paper's shift-register decoder.
+// The canonical Decode/DecodeBytes/DecodeSymbol are the oracle the
+// production MultiDecoder (see Multi) is proven against.
 func (c *Code) DecodeSymbol(r *bitio.Reader) (byte, error) {
 	var code uint64
 	for l := uint8(1); l <= c.maxLen; l++ {

@@ -8,8 +8,8 @@ import (
 )
 
 // MultiDecoder is the multi-symbol table-driven decoder: the zstd/FSE
-// generation of the paper's §3.4 mapping-ROM idea. Where FastDecoder's
-// root table maps a bit window to one (symbol, length) pair, a
+// generation of the paper's §3.4 mapping-ROM idea. Where the hardware
+// mapping ROM maps a 16-bit window to one (symbol, length) pair, a
 // MultiDecoder entry carries *every* complete codeword that fits in the
 // window — up to MaxPack symbols — so one table lookup emits one, two,
 // or three decoded bytes at once. With the corpus-shaped codes this
@@ -25,15 +25,23 @@ import (
 // DecodeSymbol and decodes byte-identically: same symbols, same bit
 // positions, and matching error classes (bitio.ErrShortStream on
 // truncation inside a codeword, ErrBadCode on unreachable codespace) —
-// properties pinned by the same differential/fuzz harness that proves
-// FastDecoder.
+// properties pinned by differential tests and fuzzing against the
+// canonical decoder and the hardware models in internal/decoder.
 type MultiDecoder struct {
 	// table is the flattened arena: the root table occupies
 	// [0, 1<<rootBits); overflow sub-tables for codewords longer than
-	// the root window are appended behind it, exactly as in FastDecoder.
+	// the root window are appended behind it and addressed by
+	// entry-encoded offsets.
 	table    []uint64
 	rootBits uint
-	maxLen   uint8
+}
+
+// codeword is one symbol's canonical codeword, the unit the overflow
+// sub-table builder groups by shared prefix.
+type codeword struct {
+	bits uint64
+	len  uint8
+	sym  byte
 }
 
 // MultiChunkBits is the default root window width. 12 keeps the root
@@ -78,7 +86,7 @@ func NewMultiDecoderChunk(code *Code, chunk int) *MultiDecoder {
 	if chunk < 1 || chunk > 16 {
 		panic(fmt.Sprintf("huffman: multi-decoder chunk %d outside [1,16]", chunk))
 	}
-	m := &MultiDecoder{rootBits: uint(chunk), maxLen: code.maxLen}
+	m := &MultiDecoder{rootBits: uint(chunk)}
 	m.table = make([]uint64, 1<<uint(chunk))
 
 	// Root leaves: for every possible window, greedily decode complete
@@ -110,7 +118,7 @@ func NewMultiDecoderChunk(code *Code, chunk int) *MultiDecoder {
 	// bits (whose root entries are necessarily non-leaf: a complete
 	// shorter codeword inside a longer one would break the prefix
 	// property).
-	overflow := map[uint64][]fastCodeword{}
+	overflow := map[uint64][]codeword{}
 	for s := 0; s < 256; s++ {
 		bits, n := code.Codeword(byte(s))
 		if n == 0 || uint(n) <= uint(chunk) {
@@ -118,7 +126,7 @@ func NewMultiDecoderChunk(code *Code, chunk int) *MultiDecoder {
 		}
 		prefix := bits >> (uint(n) - uint(chunk))
 		overflow[prefix] = append(overflow[prefix],
-			fastCodeword{bits: bits, len: uint8(n), sym: byte(s)})
+			codeword{bits: bits, len: uint8(n), sym: byte(s)})
 	}
 	for prefix, group := range overflow {
 		subOff, subBits := m.buildSub(group, uint(chunk), uint(chunk))
@@ -143,8 +151,11 @@ func (c *Code) decodeWindow(w uint64, width, pos uint) (byte, uint, bool) {
 
 // buildSub lays out one overflow sub-table for the codewords in cws (all
 // sharing their first `consumed` bits), returning its arena offset and
-// index width — FastDecoder.buildTable with 64-bit single-symbol entries.
-func (m *MultiDecoder) buildSub(cws []fastCodeword, consumed, chunk uint) (int, uint) {
+// index width. Sub-table leaves carry one symbol each; longer codewords
+// recurse into further sub-tables appended behind this one (so a
+// table's offset is captured on entry, not derived from the arena
+// length after recursion).
+func (m *MultiDecoder) buildSub(cws []codeword, consumed, chunk uint) (int, uint) {
 	maxRem := uint(0)
 	for _, w := range cws {
 		if rem := uint(w.len) - consumed; rem > maxRem {
@@ -162,7 +173,7 @@ func (m *MultiDecoder) buildSub(cws []fastCodeword, consumed, chunk uint) (int, 
 		panic("huffman: multi-decoder table arena overflow")
 	}
 
-	overflow := map[uint64][]fastCodeword{}
+	overflow := map[uint64][]codeword{}
 	for _, w := range cws {
 		rem := uint(w.len) - consumed
 		suffix := w.bits & (1<<rem - 1)
@@ -191,14 +202,12 @@ func (m *MultiDecoder) RootBits() int { return int(m.rootBits) }
 func (m *MultiDecoder) TableEntries() int { return len(m.table) }
 
 // SizeBits returns the table storage in bits (64-bit entries), for
-// comparison against FastDecoder's 32-bit tables and decoder.ROM's
-// hardware cost figures.
+// comparison against decoder.ROM's hardware cost figures.
 func (m *MultiDecoder) SizeBits() int { return 64 * len(m.table) }
 
 // PackCounts reports how many root-table entries decode k symbols per
 // lookup (index k in 1..MaxPack); index 0 counts pointer and invalid
-// entries. The k≥2 fractions are the build-time packing win the
-// decode_bench experiment records.
+// entries. The k≥2 fractions are the build-time packing win.
 func (m *MultiDecoder) PackCounts() [MaxPack + 1]int {
 	var counts [MaxPack + 1]int
 	for _, e := range m.table[:1<<m.rootBits] {

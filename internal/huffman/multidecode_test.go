@@ -12,14 +12,14 @@ import (
 
 // TestMultiDecoderMatchesCanonical is the core differential guarantee for
 // the multi-symbol kernel: identical symbols and identical final bit
-// positions on valid streams, for every code shape and chunk width, with
-// the FastDecoder cross-checked in the same pass.
+// positions on valid streams, for every code shape and chunk width,
+// through both the reader-driven Decode and the zero-padded DecodeBytes
+// entry points.
 func TestMultiDecoderMatchesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, code := range testCodes(t) {
 		for _, chunk := range []int{1, 3, 8, MultiChunkBits, 16} {
 			md := NewMultiDecoderChunk(code, chunk)
-			fd := NewFastDecoderChunk(code, chunk)
 			for trial := 0; trial < 50; trial++ {
 				data := encodable(code, rng, 1+rng.Intn(200))
 				enc, err := code.EncodeToBytes(data)
@@ -43,12 +43,12 @@ func TestMultiDecoderMatchesCanonical(t *testing.T) {
 					t.Fatalf("%s chunk %d: bit position %d != canonical %d",
 						name, chunk, gr.Pos(), wr.Pos())
 				}
-				fast, err := fd.DecodeBytes(enc, len(data))
+				gotBytes, err := md.DecodeBytes(enc, len(data))
 				if err != nil {
-					t.Fatalf("%s chunk %d: fast decode: %v", name, chunk, err)
+					t.Fatalf("%s chunk %d: multi DecodeBytes: %v", name, chunk, err)
 				}
-				if !bytes.Equal(fast, want) {
-					t.Fatalf("%s chunk %d: fast decode differs from canonical", name, chunk)
+				if !bytes.Equal(gotBytes, want) {
+					t.Fatalf("%s chunk %d: DecodeBytes output differs", name, chunk)
 				}
 			}
 		}
@@ -57,7 +57,7 @@ func TestMultiDecoderMatchesCanonical(t *testing.T) {
 
 // TestMultiDecoderPacking: on a skewed bounded code the 12-bit root must
 // actually pack multiple symbols into entries — otherwise the kernel
-// degenerates to FastDecoder with bigger tables.
+// degenerates to a one-symbol-per-lookup table decoder.
 func TestMultiDecoderPacking(t *testing.T) {
 	code := testCodes(t)["bounded16-skewed"]
 	md := NewMultiDecoder(code)
@@ -185,9 +185,9 @@ func TestMultiDecoderInterleaved(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoZeroAlloc pins the line-decode hot path at 0 allocs/op
-// for both table-driven kernels: a pre-built decoder filling a
-// caller-supplied buffer must not touch the heap.
+// TestDecodeIntoZeroAlloc pins the line-decode hot path at 0 allocs/op:
+// a pre-built decoder filling a caller-supplied buffer must not touch
+// the heap.
 func TestDecodeIntoZeroAlloc(t *testing.T) {
 	code := testCodes(t)["bounded16-skewed"]
 	rng := rand.New(rand.NewSource(13))
@@ -197,7 +197,6 @@ func TestDecodeIntoZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	md := code.Multi()
-	fd := code.Fast()
 	dst := make([]byte, len(data))
 
 	if n := testing.AllocsPerRun(200, func() {
@@ -210,19 +209,12 @@ func TestDecodeIntoZeroAlloc(t *testing.T) {
 	if !bytes.Equal(dst, data) {
 		t.Fatal("DecodeInto round-trip mismatch")
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := fd.DecodeInto(dst, enc); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("FastDecoder.DecodeInto allocates %.1f/op, want 0", n)
-	}
 }
 
 // TestMultiDecoderSpeedup is the CI guard behind the multi-symbol kernel:
-// it must beat the canonical bit-serial decoder by a wide margin and not
-// regress below FastDecoder on a corpus-shaped stream. Thresholds sit
-// well under the typical ratios so scheduler noise cannot flake them.
+// it must beat the canonical bit-serial decoder by a wide margin on a
+// corpus-shaped stream. The threshold sits well under the typical ratio
+// so scheduler noise cannot flake it.
 func TestMultiDecoderSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped with -short")
@@ -232,7 +224,6 @@ func TestMultiDecoderSpeedup(t *testing.T) {
 	}
 	code, enc, n := benchStream(t)
 	md := NewMultiDecoder(code)
-	fd := NewFastDecoder(code)
 	out := make([]byte, n)
 
 	measure := func(decode func() error) float64 {
@@ -252,25 +243,19 @@ func TestMultiDecoderSpeedup(t *testing.T) {
 		_, err := code.DecodeBytes(enc, n)
 		return err
 	})
-	fast := measure(func() error { return fd.DecodeInto(out, enc) })
 	multi := measure(func() error { return md.DecodeInto(out, enc) })
 	if speedup := canonical / multi; speedup < 3 {
 		t.Fatalf("multi decoder speedup %.2fx < 3x over canonical (canonical %.3fms, multi %.3fms)",
 			speedup, canonical*1e3, multi*1e3)
 	}
-	if ratio := fast / multi; ratio < 0.8 {
-		t.Fatalf("multi decoder is %.2fx of fast — regressed below FastDecoder (fast %.3fms, multi %.3fms)",
-			ratio, fast*1e3, multi*1e3)
-	}
 }
 
 // FuzzMultiDecoderDifferential feeds arbitrary byte soup to the
-// canonical, fast, and multi-symbol decoders and requires identical
-// outcomes: same success/failure, same symbols, same consumed bit count.
+// canonical and multi-symbol decoders and requires identical outcomes:
+// same success/failure, same symbols, same consumed bit count.
 func FuzzMultiDecoderDifferential(f *testing.F) {
 	code := fuzzBoundedCode(f)
 	md := NewMultiDecoder(code)
-	fd := NewFastDecoder(code)
 	sample, err := code.EncodeToBytes([]byte("multi differential fuzz seed"))
 	if err != nil {
 		f.Fatal(err)
@@ -295,20 +280,14 @@ func FuzzMultiDecoderDifferential(f *testing.F) {
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error parity: canonical=%v multi=%v", wantErr, gotErr)
 		}
-		fgot := make([]byte, n)
-		fr := bitio.NewReader(data)
-		fErr := fd.Decode(fr, fgot)
-		if (wantErr == nil) != (fErr == nil) {
-			t.Fatalf("error parity: canonical=%v fast=%v", wantErr, fErr)
-		}
 		if wantErr != nil {
 			return
 		}
-		if !bytes.Equal(got, want) || !bytes.Equal(fgot, want) {
+		if !bytes.Equal(got, want) {
 			t.Fatal("decoded symbols differ")
 		}
-		if gr.Pos() != wr.Pos() || fr.Pos() != wr.Pos() {
-			t.Fatalf("bit positions multi=%d fast=%d canonical=%d", gr.Pos(), fr.Pos(), wr.Pos())
+		if gr.Pos() != wr.Pos() {
+			t.Fatalf("bit position %d != canonical %d", gr.Pos(), wr.Pos())
 		}
 	})
 }

@@ -375,15 +375,7 @@ func (s *Server) applyLineCacheStats(st *lineCacheStats, parallel bool) {
 // the caller — the zero-allocation unit of the decompress path.
 func (e *coderEntry) decodeLineInto(dst, stored []byte) error {
 	if e.codec != nil {
-		if d, ok := e.codec.(core.LineIntoDecoder); ok {
-			return d.DecodeLineInto(dst, stored)
-		}
-		line, err := e.codec.DecodeLine(stored, core.LineSize)
-		if err != nil {
-			return err
-		}
-		copy(dst, line)
-		return nil
+		return e.codec.DecodeLineInto(dst, stored)
 	}
 	// Single-code byte-Huffman; multi-code images need per-line tags and
 	// travel as CROM files instead. Decode runs through the multi-symbol

@@ -47,8 +47,10 @@ else
 fi
 
 stage "go test -race ./..." go test -race ./...
+# ccrpbench is its own module, so the root ./... never builds it; vet
+# and test it against this tree so an API change cannot break it unseen.
+stage "ccrpbench vet+test" sh -c 'cd ccrpbench && GOWORK=off go vet ./... && GOWORK=off go test ./...'
 stage "isa smoke" sh scripts/isa_smoke.sh
-stage "decode smoke" sh scripts/decode_smoke.sh
 stage "trace smoke" sh scripts/trace_smoke.sh
 stage "persist smoke" sh scripts/persist_smoke.sh
 stage "fleet smoke" sh scripts/fleet_smoke.sh

@@ -3,9 +3,11 @@
 # assembled and simulated on every registered backend through the
 # ccasm/ccsim/ccdis flow, so a regression in the isa abstraction layer —
 # wrong backend picked from an image, a disassembler/parser drift, a
-# broken executor — fails the build with the stage named. Finishes with
-# the RVC expansion gates: the known 16-bit -> 32-bit vectors and the
-# exhaustive expand/compress differential over all 65536 halfwords.
+# broken executor — fails the build with the stage named. The mips image
+# also goes through ccpack -o and ccdis -rom, so the CROM write/read/
+# decompress path is checked at the binary level. Finishes with the RVC
+# expansion gates: the known 16-bit -> 32-bit vectors and the exhaustive
+# expand/compress differential over all 65536 halfwords.
 #
 # Usage: sh scripts/isa_smoke.sh
 set -eu
@@ -71,6 +73,14 @@ for ISA in mips rv32; do
 	go run ./cmd/ccsim -q -json "$TMP/sum.$ISA.img" > "$TMP/sum.$ISA.json" \
 		|| fail "ccsim $ISA"
 done
+
+echo "== ccpack -o + ccdis -rom (mips image through a CROM file)"
+go run ./cmd/ccpack -o "$TMP/sum.mips.rom" "$TMP/sum.mips.img" > /dev/null || fail "ccpack mips"
+go run ./cmd/ccdis -rom "$TMP/sum.mips.rom" > "$TMP/sum.mips.romdis" || fail "ccdis -rom mips"
+# The ROM text is padded to whole 32-byte lines, so its listing has
+# extra trailing lines; the plain image listing must be its prefix.
+n=$(wc -l < "$TMP/sum.mips.dis")
+head -n "$n" "$TMP/sum.mips.romdis" | cmp -s - "$TMP/sum.mips.dis" || fail "ccdis -rom listing"
 
 # Both backends must compute the same answer from their own encodings.
 grep -q "syscall" "$TMP/sum.mips.dis" || fail "mips disassembly content"
