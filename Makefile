@@ -1,9 +1,8 @@
 GO ?= go
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: all build test race vet fmt staticcheck check bench trajectory \
-	serve-smoke serve-bench decode-bench trace-smoke \
-	persist-smoke fleet-smoke isa-smoke fuzz
+.PHONY: all build test race vet fmt staticcheck check bench \
+	serve-smoke decode-bench isa-smoke fuzz
 
 all: build
 
@@ -34,40 +33,16 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
 
-# Record a BENCH_<LABEL>.json sweep trajectory (wall times + datapoints).
-LABEL ?= dev
-trajectory:
-	sh scripts/bench.sh $(LABEL)
-
-# ccrpd end-to-end smoke: healthz, train/compress/decompress round trip
-# byte-compared against ccpack, metrics scrape, SIGTERM drain.
+# Binary-level serving smoke: ccrpd and ccrp-router flag wiring, a
+# round trip byte-compared against ccpack, one compress through the
+# router, ccrp-spans over the daemon's -trace file, SIGTERM drains.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Serving benchmark: mixed load against a local ccrpd -> BENCH_<LABEL>.json.
-serve-bench:
-	sh scripts/serve_bench.sh $(LABEL)
 
 # Decode-kernel benchmark: the multi-symbol kernel against the canonical
 # oracle, MB/s as Go benchmarks.
 decode-bench:
 	$(GO) test -run=^$$ -bench='BenchmarkDecode(Canonical|Multi)$$' -benchmem ./internal/huffman
-
-# Tracing end-to-end smoke: ccrpd -trace under a ccrp-load burst, then
-# ccrp-spans must decompose every instrumented request stage.
-trace-smoke:
-	sh scripts/trace_smoke.sh
-
-# Restart-survival gate: train with -store, SIGTERM-drain, reboot on the
-# same store, assert zero retrains and byte-identical served output.
-persist-smoke:
-	sh scripts/persist_smoke.sh
-
-# Fleet serving gate: 3 shared-store backends behind ccrp-router,
-# SLO-gated load through the hop, kill -9 one backend mid-run with zero
-# client-visible 5xx, then ring re-stabilization and cross-hop traces.
-fleet-smoke:
-	sh scripts/fleet_smoke.sh
 
 # ISA-backend smoke: assemble + simulate the same program on every
 # registered backend (mips, rv32), RVC expansion vector and

@@ -6,7 +6,6 @@
 //
 //	ccrp-bench [-exp all|fig1|fig2|fig5|fig9|tables1-8|tables9-10|tables11-13|ablations|extensions|paging|codepack|rvc[,...]]
 //	           [-j N] [-json out.json]
-//	           [-trajectory out.json] [-label NAME]
 //	           [-metrics table|json|prom] [-events ev.jsonl] [-sample N]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -16,12 +15,8 @@
 //
 // -json writes every datapoint of the selected experiments as one
 // machine-readable JSON document ("-" for stdout) instead of the rendered
-// tables — the source format for BENCH_*.json performance trajectories.
-//
-// -trajectory runs the selected experiments at -j 1 and -j N, checks the
-// outputs are byte-identical, and writes the timed trajectory document
-// (wall times, speedup, and every datapoint) to the given file; this is
-// what scripts/bench.sh records as BENCH_<label>.json.
+// tables. Its sha256 over the full sweep is the reproduction's identity:
+// go run ./cmd/ccrp-bench -json - | sha256sum.
 package main
 
 import (
@@ -41,8 +36,6 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run")
 	workers := flag.Int("j", runtime.NumCPU(), "parallel sweep workers (1 = sequential)")
 	jsonOut := flag.String("json", "", `write experiment datapoints as JSON to this file ("-" for stdout)`)
-	trajOut := flag.String("trajectory", "", "write a timed -j1-vs-jN benchmark trajectory JSON to this file")
-	label := flag.String("label", "dev", "trajectory label recorded in -trajectory output")
 	obsFlags := cliutil.RegisterObsFlags(flag.CommandLine)
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
@@ -62,23 +55,6 @@ func main() {
 	var names []string
 	if *exp != "all" {
 		names = strings.Split(*exp, ",")
-	}
-
-	if *trajOut != "" {
-		f, err := os.Create(*trajOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiments.WriteTrajectory(f, names, *workers, *label); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *trajOut)
-		finish(obs)
-		return
 	}
 
 	if *jsonOut != "" {

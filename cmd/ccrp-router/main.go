@@ -1,7 +1,7 @@
 // Command ccrp-router is the fleet gateway: it fronts a set of ccrpd
 // nodes and routes every /v1/* request to the node that owns the
 // request's coder id on a consistent-hash ring, failing over along the
-// ring's successor order when a node is down.
+// ring's successor order when a node is down (cluster.Router).
 //
 // Usage:
 //
@@ -9,7 +9,7 @@
 //	            [-probe-interval 500ms] [-probe-timeout 2s]
 //	            [-fail-threshold 3] [-recover-threshold 2]
 //	            [-forward-timeout 30s] [-max-attempts 3] [-backoff 25ms]
-//	            [-max-body 16777216] [-access-log access.jsonl]
+//	            [-max-body 16777216]
 //	            [-trace spans.jsonl] [-trace-tail 16] [-drain 15s]
 //	            [-version]
 //
@@ -20,318 +20,21 @@
 // checking probes each node's /readyz — a draining ccrpd (SIGTERM
 // received, /readyz 503) leaves the rotation before its listener
 // closes, and a kill -9'd node is ejected after a few failed forwards.
-//
-// Every response carries X-Ccrp-Trace-Id (generated here, adopted by
-// the backend, so router and backend spans form one trace) and
-// X-Ccrp-Backend (the node that answered, so clients can observe the
-// placement the ring computed). The router's own /healthz reports the
-// fleet snapshot; /metrics exports per-node request, error, and
-// failover counters plus node-health gauges and forward latency.
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/cluster"
-	"ccrp/internal/metrics"
-	"ccrp/internal/server"
 	"ccrp/internal/tracing"
 )
-
-// Router span stages, the gateway's addition to the request-path
-// vocabulary: one request root per proxied call, one forward child
-// covering the retry loop.
-const (
-	stageRequest = "request"
-	stageForward = "forward"
-)
-
-// router is the gateway state shared by the proxy and its own
-// observability endpoints.
-type router struct {
-	ring    *cluster.Ring
-	health  *cluster.Checker
-	fwd     *cluster.Forwarder
-	tracer  *tracing.Tracer
-	maxBody int64
-	start   time.Time
-
-	mu   sync.Mutex // serializes instrument updates and /metrics scrapes
-	reg  *metrics.Registry
-	inst routerMetrics
-
-	accessMu sync.Mutex
-	access   metrics.EventSink
-	seq      atomic.Uint64
-	draining atomic.Bool
-}
-
-type routerMetrics struct {
-	requests  *metrics.CounterVec // answered requests by backend node
-	errors    *metrics.CounterVec // failed attempts (connect error or 5xx) by node
-	failovers *metrics.CounterVec // requests rerouted away, by the node that failed
-	routeKeys *metrics.CounterVec // route-key derivations by kind (coder | hash)
-	nodeUp    *metrics.GaugeVec   // 1 when the health checker holds the node up
-	latency   *metrics.Histogram  // forward wall time, seconds, incl. retries
-	uptime    *metrics.Gauge
-}
-
-func newRouter(ring *cluster.Ring, health *cluster.Checker, fwd *cluster.Forwarder, tracer *tracing.Tracer, maxBody int64) *router {
-	rt := &router{
-		ring: ring, health: health, fwd: fwd, tracer: tracer,
-		maxBody: maxBody, start: time.Now(), reg: metrics.New(),
-	}
-	rt.inst = routerMetrics{
-		requests:  rt.reg.CounterVec("ccrp_router_requests_total", "requests answered per backend node", "node"),
-		errors:    rt.reg.CounterVec("ccrp_router_node_errors_total", "failed forward attempts per node", "node"),
-		failovers: rt.reg.CounterVec("ccrp_router_failovers_total", "requests rerouted away from a failing node", "node"),
-		routeKeys: rt.reg.CounterVec("ccrp_router_route_keys_total", "route-key derivations by kind", "kind"),
-		nodeUp:    rt.reg.GaugeVec("ccrp_router_node_up", "1 when the node is in rotation", "node"),
-		latency: rt.reg.Histogram("ccrp_router_forward_seconds", "forward wall time including retries",
-			metrics.ExpBuckets(0.0001, 4, 10)),
-		uptime: rt.reg.Gauge("ccrp_router_uptime_seconds", "seconds since router start"),
-	}
-	return rt
-}
-
-// inboundTraceID mirrors the backend's header validation: adopt only
-// the well-formed 128-bit form, never the zero id.
-func inboundTraceID(r *http.Request) tracing.TraceID {
-	tid, err := tracing.ParseTraceID(r.Header.Get(server.TraceHeader))
-	if err != nil {
-		return tracing.TraceID{}
-	}
-	return tid
-}
-
-// hopHeaders are stripped before forwarding (RFC 9110 connection-
-// scoped fields; the forwarder manages its own connections).
-var hopHeaders = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
-
-// proxy is the /v1/* handler: derive the route key, forward along the
-// ring, relay the backend's response bytes and status untouched.
-func (rt *router) proxy(w http.ResponseWriter, r *http.Request) {
-	seq := rt.seq.Add(1)
-	start := time.Now()
-
-	tid := inboundTraceID(r)
-	if tid.IsZero() {
-		tid = tracing.NewTraceID()
-	}
-	w.Header().Set(server.TraceHeader, tid.String())
-	span := rt.tracer.StartTrace(tid, stageRequest)
-	span.SetAttr("route", r.URL.Path)
-	span.SetAttr("method", r.Method)
-
-	status, node, errCode := rt.forward(w, r, tid, span)
-
-	dur := time.Since(start)
-	span.SetAttrInt("status", int64(status))
-	span.End()
-	rt.mu.Lock()
-	rt.inst.latency.Observe(dur.Seconds())
-	rt.mu.Unlock()
-	rt.logAccess(seq, r, status, dur, tid, node, errCode)
-}
-
-// forward runs the routed hop and writes the response. It returns the
-// client-visible status, the answering node ("" when no node answered),
-// and the router-generated error code ("" when the backend's own
-// response was relayed).
-func (rt *router) forward(w http.ResponseWriter, r *http.Request, tid tracing.TraceID, span *tracing.Span) (status int, node, errCode string) {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.maxBody)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return rt.fail(w, span, err)
-	}
-
-	key, kind := server.RouteKey(r.Method, r.URL.Path, body)
-	span.SetAttr("route_key", kind)
-	rt.mu.Lock()
-	rt.inst.routeKeys.With(kind).Inc()
-	rt.mu.Unlock()
-
-	hdr := r.Header.Clone()
-	for _, h := range hopHeaders {
-		hdr.Del(h)
-	}
-	hdr.Set(server.TraceHeader, tid.String())
-
-	fsp := span.Child(stageForward)
-	fsp.SetAttr("owner", rt.ring.Owner(key))
-	res, err := rt.fwd.Do(r.Context(), key, r.Method, r.URL.RequestURI(), hdr, body)
-	rt.recordAttempts(res, fsp)
-	if err != nil {
-		fsp.SetError(err)
-		fsp.End()
-		return rt.fail(w, span, err)
-	}
-	fsp.SetAttr("node", res.Node)
-	fsp.End()
-
-	resp := res.Resp
-	defer resp.Body.Close()
-	out := w.Header()
-	for k, vs := range resp.Header {
-		if k == server.TraceHeader {
-			continue // already stamped; the backend echoes the same id
-		}
-		out[k] = vs
-	}
-	out.Set(cluster.BackendHeader, res.Node)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-
-	rt.mu.Lock()
-	rt.inst.requests.With(res.Node).Inc()
-	rt.mu.Unlock()
-	return resp.StatusCode, res.Node, ""
-}
-
-// recordAttempts attributes every failed try to its node — in metrics
-// and on the forward span — whether or not the request recovered.
-func (rt *router) recordAttempts(res *cluster.Result, fsp *tracing.Span) {
-	if res == nil {
-		return
-	}
-	fsp.SetAttrInt("attempts", int64(len(res.Attempts)))
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for i, a := range res.Attempts {
-		failed := a.Err != nil || a.Status >= 500
-		if failed {
-			rt.inst.errors.With(a.Node).Inc()
-		}
-		// A failover is a request that left a failing node for a later
-		// candidate; the last attempt (successful or not) stays put.
-		if failed && i < len(res.Attempts)-1 {
-			rt.inst.failovers.With(a.Node).Inc()
-		}
-	}
-}
-
-// fail writes a router-generated error (the backend never answered) in
-// the service's own taxonomy shape, so clients parse one error format
-// fleet-wide.
-func (rt *router) fail(w http.ResponseWriter, span *tracing.Span, err error) (int, string, string) {
-	span.SetError(err)
-	status, code := http.StatusBadGateway, "bad_gateway"
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		status, code = http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		status, code = http.StatusGatewayTimeout, "gateway_timeout"
-	}
-	api := server.Errf(status, code, "%v", err)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\n  \"error\": {\n    \"code\": %q,\n    \"message\": %q\n  }\n}\n", api.Code, api.Message)
-	return status, "", code
-}
-
-func (rt *router) logAccess(seq uint64, r *http.Request, status int, dur time.Duration, tid tracing.TraceID, node, errCode string) {
-	if rt.access == nil {
-		return
-	}
-	rt.accessMu.Lock()
-	rt.access.Emit(metrics.Event{
-		Type: metrics.EvHTTP, Seq: seq, Line: -1, Set: -1,
-		Method: r.Method, Path: r.URL.Path, Status: status,
-		DurUS: uint64(dur.Microseconds()), Err: errCode,
-		Trace: tid.String(), Node: node,
-	})
-	rt.accessMu.Unlock()
-}
-
-// healthzBody is the router's /healthz shape: its own liveness plus the
-// fleet picture its routing decisions are based on.
-type healthzBody struct {
-	Status        string               `json:"status"`
-	Version       string               `json:"version"`
-	UptimeSeconds float64              `json:"uptime_seconds"`
-	RingNodes     int                  `json:"ring_nodes"`
-	NodesUp       int                  `json:"nodes_up"`
-	Fleet         []cluster.NodeStatus `json:"fleet"`
-}
-
-func (rt *router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthzBody{
-		Status:        "ok",
-		Version:       cliutil.Version(),
-		UptimeSeconds: time.Since(rt.start).Seconds(),
-		RingNodes:     rt.ring.Len(),
-		NodesUp:       rt.health.UpCount(),
-		Fleet:         rt.health.Snapshot(),
-	})
-}
-
-// handleReadyz: the router is ready while it can route somewhere — at
-// least one node up and drain not begun.
-func (rt *router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	if rt.health.UpCount() == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no backends"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, st := range rt.health.Snapshot() {
-		up := 0.0
-		if st.Up {
-			up = 1.0
-		}
-		rt.inst.nodeUp.With(st.Node).Set(up)
-	}
-	rt.inst.uptime.Set(time.Since(rt.start).Seconds())
-	_ = rt.reg.WritePrometheus(w)
-}
-
-func (rt *router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.tracer.TailSnapshot())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func (rt *router) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/", rt.proxy)
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", rt.handleTraces)
-	return mux
-}
 
 func main() {
 	addr := flag.String("addr", ":8640", "listen address")
@@ -344,7 +47,6 @@ func main() {
 	maxAttempts := flag.Int("max-attempts", 3, "total forward attempts per request across nodes")
 	backoff := flag.Duration("backoff", 25*time.Millisecond, "initial retry backoff (doubles per attempt)")
 	maxBody := flag.Int64("max-body", 16<<20, "request body limit in bytes")
-	accessLog := flag.String("access-log", "", "append JSONL access logs to this file (- for stderr)")
 	traceOut := flag.String("trace", "", "append JSONL span records to this file (- for stderr)")
 	traceTail := flag.Int("trace-tail", tracing.DefaultTailSlow, "slowest request trees retained for GET /debug/traces")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
@@ -388,98 +90,32 @@ func main() {
 			MaxIdleConnsPerHost: 32,
 		}},
 	})
-
-	tcfg := tracing.Config{TailSlow: *traceTail}
-	if *traceOut != "" {
-		sink, closeSink, err := openTraceSink(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccrp-router: %v\n", err)
-			os.Exit(1)
-		}
-		defer closeSink()
-		tcfg.Sink = sink
+	tracer, err := cliutil.OpenTracer(*traceOut, *traceTail)
+	if err != nil {
+		fatal(err)
 	}
-	tracer := tracing.New(tcfg)
 	defer tracer.Close()
+	rt := cluster.NewRouter(ring, health, fwd, tracer, *maxBody)
 
-	rt := newRouter(ring, health, fwd, tracer, *maxBody)
-	if *accessLog != "" {
-		sink, closeSink, err := openAccessLog(*accessLog)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccrp-router: %v\n", err)
-			os.Exit(1)
-		}
-		defer closeSink()
-		rt.access = sink
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
+	ctx := cliutil.SignalContext()
 	// One synchronous probe round before the listener opens: a fleet
 	// member that is already dead at boot never takes the first request.
 	health.ProbeRound(ctx)
 	go health.Run(ctx)
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
 	}
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "ccrp-router %s listening on %s, fleet %s (%d/%d up)\n",
-			cliutil.Version(), *addr, strings.Join(nodes, ","), health.UpCount(), len(nodes))
-		errc <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "ccrp-router: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		stop()
-		rt.draining.Store(true)
-		fmt.Fprintf(os.Stderr, "ccrp-router: signal received, draining for up to %s\n", *drain)
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "ccrp-router: drain incomplete: %v\n", err)
-			srv.Close()
-			os.Exit(1)
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "ccrp-router: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "ccrp-router: drained, exiting")
+	fmt.Fprintf(os.Stderr, "ccrp-router %s listening on %s, fleet %s (%d/%d up)\n",
+		cliutil.Version(), ln.Addr(), strings.Join(nodes, ","), health.UpCount(), len(nodes))
+	if err := cliutil.Serve(ctx, "ccrp-router", ln, rt.Handler(), *drain, rt.BeginDrain); err != nil {
+		fatal(err)
 	}
 }
 
-// openAccessLog builds the JSONL event sink for -access-log.
-func openAccessLog(path string) (metrics.EventSink, func(), error) {
-	if path == "-" {
-		sink := metrics.NewJSONLSink(os.Stderr)
-		return sink, func() { sink.Close() }, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("access log: %w", err)
-	}
-	sink := metrics.NewJSONLSink(f)
-	return sink, func() { sink.Close(); f.Close() }, nil
-}
-
-// openTraceSink builds the JSONL span sink for -trace.
-func openTraceSink(path string) (tracing.SpanSink, func(), error) {
-	if path == "-" {
-		sink := tracing.NewJSONLSink(os.Stderr)
-		return sink, func() { sink.Close() }, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace sink: %w", err)
-	}
-	sink := tracing.NewJSONLSink(f)
-	return sink, func() { sink.Close(); f.Close() }, nil
+// fatal reports err and exits 1.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "ccrp-router: %v\n", err)
+	os.Exit(1)
 }

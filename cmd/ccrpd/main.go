@@ -7,8 +7,7 @@
 //	ccrpd [-addr :8642] [-store DIR] [-sim-workers N] [-decode-workers N]
 //	      [-max-body 16777216]
 //	      [-train-timeout 60s] [-compress-timeout 30s] [-sim-timeout 120s]
-//	      [-access-log access.jsonl] [-trace spans.jsonl] [-trace-tail 16]
-//	      [-drain 15s] [-version]
+//	      [-trace spans.jsonl] [-trace-tail 16] [-drain 15s] [-version]
 //
 // -decode-workers bounds the per-request worker pool that fans
 // /v1/decompress line expansion across CPUs (0 = GOMAXPROCS; 1 forces
@@ -20,25 +19,24 @@
 // and served without retraining — the serving analogue of the paper's
 // ROMs surviving power cycles.
 //
-// The daemon drains gracefully on SIGINT/SIGTERM: /readyz flips to 503
-// (so a fronting ccrp-router takes the node out of rotation), the
-// listener stops accepting, in-flight requests get -drain to finish,
-// then the process exits 0. A second signal aborts immediately.
+// -trace streams every finished span as JSONL; each request's root span
+// is its record (method, route, status, duration, error code, trace id).
+//
+// The daemon drains gracefully on SIGINT/SIGTERM (cliutil.Serve): /readyz
+// flips to 503 (so a fronting ccrp-router takes the node out of
+// rotation), the listener stops accepting, in-flight requests get -drain
+// to finish, then the process exits 0. A second signal aborts immediately.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"ccrp/internal/cliutil"
-	"ccrp/internal/metrics"
 	"ccrp/internal/server"
 	"ccrp/internal/sweep"
 	"ccrp/internal/tracing"
@@ -53,7 +51,6 @@ func main() {
 	trainTimeout := flag.Duration("train-timeout", 0, "POST /v1/coders deadline (0 = 60s)")
 	compressTimeout := flag.Duration("compress-timeout", 0, "compress/decompress deadline (0 = 30s)")
 	simTimeout := flag.Duration("sim-timeout", 0, "POST /v1/simulate deadline (0 = 120s)")
-	accessLog := flag.String("access-log", "", "append JSONL access logs to this file (- for stderr)")
 	traceOut := flag.String("trace", "", "append JSONL span records to this file (- for stderr)")
 	traceTail := flag.Int("trace-tail", tracing.DefaultTailSlow, "slowest request trees retained for GET /debug/traces")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
@@ -61,6 +58,13 @@ func main() {
 	flag.Parse()
 	cliutil.HandleVersionFlag("ccrpd", version)
 
+	// Tracing is always on: the tail capture behind GET /debug/traces
+	// costs only the slowest-N span trees.
+	tracer, err := cliutil.OpenTracer(*traceOut, *traceTail)
+	if err != nil {
+		fatal(err)
+	}
+	defer tracer.Close()
 	cfg := server.Config{
 		MaxBodyBytes:    *maxBody,
 		SimWorkers:      *simWorkers,
@@ -69,41 +73,12 @@ func main() {
 		CompressTimeout: *compressTimeout,
 		SimulateTimeout: *simTimeout,
 		Version:         cliutil.Version(),
+		Tracer:          tracer,
 	}
-	if *accessLog != "" {
-		sink, closeSink, err := openAccessLog(*accessLog)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccrpd: %v\n", err)
-			os.Exit(1)
-		}
-		defer closeSink()
-		cfg.AccessLog = sink
-	}
-
-	// Tracing is always on: the tail capture behind GET /debug/traces
-	// costs only the slowest-N span trees. -trace additionally streams
-	// every finished span as JSONL for offline analysis (ccrp-spans).
-	tcfg := tracing.Config{TailSlow: *traceTail}
-	if *traceOut != "" {
-		sink, closeSink, err := openTraceSink(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccrpd: %v\n", err)
-			os.Exit(1)
-		}
-		defer closeSink()
-		tcfg.Sink = sink
-	}
-	tracer := tracing.New(tcfg)
-	defer tracer.Close()
-	cfg.Tracer = tracer
-
 	if *storeDir != "" {
-		store, err := sweep.OpenDiskStore(*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccrpd: %v\n", err)
-			os.Exit(1)
+		if cfg.Store, err = sweep.OpenDiskStore(*storeDir); err != nil {
+			fatal(err)
 		}
-		cfg.Store = store
 	}
 
 	svc := server.New(cfg)
@@ -113,78 +88,23 @@ func main() {
 		// operator who asked for persistence should not silently run cold.
 		n, err := svc.WarmStart(context.Background())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccrpd: warm start: %v\n", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("warm start: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "ccrpd: warm start: %d coders from %s\n", n, *storeDir)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           svc.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
 	}
-
-	// First signal: drain. Second signal (after stop()): default handling,
-	// i.e. immediate termination.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "ccrpd %s listening on %s\n", cliutil.Version(), *addr)
-		errc <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "ccrpd: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		stop()
-		// Readiness goes first: a fronting router sees /readyz flip to
-		// 503 and routes around this node while the drain window runs.
-		svc.BeginDrain()
-		fmt.Fprintf(os.Stderr, "ccrpd: signal received, draining for up to %s\n", *drain)
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "ccrpd: drain incomplete: %v\n", err)
-			srv.Close()
-			os.Exit(1)
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "ccrpd: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "ccrpd: drained, exiting")
+	fmt.Fprintf(os.Stderr, "ccrpd %s listening on %s\n", cliutil.Version(), ln.Addr())
+	if err := cliutil.Serve(cliutil.SignalContext(), "ccrpd", ln, svc.Handler(), *drain, svc.BeginDrain); err != nil {
+		fatal(err)
 	}
 }
 
-// openAccessLog builds the JSONL event sink for -access-log.
-func openAccessLog(path string) (metrics.EventSink, func(), error) {
-	if path == "-" {
-		sink := metrics.NewJSONLSink(os.Stderr)
-		return sink, func() { sink.Close() }, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("access log: %w", err)
-	}
-	sink := metrics.NewJSONLSink(f)
-	return sink, func() { sink.Close(); f.Close() }, nil
-}
-
-// openTraceSink builds the JSONL span sink for -trace.
-func openTraceSink(path string) (tracing.SpanSink, func(), error) {
-	if path == "-" {
-		sink := tracing.NewJSONLSink(os.Stderr)
-		return sink, func() { sink.Close() }, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace sink: %w", err)
-	}
-	sink := tracing.NewJSONLSink(f)
-	return sink, func() { sink.Close(); f.Close() }, nil
+// fatal reports err and exits 1.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "ccrpd: %v\n", err)
+	os.Exit(1)
 }

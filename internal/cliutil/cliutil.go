@@ -2,7 +2,8 @@
 // ccsim, cctrace, and ccpack commands: memory-model, workload, and
 // program/trace resolution, Huffman code-set construction, and the
 // observability flag block (-metrics/-events/-sample/-cpuprofile/
-// -memprofile) wired identically across the CLIs.
+// -memprofile) wired identically across the CLIs. The daemons (ccrpd,
+// ccrp-router) share its listen-and-drain and tracer helpers (serve.go).
 package cliutil
 
 import (

@@ -10,8 +10,8 @@ import (
 )
 
 // BackendHeader names the response header a router stamps with the
-// backend node that served the request, so clients (ccrp-load) can
-// observe per-node distribution without access to router internals.
+// backend node that served the request, so clients can observe
+// per-node distribution without access to router internals.
 const BackendHeader = "X-Ccrp-Backend"
 
 // ForwarderConfig tunes a Forwarder. Zero fields select defaults.

@@ -1,0 +1,103 @@
+package cluster
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"ccrp/internal/server"
+	"ccrp/internal/tracing"
+)
+
+// TestRouterOwnErrorsAndReadiness: failures the router generates itself
+// (the backend never answered) come back in the service's error
+// taxonomy and leave their code on the request's root span; an inbound
+// trace id is adopted; /readyz follows drain and fleet health; and
+// /debug/traces serves the errored request trees.
+func TestRouterOwnErrorsAndReadiness(t *testing.T) {
+	backends, fwd, checker := newFleet(t, 2)
+	sink := &spanSink{}
+	rt := NewRouter(fwd.cfg.Ring, checker, fwd, tracing.New(tracing.Config{Sink: sink}), 64)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	send := func(body string, wantStatus int, wantCode string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, front.URL+"/v1/compress", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const tid = "00112233445566778899aabbccddeeff"
+		req.Header.Set(server.TraceHeader, tid)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb struct {
+			Error struct{ Code string } `json:"error"`
+		}
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("status = %d, want %d", resp.StatusCode, wantStatus)
+		}
+		if got := resp.Header.Get(server.TraceHeader); got != tid {
+			t.Errorf("response trace id = %q, want the inbound %q", got, tid)
+		}
+		if wantCode == "" {
+			if resp.Header.Get(BackendHeader) == "" {
+				t.Error("relayed answer carries no backend header")
+			}
+			return
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Code != wantCode {
+			t.Fatalf("error body code = %q (%v), want %q", eb.Error.Code, err, wantCode)
+		}
+		var root *tracing.Record
+		for _, rec := range sink.trace(tid) {
+			if rec.Parent == "" {
+				root = &rec
+			}
+		}
+		if root == nil || root.Attrs["error_code"] != wantCode || root.Attrs["status"] != int64(wantStatus) {
+			t.Errorf("root span = %+v, want error_code %q and status %d", root, wantCode, wantStatus)
+		}
+	}
+
+	send(`{}`, http.StatusOK, "")
+	send(strings.Repeat("x", 65), http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge)
+
+	readyz := func(want int) {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("readyz = %d, want %d", resp.StatusCode, want)
+		}
+	}
+	readyz(http.StatusOK)
+
+	for _, b := range backends {
+		b.ts.Close()
+	}
+	send(`{}`, http.StatusBadGateway, "bad_gateway")
+	for _, b := range backends {
+		for checker.Healthy(b.node) {
+			checker.ReportFailure(b.node, nil)
+		}
+	}
+	readyz(http.StatusServiceUnavailable) // no backends up
+
+	var snap tracing.TailSnapshot
+	getJSON(t, front.URL+"/debug/traces", &snap)
+	if len(snap.Errored) == 0 || snap.Errored[0].Stage != stageRequest {
+		t.Errorf("tail capture holds %d errored trees, want the failed requests rooted at %q", len(snap.Errored), stageRequest)
+	}
+
+	rt.BeginDrain()
+	readyz(http.StatusServiceUnavailable)
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -610,6 +611,30 @@ func (testCodec) BitLengths(line []byte) ([]int, error) {
 		lens[0] += 8
 	}
 	return lens, nil
+}
+
+// errBitLengths is brokenBitsCodec's failure.
+var errBitLengths = errors.New("no per-byte bit attribution")
+
+// brokenBitsCodec compresses like testCodec but cannot attribute bits
+// to output bytes, so the refill model cannot price its lines.
+type brokenBitsCodec struct{ testCodec }
+
+func (brokenBitsCodec) BitLengths([]byte) ([]int, error) { return nil, errBitLengths }
+
+// TestBuildROMRejectsCodecWithoutBitLengths: a codec whose BitLengths
+// fails is a build error naming the line, not a ROM whose refills of
+// that line cost zero cycles.
+func TestBuildROMRejectsCodecWithoutBitLengths(t *testing.T) {
+	text := make([]byte, 2*LineSize)
+	text[LineSize] = 1 // line 0 and line 1 both compress under testCodec
+	_, err := BuildROM(text, Options{Codec: brokenBitsCodec{}})
+	if !errors.Is(err, errBitLengths) {
+		t.Fatalf("BuildROM = %v, want the BitLengths error", err)
+	}
+	if !strings.Contains(err.Error(), "line at 0x0") {
+		t.Errorf("BuildROM error %q does not name the line address", err)
+	}
 }
 
 func TestCodecPlugPoint(t *testing.T) {

@@ -102,6 +102,12 @@ func compressLine(orig []byte, opts Options) (Line, error) {
 		if n >= LineSize {
 			return best, nil
 		}
+		// The refill model streams a compressed line by its per-byte bit
+		// lengths; a codec that cannot attribute them would make every
+		// refill of this line free.
+		if _, err := opts.Codec.BitLengths(orig); err != nil {
+			return Line{}, err
+		}
 		enc, err := opts.Codec.EncodeLine(orig)
 		if err != nil {
 			return Line{}, err
@@ -246,7 +252,10 @@ func (r *ROM) bitLengths(i int) []int {
 	if r.opts.Codec != nil {
 		lens, err := r.opts.Codec.BitLengths(l.Orig)
 		if err != nil {
-			return nil
+			// BuildROM rejects every line whose BitLengths fails, so
+			// only a codec that changes its answer gets here; a silent
+			// nil would price the refill at zero cycles.
+			panic(fmt.Sprintf("core: line %d: codec BitLengths failed after BuildROM accepted it: %v", i, err))
 		}
 		return lens
 	}

@@ -47,7 +47,7 @@ const HuffmanBound = 16
 
 // Artifact cache: trained coders and compressed ROM images, addressed by
 // content (corpus hash + coder type + configuration). Swapped wholesale
-// by resetArtifacts for cold-cache timing runs.
+// by resetArtifacts for cold-cache test runs.
 var (
 	artMu sync.Mutex
 	arts  = sweep.NewCache()
@@ -60,8 +60,7 @@ func artifacts() *sweep.Cache {
 }
 
 // resetArtifacts discards every cached artifact, forcing the next sweep
-// to retrain coders and rebuild ROMs. Used by trajectory timing (both
-// timed runs must pay the same training cost) and by tests; not safe
+// to retrain coders and rebuild ROMs. Used by tests; not safe
 // concurrently with a running sweep.
 func resetArtifacts() {
 	artMu.Lock()

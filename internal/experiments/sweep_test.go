@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"ccrp/internal/sweep"
@@ -35,8 +34,8 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 // TestPerfPointCycleCounts: every sweep point carries its absolute cycle
-// counts — the values BENCH_*.json trajectories diff across PRs — and
-// they are consistent with the reported ratio.
+// counts — the values the sweep's points_sha256 pins across changes —
+// and they are consistent with the reported ratio.
 func TestPerfPointCycleCounts(t *testing.T) {
 	res, err := Tables11to13()
 	if err != nil {
@@ -52,38 +51,5 @@ func TestPerfPointCycleCounts(t *testing.T) {
 				t.Errorf("%s: cycles ratio %.6f != relperf %.6f", prog, ratio, p.RelPerf)
 			}
 		}
-	}
-}
-
-// TestBuildTrajectory: the trajectory document self-checks determinism
-// and records both wall times and the embedded datapoints.
-func TestBuildTrajectory(t *testing.T) {
-	tr, err := BuildTrajectory([]string{"tables11-13"}, 4, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.ByteIdentical {
-		t.Error("trajectory reports non-identical -j1/-jN output")
-	}
-	if tr.SeqWallSeconds <= 0 || tr.ParWallSeconds <= 0 {
-		t.Errorf("wall times not recorded: %g/%g", tr.SeqWallSeconds, tr.ParWallSeconds)
-	}
-	if tr.Workers != 4 || tr.Label != "test" {
-		t.Errorf("metadata wrong: %+v", tr)
-	}
-	if tr.Host.GoVersion == "" || tr.Host.NumCPU < 1 || tr.Host.GOMAXPROCS < 1 {
-		t.Errorf("host metadata not recorded: %+v", tr.Host)
-	}
-	var doc struct {
-		Experiments map[string]json.RawMessage `json:"experiments"`
-	}
-	if err := json.Unmarshal(tr.Points, &doc); err != nil {
-		t.Fatalf("embedded points do not parse: %v", err)
-	}
-	if _, ok := doc.Experiments["tables11-13"]; !ok {
-		t.Error("embedded points missing the requested experiment")
-	}
-	if tr.PointsSHA256 != sweep.HashBytes(tr.Points) {
-		t.Error("points hash does not match embedded points")
 	}
 }

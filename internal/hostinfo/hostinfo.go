@@ -1,7 +1,7 @@
 // Package hostinfo collects the host execution environment — Go
 // toolchain, CPU topology, and (where readable) the CPU model — so that
-// benchmark trajectory documents and service health reports carry enough
-// metadata to be compared across machines.
+// benchmark reports and service health reports carry enough metadata to
+// be compared across machines.
 package hostinfo
 
 import (

@@ -195,31 +195,6 @@ func (m *MultiDecoder) buildSub(cws []codeword, consumed, chunk uint) (int, uint
 	return off, tblBits
 }
 
-// RootBits returns the index width of the first-level table.
-func (m *MultiDecoder) RootBits() int { return int(m.rootBits) }
-
-// TableEntries returns the total arena size across all levels.
-func (m *MultiDecoder) TableEntries() int { return len(m.table) }
-
-// SizeBits returns the table storage in bits (64-bit entries), for
-// comparison against decoder.ROM's hardware cost figures.
-func (m *MultiDecoder) SizeBits() int { return 64 * len(m.table) }
-
-// PackCounts reports how many root-table entries decode k symbols per
-// lookup (index k in 1..MaxPack); index 0 counts pointer and invalid
-// entries. The k≥2 fractions are the build-time packing win.
-func (m *MultiDecoder) PackCounts() [MaxPack + 1]int {
-	var counts [MaxPack + 1]int
-	for _, e := range m.table[:1<<m.rootBits] {
-		if e>>62 == mEntLeaf {
-			counts[int(e>>59)&3]++
-		} else {
-			counts[0]++
-		}
-	}
-	return counts
-}
-
 // peek64 returns the 64 bits starting at bit position pos, left-aligned
 // and zero-padded past the end of buf: the word-at-a-time refill. In the
 // stream interior this is a single 8-byte load plus a shift; only the

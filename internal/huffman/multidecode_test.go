@@ -61,7 +61,14 @@ func TestMultiDecoderMatchesCanonical(t *testing.T) {
 func TestMultiDecoderPacking(t *testing.T) {
 	code := testCodes(t)["bounded16-skewed"]
 	md := NewMultiDecoder(code)
-	counts := md.PackCounts()
+	var counts [MaxPack + 1]int // root entries by symbols per lookup; 0 = pointer or invalid
+	for _, e := range md.table[:1<<md.rootBits] {
+		if e>>62 == mEntLeaf {
+			counts[int(e>>59)&3]++
+		} else {
+			counts[0]++
+		}
+	}
 	multi := 0
 	for k := 2; k <= MaxPack; k++ {
 		multi += counts[k]
@@ -73,8 +80,8 @@ func TestMultiDecoderPacking(t *testing.T) {
 	for _, c := range counts {
 		total += c
 	}
-	if total != 1<<md.RootBits() {
-		t.Fatalf("pack counts sum %d != root entries %d", total, 1<<md.RootBits())
+	if total != 1<<md.rootBits {
+		t.Fatalf("pack counts sum %d != root entries %d", total, 1<<md.rootBits)
 	}
 }
 
@@ -125,14 +132,10 @@ func TestMultiMemoized(t *testing.T) {
 	if code.Multi() != code.Multi() {
 		t.Fatal("Code.Multi is not memoized")
 	}
-	if code.Multi().RootBits() > MultiChunkBits {
-		t.Fatalf("root bits %d exceed chunk %d", code.Multi().RootBits(), MultiChunkBits)
-	}
-	if code.Multi().TableEntries() < 1 {
-		t.Fatal("empty multi-decoder table")
-	}
-	if code.Multi().SizeBits() != 64*code.Multi().TableEntries() {
-		t.Fatal("SizeBits does not reflect 64-bit entries")
+	if md := code.Multi(); md.rootBits > MultiChunkBits {
+		t.Fatalf("root bits %d exceed chunk %d", md.rootBits, MultiChunkBits)
+	} else if len(md.table) < 1<<md.rootBits {
+		t.Fatalf("table holds %d entries, fewer than its %d-bit root", len(md.table), md.rootBits)
 	}
 }
 

@@ -22,11 +22,6 @@ const (
 	EvRefillEnd   = "refill_end"   // line refill completes (cycle cost)
 )
 
-// EvHTTP is the access-log event emitted by the ccrpd server for every
-// completed request; it flows through the same sink machinery (JSONL
-// files, SyncSink serialization) as the simulator events.
-const EvHTTP = "http_request"
-
 // Event is one structured trace record. PC is always present (address 0
 // is a real fetch address); Line and Set are -1 when not meaningful for
 // the event type, and the remaining zero fields are omitted.
@@ -39,16 +34,6 @@ type Event struct {
 	Age    uint64 `json:"age,omitempty"`    // eviction age in probes (clb_evict)
 	Cycles uint64 `json:"cycles,omitempty"` // cost in cycles (refill_end, lat_fetch)
 	Bytes  int    `json:"bytes,omitempty"`  // stored bytes moved (refill_start, lat_fetch)
-
-	// HTTP access-log fields, set only on EvHTTP events (Line and Set
-	// are -1 there; PC is unused and stays 0).
-	Method string `json:"method,omitempty"` // request method
-	Path   string `json:"path,omitempty"`   // request path
-	Status int    `json:"status,omitempty"` // response status code
-	DurUS  uint64 `json:"dur_us,omitempty"` // handler wall time in microseconds
-	Err    string `json:"err,omitempty"`    // API error code for non-2xx responses
-	Trace  string `json:"trace,omitempty"`  // request trace id (matches X-Ccrp-Trace-Id and span records)
-	Node   string `json:"node,omitempty"`   // backend that served the request (ccrp-router access logs)
 }
 
 // EventSink consumes simulator events. Implementations need not be

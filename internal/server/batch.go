@@ -1,8 +1,9 @@
 // Batch endpoints: POST /v1/compress:batch and /v1/decompress:batch
-// process N blocks in one HTTP round trip. BENCH_PR3 measured a 327 ms
-// roundtrip p95 against 46 ms for the compress work itself — per-request
-// HTTP+JSON overhead — so batching is the serving-side analogue of
-// CRAM-style amortization: pay the fixed cost once, stream the items.
+// process N blocks in one HTTP round trip. An early single-run load
+// report measured a 327 ms roundtrip p95 against 46 ms for the compress
+// work itself — per-request HTTP+JSON overhead — so batching is the
+// serving-side analogue of CRAM-style amortization: pay the fixed cost
+// once, stream the items.
 //
 // Batch semantics: request-level problems (bad JSON, unknown coder, too
 // many items) fail the whole request through the normal error taxonomy;

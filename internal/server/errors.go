@@ -71,7 +71,7 @@ func asAPIError(err error) *APIError {
 }
 
 // writeJSON serializes v with the given status. Encoding failures after
-// the header is out can only be logged by the caller's access log.
+// the header is out cannot be reported to the client.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -80,8 +80,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError serializes err through the taxonomy.
-func writeError(w http.ResponseWriter, err error) {
+// WriteError serializes err through the taxonomy (ccrp-router writes
+// its own gateway errors through it too).
+func WriteError(w http.ResponseWriter, err error) {
 	api := asAPIError(err)
 	writeJSON(w, api.Status, errorBody{Error: api})
 }

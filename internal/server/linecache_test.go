@@ -75,8 +75,8 @@ func TestLineCacheDisabledAndNil(t *testing.T) {
 }
 
 // TestDecompressLineCacheMetrics drives /v1/decompress twice with the
-// same payload and reads the hit counters back through /metrics — the
-// acceptance path ccrp-load exercises against a live daemon.
+// same payload and reads the hit counters back through /metrics, the
+// surface an operator scrapes.
 func TestDecompressLineCacheMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := trainPreselected(t, ts.URL)

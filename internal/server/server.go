@@ -23,8 +23,8 @@
 //
 // Production shape: request-size limits, per-route timeouts, a typed
 // JSON error taxonomy (errors.go), panic confinement per request, and
-// structured access logs through the internal/metrics event-sink
-// machinery. Graceful drain on SIGTERM lives in cmd/ccrpd.
+// one root span per request as its structured record (internal/tracing).
+// Graceful drain on SIGTERM lives in cliutil.Serve.
 package server
 
 import (
@@ -43,14 +43,14 @@ import (
 )
 
 // TraceHeader carries the request's trace id on every response, 2xx and
-// error alike, so clients (ccrp-load) can correlate their latency
-// outliers with server-side span trees and access-log records.
+// error alike, so clients can correlate their latency outliers with
+// server-side span trees.
 const TraceHeader = "X-Ccrp-Trace-Id"
 
 // Stage names of the served request path, the per-request analogue of
 // the paper's per-fetch cost decomposition: every span ccrpd emits uses
-// one of these, and scripts/trace_smoke.sh asserts the full set appears
-// under load.
+// one of these, and TestRequestSpansCoverStages asserts the full set
+// appears.
 const (
 	StageRequest    = "request"         // root span, one per request
 	StageDecodeBody = "decode_body"     // JSON body parse
@@ -88,14 +88,12 @@ type Config struct {
 	LineCacheLines int
 	// Version is reported by /healthz (cliutil.Version in cmd/ccrpd).
 	Version string
-	// AccessLog, when set, receives one metrics.EvHTTP event per
-	// completed request. The server serializes Emit calls, so a plain
-	// JSONLSink is safe.
-	AccessLog metrics.EventSink
 	// Tracer, when set, records request-scoped spans: a root span per
-	// request plus the stage children the handlers emit, with tail
-	// capture served on /debug/traces. nil disables span recording; the
-	// trace id in responses and access logs is independent of it.
+	// request — the request's one record: method, route, status,
+	// duration, error code and trace id — plus the stage children the
+	// handlers emit, with tail capture served on /debug/traces. nil
+	// disables span recording; the trace id in responses is independent
+	// of it.
 	Tracer *tracing.Tracer
 	// Store, when set, persists trained coders and compressed ROM images
 	// across restarts: the artifact cache checks it before building and
@@ -160,8 +158,6 @@ type Server struct {
 	runtime   *metrics.RuntimeStats
 	tracer    *tracing.Tracer
 
-	accessMu sync.Mutex // serializes AccessLog.Emit
-	reqSeq   atomic.Uint64
 	inflight atomic.Int64
 	draining atomic.Bool // set by BeginDrain; flips /readyz to 503
 }
@@ -336,19 +332,19 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // middleware wraps h with the production stack: panic confinement, the
-// request-size limit, the per-route deadline, trace propagation, metrics,
-// and the access log. Order matters: the recover must be outermost so
-// even logging bugs produce a typed 500 rather than a dropped connection.
+// request-size limit, the per-route deadline, trace propagation, and
+// metrics. Order matters: the recover must be outermost so even
+// instrumentation bugs produce a typed 500 rather than a dropped
+// connection.
 //
-// Every request gets a trace id — stamped on the response header and the
-// access-log record whether or not a tracer is configured, so client-side
-// outliers are always correlatable. Span recording (the root span here
-// plus the stage children the handlers start) happens only when
-// Config.Tracer is set; with a nil tracer every span call below is an
-// allocation-free no-op.
+// Every request gets a trace id, stamped on the response header whether
+// or not a tracer is configured, so client-side outliers are always
+// correlatable. Span recording (the root span here, which is the
+// request's record, plus the stage children the handlers start) happens
+// only when Config.Tracer is set; with a nil tracer every span call
+// below is an allocation-free no-op.
 func (s *Server) middleware(routeName string, timeout time.Duration, h handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seq := s.reqSeq.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		s.inflight.Add(1)
@@ -358,7 +354,7 @@ func (s *Server) middleware(routeName string, timeout time.Duration, h handlerFu
 		// malformed — wrong length, non-hex, the invalid zero id — is
 		// ignored and a fresh id generated, so a hostile or buggy client
 		// cannot poison trace correlation.
-		tid := inboundTraceID(r)
+		tid := InboundTraceID(r)
 		if tid.IsZero() {
 			tid = tracing.NewTraceID()
 		}
@@ -387,7 +383,7 @@ func (s *Server) middleware(routeName string, timeout time.Duration, h handlerFu
 			handlerErr = h(sw, r)
 		}()
 		if handlerErr != nil && !sw.wrote {
-			writeError(sw, handlerErr)
+			WriteError(sw, handlerErr)
 		}
 
 		dur := time.Since(start)
@@ -399,6 +395,7 @@ func (s *Server) middleware(routeName string, timeout time.Duration, h handlerFu
 
 		span.SetAttrInt("status", int64(sw.status))
 		if handlerErr != nil {
+			span.SetAttr("error_code", errCode)
 			span.SetError(handlerErr)
 		}
 		span.End()
@@ -412,24 +409,13 @@ func (s *Server) middleware(routeName string, timeout time.Duration, h handlerFu
 		s.inst.latency.Observe(dur.Seconds())
 		s.inst.inflight.Set(float64(inflight))
 		s.metricsMu.Unlock()
-
-		if s.cfg.AccessLog != nil {
-			s.accessMu.Lock()
-			s.cfg.AccessLog.Emit(metrics.Event{
-				Type: metrics.EvHTTP, Seq: seq, Line: -1, Set: -1,
-				Method: r.Method, Path: r.URL.Path, Status: sw.status,
-				DurUS: uint64(dur.Microseconds()), Err: errCode,
-				Trace: tid.String(),
-			})
-			s.accessMu.Unlock()
-		}
 	})
 }
 
-// inboundTraceID extracts a valid trace id from the request header, or
+// InboundTraceID extracts a valid trace id from the request header, or
 // the zero id when the header is absent or malformed. Only the
 // 32-hex-digit 128-bit form the stack itself emits is accepted.
-func inboundTraceID(r *http.Request) tracing.TraceID {
+func InboundTraceID(r *http.Request) tracing.TraceID {
 	raw := r.Header.Get(TraceHeader)
 	if raw == "" {
 		return tracing.TraceID{}
@@ -472,11 +458,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// BeginDrain flips /readyz to 503. cmd/ccrpd calls it on the first
-// SIGTERM/SIGINT, before http.Server.Shutdown: a router's health
-// checker sees the node leave the rotation while in-flight requests
-// (and /healthz, which stays 200 for the whole drain window) keep
-// being served.
+// BeginDrain flips /readyz to 503. cliutil.Serve calls it when ccrpd's
+// drain begins, before the listener closes: a router's health checker
+// sees the node leave the rotation while in-flight requests (and
+// /healthz, which stays 200 for the whole drain window) keep being
+// served.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Draining reports whether BeginDrain has been called.

@@ -16,7 +16,7 @@ import (
 	"ccrp/internal/core"
 	"ccrp/internal/experiments"
 	"ccrp/internal/huffman"
-	"ccrp/internal/metrics"
+	"ccrp/internal/tracing"
 	"ccrp/internal/workload"
 )
 
@@ -418,6 +418,132 @@ func TestSimulateConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentMixedTraffic is the serving load gate, in process: four
+// clients interleave compress, byte-verified round trips and simulate
+// points over several workloads. Every request answers 200, repeated
+// compresses of a workload return identical bytes, every round trip
+// reproduces the workload's text, the shared coder is built once, and
+// every response's trace id roots a recorded request span.
+func TestConcurrentMixedTraffic(t *testing.T) {
+	sink := &memSink{}
+	s, ts := newTestServer(t, Config{SimWorkers: 2, Tracer: tracing.New(tracing.Config{Sink: sink})})
+	id := trainPreselected(t, ts.URL)
+	workloads := []string{"eightq", "fpppp", "nasa1", "matrix25a"}
+
+	var (
+		mu     sync.Mutex
+		blocks = map[string]string{}
+		traces []string
+	)
+	// post decodes one 200 answer; unlike postJSON it is safe to call
+	// from client goroutines.
+	post := func(path string, in, out any) error {
+		raw, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		traces = append(traces, resp.Header.Get(TraceHeader))
+		mu.Unlock()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: %d %s", path, resp.StatusCode, body)
+		}
+		return json.Unmarshal(body, out)
+	}
+	op := func(n int) error {
+		wl := workloads[n%len(workloads)]
+		if n%3 == 2 {
+			var sim simulateResponse
+			if err := post("/v1/simulate", simulateRequest{Workload: "eightq", CacheBytes: 256 << (n % 4)}, &sim); err != nil {
+				return err
+			}
+			if sim.RelativePerformance <= 0 {
+				return fmt.Errorf("simulate: relative performance %g", sim.RelativePerformance)
+			}
+			return nil
+		}
+		var comp compressResponse
+		if err := post("/v1/compress", compressRequest{CoderID: id, Workload: wl}, &comp); err != nil {
+			return err
+		}
+		mu.Lock()
+		prev, seen := blocks[wl]
+		if !seen {
+			blocks[wl] = comp.BlocksB64
+		}
+		mu.Unlock()
+		if seen && prev != comp.BlocksB64 {
+			return fmt.Errorf("compress of %s changed between requests", wl)
+		}
+		if n%3 == 0 {
+			return nil
+		}
+		var dec decompressResponse
+		if err := post("/v1/decompress", decompressRequest{CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines}, &dec); err != nil {
+			return err
+		}
+		w, _ := workload.ByName(wl)
+		text, err := w.Text()
+		if err != nil {
+			return err
+		}
+		got, err := base64.StdEncoding.DecodeString(dec.TextB64)
+		if err != nil {
+			return err
+		}
+		want := make([]byte, comp.OriginalBytes)
+		copy(want, text)
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("round trip of %s is not byte-identical", wl)
+		}
+		return nil
+	}
+
+	const clients, perClient = 4, 6
+	errs := make(chan error, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if err := op(c*perClient + i); err != nil {
+					errs <- err
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	if got := counterValue(t, s, "ccrpd_coder_builds_total"); got != "1" {
+		t.Errorf("coder builds = %s, want 1 shared by every request", got)
+	}
+	rooted := map[string]bool{}
+	for _, rec := range sink.records() {
+		if rec.Parent == "" && rec.Stage == StageRequest {
+			rooted[rec.Trace] = true
+		}
+	}
+	for _, tid := range traces {
+		if !rooted[tid] {
+			t.Errorf("response trace id %q roots no request span", tid)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Generate some traffic first.
@@ -437,6 +563,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`ccrpd_requests_total{route="/v1/simulate"}`,
 		"# TYPE ccrpd_request_seconds histogram",
 		"ccrpd_uptime_seconds",
+		// Runtime telemetry rides on the same scrape.
+		"\ngo_goroutines ", "\ngo_heap_alloc_bytes ", "\ngo_gc_cycles_total ",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics output missing %q", want)
@@ -444,32 +572,50 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestAccessLogEvents: each request's root span is its one record —
+// method, route, status, duration, error code and the trace id the
+// response header carries.
 func TestAccessLogEvents(t *testing.T) {
-	var buf bytes.Buffer
-	sink := metrics.NewJSONLSink(&buf)
-	_, ts := newTestServer(t, Config{AccessLog: sink})
+	sink := &memSink{}
+	_, ts := newTestServer(t, Config{Tracer: tracing.New(tracing.Config{Sink: sink})})
 
-	postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Workload: "nonesuch"})
-	if _, err := http.Get(ts.URL + "/healthz"); err != nil {
+	resp, _ := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Workload: "nonesuch"})
+	simTrace := resp.Header.Get(TraceHeader)
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
+	hresp.Body.Close()
 
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("access log has %d lines, want 2: %q", len(lines), buf.String())
+	var roots []tracing.Record
+	for _, rec := range sink.records() {
+		if rec.Parent == "" {
+			roots = append(roots, rec)
+		}
 	}
-	var ev metrics.Event
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
+	if len(roots) != 2 {
+		t.Fatalf("got %d request records, want 2: %+v", len(roots), roots)
 	}
-	if ev.Type != metrics.EvHTTP || ev.Path != "/v1/simulate" || ev.Status != http.StatusNotFound {
-		t.Errorf("first access event = %+v", ev)
+	sim := roots[0]
+	if sim.Stage != StageRequest || sim.Trace != simTrace || sim.DurNS <= 0 {
+		t.Errorf("simulate record = %+v, want a timed request span under trace %s", sim, simTrace)
 	}
-	if ev.Err != CodeNotFound {
-		t.Errorf("error code in access log = %q, want %q", ev.Err, CodeNotFound)
+	for key, want := range map[string]any{
+		"method": http.MethodPost, "route": "/v1/simulate",
+		"status": int64(http.StatusNotFound), "error_code": CodeNotFound,
+	} {
+		if got := sim.Attrs[key]; got != want {
+			t.Errorf("simulate record %s = %v, want %v", key, got, want)
+		}
+	}
+	if sim.Err == "" {
+		t.Error("failed request's record carries no error message")
+	}
+	if got := roots[1].Attrs["status"]; got != int64(http.StatusOK) {
+		t.Errorf("healthz record status = %v, want 200", got)
+	}
+	if _, ok := roots[1].Attrs["error_code"]; ok {
+		t.Errorf("successful request's record carries an error_code: %+v", roots[1])
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 )
 
 // counterValue reads one named counter from the registry's Prometheus
-// exposition — the same surface scripts/persist_smoke.sh asserts on.
+// exposition, the surface an operator scrapes.
 func counterValue(t *testing.T, s *Server, name string) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -121,8 +122,8 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	if got := counterValue(t, s1, "ccrpd_coder_builds_total"); got != "2" {
 		t.Fatalf("first life built %s coders, want 2", got)
 	}
-	if counterValue(t, s1, "ccrpd_store_writes_total") == "0" {
-		t.Fatal("first life persisted nothing")
+	if got, _ := strconv.Atoi(counterValue(t, s1, "ccrpd_store_writes_total")); got < 2 {
+		t.Fatalf("first life persisted %d artifacts, want >= 2 (two coders)", got)
 	}
 	ts1.Close()
 
@@ -159,11 +160,35 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	if first.ROMB64 != second.ROMB64 || first.BlocksB64 != second.BlocksB64 {
 		t.Fatal("compressed bytes differ across a restart")
 	}
+
+	// The batch path also runs entirely from restored artifacts.
+	resp, body = postJSON(t, ts2.URL+"/v1/compress:batch", compressBatchRequest{
+		CoderID: id, Items: []compressBatchItem{{Workload: "eightq"}, {Workload: "eightq"}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm compress:batch: %d %s", resp.StatusCode, body)
+	}
+	batch := decodeAs[compressBatchResponse](t, body)
+	if batch.Errors != 0 || len(batch.Items) != 2 {
+		t.Fatalf("warm batch = %d items, %d errors; want 2 items, 0 errors", len(batch.Items), batch.Errors)
+	}
+	for i, it := range batch.Items {
+		if it.Result == nil || it.Result.BlocksB64 != second.BlocksB64 {
+			t.Errorf("warm batch item %d differs from the single-request result", i)
+		}
+	}
+
 	if got := counterValue(t, s2, "ccrpd_coder_builds_total"); got != "0" {
 		t.Fatalf("second life built %s coders, want 0", got)
 	}
 	if got := counterValue(t, s2, "ccrpd_store_warm_coders"); got != "2" {
 		t.Fatalf("warm gauge = %s, want 2", got)
+	}
+	if got := counterValue(t, s2, "ccrpd_store_corrupt_total"); got != "0" {
+		t.Errorf("clean restart counted %s corrupt artifacts, want 0", got)
+	}
+	if got, _ := strconv.Atoi(counterValue(t, s2, "ccrpd_store_hits_total")); got < 2 {
+		t.Errorf("second life took %d store hits, want >= 2", got)
 	}
 }
 

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
-	"ccrp/internal/metrics"
 	"ccrp/internal/tracing"
 )
 
@@ -33,14 +30,11 @@ func (s *memSink) records() []tracing.Record {
 }
 
 // TestResponsesCarryTraceIDs pins the serving contract: every 2xx and
-// 4xx response carries an X-Ccrp-Trace-Id header, and the same id
-// appears in the request's access-log record. This holds with no tracer
-// configured — trace correlation is part of serving, span recording is
-// the optional half.
+// 4xx response carries an X-Ccrp-Trace-Id header, and the same id roots
+// the request's span record.
 func TestResponsesCarryTraceIDs(t *testing.T) {
-	var buf bytes.Buffer
-	sink := metrics.NewJSONLSink(&buf)
-	_, ts := newTestServer(t, Config{AccessLog: sink})
+	sink := &memSink{}
+	_, ts := newTestServer(t, Config{Tracer: tracing.New(tracing.Config{Sink: sink})})
 
 	id := trainPreselected(t, ts.URL)
 	seen := map[string]bool{}
@@ -74,23 +68,15 @@ func TestResponsesCarryTraceIDs(t *testing.T) {
 	resp.Body.Close()
 	record(resp, http.StatusBadRequest)
 
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	logged := map[string]bool{}
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var ev metrics.Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Trace != "" {
-			logged[ev.Trace] = true
+	rooted := map[string]bool{}
+	for _, rec := range sink.records() {
+		if rec.Parent == "" && rec.Stage == StageRequest {
+			rooted[rec.Trace] = true
 		}
 	}
 	for tid := range seen {
-		if !logged[tid] {
-			t.Errorf("trace id %s from a response header never reached the access log", tid)
+		if !rooted[tid] {
+			t.Errorf("trace id %s from a response header roots no request span", tid)
 		}
 	}
 }
@@ -243,9 +229,27 @@ func TestRequestSpansCoverStages(t *testing.T) {
 		t.Error("no decompress span carries linecache_hits attribution")
 	}
 
-	// Tail capture retains the request trees for /debug/traces.
-	snap := tracer.TailSnapshot()
+	// ccrp-spans' analysis decomposes the stream: every trace rooted,
+	// every stage aggregated, root time explained by the stages.
+	a := tracing.Analyze(recs, 5)
+	if a.Traces != 4 || a.Roots != 4 || a.Coverage.Roots == 0 {
+		t.Errorf("analysis = %d traces, %d roots, %d decomposed roots; want 4, 4, > 0",
+			a.Traces, a.Roots, a.Coverage.Roots)
+	}
+	if len(a.Stages) != len(byStage) {
+		t.Errorf("analysis aggregates %d stages, the stream has %d", len(a.Stages), len(byStage))
+	}
+
+	// Tail capture retains the request trees, served on /debug/traces.
+	resp, body = getURL(t, ts.URL+"/debug/traces")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("debug/traces: %d %s", resp.StatusCode, body)
+	}
+	snap := decodeAs[tracing.TailSnapshot](t, body)
 	if len(snap.Slow) == 0 {
-		t.Error("tail capture holds no slow traces after four requests")
+		t.Fatal("tail capture holds no slow traces after four requests")
+	}
+	if snap.Slow[0].Stage != StageRequest {
+		t.Errorf("slowest retained tree is rooted at %q, want %q", snap.Slow[0].Stage, StageRequest)
 	}
 }

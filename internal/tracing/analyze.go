@@ -234,7 +234,7 @@ func longestChild(n *node) *node {
 }
 
 // pctMS reads the p-th percentile of ascending nanosecond durations, in
-// milliseconds (nearest-rank on the sorted slice, matching ccrp-load).
+// milliseconds (nearest-rank on the sorted slice).
 func pctMS(sorted []int64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -133,8 +133,8 @@ func (t *Tracer) Start(stage string) *Span {
 }
 
 // StartTrace begins a new trace with a caller-chosen id (the server picks
-// the id before starting the span so the response header and access log
-// can carry it even when tracing is disabled).
+// the id before starting the span so the response header can carry it
+// even when tracing is disabled).
 func (t *Tracer) StartTrace(id TraceID, stage string) *Span {
 	if t == nil {
 		return nil

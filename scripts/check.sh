@@ -51,8 +51,6 @@ stage "go test -race ./..." go test -race ./...
 # and test it against this tree so an API change cannot break it unseen.
 stage "ccrpbench vet+test" sh -c 'cd ccrpbench && GOWORK=off go vet ./... && GOWORK=off go test ./...'
 stage "isa smoke" sh scripts/isa_smoke.sh
-stage "trace smoke" sh scripts/trace_smoke.sh
-stage "persist smoke" sh scripts/persist_smoke.sh
-stage "fleet smoke" sh scripts/fleet_smoke.sh
+stage "serve smoke" sh scripts/serve_smoke.sh
 
 echo "check: OK"
