@@ -50,13 +50,22 @@ decode-bench:
 isa-smoke:
 	sh scripts/isa_smoke.sh
 
-# Short fuzz pass over the decode hardening targets.
+# Short fuzz pass over every fuzz target in the repository, FUZZTIME
+# each. Patterns are anchored: go test -fuzz needs exactly one match.
 FUZZTIME ?= 10s
+FUZZ = $(GO) test -run=^$$ -fuzztime=$(FUZZTIME)
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeLine -fuzztime=$(FUZZTIME) ./internal/codepack
-	$(GO) test -run=^$$ -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/huffman
-	$(GO) test -run=^$$ -fuzz=FuzzMultiDecoderDifferential -fuzztime=$(FUZZTIME) ./internal/huffman
-	$(GO) test -run=^$$ -fuzz=FuzzFSMDecode -fuzztime=$(FUZZTIME) ./internal/decoder
-	$(GO) test -run=^$$ -fuzz=FuzzCAMDecode -fuzztime=$(FUZZTIME) ./internal/decoder
-	$(GO) test -run=^$$ -fuzz=FuzzROMDecode -fuzztime=$(FUZZTIME) ./internal/decoder
-	$(GO) test -run=^$$ -fuzz=FuzzMultiVsHardwareModels -fuzztime=$(FUZZTIME) ./internal/decoder
+	$(FUZZ) -fuzz='^FuzzReadROMFile$$' ./internal/core
+	$(FUZZ) -fuzz='^FuzzDecodeLine$$' ./internal/codepack
+	$(FUZZ) -fuzz='^FuzzTrainEncodeDecode$$' ./internal/codepack
+	$(FUZZ) -fuzz='^FuzzDecode$$' ./internal/huffman
+	$(FUZZ) -fuzz='^FuzzUnmarshalCode$$' ./internal/huffman
+	$(FUZZ) -fuzz='^FuzzMultiDecoderDifferential$$' ./internal/huffman
+	$(FUZZ) -fuzz='^FuzzFSMDecode$$' ./internal/decoder
+	$(FUZZ) -fuzz='^FuzzCAMDecode$$' ./internal/decoder
+	$(FUZZ) -fuzz='^FuzzROMDecode$$' ./internal/decoder
+	$(FUZZ) -fuzz='^FuzzMultiVsHardwareModels$$' ./internal/decoder
+	$(FUZZ) -fuzz='^FuzzAssemble$$' ./internal/asm
+	$(FUZZ) -fuzz='^FuzzReadImage$$' ./internal/asm
+	$(FUZZ) -fuzz='^FuzzDecompress$$' ./internal/lzw
+	$(FUZZ) -fuzz='^FuzzRoundTrip$$' ./internal/lzw

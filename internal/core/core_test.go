@@ -450,6 +450,58 @@ func TestCompareErrors(t *testing.T) {
 	if _, err := Compare(tr, text, Config{Codes: []*huffman.Code{code}, CacheBytes: 300}); err == nil {
 		t.Error("bad cache geometry accepted")
 	}
+	if _, err := Compare(tr, text, Config{Codes: []*huffman.Code{code}, CLBEntries: -1}); err == nil {
+		t.Error("negative CLB size accepted")
+	}
+}
+
+// TestCompareAllocsIndependentOfMisses: refills are priced from a per-line
+// table built before the trace loop, so Compare allocates as often at a
+// 256 B cache as at a 4 KB one although it misses far more, and pricing a
+// Huffman line allocates nothing.
+func TestCompareAllocsIndependentOfMisses(t *testing.T) {
+	text := riscLikeText(8192, 42)
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := syntheticTrace(len(text), 4096, 5)
+	allocs := func(cacheBytes int) (float64, uint64) {
+		cfg := Config{CacheBytes: cacheBytes, Mem: memory.BurstEPROM{}, ROM: rom}
+		var misses uint64
+		n := testing.AllocsPerRun(5, func() {
+			cmp, err := Compare(tr, text, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			misses = cmp.CCRP.Misses
+		})
+		return n, misses
+	}
+	small, smallMisses := allocs(256)
+	large, largeMisses := allocs(4096)
+	if smallMisses <= largeMisses {
+		t.Fatalf("misses: %d at 256 B, %d at 4 KB; test premise broken", smallMisses, largeMisses)
+	}
+	if small != large {
+		t.Errorf("Compare allocates %v times at 256 B (%d misses) but %v at 4 KB (%d misses), want equal",
+			small, smallMisses, large, largeMisses)
+	}
+
+	li := -1
+	for i, l := range rom.Lines {
+		if !l.Raw {
+			li = i
+			break
+		}
+	}
+	if li < 0 {
+		t.Fatal("no compressed line; test premise broken")
+	}
+	e := RefillEngine{Mem: memory.BurstEPROM{}}
+	if n := testing.AllocsPerRun(100, func() { e.LineCycles(rom, li) }); n != 0 {
+		t.Errorf("LineCycles on a Huffman line allocates %v times, want 0", n)
+	}
 }
 
 func BenchmarkBuildROM(b *testing.B) {

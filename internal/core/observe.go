@@ -10,8 +10,7 @@ import (
 
 // probe carries the optional observability state of one Compare run: the
 // registered instruments and the structured-event sink. A nil *probe is
-// the disabled state; every method no-ops so the simulation loop pays one
-// pointer test per event site.
+// the disabled state; every method no-ops on it.
 type probe struct {
 	sink metrics.EventSink // nil when events are off
 

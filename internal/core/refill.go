@@ -61,13 +61,15 @@ func (e RefillEngine) CompressedLineCycles(bitLens []int, storedBytes int) uint6
 }
 
 // LineCycles dispatches on the block kind and returns the refill time of
-// ROM line i, excluding CLB effects and post-burst recovery.
+// ROM line i, excluding CLB effects and post-burst recovery. Huffman
+// lines are priced without allocating.
 func (e RefillEngine) LineCycles(r *ROM, i int) uint64 {
 	l := r.Lines[i]
 	if l.Raw {
 		return e.RawLineCycles(len(l.Stored))
 	}
-	return e.CompressedLineCycles(r.bitLengths(i), len(l.Stored))
+	var lens [LineSize]int
+	return e.CompressedLineCycles(r.bitLengths(i, &lens), len(l.Stored))
 }
 
 // LATFetchCycles is the CLB refill penalty: reading one 8-byte LAT entry

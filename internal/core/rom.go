@@ -243,8 +243,10 @@ func (r *ROM) Verify() error {
 }
 
 // bitLengths returns the per-output-byte encoded bit counts for block i,
-// which drive the refill engine's streaming model. Raw blocks return nil.
-func (r *ROM) bitLengths(i int) []int {
+// which drive the refill engine's streaming model. Huffman blocks fill
+// dst, so pricing a refill allocates nothing; codec blocks return the
+// codec's own slice. Raw blocks return nil.
+func (r *ROM) bitLengths(i int, dst *[LineSize]int) []int {
 	l := r.Lines[i]
 	if l.Raw {
 		return nil
@@ -260,7 +262,7 @@ func (r *ROM) bitLengths(i int) []int {
 		return lens
 	}
 	code := r.opts.Codes[l.CodeIdx]
-	lens := make([]int, len(l.Orig))
+	lens := dst[:len(l.Orig)]
 	for k, b := range l.Orig {
 		lens[k] = code.Len(b)
 	}

@@ -165,9 +165,19 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.CLBEntries < 0 {
+		return nil, fmt.Errorf("core: CLB size %d must be positive", cfg.CLBEntries)
+	}
 	buf := clb.New(cfg.CLBEntries)
 	engine := RefillEngine{Mem: cfg.Mem, Rate: cfg.DecodeRate}
 	post := cfg.Mem.PostBurstCycles()
+	// charge is what a miss pays for a line refill of the given time:
+	// post-burst recovery is added, and the cycles the pipeline overlaps
+	// are taken off, down to zero.
+	charge := func(refill uint64) uint64 {
+		refill += post
+		return refill - min(cfg.OverlapCycles, refill)
+	}
 
 	cmp := &Comparison{ROM: rom}
 	std, ccrp := &cmp.Standard, &cmp.CCRP
@@ -175,11 +185,18 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 	base := uint64(tr.Instructions()) + tr.Stalls
 	std.BaseCycles, ccrp.BaseCycles = base, base
 
-	stdLineRefill := engine.RawLineCycles(LineSize) + post
-	stdLineRefill -= min64(cfg.OverlapCycles, stdLineRefill)
+	stdLineRefill := charge(engine.RawLineCycles(LineSize))
 	latFetch := engine.LATFetchCycles() + post
+	// A line's refill charge depends only on the line and the memory,
+	// decoder and overlap parameters, never on the trace, so each line is
+	// priced once here and a miss is one index (the LAT likewise fixes
+	// every line's length when the ROM is built).
+	lineRefill := make([]uint64, len(rom.Lines))
+	for li := range rom.Lines {
+		lineRefill[li] = charge(engine.LineCycles(rom, li))
+	}
 
-	var pr *probe // nil keeps the loop's event sites to one pointer test
+	var pr *probe
 	if cfg.Metrics != nil || cfg.Events != nil {
 		pr = newProbe(cfg.Metrics, cfg.Events, rom, ic, buf, engine.rate())
 	}
@@ -191,7 +208,9 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 			dataAccesses++
 		}
 		latIdx := ev.PC / lat.GroupSpan
-		pr.fetch(seq, ev.PC)
+		if pr != nil { // fetch is not inlined: an uninstrumented run skips the call
+			pr.fetch(seq, ev.PC)
+		}
 		if ic.Access(ev.PC) {
 			if cfg.CLBProbeEveryFetch {
 				// Hardware probes in parallel with the cache; a hit only
@@ -218,14 +237,7 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 			pr.latFetch(seq, ev.PC, latFetch, lat.EntryBytes)
 			buf.Insert(latIdx, rom.Table.Entries[latIdx])
 		}
-		refill := engine.LineCycles(rom, li) + post
-		if cfg.OverlapCycles > 0 {
-			if cfg.OverlapCycles >= refill {
-				refill = 0
-			} else {
-				refill -= cfg.OverlapCycles
-			}
-		}
+		refill := lineRefill[li]
 		ccrp.RefillCycles += refill
 		ccrp.TrafficBytes += LineTrafficBytes(rom, li)
 		pr.refill(seq, ev.PC, li, rom.Lines[li].Raw, len(rom.Lines[li].Stored), refill)
@@ -242,11 +254,4 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 	std.Cycles = std.BaseCycles + std.RefillCycles + std.DataCycles
 	ccrp.Cycles = ccrp.BaseCycles + ccrp.RefillCycles + ccrp.DataCycles
 	return cmp, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -9,12 +11,24 @@ import (
 	"ccrp/internal/sweep"
 )
 
+// benchJSONSHA256 pins the whole ccrp-bench -json document, every
+// datapoint of every experiment. It is BENCH_PR10.json's points_sha256,
+// and `go run ./cmd/ccrp-bench -json - | sha256sum` prints it. Cycle
+// counts are exact, so a change that moves any simulated figure moves
+// this hash; such a change updates the constant and states why, as
+// ccrpbench/oracle.json requires of its sweep hash.
+const benchJSONSHA256 = "54bb48cd5290dfa148609619387137f1298dd2793f99d8833acc81cf3499387e"
+
 // TestBenchJSONRoundTrip is the ccrp-bench -json contract: the document
-// must parse back through encoding/json with its datapoints intact.
+// of every experiment hashes to the pinned value and parses back through
+// encoding/json with its datapoints intact.
 func TestBenchJSONRoundTrip(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteBenchJSON(&b, []string{"fig5"}); err != nil {
+	if err := WriteBenchJSON(&b, nil); err != nil {
 		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b.Bytes()); hex.EncodeToString(sum[:]) != benchJSONSHA256 {
+		t.Errorf("-json document sha256 = %x, want %s", sum, benchJSONSHA256)
 	}
 	var doc struct {
 		Schema      int            `json:"schema"`
@@ -26,6 +40,11 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	}
 	if doc.Schema != 1 {
 		t.Errorf("schema = %d, want 1", doc.Schema)
+	}
+	for _, name := range Experiments {
+		if _, ok := doc.Experiments[name]; !ok {
+			t.Errorf("document lacks experiment %q", name)
+		}
 	}
 	rows, ok := doc.Experiments["fig5"].([]any)
 	if !ok || len(rows) == 0 {

@@ -381,6 +381,33 @@ func TestSimulatePoint(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsBadGeometry: a simulate body whose cache or CLB
+// geometry is negative or absurdly large is a typed 400 before it
+// reaches a worker. A negative CLB used to panic in the worker goroutine
+// and take the whole daemon down; a huge one tried to allocate tens of
+// gigabytes.
+func TestSimulateRejectsBadGeometry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"workload":"eightq","clb_entries":-1}`,
+		`{"workload":"eightq","clb_entries":1073741824}`,
+		`{"workload":"eightq","cache_bytes":1099511627776}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		wantError(t, resp, out, http.StatusBadRequest, CodeBadRequest)
+	}
+	// The server is still up and still simulates.
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Workload: "eightq"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid simulate after bad ones: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestSimulateAfterTrainSharesCacheSlot pins a fixed bug: training the
 // preselected coder and then simulating with the default coder must share
 // one cache slot (same key, same entry type), not collide on it.

@@ -30,6 +30,17 @@ type simulateRequest struct {
 	OverlapCycles  uint64   `json:"overlap_cycles,omitempty"`
 }
 
+// Geometry bounds of a simulate request; 0 asks for the default. They
+// admit every configuration the paper and the extension studies run
+// (256 B–4 KB caches, 1–4 ways, 4–16 CLB entries) with wide headroom,
+// and keep the cache and CLB one request allocates, and the CLB's
+// per-miss scan, small.
+const (
+	maxSimCacheBytes = 1 << 20
+	maxSimCacheWays  = 64
+	maxSimCLBEntries = 1024
+)
+
 // simulateResponse is one PerfPoint plus cost accounting, the service
 // twin of ccsim -json.
 type simulateResponse struct {
@@ -75,6 +86,18 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	if dmiss < 0 || dmiss > 1 {
 		return errBadRequest("dcache_miss_rate %g outside [0, 1]", dmiss)
+	}
+	for _, k := range []struct {
+		name   string
+		v, max int
+	}{
+		{"cache_bytes", req.CacheBytes, maxSimCacheBytes},
+		{"cache_ways", req.CacheWays, maxSimCacheWays},
+		{"clb_entries", req.CLBEntries, maxSimCLBEntries},
+	} {
+		if k.v < 0 || k.v > k.max {
+			return errBadRequest("%s %d outside [0, %d]", k.name, k.v, k.max)
+		}
 	}
 	// Echo the engine's defaults so the response states the actual
 	// configuration simulated, not the zero-valued request knobs.
