@@ -69,3 +69,4 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzReadImage$$' ./internal/asm
 	$(FUZZ) -fuzz='^FuzzDecompress$$' ./internal/lzw
 	$(FUZZ) -fuzz='^FuzzRoundTrip$$' ./internal/lzw
+	$(FUZZ) -fuzz='^FuzzDecompressHandler$$' ./internal/server

@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	ccrpd [-addr :8642] [-store DIR] [-sim-workers N] [-decode-workers N]
-//	      [-max-body 16777216]
+//	ccrpd [-addr :8642] [-store DIR] [-sim-workers N] [-max-body 16777216]
 //	      [-train-timeout 60s] [-compress-timeout 30s] [-sim-timeout 120s]
 //	      [-trace spans.jsonl] [-trace-tail 16] [-drain 15s] [-version]
 //
-// -decode-workers bounds the per-request worker pool that fans
-// /v1/decompress line expansion across CPUs (0 = GOMAXPROCS; 1 forces
-// sequential decode).
+// /v1/decompress expands the lines of one request in turn on the
+// request's goroutine; concurrent requests are what spread decode
+// across CPUs.
 //
 // With -store, trained coders and compressed ROM images persist in a
 // disk-backed content-addressed artifact store under DIR, and the daemon
@@ -46,7 +45,6 @@ func main() {
 	addr := flag.String("addr", ":8642", "listen address")
 	storeDir := flag.String("store", "", "persist artifacts (trained coders, ROM images) under this directory and warm-start from it on boot")
 	simWorkers := flag.Int("sim-workers", 0, "concurrent simulate runs (0 = NumCPU)")
-	decodeWorkers := flag.Int("decode-workers", 0, "per-request line-decode workers (0 = GOMAXPROCS, 1 = sequential)")
 	maxBody := flag.Int64("max-body", 0, "request body limit in bytes (0 = 16 MiB)")
 	trainTimeout := flag.Duration("train-timeout", 0, "POST /v1/coders deadline (0 = 60s)")
 	compressTimeout := flag.Duration("compress-timeout", 0, "compress/decompress deadline (0 = 30s)")
@@ -68,7 +66,6 @@ func main() {
 	cfg := server.Config{
 		MaxBodyBytes:    *maxBody,
 		SimWorkers:      *simWorkers,
-		DecodeWorkers:   *decodeWorkers,
 		TrainTimeout:    *trainTimeout,
 		CompressTimeout: *compressTimeout,
 		SimulateTimeout: *simTimeout,

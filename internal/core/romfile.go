@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"ccrp/internal/bitio"
 	"ccrp/internal/huffman"
 	"ccrp/internal/lat"
-	"ccrp/internal/parallel"
 )
 
 // ROM image file format, the artifact the host-side compression tool
@@ -22,6 +20,11 @@ import (
 const (
 	romMagic   = 0x43524F4D // "CROM"
 	romVersion = 1
+	// maxROMSection bounds every length a ROM file claims (original
+	// size, blocks, LAT, tags, each code table), so a hostile header
+	// cannot make ReadROMFile allocate gigabytes before the short read
+	// that exposes it.
+	maxROMSection = 1 << 26
 )
 
 // ErrBadROMFile is returned when parsing a malformed ROM file.
@@ -109,7 +112,7 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	flags := binary.LittleEndian.Uint32(hdr[20:])
 	tagLen := int(binary.LittleEndian.Uint32(hdr[24:]))
 	nCodes := int(flags & 0xFFFF)
-	if nCodes < 1 || nCodes > 16 || origSize > 1<<26 || blockLen > 1<<26 || latLen > 1<<26 {
+	if nCodes < 1 || nCodes > 16 || max(origSize, blockLen, latLen, tagLen) > maxROMSection {
 		return nil, fmt.Errorf("%w: implausible header", ErrBadROMFile)
 	}
 	// BuildROM always pads the text to whole lines, so any other size
@@ -123,7 +126,11 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		if _, err := io.ReadFull(rd, sz[:]); err != nil {
 			return nil, fmt.Errorf("%w: code table %d: %v", ErrBadROMFile, i, err)
 		}
-		blob := make([]byte, binary.LittleEndian.Uint32(sz[:]))
+		n := binary.LittleEndian.Uint32(sz[:])
+		if n > maxROMSection {
+			return nil, fmt.Errorf("%w: code table %d: implausible size %d", ErrBadROMFile, i, n)
+		}
+		blob := make([]byte, n)
 		if _, err := io.ReadFull(rd, blob); err != nil {
 			return nil, fmt.Errorf("%w: code table %d: %v", ErrBadROMFile, i, err)
 		}
@@ -183,19 +190,16 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		}
 		rom.Lines = append(rom.Lines, line)
 	}
-	// Expand every block into one contiguous text image, fanning the
-	// independent lines across CPUs; each Orig aliases its slice of the
-	// image, so loading a large ROM costs one allocation for the text
-	// plus the line headers.
+	// Expand every block into one contiguous text image; each Orig
+	// aliases its slice of the image, so loading a large ROM costs one
+	// allocation for the text plus the line headers.
 	text := make([]byte, table.Blocks*LineSize)
-	err = parallel.ForEach(context.Background(), table.Blocks, 0, func(i int) error {
-		return rom.DecompressLineInto(i, text[i*LineSize:(i+1)*LineSize])
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
-	}
 	for i := range rom.Lines {
-		rom.Lines[i].Orig = text[i*LineSize : (i+1)*LineSize]
+		orig := text[i*LineSize : (i+1)*LineSize]
+		if err := rom.DecompressLineInto(i, orig); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
+		}
+		rom.Lines[i].Orig = orig
 	}
 	return rom, nil
 }

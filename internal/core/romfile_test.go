@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"ccrp/internal/huffman"
@@ -95,5 +96,18 @@ func TestReadROMFileRejectsGarbage(t *testing.T) {
 	binary.LittleEndian.PutUint32(unpadded[8:], size+17)
 	if _, err := ReadROMFile(bytes.NewReader(unpadded)); !errors.Is(err, ErrBadROMFile) {
 		t.Errorf("original size %d (not whole lines): err = %v, want ErrBadROMFile", size+17, err)
+	}
+	// A file claiming 4 GiB of code tags, or a 4 GiB code table, is
+	// rejected before a buffer of that size is made.
+	for _, off := range []int{24, 28} { // tag length; first code table's size
+		huge := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(huge[off:], 0xFFFFFFFF)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadROMFile(bytes.NewReader(huge))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrBadROMFile) || grew > 1<<20 {
+			t.Errorf("4 GiB length at offset %d: err = %v after allocating %d bytes, want ErrBadROMFile before allocating", off, err, grew)
+		}
 	}
 }

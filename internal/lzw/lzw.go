@@ -75,6 +75,15 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	}
 	if len(cur) > 0 {
 		emit(dict[string(cur)])
+		// The decoder adds its entry for this code only on reading it,
+		// one step behind the encoder, and may widen there; write the
+		// end code at the width it will read.
+		if next < 1<<maxBits {
+			next++
+			if next > 1<<width && width < uint(maxBits) {
+				width++
+			}
+		}
 	}
 	emit(eofCode)
 	return w.Bytes(), nil

@@ -16,12 +16,10 @@ package pagedvm
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 
 	"ccrp/internal/huffman"
-	"ccrp/internal/parallel"
 	"ccrp/internal/trace"
 )
 
@@ -159,41 +157,24 @@ func (s *Store) ReadPageInto(i int, dst []byte) error {
 	return nil
 }
 
-// Expand decompresses the whole store back to its page-padded image,
-// fanning the independent pages across a bounded worker pool (workers
-// <= 0 selects GOMAXPROCS) — the paged twin of ccrpd's parallel
-// per-line decompress path.
-func (s *Store) Expand(workers int) ([]byte, error) {
-	out := make([]byte, len(s.pages)*s.PageBytes)
-	err := parallel.ForEach(context.Background(), len(s.pages), workers, func(i int) error {
-		return s.ReadPageInto(i, out[i*s.PageBytes:(i+1)*s.PageBytes])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Verify round-trips every page against the original image, expanding
-// pages in parallel.
+// Verify round-trips every page against the original image, zero
+// padding included, decoding each page in turn into one reused frame.
 func (s *Store) Verify(image []byte) error {
-	return parallel.ForEach(context.Background(), len(s.pages), 0, func(i int) error {
-		got := make([]byte, s.PageBytes)
+	got := make([]byte, s.PageBytes)
+	want := make([]byte, s.PageBytes)
+	for i := range s.pages {
 		if err := s.ReadPageInto(i, got); err != nil {
 			return err
 		}
-		off := i * s.PageBytes
-		end := off + s.PageBytes
-		if end > len(image) {
-			end = len(image)
+		clear(want)
+		if off := i * s.PageBytes; off < len(image) {
+			copy(want, image[off:])
 		}
-		want := make([]byte, s.PageBytes)
-		copy(want, image[off:end])
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("pagedvm: page %d corrupt", i)
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // Stats summarizes one pager run.

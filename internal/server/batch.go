@@ -1,9 +1,9 @@
 // Batch endpoints: POST /v1/compress:batch and /v1/decompress:batch
-// process N blocks in one HTTP round trip. An early single-run load
-// report measured a 327 ms roundtrip p95 against 46 ms for the compress
-// work itself — per-request HTTP+JSON overhead — so batching is the
-// serving-side analogue of CRAM-style amortization: pay the fixed cost
-// once, stream the items.
+// process N blocks in one HTTP round trip, so the per-request HTTP and
+// JSON cost is paid once for all of them — the serving-side analogue of
+// CRAM-style amortization: pay the fixed cost once, stream the items.
+// ccrpbench's transport.loopback_ms.* and server.handler_p50_ms.* rungs
+// measure that fixed cost per route.
 //
 // Batch semantics: request-level problems (bad JSON, unknown coder, too
 // many items) fail the whole request through the normal error taxonomy;

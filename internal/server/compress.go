@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"errors"
 	"net/http"
 
 	"ccrp/internal/core"
-	"ccrp/internal/parallel"
 	"ccrp/internal/sweep"
 	"ccrp/internal/tracing"
 	"ccrp/internal/workload"
@@ -265,21 +263,13 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 	return nil
 }
 
-// parallelLineMin is the line count below which /v1/decompress stays
-// sequential: below it the worker handoff costs more than the decode.
-const parallelLineMin = 32
-
 // decompressLines expands a blocks+lines payload under a registered
-// coder, the path for codec-based (non-serializable) images. Offsets are
-// validated up front, then the independent lines decode into a single
-// preallocated text image — fanned across the DecodeWorkers pool for
-// large payloads (every 32-byte block is self-contained, so the only
-// shared state is the atomic index counter and the line cache), walked
-// sequentially for small ones. The context bounds either walk so a
-// hostile line list cannot outlive the route deadline. The work runs
-// under a decompress span annotated with the line-cache hit/miss split
-// and the parallel fan-out, so a cold cache or a sequential fallback is
-// visible as latency attribution, not just aggregate counters.
+// coder, the path for codec-based (non-serializable) images. The line
+// records are checked against what a Line Address Table can hold before
+// any decode, then each line expands by itself into one preallocated
+// text image, as the paper's refill engine expands each block from its
+// LAT entry. The context is checked before every line, so a hostile
+// line list cannot outlive the route deadline.
 func (s *Server) decompressLines(ctx context.Context, req *decompressRequest) ([]byte, error) {
 	entry, err := s.resolveCoder(ctx, req.CoderID)
 	if err != nil {
@@ -294,81 +284,55 @@ func (s *Server) decompressLines(ctx context.Context, req *decompressRequest) ([
 	if len(req.Lines) == 0 {
 		return nil, errBadRequest("lines is required with coder_id")
 	}
-	offs := make([]int, len(req.Lines))
-	off := 0
-	for i, l := range req.Lines {
-		if l.Len < 0 || off+l.Len > len(blocks) {
-			return nil, errUnprocessable("line %d: stored length %d overruns the block region", i, l.Len)
-		}
-		offs[i] = off
-		off += l.Len
+	if err := checkLines(req.Lines, len(blocks)); err != nil {
+		return nil, err
 	}
 
 	out := make([]byte, len(req.Lines)*core.LineSize)
-	var st lineCacheStats
-	expand := func(i int) error {
-		l := req.Lines[i]
-		stored := blocks[offs[i] : offs[i]+l.Len]
+	off := 0
+	for i, l := range req.Lines {
+		if ctx.Err() != nil {
+			err := Errf(http.StatusRequestTimeout, CodeDeadlineExceeded,
+				"decompress deadline exceeded at line %d of %d", i, len(req.Lines))
+			sp.SetError(err)
+			return nil, err
+		}
+		stored := blocks[off : off+l.Len]
+		off += l.Len
 		dst := out[i*core.LineSize : (i+1)*core.LineSize]
 		if l.Raw {
-			// Raw bypass: copying is cheaper than a cache probe.
 			copy(dst, stored)
-			return nil
+		} else if err := entry.decodeLineInto(dst, stored); err != nil {
+			err := errUnprocessable("line %d: %v", i, err)
+			sp.SetError(err)
+			return nil, err
 		}
-		key := lineKey(entry.ID, i, stored)
-		if s.lines.get(key, dst, &st) {
-			return nil
-		}
-		if err := entry.decodeLineInto(dst, stored); err != nil {
-			return errUnprocessable("line %d: %v", i, err)
-		}
-		s.lines.put(key, dst, &st)
-		return nil
-	}
-
-	useParallel := len(req.Lines) >= parallelLineMin && s.cfg.DecodeWorkers > 1
-	if useParallel {
-		err = parallel.ForEach(ctx, len(req.Lines), s.cfg.DecodeWorkers, expand)
-	} else {
-		for i := 0; err == nil && i < len(req.Lines); i++ {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-				break
-			}
-			err = expand(i)
-		}
-	}
-	s.applyLineCacheStats(&st, useParallel)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			err = Errf(http.StatusRequestTimeout, CodeDeadlineExceeded,
-				"decompress deadline exceeded after %d lines", len(req.Lines))
-		}
-		sp.SetError(err)
-		return nil, err
 	}
 	sp.SetAttrInt("lines", int64(len(req.Lines)))
-	sp.SetAttrInt("linecache_hits", int64(st.hits.Load()))
-	sp.SetAttrInt("linecache_misses", int64(st.misses.Load()))
-	if useParallel {
-		sp.SetAttrInt("decode_workers", int64(s.cfg.DecodeWorkers))
-	}
 	return out, nil
 }
 
-// applyLineCacheStats folds one request's cache deltas into the
-// registry; instruments are single-threaded so updates go under
-// metricsMu like every other handler-side metric.
-func (s *Server) applyLineCacheStats(st *lineCacheStats, parallel bool) {
-	s.metricsMu.Lock()
-	s.inst.lineHits.Add(st.hits.Load())
-	s.inst.lineMisses.Add(st.misses.Load())
-	s.inst.lineEvictions.Add(st.evictions.Load())
-	s.inst.lineResident.Set(float64(s.lines.len()))
-	if parallel {
-		s.inst.decodeParallel.Add(1)
+// checkLines enforces the LAT's rules on per-line records: a raw line is
+// stored as exactly LineSize bytes, a compressed one as 1 to LineSize-1
+// (a LAT length field holds 1–31; 0 marks raw), and the stored lengths
+// add up to the block region exactly.
+func checkLines(lines []lineInfo, blockBytes int) error {
+	off := 0
+	for i, l := range lines {
+		switch {
+		case l.Raw && l.Len != core.LineSize:
+			return errUnprocessable("line %d: raw line stores %d bytes, want %d", i, l.Len, core.LineSize)
+		case !l.Raw && (l.Len < 1 || l.Len >= core.LineSize):
+			return errUnprocessable("line %d: compressed line stores %d bytes, want 1 to %d", i, l.Len, core.LineSize-1)
+		case off+l.Len > blockBytes:
+			return errUnprocessable("line %d: stored length %d overruns the block region", i, l.Len)
+		}
+		off += l.Len
 	}
-	s.metricsMu.Unlock()
+	if off != blockBytes {
+		return errUnprocessable("line %d: %d bytes of blocks_b64 follow the last line", len(lines)-1, blockBytes-off)
+	}
+	return nil
 }
 
 // decodeLineInto expands one stored block into a full cache line held by

@@ -58,7 +58,7 @@ const (
 	StageCoderGet   = "coder_resolve"   // coder-id lookup
 	StageCoderTrain = "coder_train"     // coder build (or artifact-cache hit)
 	StageCompress   = "compress"        // block-bounded ROM build
-	StageDecompress = "decompress"      // per-line expansion incl. line cache
+	StageDecompress = "decompress"      // CROM parse or per-line expansion
 	StageSimQueue   = "sim_queue"       // waiting for a simulate worker slot
 	StageSimRun     = "sim_run"         // trace-driven simulation
 	StageEncode     = "encode_response" // response JSON marshalling
@@ -72,20 +72,11 @@ type Config struct {
 	MaxBodyBytes int64
 	// SimWorkers bounds concurrent simulation runs; 0 selects NumCPU.
 	SimWorkers int
-	// DecodeWorkers bounds the per-request parallel line-decode pool used
-	// by /v1/decompress and the :batch variant (block-bounded compression
-	// makes every 32-byte line independent, so they fan out freely). 0
-	// selects GOMAXPROCS; 1 forces sequential decode.
-	DecodeWorkers int
 	// TrainTimeout, CompressTimeout, and SimulateTimeout are the
 	// per-route deadlines; 0 selects 60s / 30s / 120s.
 	TrainTimeout    time.Duration
 	CompressTimeout time.Duration
 	SimulateTimeout time.Duration
-	// LineCacheLines bounds the decoded-line LRU cache used by
-	// /v1/decompress (entries, each one 32-byte cache line). 0 selects
-	// 4096; negative disables caching.
-	LineCacheLines int
 	// Version is reported by /healthz (cliutil.Version in cmd/ccrpd).
 	Version string
 	// Tracer, when set, records request-scoped spans: a root span per
@@ -114,9 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.SimWorkers <= 0 {
 		c.SimWorkers = runtime.NumCPU()
 	}
-	if c.DecodeWorkers <= 0 {
-		c.DecodeWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.TrainTimeout == 0 {
 		c.TrainTimeout = 60 * time.Second
 	}
@@ -140,7 +128,6 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	cache *sweep.Cache // single-flight artifacts: coders and compressed ROMs
-	lines *lineCache   // decoded-line LRU for /v1/decompress
 	start time.Time
 
 	// coders indexes trained coders by content-addressed id. The cache
@@ -176,13 +163,6 @@ type serverMetrics struct {
 	uptime    *metrics.Gauge
 	inflight  *metrics.Gauge
 
-	lineHits      *metrics.Counter // decoded-line cache hits
-	lineMisses    *metrics.Counter // decoded-line cache misses
-	lineEvictions *metrics.Counter // decoded-line cache evictions
-	lineResident  *metrics.Gauge   // decoded lines currently cached
-
-	decodeParallel *metrics.Counter // decompress requests decoded by the parallel pool
-
 	storeHits       *metrics.Counter // artifacts served from the disk store
 	storeMisses     *metrics.Counter // store probes that fell through to a build
 	storeWrites     *metrics.Counter // freshly built artifacts persisted
@@ -201,7 +181,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		cache:    sweep.NewCache(),
-		lines:    newLineCache(cfg.LineCacheLines),
 		coders:   make(map[string]*coderEntry),
 		sem:      make(chan struct{}, cfg.SimWorkers),
 		registry: metrics.New(),
@@ -222,14 +201,6 @@ func New(cfg Config) *Server {
 		builds:   s.registry.Counter("ccrpd_coder_builds_total", "coder builds executed (cache misses)"),
 		uptime:   s.registry.Gauge("ccrpd_uptime_seconds", "seconds since server start"),
 		inflight: s.registry.Gauge("ccrpd_inflight_requests", "requests currently being served"),
-
-		lineHits:      s.registry.Counter("ccrpd_linecache_hits_total", "decoded-line cache hits"),
-		lineMisses:    s.registry.Counter("ccrpd_linecache_misses_total", "decoded-line cache misses"),
-		lineEvictions: s.registry.Counter("ccrpd_linecache_evictions_total", "decoded-line cache evictions"),
-		lineResident:  s.registry.Gauge("ccrpd_linecache_resident_lines", "decoded lines currently cached"),
-
-		decodeParallel: s.registry.Counter("ccrpd_decode_parallel_total",
-			"decompress requests whose lines were decoded by the parallel worker pool"),
 
 		storeHits:       s.registry.Counter("ccrpd_store_hits_total", "artifacts served from the disk store"),
 		storeMisses:     s.registry.Counter("ccrpd_store_misses_total", "store probes that fell through to a build"),
@@ -435,7 +406,6 @@ type healthzBody struct {
 	Host          hostinfo.Info `json:"host"`
 	Coders        int           `json:"coders"`
 	SimWorkers    int           `json:"sim_workers"`
-	DecodeWorkers int           `json:"decode_workers"`
 	Inflight      int64         `json:"inflight"`
 	Draining      bool          `json:"draining,omitempty"`
 }
@@ -451,7 +421,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		Host:          hostinfo.Collect(),
 		Coders:        n,
 		SimWorkers:    s.cfg.SimWorkers,
-		DecodeWorkers: s.cfg.DecodeWorkers,
 		Inflight:      s.inflight.Load(),
 		Draining:      s.draining.Load(),
 	})

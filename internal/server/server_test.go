@@ -349,6 +349,102 @@ func TestDecompressHostileInput(t *testing.T) {
 			Lines:     []lineInfo{{Len: -5}}})
 		wantError(t, resp, body, http.StatusUnprocessableEntity, CodeUnprocessable)
 	})
+
+	// Line records a LAT cannot hold: a raw line is exactly 32 stored
+	// bytes, a compressed one 1-31, and the lengths add up to the block
+	// region. Each is a 422 naming the offending line.
+	resp, body := postJSON(t, ts.URL+"/v1/compress", compressRequest{CoderID: id, Workload: "eightq"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress: %d %s", resp.StatusCode, body)
+	}
+	comp := decodeAs[compressResponse](t, body)
+	blocks, err := base64.StdEncoding.DecodeString(comp.BlocksB64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first compressed line's stored bytes, for the overlong cases.
+	var stored []byte
+	for i, off := 0, 0; stored == nil; i++ {
+		if l := comp.Lines[i]; !l.Raw {
+			stored = blocks[off : off+l.Len]
+		}
+		off += comp.Lines[i].Len
+	}
+	rejectLines := func(t *testing.T, blocks []byte, lines []lineInfo, line int) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
+			CoderID: id, BlocksB64: base64.StdEncoding.EncodeToString(blocks), Lines: lines})
+		wantError(t, resp, body, http.StatusUnprocessableEntity, CodeUnprocessable)
+		if e := decodeAs[errorBody](t, body).Error; e == nil || !strings.Contains(e.Message, fmt.Sprintf("line %d:", line)) {
+			t.Errorf("error %s does not name line %d", body, line)
+		}
+	}
+	padded := func(n int) []byte { return append(append([]byte(nil), stored...), make([]byte, n-len(stored))...) }
+
+	t.Run("short raw line", func(t *testing.T) {
+		rejectLines(t, make([]byte, 5), []lineInfo{{Len: 5, Raw: true}}, 0)
+	})
+	t.Run("long raw line", func(t *testing.T) {
+		rejectLines(t, make([]byte, 40), []lineInfo{{Len: 40, Raw: true}}, 0)
+	})
+	t.Run("compressed line of a full line", func(t *testing.T) {
+		rejectLines(t, padded(core.LineSize), []lineInfo{{Len: core.LineSize}}, 0)
+	})
+	t.Run("compressed line past a full line", func(t *testing.T) {
+		rejectLines(t, padded(36), []lineInfo{{Len: 36}}, 0)
+	})
+	t.Run("bytes after the last line", func(t *testing.T) {
+		rejectLines(t, append(append([]byte(nil), blocks...), 1, 2, 3), comp.Lines, len(comp.Lines)-1)
+	})
+
+	t.Run("batch fails only the bad item", func(t *testing.T) {
+		resp, body := postJSON(t, ts.URL+"/v1/decompress:batch", decompressBatchRequest{Items: []decompressRequest{
+			{CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines},
+			{CoderID: id, BlocksB64: base64.StdEncoding.EncodeToString(make([]byte, 5)),
+				Lines: []lineInfo{{Len: 5, Raw: true}}},
+		}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch decompress: %d %s", resp.StatusCode, body)
+		}
+		out := decodeAs[decompressBatchResponse](t, body)
+		if len(out.Items) != 2 || out.Errors != 1 {
+			t.Fatalf("batch = %d items, %d errors; want 2 items, 1 error", len(out.Items), out.Errors)
+		}
+		if r := out.Items[0].Result; r == nil || r.OriginalBytes != comp.OriginalBytes {
+			t.Errorf("item 0 = %+v, want the %d-byte text", out.Items[0], comp.OriginalBytes)
+		}
+		if e := out.Items[1].Error; e == nil || e.Code != CodeUnprocessable || !strings.Contains(e.Message, "line 0:") {
+			t.Errorf("item 1 = %+v, want an unprocessable error naming line 0", out.Items[1])
+		}
+	})
+}
+
+// TestDecompressDeadline pins the line walk's context check: under a
+// route deadline that has passed before the handler runs, a valid
+// lines-form payload answers 408 deadline_exceeded instead of decoding.
+func TestDecompressDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{CompressTimeout: time.Nanosecond})
+	id := trainPreselected(t, ts.URL)
+	entry, err := s.coderByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workload.ByName("eightq")
+	text, err := w.Text()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rom, err := core.BuildROM(text, entry.romOptions(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := compressResult(entry, id, rom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
+		CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
+	wantError(t, resp, body, http.StatusRequestTimeout, CodeDeadlineExceeded)
 }
 
 func TestSimulatePoint(t *testing.T) {

@@ -215,18 +215,15 @@ func TestRequestSpansCoverStages(t *testing.T) {
 		}
 	}
 
-	// The line-cache attribution rides on the decompress span.
+	// The decompress span counts the lines it expanded.
 	found := false
 	for _, rec := range recs {
-		if rec.Stage != StageDecompress {
-			continue
-		}
-		if _, ok := rec.Attrs["linecache_hits"]; ok {
+		if rec.Stage == StageDecompress && rec.Attrs["lines"] == int64(len(comp.Lines)) {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("no decompress span carries linecache_hits attribution")
+		t.Errorf("no decompress span carries lines = %d", len(comp.Lines))
 	}
 
 	// ccrp-spans' analysis decomposes the stream: every trace rooted,

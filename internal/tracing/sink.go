@@ -10,7 +10,7 @@ import (
 
 // Record is the flat JSONL export shape of one finished span. Parent is
 // empty on root spans; durations and start times are nanoseconds so
-// microsecond-scale stages (coder-cache hits, line-cache probes) still
+// microsecond-scale stages (coder-cache hits, short line decodes) still
 // attribute correctly.
 type Record struct {
 	Trace   string         `json:"trace"`
