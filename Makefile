@@ -70,3 +70,5 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzDecompress$$' ./internal/lzw
 	$(FUZZ) -fuzz='^FuzzRoundTrip$$' ./internal/lzw
 	$(FUZZ) -fuzz='^FuzzDecompressHandler$$' ./internal/server
+	$(FUZZ) -fuzz='^FuzzCompressHandler$$' ./internal/server
+	$(FUZZ) -fuzz='^FuzzReadTrace$$' ./internal/trace

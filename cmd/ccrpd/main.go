@@ -12,11 +12,17 @@
 // request's goroutine; concurrent requests are what spread decode
 // across CPUs.
 //
-// With -store, trained coders and compressed ROM images persist in a
-// disk-backed content-addressed artifact store under DIR, and the daemon
-// warm-starts on boot: every stored coder is verified, re-registered,
-// and served without retraining — the serving analogue of the paper's
-// ROMs surviving power cycles.
+// A trained coder stays resident for the process lifetime; it is a
+// resource the client that trained it owns. The ROM of a named workload
+// is built once per coder and alignment and shared; text a client sends
+// is compressed for that request alone and kept nowhere, so memory does
+// not grow with compress traffic.
+//
+// With -store, trained coders persist in a disk-backed content-addressed
+// artifact store under DIR, and the daemon warm-starts on boot: every
+// stored coder is verified, re-registered, and served without retraining
+// — the serving analogue of the paper's ROMs surviving power cycles.
+// ROM images never persist; they rebuild from the coder on demand.
 //
 // -trace streams every finished span as JSONL; each request's root span
 // is its record (method, route, status, duration, error code, trace id).
@@ -43,7 +49,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8642", "listen address")
-	storeDir := flag.String("store", "", "persist artifacts (trained coders, ROM images) under this directory and warm-start from it on boot")
+	storeDir := flag.String("store", "", "persist trained coders under this directory and warm-start from it on boot")
 	simWorkers := flag.Int("sim-workers", 0, "concurrent simulate runs (0 = NumCPU)")
 	maxBody := flag.Int64("max-body", 0, "request body limit in bytes (0 = 16 MiB)")
 	trainTimeout := flag.Duration("train-timeout", 0, "POST /v1/coders deadline (0 = 60s)")

@@ -78,12 +78,14 @@ type Attempt struct {
 	Err    error
 }
 
-// Result is a completed forward: the backend response (body unread;
-// the caller owns closing it) plus attribution.
+// Result is a completed forward: the answering backend's status, header
+// and whole body, plus attribution.
 type Result struct {
-	Resp     *http.Response
+	Status   int
+	Header   http.Header
+	Body     []byte
 	Node     string    // node that answered
-	Attempts []Attempt // every try, in order; the last one succeeded
+	Attempts []Attempt // every try, in order; the last one answered
 }
 
 // FailedOver reports whether the answering node was not the first
@@ -112,10 +114,11 @@ func (f *Forwarder) Candidates(key string) []string {
 // query) against the chosen node, with the given headers and body.
 // Responses below 500 — including the service's typed 4xx errors — are
 // successes from the routing layer's point of view and return
-// immediately; connection errors and 5xx count against the node and
-// fail over. The returned error is non-nil only when every attempt
-// failed at the transport layer; a 5xx from the last candidate is
-// returned as a Result so the client sees the backend's own words.
+// immediately; connection errors, bodies cut short and 5xx count
+// against the node and fail over. The returned error is non-nil only
+// when every attempt failed at the transport layer; a 5xx from the last
+// candidate is returned as a Result so the client sees the backend's
+// own words.
 func (f *Forwarder) Do(ctx context.Context, key, method, pathAndQuery string, header http.Header, body []byte) (*Result, error) {
 	candidates := f.Candidates(key)
 	if len(candidates) == 0 {
@@ -123,7 +126,6 @@ func (f *Forwarder) Do(ctx context.Context, key, method, pathAndQuery string, he
 	}
 	res := &Result{}
 	var lastErr error
-	var last5xx *http.Response
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -144,51 +146,34 @@ func (f *Forwarder) Do(ctx context.Context, key, method, pathAndQuery string, he
 			}
 			select {
 			case <-ctx.Done():
-				if last5xx != nil {
-					last5xx.Body.Close()
-				}
 				return nil, ctx.Err()
 			case <-timer.C:
 			}
 		}
 		node := candidates[attempt%len(candidates)]
-		resp, err := f.try(ctx, node, method, pathAndQuery, header, body)
+		status, hdr, respBody, err := f.try(ctx, node, method, pathAndQuery, header, body)
 		if err != nil {
 			res.Attempts = append(res.Attempts, Attempt{Node: node, Err: err})
 			f.cfg.Health.ReportFailure(node, err)
 			lastErr = err
 			if ctx.Err() != nil {
-				if last5xx != nil {
-					last5xx.Body.Close()
-				}
 				return nil, ctx.Err()
 			}
 			continue
 		}
-		if resp.StatusCode >= 500 {
-			res.Attempts = append(res.Attempts, Attempt{Node: node, Status: resp.StatusCode})
-			f.cfg.Health.ReportFailure(node, fmt.Errorf("backend %s: %s", node, resp.Status))
-			if last5xx != nil {
-				// Only the most recent 5xx body can still be relayed.
-				last5xx.Body.Close()
-			}
-			last5xx = resp
+		res.Attempts = append(res.Attempts, Attempt{Node: node, Status: status})
+		res.Status, res.Header, res.Body, res.Node = status, hdr, respBody, node
+		if status >= 500 {
+			// Kept until a later candidate answers: if none does, the
+			// last 5xx is relayed rather than one of our own invention,
+			// so error taxonomies survive the hop.
+			f.cfg.Health.ReportFailure(node, fmt.Errorf("backend %s: %d %s", node, status, http.StatusText(status)))
 			continue
 		}
-		res.Attempts = append(res.Attempts, Attempt{Node: node, Status: resp.StatusCode})
-		res.Resp, res.Node = resp, node
 		f.cfg.Health.ReportSuccess(node)
-		if last5xx != nil {
-			last5xx.Body.Close()
-		}
 		return res, nil
 	}
-	if last5xx != nil {
-		// Every retry budget spent and the best outcome was a 5xx:
-		// hand the backend's response through rather than inventing
-		// our own, so error taxonomies survive the hop.
-		res.Resp = last5xx
-		res.Node = res.Attempts[len(res.Attempts)-1].Node
+	if res.Status != 0 {
 		return res, nil
 	}
 	return nil, fmt.Errorf("cluster: all %d attempts failed for key %q: %w",
@@ -211,37 +196,28 @@ func (f *Forwarder) backoffDelay(attempt int) time.Duration {
 	return delay
 }
 
-// try issues one attempt against one node under the per-attempt
-// deadline.
-func (f *Forwarder) try(ctx context.Context, node, method, pathAndQuery string, header http.Header, body []byte) (*http.Response, error) {
+// try issues one attempt against one node and reads the whole response
+// under the per-attempt deadline. A body cut short is an error like a
+// refused connection: the client must never see a status whose body
+// the backend failed to deliver.
+func (f *Forwarder) try(ctx context.Context, node, method, pathAndQuery string, header http.Header, body []byte) (int, http.Header, []byte, error) {
 	actx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(actx, method, "http://"+node+pathAndQuery, bytes.NewReader(body))
 	if err != nil {
-		cancel()
-		return nil, err
+		return 0, nil, nil, err
 	}
 	for k, vs := range header {
 		req.Header[k] = vs
 	}
 	resp, err := f.cfg.Client.Do(req)
 	if err != nil {
-		cancel()
-		return nil, err
+		return 0, nil, nil, err
 	}
-	// Hand the cancel to the body: the caller (or the retry loop's
-	// Close) releases the attempt context when done streaming.
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// cancelBody ties an attempt's context cancellation to its body close.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
+	defer resp.Body.Close()
+	respBody, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("backend %s: reading %s body: %w", node, resp.Status, err)
+	}
+	return resp.StatusCode, resp.Header, respBody, nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ type testBackend struct {
 	ts   *httptest.Server
 	hits int
 	fail bool // respond 500 when set
+	cut  bool // promise a 200 body, send half of it and hang up
 }
 
 // newFleet boots n scripted backends and a forwarder over them. The
@@ -31,6 +33,17 @@ func newFleet(t *testing.T, n int) ([]*testBackend, *Forwarder, *Checker) {
 			b.hits++
 			if b.fail {
 				http.Error(w, "scripted failure", http.StatusInternalServerError)
+				return
+			}
+			if b.cut {
+				conn, buf, err := w.(http.Hijacker).Hijack()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", 2*len(b.node), b.node)
+				buf.Flush()
+				conn.Close()
 				return
 			}
 			io.WriteString(w, b.node)
@@ -68,12 +81,7 @@ func doKey(t *testing.T, fwd *Forwarder, key string) (*Result, string) {
 	if err != nil {
 		t.Fatalf("forward %q: %v", key, err)
 	}
-	body, err := io.ReadAll(res.Resp.Body)
-	res.Resp.Body.Close()
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	return res, string(body)
+	return res, string(res.Body)
 }
 
 // TestForwardStickiness: the same key lands on the same (owner) node on
@@ -107,8 +115,8 @@ func TestFailoverOn5xx(t *testing.T) {
 	m[order[0]].fail = true
 
 	res, servedBy := doKey(t, fwd, key)
-	if res.Resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 after failover", res.Resp.StatusCode)
+	if res.Status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 after failover", res.Status)
 	}
 	if servedBy != order[1] {
 		t.Fatalf("served by %s, want the ring successor %s (order %v)", servedBy, order[1], order)
@@ -170,9 +178,8 @@ func TestAllNodes5xx(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do: %v (a relayed 5xx is not a transport error)", err)
 	}
-	defer res.Resp.Body.Close()
-	if res.Resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want the backend's 500", res.Resp.StatusCode)
+	if res.Status != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want the backend's 500", res.Status)
 	}
 	if len(res.Attempts) != 3 {
 		t.Errorf("attempts = %d, want MaxAttempts (3)", len(res.Attempts))
@@ -290,11 +297,9 @@ func TestForwardPropagatesHeadersAndBody(t *testing.T) {
 
 	hdr := http.Header{}
 	hdr.Set("X-Ccrp-Trace-Id", "0123456789abcdef0123456789abcdef")
-	res, err := fwd.Do(context.Background(), "k", http.MethodPost, "/v1/compress?x=1", hdr, []byte(`{"a":1}`))
-	if err != nil {
+	if _, err := fwd.Do(context.Background(), "k", http.MethodPost, "/v1/compress?x=1", hdr, []byte(`{"a":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	res.Resp.Body.Close()
 	if gotTrace != "0123456789abcdef0123456789abcdef" {
 		t.Errorf("trace header = %q, want propagated id", gotTrace)
 	}

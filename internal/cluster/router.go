@@ -156,23 +156,21 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, tid tracing.Tr
 	fsp.SetAttr("node", res.Node)
 	fsp.End()
 
-	resp := res.Resp
-	defer resp.Body.Close()
 	out := w.Header()
-	for k, vs := range resp.Header {
+	for k, vs := range res.Header {
 		if k == server.TraceHeader {
 			continue // already stamped; the backend echoes the same id
 		}
 		out[k] = vs
 	}
 	out.Set(BackendHeader, res.Node)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	w.WriteHeader(res.Status)
+	_, _ = w.Write(res.Body) // a client gone mid-write has no one to tell
 
 	rt.mu.Lock()
 	rt.inst.requests.With(res.Node).Inc()
 	rt.mu.Unlock()
-	return resp.StatusCode
+	return res.Status
 }
 
 // recordAttempts attributes every failed try to its node — in metrics

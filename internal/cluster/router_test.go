@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,4 +102,37 @@ func TestRouterOwnErrorsAndReadiness(t *testing.T) {
 
 	rt.BeginDrain()
 	readyz(http.StatusServiceUnavailable)
+}
+
+// TestRouterRetriesBodyCutMidway: an owner that sends its 200 status and
+// hangs up mid-body has failed the attempt, as if it had refused the
+// connection. The client gets the successor's whole 200, never the
+// owner's truncated one, and the owner gets an error count.
+func TestRouterRetriesBodyCutMidway(t *testing.T) {
+	backends, fwd, checker := newFleet(t, 2)
+	rt := NewRouter(fwd.cfg.Ring, checker, fwd, nil, 1<<10)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	body := `{"coder_id":"cut-mid-body"}`
+	key, _ := server.RouteKey(http.MethodPost, "/v1/compress", []byte(body))
+	order := fwd.cfg.Ring.Order(key)
+	byNode(backends)[order[0]].cut = true
+
+	resp, err := http.Post(front.URL+"/v1/compress", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || string(got) != order[1] {
+		t.Fatalf("client got %d %q (read error %v), want the successor's whole 200 %q",
+			resp.StatusCode, got, err, order[1])
+	}
+	if node := resp.Header.Get(BackendHeader); node != order[1] {
+		t.Errorf("answered by %q, want the successor %q", node, order[1])
+	}
+	if n := metric(t, front.URL, fmt.Sprintf("ccrp_router_node_errors_total{node=%q}", order[0])); n != 1 {
+		t.Errorf("owner error count = %g, want 1", n)
+	}
 }

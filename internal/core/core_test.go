@@ -581,39 +581,6 @@ func TestAssociativityHelpsConflictHeavyTrace(t *testing.T) {
 	}
 }
 
-func TestCLBProbePolicy(t *testing.T) {
-	text := riscLikeText(8192, 88)
-	code := testCode(t, text)
-	// Alternate between two regions so a tiny CLB is recency-sensitive.
-	tr := &trace.Trace{}
-	for i := 0; i < 3000; i++ {
-		tr.Events = append(tr.Events,
-			trace.Event{PC: uint32(i%64) * 4},      // group 0
-			trace.Event{PC: 4096 + uint32(i%64)*4}, // far group
-			trace.Event{PC: uint32(i%64)*4 + 256},  // group 1
-		)
-	}
-	base := Config{CacheBytes: 256, CLBEntries: 2, Mem: memory.EPROM{}, Codes: []*huffman.Code{code}}
-	onMiss, err := Compare(tr, text, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	every := base
-	every.CLBProbeEveryFetch = true
-	onFetch, err := Compare(tr, text, every)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical cache behaviour; only CLB state policy differs.
-	if onMiss.CCRP.Misses != onFetch.CCRP.Misses {
-		t.Fatal("cache misses changed with CLB policy")
-	}
-	if onFetch.CCRP.CLBMisses > onMiss.CCRP.CLBMisses {
-		t.Errorf("probe-every-fetch worsened CLB misses: %d > %d",
-			onFetch.CCRP.CLBMisses, onMiss.CCRP.CLBMisses)
-	}
-}
-
 // A minimal codec that doubles as a test of the LineCodec plug point:
 // XOR with a constant plus a 2-byte header (so it always "compresses" to
 // 30 bytes when the line has at least 4 trailing zero... actually it

@@ -48,13 +48,6 @@ type Config struct {
 	// coding configuration instead of once per sweep point.
 	ROM *ROM
 
-	// CLBProbeEveryFetch updates CLB recency on every instruction fetch,
-	// exactly as the paper's hardware does ("during each instruction
-	// fetch, the CLB is searched"); the default probes only on cache
-	// misses. The policies differ only in LRU state — a difference
-	// visible only when the CLB is too small for the working set.
-	CLBProbeEveryFetch bool
-
 	// Metrics, when set, receives per-set cache miss counters, CLB churn,
 	// refill-cycle and line-size histograms, the per-line fetch heatmap,
 	// and derived gauges. Nil (the default) disables all instrumentation.
@@ -207,17 +200,10 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 		if ev.IsMemOp() {
 			dataAccesses++
 		}
-		latIdx := ev.PC / lat.GroupSpan
 		if pr != nil { // fetch is not inlined: an uninstrumented run skips the call
 			pr.fetch(seq, ev.PC)
 		}
 		if ic.Access(ev.PC) {
-			if cfg.CLBProbeEveryFetch {
-				// Hardware probes in parallel with the cache; a hit only
-				// refreshes recency, a miss costs nothing until the
-				// cache also misses.
-				buf.Lookup(latIdx)
-			}
 			continue
 		}
 		// Miss: identical for both systems; refill costs differ.
@@ -228,6 +214,7 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: trace fetch %#x outside program text: %w", ev.PC, err)
 		}
+		latIdx := ev.PC / lat.GroupSpan
 		_, hit := buf.Lookup(latIdx)
 		pr.miss(seq, ev.PC, ic.Set(ev.PC), hit)
 		if !hit {

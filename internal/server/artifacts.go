@@ -1,10 +1,10 @@
-// Artifact observability: GET /v1/artifacts lists what the node's disk
-// store holds — which coders and ROM images this fleet member owns —
-// and the ccrpd_store_bytes gauge tracks the store's resident payload
-// size. Together they make per-node placement observable, the input a
-// fleet rebalancer (or an operator wondering why one node is hot)
-// needs: the router decides where a coder id *should* live, this
-// endpoint reports where its artifacts actually are.
+// Artifact observability: GET /v1/artifacts lists the coders the node's
+// disk store holds — which trained coders this fleet member owns — and
+// the ccrpd_store_bytes gauge tracks their resident payload size.
+// Together they make per-node placement observable, the input a fleet
+// rebalancer (or an operator wondering why one node is hot) needs: the
+// router decides where a coder id *should* live, this endpoint reports
+// where its artifacts actually are.
 package server
 
 import (
@@ -20,7 +20,7 @@ import (
 // the coder id clients use against /v1/compress.
 type artifactInfo struct {
 	ID    string    `json:"id"`
-	Kind  string    `json:"kind"` // "coder" | "rom"
+	Kind  string    `json:"kind"` // always "coder": only coders persist
 	Size  int       `json:"size_bytes"`
 	MTime time.Time `json:"mtime,omitempty"`
 }
@@ -34,8 +34,9 @@ type artifactsResponse struct {
 	Store bool `json:"store"`
 }
 
-// listArtifacts enumerates the store, newest first (ties broken by id
-// for a deterministic listing).
+// listArtifacts enumerates the store's coders, newest first (ties broken
+// by id for a deterministic listing). Entries of any other class, such
+// as the ROM images older daemons persisted, are not listed.
 func (s *Server) listArtifacts() (*artifactsResponse, error) {
 	resp := &artifactsResponse{Artifacts: []artifactInfo{}}
 	st := s.cache.Store()
@@ -48,6 +49,9 @@ func (s *Server) listArtifacts() (*artifactsResponse, error) {
 		return nil, err
 	}
 	for _, a := range arts {
+		if a.Class != artifactClassCoder {
+			continue
+		}
 		resp.Artifacts = append(resp.Artifacts, artifactInfo{
 			ID:    sweep.HashBytes([]byte(a.Key)),
 			Kind:  a.Class,

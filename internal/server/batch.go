@@ -131,7 +131,7 @@ func (s *Server) compressBatchItem(ctx context.Context, entry *coderEntry, coder
 	if err != nil {
 		return nil, err
 	}
-	rom, err := s.buildROM(ctx, entry, text, wordAligned)
+	rom, err := s.buildROM(ctx, entry, text, item.Workload, wordAligned)
 	if err != nil {
 		return nil, err
 	}

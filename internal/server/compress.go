@@ -89,19 +89,20 @@ func (s *Server) resolveTextImage(textB64, workloadName string) ([]byte, error) 
 	}
 }
 
-// buildROM compresses text under the coder through the artifact cache:
-// concurrent identical requests (same coder, same image, same alignment)
-// share one build, and simulate reuses compress's ROMs. Built ROMs are
-// immutable, which is what makes the sharing sound. The whole step —
-// cache probe included, since a hit is the latency the client sees — runs
-// under a compress span.
-func (s *Server) buildROM(ctx context.Context, entry *coderEntry, text []byte, wordAligned bool) (*core.ROM, error) {
+// buildROM compresses text under the coder, under a compress span. A
+// named workload's ROM is memoized in the artifact cache by (coder,
+// alignment, workload), a key set bounded by the corpus times the
+// trained coders: concurrent identical requests share one build, and
+// simulate reuses compress's ROMs. Built ROMs are immutable, which is
+// what makes the sharing sound. Client text (workloadName "") is
+// compressed for its request alone and kept nowhere, so memory does not
+// grow with compress traffic.
+func (s *Server) buildROM(ctx context.Context, entry *coderEntry, text []byte, workloadName string, wordAligned bool) (*core.ROM, error) {
 	sp := tracing.FromContext(ctx).Child(StageCompress)
 	sp.SetAttrInt("text_bytes", int64(len(text)))
 	defer sp.End()
-	key := sweep.Key("rom", entry.ID, wordAligned, text)
 	build := func() (*core.ROM, error) {
-		sp.SetAttrInt("built", 1) // a cache miss: this request paid the build
+		sp.SetAttrInt("built", 1) // not a cache hit: this request paid the build
 		rom, err := core.BuildROM(text, entry.romOptions(wordAligned))
 		if err != nil {
 			return nil, errUnprocessable("compression failed: %v", err)
@@ -112,15 +113,12 @@ func (s *Server) buildROM(ctx context.Context, entry *coderEntry, text []byte, w
 		}
 		return rom, nil
 	}
-	// Serializable (pure-Huffman) images persist as CROM artifacts;
-	// codec-backed images have tables outside the ROM format and stay
-	// memory-only.
 	var rom *core.ROM
 	var err error
-	if entry.serializable() {
-		rom, err = sweep.GetStored(s.cache, key, romCodec, build)
+	if workloadName != "" {
+		rom, err = sweep.Get(s.cache, sweep.Key("rom", entry.ID, wordAligned, workloadName), build)
 	} else {
-		rom, err = sweep.Get(s.cache, key, build)
+		rom, err = build()
 	}
 	if err != nil {
 		sp.SetError(err)
@@ -144,7 +142,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	rom, err := s.buildROM(r.Context(), entry, text, req.WordAligned)
+	rom, err := s.buildROM(r.Context(), entry, text, req.Workload, req.WordAligned)
 	if err != nil {
 		return err
 	}

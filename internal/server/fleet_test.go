@@ -65,8 +65,9 @@ func TestReadyzDrainTransition(t *testing.T) {
 }
 
 // TestArtifactsEndpoint: a store-backed node lists its artifacts with
-// ids, kinds, sizes, and mtimes, updates the ccrpd_store_bytes gauge,
-// and a storeless node answers an empty catalogue rather than erroring.
+// ids, kinds, sizes, and mtimes — only the coder, since a compressed ROM
+// never persists — updates the ccrpd_store_bytes gauge, and a storeless
+// node answers an empty catalogue rather than erroring.
 func TestArtifactsEndpoint(t *testing.T) {
 	store, err := sweep.OpenDiskStore(t.TempDir())
 	if err != nil {
@@ -86,7 +87,7 @@ func TestArtifactsEndpoint(t *testing.T) {
 	if !out.Store {
 		t.Error("store-backed node reports store=false")
 	}
-	// One coder + one ROM artifact from the compress.
+	// The coder, and no ROM artifact from the compress.
 	kinds := map[string]int{}
 	var coderID string
 	for _, a := range out.Artifacts {
@@ -101,8 +102,11 @@ func TestArtifactsEndpoint(t *testing.T) {
 			coderID = a.ID
 		}
 	}
-	if kinds[artifactClassCoder] != 1 || kinds[artifactClassROM] != 1 {
-		t.Fatalf("artifact kinds = %v, want 1 coder + 1 rom", kinds)
+	if kinds[artifactClassCoder] != 1 || len(kinds) != 1 {
+		t.Fatalf("artifact kinds = %v, want 1 coder and nothing else", kinds)
+	}
+	if arts, err := store.List(); err != nil || len(arts) != 1 {
+		t.Fatalf("store holds %d artifacts (err %v), want only the coder", len(arts), err)
 	}
 	// The coder artifact's public id IS the coder id clients hold.
 	if coderID != id {
@@ -113,6 +117,14 @@ func TestArtifactsEndpoint(t *testing.T) {
 	}
 	if got := counterValue(t, s, "ccrpd_store_bytes"); got == "0" {
 		t.Error("ccrpd_store_bytes gauge is 0 after listing a populated store")
+	}
+	// A ROM image an older daemon persisted is not listed.
+	if err := store.Save("rom-from-an-older-daemon", "rom", []byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	_, body = getURL(t, ts.URL+"/v1/artifacts")
+	if got := decodeAs[artifactsResponse](t, body).Artifacts; len(got) != 1 || got[0].Kind != artifactClassCoder {
+		t.Errorf("catalogue over a store holding a stale ROM = %+v, want only the coder", got)
 	}
 
 	// Storeless node: empty catalogue, not an error.

@@ -9,63 +9,90 @@ import (
 	"testing"
 
 	"ccrp/internal/core"
+	"ccrp/internal/workload"
 )
 
 // coderPlaceholder in a fuzz body stands for the trained coder's id, so
-// the committed seeds reach the lines form without pinning the id.
+// the committed seeds reach the coder's paths without pinning the id.
 const coderPlaceholder = "@coder"
+
+// fuzzHarness is a server holding a trained preselected coder, driven in
+// process: the handler fuzz targets post to it.
+type fuzzHarness struct {
+	s     *Server
+	coder string
+}
+
+func newFuzzHarness(f *testing.F) *fuzzHarness {
+	fh := &fuzzHarness{s: New(Config{})}
+	var coder coderInfo
+	fh.mustPost(f, "/v1/coders", trainRequest{Kind: KindPreselected}, &coder)
+	fh.coder = coder.ID
+	return fh
+}
+
+func (fh *fuzzHarness) post(path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	fh.s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// mustPost posts in as JSON and decodes a 200 answer into out.
+func (fh *fuzzHarness) mustPost(tb testing.TB, path string, in, out any) {
+	tb.Helper()
+	raw, err := json.Marshal(in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := fh.post(path, raw)
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// seed adds req, marshalled, as a fuzz seed.
+func seed(f *testing.F, req any) {
+	raw, err := json.Marshal(req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+}
+
+// wantTyped4xx fails unless rec is a 4xx whose body is a typed error.
+func wantTyped4xx(t *testing.T, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatalf("%d body %s does not parse: %v", rec.Code, rec.Body, err)
+	}
+	if rec.Code < 400 || rec.Code > 499 || eb.Error == nil || eb.Error.Code == "" {
+		t.Fatalf("want a typed 4xx, got %d %s", rec.Code, rec.Body)
+	}
+}
+
+// fuzzText is a short MIPS-like text image for the seeds.
+var fuzzText = bytes.Repeat([]byte{0x27, 0xbd, 0xff, 0xe8, 0xaf, 0xbf, 0x00, 0x14}, 12)
 
 // FuzzDecompressHandler posts arbitrary /v1/decompress bodies to a
 // server holding a trained preselected coder. Every answer is a 200
 // whose text is 32 bytes per line record (whole lines for rom_b64), or a
 // typed 4xx; never a 5xx, which is also what a handler panic becomes.
 func FuzzDecompressHandler(f *testing.F) {
-	h := New(Config{}).Handler()
-	post := func(path string, body []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		return rec
-	}
-	mustPost := func(path string, in, out any) {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			f.Fatal(err)
-		}
-		rec := post(path, raw)
-		if rec.Code != http.StatusOK {
-			f.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-			f.Fatal(err)
-		}
-	}
-	var coder coderInfo
-	mustPost("/v1/coders", trainRequest{Kind: KindPreselected}, &coder)
-	text := bytes.Repeat([]byte{0x27, 0xbd, 0xff, 0xe8, 0xaf, 0xbf, 0x00, 0x14}, 12)
+	fh := newFuzzHarness(f)
 	var comp compressResponse
-	mustPost("/v1/compress", compressRequest{CoderID: coder.ID, TextB64: base64.StdEncoding.EncodeToString(text)}, &comp)
-	for _, req := range []decompressRequest{
-		{CoderID: coderPlaceholder, BlocksB64: comp.BlocksB64, Lines: comp.Lines},
-		{ROMB64: comp.ROMB64},
-	} {
-		raw, err := json.Marshal(req)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
+	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)}, &comp)
+	seed(f, decompressRequest{CoderID: coderPlaceholder, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
+	seed(f, decompressRequest{ROMB64: comp.ROMB64})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(coder.ID))
-		rec := post("/v1/decompress", body)
+		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
+		rec := fh.post("/v1/decompress", body)
 		if rec.Code != http.StatusOK {
-			var eb errorBody
-			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
-				t.Fatalf("%d body %s does not parse: %v", rec.Code, rec.Body, err)
-			}
-			if rec.Code < 400 || rec.Code > 499 || eb.Error == nil || eb.Error.Code == "" {
-				t.Fatalf("want a typed 4xx, got %d %s", rec.Code, rec.Body)
-			}
+			wantTyped4xx(t, rec)
 			return
 		}
 		// The handler reads the first JSON value of the body; so does
@@ -100,6 +127,60 @@ func FuzzDecompressHandler(f *testing.F) {
 		}
 		if blocks, _ := base64.StdEncoding.DecodeString(req.BlocksB64); sum != len(blocks) {
 			t.Fatalf("200 for line records of %d bytes over %d block bytes", sum, len(blocks))
+		}
+	})
+}
+
+// FuzzCompressHandler posts arbitrary /v1/compress bodies to the same
+// harness. A 200's blocks_b64 and lines decode through /v1/decompress to
+// the submitted text, zero-padded to whole lines; any other answer is a
+// typed 4xx. Client text is kept nowhere, so the artifact cache never
+// holds more than its set-up entries plus one ROM per named (workload,
+// alignment).
+func FuzzCompressHandler(f *testing.F) {
+	fh := newFuzzHarness(f)
+	limit := fh.s.cache.Len() + 2*len(workload.Names())
+	seed(f, compressRequest{CoderID: coderPlaceholder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)})
+	seed(f, compressRequest{CoderID: coderPlaceholder, Workload: "eightq"})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
+		rec := fh.post("/v1/compress", body)
+		if n := fh.s.cache.Len(); n > limit {
+			t.Fatalf("artifact cache holds %d entries, over the bound %d", n, limit)
+		}
+		if rec.Code != http.StatusOK {
+			wantTyped4xx(t, rec)
+			return
+		}
+		var req compressRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not parse: %v", err)
+		}
+		var text []byte
+		var err error
+		if req.Workload != "" {
+			w, _ := workload.ByName(req.Workload)
+			text, err = w.Text()
+		} else {
+			text, err = base64.StdEncoding.DecodeString(req.TextB64)
+		}
+		if err != nil {
+			t.Fatalf("200 for a text that does not resolve: %v", err)
+		}
+		var comp compressResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &comp); err != nil {
+			t.Fatalf("200 body %s does not parse: %v", rec.Body, err)
+		}
+		var dec decompressResponse
+		fh.mustPost(t, "/v1/decompress", decompressRequest{
+			CoderID: comp.CoderID, BlocksB64: comp.BlocksB64, Lines: comp.Lines}, &dec)
+		got, err := base64.StdEncoding.DecodeString(dec.TextB64)
+		want := make([]byte, (len(text)+core.LineSize-1)/core.LineSize*core.LineSize)
+		copy(want, text)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("blocks and lines decode to %d bytes (err %v), want the %d submitted bytes padded to %d",
+				len(got), err, len(text), len(want))
 		}
 	})
 }

@@ -86,10 +86,10 @@ type Config struct {
 	// disables span recording; the trace id in responses is independent
 	// of it.
 	Tracer *tracing.Tracer
-	// Store, when set, persists trained coders and compressed ROM images
-	// across restarts: the artifact cache checks it before building and
-	// writes through after, and WarmStart re-registers every stored
-	// coder on boot (cmd/ccrpd's -store flag). nil keeps the cache
+	// Store, when set, persists trained coders across restarts: the
+	// artifact cache checks it before training and writes through after,
+	// and WarmStart re-registers every stored coder on boot (cmd/ccrpd's
+	// -store flag). ROM images never persist. nil keeps the cache
 	// memory-only.
 	Store sweep.Store
 	// MaxBatchItems bounds the item count of one :batch request; 0
@@ -127,11 +127,13 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
-	cache *sweep.Cache // single-flight artifacts: coders and compressed ROMs
+	cache *sweep.Cache // single-flight artifacts: coders and the ROMs of named workloads
 	start time.Time
 
 	// coders indexes trained coders by content-addressed id. The cache
 	// deduplicates builds; this map only resolves ids for later requests.
+	// Both keep a coder for the process lifetime, unbounded: a trained
+	// coder is a resource its client owns, like the id it holds.
 	codersMu sync.Mutex
 	coders   map[string]*coderEntry
 

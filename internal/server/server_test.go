@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -521,6 +522,72 @@ func TestSimulateAfterTrainSharesCacheSlot(t *testing.T) {
 	s.metricsMu.Unlock()
 	if builds != 1 {
 		t.Errorf("coder builds = %d, want 1 (train and default simulate should share)", builds)
+	}
+}
+
+// TestCompressKeepsOnlyBoundedState: client text is compressed per
+// request and kept nowhere, so distinct text_b64 bodies, single or
+// batched, leave the artifact cache as they found it; a named workload's
+// ROM is memoized once per (coder, workload, alignment), however often
+// compress and simulate ask for it.
+func TestCompressKeepsOnlyBoundedState(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	pre := trainPreselected(t, ts.URL)
+	resp, body := postJSON(t, ts.URL+"/v1/coders", trainRequest{Kind: KindHuffman,
+		CorpusB64: []string{base64.StdEncoding.EncodeToString([]byte("a small client corpus"))}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("train huffman: %d %s", resp.StatusCode, body)
+	}
+	huff := decodeAs[coderInfo](t, body).ID
+	base := s.cache.Len()
+
+	rng := rand.New(rand.NewSource(16))
+	text := func() string {
+		b := make([]byte, 64+rng.Intn(1024))
+		rng.Read(b)
+		return base64.StdEncoding.EncodeToString(b)
+	}
+	for i := 0; i < 64; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/compress", compressRequest{CoderID: pre, TextB64: text()})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compress %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		items := make([]compressBatchItem, 4)
+		for j := range items {
+			items[j].TextB64 = text()
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/compress:batch", compressBatchRequest{CoderID: huff, Items: items})
+		if resp.StatusCode != http.StatusOK || decodeAs[compressBatchResponse](t, body).Errors != 0 {
+			t.Fatalf("compress:batch %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	if got := s.cache.Len(); got != base {
+		t.Fatalf("cache holds %d entries after 128 distinct client texts, want %d as before", got, base)
+	}
+
+	want := base
+	for _, coder := range []string{pre, huff} {
+		for _, aligned := range []bool{false, true} {
+			for i := 0; i < 2; i++ {
+				resp, body := postJSON(t, ts.URL+"/v1/compress", compressRequest{
+					CoderID: coder, Workload: "eightq", WordAligned: aligned})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("compress eightq: %d %s", resp.StatusCode, body)
+				}
+			}
+			resp, body := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
+				Workload: "eightq", CoderID: coder, WordAligned: aligned})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("simulate eightq: %d %s", resp.StatusCode, body)
+			}
+			want++
+			if got := s.cache.Len(); got != want {
+				t.Fatalf("cache holds %d entries after the eightq ROM of coder %.8s (word_aligned %v), want %d",
+					got, coder, aligned, want)
+			}
+		}
 	}
 }
 

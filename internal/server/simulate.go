@@ -254,7 +254,7 @@ func (s *Server) simulateROM(ctx context.Context, req *simulateRequest, wl *work
 			return nil, nil, 0, nil, err
 		}
 	}
-	rom, err := s.buildROM(ctx, entry, text, req.WordAligned)
+	rom, err := s.buildROM(ctx, entry, text, req.Workload, req.WordAligned)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}

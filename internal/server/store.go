@@ -1,10 +1,11 @@
 // Persistence: the durable-artifact side of ccrpd. In the paper the
-// expensive step — training the code and building the compressed ROM
-// image — happens once, offline, and the results persist in ROM. This
-// file gives the daemon the same property: trained coders and compressed
-// images written through sweep's content-addressed disk store, verified
-// on the way back in, and re-registered on boot so a restarted daemon
-// serves its whole coder catalogue without a single retrain.
+// code is trained once, offline, and survives every power cycle. This
+// file gives the daemon's trained coders the same property: written
+// through sweep's content-addressed disk store, verified on the way back
+// in, and re-registered on boot so a restarted daemon serves its whole
+// coder catalogue without a single retrain. ROM images do not persist: a
+// named workload's ROM rebuilds from its coder in milliseconds on first
+// use, and client text is compressed per request (Server.buildROM).
 package server
 
 import (
@@ -14,17 +15,14 @@ import (
 	"fmt"
 
 	"ccrp/internal/codepack"
-	"ccrp/internal/core"
 	"ccrp/internal/huffman"
 	"ccrp/internal/sweep"
 )
 
-// Artifact classes recorded in every stored header; warm start filters
-// on them and the codecs refuse a class mismatch.
-const (
-	artifactClassCoder = "coder"
-	artifactClassROM   = "rom"
-)
+// artifactClassCoder is the artifact class recorded in every stored
+// coder's header; warm start filters on it and the codec refuses a class
+// mismatch.
+const artifactClassCoder = "coder"
 
 // coderEntryWire is the gob shape of a persisted coderEntry. The
 // in-memory entry holds live *huffman.Code and core.LineCodec values;
@@ -107,26 +105,6 @@ func decodeCoderEntry(blob []byte) (*coderEntry, error) {
 	return e, nil
 }
 
-// romCodec serializes compressed ROM images as CROM files — the exact
-// on-disk format cmd/ccpack writes, so a stored artifact is readable by
-// every existing tool. Reading re-decompresses every block, which is the
-// integrity check: a damaged image fails to decode instead of serving
-// wrong bytes. Only serializable (non-codec) ROMs use this codec; see
-// Server.buildROM.
-var romCodec = sweep.Codec[*core.ROM]{
-	Name: artifactClassROM,
-	Encode: func(rom *core.ROM) ([]byte, error) {
-		var buf bytes.Buffer
-		if err := rom.WriteFile(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	},
-	Decode: func(blob []byte) (*core.ROM, error) {
-		return core.ReadROMFile(bytes.NewReader(blob))
-	},
-}
-
 // storeObserver folds the cache's store traffic into the server's
 // metrics registry. Instruments are single-threaded by design, so every
 // update goes under metricsMu like the handler-side metrics; calls
@@ -154,7 +132,8 @@ func (o storeObserver) inc(c interface{ Inc() }) {
 // node trained after this node's warm start. The id is the SHA-256 of
 // the cache key, which is also the artifact's file name, so the lookup
 // enumerates headers and matches on hash — one directory scan on the
-// miss path only, never on the hot path.
+// miss path only, never on the hot path — and restoreCoder then requires
+// the stored coder's id to be that same hash.
 func (s *Server) coderFromStore(id string) (*coderEntry, bool) {
 	st := s.cache.Store()
 	if st == nil {
@@ -164,29 +143,37 @@ func (s *Server) coderFromStore(id string) (*coderEntry, bool) {
 	if err != nil {
 		return nil, false
 	}
-	obs := storeObserver{s}
 	for _, a := range arts {
-		if a.Class != artifactClassCoder || sweep.HashBytes([]byte(a.Key)) != id {
-			continue
+		if a.Class == artifactClassCoder && sweep.HashBytes([]byte(a.Key)) == id {
+			return s.restoreCoder(st, a.Key)
 		}
-		class, blob, err := st.Load(a.Key)
-		if err != nil || class != artifactClassCoder {
-			obs.StoreCorrupt(a.Key, err)
-			return nil, false
-		}
-		entry, err := decodeCoderEntry(blob)
-		if err != nil || entry.ID != id {
-			obs.StoreCorrupt(a.Key, err)
-			return nil, false
-		}
-		obs.StoreHit(a.Key)
-		s.cache.Seed(a.Key, entry)
-		s.codersMu.Lock()
-		s.coders[id] = entry
-		s.codersMu.Unlock()
-		return entry, true
 	}
 	return nil, false
+}
+
+// restoreCoder loads the stored coder under key, verifies its class and
+// payload, and registers it in the cache and the registry — the step
+// warm start and coderFromStore share. A coder's id is the hash of its
+// key (normalizeTrain), so a payload whose id differs is misfiled: it is
+// counted as corrupt like a damaged one, and never registered.
+func (s *Server) restoreCoder(st sweep.Store, key string) (*coderEntry, bool) {
+	obs := storeObserver{s}
+	class, blob, err := st.Load(key)
+	if err != nil || class != artifactClassCoder {
+		obs.StoreCorrupt(key, err)
+		return nil, false
+	}
+	entry, err := decodeCoderEntry(blob)
+	if err != nil || entry.ID != sweep.HashBytes([]byte(key)) {
+		obs.StoreCorrupt(key, err)
+		return nil, false
+	}
+	obs.StoreHit(key)
+	s.cache.Seed(key, entry)
+	s.codersMu.Lock()
+	s.coders[entry.ID] = entry
+	s.codersMu.Unlock()
+	return entry, true
 }
 
 // WarmStart loads every stored coder into the registry and the in-memory
@@ -211,7 +198,6 @@ func (s *Server) WarmStart(ctx context.Context) (int, error) {
 		sp.SetError(err)
 		return 0, err
 	}
-	obs := storeObserver{s}
 	loaded := 0
 	for _, a := range arts {
 		if a.Class != artifactClassCoder {
@@ -221,22 +207,9 @@ func (s *Server) WarmStart(ctx context.Context) (int, error) {
 			sp.SetError(err)
 			return loaded, err
 		}
-		class, blob, err := st.Load(a.Key)
-		if err != nil || class != artifactClassCoder {
-			obs.StoreCorrupt(a.Key, err)
-			continue
+		if _, ok := s.restoreCoder(st, a.Key); ok {
+			loaded++
 		}
-		entry, err := decodeCoderEntry(blob)
-		if err != nil {
-			obs.StoreCorrupt(a.Key, err)
-			continue
-		}
-		obs.StoreHit(a.Key)
-		s.cache.Seed(a.Key, entry)
-		s.codersMu.Lock()
-		s.coders[entry.ID] = entry
-		s.codersMu.Unlock()
-		loaded++
 	}
 	sp.SetAttrInt("coders", int64(loaded))
 	s.metricsMu.Lock()

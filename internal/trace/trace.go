@@ -94,6 +94,12 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
+// maxPrealloc caps the events Read allocates before any has arrived.
+// The header's count is a claim, not a size: the slice grows as records
+// are read, so a short file cannot make Read allocate for events it
+// does not hold.
+const maxPrealloc = 1 << 12
+
 // Read deserializes a trace written by WriteTo.
 func Read(r io.Reader) (*Trace, error) {
 	var hdr [24]byte
@@ -111,19 +117,19 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("%w: implausible event count %d", ErrBadTrace, n)
 	}
 	t := &Trace{
-		Events: make([]Event, n),
+		Events: make([]Event, 0, min(n, maxPrealloc)),
 		Stalls: binary.LittleEndian.Uint64(hdr[16:]),
 	}
 	var rec [9]byte
-	for i := range t.Events {
+	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, fmt.Errorf("%w: event %d: %v", ErrBadTrace, i, err)
 		}
-		t.Events[i] = Event{
+		t.Events = append(t.Events, Event{
 			PC:    binary.LittleEndian.Uint32(rec[0:]),
 			Addr:  binary.LittleEndian.Uint32(rec[4:]),
 			Flags: rec[8],
-		}
+		})
 	}
 	return t, nil
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +85,22 @@ func TestReadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
+	}
+	// A header's event count is a claim: a 24-byte file claiming 2^27 or
+	// 2^32 events is rejected before Read allocates for events it does
+	// not hold.
+	for _, n := range []uint64{1 << 27, 1 << 32} {
+		var hdr [24]byte
+		binary.LittleEndian.PutUint32(hdr[0:], magic)
+		binary.LittleEndian.PutUint32(hdr[4:], version)
+		binary.LittleEndian.PutUint64(hdr[8:], n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(hdr[:]))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrBadTrace) || grew > 1<<20 {
+			t.Errorf("header claiming %d events: err = %v after allocating %d bytes, want ErrBadTrace within 1 MiB", n, err, grew)
+		}
 	}
 }
 
