@@ -71,4 +71,5 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzRoundTrip$$' ./internal/lzw
 	$(FUZZ) -fuzz='^FuzzDecompressHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzCompressHandler$$' ./internal/server
+	$(FUZZ) -fuzz='^FuzzSimulateHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzReadTrace$$' ./internal/trace

@@ -54,7 +54,8 @@ type (
 	SimConfig = sim.Config
 	// SimResult summarizes a completed run (instructions, stalls, trace).
 	SimResult = sim.Result
-	// Trace is an instruction-address trace (the pixie substitute).
+	// Trace is an instruction-address trace (the pixie substitute),
+	// recorded as runs of sequential fetches.
 	Trace = trace.Trace
 	// Histogram is a byte frequency-of-occurrence histogram.
 	Histogram = huffman.Histogram

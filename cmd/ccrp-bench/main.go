@@ -116,7 +116,7 @@ func main() {
 
 func finish(obs *cliutil.Obs) {
 	experiments.SetEngine(nil)
-	if err := obs.Finish(); err != nil {
+	if err := obs.Finish(os.Stdout); err != nil {
 		fatal(err)
 	}
 }

@@ -193,7 +193,7 @@ func main() {
 		fmt.Printf("  relative performance:  %.3f (CCRP/standard; <1 means CCRP faster)\n", cmp.RelativePerformance())
 		fmt.Printf("  memory traffic:        %.1f%%\n", 100*cmp.TrafficRatio())
 	}
-	if err := obs.Finish(); err != nil {
+	if err := obs.Finish(os.Stdout); err != nil {
 		fatal(err)
 	}
 }

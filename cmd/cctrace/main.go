@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -27,87 +29,143 @@ import (
 )
 
 func main() {
-	wl := flag.String("workload", "", "analyze a corpus workload's trace")
-	top := flag.Int("top", 8, "number of hot regions to list")
-	cacheBytes := flag.Int("cache", 1024, "cache size for the instrumented pass (-metrics/-events)")
-	obsFlags := cliutil.RegisterObsFlags(flag.CommandLine)
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var ue usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &ue):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "cctrace:", err)
+		os.Exit(1)
+	}
+}
+
+// usageError is a bad command line, already reported with the usage
+// text; main exits 2 on it, as flag parsing does.
+type usageError struct{ error }
+
+// lineBytes is the line size of the analyzed i-caches: the trace's own
+// run line, so a run's fetches count in one line and only its first can
+// miss.
+const lineBytes = trace.LineBytes
+
+// run parses args, writes the report to stdout, and reports command-line
+// problems on stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cctrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: cctrace [flags] (-workload name | trace.trc)")
+		fs.PrintDefaults()
+	}
+	wl := fs.String("workload", "", "analyze a corpus workload's trace")
+	top := fs.Int("top", 8, "number of hot regions to list")
+	cacheBytes := fs.Int("cache", 1024, "cache size for the instrumented pass (-metrics/-events)")
+	obsFlags := cliutil.RegisterObsFlags(fs)
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
 	cliutil.HandleVersionFlag("cctrace", version)
+	usage := func(format string, a ...any) error {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return usageError{err}
+	}
+	if *top < 0 {
+		return usage("-top %d is negative", *top)
+	}
+	if *wl == "" && fs.NArg() != 1 {
+		return usage("want -workload name or one trace file")
+	}
+	ic, err := cache.New(*cacheBytes, lineBytes)
+	if err != nil {
+		return fmt.Errorf("-cache %d: %w", *cacheBytes, err)
+	}
 
 	obs, err := obsFlags.Begin()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	if err := report(stdout, *wl, fs.Arg(0), *top, obs, ic); err != nil {
+		obs.Finish(io.Discard) // close the sink and profiles; report's error wins
+		return err
+	}
+	return obs.Finish(stdout)
+}
 
+// report analyzes the trace of workload wl, or else of the trace file
+// path, listing the top hottest regions. When obs is instrumented it
+// also replays the trace through ic.
+func report(w io.Writer, wl, path string, top int, obs *cliutil.Obs, ic *cache.Cache) error {
 	var tr *trace.Trace
-	var name string
-	switch {
-	case *wl != "":
-		w, err := cliutil.ResolveWorkload(*wl)
+	name := wl
+	if wl != "" {
+		wk, err := cliutil.ResolveWorkload(wl)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		t, err := w.Trace()
-		if err != nil {
-			fatal(err)
+		if tr, err = wk.Trace(); err != nil {
+			return err
 		}
-		tr, name = t, *wl
-	case flag.NArg() == 1:
-		t, err := cliutil.LoadTrace(flag.Arg(0))
-		if err != nil {
-			fatal(err)
+	} else {
+		var err error
+		if tr, err = cliutil.LoadTrace(path); err != nil {
+			return err
 		}
-		tr, name = t, flag.Arg(0)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: cctrace [flags] (-workload name | trace.trc)")
-		os.Exit(2)
+		name = path
+	}
+	if len(tr.Events) == 0 {
+		return fmt.Errorf("%s: the trace holds no instructions", name)
 	}
 
-	fmt.Printf("%s: %d instructions, %d pipeline stalls\n", name, tr.Instructions(), tr.Stalls)
+	fmt.Fprintf(w, "%s: %d instructions, %d pipeline stalls\n", name, tr.Instructions(), tr.Stalls)
 	var loads, stores uint64
 	lines := map[uint32]uint64{}
-	for _, ev := range tr.Events {
-		if ev.IsLoad() {
-			loads++
-		}
-		if ev.IsStore() {
-			stores++
-		}
-		lines[ev.PC>>5]++
+	for _, run := range tr.Events {
+		loads += uint64(run.Loads)
+		stores += uint64(run.Stores)
+		lines[run.PC/lineBytes] += uint64(run.N)
 	}
 	total := float64(tr.Instructions())
-	fmt.Printf("  loads  %9d (%.1f%%)\n", loads, 100*float64(loads)/total)
-	fmt.Printf("  stores %9d (%.1f%%)\n", stores, 100*float64(stores)/total)
-	fmt.Printf("  code working set: %d lines (%d bytes)\n", len(lines), len(lines)*32)
+	fmt.Fprintf(w, "  loads  %9d (%.1f%%)\n", loads, 100*float64(loads)/total)
+	fmt.Fprintf(w, "  stores %9d (%.1f%%)\n", stores, 100*float64(stores)/total)
+	fmt.Fprintf(w, "  code working set: %d lines (%d bytes)\n", len(lines), len(lines)*lineBytes)
 
-	fmt.Println("\n  direct-mapped i-cache miss rates (32B lines):")
+	fmt.Fprintln(w, "\n  direct-mapped i-cache miss rates (32B lines):")
 	for _, size := range []int{256, 512, 1024, 2048, 4096, 8192} {
-		c := cache.MustNew(size, 32)
-		for _, ev := range tr.Events {
-			c.Access(ev.PC)
+		c := cache.MustNew(size, lineBytes)
+		for _, run := range tr.Events {
+			c.AccessRun(run.PC, uint64(run.N))
 		}
-		s := c.Stats()
-		fmt.Printf("    %5dB  %6.2f%%\n", size, 100*s.MissRate())
+		fmt.Fprintf(w, "    %5dB  %6.2f%%\n", size, 100*c.Stats().MissRate())
 	}
 
 	// Instrumented pass at the chosen geometry, separate from the sweep
 	// above so per-set counters describe exactly one cache.
 	if obs.Registry != nil || obs.Sink != nil {
-		c := cache.MustNew(*cacheBytes, 32)
-		c.Instrument(obs.Registry)
-		for i, ev := range tr.Events {
-			if obs.Sink != nil {
+		ic.Instrument(obs.Registry)
+		var seq uint64
+		for _, run := range tr.Events {
+			hit := ic.AccessRun(run.PC, uint64(run.N))
+			for i := uint64(0); obs.Sink != nil && i < uint64(run.N); i++ {
+				pc := run.PC + uint32(i)*trace.WordBytes
 				obs.Sink.Emit(metrics.Event{
-					Type: metrics.EvFetch, Seq: uint64(i), PC: ev.PC, Line: int(ev.PC >> 5), Set: -1,
+					Type: metrics.EvFetch, Seq: seq + i, PC: pc, Line: int(pc / lineBytes), Set: -1,
 				})
+				if i == 0 && !hit { // a run can only miss on its first fetch
+					obs.Sink.Emit(metrics.Event{
+						Type: metrics.EvICacheMiss, Seq: seq, PC: pc,
+						Line: int(pc / lineBytes), Set: ic.Set(pc),
+					})
+				}
 			}
-			if !c.Access(ev.PC) && obs.Sink != nil {
-				obs.Sink.Emit(metrics.Event{
-					Type: metrics.EvICacheMiss, Seq: uint64(i), PC: ev.PC,
-					Line: int(ev.PC >> 5), Set: c.Set(ev.PC),
-				})
-			}
+			seq += uint64(run.N)
 		}
 	}
 
@@ -129,19 +187,10 @@ func main() {
 		}
 		return hot[i].base < hot[j].base
 	})
-	if *top > len(hot) {
-		*top = len(hot)
+	top = min(top, len(hot))
+	fmt.Fprintf(w, "\n  hottest %d regions (256B granularity):\n", top)
+	for _, r := range hot[:top] {
+		fmt.Fprintf(w, "    %08x  %9d fetches (%.1f%%)\n", r.base<<8, r.count, 100*float64(r.count)/total)
 	}
-	fmt.Printf("\n  hottest %d regions (256B granularity):\n", *top)
-	for _, r := range hot[:*top] {
-		fmt.Printf("    %08x  %9d fetches (%.1f%%)\n", r.base<<8, r.count, 100*float64(r.count)/total)
-	}
-	if err := obs.Finish(); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cctrace:", err)
-	os.Exit(1)
+	return nil
 }

@@ -138,9 +138,16 @@ func (c *Cache) Ways() int { return c.ways }
 
 // Access simulates a fetch from addr: it returns true on a hit, and on a
 // miss installs the line (the refill itself is costed by the caller).
-func (c *Cache) Access(addr uint32) bool {
-	c.stats.Accesses++
-	c.clock++
+func (c *Cache) Access(addr uint32) bool { return c.AccessRun(addr, 1) }
+
+// AccessRun simulates n >= 1 sequential fetches inside the line holding
+// addr. The first is an Access, and it reports whether that one hit; the
+// other n-1 hit the line it leaves resident. Replaying a trace run by run
+// leaves the lines, their LRU order and every counter exactly as
+// replaying it fetch by fetch.
+func (c *Cache) AccessRun(addr uint32, n uint64) bool {
+	c.stats.Accesses += n
+	c.clock += n
 	line := addr >> c.lineShift
 	set := int(line&c.idxMask) * c.ways
 	victim := set
@@ -149,8 +156,8 @@ func (c *Cache) Access(addr uint32) bool {
 		if c.valid[i] && c.tags[i] == line {
 			c.used[i] = c.clock
 			if c.im != nil {
-				c.im.accesses.Inc()
-				c.im.hits.Inc()
+				c.im.accesses.Add(n)
+				c.im.hits.Add(n)
 			}
 			return true
 		}
@@ -162,7 +169,8 @@ func (c *Cache) Access(addr uint32) bool {
 	}
 	c.stats.Misses++
 	if c.im != nil {
-		c.im.accesses.Inc()
+		c.im.accesses.Add(n)
+		c.im.hits.Add(n - 1)
 		c.im.setMiss[int(line&c.idxMask)].Inc()
 		c.im.wayFill[victim-set].Inc()
 	}

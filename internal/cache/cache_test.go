@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"ccrp/internal/metrics"
 )
 
 func TestGeometryValidation(t *testing.T) {
@@ -210,5 +214,49 @@ func TestAssocCompulsoryMissesMatch(t *testing.T) {
 	}
 	if dm.Stats().Misses != uint64(len(addrs)) || tw.Stats().Misses != uint64(len(addrs)) {
 		t.Errorf("compulsory misses differ: dm=%d tw=%d", dm.Stats().Misses, tw.Stats().Misses)
+	}
+}
+
+// TestAccessRunMatchesPerFetch: replaying runs of sequential fetches
+// inside one line with AccessRun leaves the cache, its LRU clocks and its
+// counters, instrumented ones included, exactly as replaying every fetch
+// with Access, at every associativity.
+func TestAccessRunMatchesPerFetch(t *testing.T) {
+	f := func(words []uint16, lens []uint8) bool {
+		for _, ways := range []int{1, 2, 8} {
+			byRun, _ := NewAssoc(256, 32, ways)
+			byFetch, _ := NewAssoc(256, 32, ways)
+			runReg, fetchReg := metrics.New(), metrics.New()
+			byRun.Instrument(runReg)
+			byFetch.Instrument(fetchReg)
+			for i, w := range words {
+				pc := uint32(w) * 4 % 4096
+				n := uint64(1)
+				if i < len(lens) {
+					n += uint64(lens[i]) % uint64(8-pc%32/4)
+				}
+				hit := byRun.AccessRun(pc, n)
+				if byFetch.Access(pc) != hit {
+					return false
+				}
+				for k := uint64(1); k < n; k++ {
+					if !byFetch.Access(pc + uint32(k)*4) {
+						return false
+					}
+				}
+			}
+			byRun.im, byFetch.im = nil, nil
+			if !reflect.DeepEqual(byRun, byFetch) {
+				return false
+			}
+			var a, b bytes.Buffer
+			if runReg.WriteFormat(&a, "prom") != nil || fetchReg.WriteFormat(&b, "prom") != nil || a.String() != b.String() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

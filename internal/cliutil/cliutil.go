@@ -7,8 +7,10 @@
 package cliutil
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -75,7 +77,7 @@ func LoadTrace(path string) (*trace.Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return trace.Read(f)
+	return trace.Read(bufio.NewReader(f))
 }
 
 // Codes builds the Huffman code candidate set: the preselected bounded
@@ -175,7 +177,7 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 
 // Finish closes the event sink, writes the profiles, and exports the
 // metrics registry to stdout in the selected format.
-func (o *Obs) Finish() error {
+func (o *Obs) Finish(stdout io.Writer) error {
 	var first error
 	keep := func(err error) {
 		if first == nil && err != nil {
@@ -195,7 +197,7 @@ func (o *Obs) Finish() error {
 		keep(WriteHeapProfile(o.memPath))
 	}
 	if o.Registry != nil {
-		keep(o.Registry.WriteFormat(os.Stdout, o.format))
+		keep(o.Registry.WriteFormat(stdout, o.format))
 	}
 	return first
 }

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,10 +77,9 @@ func TestLoadProgramMissing(t *testing.T) {
 }
 
 func TestLoadTrace(t *testing.T) {
-	tr := &trace.Trace{Events: []trace.Event{
-		{PC: 0x1000},
-		{PC: 0x1004, Addr: 0x8000, Flags: trace.FlagLoad},
-	}}
+	tr := &trace.Trace{}
+	tr.Add(0x1000, false, false)
+	tr.Add(0x1004, true, false)
 	path := filepath.Join(t.TempDir(), "run.trace")
 	f, err := os.Create(path)
 	if err != nil {
@@ -195,7 +195,7 @@ func TestObsBeginFinish(t *testing.T) {
 	if o.Sink == nil {
 		t.Fatal("no event sink despite -events")
 	}
-	if err := o.Finish(); err != nil {
+	if err := o.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(events); err != nil {
@@ -222,7 +222,7 @@ func TestObsSpansFinish(t *testing.T) {
 		t.Fatal("no tracer despite -spans")
 	}
 	o.Tracer.Start("sweep_point").End()
-	if err := o.Finish(); err != nil {
+	if err := o.Finish(io.Discard); err != nil {
 		t.Fatalf("Finish() = %v, want nil", err)
 	}
 	sf, err := os.Open(spans)

@@ -316,12 +316,7 @@ func syntheticTrace(textBytes, loopBytes, iterations int) *trace.Trace {
 	}
 	for it := 0; it < iterations; it++ {
 		for pc := 0; pc < loopBytes; pc += 4 {
-			e := trace.Event{PC: uint32(pc)}
-			if pc/4%4 == 3 {
-				e.Flags = trace.FlagLoad
-				e.Addr = 0x100000
-			}
-			tr.Events = append(tr.Events, e)
+			tr.Add(uint32(pc), pc/4%4 == 3, false)
 		}
 	}
 	return tr
@@ -440,7 +435,8 @@ func TestCompareErrors(t *testing.T) {
 	if _, err := Compare(&trace.Trace{}, text, Config{Codes: []*huffman.Code{code}}); !errors.Is(err, ErrEmptyTrace) {
 		t.Errorf("empty trace err = %v", err)
 	}
-	tr := &trace.Trace{Events: []trace.Event{{PC: 0x10000}}}
+	tr := &trace.Trace{}
+	tr.Add(0x10000, false, false)
 	if _, err := Compare(tr, text, Config{Codes: []*huffman.Code{code}}); err == nil {
 		t.Error("out-of-text fetch accepted")
 	}
@@ -564,9 +560,8 @@ func TestAssociativityHelpsConflictHeavyTrace(t *testing.T) {
 	// Ping-pong between two conflicting regions.
 	tr := &trace.Trace{}
 	for i := 0; i < 2000; i++ {
-		tr.Events = append(tr.Events,
-			trace.Event{PC: uint32(i%8) * 4},
-			trace.Event{PC: 4096 + uint32(i%8)*4})
+		tr.Add(uint32(i%8)*4, false, false)
+		tr.Add(4096+uint32(i%8)*4, false, false)
 	}
 	dm, err := Compare(tr, text, Config{CacheBytes: 1024, Mem: memory.EPROM{}, Codes: []*huffman.Code{code}})
 	if err != nil {
@@ -684,7 +679,7 @@ func TestCodecPlugPoint(t *testing.T) {
 	// And must run through the system simulator.
 	tr := &trace.Trace{}
 	for i := 0; i < 1000; i++ {
-		tr.Events = append(tr.Events, trace.Event{PC: uint32(i%64) * 4})
+		tr.Add(uint32(i%64)*4, false, false)
 	}
 	cmp, err := Compare(tr, text, Config{CacheBytes: 256, Mem: memory.EPROM{}, Codec: testCodec{}})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"ccrp/internal/cache"
 	"ccrp/internal/clb"
 	"ccrp/internal/metrics"
+	"ccrp/internal/trace"
 )
 
 // probe carries the optional observability state of one Compare run: the
@@ -59,17 +60,20 @@ func newProbe(reg *metrics.Registry, sink metrics.EventSink, rom *ROM, ic *cache
 	return p
 }
 
-// fetch records one instruction fetch.
-func (p *probe) fetch(seq uint64, pc uint32) {
-	if p == nil {
+// fetches records n sequential instruction fetches inside one line,
+// numbered from seq at pc.
+func (p *probe) fetches(seq uint64, pc uint32, n uint64) {
+	if p == nil || n == 0 {
 		return
 	}
 	li := int(pc / LineSize)
 	if p.lineFetch != nil && li < len(p.lineFetch) {
-		p.lineFetch[li].Inc()
+		p.lineFetch[li].Add(n)
 	}
 	if p.sink != nil {
-		p.sink.Emit(metrics.Event{Type: metrics.EvFetch, Seq: seq, PC: pc, Line: li, Set: -1})
+		for i := range n {
+			p.sink.Emit(metrics.Event{Type: metrics.EvFetch, Seq: seq + i, PC: pc + uint32(i)*trace.WordBytes, Line: li, Set: -1})
+		}
 	}
 }
 

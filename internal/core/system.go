@@ -134,13 +134,18 @@ func (c *Comparison) MissRate() float64 { return c.Standard.MissRate() }
 // ErrEmptyTrace is returned for traces with no instruction events.
 var ErrEmptyTrace = errors.New("core: empty trace")
 
+// A trace run must lie inside one i-cache line for Compare to decide the
+// whole run from its first fetch; this fails to compile otherwise.
+const _ uint = LineSize - trace.LineBytes
+
 // Compare runs the trace through both systems over the given program text.
 //
 // Both processors share the same cache geometry, so one cache pass drives
 // both cycle models; they differ only in what a miss costs. The CLB is
 // consulted on instruction cache misses; the paper's hardware probes it
 // every fetch so a hit is free, which is what charging CLB penalties only
-// on misses models.
+// on misses models. The pass visits the trace's runs: a run's first fetch
+// may miss, and its other fetches hit the line that fetch left resident.
 func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 	cfg = cfg.withDefaults()
 	if tr == nil || len(tr.Events) == 0 {
@@ -175,9 +180,6 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 	cmp := &Comparison{ROM: rom}
 	std, ccrp := &cmp.Standard, &cmp.CCRP
 
-	base := uint64(tr.Instructions()) + tr.Stalls
-	std.BaseCycles, ccrp.BaseCycles = base, base
-
 	stdLineRefill := charge(engine.RawLineCycles(LineSize))
 	latFetch := engine.LATFetchCycles() + post
 	// A line's refill charge depends only on the line and the memory,
@@ -194,42 +196,47 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 		pr = newProbe(cfg.Metrics, cfg.Events, rom, ic, buf, engine.rate())
 	}
 
-	var dataAccesses uint64
-	for i, ev := range tr.Events {
-		seq := uint64(i)
-		if ev.IsMemOp() {
-			dataAccesses++
+	// seq numbers fetches, so it ends at the instruction count.
+	var dataAccesses, seq uint64
+	for _, run := range tr.Events {
+		pc, n := run.PC, uint64(run.N)
+		dataAccesses += uint64(run.Loads) + uint64(run.Stores)
+		if pr != nil { // fetches is not inlined: an uninstrumented run skips the call
+			pr.fetches(seq, pc, 1)
 		}
-		if pr != nil { // fetch is not inlined: an uninstrumented run skips the call
-			pr.fetch(seq, ev.PC)
-		}
-		if ic.Access(ev.PC) {
-			continue
-		}
-		// Miss: identical for both systems; refill costs differ.
-		std.RefillCycles += stdLineRefill
-		std.TrafficBytes += LineSize
+		if !ic.AccessRun(pc, n) {
+			// Miss: identical for both systems; refill costs differ.
+			std.RefillCycles += stdLineRefill
+			std.TrafficBytes += LineSize
 
-		li, err := rom.LineIndex(ev.PC)
-		if err != nil {
-			return nil, fmt.Errorf("core: trace fetch %#x outside program text: %w", ev.PC, err)
+			li, err := rom.LineIndex(pc)
+			if err != nil {
+				return nil, fmt.Errorf("core: trace fetch %#x outside program text: %w", pc, err)
+			}
+			latIdx := pc / lat.GroupSpan
+			_, hit := buf.Lookup(latIdx)
+			pr.miss(seq, pc, ic.Set(pc), hit)
+			if !hit {
+				ccrp.CLBMisses++
+				ccrp.RefillCycles += latFetch
+				ccrp.TrafficBytes += lat.EntryBytes
+				pr.latFetch(seq, pc, latFetch, lat.EntryBytes)
+				buf.Insert(latIdx, rom.Table.Entries[latIdx])
+			}
+			refill := lineRefill[li]
+			ccrp.RefillCycles += refill
+			ccrp.TrafficBytes += LineTrafficBytes(rom, li)
+			pr.refill(seq, pc, li, rom.Lines[li].Raw, len(rom.Lines[li].Stored), refill)
 		}
-		latIdx := ev.PC / lat.GroupSpan
-		_, hit := buf.Lookup(latIdx)
-		pr.miss(seq, ev.PC, ic.Set(ev.PC), hit)
-		if !hit {
-			ccrp.CLBMisses++
-			ccrp.RefillCycles += latFetch
-			ccrp.TrafficBytes += lat.EntryBytes
-			pr.latFetch(seq, ev.PC, latFetch, lat.EntryBytes)
-			buf.Insert(latIdx, rom.Table.Entries[latIdx])
+		if pr != nil {
+			pr.fetches(seq+1, pc+trace.WordBytes, n-1)
 		}
-		refill := lineRefill[li]
-		ccrp.RefillCycles += refill
-		ccrp.TrafficBytes += LineTrafficBytes(rom, li)
-		pr.refill(seq, ev.PC, li, rom.Lines[li].Raw, len(rom.Lines[li].Stored), refill)
+		seq += n
 	}
 	pr.finish()
+
+	base := seq + tr.Stalls
+	std.BaseCycles, ccrp.BaseCycles = base, base
 
 	cs := ic.Stats()
 	std.Accesses, ccrp.Accesses = cs.Accesses, cs.Accesses

@@ -47,11 +47,11 @@ type CPU interface {
 	Icount() uint64
 
 	// Accounting hooks: stall cycles, per-class instruction counts, and
-	// load/store trace flags + counters for the word just executed.
+	// whether the word just executed read or wrote data memory.
 	AddStalls(n uint64)
 	CountClass(c Class)
-	NoteLoad(addr uint32)
-	NoteStore(addr uint32)
+	NoteLoad()
+	NoteStore()
 
 	// Syscall performs the host-service call identified by num with
 	// argument arg (SPIM numbering: 1 print_int, 4 print_string,

@@ -213,7 +213,7 @@ func (x *executor) Step(c isa.CPU) error {
 	// --- loads ---
 	case OpLW, OpLB, OpLBU, OpLH, OpLHU, OpLWL, OpLWR, OpLWC1:
 		addr := c.Reg(inst.Rs) + uint32(inst.SImm())
-		c.NoteLoad(addr)
+		c.NoteLoad()
 		if err := x.execLoad(c, inst, addr); err != nil {
 			return err
 		}
@@ -221,7 +221,7 @@ func (x *executor) Step(c isa.CPU) error {
 	// --- stores ---
 	case OpSW, OpSB, OpSH, OpSWL, OpSWR, OpSWC1:
 		addr := c.Reg(inst.Rs) + uint32(inst.SImm())
-		c.NoteStore(addr)
+		c.NoteStore()
 		if err := x.execStore(c, inst, addr); err != nil {
 			return err
 		}

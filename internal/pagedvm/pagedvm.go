@@ -203,10 +203,14 @@ func (r Result) CycleRatio() float64 {
 // Simulate pages the image's code through a frames-page LRU pool, driven
 // by the instruction trace, under dev. Both systems see the identical
 // fault sequence (page residency does not depend on compression), so the
-// comparison isolates fault cost, as core.Compare does for refills.
+// comparison isolates fault cost, as core.Compare does for refills. A
+// page holds at least one trace line (32 bytes).
 func Simulate(tr *trace.Trace, image []byte, code *huffman.Code, pageBytes, frames int, dev Device) (*Result, error) {
 	if frames < 1 {
 		return nil, fmt.Errorf("pagedvm: need at least one frame")
+	}
+	if pageBytes < trace.LineBytes {
+		return nil, fmt.Errorf("pagedvm: page size %d is below the trace's %d-byte line", pageBytes, trace.LineBytes)
 	}
 	store, err := BuildStore(image, code, pageBytes)
 	if err != nil {
@@ -220,14 +224,18 @@ func Simulate(tr *trace.Trace, image []byte, code *huffman.Code, pageBytes, fram
 	}
 	pool := make([]frame, 0, frames)
 	var clock uint64
-	for _, ev := range tr.Events {
-		page := int(ev.PC) / pageBytes
+	// A run's fetches share one line, and so one page: its first fetch
+	// decides hit or fault, and the others touch the page it left most
+	// recently used.
+	for _, run := range tr.Events {
+		page := int(run.PC) / pageBytes
 		if page >= store.Pages() {
-			return nil, fmt.Errorf("pagedvm: fetch %#x outside image", ev.PC)
+			return nil, fmt.Errorf("pagedvm: fetch %#x outside image", run.PC)
 		}
-		clock++
-		res.Compressed.Accesses++
-		res.Standard.Accesses++
+		n := uint64(run.N)
+		clock += n
+		res.Compressed.Accesses += n
+		res.Standard.Accesses += n
 		hit := false
 		for i := range pool {
 			if pool[i].page == page {

@@ -92,7 +92,7 @@ func walkTrace(pages, touches, pageBytes int) *trace.Trace {
 	tr := &trace.Trace{}
 	for i := 0; i < touches; i++ {
 		page := i % pages
-		tr.Events = append(tr.Events, trace.Event{PC: uint32(page*pageBytes + (i%32)*4)})
+		tr.Add(uint32(page*pageBytes+(i%32)*4), false, false)
 	}
 	return tr
 }
@@ -172,13 +172,19 @@ func TestLRUResidency(t *testing.T) {
 func TestSimulateErrors(t *testing.T) {
 	image := riscLike(4096, 6)
 	code := testCode(t, image)
-	tr := &trace.Trace{Events: []trace.Event{{PC: 100000}}}
+	tr := &trace.Trace{}
+	tr.Add(100000, false, false)
 	if _, err := Simulate(tr, image, code, 4096, 2, Flash()); err == nil {
 		t.Error("fetch outside image accepted")
 	}
 	tr2 := walkTrace(1, 10, 4096)
 	if _, err := Simulate(tr2, image, code, 4096, 0, Flash()); err == nil {
 		t.Error("zero frames accepted")
+	}
+	// A trace run spans a 32-byte line, so a smaller page cannot say
+	// which of its fetches fault.
+	if _, err := Simulate(tr2, image, code, 16, 2, Flash()); err == nil {
+		t.Error("16-byte pages accepted")
 	}
 }
 

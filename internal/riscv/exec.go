@@ -107,7 +107,7 @@ func (x *executor) Step(c isa.CPU) error {
 		}
 	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
 		addr := rs1 + uint32(inst.Imm)
-		c.NoteLoad(addr)
+		c.NoteLoad()
 		var v uint32
 		switch inst.Op {
 		case OpLB:
@@ -146,7 +146,7 @@ func (x *executor) Step(c isa.CPU) error {
 		}
 	case OpSB, OpSH, OpSW:
 		addr := rs1 + uint32(inst.Imm)
-		c.NoteStore(addr)
+		c.NoteStore()
 		switch inst.Op {
 		case OpSB:
 			err = c.StoreByte(addr, uint8(rs2))

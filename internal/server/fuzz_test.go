@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"ccrp/internal/cliutil"
 	"ccrp/internal/core"
+	"ccrp/internal/experiments"
+	"ccrp/internal/huffman"
 	"ccrp/internal/workload"
 )
 
@@ -181,6 +185,75 @@ func FuzzCompressHandler(f *testing.F) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("blocks and lines decode to %d bytes (err %v), want the %d submitted bytes padded to %d",
 				len(got), err, len(text), len(want))
+		}
+	})
+}
+
+// FuzzSimulateHandler posts arbitrary /v1/simulate bodies to the same
+// harness. A 200's standard and ccrp stats equal a direct core.Compare on
+// the workload's trace under the configuration the body names; any other
+// answer is a typed 4xx.
+func FuzzSimulateHandler(f *testing.F) {
+	fh := newFuzzHarness(f)
+	code, err := experiments.PreselectedCode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed(f, simulateRequest{Workload: "eightq"})
+	rate := 0.5
+	seed(f, simulateRequest{Workload: "fpppp", CacheBytes: 512, CacheWays: 2, CLBEntries: 4,
+		Memory: "DRAM", DCacheMissRate: &rate, CoderID: coderPlaceholder, WordAligned: true, OverlapCycles: 3})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
+		rec := fh.post("/v1/simulate", body)
+		if rec.Code != http.StatusOK {
+			wantTyped4xx(t, rec)
+			return
+		}
+		var req simulateRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not parse: %v", err)
+		}
+		var resp simulateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 body %s does not parse: %v", rec.Body, err)
+		}
+		w, ok := workload.ByName(req.Workload)
+		if !ok {
+			t.Fatalf("200 for unknown workload %q", req.Workload)
+		}
+		tr, err := w.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := w.Text()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, err := cliutil.MemoryModel(cmp.Or(req.Memory, "Burst EPROM"))
+		if err != nil {
+			t.Fatalf("200 for memory %q: %v", req.Memory, err)
+		}
+		cfg := core.Config{
+			CacheBytes:    req.CacheBytes,
+			CacheWays:     req.CacheWays,
+			CLBEntries:    req.CLBEntries,
+			Mem:           mem,
+			Codes:         []*huffman.Code{code},
+			WordAligned:   req.WordAligned,
+			OverlapCycles: req.OverlapCycles,
+		}
+		if req.DCacheMissRate != nil && *req.DCacheMissRate < 1 {
+			cfg.DataCache, cfg.DCacheMissRate = true, *req.DCacheMissRate
+		}
+		want, err := core.Compare(tr, text, cfg)
+		if err != nil {
+			t.Fatalf("200 for a configuration Compare rejects: %v", err)
+		}
+		if resp.Standard != want.Standard || resp.CCRP != want.CCRP {
+			t.Fatalf("200 with standard %+v, ccrp %+v; Compare gives %+v, %+v",
+				resp.Standard, resp.CCRP, want.Standard, want.CCRP)
 		}
 	})
 }

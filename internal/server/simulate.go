@@ -142,19 +142,25 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	rspan.SetAttr("workload", req.Workload)
 	go func() {
 		defer func() { <-s.sem }()
-		defer rspan.End()
+		// The span ends before the result is handed over, so it is
+		// recorded before the response that reports the run.
+		finish := func(out simOut) {
+			if out.err != nil {
+				rspan.SetError(out.err)
+			}
+			rspan.End()
+			done <- out
+		}
 		tr, err := wl.Trace()
 		if err != nil {
 			err = errUnprocessable("workload %q failed to build: %v", req.Workload, err)
-			rspan.SetError(err)
-			done <- simOut{err: err}
+			finish(simOut{err: err})
 			return
 		}
 		text, err := wl.Text()
 		if err != nil {
 			err = errUnprocessable("workload %q failed to build: %v", req.Workload, err)
-			rspan.SetError(err)
-			done <- simOut{err: err}
+			finish(simOut{err: err})
 			return
 		}
 		cfg := core.Config{
@@ -176,11 +182,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		cmp, err := core.Compare(tr, text, cfg)
 		if err != nil {
 			err = errUnprocessable("simulation failed: %v", err)
-			rspan.SetError(err)
-			done <- simOut{err: err}
+			finish(simOut{err: err})
 			return
 		}
-		done <- simOut{cmp: cmp, dur: time.Since(start)}
+		finish(simOut{cmp: cmp, dur: time.Since(start)})
 	}()
 
 	select {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"ccrp/internal/asm"
 	"ccrp/internal/isa"
@@ -61,13 +62,28 @@ type Result struct {
 // data access penalties are added by the system model on top of this.
 func (r *Result) BaseCycles() uint64 { return r.Instructions + r.Stalls }
 
+// Memory is paged: a page is allocated on its first write, and a page
+// never written reads as zeros, so a machine holds only the pages its
+// program touches, not the whole address space.
+const (
+	pageShift = 16
+	pageBytes = 1 << pageShift
+	pageMask  = pageBytes - 1
+	numPages  = asm.AddrSpace / pageBytes
+)
+
+type page [pageBytes]byte
+
+// zeroPage stands in, read-only, for every page not yet written.
+var zeroPage page
+
 // Machine is one processor plus its 24-bit physical memory. It implements
 // isa.CPU; ISA-private state (HI/LO, FP registers, interlock timers)
 // lives in the executor.
 type Machine struct {
-	cfg  Config
-	mem  []byte
-	regs [32]uint32
+	cfg   Config
+	pages [numPages]*page // nil until first written
+	regs  [32]uint32
 
 	pc  uint32
 	npc uint32
@@ -77,8 +93,7 @@ type Machine struct {
 	loads     uint64
 	stores    uint64
 	inputPos  int
-	events    []trace.Event
-	ev        trace.Event // event being built for the current instruction
+	trace     *trace.Trace // nil unless cfg.CollectTrace
 	exitCode  int32
 	done      bool
 	textLimit uint32
@@ -99,15 +114,14 @@ func New(prog *asm.Program, cfg Config) *Machine {
 	}
 	m := &Machine{
 		cfg: cfg,
-		mem: make([]byte, asm.AddrSpace),
 		pc:  prog.Entry,
 		npc: prog.Entry + 4,
 	}
-	copy(m.mem[asm.TextBase:], prog.Text)
-	copy(m.mem[asm.DataBase:], prog.Data)
+	m.load(asm.TextBase, prog.Text)
+	m.load(asm.DataBase, prog.Data)
 	m.textLimit = asm.TextBase + uint32(len(prog.Text))
 	if cfg.CollectTrace {
-		m.events = make([]trace.Event, 0, 1<<16)
+		m.trace = &trace.Trace{}
 	}
 	if cfg.Metrics != nil {
 		m.im = newInstruments(cfg.Metrics)
@@ -164,19 +178,11 @@ func (m *Machine) CountClass(c isa.Class) {
 	}
 }
 
-// NoteLoad records that the current instruction reads data memory at addr.
-func (m *Machine) NoteLoad(addr uint32) {
-	m.ev.Flags |= trace.FlagLoad
-	m.ev.Addr = addr
-	m.loads++
-}
+// NoteLoad records that the current instruction reads data memory.
+func (m *Machine) NoteLoad() { m.loads++ }
 
-// NoteStore records that the current instruction writes data memory at addr.
-func (m *Machine) NoteStore(addr uint32) {
-	m.ev.Flags |= trace.FlagStore
-	m.ev.Addr = addr
-	m.stores++
-}
+// NoteStore records that the current instruction writes data memory.
+func (m *Machine) NoteStore() { m.stores++ }
 
 // Exit halts the machine with the given status code.
 func (m *Machine) Exit(code uint32) {
@@ -200,10 +206,41 @@ func (m *Machine) FetchWord(pc uint32) (isa.Word, error) {
 }
 
 func (m *Machine) checkAddr(addr uint32, size uint32) error {
-	if addr >= uint32(len(m.mem)) || addr+size > uint32(len(m.mem)) {
+	if addr >= asm.AddrSpace || addr+size > asm.AddrSpace {
 		return m.Faultf(ErrBadAddress, "%#08x", addr)
 	}
 	return nil
+}
+
+// read returns memory from addr to the end of its page. A checked,
+// aligned access never crosses a page, because a page is a whole number
+// of words.
+func (m *Machine) read(addr uint32) []byte {
+	p := m.pages[addr>>pageShift]
+	if p == nil {
+		p = &zeroPage
+	}
+	return p[addr&pageMask:]
+}
+
+// write is read for a store: it allocates the page on first write.
+func (m *Machine) write(addr uint32) []byte {
+	p := m.pages[addr>>pageShift]
+	if p == nil {
+		p = new(page)
+		m.pages[addr>>pageShift] = p
+	}
+	return p[addr&pageMask:]
+}
+
+// load copies b into memory at addr, page by page. Bytes past the
+// address space are dropped.
+func (m *Machine) load(addr uint32, b []byte) {
+	for len(b) > 0 && addr < asm.AddrSpace {
+		n := copy(m.write(addr), b)
+		b = b[n:]
+		addr += uint32(n)
+	}
 }
 
 // LoadWord reads an aligned word of data memory.
@@ -214,7 +251,7 @@ func (m *Machine) LoadWord(addr uint32) (uint32, error) {
 	if err := m.checkAddr(addr, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(m.mem[addr:]), nil
+	return binary.LittleEndian.Uint32(m.read(addr)), nil
 }
 
 // StoreWord writes an aligned word of data memory.
@@ -225,7 +262,7 @@ func (m *Machine) StoreWord(addr uint32, v uint32) error {
 	if err := m.checkAddr(addr, 4); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(m.mem[addr:], v)
+	binary.LittleEndian.PutUint32(m.write(addr), v)
 	return nil
 }
 
@@ -237,7 +274,7 @@ func (m *Machine) LoadHalf(addr uint32) (uint16, error) {
 	if err := m.checkAddr(addr, 2); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(m.mem[addr:]), nil
+	return binary.LittleEndian.Uint16(m.read(addr)), nil
 }
 
 // StoreHalf writes an aligned halfword of data memory.
@@ -248,7 +285,7 @@ func (m *Machine) StoreHalf(addr uint32, v uint16) error {
 	if err := m.checkAddr(addr, 2); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint16(m.mem[addr:], v)
+	binary.LittleEndian.PutUint16(m.write(addr), v)
 	return nil
 }
 
@@ -257,7 +294,7 @@ func (m *Machine) LoadByte(addr uint32) (byte, error) {
 	if err := m.checkAddr(addr, 1); err != nil {
 		return 0, err
 	}
-	return m.mem[addr], nil
+	return m.read(addr)[0], nil
 }
 
 // StoreByte writes a byte of data memory.
@@ -265,7 +302,7 @@ func (m *Machine) StoreByte(addr uint32, v byte) error {
 	if err := m.checkAddr(addr, 1); err != nil {
 		return err
 	}
-	m.mem[addr] = v
+	m.write(addr)[0] = v
 	return nil
 }
 
@@ -275,12 +312,12 @@ func (m *Machine) step() error {
 	if m.exec == nil {
 		return m.execErr
 	}
-	m.ev = trace.Event{PC: m.pc}
+	pc, loads, stores := m.pc, m.loads, m.stores
 	if err := m.exec.Step(m); err != nil {
 		return err
 	}
-	if m.cfg.CollectTrace {
-		m.events = append(m.events, m.ev)
+	if m.trace != nil {
+		m.trace.Add(pc, m.loads != loads, m.stores != stores)
 	}
 	m.icount++
 	return nil
@@ -308,8 +345,8 @@ func (m *Machine) result() *Result {
 		Stores:       m.stores,
 		ExitCode:     m.exitCode,
 	}
-	if m.cfg.CollectTrace {
-		r.Trace = &trace.Trace{Events: m.events, Stalls: m.stalls}
+	if m.trace != nil {
+		r.Trace = &trace.Trace{Events: m.trace.Events, Stalls: m.stalls}
 	}
 	return r
 }
@@ -333,7 +370,14 @@ func (m *Machine) Done() bool { return m.done }
 func (m *Machine) Instructions() uint64 { return m.icount }
 
 // Snapshot returns the current result counters without ending the run.
-func (m *Machine) Snapshot() *Result { return m.result() }
+// Its trace is a copy, because the next step may extend the last run.
+func (m *Machine) Snapshot() *Result {
+	r := m.result()
+	if r.Trace != nil {
+		r.Trace.Events = slices.Clone(r.Trace.Events)
+	}
+	return r
+}
 
 // execState returns the executor's optional register-inspection surface.
 func (m *Machine) execState() (isa.ExecState, bool) {

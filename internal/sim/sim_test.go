@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,8 +79,8 @@ loop2:
 	if res.Instructions == 0 || res.Trace == nil {
 		t.Error("missing trace/instructions")
 	}
-	if res.Instructions != uint64(len(res.Trace.Events)) {
-		t.Error("trace length != instruction count")
+	if res.Instructions != uint64(res.Trace.Instructions()) {
+		t.Error("trace run lengths do not sum to the instruction count")
 	}
 }
 
@@ -465,20 +466,12 @@ __start:
 	lw $t1, 0($t0)
 	sw $t1, 0($t0)
 `+exitSeq)
-	var loads, stores int
-	for _, e := range res.Trace.Events {
-		if e.IsLoad() {
-			loads++
-			if e.Addr != asm.DataBase {
-				t.Errorf("load addr = %#x", e.Addr)
-			}
-		}
-		if e.IsStore() {
-			stores++
-		}
+	// The five words la (lui, ori), lw, sw and li run in one line.
+	if e := res.Trace.Events[0]; e.PC != 0 || e.N < 4 || e.Loads != 1 || e.Stores != 1 {
+		t.Errorf("first run = %+v, want the la, lw and sw with 1 load and 1 store", e)
 	}
-	if loads != 1 || stores != 1 {
-		t.Errorf("loads=%d stores=%d", loads, stores)
+	if res.Trace.DataAccesses() != 2 {
+		t.Errorf("trace data accesses = %d, want 2", res.Trace.DataAccesses())
 	}
 	if res.Loads != 1 || res.Stores != 1 {
 		t.Errorf("counters loads=%d stores=%d", res.Loads, res.Stores)
@@ -1142,5 +1135,73 @@ func TestStepHonorsMaxInstr(t *testing.T) {
 	}
 	if !errors.Is(stepErr, ErrMaxInstructions) {
 		t.Errorf("err = %v", stepErr)
+	}
+}
+
+// TestPagedMemory: a machine allocates a page only when its program
+// writes one. A minimal run stays far below the 16 MiB address space, a
+// never-written word reads 0 without allocating, and the address-space
+// bounds hold as they did for flat memory.
+func TestPagedMemory(t *testing.T) {
+	p, err := asm.Assemble("t", `
+	.text
+__start:
+	li $t0, 0x800000
+	lw $a0, 0($t0)         # never written: reads 0
+	li $v0, 1
+	syscall
+	li $t0, 0xFFFFFC       # the last word of the address space
+	li $t1, 1234
+	sw $t1, 0($t0)
+	lw $a0, 0($t0)
+	li $v0, 1
+	syscall
+`+exitSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(p, Config{Stdout: &out})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if out.String() != "01234" {
+		t.Errorf("output = %q, want 0 then 1234", out.String())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("New and Run allocated %d bytes, want under 1 MiB", grew)
+	}
+	if m.pages[0x800000>>pageShift] != nil {
+		t.Error("a load allocated a page")
+	}
+
+	for _, src := range []string{
+		".text\n__start: li $t0, 0x1000000\nlw $t1, 0($t0)",
+		".text\n__start: li $t0, 0xFFFFFC\nsw $t0, 4($t0)",
+	} {
+		if err := runErr(t, src, Config{}); !errors.Is(err, ErrBadAddress) {
+			t.Errorf("%q: err = %v, want ErrBadAddress", src, err)
+		}
+	}
+}
+
+// TestPrintStringAcrossPages: a string whose bytes straddle a page
+// boundary prints whole.
+func TestPrintStringAcrossPages(t *testing.T) {
+	_, out := run(t, `
+	.data
+pad:	.space 65532
+msg:	.asciiz "straddles a page"
+	.text
+__start:
+	la $a0, msg
+	li $v0, 4
+	syscall
+`+exitSeq)
+	if out != "straddles a page" {
+		t.Errorf("output = %q", out)
 	}
 }

@@ -11,7 +11,11 @@ import (
 // field.
 func FuzzReadTrace(f *testing.F) {
 	var buf bytes.Buffer
-	tr := &Trace{Events: []Event{{PC: 4}, {PC: 8, Addr: 0x1000, Flags: FlagLoad}, {PC: 12, Addr: 0x2000, Flags: FlagStore}}, Stalls: 3}
+	tr := &Trace{Stalls: 3}
+	tr.Add(4, false, false)
+	tr.Add(8, true, false)
+	tr.Add(12, false, true)
+	tr.Add(0x40, false, false)
 	if _, err := tr.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}

@@ -2,6 +2,12 @@
 // the functional simulator (producer) and the cache/system simulators
 // (consumers). It plays the role pixie's address traces played in the
 // paper's experimental method.
+//
+// A trace records runs of sequential fetches, not single fetches. The
+// i-cache refills whole 32-byte lines, so fetching from the line just
+// fetched is a hit that changes no cache, CLB or page state: a consumer
+// decides once per run and counts the run's other fetches as hits. The
+// fetch addresses themselves are PC, PC+4, … and regenerate from the run.
 package trace
 
 import (
@@ -11,59 +17,101 @@ import (
 	"io"
 )
 
-// Flags classify one executed instruction.
+// Run geometry. Both registered ISAs fetch 4-byte words, and a run stays
+// inside one line of the paper's i-cache.
 const (
-	FlagLoad  uint8 = 1 << iota // instruction read data memory
-	FlagStore                   // instruction wrote data memory
+	WordBytes = 4
+	LineBytes = 32
+	MaxRun    = LineBytes / WordBytes // fetches in the longest run
 )
 
-// Event records one executed instruction: its fetch address, the data
-// address it touched (if any), and load/store flags.
+// Event is one trace record: a run of N fetches at PC, PC+4, …, all
+// inside one LineBytes line. Loads of its instructions read data memory
+// and Stores wrote it; no instruction does both.
 type Event struct {
-	PC    uint32
-	Addr  uint32 // data address for loads/stores, else 0
-	Flags uint8
+	PC     uint32
+	N      uint8
+	Loads  uint8
+	Stores uint8
 }
 
-// IsLoad reports whether the event performed a data read.
-func (e Event) IsLoad() bool { return e.Flags&FlagLoad != 0 }
-
-// IsStore reports whether the event performed a data write.
-func (e Event) IsStore() bool { return e.Flags&FlagStore != 0 }
-
-// IsMemOp reports whether the event accessed data memory.
-func (e Event) IsMemOp() bool { return e.Flags&(FlagLoad|FlagStore) != 0 }
+// check reports why e is not a run Add could have produced.
+func (e Event) check() error {
+	switch {
+	case e.N == 0 || e.N > MaxRun:
+		return fmt.Errorf("run of %d fetches, want 1 to %d", e.N, MaxRun)
+	case e.PC%WordBytes != 0:
+		return fmt.Errorf("run at %#x is not word aligned", e.PC)
+	case e.PC%LineBytes+uint32(e.N)*WordBytes > LineBytes:
+		return fmt.Errorf("run of %d at %#x crosses its %d-byte line", e.N, e.PC, LineBytes)
+	case int(e.Loads)+int(e.Stores) > int(e.N):
+		return fmt.Errorf("run of %d holds %d loads and %d stores", e.N, e.Loads, e.Stores)
+	}
+	return nil
+}
 
 // Trace is a complete execution trace plus the summary counters the
-// performance model needs.
+// performance model needs. Events holds the runs in execution order;
+// producers extend it through Add.
 type Trace struct {
 	Events []Event
 	Stalls uint64 // pipeline stall cycles attributed by the simulator
 }
 
-// Instructions returns the dynamic instruction count.
-func (t *Trace) Instructions() int { return len(t.Events) }
+// Add records one executed instruction, fetched from the word-aligned
+// pc, that read (load) or wrote (store) data memory. It extends the last
+// run when pc is the next word of that run's line, and starts a new run
+// otherwise.
+func (t *Trace) Add(pc uint32, load, store bool) {
+	if n := len(t.Events); n > 0 {
+		r := &t.Events[n-1]
+		if pc == r.PC+uint32(r.N)*WordBytes && pc/LineBytes == r.PC/LineBytes {
+			r.N++
+			r.Loads += one(load)
+			r.Stores += one(store)
+			return
+		}
+	}
+	t.Events = append(t.Events, Event{PC: pc, N: 1, Loads: one(load), Stores: one(store)})
+}
 
-// DataAccesses counts load/store events.
+func one(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Instructions returns the dynamic instruction count: the sum of the run
+// lengths.
+func (t *Trace) Instructions() int {
+	n := 0
+	for _, e := range t.Events {
+		n += int(e.N)
+	}
+	return n
+}
+
+// DataAccesses counts the instructions that read or wrote data memory.
 func (t *Trace) DataAccesses() int {
 	n := 0
 	for _, e := range t.Events {
-		if e.IsMemOp() {
-			n++
-		}
+		n += int(e.Loads) + int(e.Stores)
 	}
 	return n
 }
 
 const (
 	magic   = 0x43435254 // "CCRT"
-	version = 1
+	version = 2
+	recLen  = 7 // PC (4 bytes), N, Loads, Stores
 )
 
 // ErrBadTrace is returned when a serialized trace is malformed.
 var ErrBadTrace = errors.New("trace: malformed trace file")
 
-// WriteTo serializes the trace in a compact binary format.
+// WriteTo serializes the trace in a compact binary format: a 24-byte
+// header (magic, version, run count, stalls), then 7 bytes per run.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
@@ -75,13 +123,10 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return total, err
 	}
-	buf := make([]byte, 0, 9*4096)
-	var rec [9]byte
+	buf := make([]byte, 0, recLen*4096)
 	for i, e := range t.Events {
-		binary.LittleEndian.PutUint32(rec[0:], e.PC)
-		binary.LittleEndian.PutUint32(rec[4:], e.Addr)
-		rec[8] = e.Flags
-		buf = append(buf, rec[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, e.PC)
+		buf = append(buf, e.N, e.Loads, e.Stores)
 		if len(buf) == cap(buf) || i == len(t.Events)-1 {
 			n, err := w.Write(buf)
 			total += int64(n)
@@ -94,13 +139,15 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// maxPrealloc caps the events Read allocates before any has arrived.
+// maxPrealloc caps the runs Read allocates before any has arrived.
 // The header's count is a claim, not a size: the slice grows as records
-// are read, so a short file cannot make Read allocate for events it
-// does not hold.
+// are read, so a short file cannot make Read allocate for runs it does
+// not hold.
 const maxPrealloc = 1 << 12
 
-// Read deserializes a trace written by WriteTo.
+// Read deserializes a trace written by WriteTo. Every run must be one
+// Add could have produced; a version-1 file (one record per fetch) is
+// rejected.
 func Read(r io.Reader) (*Trace, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -114,22 +161,22 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:])
 	if n > 1<<32 {
-		return nil, fmt.Errorf("%w: implausible event count %d", ErrBadTrace, n)
+		return nil, fmt.Errorf("%w: implausible run count %d", ErrBadTrace, n)
 	}
 	t := &Trace{
 		Events: make([]Event, 0, min(n, maxPrealloc)),
 		Stalls: binary.LittleEndian.Uint64(hdr[16:]),
 	}
-	var rec [9]byte
+	var rec [recLen]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, fmt.Errorf("%w: event %d: %v", ErrBadTrace, i, err)
+			return nil, fmt.Errorf("%w: run %d: %v", ErrBadTrace, i, err)
 		}
-		t.Events = append(t.Events, Event{
-			PC:    binary.LittleEndian.Uint32(rec[0:]),
-			Addr:  binary.LittleEndian.Uint32(rec[4:]),
-			Flags: rec[8],
-		})
+		e := Event{PC: binary.LittleEndian.Uint32(rec[0:]), N: rec[4], Loads: rec[5], Stores: rec[6]}
+		if err := e.check(); err != nil {
+			return nil, fmt.Errorf("%w: run %d: %v", ErrBadTrace, i, err)
+		}
+		t.Events = append(t.Events, e)
 	}
 	return t, nil
 }

@@ -7,6 +7,7 @@ import (
 	"ccrp/internal/asm"
 	"ccrp/internal/isa"
 	_ "ccrp/internal/mips" // register the default backend
+	"ccrp/internal/trace"
 )
 
 func TestAllWorkloadsRunToCompletion(t *testing.T) {
@@ -30,7 +31,7 @@ func TestAllWorkloadsRunToCompletion(t *testing.T) {
 			if res.Instructions > maxWorkloadInstr {
 				t.Errorf("trace too long: %d instructions", res.Instructions)
 			}
-			if res.Trace == nil || len(res.Trace.Events) != int(res.Instructions) {
+			if res.Trace == nil || res.Trace.Instructions() != int(res.Instructions) {
 				t.Error("trace missing or inconsistent")
 			}
 		})
@@ -106,8 +107,8 @@ func TestTracesStayInText(t *testing.T) {
 		text, _ := w.Text()
 		limit := uint32(len(text))
 		for _, e := range tr.Events {
-			if e.PC >= limit {
-				t.Errorf("%s: fetch at %#x outside text (%d bytes)", w.Name, e.PC, limit)
+			if last := e.PC + uint32(e.N-1)*trace.WordBytes; last >= limit {
+				t.Errorf("%s: fetch at %#x outside text (%d bytes)", w.Name, last, limit)
 				break
 			}
 		}
