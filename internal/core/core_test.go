@@ -451,10 +451,10 @@ func TestCompareErrors(t *testing.T) {
 	}
 }
 
-// TestCompareAllocsIndependentOfMisses: refills are priced from a per-line
-// table built before the trace loop, so Compare allocates as often at a
-// 256 B cache as at a 4 KB one although it misses far more, and pricing a
-// Huffman line allocates nothing.
+// TestCompareAllocsIndependentOfMisses: Replay counts misses per line and
+// Price prices each line once after the loop, so Compare allocates as
+// often at a 256 B cache as at a 4 KB one although it misses far more,
+// and pricing a Huffman line allocates nothing.
 func TestCompareAllocsIndependentOfMisses(t *testing.T) {
 	text := riscLikeText(8192, 42)
 	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
@@ -497,6 +497,86 @@ func TestCompareAllocsIndependentOfMisses(t *testing.T) {
 	e := RefillEngine{Mem: memory.BurstEPROM{}}
 	if n := testing.AllocsPerRun(100, func() { e.LineCycles(rom, li) }); n != 0 {
 		t.Errorf("LineCycles on a Huffman line allocates %v times, want 0", n)
+	}
+}
+
+// TestPriceRejectsMismatchedProfile: a profile priced against the ROM of
+// a program with more lines or fewer than the one it was replayed over is
+// ErrProfileMismatch, never an index panic or a silent misprice.
+func TestPriceRejectsMismatchedProfile(t *testing.T) {
+	text := riscLikeText(8192, 42)
+	code := testCode(t, text)
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{code}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Replay(syntheticTrace(len(text), 4096, 5), rom, Config{CacheBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mem: memory.EPROM{}}
+	if _, err := Price(p, rom, cfg); err != nil {
+		t.Fatalf("Price over its own ROM: %v", err)
+	}
+	for _, n := range []int{len(text) / 2, 2 * len(text)} {
+		other, err := BuildROM(riscLikeText(n, 43), Options{Codes: []*huffman.Code{code}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Price(p, other, cfg); !errors.Is(err, ErrProfileMismatch) {
+			t.Errorf("profile of %d lines priced against %d: err = %v, want ErrProfileMismatch",
+				len(p.LineMisses), len(other.Lines), err)
+		}
+	}
+}
+
+// TestReplayRejectsFetchOutsideText: a fetch past the program text is an
+// error naming the address, not a miss charged to some line.
+func TestReplayRejectsFetchOutsideText(t *testing.T) {
+	text := riscLikeText(256, 9)
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{}
+	tr.Add(0, false, false)
+	tr.Add(0x10000, false, false)
+	_, err = Replay(tr, rom, Config{})
+	if err == nil || !strings.Contains(err.Error(), "trace fetch 0x10000 outside program text") {
+		t.Errorf("Replay = %v, want the outside-text error for 0x10000", err)
+	}
+}
+
+// TestProfileIndependentOfCoder: a profile replayed over one ROM of a text
+// prices any other ROM of that text exactly as Compare over that ROM
+// does, which is what lets one profile serve every coder.
+func TestProfileIndependentOfCoder(t *testing.T) {
+	text := riscLikeText(8192, 42)
+	huff, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := BuildROM(text, Options{Codec: testCodec{}, WordAligned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := syntheticTrace(len(text), 4096, 5)
+	cfg := Config{CacheBytes: 512, CacheWays: 2, CLBEntries: 4, Mem: memory.EPROM{}}
+	p, err := Replay(tr, huff, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Price(p, codec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ROM = codec
+	want, err := Compare(tr, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Standard != want.Standard || got.CCRP != want.CCRP {
+		t.Errorf("codec ROM priced from the Huffman ROM's profile: %+v, Compare: %+v", got.CCRP, want.CCRP)
 	}
 }
 

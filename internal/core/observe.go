@@ -5,15 +5,21 @@ import (
 
 	"ccrp/internal/cache"
 	"ccrp/internal/clb"
+	"ccrp/internal/lat"
 	"ccrp/internal/metrics"
 	"ccrp/internal/trace"
 )
 
-// probe carries the optional observability state of one Compare run: the
-// registered instruments and the structured-event sink. A nil *probe is
-// the disabled state; every method no-ops on it.
+// probe carries the optional observability state of one Replay: the
+// registered instruments, the structured-event sink, and the per-line
+// refill charges it records each miss at. A nil *probe is the disabled
+// state; every method no-ops on it.
 type probe struct {
 	sink metrics.EventSink // nil when events are off
+	rom  *ROM
+
+	charges   []uint64 // CCRP refill charge per ROM line
+	latCycles uint64   // charge of one LAT fetch
 
 	refillHist *metrics.Histogram // CCRP refill cycles per i-cache miss
 	storedHist *metrics.Histogram // static stored-bytes distribution over ROM lines
@@ -28,11 +34,19 @@ type probe struct {
 	clb        *clb.CLB
 }
 
-// newProbe registers the core instruments and wires the cache and CLB
-// hooks. Either reg or sink may be nil.
-func newProbe(reg *metrics.Registry, sink metrics.EventSink, rom *ROM, ic *cache.Cache, buf *clb.CLB, rate int) *probe {
-	p := &probe{sink: sink, clb: buf, rate: uint64(rate)}
-	if reg != nil {
+// newProbe registers cfg's instruments, wires the cache and CLB hooks,
+// and prices every ROM line under cfg. Either cfg.Metrics or cfg.Events
+// may be nil.
+func newProbe(cfg Config, rom *ROM, ic *cache.Cache, buf *clb.CLB) *probe {
+	t := newTariff(cfg)
+	p := &probe{
+		sink: cfg.Events, rom: rom, clb: buf, rate: uint64(t.engine.rate()),
+		charges: make([]uint64, len(rom.Lines)), latCycles: t.latFetch,
+	}
+	for li := range rom.Lines {
+		p.charges[li] = t.line(rom, li)
+	}
+	if reg := cfg.Metrics; reg != nil {
 		ic.Instrument(reg)
 		buf.Instrument(reg)
 		p.refillHist = reg.Histogram("ccrp_refill_cycles",
@@ -94,7 +108,7 @@ func (p *probe) miss(seq uint64, pc uint32, set int, clbHit bool) {
 
 // latFetch records a CLB miss being serviced: the possible eviction, then
 // the LAT entry read.
-func (p *probe) latFetch(seq uint64, pc uint32, cycles uint64, entryBytes int) {
+func (p *probe) latFetch(seq uint64, pc uint32) {
 	if p == nil {
 		return
 	}
@@ -105,27 +119,28 @@ func (p *probe) latFetch(seq uint64, pc uint32, cycles uint64, entryBytes int) {
 		}
 		p.sink.Emit(metrics.Event{
 			Type: metrics.EvLATFetch, Seq: seq, PC: pc, Line: -1, Set: -1,
-			Cycles: cycles, Bytes: entryBytes,
+			Cycles: p.latCycles, Bytes: lat.EntryBytes,
 		})
 	}
 }
 
-// refill records one line refill: its stored size, cycle cost, and the
-// decoder throughput sample when the line was compressed.
-func (p *probe) refill(seq uint64, pc uint32, line int, raw bool, storedBytes int, cycles uint64) {
+// refill records one refill of ROM line li: its stored size, cycle cost,
+// and the decoder throughput sample when the line was compressed.
+func (p *probe) refill(seq uint64, pc uint32, li int) {
 	if p == nil {
 		return
 	}
+	cycles, l := p.charges[li], p.rom.Lines[li]
 	p.refillHist.Observe(float64(cycles))
-	if raw {
+	if l.Raw {
 		p.rawRefills.Inc()
 	} else if cycles > 0 {
 		p.decBytes += LineSize
 		p.decCycles += cycles
 	}
 	if p.sink != nil {
-		p.sink.Emit(metrics.Event{Type: metrics.EvRefillStart, Seq: seq, PC: pc, Line: line, Set: -1, Bytes: storedBytes})
-		p.sink.Emit(metrics.Event{Type: metrics.EvRefillEnd, Seq: seq, PC: pc, Line: line, Set: -1, Cycles: cycles})
+		p.sink.Emit(metrics.Event{Type: metrics.EvRefillStart, Seq: seq, PC: pc, Line: li, Set: -1, Bytes: len(l.Stored)})
+		p.sink.Emit(metrics.Event{Type: metrics.EvRefillEnd, Seq: seq, PC: pc, Line: li, Set: -1, Cycles: cycles})
 	}
 }
 

@@ -85,3 +85,37 @@ func (e RefillEngine) LATFetchCycles() uint64 {
 func LineTrafficBytes(r *ROM, i int) uint64 {
 	return uint64((len(r.Lines[i].Stored) + 3) / 4 * 4)
 }
+
+// tariff is what each refill costs under one configuration's memory
+// model, decode rate and overlap window: post-burst recovery is added to
+// every refill, and the cycles the pipeline overlaps are taken off a
+// line refill, down to zero. A line's charge depends only on the line
+// and these parameters, never on the trace, just as the LAT fixes every
+// line's length when the ROM is built.
+type tariff struct {
+	engine   RefillEngine
+	post     uint64 // post-burst recovery cycles
+	overlap  uint64 // cycles of each line refill the pipeline hides
+	std      uint64 // a standard processor's line refill
+	latFetch uint64 // a LAT entry read on a CLB miss
+}
+
+func newTariff(cfg Config) tariff {
+	t := tariff{
+		engine:  RefillEngine{Mem: cfg.Mem, Rate: cfg.DecodeRate},
+		post:    cfg.Mem.PostBurstCycles(),
+		overlap: cfg.OverlapCycles,
+	}
+	t.std = t.charge(t.engine.RawLineCycles(LineSize))
+	t.latFetch = t.engine.LATFetchCycles() + t.post
+	return t
+}
+
+// charge is what a miss pays for a line refill of the given time.
+func (t tariff) charge(refill uint64) uint64 {
+	refill += t.post
+	return refill - min(t.overlap, refill)
+}
+
+// line is the CCRP's charge for a refill of ROM line li.
+func (t tariff) line(r *ROM, li int) uint64 { return t.charge(t.engine.LineCycles(r, li)) }

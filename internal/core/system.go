@@ -134,23 +134,23 @@ func (c *Comparison) MissRate() float64 { return c.Standard.MissRate() }
 // ErrEmptyTrace is returned for traces with no instruction events.
 var ErrEmptyTrace = errors.New("core: empty trace")
 
-// A trace run must lie inside one i-cache line for Compare to decide the
+// ErrProfileMismatch is returned by Price for a profile whose line count
+// differs from the ROM's: the profile was replayed over another program.
+var ErrProfileMismatch = errors.New("core: profile does not match the ROM")
+
+// A trace run must lie inside one i-cache line for Replay to decide the
 // whole run from its first fetch; this fails to compile otherwise.
 const _ uint = LineSize - trace.LineBytes
 
-// Compare runs the trace through both systems over the given program text.
+// Compare runs the trace through both systems over the given program
+// text: Replay decides the misses, and Price adds up what they cost.
 //
 // Both processors share the same cache geometry, so one cache pass drives
 // both cycle models; they differ only in what a miss costs. The CLB is
 // consulted on instruction cache misses; the paper's hardware probes it
 // every fetch so a hit is free, which is what charging CLB penalties only
-// on misses models. The pass visits the trace's runs: a run's first fetch
-// may miss, and its other fetches hit the line that fetch left resident.
+// on misses models.
 func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
-	cfg = cfg.withDefaults()
-	if tr == nil || len(tr.Events) == 0 {
-		return nil, ErrEmptyTrace
-	}
 	rom := cfg.ROM
 	if rom == nil {
 		var err error
@@ -158,6 +158,45 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	p, err := Replay(tr, rom, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Price(p, rom, cfg)
+}
+
+// Profile is what a trace decides under one cache and CLB geometry:
+// which lines miss and how often, and how many misses also miss the CLB.
+// The memory model, decode rate, overlap window and data cache change
+// only what a miss costs, so one profile prices every such configuration
+// (the paper's §4.1 method: the traces drive a cache simulator once, and
+// the misses are priced per memory system). Nor does a profile depend on
+// the coder, since ROM lines index the program text whatever compresses
+// it.
+type Profile struct {
+	LineMisses   []uint64 // i-cache misses per ROM line, indexed like ROM.Lines
+	Accesses     uint64   // instruction fetches, one i-cache access each
+	CLBMisses    uint64   // i-cache misses that also missed the CLB
+	DataAccesses uint64   // loads and stores
+	Stalls       uint64   // pipeline stall cycles
+}
+
+// Replay runs the trace through an i-cache and CLB of cfg's geometry
+// (CacheBytes, CacheWays, CLBEntries) and returns its miss profile. rom
+// supplies the line and LAT-group indices; every ROM of the traced
+// program gives the same profile.
+//
+// With cfg.Metrics or cfg.Events set, Replay also runs the probe, which
+// prices each miss as it happens under cfg's memory, decoder and overlap
+// parameters, so every instrument and event sees the refill it records.
+//
+// The pass visits the trace's runs: a run's first fetch may miss, and its
+// other fetches hit the line that fetch left resident.
+func Replay(tr *trace.Trace, rom *ROM, cfg Config) (*Profile, error) {
+	cfg = cfg.withDefaults()
+	if tr == nil || len(tr.Events) == 0 {
+		return nil, ErrEmptyTrace
 	}
 	ic, err := cache.NewAssoc(cfg.CacheBytes, LineSize, cfg.CacheWays)
 	if err != nil {
@@ -167,66 +206,36 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 		return nil, fmt.Errorf("core: CLB size %d must be positive", cfg.CLBEntries)
 	}
 	buf := clb.New(cfg.CLBEntries)
-	engine := RefillEngine{Mem: cfg.Mem, Rate: cfg.DecodeRate}
-	post := cfg.Mem.PostBurstCycles()
-	// charge is what a miss pays for a line refill of the given time:
-	// post-burst recovery is added, and the cycles the pipeline overlaps
-	// are taken off, down to zero.
-	charge := func(refill uint64) uint64 {
-		refill += post
-		return refill - min(cfg.OverlapCycles, refill)
-	}
-
-	cmp := &Comparison{ROM: rom}
-	std, ccrp := &cmp.Standard, &cmp.CCRP
-
-	stdLineRefill := charge(engine.RawLineCycles(LineSize))
-	latFetch := engine.LATFetchCycles() + post
-	// A line's refill charge depends only on the line and the memory,
-	// decoder and overlap parameters, never on the trace, so each line is
-	// priced once here and a miss is one index (the LAT likewise fixes
-	// every line's length when the ROM is built).
-	lineRefill := make([]uint64, len(rom.Lines))
-	for li := range rom.Lines {
-		lineRefill[li] = charge(engine.LineCycles(rom, li))
-	}
+	p := &Profile{LineMisses: make([]uint64, len(rom.Lines)), Stalls: tr.Stalls}
 
 	var pr *probe
 	if cfg.Metrics != nil || cfg.Events != nil {
-		pr = newProbe(cfg.Metrics, cfg.Events, rom, ic, buf, engine.rate())
+		pr = newProbe(cfg, rom, ic, buf)
 	}
 
 	// seq numbers fetches, so it ends at the instruction count.
-	var dataAccesses, seq uint64
+	var seq uint64
 	for _, run := range tr.Events {
 		pc, n := run.PC, uint64(run.N)
-		dataAccesses += uint64(run.Loads) + uint64(run.Stores)
+		p.DataAccesses += uint64(run.Loads) + uint64(run.Stores)
 		if pr != nil { // fetches is not inlined: an uninstrumented run skips the call
 			pr.fetches(seq, pc, 1)
 		}
 		if !ic.AccessRun(pc, n) {
-			// Miss: identical for both systems; refill costs differ.
-			std.RefillCycles += stdLineRefill
-			std.TrafficBytes += LineSize
-
 			li, err := rom.LineIndex(pc)
 			if err != nil {
 				return nil, fmt.Errorf("core: trace fetch %#x outside program text: %w", pc, err)
 			}
+			p.LineMisses[li]++
 			latIdx := pc / lat.GroupSpan
 			_, hit := buf.Lookup(latIdx)
 			pr.miss(seq, pc, ic.Set(pc), hit)
 			if !hit {
-				ccrp.CLBMisses++
-				ccrp.RefillCycles += latFetch
-				ccrp.TrafficBytes += lat.EntryBytes
-				pr.latFetch(seq, pc, latFetch, lat.EntryBytes)
+				p.CLBMisses++
+				pr.latFetch(seq, pc)
 				buf.Insert(latIdx, rom.Table.Entries[latIdx])
 			}
-			refill := lineRefill[li]
-			ccrp.RefillCycles += refill
-			ccrp.TrafficBytes += LineTrafficBytes(rom, li)
-			pr.refill(seq, pc, li, rom.Lines[li].Raw, len(rom.Lines[li].Stored), refill)
+			pr.refill(seq, pc, li)
 		}
 		if pr != nil {
 			pr.fetches(seq+1, pc+trace.WordBytes, n-1)
@@ -234,15 +243,49 @@ func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
 		seq += n
 	}
 	pr.finish()
+	p.Accesses = ic.Stats().Accesses
+	return p, nil
+}
 
-	base := seq + tr.Stalls
+// Price adds up both systems' costs from a miss profile under cfg's
+// memory model, decode rate, overlap window and data-cache parameters;
+// the geometry is the profile's, and cfg's is not read. A line's refill
+// charge is the same on every miss, so the CCRP's refill cycles are the
+// sum over lines of misses × charge, plus one LAT fetch per CLB miss:
+// O(lines) work, all of it integer, so the sum is exactly what pricing
+// each miss as it happens gives. A profile of another program is
+// rejected with ErrProfileMismatch.
+func Price(p *Profile, rom *ROM, cfg Config) (*Comparison, error) {
+	if len(p.LineMisses) != len(rom.Lines) {
+		return nil, fmt.Errorf("%w: %d line counts for %d ROM lines",
+			ErrProfileMismatch, len(p.LineMisses), len(rom.Lines))
+	}
+	cfg = cfg.withDefaults()
+	t := newTariff(cfg)
+
+	cmp := &Comparison{ROM: rom}
+	std, ccrp := &cmp.Standard, &cmp.CCRP
+	var misses uint64
+	for li, n := range p.LineMisses {
+		if n == 0 {
+			continue
+		}
+		misses += n
+		ccrp.RefillCycles += n * t.line(rom, li)
+		ccrp.TrafficBytes += n * LineTrafficBytes(rom, li)
+	}
+	ccrp.CLBMisses = p.CLBMisses
+	ccrp.RefillCycles += p.CLBMisses * t.latFetch
+	ccrp.TrafficBytes += p.CLBMisses * lat.EntryBytes
+	std.RefillCycles = misses * t.std
+	std.TrafficBytes = misses * LineSize
+
+	base := p.Accesses + p.Stalls
 	std.BaseCycles, ccrp.BaseCycles = base, base
+	std.Accesses, ccrp.Accesses = p.Accesses, p.Accesses
+	std.Misses, ccrp.Misses = misses, misses
 
-	cs := ic.Stats()
-	std.Accesses, ccrp.Accesses = cs.Accesses, cs.Accesses
-	std.Misses, ccrp.Misses = cs.Misses, cs.Misses
-
-	dataCost := uint64(float64(dataAccesses) * float64(cfg.DataAccessCycles) * cfg.DCacheMissRate)
+	dataCost := uint64(float64(p.DataAccesses) * float64(cfg.DataAccessCycles) * cfg.DCacheMissRate)
 	std.DataCycles, ccrp.DataCycles = dataCost, dataCost
 
 	std.Cycles = std.BaseCycles + std.RefillCycles + std.DataCycles

@@ -141,7 +141,7 @@ func MultiCodeAblation() ([]MultiCodeRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		single, err := preselROM(text)
+		single, err := preselROM(w)
 		if err != nil {
 			return nil, err
 		}
@@ -172,32 +172,24 @@ type OverlapRow struct {
 }
 
 // OverlapAblation sweeps the refill overlap window on the burst-EPROM
-// model at 256 bytes (where refills dominate).
+// model at 256 bytes (where refills dominate). The window changes only
+// what a miss costs, so every row prices one miss profile.
 func OverlapAblation(program string) ([]OverlapRow, error) {
 	w, ok := workload.ByName(program)
 	if !ok {
 		return nil, errUnknown(program)
 	}
-	code, err := PreselectedCode()
+	rom, err := preselROM(w)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := w.Trace()
-	if err != nil {
-		return nil, err
-	}
-	text, err := w.Text()
+	prof, err := missProfile(w, 256, 1, 16)
 	if err != nil {
 		return nil, err
 	}
 	var rows []OverlapRow
 	for _, ov := range []uint64{0, 2, 4, 8} {
-		cmp, err := core.Compare(tr, text, core.Config{
-			CacheBytes:    256,
-			Mem:           memory.BurstEPROM{},
-			Codes:         []*huffman.Code{code},
-			OverlapCycles: ov,
-		})
+		cmp, err := core.Price(prof, rom, core.Config{Mem: memory.BurstEPROM{}, OverlapCycles: ov})
 		if err != nil {
 			return nil, err
 		}

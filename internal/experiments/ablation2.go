@@ -6,7 +6,6 @@ import (
 
 	"ccrp/internal/core"
 	"ccrp/internal/decoder"
-	"ccrp/internal/huffman"
 	"ccrp/internal/memory"
 	"ccrp/internal/workload"
 )
@@ -28,27 +27,18 @@ func AssociativityAblation(program string) ([]AssocRow, error) {
 	if !ok {
 		return nil, errUnknown(program)
 	}
-	code, err := PreselectedCode()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := w.Trace()
-	if err != nil {
-		return nil, err
-	}
-	text, err := w.Text()
+	rom, err := preselROM(w)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AssocRow
 	for _, cs := range []int{256, 512, 1024} {
 		for _, ways := range []int{1, 2, 4} {
-			cmp, err := core.Compare(tr, text, core.Config{
-				CacheBytes: cs,
-				CacheWays:  ways,
-				Mem:        memory.EPROM{},
-				Codes:      []*huffman.Code{code},
-			})
+			prof, err := missProfile(w, cs, ways, 16)
+			if err != nil {
+				return nil, err
+			}
+			cmp, err := core.Price(prof, rom, core.Config{Mem: memory.EPROM{}})
 			if err != nil {
 				return nil, err
 			}
@@ -71,32 +61,24 @@ type RateRow struct {
 }
 
 // DecodeRateAblation sweeps the decoder rate on burst EPROM at 256 bytes,
-// where the paper's 2-byte/cycle decoder is the bottleneck.
+// where the paper's 2-byte/cycle decoder is the bottleneck. The rate
+// changes only what a miss costs, so every row prices one miss profile.
 func DecodeRateAblation(program string) ([]RateRow, error) {
 	w, ok := workload.ByName(program)
 	if !ok {
 		return nil, errUnknown(program)
 	}
-	code, err := PreselectedCode()
+	rom, err := preselROM(w)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := w.Trace()
-	if err != nil {
-		return nil, err
-	}
-	text, err := w.Text()
+	prof, err := missProfile(w, 256, 1, 16)
 	if err != nil {
 		return nil, err
 	}
 	var rows []RateRow
 	for _, rate := range []int{1, 2, 4, 8} {
-		cmp, err := core.Compare(tr, text, core.Config{
-			CacheBytes: 256,
-			Mem:        memory.BurstEPROM{},
-			DecodeRate: rate,
-			Codes:      []*huffman.Code{code},
-		})
+		cmp, err := core.Price(prof, rom, core.Config{Mem: memory.BurstEPROM{}, DecodeRate: rate})
 		if err != nil {
 			return nil, err
 		}

@@ -29,11 +29,11 @@ type CodePackRow struct {
 // of the preselected byte code: fixed, hardwired dictionaries). Trained
 // once per corpus through the artifact cache.
 func CodePackCoder() (*codepack.Coder, error) {
-	ck, err := corpusKey()
+	keys, err := corpusKey()
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Get(artifacts(), sweep.Key("codepack/corpus", ck),
+	return sweep.Get(artifacts(), sweep.Key("codepack/corpus", keys.corpus),
 		func() (*codepack.Coder, error) {
 			var images [][]byte
 			for _, w := range workload.Figure5Set() {
@@ -109,12 +109,11 @@ type CodePackPerfRow struct {
 }
 
 // CodePackPerf runs the full trace-driven comparison for the two most
-// refill-sensitive programs under both memory models.
+// refill-sensitive programs under both memory models. Both ROMs of a
+// program index the same text, so one miss profile prices all four of
+// its configurations: the coder changes what a miss costs, never which
+// fetches miss.
 func CodePackPerf() ([]CodePackPerfRow, error) {
-	byteCode, err := PreselectedCode()
-	if err != nil {
-		return nil, err
-	}
 	cp, err := CodePackCoder()
 	if err != nil {
 		return nil, err
@@ -125,24 +124,28 @@ func CodePackPerf() ([]CodePackPerfRow, error) {
 		if !ok {
 			return nil, errUnknown(prog)
 		}
-		tr, err := w.Trace()
-		if err != nil {
-			return nil, err
-		}
 		text, err := w.Text()
 		if err != nil {
 			return nil, err
 		}
+		byteROM, err := preselROM(w)
+		if err != nil {
+			return nil, err
+		}
+		cpROM, err := core.BuildROM(text, core.Options{Codec: cp})
+		if err != nil {
+			return nil, err
+		}
+		prof, err := missProfile(w, 256, 1, 16)
+		if err != nil {
+			return nil, err
+		}
 		for _, mem := range []memory.Model{memory.EPROM{}, memory.BurstEPROM{}} {
-			bc, err := core.Compare(tr, text, core.Config{
-				CacheBytes: 256, Mem: mem, Codes: []*huffman.Code{byteCode},
-			})
+			bc, err := core.Price(prof, byteROM, core.Config{Mem: mem})
 			if err != nil {
 				return nil, err
 			}
-			cc, err := core.Compare(tr, text, core.Config{
-				CacheBytes: 256, Mem: mem, Codec: cp,
-			})
+			cc, err := core.Price(prof, cpROM, core.Config{Mem: mem})
 			if err != nil {
 				return nil, err
 			}

@@ -8,10 +8,11 @@
 // The performance sweeps (Tables 1-10, Figure 9, Tables 11-13) run on the
 // internal/sweep engine: points fan out across a bounded worker pool with
 // results merged by index, and every trained artifact — the preselected
-// code, per-program codes, the CodePack dictionaries, and each program's
-// compressed ROM image — is built once per unique configuration through a
-// content-addressed single-flight cache, no matter how many points or
-// workers need it.
+// code, per-program codes, the CodePack dictionaries, each program's
+// compressed ROM image, and each program's miss profile per cache
+// geometry — is built once per unique configuration through a
+// single-flight cache, no matter how many points or workers need it. A
+// point prices its profile (core.Price) instead of replaying its trace.
 package experiments
 
 import (
@@ -45,9 +46,10 @@ var PerfPrograms = []string{
 // HuffmanBound is the paper's 16-bit codeword cap.
 const HuffmanBound = 16
 
-// Artifact cache: trained coders and compressed ROM images, addressed by
-// content (corpus hash + coder type + configuration). Swapped wholesale
-// by resetArtifacts for cold-cache test runs.
+// Artifact cache: trained coders addressed by content (corpus hash +
+// coder type + configuration), and each corpus program's preselected ROM
+// and miss profiles addressed by its name. Swapped wholesale by
+// resetArtifacts for cold-cache test runs.
 var (
 	artMu sync.Mutex
 	arts  = sweep.NewCache()
@@ -82,30 +84,27 @@ func CorpusHistogram() (*huffman.Histogram, error) {
 	return &h, nil
 }
 
-// Corpus content address, computed once: the corpus registry is immutable
-// for the life of the process, so the key — unlike the artifacts built
-// from it — never needs invalidation.
-var (
-	corpusKeyOnce sync.Once
-	corpusKeyVal  string
-	corpusKeyErr  error
-)
-
-func corpusKey() (string, error) {
-	corpusKeyOnce.Do(func() {
-		var parts []any
-		for _, w := range workload.Figure5Set() {
-			text, err := w.Text()
-			if err != nil {
-				corpusKeyErr = err
-				return
-			}
-			parts = append(parts, text)
-		}
-		corpusKeyVal = sweep.Key(parts...)
-	})
-	return corpusKeyVal, corpusKeyErr
+// corpusKeys holds the corpus's content address and the preselected
+// code's artifact key, computed once: the corpus registry is immutable
+// for the life of the process, so the keys — unlike the artifacts built
+// from them — never need invalidation.
+type corpusKeys struct {
+	corpus string // content address of the Figure 5 texts
+	presel string // artifact key of the preselected code
 }
+
+var corpusKey = sync.OnceValues(func() (corpusKeys, error) {
+	var parts []any
+	for _, w := range workload.Figure5Set() {
+		text, err := w.Text()
+		if err != nil {
+			return corpusKeys{}, err
+		}
+		parts = append(parts, text)
+	}
+	ck := sweep.Key(parts...)
+	return corpusKeys{corpus: ck, presel: sweep.Key("huffman/preselected", HuffmanBound, ck)}, nil
+})
 
 // histogramBytes serializes a histogram for content addressing.
 func histogramBytes(h *huffman.Histogram) []byte {
@@ -121,11 +120,11 @@ func histogramBytes(h *huffman.Histogram) []byte {
 // program and hardwired in the decoder. Trained once per corpus through
 // the artifact cache.
 func PreselectedCode() (*huffman.Code, error) {
-	ck, err := corpusKey()
+	keys, err := corpusKey()
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Get(artifacts(), sweep.Key("huffman/preselected", HuffmanBound, ck),
+	return sweep.Get(artifacts(), keys.presel,
 		func() (*huffman.Code, error) {
 			h, err := CorpusHistogram()
 			if err != nil {
@@ -158,19 +157,41 @@ func OwnCode(text []byte) (*huffman.Code, error) {
 // preselROM returns the program's compressed image under the preselected
 // code — the ROM every performance point of Tables 1-13 and Figure 9
 // shares. Built ROMs are read-only, so one instance serves concurrent
-// workers.
-func preselROM(text []byte) (*core.ROM, error) {
-	code, err := PreselectedCode()
-	if err != nil {
-		return nil, err
-	}
-	ck, err := corpusKey()
-	if err != nil {
-		return nil, err
-	}
-	return sweep.Get(artifacts(), sweep.Key("rom/preselected", HuffmanBound, ck, text),
+// workers. The key is the program's name, not a hash of its text: the
+// workload registry, and with it the preselected code, never changes
+// within a process, and this cache is never persisted.
+func preselROM(w *workload.Workload) (*core.ROM, error) {
+	return sweep.Get(artifacts(), sweep.Key("rom/preselected", w.Name),
 		func() (*core.ROM, error) {
+			code, err := PreselectedCode()
+			if err != nil {
+				return nil, err
+			}
+			text, err := w.Text()
+			if err != nil {
+				return nil, err
+			}
 			return core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}})
+		})
+}
+
+// missProfile returns the program's miss profile under one i-cache and
+// CLB geometry, replayed once per process: the 295 points of Tables 1-13
+// and Figure 9 share 60 of them. A profile prices every ROM of the
+// program (core.Price), so the key names no coder, and the program's
+// name stands for its trace as it does for preselROM's text.
+func missProfile(w *workload.Workload, cacheBytes, ways, clbEntries int) (*core.Profile, error) {
+	return sweep.Get(artifacts(), sweep.Key("profile", w.Name, cacheBytes, ways, clbEntries),
+		func() (*core.Profile, error) {
+			tr, err := w.Trace()
+			if err != nil {
+				return nil, err
+			}
+			rom, err := preselROM(w)
+			if err != nil {
+				return nil, err
+			}
+			return core.Replay(tr, rom, core.Config{CacheBytes: cacheBytes, CacheWays: ways, CLBEntries: clbEntries})
 		})
 }
 
@@ -201,8 +222,11 @@ func currentEngine() *sweep.Engine {
 	return engCur
 }
 
-// compareConfig runs one workload through core.Compare with the
-// preselected code and the given knobs, reusing the cached ROM. The
+// compareConfig computes one workload with the preselected code and the
+// given knobs on a direct-mapped cache, reusing the cached ROM. An
+// uninstrumented point is priced from the cached miss profile of its
+// geometry; an instrumented one (obs.Registry or obs.Sink set) replays
+// its trace through core.Compare, whose probe records every fetch. The
 // train/build/run stages hang off obs.Span (no-ops when tracing is off),
 // so a traced sweep decomposes each point's cost the same way the paper
 // splits coder selection, compression, and execution.
@@ -212,16 +236,8 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 		return nil, fmt.Errorf("experiments: unknown workload %q", name)
 	}
 	obs.Span.SetAttr("workload", name)
-	tr, err := w.Trace()
-	if err != nil {
-		return nil, err
-	}
-	text, err := w.Text()
-	if err != nil {
-		return nil, err
-	}
 	tsp := obs.Span.Child(sweep.StageTrain)
-	_, err = PreselectedCode()
+	_, err := PreselectedCode()
 	if err != nil {
 		tsp.SetError(err)
 		tsp.End()
@@ -229,7 +245,7 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 	}
 	tsp.End()
 	bsp := obs.Span.Child(sweep.StageBuild)
-	rom, err := preselROM(text)
+	rom, err := preselROM(w)
 	if err != nil {
 		bsp.SetError(err)
 		bsp.End()
@@ -249,12 +265,28 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 		cfg.DCacheMissRate = dmiss
 	}
 	rsp := obs.Span.Child(sweep.StageRun)
-	cmp, err := core.Compare(tr, text, cfg)
+	cmp, err := runConfig(w, cfg)
 	if err != nil {
 		rsp.SetError(err)
 	}
 	rsp.End()
 	return cmp, err
+}
+
+// runConfig is compareConfig's run stage.
+func runConfig(w *workload.Workload, cfg core.Config) (*core.Comparison, error) {
+	if cfg.Metrics != nil || cfg.Events != nil {
+		tr, err := w.Trace()
+		if err != nil {
+			return nil, err
+		}
+		return core.Compare(tr, nil, cfg)
+	}
+	p, err := missProfile(w, cfg.CacheBytes, 1, cfg.CLBEntries)
+	if err != nil {
+		return nil, err
+	}
+	return core.Price(p, cfg.ROM, cfg)
 }
 
 // PerfPoint is one row of Tables 1-10 and one point of Figure 9.

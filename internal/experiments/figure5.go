@@ -88,7 +88,7 @@ func figure5Row(w *workload.Workload) (Figure5Row, error) {
 
 	// The preselected ROM is the same image every performance sweep
 	// simulates; the artifact cache hands all of them one build.
-	rom, err := preselROM(text)
+	rom, err := preselROM(w)
 	if err != nil {
 		return Figure5Row{}, err
 	}
@@ -116,11 +116,7 @@ func blockRatio(text []byte, code *huffman.Code, withTable bool) (float64, error
 func LATOverhead() (map[string]float64, error) {
 	out := make(map[string]float64)
 	for _, w := range workload.Figure5Set() {
-		text, err := w.Text()
-		if err != nil {
-			return nil, err
-		}
-		rom, err := preselROM(text)
+		rom, err := preselROM(w)
 		if err != nil {
 			return nil, err
 		}

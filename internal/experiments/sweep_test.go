@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"ccrp/internal/metrics"
 	"ccrp/internal/sweep"
+	"ccrp/internal/workload"
 )
 
 // TestSweepDeterminism is the parallelism contract: the -json document of
@@ -51,5 +53,92 @@ func TestPerfPointCycleCounts(t *testing.T) {
 				t.Errorf("%s: cycles ratio %.6f != relperf %.6f", prog, ratio, p.RelPerf)
 			}
 		}
+	}
+}
+
+// sweepAll runs every point sweep of Tables 1-13 and Figure 9 and returns
+// their -json document.
+func sweepAll(t *testing.T) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := WriteBenchJSON(&b, []string{"tables1-8", "tables9-10", "fig9", "tables11-13"}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestSweepKeepsOneProfilePerGeometry: the artifact cache holds what a
+// sweep needs and no more. A cold sweep on a parallel engine leaves the
+// preselected code, one ROM per program, and one miss profile per
+// (program, cache size, CLB size) geometry of its points, 60 in all; a
+// second sweep adds nothing.
+func TestSweepKeepsOneProfilePerGeometry(t *testing.T) {
+	prev := currentEngine()
+	defer SetEngine(prev)
+	SetEngine(&sweep.Engine{Workers: 4})
+	resetArtifacts()
+	sweepAll(t)
+	n := artifacts().Len()
+
+	profiles := 0
+	lookup := func(prog string, cacheBytes, clbEntries int) {
+		w, _ := workload.ByName(prog)
+		if _, err := missProfile(w, cacheBytes, 1, clbEntries); err != nil {
+			t.Fatal(err)
+		}
+		profiles++
+	}
+	for _, prog := range PerfPrograms {
+		for _, cs := range CacheSizes {
+			lookup(prog, cs, 16)
+		}
+	}
+	for _, prog := range []string{"nasa7", "espresso"} {
+		for _, cs := range CacheSizes {
+			lookup(prog, cs, 4)
+			lookup(prog, cs, 8)
+		}
+	}
+	if profiles != 60 {
+		t.Fatalf("enumerated %d geometries, want 60", profiles)
+	}
+	if got := artifacts().Len(); got != n {
+		t.Errorf("%d sweep geometries had no cached profile", got-n)
+	}
+	if want := 1 + len(PerfPrograms) + profiles; n != want {
+		t.Errorf("artifact cache holds %d entries after a sweep, want %d: the code, %d ROMs and %d profiles",
+			n, want, len(PerfPrograms), profiles)
+	}
+	sweepAll(t)
+	if got := artifacts().Len(); got != n {
+		t.Errorf("a second sweep grew the artifact cache from %d to %d entries", n, got)
+	}
+}
+
+// TestInstrumentedSweepMatchesPriced: a sweep with an engine registry
+// replays every point through core.Compare, and it yields the same points
+// as the sweep priced from cached profiles. Its registry counts the
+// misses the ccrpbench ladder reports as core.icache_misses and
+// core.clb_misses.
+func TestInstrumentedSweepMatchesPriced(t *testing.T) {
+	const (
+		wantICacheMisses = 15855733
+		wantCLBMisses    = 2493804
+	)
+	prev := currentEngine()
+	defer SetEngine(prev)
+	SetEngine(&sweep.Engine{Workers: 2})
+	priced := sweepAll(t)
+	reg := metrics.New()
+	SetEngine(&sweep.Engine{Workers: 2, Registry: reg})
+	if replayed := sweepAll(t); !bytes.Equal(replayed, priced) {
+		t.Errorf("instrumented sweep document differs from the priced one (%d vs %d bytes)", len(replayed), len(priced))
+	}
+	misses := reg.Counter("ccrp_cache_accesses_total", "").Value() - reg.Counter("ccrp_cache_hits_total", "").Value()
+	if misses != wantICacheMisses {
+		t.Errorf("registry counts %d i-cache misses, want %d", misses, wantICacheMisses)
+	}
+	if got := reg.Counter("ccrp_clb_misses_total", "").Value(); got != wantCLBMisses {
+		t.Errorf("registry counts %d CLB misses, want %d", got, wantCLBMisses)
 	}
 }
