@@ -52,12 +52,16 @@ isa-smoke:
 
 # Short fuzz pass over every fuzz target in the repository, FUZZTIME
 # each. Patterns are anchored: go test -fuzz needs exactly one match.
+# The two stored-coder decoders take 0.5-2 KB inputs, and minimizing
+# each new one for go test's default 60 s would spend all of FUZZTIME,
+# so their lines cap minimization at 1 s.
 FUZZTIME ?= 10s
 FUZZ = $(GO) test -run=^$$ -fuzztime=$(FUZZTIME)
 fuzz:
 	$(FUZZ) -fuzz='^FuzzReadROMFile$$' ./internal/core
 	$(FUZZ) -fuzz='^FuzzDecodeLine$$' ./internal/codepack
 	$(FUZZ) -fuzz='^FuzzTrainEncodeDecode$$' ./internal/codepack
+	$(FUZZ) -fuzz='^FuzzUnmarshalCoder$$' -fuzzminimizetime=1s ./internal/codepack
 	$(FUZZ) -fuzz='^FuzzDecode$$' ./internal/huffman
 	$(FUZZ) -fuzz='^FuzzUnmarshalCode$$' ./internal/huffman
 	$(FUZZ) -fuzz='^FuzzMultiDecoderDifferential$$' ./internal/huffman
@@ -72,4 +76,5 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzDecompressHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzCompressHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzSimulateHandler$$' ./internal/server
+	$(FUZZ) -fuzz='^FuzzLoadStoredCoder$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzReadTrace$$' ./internal/trace

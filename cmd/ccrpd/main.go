@@ -18,11 +18,13 @@
 // is compressed for that request alone and kept nowhere, so memory does
 // not grow with compress traffic.
 //
-// With -store, trained coders persist in a disk-backed content-addressed
-// artifact store under DIR, and the daemon warm-starts on boot: every
-// stored coder is verified, re-registered, and served without retraining
-// — the serving analogue of the paper's ROMs surviving power cycles.
-// ROM images never persist; they rebuild from the coder on demand.
+// With -store, trained coders persist under DIR (server.Store), one file
+// per coder id, and the daemon warm-starts on boot: every stored coder is
+// verified, re-registered, and served without retraining — the serving
+// analogue of the paper's ROMs surviving power cycles. An id this node
+// has not registered is looked up in DIR by its file name before a 404,
+// so nodes sharing DIR serve each other's coders. ROM images never
+// persist; they rebuild from the coder on demand.
 //
 // -trace streams every finished span as JSONL; each request's root span
 // is its record (method, route, status, duration, error code, trace id).
@@ -43,7 +45,6 @@ import (
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/server"
-	"ccrp/internal/sweep"
 	"ccrp/internal/tracing"
 )
 
@@ -79,7 +80,7 @@ func main() {
 		Tracer:          tracer,
 	}
 	if *storeDir != "" {
-		if cfg.Store, err = sweep.OpenDiskStore(*storeDir); err != nil {
+		if cfg.Store, err = server.OpenStore(*storeDir); err != nil {
 			fatal(err)
 		}
 	}

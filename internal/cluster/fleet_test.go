@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ccrp/internal/server"
-	"ccrp/internal/sweep"
 	"ccrp/internal/tracing"
 	"ccrp/internal/workload"
 )
@@ -75,7 +74,7 @@ func bootFleet(t *testing.T) *liveFleet {
 	}
 	var nodes []string
 	for i := 0; i < 3; i++ {
-		store, err := sweep.OpenDiskStore(dir)
+		store, err := server.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

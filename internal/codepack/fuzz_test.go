@@ -102,6 +102,39 @@ func FuzzTrainEncodeDecode(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalCoder hardens the store-facing decode of a serialized
+// coder: arbitrary bytes either fail to unmarshal or give a coder that
+// decodes arbitrary lines with at worst an error, and whose every
+// successful EncodeLine decodes back to the line.
+func FuzzUnmarshalCoder(f *testing.F) {
+	blob, err := fuzzCoder(f).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	line := make([]byte, 32)
+	for i := range line {
+		line[i] = byte(i * 7)
+	}
+	f.Add(blob, line)
+
+	f.Fuzz(func(t *testing.T, p, line []byte) {
+		c, err := UnmarshalCoder(p)
+		if err != nil {
+			return
+		}
+		line = line[:min(len(line), 64)/4*4]
+		dst := make([]byte, len(line))
+		_ = c.DecodeLineInto(dst, line) // arbitrary bytes: an error at worst
+		enc, err := c.EncodeLine(line)
+		if err != nil {
+			return
+		}
+		if err := c.DecodeLineInto(dst, enc); err != nil || !bytes.Equal(dst, line) {
+			t.Fatalf("EncodeLine(%x) = %x decodes to (%x, %v)", line, enc, dst, err)
+		}
+	})
+}
+
 // TestDecodeLineNegativeLength pins the hardened error path: a negative
 // word-aligned length must return ErrBadLine, not panic in make.
 func TestDecodeLineNegativeLength(t *testing.T) {

@@ -11,8 +11,6 @@ import (
 	"net/http"
 	"sort"
 	"time"
-
-	"ccrp/internal/sweep"
 )
 
 // artifactInfo is the wire shape of one stored artifact. ID is the
@@ -35,29 +33,20 @@ type artifactsResponse struct {
 }
 
 // listArtifacts enumerates the store's coders, newest first (ties broken
-// by id for a deterministic listing). Entries of any other class, such
-// as the ROM images older daemons persisted, are not listed.
+// by id for a deterministic listing). Files of any other class, such as
+// the ROM images older daemons persisted, are not listed.
 func (s *Server) listArtifacts() (*artifactsResponse, error) {
 	resp := &artifactsResponse{Artifacts: []artifactInfo{}}
-	st := s.cache.Store()
-	if st == nil {
+	if s.cfg.Store == nil {
 		return resp, nil
 	}
 	resp.Store = true
-	arts, err := st.List()
+	arts, err := s.cfg.Store.list()
 	if err != nil {
 		return nil, err
 	}
+	resp.Artifacts = append(resp.Artifacts, arts...)
 	for _, a := range arts {
-		if a.Class != artifactClassCoder {
-			continue
-		}
-		resp.Artifacts = append(resp.Artifacts, artifactInfo{
-			ID:    sweep.HashBytes([]byte(a.Key)),
-			Kind:  a.Class,
-			Size:  a.Size,
-			MTime: a.ModTime,
-		})
 		resp.TotalBytes += int64(a.Size)
 	}
 	sort.Slice(resp.Artifacts, func(i, j int) bool {
@@ -86,7 +75,7 @@ func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) error {
 // reads one header line per artifact — cheap at catalogue scale, and
 // scrapes are seconds apart.
 func (s *Server) refreshStoreBytes() {
-	if s.cache.Store() == nil {
+	if s.cfg.Store == nil {
 		return
 	}
 	resp, err := s.listArtifacts()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"sort"
@@ -240,17 +241,30 @@ func (s *Server) handleTrainCoder(w http.ResponseWriter, r *http.Request) error 
 	return nil
 }
 
-// trainCoderCached resolves (or builds) a trained coder through the
-// artifact cache's persisted path: memory first, then the disk store,
-// then a real build that is written through. Either way the entry is
-// registered under its id for later requests. sp may be the nil span.
+// trainCoderCached resolves (or builds) a trained coder: the artifact
+// cache first, then the disk store, then a real build that is written
+// through. A failed write loses only durability, never the coder. Either
+// way the entry is registered under its id for later requests. sp may
+// be the nil span.
 func (s *Server) trainCoderCached(sp *tracing.Span, key, id, kind string, bound int, corpus [][]byte) (*coderEntry, error) {
-	entry, err := sweep.GetStored(s.cache, key, coderCodec, func() (*coderEntry, error) {
-		s.metricsMu.Lock()
-		s.inst.builds.Inc()
-		s.metricsMu.Unlock()
+	entry, err := sweep.Get(s.cache, key, func() (*coderEntry, error) {
+		stored, err := s.fromStore(id)
+		if err == nil {
+			return stored, nil
+		}
+		if s.cfg.Store != nil && errors.Is(err, errNotStored) {
+			s.count(s.inst.storeMisses)
+		}
+		s.count(s.inst.builds)
 		sp.SetAttrInt("built", 1) // this request ran the build, not a cache/store hit
-		return buildCoder(id, kind, bound, corpus)
+		built, err := buildCoder(id, kind, bound, corpus)
+		if err != nil {
+			return nil, err
+		}
+		if s.cfg.Store != nil && s.cfg.Store.save(key, built) == nil {
+			s.count(s.inst.storeWrites)
+		}
+		return built, nil
 	})
 	if err != nil {
 		return nil, err
@@ -288,13 +302,14 @@ func (s *Server) coderByID(id string) (*coderEntry, error) {
 // disk store before 404ing: when fleet members share a store, a coder
 // trained through one node resolves on any peer — which is what lets a
 // router fail a coder's traffic over to the ring successor without the
-// client ever seeing "unknown coder".
+// client ever seeing "unknown coder". The fallback opens at most the
+// one file the id names, and a malformed id opens none.
 func (s *Server) resolveCoder(ctx context.Context, id string) (*coderEntry, error) {
 	sp := tracing.FromContext(ctx).Child(StageCoderGet)
 	defer sp.End()
 	entry, err := s.coderByID(id)
 	if err != nil {
-		if restored, ok := s.coderFromStore(id); ok {
+		if restored, err := s.fromStore(id); err == nil {
 			sp.SetAttrInt("store_restored", 1)
 			return restored, nil
 		}

@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/core"
 	"ccrp/internal/experiments"
 	"ccrp/internal/huffman"
+	"ccrp/internal/sweep"
 	"ccrp/internal/workload"
 )
 
@@ -21,14 +24,20 @@ import (
 const coderPlaceholder = "@coder"
 
 // fuzzHarness is a server holding a trained preselected coder, driven in
-// process: the handler fuzz targets post to it.
+// process: the handler fuzz targets post to it. Its store is a temporary
+// directory, so every coder id the server has not registered reaches the
+// store's id-to-file lookup.
 type fuzzHarness struct {
 	s     *Server
 	coder string
 }
 
 func newFuzzHarness(f *testing.F) *fuzzHarness {
-	fh := &fuzzHarness{s: New(Config{})}
+	st, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	fh := &fuzzHarness{s: New(Config{Store: st})}
 	var coder coderInfo
 	fh.mustPost(f, "/v1/coders", trainRequest{Kind: KindPreselected}, &coder)
 	fh.coder = coder.ID
@@ -138,9 +147,10 @@ func FuzzDecompressHandler(f *testing.F) {
 // FuzzCompressHandler posts arbitrary /v1/compress bodies to the same
 // harness. A 200's blocks_b64 and lines decode through /v1/decompress to
 // the submitted text, zero-padded to whole lines; any other answer is a
-// typed 4xx. Client text is kept nowhere, so the artifact cache never
-// holds more than its set-up entries plus one ROM per named (workload,
-// alignment).
+// typed 4xx, and a 404 not_found for any coder_id but the harness's,
+// however it is spelled. Client text is kept nowhere, so the artifact
+// cache never holds more than its set-up entries plus one ROM per named
+// (workload, alignment).
 func FuzzCompressHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
 	limit := fh.s.cache.Len() + 2*len(workload.Names())
@@ -153,13 +163,26 @@ func FuzzCompressHandler(f *testing.F) {
 		if n := fh.s.cache.Len(); n > limit {
 			t.Fatalf("artifact cache holds %d entries, over the bound %d", n, limit)
 		}
+		// The handler's own decoding: the first JSON value, no unknown
+		// fields.
+		var req compressRequest
+		jd := json.NewDecoder(bytes.NewReader(body))
+		jd.DisallowUnknownFields()
+		parsed := jd.Decode(&req) == nil
+		if parsed && req.CoderID != "" && req.CoderID != fh.coder {
+			var eb errorBody
+			if rec.Code != http.StatusNotFound || json.Unmarshal(rec.Body.Bytes(), &eb) != nil ||
+				eb.Error == nil || eb.Error.Code != CodeNotFound {
+				t.Fatalf("coder_id %q: want a 404 %s, got %d %s", req.CoderID, CodeNotFound, rec.Code, rec.Body)
+			}
+			return
+		}
 		if rec.Code != http.StatusOK {
 			wantTyped4xx(t, rec)
 			return
 		}
-		var req compressRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			t.Fatalf("200 for a body that does not parse: %v", err)
+		if !parsed {
+			t.Fatalf("200 for a body that does not parse: %s", body)
 		}
 		var text []byte
 		var err error
@@ -256,4 +279,76 @@ func FuzzSimulateHandler(f *testing.F) {
 				resp.Standard, resp.CCRP, want.Standard, want.CCRP)
 		}
 	})
+}
+
+// FuzzLoadStoredCoder writes arbitrary bytes as a coder file and loads
+// it. The file is named by the hash of its header's key when the first
+// line parses, so mutations reach the checks past the name; the same
+// payload is also loaded under that header with its length and hash
+// made to match, so mutations reach the gob decoder. load either errs or
+// returns a coder whose ID is the file's id, never panics, and a coder
+// it accepts saves and loads back equal.
+func FuzzLoadStoredCoder(f *testing.F) {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "store-v1", "*"+storeExt))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range fixtures {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	st := &Store{dir: f.TempDir()}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var hdr storeHeader
+		line, payload, ok := bytes.Cut(raw, []byte{'\n'})
+		if ok {
+			_ = json.Unmarshal(line, &hdr) // a bad header is load's to reject
+		}
+		loadStoredFile(t, st, hdr.Key, raw)
+		if ok {
+			hdr.Len, hdr.SHA256 = len(payload), sweep.HashBytes(payload)
+			fixed, err := json.Marshal(hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadStoredFile(t, st, hdr.Key, append(append(fixed, '\n'), payload...))
+		}
+	})
+}
+
+// loadStoredFile writes raw as the file of key's id and checks load's
+// contract on it.
+func loadStoredFile(t *testing.T, st *Store, key string, raw []byte) {
+	t.Helper()
+	id := sweep.HashBytes([]byte(key))
+	path := st.path(id)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Remove(path)
+	entry, err := st.load(id)
+	if err != nil {
+		return
+	}
+	if entry.ID != id {
+		t.Fatalf("load(%s) returned coder %s", id, entry.ID)
+	}
+	want, err := encodeCoderEntry(entry)
+	if err != nil {
+		t.Fatalf("accepted coder does not encode: %v", err)
+	}
+	if err := st.save(key, entry); err != nil {
+		t.Fatalf("accepted coder does not save: %v", err)
+	}
+	back, err := st.load(id)
+	if err != nil {
+		t.Fatalf("saved coder does not load: %v", err)
+	}
+	if got, err := encodeCoderEntry(back); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("coder changed across save and load (err %v)", err)
+	}
 }

@@ -86,12 +86,12 @@ type Config struct {
 	// disables span recording; the trace id in responses is independent
 	// of it.
 	Tracer *tracing.Tracer
-	// Store, when set, persists trained coders across restarts: the
-	// artifact cache checks it before training and writes through after,
-	// and WarmStart re-registers every stored coder on boot (cmd/ccrpd's
-	// -store flag). ROM images never persist. nil keeps the cache
-	// memory-only.
-	Store sweep.Store
+	// Store, when set, persists trained coders across restarts: training
+	// checks it before building and writes through after, an id missing
+	// from the registry is looked up in it before a 404, and WarmStart
+	// re-registers every stored coder on boot (cmd/ccrpd's -store flag).
+	// ROM images never persist. nil keeps coders in memory only.
+	Store *Store
 	// MaxBatchItems bounds the item count of one :batch request; 0
 	// selects 256.
 	MaxBatchItems int
@@ -213,9 +213,6 @@ func New(cfg Config) *Server {
 
 		batchItems:      s.registry.Counter("ccrpd_batch_items_total", "items processed across batch requests"),
 		batchItemErrors: s.registry.Counter("ccrpd_batch_item_errors_total", "batch items that failed"),
-	}
-	if cfg.Store != nil {
-		s.cache.SetStore(cfg.Store, storeObserver{s})
 	}
 
 	s.route("POST /v1/coders", cfg.TrainTimeout, s.handleTrainCoder)

@@ -1,27 +1,34 @@
 // Persistence: the durable-artifact side of ccrpd. In the paper the
 // code is trained once, offline, and survives every power cycle. This
 // file gives the daemon's trained coders the same property: written
-// through sweep's content-addressed disk store, verified on the way back
-// in, and re-registered on boot so a restarted daemon serves its whole
-// coder catalogue without a single retrain. ROM images do not persist: a
-// named workload's ROM rebuilds from its coder in milliseconds on first
-// use, and client text is compressed per request (Server.buildROM).
+// through to a Store, verified on the way back in, and re-registered on
+// boot so a restarted daemon serves its whole coder catalogue without a
+// single retrain. ROM images do not persist: a named workload's ROM
+// rebuilds from its coder in milliseconds on first use, and client text
+// is compressed per request (Server.buildROM).
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"ccrp/internal/codepack"
 	"ccrp/internal/huffman"
+	"ccrp/internal/metrics"
 	"ccrp/internal/sweep"
 )
 
-// artifactClassCoder is the artifact class recorded in every stored
-// coder's header; warm start filters on it and the codec refuses a class
-// mismatch.
+// artifactClassCoder is the class every coder file's header records.
+// Older daemons also stored ROM images (class "rom") under the same
+// naming; those files are neither listed nor loaded.
 const artifactClassCoder = "coder"
 
 // coderEntryWire is the gob shape of a persisted coderEntry. The
@@ -35,13 +42,6 @@ type coderEntryWire struct {
 	CorpusBytes int
 	Codes       [][]byte // huffman.Code.MarshalBinary, in order
 	CodePack    []byte   // codepack.Coder.MarshalBinary, when Kind == codepack
-}
-
-// coderCodec serializes trained coders for the artifact store.
-var coderCodec = sweep.Codec[*coderEntry]{
-	Name:   artifactClassCoder,
-	Encode: encodeCoderEntry,
-	Decode: decodeCoderEntry,
 }
 
 func encodeCoderEntry(e *coderEntry) ([]byte, error) {
@@ -105,109 +105,262 @@ func decodeCoderEntry(blob []byte) (*coderEntry, error) {
 	return e, nil
 }
 
-// storeObserver folds the cache's store traffic into the server's
-// metrics registry. Instruments are single-threaded by design, so every
-// update goes under metricsMu like the handler-side metrics; calls
-// arrive from whichever goroutine is building an artifact.
-type storeObserver struct{ s *Server }
-
-func (o storeObserver) StoreHit(string) { o.inc(o.s.inst.storeHits) }
-
-func (o storeObserver) StoreMiss(string) { o.inc(o.s.inst.storeMisses) }
-
-func (o storeObserver) StoreWrite(string) { o.inc(o.s.inst.storeWrites) }
-
-func (o storeObserver) StoreCorrupt(string, error) { o.inc(o.s.inst.storeCorrupt) }
-
-func (o storeObserver) inc(c interface{ Inc() }) {
-	o.s.metricsMu.Lock()
-	c.Inc()
-	o.s.metricsMu.Unlock()
+// Store keeps trained coders on disk, one file per coder id: the coder
+// with id I lives in DIR/I.art. An id is the SHA-256 of the coder's
+// cache key, so the file name is the public id, and resolving an id
+// costs one open.
+//
+// A file is one JSON header line (format version, cache key, class,
+// payload length, payload SHA-256) followed by the gob payload. A load
+// trusts the bytes only after every check passes: the length and hash
+// match, the class is "coder", the key hashes to the file name, and the
+// decoded coder carries that same id. Anything else is corrupt, never
+// served. Saves write a temporary file and rename it into place, so a
+// reader sees the old coder or the new one, never a prefix.
+type Store struct {
+	dir string
 }
 
-// coderFromStore restores a coder by its public id from the disk
-// store, registering it on success. This is the fleet-sharing path: in
-// a multi-node deployment whose members share a store (or inherit one
-// from a dead peer), a node can be asked for a coder id some *other*
-// node trained after this node's warm start. The id is the SHA-256 of
-// the cache key, which is also the artifact's file name, so the lookup
-// enumerates headers and matches on hash — one directory scan on the
-// miss path only, never on the hot path — and restoreCoder then requires
-// the stored coder's id to be that same hash.
-func (s *Server) coderFromStore(id string) (*coderEntry, bool) {
-	st := s.cache.Store()
-	if st == nil {
-		return nil, false
+// storeExt names coder files; anything else in the directory is ignored.
+const storeExt = ".art"
+
+// storeVersion is the only header format version.
+const storeVersion = 1
+
+// storeHeader is the JSON first line of every coder file.
+type storeHeader struct {
+	V      int    `json:"v"`
+	Key    string `json:"key"`
+	Class  string `json:"class"`
+	Len    int    `json:"len"`
+	SHA256 string `json:"sha256"`
+}
+
+// errNotStored reports an id with no coder file. Ids that are not 64
+// lowercase hex digits get it without touching the file system.
+var errNotStored = errors.New("coder not in store")
+
+// OpenStore opens the coder store in dir, creating the directory if
+// needed.
+func OpenStore(dir string) (*Store, error) {
+	if dir == "" {
+		return nil, errors.New("store: empty directory name")
 	}
-	arts, err := st.List()
-	if err != nil {
-		return nil, false
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, a := range arts {
-		if a.Class == artifactClassCoder && sweep.HashBytes([]byte(a.Key)) == id {
-			return s.restoreCoder(st, a.Key)
+	return &Store{dir: dir}, nil
+}
+
+// validID reports whether id is 64 lowercase hex digits, the only form
+// sweep.HashBytes produces. Only such an id becomes a file name.
+func validID(id string) bool {
+	if len(id) != 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
 		}
 	}
-	return nil, false
+	return true
 }
 
-// restoreCoder loads the stored coder under key, verifies its class and
-// payload, and registers it in the cache and the registry — the step
-// warm start and coderFromStore share. A coder's id is the hash of its
-// key (normalizeTrain), so a payload whose id differs is misfiled: it is
-// counted as corrupt like a damaged one, and never registered.
-func (s *Server) restoreCoder(st sweep.Store, key string) (*coderEntry, bool) {
-	obs := storeObserver{s}
-	class, blob, err := st.Load(key)
-	if err != nil || class != artifactClassCoder {
-		obs.StoreCorrupt(key, err)
-		return nil, false
+func (st *Store) path(id string) string { return filepath.Join(st.dir, id+storeExt) }
+
+// load reads, verifies and decodes the coder stored under id. It returns
+// errNotStored when there is no such file, and any other error for a
+// file that fails a check or cannot be read.
+func (st *Store) load(id string) (*coderEntry, error) {
+	if !validID(id) {
+		return nil, errNotStored
 	}
-	entry, err := decodeCoderEntry(blob)
-	if err != nil || entry.ID != sweep.HashBytes([]byte(key)) {
-		obs.StoreCorrupt(key, err)
-		return nil, false
+	raw, err := os.ReadFile(st.path(id))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, errNotStored
 	}
-	obs.StoreHit(key)
-	s.cache.Seed(key, entry)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	line, payload, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok {
+		return nil, fmt.Errorf("store: %s: missing header line", id)
+	}
+	hdr, err := parseStoreHeader(id, line)
+	if err != nil {
+		return nil, err
+	}
+	if len(payload) != hdr.Len {
+		return nil, fmt.Errorf("store: %s: payload is %d bytes, header says %d", id, len(payload), hdr.Len)
+	}
+	if sweep.HashBytes(payload) != hdr.SHA256 {
+		return nil, fmt.Errorf("store: %s: payload hash mismatch", id)
+	}
+	if hdr.Class != artifactClassCoder {
+		return nil, fmt.Errorf("store: %s: class %q, want %q", id, hdr.Class, artifactClassCoder)
+	}
+	entry, err := decodeCoderEntry(payload)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", id, err)
+	}
+	if entry.ID != id {
+		return nil, fmt.Errorf("store: %s: payload holds coder %s", id, entry.ID)
+	}
+	return entry, nil
+}
+
+// parseStoreHeader parses the header line of the file named id and
+// checks its version and that its key hashes to id.
+func parseStoreHeader(id string, line []byte) (storeHeader, error) {
+	var hdr storeHeader
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return hdr, fmt.Errorf("store: %s: unparseable header: %v", id, err)
+	}
+	if hdr.V != storeVersion {
+		return hdr, fmt.Errorf("store: %s: unsupported version %d", id, hdr.V)
+	}
+	if sweep.HashBytes([]byte(hdr.Key)) != id {
+		return hdr, fmt.Errorf("store: %s: header key belongs to another file", id)
+	}
+	return hdr, nil
+}
+
+// save writes entry, trained under the cache key key, to the file its
+// id names.
+func (st *Store) save(key string, entry *coderEntry) error {
+	blob, err := encodeCoderEntry(entry)
+	if err != nil {
+		return err
+	}
+	hdr, err := json.Marshal(storeHeader{
+		V: storeVersion, Key: key, Class: artifactClassCoder,
+		Len: len(blob), SHA256: sweep.HashBytes(blob),
+	})
+	if err != nil {
+		return fmt.Errorf("store write: %w", err)
+	}
+	final := st.path(sweep.HashBytes([]byte(key)))
+	tmp, err := os.CreateTemp(st.dir, filepath.Base(final)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("store write: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(append(append(hdr, '\n'), blob...)); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store write: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("store write: %w", err)
+	}
+	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
+		return fmt.Errorf("store write: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), final); err != nil {
+		return fmt.Errorf("store write: %w", err)
+	}
+	return nil
+}
+
+// list describes every coder file from its header line alone; payloads
+// are verified by load. A file whose name is not an id, whose header
+// does not parse or belongs to another name, or whose class is not
+// "coder" is skipped.
+func (st *Store) list() ([]artifactInfo, error) {
+	ents, err := os.ReadDir(st.dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	var arts []artifactInfo
+	for _, ent := range ents {
+		id, ok := strings.CutSuffix(ent.Name(), storeExt)
+		if !ok || !validID(id) || ent.IsDir() {
+			continue
+		}
+		hdr, err := st.header(id)
+		if err != nil || hdr.Class != artifactClassCoder {
+			continue
+		}
+		art := artifactInfo{ID: id, Kind: hdr.Class, Size: hdr.Len}
+		if info, err := ent.Info(); err == nil {
+			art.MTime = info.ModTime()
+		}
+		arts = append(arts, art)
+	}
+	return arts, nil
+}
+
+// header reads and parses the first line of the file named id.
+func (st *Store) header(id string) (storeHeader, error) {
+	f, err := os.Open(st.path(id))
+	if err != nil {
+		return storeHeader{}, err
+	}
+	defer f.Close()
+	line, err := bufio.NewReader(f).ReadBytes('\n')
+	if err != nil {
+		return storeHeader{}, fmt.Errorf("store: %s: missing header line", id)
+	}
+	return parseStoreHeader(id, line[:len(line)-1])
+}
+
+// fromStore loads the coder id from the store and registers it, the one
+// path training, the fleet-sharing fallback in resolveCoder and warm
+// start share. It counts a store hit, or a corrupt file; errNotStored
+// (also the answer without a store) counts neither.
+func (s *Server) fromStore(id string) (*coderEntry, error) {
+	if s.cfg.Store == nil {
+		return nil, errNotStored
+	}
+	entry, err := s.cfg.Store.load(id)
+	if errors.Is(err, errNotStored) {
+		return nil, err
+	}
+	if err != nil {
+		s.count(s.inst.storeCorrupt)
+		return nil, err
+	}
+	s.count(s.inst.storeHits)
 	s.codersMu.Lock()
-	s.coders[entry.ID] = entry
+	s.coders[id] = entry
 	s.codersMu.Unlock()
-	return entry, true
+	return entry, nil
 }
 
-// WarmStart loads every stored coder into the registry and the in-memory
-// cache, the boot-time analogue of the paper's "the ROM is already
-// written": after it returns, a request for any previously trained coder
-// id resolves without a build, and POST /v1/coders of the same corpus is
-// a pure cache hit. Damaged artifacts are skipped (and counted as
-// corrupt); they will be rebuilt on first demand. Returns the number of
-// coders registered.
+// count increments one registry counter; instruments are
+// single-threaded by design, so every update goes under metricsMu.
+func (s *Server) count(c *metrics.Counter) {
+	s.metricsMu.Lock()
+	c.Inc()
+	s.metricsMu.Unlock()
+}
+
+// WarmStart loads every stored coder into the registry, the boot-time
+// analogue of the paper's "the ROM is already written": after it
+// returns, a request for any previously trained coder id resolves
+// without a build. Damaged files are skipped (and counted as corrupt);
+// they will be rebuilt on first demand. Returns the number of coders
+// registered.
 //
 // The pass runs under a store_load span so boot cost shows up in the
 // same stage vocabulary as request cost.
 func (s *Server) WarmStart(ctx context.Context) (int, error) {
-	st := s.cache.Store()
-	if st == nil {
+	if s.cfg.Store == nil {
 		return 0, nil
 	}
 	sp := s.tracer.Start(StageStoreLoad)
 	defer sp.End()
-	arts, err := st.List()
+	arts, err := s.cfg.Store.list()
 	if err != nil {
 		sp.SetError(err)
 		return 0, err
 	}
 	loaded := 0
 	for _, a := range arts {
-		if a.Class != artifactClassCoder {
-			continue
-		}
 		if err := ctx.Err(); err != nil {
 			sp.SetError(err)
 			return loaded, err
 		}
-		if _, ok := s.restoreCoder(st, a.Key); ok {
+		if _, err := s.fromStore(a.ID); err == nil {
 			loaded++
 		}
 	}

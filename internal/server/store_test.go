@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -101,7 +104,7 @@ func TestCoderEntryCodecRoundTrip(t *testing.T) {
 // — with zero coder builds.
 func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	dir := t.TempDir()
-	store, err := sweep.OpenDiskStore(dir)
+	store, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +131,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	ts1.Close()
 
 	// Second life: same store, fresh process.
-	store2, err := sweep.OpenDiskStore(dir)
+	store2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 // skipped, and rebuilt on demand — never served.
 func TestWarmStartSkipsCorruptArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	store, err := sweep.OpenDiskStore(dir)
+	store, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +229,7 @@ func TestWarmStartSkipsCorruptArtifacts(t *testing.T) {
 		t.Fatal("store is empty; nothing was persisted")
 	}
 
-	store2, err := sweep.OpenDiskStore(dir)
+	store2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +246,302 @@ func TestWarmStartSkipsCorruptArtifacts(t *testing.T) {
 	}
 	if got := counterValue(t, s2, "ccrpd_coder_builds_total"); got != "1" {
 		t.Fatalf("rebuild count = %s, want 1", got)
+	}
+}
+
+// joinStoreFile is a version 1 store file: hdr's JSON line, then
+// payload.
+func joinStoreFile(t *testing.T, hdr storeHeader, payload []byte) []byte {
+	t.Helper()
+	line, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(line, '\n'), payload...)
+}
+
+// splitStoreFile is joinStoreFile's inverse.
+func splitStoreFile(t *testing.T, raw []byte) (storeHeader, []byte) {
+	t.Helper()
+	line, payload, _ := bytes.Cut(raw, []byte{'\n'})
+	var hdr storeHeader
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	return hdr, payload
+}
+
+// writeStoreFile files payload under key as any daemon writing version
+// 1 would.
+func writeStoreFile(t *testing.T, dir, key, class string, payload []byte) {
+	t.Helper()
+	hdr := storeHeader{V: storeVersion, Key: key, Class: class, Len: len(payload), SHA256: sweep.HashBytes(payload)}
+	writeFile(t, filepath.Join(dir, sweep.HashBytes([]byte(key))+storeExt), joinStoreFile(t, hdr, payload))
+}
+
+// TestStoreRoundTrip: a saved coder loads back under its id and is
+// listed from its header, and a successful save leaves no stray
+// temporary file.
+func TestStoreRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := coderKey(KindPreselected, 0, nil)
+	id := sweep.HashBytes([]byte(key))
+	if _, err := st.load(id); !errors.Is(err, errNotStored) {
+		t.Fatalf("load of an absent id: %v, want errNotStored", err)
+	}
+	orig, err := buildCoder(id, KindPreselected, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.save(key, orig); err != nil {
+		t.Fatal(err)
+	}
+	back, err := st.load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.ID != id || back.Kind != KindPreselected || back.codes[0].Lengths() != orig.codes[0].Lengths() {
+		t.Fatalf("loaded coder %+v differs from the saved one", back)
+	}
+	arts, err := st.list()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := encodeCoderEntry(orig)
+	if len(arts) != 1 || arts[0].ID != id || arts[0].Kind != artifactClassCoder ||
+		arts[0].Size != len(blob) || arts[0].MTime.IsZero() {
+		t.Fatalf("list = %+v, want the one coder %s of %d bytes", arts, id, len(blob))
+	}
+	files, _ := os.ReadDir(dir)
+	if len(files) != 1 || files[0].Name() != id+storeExt {
+		t.Errorf("store files = %v, want only %s%s", files, id, storeExt)
+	}
+}
+
+// TestStoreLoadRejectsMalformedIDs: an id that is not 64 lowercase hex
+// digits is "not stored" before any file is opened. The store's
+// directory is a regular file here, so any open under it would fail
+// with an error other than errNotStored.
+func TestStoreLoadRejectsMalformedIDs(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := &Store{dir: notDir}
+	id := sweep.HashBytes([]byte("any key"))
+	if _, err := st.load(id); err == nil || errors.Is(err, errNotStored) {
+		t.Fatalf("load(%s) under a file = %v; the check below needs an open to fail otherwise", id, err)
+	}
+	for _, bad := range []string{
+		"", "deadbeef", "../../etc/passwd", id[:63], id + "0",
+		strings.ToUpper(id), "../" + id[3:], id[:63] + "g", id[:62] + "/a",
+	} {
+		if _, err := st.load(bad); !errors.Is(err, errNotStored) {
+			t.Errorf("load(%q) = %v, want errNotStored without touching the file system", bad, err)
+		}
+	}
+}
+
+// TestStoreRejectsCorruptFiles: every damage mode is rejected as
+// corrupt and counted, training rebuilds the coder rather than serving
+// the damaged bytes, and the rebuild repairs the file. Each mode from
+// "edited payload" on fails exactly one of load's checks.
+func TestStoreRejectsCorruptFiles(t *testing.T) {
+	corpus := []byte(strings.Repeat("another coder's corpus ", 8))
+	cases := []struct {
+		name string
+		// corrupt returns the damaged version of the preselected
+		// coder's file, own, given another coder's file.
+		corrupt func(t *testing.T, own, other []byte) []byte
+	}{
+		{"truncated file", func(t *testing.T, own, _ []byte) []byte {
+			return own[:len(own)-7]
+		}},
+		{"flipped payload byte", func(t *testing.T, own, _ []byte) []byte {
+			own[len(own)-1] ^= 0x40
+			return own
+		}},
+		{"empty file", func(t *testing.T, _, _ []byte) []byte {
+			return nil
+		}},
+		{"edited payload", func(t *testing.T, own, _ []byte) []byte {
+			// Same length, still a well-formed coder of this id.
+			hdr, payload := splitStoreFile(t, own)
+			edited := bytes.Replace(payload, []byte(KindPreselected), []byte("Preselected"), 1)
+			if bytes.Equal(edited, payload) {
+				t.Fatal("payload does not spell the coder's kind")
+			}
+			return joinStoreFile(t, hdr, edited)
+		}},
+		{"wrong length in header", func(t *testing.T, own, _ []byte) []byte {
+			hdr, payload := splitStoreFile(t, own)
+			hdr.Len++
+			return joinStoreFile(t, hdr, payload)
+		}},
+		{"wrong key in header", func(t *testing.T, own, other []byte) []byte {
+			hdr, payload := splitStoreFile(t, own)
+			otherHdr, _ := splitStoreFile(t, other)
+			hdr.Key = otherHdr.Key
+			return joinStoreFile(t, hdr, payload)
+		}},
+		{"other class", func(t *testing.T, own, _ []byte) []byte {
+			hdr, payload := splitStoreFile(t, own)
+			hdr.Class = "rom"
+			return joinStoreFile(t, hdr, payload)
+		}},
+		{"payload of another coder", func(t *testing.T, own, other []byte) []byte {
+			hdr, _ := splitStoreFile(t, own)
+			_, payload := splitStoreFile(t, other)
+			hdr.Len, hdr.SHA256 = len(payload), sweep.HashBytes(payload)
+			return joinStoreFile(t, hdr, payload)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts1 := newTestServer(t, Config{Store: st})
+			id := trainPreselected(t, ts1.URL)
+			resp, body := postJSON(t, ts1.URL+"/v1/coders", trainRequest{
+				Kind: KindHuffman, CorpusB64: []string{base64.StdEncoding.EncodeToString(corpus)}})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("train huffman: %d %s", resp.StatusCode, body)
+			}
+			other := decodeAs[coderInfo](t, body).ID
+			writeFile(t, st.path(id), tc.corrupt(t, readFile(t, st.path(id)), readFile(t, st.path(other))))
+
+			if _, err := st.load(id); err == nil || errors.Is(err, errNotStored) {
+				t.Fatalf("load of the damaged file = %v, want a corruption error", err)
+			}
+			s2, ts2 := newTestServer(t, Config{Store: st})
+			if got := trainPreselected(t, ts2.URL); got != id {
+				t.Fatalf("rebuilt coder id %s, want %s", got, id)
+			}
+			for name, want := range map[string]string{
+				"ccrpd_store_corrupt_total": "1",
+				"ccrpd_store_misses_total":  "0",
+				"ccrpd_coder_builds_total":  "1",
+				"ccrpd_store_writes_total":  "1",
+				"ccrpd_store_hits_total":    "0",
+			} {
+				if got := counterValue(t, s2, name); got != want {
+					t.Errorf("%s = %s, want %s", name, got, want)
+				}
+			}
+
+			// The rebuild repaired the file: a fresh node warm-starts
+			// both coders and trains nothing.
+			s3, ts3 := newTestServer(t, Config{Store: st})
+			if n, err := s3.WarmStart(context.Background()); err != nil || n != 2 {
+				t.Fatalf("warm start over the repaired store = (%d, %v), want (2, nil)", n, err)
+			}
+			trainPreselected(t, ts3.URL)
+			if got := counterValue(t, s3, "ccrpd_coder_builds_total"); got != "0" {
+				t.Errorf("repaired store: %s builds, want 0", got)
+			}
+			if got := counterValue(t, s3, "ccrpd_store_corrupt_total"); got != "0" {
+				t.Errorf("repaired store: %s corrupt files, want 0", got)
+			}
+		})
+	}
+}
+
+// TestStoreSaveFailureIsNotFatal: a store that cannot persist does not
+// fail the train; the coder is served from memory, only durability is
+// lost.
+func TestStoreSaveFailureIsNotFatal(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Store: st})
+	id := trainPreselected(t, ts.URL)
+	if resp, body := postJSON(t, ts.URL+"/v1/compress", compressRequest{CoderID: id, Workload: "eightq"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress with an unsaved coder: %d %s", resp.StatusCode, body)
+	}
+	if got := counterValue(t, s, "ccrpd_coder_builds_total"); got != "1" {
+		t.Errorf("builds = %s, want 1", got)
+	}
+	if got := counterValue(t, s, "ccrpd_store_misses_total"); got != "1" {
+		t.Errorf("misses = %s, want 1: the probe fell through to the build", got)
+	}
+	if got := counterValue(t, s, "ccrpd_store_writes_total"); got != "0" {
+		t.Errorf("writes = %s, want 0: the save had nowhere to go", got)
+	}
+}
+
+// TestStoreV1Compatibility pins the file format: testdata/store-v1
+// holds a preselected coder and a codepack coder trained on eightq,
+// written by ccrpd -store before the store moved into this package. A
+// node warm-starts both without a build, and compresses byte-identically
+// to a node that trains them afresh.
+func TestStoreV1Compatibility(t *testing.T) {
+	dir := t.TempDir()
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "store-v1", "*"+storeExt))
+	if err != nil || len(fixtures) != 2 {
+		t.Fatalf("fixtures = %v (err %v), want 2 coder files", fixtures, err)
+	}
+	for _, f := range fixtures {
+		writeFile(t, filepath.Join(dir, filepath.Base(f)), readFile(t, f))
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, tsWarm := newTestServer(t, Config{Store: st})
+	if n, err := warm.WarmStart(context.Background()); err != nil || n != 2 {
+		t.Fatalf("warm start over the v1 store = (%d, %v), want (2, nil)", n, err)
+	}
+
+	_, tsFresh := newTestServer(t, Config{})
+	for _, req := range []trainRequest{
+		{Kind: KindPreselected},
+		{Kind: KindCodePack, Workloads: []string{"eightq"}},
+	} {
+		resp, body := postJSON(t, tsFresh.URL+"/v1/coders", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("train %s: %d %s", req.Kind, resp.StatusCode, body)
+		}
+		id := decodeAs[coderInfo](t, body).ID
+		if _, err := os.Stat(filepath.Join(dir, id+storeExt)); err != nil {
+			t.Fatalf("fresh %s coder %s has no v1 fixture: %v", req.Kind, id, err)
+		}
+		comp := compressRequest{CoderID: id, Workload: "eightq"}
+		_, want := postJSON(t, tsFresh.URL+"/v1/compress", comp)
+		resp, got := postJSON(t, tsWarm.URL+"/v1/compress", comp)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: stored coder compresses to %d %d bytes, fresh one to %d bytes",
+				req.Kind, resp.StatusCode, len(got), len(want))
+		}
+	}
+	if got := counterValue(t, warm, "ccrpd_coder_builds_total"); got != "0" {
+		t.Errorf("warm node ran %s builds, want 0", got)
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+func writeFile(t *testing.T, path string, raw []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,20 +19,13 @@ import (
 // Values are cached unconditionally. Errors are cached only when they
 // are deterministic in the key — a build that fails because its input is
 // malformed will fail identically forever, so the failure is as
-// permanent as a success. Transient failures (a cancelled context, an
-// expired deadline, or anything wrapped with Transient) are delivered to
-// the waiters of the failed flight but NOT cached: the next caller of
-// the key retries the build instead of inheriting a poisoned entry.
-//
-// With SetStore, the cache gains a durable second level: GetStored
-// consults the store before building and writes freshly built artifacts
-// through, so artifacts survive process restarts.
+// permanent as a success. A build cut short by a cancelled context or an
+// expired deadline delivers its failure to the waiters of that flight
+// but is NOT cached: the next caller of the key retries the build
+// instead of inheriting a poisoned entry.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-
-	store Store         // nil: memory-only
-	obs   StoreObserver // nil: unobserved
 }
 
 type cacheEntry struct {
@@ -45,27 +38,6 @@ type cacheEntry struct {
 func NewCache() *Cache {
 	return &Cache{entries: make(map[string]*cacheEntry)}
 }
-
-// StoreObserver receives store-traffic notifications from GetStored.
-// Implementations must be safe for concurrent use; every method may be
-// called from any goroutine that is building an artifact.
-type StoreObserver interface {
-	StoreHit(key string)                // artifact served from disk
-	StoreMiss(key string)               // absent from disk; build ran
-	StoreWrite(key string)              // freshly built artifact persisted
-	StoreCorrupt(key string, err error) // stored artifact rejected; rebuilt
-}
-
-// SetStore attaches a durable store (and an optional traffic observer)
-// to the cache. Call before the cache is shared; the fields are read
-// without synchronization on the build path.
-func (c *Cache) SetStore(s Store, obs StoreObserver) {
-	c.store = s
-	c.obs = obs
-}
-
-// Store returns the attached store, nil when memory-only.
-func (c *Cache) Store() Store { return c.store }
 
 // Len reports the number of cached keys (settled or in flight).
 func (c *Cache) Len() int {
@@ -94,7 +66,7 @@ func (c *Cache) do(key string, build func() (any, error)) (any, error) {
 				e.err = fmt.Errorf("sweep: building %q: %w",
 					key, &PanicError{Value: r})
 			}
-			if e.err != nil && IsTransient(e.err) {
+			if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
 				// Deliver the failure to this flight's waiters but do not
 				// cache it: a cancelled or deadline-expired build says
 				// nothing about the key, and caching it would poison the
@@ -112,50 +84,6 @@ func (c *Cache) do(key string, build func() (any, error)) (any, error) {
 	return e.val, e.err
 }
 
-// Seed inserts a prebuilt artifact for key, as if a build had just
-// completed successfully. An existing entry (settled or in flight) wins:
-// seeding never clobbers live state. Warm start uses this to register
-// store-loaded artifacts so later Gets hit memory without a disk read.
-func (c *Cache) Seed(key string, val any) {
-	e := &cacheEntry{done: make(chan struct{}), val: val}
-	close(e.done)
-	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok {
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-}
-
-// transientError marks a failure as retryable for caching purposes.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the cache will not memoize it: the next caller
-// of the same key retries the build. Use it for failures caused by the
-// environment (disk full, out of workers) rather than by the key's
-// content. A nil err stays nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is a retryable build failure: a
-// context cancellation or deadline expiry anywhere in the chain, or an
-// explicit Transient wrapper.
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	var te *transientError
-	return errors.As(err, &te) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
 // Get returns the cached artifact of type T for key, building and caching
 // it on first use. Requesting one key with two different types is a
 // programming error and is reported as one.
@@ -171,82 +99,6 @@ func Get[T any](c *Cache, key string, build func() (T, error)) (T, error) {
 		return zero, fmt.Errorf("sweep: cache key %q holds %T, not %T", key, v, zero)
 	}
 	return out, nil
-}
-
-// Codec serializes one artifact type for the durable store. Name is the
-// artifact class recorded in every stored header — warm start filters on
-// it, and GetStored rejects a stored artifact whose class does not match
-// the codec asking for it (a key collision across types would otherwise
-// decode garbage).
-type Codec[T any] struct {
-	Name   string
-	Encode func(T) ([]byte, error)
-	Decode func([]byte) (T, error)
-}
-
-// GetStored is Get with durable write-through: on a memory miss it
-// consults the cache's store before building, and persists a freshly
-// built artifact after. A stored artifact that fails verification or
-// decoding is rejected and rebuilt — corruption is never served — and a
-// failed persist never fails the build (the artifact is good; only its
-// durability is lost). Without an attached store this is exactly Get.
-func GetStored[T any](c *Cache, key string, codec Codec[T], build func() (T, error)) (T, error) {
-	if c.store == nil {
-		return Get(c, key, build)
-	}
-	return Get(c, key, func() (T, error) {
-		if v, ok := loadStored(c, key, codec); ok {
-			return v, nil
-		}
-		v, err := build()
-		if err != nil {
-			return v, err
-		}
-		if blob, err := codec.Encode(v); err == nil {
-			if err := c.store.Save(key, codec.Name, blob); err == nil && c.obs != nil {
-				c.obs.StoreWrite(key)
-			}
-		}
-		return v, nil
-	})
-}
-
-// loadStored attempts to serve key from the store, classifying the
-// outcome for the observer.
-func loadStored[T any](c *Cache, key string, codec Codec[T]) (T, bool) {
-	var zero T
-	class, blob, err := c.store.Load(key)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrNotInStore):
-		if c.obs != nil {
-			c.obs.StoreMiss(key)
-		}
-		return zero, false
-	default:
-		// Corrupt or unreadable: rebuild rather than trust the bytes.
-		if c.obs != nil {
-			c.obs.StoreCorrupt(key, err)
-		}
-		return zero, false
-	}
-	if class != codec.Name {
-		if c.obs != nil {
-			c.obs.StoreCorrupt(key, fmt.Errorf("sweep: artifact class %q, codec wants %q", class, codec.Name))
-		}
-		return zero, false
-	}
-	v, err := codec.Decode(blob)
-	if err != nil {
-		if c.obs != nil {
-			c.obs.StoreCorrupt(key, fmt.Errorf("sweep: decoding stored artifact: %w", err))
-		}
-		return zero, false
-	}
-	if c.obs != nil {
-		c.obs.StoreHit(key)
-	}
-	return v, true
 }
 
 // Key derives a cache key from its parts. Byte slices are content-

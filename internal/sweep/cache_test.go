@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,6 +82,48 @@ func TestCacheCachesErrors(t *testing.T) {
 	if b := builds.Load(); b != 1 {
 		t.Errorf("failing build ran %d times, want 1", b)
 	}
+}
+
+// TestCacheTransientErrorsRetry: a cancelled or deadline-expired build
+// failure is delivered to its waiters but not memoized — the next caller
+// rebuilds. Deterministic failures stay cached.
+func TestCacheTransientErrorsRetry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"context.Canceled", context.Canceled},
+		{"wrapped deadline", fmt.Errorf("store write: %w", context.DeadlineExceeded)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache()
+			builds := 0
+			if _, err := Get(c, "k", func() (int, error) { builds++; return 0, tc.err }); !errors.Is(err, tc.err) {
+				t.Fatalf("first Get = %v, want %v", err, tc.err)
+			}
+			v, err := Get(c, "k", func() (int, error) { builds++; return 7, nil })
+			if err != nil || v != 7 {
+				t.Fatalf("retry Get = (%d, %v), want (7, nil)", v, err)
+			}
+			if builds != 2 {
+				t.Fatalf("build ran %d times, want 2 (transient failure retried)", builds)
+			}
+		})
+	}
+
+	t.Run("deterministic error stays cached", func(t *testing.T) {
+		c := NewCache()
+		builds := 0
+		permanent := errors.New("malformed corpus")
+		for i := 0; i < 3; i++ {
+			if _, err := Get(c, "k", func() (int, error) { builds++; return 0, permanent }); !errors.Is(err, permanent) {
+				t.Fatalf("Get = %v, want the cached permanent error", err)
+			}
+		}
+		if builds != 1 {
+			t.Fatalf("build ran %d times, want 1 (permanent failure cached)", builds)
+		}
+	})
 }
 
 // TestCacheBuildPanic: a panicking build releases waiters with an error

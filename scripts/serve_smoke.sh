@@ -5,21 +5,22 @@
 # are in-process Go tests under internal/server, internal/cluster and
 # internal/cliutil.
 #
-# Starts ccrpd with -trace and ccrp-router -fleet in front of it, polls
-# /healthz until both answer, runs a train -> compress -> decompress
-# round trip and compares the served ROM byte-for-byte against
-# cmd/ccpack's on-disk output for the same workload, sends one compress
-# through the router (byte-identical to the direct one, carrying
-# X-Ccrp-Backend), scrapes /metrics, SIGTERMs both processes and asserts
-# clean drains (exit 0), then runs ccrp-spans -json over the daemon's
-# span file.
+# Starts ccrpd with -trace and -store and ccrp-router -fleet in front of
+# it, polls /healthz until both answer, trains a coder and checks that
+# /v1/artifacts lists exactly that coder from the store, runs a
+# compress -> decompress round trip and compares the served ROM
+# byte-for-byte against cmd/ccpack's on-disk output for the same
+# workload, sends one compress through the router (byte-identical to the
+# direct one, carrying X-Ccrp-Backend), scrapes /metrics, SIGTERMs both
+# processes and asserts clean drains (exit 0), then runs ccrp-spans
+# -json over the daemon's span file.
 #
 # Usage: scripts/serve_smoke.sh [port]    (the router takes port+1)
 #
 # Needs only a POSIX shell, go, curl and python3 (JSON field extraction
 # and base64 decoding). With CCRP_SMOKE_DIR set, the working directory
-# (logs, span file) lives under it and is kept for CI failure-artifact
-# upload.
+# (logs, span file, store) lives under it and is kept for CI
+# failure-artifact upload.
 set -eu
 # pipefail surfaces failures on the left side of pipes; it is not in
 # POSIX sh everywhere, so probe for it instead of assuming bash.
@@ -96,7 +97,7 @@ done
 
 echo "== starting ccrpd on $base"
 "$work/ccrpd" -addr "127.0.0.1:${port}" -trace "$work/spans.jsonl" \
-	>"$work/ccrpd.log" 2>&1 &
+	-store "$work/store" >"$work/ccrpd.log" 2>&1 &
 pid=$!
 wait_healthy "$base" "$pid" ccrpd
 
@@ -113,6 +114,15 @@ curl -fsS -X POST "$base/v1/coders" -d '{"kind":"preselected"}' \
 	>"$work/coder.json" || fail "train request"
 coder=$(jsonget "$work/coder.json" '["id"]')
 [ -n "$coder" ] || fail "no coder id returned"
+
+echo "== the store lists the trained coder"
+curl -fsS "$base/v1/artifacts" >"$work/artifacts.json" || fail "artifacts request"
+python3 -c '
+import json, sys
+a = json.load(open(sys.argv[1]))
+assert a["store"] is True, a
+assert [x["id"] for x in a["artifacts"]] == [sys.argv[2]], a
+' "$work/artifacts.json" "$coder" || fail "/v1/artifacts does not list exactly the trained coder"
 
 echo "== compressing workload $wl"
 curl -fsS -X POST "$base/v1/compress" \
