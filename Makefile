@@ -52,9 +52,10 @@ isa-smoke:
 
 # Short fuzz pass over every fuzz target in the repository, FUZZTIME
 # each. Patterns are anchored: go test -fuzz needs exactly one match.
-# The two stored-coder decoders take 0.5-2 KB inputs, and minimizing
-# each new one for go test's default 60 s would spend all of FUZZTIME,
-# so their lines cap minimization at 1 s.
+# The two stored-coder decoders take 0.5-2 KB inputs, and the :batch
+# handlers up to 5 KB (a batch at its 256-item limit); minimizing each
+# new one for go test's default 60 s would spend all of FUZZTIME, so
+# their lines cap minimization at 1 s.
 FUZZTIME ?= 10s
 FUZZ = $(GO) test -run=^$$ -fuzztime=$(FUZZTIME)
 fuzz:
@@ -75,6 +76,8 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzRoundTrip$$' ./internal/lzw
 	$(FUZZ) -fuzz='^FuzzDecompressHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzCompressHandler$$' ./internal/server
+	$(FUZZ) -fuzz='^FuzzCompressBatchHandler$$' -fuzzminimizetime=1s ./internal/server
+	$(FUZZ) -fuzz='^FuzzDecompressBatchHandler$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzSimulateHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzLoadStoredCoder$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzReadTrace$$' ./internal/trace

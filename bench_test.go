@@ -174,9 +174,11 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cmp, err := Compare(res.Trace, prog.Text, SystemConfig{
-			CacheBytes: 256, Mem: EPROM(), Codes: []*Code{code},
-		})
+		rom, err := BuildROM(prog.Text, ROMOptions{Codes: []*Code{code}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cmp, err := Compare(res.Trace, rom, SystemConfig{CacheBytes: 256, Mem: EPROM()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,7 +20,10 @@
 //   - the compression tool and ROM image model — BuildROM;
 //   - the trace-driven system simulator comparing a standard processor
 //     with a CCRP over EPROM, burst EPROM, and static-column DRAM
-//     instruction memories — Compare;
+//     instruction memories — Compare, which runs a trace over a built
+//     ROM on the machine a SystemConfig describes;
+//   - compressed demand paging, the paper's §5 extension — BuildPageStore
+//     and SimulatePaging, which pages a trace from a built store;
 //   - the benchmark corpus mirroring the paper's programs — Workloads;
 //   - every table and figure of the paper's evaluation — Figure5,
 //     Tables1to8, Tables9and10, Figure9, Tables11to13, and RenderAll.
@@ -63,9 +66,10 @@ type (
 	Code = huffman.Code
 	// ROM is a compressed program image: blocks plus Line Address Table.
 	ROM = core.ROM
-	// ROMOptions configures ROM compression (codes, alignment).
+	// ROMOptions configures ROM compression (codes or codec, alignment).
 	ROMOptions = core.Options
-	// SystemConfig describes one simulated system (cache, CLB, memory).
+	// SystemConfig describes one simulated machine (cache, CLB, memory,
+	// decoder); the program image it runs is a ROM.
 	SystemConfig = core.Config
 	// Comparison is the standard-vs-CCRP outcome for one trace.
 	Comparison = core.Comparison
@@ -138,9 +142,11 @@ func PreselectedCode() (*Code, error) { return experiments.PreselectedCode() }
 // BuildROM compresses a text image line by line into a CCRP ROM.
 func BuildROM(text []byte, opts ROMOptions) (*ROM, error) { return core.BuildROM(text, opts) }
 
-// Compare runs a trace through the standard and CCRP system models.
-func Compare(tr *Trace, text []byte, cfg SystemConfig) (*Comparison, error) {
-	return core.Compare(tr, text, cfg)
+// Compare runs a trace through the standard and CCRP system models, the
+// CCRP fetching from rom, the traced program's compressed image. A ROM is
+// only read, so one may serve many configurations and concurrent calls.
+func Compare(tr *Trace, rom *ROM, cfg SystemConfig) (*Comparison, error) {
+	return core.Compare(tr, rom, cfg)
 }
 
 // Memory models of the paper's §4.2.1.
@@ -172,8 +178,7 @@ func NewHuffmanCodec(code *Code) LineCodec { return core.NewHuffmanCodec(code) }
 
 // TrainCodePack builds a CodePack-style coder from instruction images
 // (the §5 "more sophisticated encoding" successor scheme). The result
-// satisfies LineCodec and plugs into BuildROM and Compare via
-// ROMOptions.Codec / SystemConfig.Codec.
+// satisfies LineCodec and plugs into BuildROM via ROMOptions.Codec.
 func TrainCodePack(images ...[]byte) (*CodePackCoder, error) {
 	return codepack.Train(images...)
 }
@@ -187,31 +192,21 @@ func BuildPageStore(image []byte, code *Code, pageBytes int) (*PageStore, error)
 	return pagedvm.BuildStore(image, code, pageBytes)
 }
 
-// SimulatePaging pages a program's code through a frames-page LRU pool
-// driven by its instruction trace, comparing compressed against standard
-// backing stores.
-func SimulatePaging(tr *Trace, image []byte, code *Code, pageBytes, frames int, dev PagingDevice) (*PagingResult, error) {
-	return pagedvm.Simulate(tr, image, code, pageBytes, frames, dev)
+// SimulatePaging pages a program's code from store, its page-compressed
+// image (BuildPageStore), through a frames-page LRU pool driven by its
+// instruction trace, comparing the compressed store against paging the
+// same pages uncompressed. The page size is the store's.
+func SimulatePaging(tr *Trace, store *PageStore, frames int, dev PagingDevice) (*PagingResult, error) {
+	return pagedvm.Simulate(tr, store, frames, dev)
 }
 
 // RenderAll writes every reproduced table and figure, plus the ablation
-// studies, to w in the paper's layout.
+// and extension studies, to w in the paper's layout: the experiments
+// ccrp-bench -exp all prints, in its order.
 func RenderAll(w io.Writer) error {
-	steps := []func(io.Writer) error{
-		experiments.RenderFigure5,
-		experiments.RenderFigure1,
-		func(w io.Writer) error { return experiments.RenderFigure2(w, "eightq", 14) },
-		experiments.RenderTables1to8,
-		experiments.RenderTables9and10,
-		experiments.RenderFigure9,
-		experiments.RenderTables11to13,
-		experiments.RenderAblations,
-		experiments.RenderExtensions,
-		experiments.RenderPaging,
-		experiments.RenderCodePack,
-	}
-	for _, f := range steps {
-		if err := f(w); err != nil {
+	for _, name := range experiments.Experiments {
+		render, _ := experiments.Renderer(name)
+		if err := render(w); err != nil {
 			return err
 		}
 	}

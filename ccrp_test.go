@@ -64,11 +64,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	for _, mem := range MemoryModels() {
-		cmp, err := Compare(res.Trace, prog.Text, SystemConfig{
-			CacheBytes: 256,
-			Mem:        mem,
-			Codes:      []*Code{code},
-		})
+		cmp, err := Compare(res.Trace, rom, SystemConfig{CacheBytes: 256, Mem: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +143,8 @@ func TestRenderAllSmoke(t *testing.T) {
 	if err := RenderAll(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Figure 5", "Table 1", "Table 8", "Table 13", "Figure 9", "Ablation"} {
+	for _, want := range []string{"Figure 5", "Table 1", "Table 8", "Table 13", "Figure 9", "Ablation",
+		`CCRP vs. RISC-V "C" Extension`} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("RenderAll output missing %q", want)
 		}
@@ -274,7 +271,7 @@ func TestPagingFacade(t *testing.T) {
 	if store.Ratio() >= 1 {
 		t.Errorf("page store ratio %.3f", store.Ratio())
 	}
-	res, err := SimulatePaging(tr, text, code, 1024, 2, FlashDevice())
+	res, err := SimulatePaging(tr, store, 2, FlashDevice())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,26 +77,11 @@ func main() {
 		return
 	}
 
-	runners := map[string]func(io.Writer) error{
-		"fig1":        experiments.RenderFigure1,
-		"fig2":        func(w io.Writer) error { return experiments.RenderFigure2(w, "eightq", 14) },
-		"fig5":        experiments.RenderFigure5,
-		"fig9":        experiments.RenderFigure9,
-		"tables1-8":   experiments.RenderTables1to8,
-		"tables9-10":  experiments.RenderTables9and10,
-		"tables11-13": experiments.RenderTables11to13,
-		"ablations":   experiments.RenderAblations,
-		"extensions":  experiments.RenderExtensions,
-		"paging":      experiments.RenderPaging,
-		"codepack":    experiments.RenderCodePack,
-		"rvc":         experiments.RenderRVC,
-	}
-
 	if names == nil {
 		names = experiments.Experiments
 	}
 	for _, name := range names {
-		run, ok := runners[name]
+		run, ok := experiments.Renderer(name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "ccrp-bench: unknown experiment %q; have all %v\n", name, experiments.Experiments)
 			os.Exit(2)

@@ -1,7 +1,8 @@
 // Command ccsim is the trace-driven system simulator of the paper's §4.1:
 // it executes a program functionally to obtain its instruction trace and
-// pipeline stalls, then runs the trace through both the standard R2000
-// system model and the CCRP model, reporting relative performance, miss
+// pipeline stalls, compresses its text into a ROM under the preselected
+// code, then runs the trace through both the standard R2000 system model
+// and the CCRP model over that ROM, reporting relative performance, miss
 // rate, and memory traffic.
 //
 // Usage:
@@ -14,8 +15,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ccrp/internal/cliutil"
@@ -45,96 +48,165 @@ type comparisonJSON struct {
 }
 
 func main() {
-	cacheBytes := flag.Int("cache", 1024, "instruction cache size in bytes")
-	clbEntries := flag.Int("clb", 16, "CLB entries")
-	memName := flag.String("mem", "Burst EPROM", `memory model: "EPROM", "Burst EPROM", or "DRAM"`)
-	dmiss := flag.Float64("dmiss", 1.0, "data cache miss rate (1.0 = no data cache)")
-	quiet := flag.Bool("q", false, "suppress the program's console output")
-	wl := flag.String("workload", "", "simulate a corpus workload")
-	saveTrace := flag.String("savetrace", "", "write the instruction trace to this file")
-	loadTrace := flag.String("trace", "", "drive the comparison from a saved trace (with prog.img for the text)")
-	asJSON := flag.Bool("json", false, "emit the comparison as a single JSON object on stdout")
-	obsFlags := cliutil.RegisterObsFlags(flag.CommandLine)
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var ue usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &ue):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "ccsim:", err)
+		os.Exit(1)
+	}
+}
+
+// usageError is a bad command line, already reported with the usage
+// text; main exits 2 on it, as flag parsing does.
+type usageError struct{ error }
+
+// run parses args, simulates, and writes the comparison to stdout.
+// Progress lines go to stdout too, or to stderr in -json mode, so that
+// stdout is a single parseable object; command-line problems go to
+// stderr.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("ccsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: ccsim [flags] (-workload name | prog.img | prog.s)")
+		fs.PrintDefaults()
+	}
+	cacheBytes := fs.Int("cache", 1024, "instruction cache size in bytes")
+	clbEntries := fs.Int("clb", 16, "CLB entries")
+	memName := fs.String("mem", "Burst EPROM", `memory model: "EPROM", "Burst EPROM", or "DRAM"`)
+	dmiss := fs.Float64("dmiss", 1.0, "data cache miss rate in [0, 1] (1.0 = no data cache)")
+	quiet := fs.Bool("q", false, "suppress the program's console output")
+	wl := fs.String("workload", "", "simulate a corpus workload")
+	saveTrace := fs.String("savetrace", "", "write the instruction trace to this file")
+	loadTrace := fs.String("trace", "", "drive the comparison from a saved trace (with prog.img for the text)")
+	asJSON := fs.Bool("json", false, "emit the comparison as a single JSON object on stdout")
+	obsFlags := cliutil.RegisterObsFlags(fs)
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
 	cliutil.HandleVersionFlag("ccsim", version)
+	usage := func(format string, a ...any) error {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return usageError{err}
+	}
+	// The negated test also rejects NaN.
+	if !(*dmiss >= 0 && *dmiss <= 1) {
+		return usage("-dmiss %g outside [0, 1]", *dmiss)
+	}
+	if *loadTrace == "" && *wl == "" && fs.NArg() != 1 {
+		return usage("want -workload name or one program")
+	}
+	progress := stdout
+	if *asJSON {
+		progress = stderr
+	}
 
 	mem, err := cliutil.MemoryModel(*memName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	obs, err := obsFlags.Begin()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer func() {
+		if err != nil {
+			obs.Finish(io.Discard) // close the sink and profiles; the run's error wins
+			return
+		}
+		err = obs.Finish(stdout)
+	}()
 
 	var tr *trace.Trace
 	var text []byte
 	var name string
 	switch {
 	case *loadTrace != "":
-		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-trace needs the program image for the text section"))
+		if fs.NArg() != 1 {
+			return fmt.Errorf("-trace needs the program image for the text section")
 		}
 		loaded, err := cliutil.LoadTrace(*loadTrace)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		prog, err := cliutil.LoadProgram(flag.Arg(0))
+		prog, err := cliutil.LoadProgram(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		report(*asJSON, "loaded trace: %d instructions, %d stalls\n", loaded.Instructions(), loaded.Stalls)
+		fmt.Fprintf(progress, "loaded trace: %d instructions, %d stalls\n", loaded.Instructions(), loaded.Stalls)
 		tr, text, name = loaded, prog.Text, *loadTrace
 	case *wl != "":
 		w, err := cliutil.ResolveWorkload(*wl)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		t, err := w.Trace()
+		res, out, err := w.Run()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		txt, err := w.Text()
-		if err != nil {
-			fatal(err)
+		if text, err = w.Text(); err != nil {
+			return err
 		}
-		res, out, _ := w.Run()
 		if !*quiet && !*asJSON {
-			fmt.Print(out)
+			fmt.Fprint(stdout, out)
 		}
-		report(*asJSON, "executed %d instructions, %d stalls\n", res.Instructions, res.Stalls)
-		tr, text, name = t, txt, *wl
-	case flag.NArg() == 1:
-		prog, err := cliutil.LoadProgram(flag.Arg(0))
+		fmt.Fprintf(progress, "executed %d instructions, %d stalls\n", res.Instructions, res.Stalls)
+		tr, name = res.Trace, *wl
+	default:
+		prog, err := cliutil.LoadProgram(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		stdout := os.Stdout
+		console := stdout
 		if *quiet || *asJSON {
-			stdout = nil
+			console = nil
 		}
-		m := sim.New(prog, sim.Config{Stdout: stdout, CollectTrace: true, Metrics: obs.Registry})
+		m := sim.New(prog, sim.Config{Stdout: console, CollectTrace: true, Metrics: obs.Registry})
 		res, err := m.Run()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		report(*asJSON, "executed %d instructions, %d stalls\n", res.Instructions, res.Stalls)
-		tr, text, name = res.Trace, prog.Text, flag.Arg(0)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: ccsim [flags] (-workload name | prog.img | prog.s)")
-		os.Exit(2)
+		fmt.Fprintf(progress, "executed %d instructions, %d stalls\n", res.Instructions, res.Stalls)
+		tr, text, name = res.Trace, prog.Text, fs.Arg(0)
+	}
+
+	if *saveTrace != "" {
+		f, err := os.Create(*saveTrace)
+		if err != nil {
+			return err
+		}
+		if _, err := tr.WriteTo(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(progress, "wrote trace to %s\n", *saveTrace)
 	}
 
 	codes, err := cliutil.Codes(nil)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	rom, err := core.BuildROM(text, core.Options{Codes: codes})
+	if err != nil {
+		return err
 	}
 	cfg := core.Config{
 		CacheBytes: *cacheBytes,
 		CLBEntries: *clbEntries,
 		Mem:        mem,
-		Codes:      codes,
 		Metrics:    obs.Registry,
 		Events:     obs.Sink,
 	}
@@ -142,26 +214,15 @@ func main() {
 		cfg.DataCache = true
 		cfg.DCacheMissRate = *dmiss
 	}
-	if *saveTrace != "" {
-		f, err := os.Create(*saveTrace)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := tr.WriteTo(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		report(*asJSON, "wrote trace to %s\n", *saveTrace)
-	}
-	cmp, err := core.Compare(tr, text, cfg)
+	cmp, err := core.Compare(tr, rom, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *asJSON {
-		out := comparisonJSON{
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(comparisonJSON{
 			Program:        name,
 			Memory:         mem.Name(),
 			CacheBytes:     *cacheBytes,
@@ -169,46 +230,23 @@ func main() {
 			DCacheMissRate: *dmiss,
 			Instructions:   tr.Instructions(),
 			Stalls:         tr.Stalls,
-			ROMOriginal:    cmp.ROM.OriginalSize,
-			ROMCompressed:  cmp.ROM.CompressedSize(),
-			ROMRatio:       cmp.ROM.Ratio(),
+			ROMOriginal:    rom.OriginalSize,
+			ROMCompressed:  rom.CompressedSize(),
+			ROMRatio:       rom.Ratio(),
 			Standard:       cmp.Standard,
 			CCRP:           cmp.CCRP,
 			RelPerf:        cmp.RelativePerformance(),
 			MissRate:       cmp.MissRate(),
 			TrafficRatio:   cmp.TrafficRatio(),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		fmt.Printf("\n%s on %s, %dB cache, %d-entry CLB:\n", name, mem.Name(), *cacheBytes, *clbEntries)
-		fmt.Printf("  compressed ROM:        %d -> %d bytes (%.1f%%)\n",
-			cmp.ROM.OriginalSize, cmp.ROM.CompressedSize(), 100*cmp.ROM.Ratio())
-		fmt.Printf("  cache miss rate:       %.2f%%\n", 100*cmp.MissRate())
-		fmt.Printf("  standard cycles:       %d\n", cmp.Standard.Cycles)
-		fmt.Printf("  CCRP cycles:           %d (CLB misses: %d)\n", cmp.CCRP.Cycles, cmp.CCRP.CLBMisses)
-		fmt.Printf("  relative performance:  %.3f (CCRP/standard; <1 means CCRP faster)\n", cmp.RelativePerformance())
-		fmt.Printf("  memory traffic:        %.1f%%\n", 100*cmp.TrafficRatio())
+		})
 	}
-	if err := obs.Finish(os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-// report prints progress lines, rerouting them to stderr in -json mode so
-// stdout stays a single parseable object.
-func report(asJSON bool, format string, args ...any) {
-	w := os.Stdout
-	if asJSON {
-		w = os.Stderr
-	}
-	fmt.Fprintf(w, format, args...)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccsim:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "\n%s on %s, %dB cache, %d-entry CLB:\n", name, mem.Name(), *cacheBytes, *clbEntries)
+	fmt.Fprintf(stdout, "  compressed ROM:        %d -> %d bytes (%.1f%%)\n",
+		rom.OriginalSize, rom.CompressedSize(), 100*rom.Ratio())
+	fmt.Fprintf(stdout, "  cache miss rate:       %.2f%%\n", 100*cmp.MissRate())
+	fmt.Fprintf(stdout, "  standard cycles:       %d\n", cmp.Standard.Cycles)
+	fmt.Fprintf(stdout, "  CCRP cycles:           %d (CLB misses: %d)\n", cmp.CCRP.Cycles, cmp.CCRP.CLBMisses)
+	fmt.Fprintf(stdout, "  relative performance:  %.3f (CCRP/standard; <1 means CCRP faster)\n", cmp.RelativePerformance())
+	fmt.Fprintf(stdout, "  memory traffic:        %.1f%%\n", 100*cmp.TrafficRatio())
+	return nil
 }

@@ -49,22 +49,9 @@ func main() {
 	schemes := []struct {
 		name string
 		opts ccrp.ROMOptions
-		cfg  func(mem ccrp.MemoryModel) ccrp.SystemConfig
 	}{
-		{
-			name: "byte-Huffman (paper)",
-			opts: ccrp.ROMOptions{Codes: []*ccrp.Code{byteCode}},
-			cfg: func(mem ccrp.MemoryModel) ccrp.SystemConfig {
-				return ccrp.SystemConfig{CacheBytes: 256, Mem: mem, Codes: []*ccrp.Code{byteCode}}
-			},
-		},
-		{
-			name: "CodePack-style",
-			opts: ccrp.ROMOptions{Codec: cp},
-			cfg: func(mem ccrp.MemoryModel) ccrp.SystemConfig {
-				return ccrp.SystemConfig{CacheBytes: 256, Mem: mem, Codec: cp}
-			},
-		},
+		{"byte-Huffman (paper)", ccrp.ROMOptions{Codes: []*ccrp.Code{byteCode}}},
+		{"CodePack-style", ccrp.ROMOptions{Codec: cp}},
 	}
 
 	fmt.Printf("espresso (%d bytes of code), 256B cache:\n\n", len(text))
@@ -79,7 +66,7 @@ func main() {
 		fmt.Printf("%s: ROM %.1f%% of original, %d/%d raw lines\n",
 			s.name, 100*rom.Ratio(), rom.RawLines(), len(rom.Lines))
 		for _, mem := range []ccrp.MemoryModel{ccrp.EPROM(), ccrp.BurstEPROM()} {
-			cmp, err := ccrp.Compare(tr, text, s.cfg(mem))
+			cmp, err := ccrp.Compare(tr, rom, ccrp.SystemConfig{CacheBytes: 256, Mem: mem})
 			if err != nil {
 				log.Fatal(err)
 			}

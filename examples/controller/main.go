@@ -162,10 +162,9 @@ func main() {
 	// An engine controller ships with the cheapest parts that meet the
 	// deadline: compare loop latency on plain EPROM vs burst EPROM.
 	for _, mem := range []ccrp.MemoryModel{ccrp.EPROM(), ccrp.BurstEPROM()} {
-		cmp, err := ccrp.Compare(res.Trace, prog.Text, ccrp.SystemConfig{
+		cmp, err := ccrp.Compare(res.Trace, rom, ccrp.SystemConfig{
 			CacheBytes: 256, // a small on-chip cache, i960KA-style
 			Mem:        mem,
-			Codes:      []*ccrp.Code{code},
 		})
 		if err != nil {
 			log.Fatal(err)

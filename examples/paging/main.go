@@ -40,7 +40,7 @@ func main() {
 	fmt.Println("Frame pool  Device  Faults  Transfer saved  Fault-time ratio")
 	for _, dev := range []ccrp.PagingDevice{ccrp.FlashDevice(), ccrp.DiskDevice()} {
 		for _, frames := range []int{4, 8} {
-			res, err := ccrp.SimulatePaging(tr, text, code, 4096, frames, dev)
+			res, err := ccrp.SimulatePaging(tr, store, frames, dev)
 			if err != nil {
 				log.Fatal(err)
 			}

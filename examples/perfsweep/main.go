@@ -33,6 +33,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The host tool compresses the program once; every point runs the
+	// same ROM.
+	rom, err := ccrp.BuildROM(text, ccrp.ROMOptions{Codes: []*ccrp.Code{code}})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	t := &tablefmt.Table{
 		Title:   fmt.Sprintf("%s - relative performance by cache size and memory model", w.Name),
@@ -42,11 +48,7 @@ func main() {
 		row := []string{fmt.Sprintf("%d", cs)}
 		var miss, traffic float64
 		for _, mem := range ccrp.MemoryModels() {
-			cmp, err := ccrp.Compare(tr, text, ccrp.SystemConfig{
-				CacheBytes: cs,
-				Mem:        mem,
-				Codes:      []*ccrp.Code{code},
-			})
+			cmp, err := ccrp.Compare(tr, rom, ccrp.SystemConfig{CacheBytes: cs, Mem: mem})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -71,14 +71,11 @@ func main() {
 		rom.OriginalSize, rom.CompressedSize(), 100*rom.Ratio(),
 		100*float64(rom.TableSize())/float64(rom.OriginalSize))
 
-	// 3. Compare standard vs CCRP on each memory model.
+	// 3. Compare standard vs CCRP on each memory model, the CCRP fetching
+	// from the ROM just built.
 	fmt.Println("-- standard vs CCRP --")
 	for _, mem := range ccrp.MemoryModels() {
-		cmp, err := ccrp.Compare(res.Trace, prog.Text, ccrp.SystemConfig{
-			CacheBytes: 256,
-			Mem:        mem,
-			Codes:      []*ccrp.Code{code},
-		})
+		cmp, err := ccrp.Compare(res.Trace, rom, ccrp.SystemConfig{CacheBytes: 256, Mem: mem})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -325,11 +326,12 @@ func syntheticTrace(textBytes, loopBytes, iterations int) *trace.Trace {
 func compareWith(t *testing.T, cfg Config, loopBytes int) *Comparison {
 	t.Helper()
 	text := riscLikeText(8192, 42)
-	if cfg.Codes == nil {
-		cfg.Codes = []*huffman.Code{testCode(t, text)}
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	tr := syntheticTrace(len(text), loopBytes, 50)
-	cmp, err := Compare(tr, text, cfg)
+	cmp, err := Compare(tr, rom, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,23 +433,60 @@ func TestOverlapReducesCycles(t *testing.T) {
 
 func TestCompareErrors(t *testing.T) {
 	text := riscLikeText(256, 9)
-	code := testCode(t, text)
-	if _, err := Compare(&trace.Trace{}, text, Config{Codes: []*huffman.Code{code}}); !errors.Is(err, ErrEmptyTrace) {
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compare(&trace.Trace{}, rom, Config{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Errorf("empty trace err = %v", err)
 	}
 	tr := &trace.Trace{}
 	tr.Add(0x10000, false, false)
-	if _, err := Compare(tr, text, Config{Codes: []*huffman.Code{code}}); err == nil {
+	if _, err := Compare(tr, rom, Config{}); err == nil {
 		t.Error("out-of-text fetch accepted")
 	}
-	if _, err := Compare(tr, text, Config{}); !errors.Is(err, ErrNoCodes) {
-		t.Errorf("missing codes err = %v", err)
-	}
-	if _, err := Compare(tr, text, Config{Codes: []*huffman.Code{code}, CacheBytes: 300}); err == nil {
+	if _, err := Compare(tr, rom, Config{CacheBytes: 300}); err == nil {
 		t.Error("bad cache geometry accepted")
 	}
-	if _, err := Compare(tr, text, Config{Codes: []*huffman.Code{code}, CLBEntries: -1}); err == nil {
+	if _, err := Compare(tr, rom, Config{CLBEntries: -1}); err == nil {
 		t.Error("negative CLB size accepted")
+	}
+}
+
+// TestBadMissRateRejected: a data-cache miss rate outside [0, 1], NaN
+// included, is ErrMissRate from Price and from Compare, never cycles from
+// a wrapped product; without DataCache the rate is not read.
+func TestBadMissRateRejected(t *testing.T) {
+	text := riscLikeText(8192, 42)
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := syntheticTrace(len(text), 4096, 5)
+	p, err := Replay(tr, rom, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.DataAccesses == 0 {
+		t.Fatal("no data accesses; test premise broken")
+	}
+	for _, rate := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1)} {
+		cfg := Config{DataCache: true, DCacheMissRate: rate}
+		if cmp, err := Price(p, rom, cfg); !errors.Is(err, ErrMissRate) {
+			t.Errorf("Price at miss rate %g = %+v, %v; want ErrMissRate", rate, cmp, err)
+		}
+		if cmp, err := Compare(tr, rom, cfg); !errors.Is(err, ErrMissRate) {
+			t.Errorf("Compare at miss rate %g = %+v, %v; want ErrMissRate", rate, cmp, err)
+		}
+		cfg.DataCache = false
+		if _, err := Price(p, rom, cfg); err != nil {
+			t.Errorf("miss rate %g without a data cache: %v", rate, err)
+		}
+	}
+	for _, rate := range []float64{0, 1} {
+		if _, err := Price(p, rom, Config{DataCache: true, DCacheMissRate: rate}); err != nil {
+			t.Errorf("miss rate %g: %v", rate, err)
+		}
 	}
 }
 
@@ -463,10 +502,10 @@ func TestCompareAllocsIndependentOfMisses(t *testing.T) {
 	}
 	tr := syntheticTrace(len(text), 4096, 5)
 	allocs := func(cacheBytes int) (float64, uint64) {
-		cfg := Config{CacheBytes: cacheBytes, Mem: memory.BurstEPROM{}, ROM: rom}
+		cfg := Config{CacheBytes: cacheBytes, Mem: memory.BurstEPROM{}}
 		var misses uint64
 		n := testing.AllocsPerRun(5, func() {
-			cmp, err := Compare(tr, text, cfg)
+			cmp, err := Compare(tr, rom, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -570,8 +609,7 @@ func TestProfileIndependentOfCoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ROM = codec
-	want, err := Compare(tr, nil, cfg)
+	want, err := Compare(tr, codec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,11 +634,15 @@ func BenchmarkBuildROM(b *testing.B) {
 func BenchmarkCompare(b *testing.B) {
 	text := riscLikeText(8192, 11)
 	code := testCode(b, text)
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{code}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr := syntheticTrace(len(text), 4096, 20)
-	cfg := Config{CacheBytes: 1024, Mem: memory.BurstEPROM{}, Codes: []*huffman.Code{code}}
+	cfg := Config{CacheBytes: 1024, Mem: memory.BurstEPROM{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compare(tr, text, cfg); err != nil {
+		if _, err := Compare(tr, rom, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -643,11 +685,15 @@ func TestAssociativityHelpsConflictHeavyTrace(t *testing.T) {
 		tr.Add(uint32(i%8)*4, false, false)
 		tr.Add(4096+uint32(i%8)*4, false, false)
 	}
-	dm, err := Compare(tr, text, Config{CacheBytes: 1024, Mem: memory.EPROM{}, Codes: []*huffman.Code{code}})
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{code}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, err := Compare(tr, text, Config{CacheBytes: 1024, CacheWays: 2, Mem: memory.EPROM{}, Codes: []*huffman.Code{code}})
+	dm, err := Compare(tr, rom, Config{CacheBytes: 1024, Mem: memory.EPROM{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := Compare(tr, rom, Config{CacheBytes: 1024, CacheWays: 2, Mem: memory.EPROM{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -761,7 +807,7 @@ func TestCodecPlugPoint(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Add(uint32(i%64)*4, false, false)
 	}
-	cmp, err := Compare(tr, text, Config{CacheBytes: 256, Mem: memory.EPROM{}, Codec: testCodec{}})
+	cmp, err := Compare(tr, rom, Config{CacheBytes: 256, Mem: memory.EPROM{}})
 	if err != nil {
 		t.Fatal(err)
 	}

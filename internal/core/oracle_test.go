@@ -56,12 +56,11 @@ func TestCompareMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cfg := range configs(prog) {
-				cfg.ROM = rom
 				want, err := core.ReferenceCompare(tr, rom, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := core.Compare(tr, nil, cfg)
+				got, err := core.Compare(tr, rom, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -37,6 +37,10 @@ func TestInstrumentedOutputPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rom, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := metrics.New()
 	events := sha256.New()
 	sink := metrics.NewJSONLSink(events)
@@ -44,11 +48,10 @@ func TestInstrumentedOutputPinned(t *testing.T) {
 		CacheBytes: 1024,
 		CLBEntries: 16,
 		Mem:        memory.BurstEPROM{},
-		Codes:      []*huffman.Code{code},
 		Metrics:    reg,
 		Events:     sink,
 	}
-	if _, err := core.Compare(tr, text, cfg); err != nil {
+	if _, err := core.Compare(tr, rom, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {

@@ -30,7 +30,7 @@ func referenceCompare(tr *trace.Trace, rom *ROM, cfg Config) (*Comparison, error
 		return refill - min(cfg.OverlapCycles, refill)
 	}
 
-	cmp := &Comparison{ROM: rom}
+	cmp := &Comparison{}
 	std, ccrp := &cmp.Standard, &cmp.CCRP
 
 	stdLineRefill := charge(engine.RawLineCycles(LineSize))

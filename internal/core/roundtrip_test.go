@@ -17,11 +17,11 @@ import (
 // and traffic, bit for bit.
 func TestTraceSaveLoadCycleIdentical(t *testing.T) {
 	text := riscLikeText(8192, 7)
-	cfg := Config{
-		CacheBytes: 512,
-		Mem:        memory.BurstEPROM{},
-		Codes:      []*huffman.Code{testCode(t, text)},
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg := Config{CacheBytes: 512, Mem: memory.BurstEPROM{}}
 	live := syntheticTrace(len(text), 4096, 50)
 
 	var buf bytes.Buffer
@@ -41,11 +41,11 @@ func TestTraceSaveLoadCycleIdentical(t *testing.T) {
 			len(loaded.Events), loaded.Stalls, len(live.Events), live.Stalls)
 	}
 
-	want, err := Compare(live, text, cfg)
+	want, err := Compare(live, rom, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Compare(loaded, text, cfg)
+	got, err := Compare(loaded, rom, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func (s *countSink) Close() error       { return nil }
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	text := riscLikeText(8192, 7)
 	tr := syntheticTrace(len(text), 4096, 50)
-	cfg := Config{
-		CacheBytes: 512,
-		Mem:        memory.BurstEPROM{},
-		Codes:      []*huffman.Code{testCode(t, text)},
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, err := Compare(tr, text, cfg)
+	cfg := Config{CacheBytes: 512, Mem: memory.BurstEPROM{}}
+	plain, err := Compare(tr, rom, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	reg := metrics.New()
 	sink := &countSink{}
 	cfg.Metrics, cfg.Events = reg, sink
-	instr, err := Compare(tr, text, cfg)
+	instr, err := Compare(tr, rom, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,23 +6,22 @@ import (
 
 	"ccrp/internal/cache"
 	"ccrp/internal/clb"
-	"ccrp/internal/huffman"
 	"ccrp/internal/lat"
 	"ccrp/internal/memory"
 	"ccrp/internal/metrics"
 	"ccrp/internal/trace"
 )
 
-// Config describes one simulated system configuration (paper §3/§4.1).
+// Config describes one simulated machine (paper §3/§4.1): its cache,
+// CLB, memories and decoder. The program image it runs is not part of
+// it; that is the ROM the host tool built, which Compare, Replay and
+// Price take beside the Config.
 type Config struct {
-	CacheBytes  int          // i-cache size, 256..4096 in the paper
-	CacheWays   int          // associativity; 0/1 = the paper's direct-mapped
-	CLBEntries  int          // 4, 8, or 16
-	Mem         memory.Model // instruction memory timing
-	DecodeRate  int          // decoder bytes/cycle; 0 = the paper's 2
-	Codes       []*huffman.Code
-	Codec       LineCodec // alternative per-line scheme (see Options.Codec)
-	WordAligned bool
+	CacheBytes int          // i-cache size, 256..4096 in the paper
+	CacheWays  int          // associativity; 0/1 = the paper's direct-mapped
+	CLBEntries int          // 4, 8, or 16
+	Mem        memory.Model // instruction memory timing
+	DecodeRate int          // decoder bytes/cycle; 0 = the paper's 2
 
 	// DataAccessCycles is the cost of one data access to its random DRAM
 	// (4 cycles in the paper). With DataCache set, §4.2.4's analytical
@@ -38,15 +37,6 @@ type Config struct {
 	// processor to continue during memory delays" extension; 0 = the
 	// paper's blocking model).
 	OverlapCycles uint64
-
-	// ROM, when set, is a prebuilt compressed image of the same program
-	// text, and Compare uses it instead of building its own (the Codes,
-	// Codec, and WordAligned fields are then ignored — the ROM already
-	// embeds them). A built ROM is read-only during simulation, so one
-	// ROM may be shared by concurrent Compare calls; the sweep engine's
-	// artifact cache relies on this to compress each program once per
-	// coding configuration instead of once per sweep point.
-	ROM *ROM
 
 	// Metrics, when set, receives per-set cache miss counters, CLB churn,
 	// refill-cycle and line-size histograms, the per-line fetch heatmap,
@@ -106,7 +96,6 @@ func (s Stats) MissRate() float64 {
 type Comparison struct {
 	Standard Stats
 	CCRP     Stats
-	ROM      *ROM
 }
 
 // RelativePerformance follows the paper's tables: CCRP execution time
@@ -134,6 +123,10 @@ func (c *Comparison) MissRate() float64 { return c.Standard.MissRate() }
 // ErrEmptyTrace is returned for traces with no instruction events.
 var ErrEmptyTrace = errors.New("core: empty trace")
 
+// ErrMissRate is returned by Price for a data-cache miss rate outside
+// [0, 1], NaN included; without DataCache the rate is not read.
+var ErrMissRate = errors.New("core: data-cache miss rate outside [0, 1]")
+
 // ErrProfileMismatch is returned by Price for a profile whose line count
 // differs from the ROM's: the profile was replayed over another program.
 var ErrProfileMismatch = errors.New("core: profile does not match the ROM")
@@ -142,23 +135,17 @@ var ErrProfileMismatch = errors.New("core: profile does not match the ROM")
 // whole run from its first fetch; this fails to compile otherwise.
 const _ uint = LineSize - trace.LineBytes
 
-// Compare runs the trace through both systems over the given program
-// text: Replay decides the misses, and Price adds up what they cost.
+// Compare runs the trace through both systems, the CCRP fetching from
+// rom, the image of the traced program: Replay decides the misses, and
+// Price adds up what they cost. A built ROM is read-only here, so
+// concurrent Compare calls may share one.
 //
 // Both processors share the same cache geometry, so one cache pass drives
 // both cycle models; they differ only in what a miss costs. The CLB is
 // consulted on instruction cache misses; the paper's hardware probes it
 // every fetch so a hit is free, which is what charging CLB penalties only
 // on misses models.
-func Compare(tr *trace.Trace, text []byte, cfg Config) (*Comparison, error) {
-	rom := cfg.ROM
-	if rom == nil {
-		var err error
-		rom, err = BuildROM(text, Options{Codes: cfg.Codes, Codec: cfg.Codec, WordAligned: cfg.WordAligned})
-		if err != nil {
-			return nil, err
-		}
-	}
+func Compare(tr *trace.Trace, rom *ROM, cfg Config) (*Comparison, error) {
 	p, err := Replay(tr, rom, cfg)
 	if err != nil {
 		return nil, err
@@ -254,16 +241,20 @@ func Replay(tr *trace.Trace, rom *ROM, cfg Config) (*Profile, error) {
 // sum over lines of misses × charge, plus one LAT fetch per CLB miss:
 // O(lines) work, all of it integer, so the sum is exactly what pricing
 // each miss as it happens gives. A profile of another program is
-// rejected with ErrProfileMismatch.
+// rejected with ErrProfileMismatch, and a data-cache miss rate outside
+// [0, 1] with ErrMissRate.
 func Price(p *Profile, rom *ROM, cfg Config) (*Comparison, error) {
 	if len(p.LineMisses) != len(rom.Lines) {
 		return nil, fmt.Errorf("%w: %d line counts for %d ROM lines",
 			ErrProfileMismatch, len(p.LineMisses), len(rom.Lines))
 	}
+	if cfg.DataCache && !(cfg.DCacheMissRate >= 0 && cfg.DCacheMissRate <= 1) {
+		return nil, fmt.Errorf("%w: %g", ErrMissRate, cfg.DCacheMissRate)
+	}
 	cfg = cfg.withDefaults()
 	t := newTariff(cfg)
 
-	cmp := &Comparison{ROM: rom}
+	cmp := &Comparison{}
 	std, ccrp := &cmp.Standard, &cmp.CCRP
 	var misses uint64
 	for li, n := range p.LineMisses {

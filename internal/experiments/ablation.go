@@ -29,7 +29,7 @@ func Figure1Alignment() ([]AlignmentRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		br, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}})
+		br, err := preselROM(w)
 		if err != nil {
 			return nil, err
 		}
@@ -54,15 +54,7 @@ func Figure2Addresses(program string, n int) (orig []uint32, compressed []uint32
 	if !ok {
 		return nil, nil, errUnknown(program)
 	}
-	code, err := PreselectedCode()
-	if err != nil {
-		return nil, nil, err
-	}
-	text, err := w.Text()
-	if err != nil {
-		return nil, nil, err
-	}
-	rom, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}})
+	rom, err := preselROM(w)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,17 +85,9 @@ type LATRow struct {
 
 // LATAblation computes the LAT encoding ablation.
 func LATAblation() ([]LATRow, error) {
-	code, err := PreselectedCode()
-	if err != nil {
-		return nil, err
-	}
 	var rows []LATRow
 	for _, w := range workload.Figure5Set() {
-		text, err := w.Text()
-		if err != nil {
-			return nil, err
-		}
-		rom, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}})
+		rom, err := preselROM(w)
 		if err != nil {
 			return nil, err
 		}

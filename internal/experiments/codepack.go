@@ -6,7 +6,6 @@ import (
 
 	"ccrp/internal/codepack"
 	"ccrp/internal/core"
-	"ccrp/internal/huffman"
 	"ccrp/internal/memory"
 	"ccrp/internal/sweep"
 	"ccrp/internal/workload"
@@ -50,10 +49,6 @@ func CodePackCoder() (*codepack.Coder, error) {
 // CodePackStudy compresses each Figure 5 program under both schemes,
 // with the identical block-bounded pipeline (raw bypass, LAT).
 func CodePackStudy() ([]CodePackRow, error) {
-	byteCode, err := PreselectedCode()
-	if err != nil {
-		return nil, err
-	}
 	cp, err := CodePackCoder()
 	if err != nil {
 		return nil, err
@@ -68,7 +63,7 @@ func CodePackStudy() ([]CodePackRow, error) {
 		}
 		row := CodePackRow{Program: w.Name}
 
-		byteROM, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{byteCode}})
+		byteROM, err := preselROM(w)
 		if err != nil {
 			return nil, err
 		}

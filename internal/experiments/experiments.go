@@ -256,7 +256,6 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 		CacheBytes: cacheBytes,
 		CLBEntries: clbEntries,
 		Mem:        mem,
-		ROM:        rom,
 		Metrics:    obs.Registry,
 		Events:     obs.Sink,
 	}
@@ -265,7 +264,7 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 		cfg.DCacheMissRate = dmiss
 	}
 	rsp := obs.Span.Child(sweep.StageRun)
-	cmp, err := runConfig(w, cfg)
+	cmp, err := runConfig(w, rom, cfg)
 	if err != nil {
 		rsp.SetError(err)
 	}
@@ -273,20 +272,20 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 	return cmp, err
 }
 
-// runConfig is compareConfig's run stage.
-func runConfig(w *workload.Workload, cfg core.Config) (*core.Comparison, error) {
+// runConfig is compareConfig's run stage, over w's image rom.
+func runConfig(w *workload.Workload, rom *core.ROM, cfg core.Config) (*core.Comparison, error) {
 	if cfg.Metrics != nil || cfg.Events != nil {
 		tr, err := w.Trace()
 		if err != nil {
 			return nil, err
 		}
-		return core.Compare(tr, nil, cfg)
+		return core.Compare(tr, rom, cfg)
 	}
 	p, err := missProfile(w, cfg.CacheBytes, 1, cfg.CLBEntries)
 	if err != nil {
 		return nil, err
 	}
-	return core.Price(p, cfg.ROM, cfg)
+	return core.Price(p, rom, cfg)
 }
 
 // PerfPoint is one row of Tables 1-10 and one point of Figure 9.

@@ -6,11 +6,34 @@ import (
 	"io"
 )
 
-// Experiments lists the exportable experiment names in render order —
-// the same names ccrp-bench accepts for -exp.
+// Experiments lists the experiment names in render order — the same
+// names ccrp-bench accepts for -exp. Each has a renderer and datapoints.
 var Experiments = []string{
 	"fig5", "fig1", "fig2", "tables1-8", "tables9-10", "fig9",
 	"tables11-13", "ablations", "extensions", "paging", "codepack", "rvc",
+}
+
+// renderers prints each experiment in the paper's layout.
+var renderers = map[string]func(io.Writer) error{
+	"fig5":        RenderFigure5,
+	"fig1":        RenderFigure1,
+	"fig2":        func(w io.Writer) error { return RenderFigure2(w, "eightq", 14) },
+	"tables1-8":   RenderTables1to8,
+	"tables9-10":  RenderTables9and10,
+	"fig9":        RenderFigure9,
+	"tables11-13": RenderTables11to13,
+	"ablations":   RenderAblations,
+	"extensions":  RenderExtensions,
+	"paging":      RenderPaging,
+	"codepack":    RenderCodePack,
+	"rvc":         RenderRVC,
+}
+
+// Renderer returns the function that prints the named experiment, and
+// whether the name is one of Experiments.
+func Renderer(name string) (func(io.Writer) error, bool) {
+	r, ok := renderers[name]
+	return r, ok
 }
 
 // figure2JSON is the machine-readable Figure 2 address pairing.

@@ -63,6 +63,23 @@ func TestBenchDataUnknownExperiment(t *testing.T) {
 	if _, err := BenchData([]string{"fig99"}); err == nil {
 		t.Error("unknown experiment must error")
 	}
+	if _, ok := Renderer("fig99"); ok {
+		t.Error("unknown experiment has a renderer")
+	}
+}
+
+// TestEveryExperimentRenders: Experiments, the renderers and datapoints
+// name the same experiments, so ccrp-bench -exp all, ccrp.RenderAll and
+// the -json document cannot drift apart.
+func TestEveryExperimentRenders(t *testing.T) {
+	if len(renderers) != len(Experiments) {
+		t.Errorf("%d renderers for %d experiments", len(renderers), len(Experiments))
+	}
+	for _, name := range Experiments {
+		if _, ok := Renderer(name); !ok {
+			t.Errorf("experiment %q has no renderer", name)
+		}
+	}
 }
 
 // TestEngineObserver: a registry attached through the sweep engine must

@@ -21,8 +21,9 @@ type PagingRow struct {
 }
 
 // PagingStudy runs the compressed-paging future-work experiment: espresso
-// (the largest code footprint) paged through 4 and 8 frames of 4 KB on
-// flash-like and disk-like devices.
+// (the largest code footprint), stored once in 4 KB pages under the
+// preselected code, paged through 4, 8 and 16 frames on flash-like and
+// disk-like devices.
 func PagingStudy() ([]PagingRow, error) {
 	w, ok := workload.ByName("espresso")
 	if !ok {
@@ -40,10 +41,14 @@ func PagingStudy() ([]PagingRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	store, err := pagedvm.BuildStore(text, code, 4096)
+	if err != nil {
+		return nil, err
+	}
 	var rows []PagingRow
 	for _, dev := range []pagedvm.Device{pagedvm.Flash(), pagedvm.Disk()} {
 		for _, frames := range []int{4, 8, 16} {
-			res, err := pagedvm.Simulate(tr, text, code, 4096, frames, dev)
+			res, err := pagedvm.Simulate(tr, store, frames, dev)
 			if err != nil {
 				return nil, err
 			}

@@ -200,21 +200,20 @@ func (r Result) CycleRatio() float64 {
 	return float64(r.Compressed.FaultCycles) / float64(r.Standard.FaultCycles)
 }
 
-// Simulate pages the image's code through a frames-page LRU pool, driven
-// by the instruction trace, under dev. Both systems see the identical
+// Simulate pages the traced program's code from store, its compressed
+// image, through a frames-page LRU pool under dev; the standard system
+// pages the same pages uncompressed. Both systems see the identical
 // fault sequence (page residency does not depend on compression), so the
 // comparison isolates fault cost, as core.Compare does for refills. A
-// page holds at least one trace line (32 bytes).
-func Simulate(tr *trace.Trace, image []byte, code *huffman.Code, pageBytes, frames int, dev Device) (*Result, error) {
+// page holds at least one trace line (32 bytes). The store is only read,
+// so concurrent Simulate calls may share one.
+func Simulate(tr *trace.Trace, store *Store, frames int, dev Device) (*Result, error) {
 	if frames < 1 {
 		return nil, fmt.Errorf("pagedvm: need at least one frame")
 	}
+	pageBytes := store.PageBytes
 	if pageBytes < trace.LineBytes {
 		return nil, fmt.Errorf("pagedvm: page size %d is below the trace's %d-byte line", pageBytes, trace.LineBytes)
-	}
-	store, err := BuildStore(image, code, pageBytes)
-	if err != nil {
-		return nil, err
 	}
 	res := &Result{StoreRatio: store.Ratio()}
 

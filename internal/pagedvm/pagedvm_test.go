@@ -32,6 +32,16 @@ func testCode(t testing.TB, data []byte) *huffman.Code {
 	return c
 }
 
+// testStore pages image into a pageBytes store under its own code.
+func testStore(t testing.TB, image []byte, pageBytes int) *Store {
+	t.Helper()
+	s, err := BuildStore(image, testCode(t, image), pageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	image := riscLike(20000, 1) // not page aligned
 	code := testCode(t, image)
@@ -98,10 +108,9 @@ func walkTrace(pages, touches, pageBytes int) *trace.Trace {
 }
 
 func TestSimulateBasics(t *testing.T) {
-	image := riscLike(8*4096, 3)
-	code := testCode(t, image)
+	store := testStore(t, riscLike(8*4096, 3), 4096)
 	tr := walkTrace(8, 4000, 4096)
-	res, err := Simulate(tr, image, code, 4096, 4, Disk())
+	res, err := Simulate(tr, store, 4, Disk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +132,13 @@ func TestSimulateBasics(t *testing.T) {
 }
 
 func TestDeviceRegimes(t *testing.T) {
-	image := riscLike(8*4096, 4)
-	code := testCode(t, image)
+	store := testStore(t, riscLike(8*4096, 4), 4096)
 	tr := walkTrace(8, 2000, 4096)
-	disk, err := Simulate(tr, image, code, 4096, 4, Disk())
+	disk, err := Simulate(tr, store, 4, Disk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	flash, err := Simulate(tr, image, code, 4096, 4, Flash())
+	flash, err := Simulate(tr, store, 4, Flash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +154,7 @@ func TestDeviceRegimes(t *testing.T) {
 	// A slow 1 B/cycle decoder erodes the win on the fast device.
 	slowDec := Flash()
 	slowDec.DecodeRate = 1
-	slow, err := Simulate(tr, image, code, 4096, 4, slowDec)
+	slow, err := Simulate(tr, store, 4, slowDec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +164,10 @@ func TestDeviceRegimes(t *testing.T) {
 }
 
 func TestLRUResidency(t *testing.T) {
-	image := riscLike(4*4096, 5)
-	code := testCode(t, image)
+	store := testStore(t, riscLike(4*4096, 5), 4096)
 	// Two pages, four frames: after the compulsory faults, no more.
 	tr := walkTrace(2, 1000, 4096)
-	res, err := Simulate(tr, image, code, 4096, 4, Flash())
+	res, err := Simulate(tr, store, 4, Flash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,19 +178,19 @@ func TestLRUResidency(t *testing.T) {
 
 func TestSimulateErrors(t *testing.T) {
 	image := riscLike(4096, 6)
-	code := testCode(t, image)
+	store := testStore(t, image, 4096)
 	tr := &trace.Trace{}
 	tr.Add(100000, false, false)
-	if _, err := Simulate(tr, image, code, 4096, 2, Flash()); err == nil {
+	if _, err := Simulate(tr, store, 2, Flash()); err == nil {
 		t.Error("fetch outside image accepted")
 	}
 	tr2 := walkTrace(1, 10, 4096)
-	if _, err := Simulate(tr2, image, code, 4096, 0, Flash()); err == nil {
+	if _, err := Simulate(tr2, store, 0, Flash()); err == nil {
 		t.Error("zero frames accepted")
 	}
 	// A trace run spans a 32-byte line, so a smaller page cannot say
 	// which of its fetches fault.
-	if _, err := Simulate(tr2, image, code, 16, 2, Flash()); err == nil {
+	if _, err := Simulate(tr2, testStore(t, image, 16), 2, Flash()); err == nil {
 		t.Error("16-byte pages accepted")
 	}
 }
@@ -212,12 +219,11 @@ func TestStoreRoundTripQuick(t *testing.T) {
 }
 
 func BenchmarkSimulate(b *testing.B) {
-	image := riscLike(16*4096, 8)
-	code := testCode(b, image)
+	store := testStore(b, riscLike(16*4096, 8), 4096)
 	tr := walkTrace(16, 10000, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(tr, image, code, 4096, 8, Disk()); err != nil {
+		if _, err := Simulate(tr, store, 8, Disk()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -212,6 +212,105 @@ func FuzzCompressHandler(f *testing.F) {
 	})
 }
 
+// wantBatchAnswer checks a :batch route's answer to body: a non-200 is
+// a typed 4xx; a 200 is for a body whose first JSON value decodes into
+// req, unknown fields refused as the handler refuses them, and answers
+// each of its items with exactly one of result or error, every error
+// carrying a client-error code, and errors counting the error items.
+func wantBatchAnswer(t *testing.T, rec *httptest.ResponseRecorder, body []byte, req any) {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		wantTyped4xx(t, rec)
+		return
+	}
+	jd := json.NewDecoder(bytes.NewReader(body))
+	jd.DisallowUnknownFields()
+	if err := jd.Decode(req); err != nil {
+		t.Fatalf("200 for a body that does not parse: %v", err)
+	}
+	var shape struct {
+		Items []json.RawMessage `json:"items"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&shape); err != nil {
+		t.Fatal(err)
+	}
+	var resp struct {
+		Items []struct {
+			Result json.RawMessage `json:"result"`
+			Error  *APIError       `json:"error"`
+		} `json:"items"`
+		Errors int `json:"errors"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("200 body %s does not parse: %v", rec.Body, err)
+	}
+	if len(resp.Items) != len(shape.Items) {
+		t.Fatalf("200 with %d items for %d request items", len(resp.Items), len(shape.Items))
+	}
+	errs := 0
+	for i, it := range resp.Items {
+		if (it.Result == nil) == (it.Error == nil) {
+			t.Fatalf("item %d: want exactly one of result and error, got %s", i, rec.Body)
+		}
+		if it.Error == nil {
+			continue
+		}
+		errs++
+		switch it.Error.Code {
+		case CodeBadRequest, CodeNotFound, CodeUnprocessable, CodeDeadlineExceeded:
+		default:
+			t.Fatalf("item %d: error code %q is not a client error: %s", i, it.Error.Code, rec.Body)
+		}
+	}
+	if resp.Errors != errs {
+		t.Fatalf("errors = %d for %d error items", resp.Errors, errs)
+	}
+}
+
+// FuzzCompressBatchHandler posts arbitrary /v1/compress:batch bodies to
+// the harness. A request-level problem (bad JSON, no items, too many, a
+// missing or unknown coder) is a typed 4xx; a 200 answers every item,
+// each with a result or a typed error. Client text is kept nowhere, so
+// the artifact cache stays within FuzzCompressHandler's bound.
+func FuzzCompressBatchHandler(f *testing.F) {
+	fh := newFuzzHarness(f)
+	limit := fh.s.cache.Len() + 2*len(workload.Names())
+	text := base64.StdEncoding.EncodeToString(fuzzText)
+	seed(f, compressBatchRequest{CoderID: coderPlaceholder, Items: []compressBatchItem{
+		{TextB64: text}, {Workload: "eightq"}, {TextB64: "!!!"}, {TextB64: text, Workload: "eightq"}}})
+	seed(f, compressBatchRequest{CoderID: coderPlaceholder, WordAligned: true, Items: []compressBatchItem{{Workload: "nonesuch"}, {}}})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
+		rec := fh.post("/v1/compress:batch", body)
+		if n := fh.s.cache.Len(); n > limit {
+			t.Fatalf("artifact cache holds %d entries, over the bound %d", n, limit)
+		}
+		wantBatchAnswer(t, rec, body, &compressBatchRequest{})
+	})
+}
+
+// FuzzDecompressBatchHandler posts arbitrary /v1/decompress:batch bodies
+// to the harness, with the same contract: a typed 4xx for the request,
+// or one result or typed error per item.
+func FuzzDecompressBatchHandler(f *testing.F) {
+	fh := newFuzzHarness(f)
+	var comp compressResponse
+	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)}, &comp)
+	seed(f, decompressBatchRequest{Items: []decompressRequest{
+		{ROMB64: comp.ROMB64},
+		{CoderID: coderPlaceholder, BlocksB64: comp.BlocksB64, Lines: comp.Lines},
+		{ROMB64: "bm90IGEgcm9tIGF0IGFsbA=="},
+		{CoderID: "nope", BlocksB64: comp.BlocksB64, Lines: comp.Lines},
+		{}}})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
+		rec := fh.post("/v1/decompress:batch", body)
+		wantBatchAnswer(t, rec, body, &decompressBatchRequest{})
+	})
+}
+
 // FuzzSimulateHandler posts arbitrary /v1/simulate bodies to the same
 // harness. A 200's standard and ccrp stats equal a direct core.Compare on
 // the workload's trace under the configuration the body names; any other
@@ -258,19 +357,21 @@ func FuzzSimulateHandler(f *testing.F) {
 		if err != nil {
 			t.Fatalf("200 for memory %q: %v", req.Memory, err)
 		}
+		rom, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}, WordAligned: req.WordAligned})
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := core.Config{
 			CacheBytes:    req.CacheBytes,
 			CacheWays:     req.CacheWays,
 			CLBEntries:    req.CLBEntries,
 			Mem:           mem,
-			Codes:         []*huffman.Code{code},
-			WordAligned:   req.WordAligned,
 			OverlapCycles: req.OverlapCycles,
 		}
 		if req.DCacheMissRate != nil && *req.DCacheMissRate < 1 {
 			cfg.DataCache, cfg.DCacheMissRate = true, *req.DCacheMissRate
 		}
-		want, err := core.Compare(tr, text, cfg)
+		want, err := core.Compare(tr, rom, cfg)
 		if err != nil {
 			t.Fatalf("200 for a configuration Compare rejects: %v", err)
 		}

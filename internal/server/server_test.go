@@ -841,7 +841,5 @@ func pointViaLibrary() (*core.Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Compare(tr, text, core.Config{
-		CacheBytes: 1024, CLBEntries: 16, ROM: rom,
-	})
+	return core.Compare(tr, rom, core.Config{CacheBytes: 1024, CLBEntries: 16})
 }

@@ -7,7 +7,6 @@ import (
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/core"
-	"ccrp/internal/huffman"
 	"ccrp/internal/memory"
 	"ccrp/internal/sweep"
 	"ccrp/internal/tracing"
@@ -110,7 +109,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 
 	// The coder resolves before queuing so typed errors beat the wait.
 	ctx := r.Context()
-	codes, codec, romRatio, rom, err := s.simulateROM(ctx, &req, wl)
+	rom, err := s.simulateROM(ctx, &req, wl)
 	if err != nil {
 		return err
 	}
@@ -157,29 +156,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 			finish(simOut{err: err})
 			return
 		}
-		text, err := wl.Text()
-		if err != nil {
-			err = errUnprocessable("workload %q failed to build: %v", req.Workload, err)
-			finish(simOut{err: err})
-			return
-		}
 		cfg := core.Config{
 			CacheBytes:    req.CacheBytes,
 			CacheWays:     req.CacheWays,
 			CLBEntries:    req.CLBEntries,
 			Mem:           mem,
-			Codes:         codes,
-			Codec:         codec,
-			WordAligned:   req.WordAligned,
 			OverlapCycles: req.OverlapCycles,
-			ROM:           rom,
 		}
 		if dmiss < 1 {
 			cfg.DataCache = true
 			cfg.DCacheMissRate = dmiss
 		}
 		start := time.Now()
-		cmp, err := core.Compare(tr, text, cfg)
+		cmp, err := core.Compare(tr, rom, cfg)
 		if err != nil {
 			err = errUnprocessable("simulation failed: %v", err)
 			finish(simOut{err: err})
@@ -207,7 +196,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 			RelativePerformance: cmp.RelativePerformance(),
 			MissRate:            cmp.MissRate(),
 			TrafficRatio:        cmp.TrafficRatio(),
-			ROMRatio:            romRatio,
+			ROMRatio:            rom.Ratio(),
 			Standard:            cmp.Standard,
 			CCRP:                cmp.CCRP,
 			QueueMS:             float64(queued.Microseconds()) / 1000,
@@ -227,18 +216,18 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 }
 
-// simulateROM resolves the coder of a simulate request and prebuilds the
-// compressed image through the artifact cache, so every point over the
-// same (coder, program) pair shares one ROM — the same sharing the sweep
-// engine relies on.
-func (s *Server) simulateROM(ctx context.Context, req *simulateRequest, wl *workload.Workload) ([]*huffman.Code, core.LineCodec, float64, *core.ROM, error) {
+// simulateROM resolves the coder of a simulate request and builds the
+// compressed image the simulation runs through the artifact cache, so
+// every point over the same (coder, program, alignment) shares one ROM —
+// the same sharing the sweep engine relies on.
+func (s *Server) simulateROM(ctx context.Context, req *simulateRequest, wl *workload.Workload) (*core.ROM, error) {
 	tsp := tracing.FromContext(ctx).Child(StageText)
 	text, err := wl.Text()
 	if err != nil {
 		err = errUnprocessable("workload %q failed to build: %v", req.Workload, err)
 		tsp.SetError(err)
 		tsp.End()
-		return nil, nil, 0, nil, err
+		return nil, err
 	}
 	tsp.SetAttrInt("text_bytes", int64(len(text)))
 	tsp.End()
@@ -246,7 +235,7 @@ func (s *Server) simulateROM(ctx context.Context, req *simulateRequest, wl *work
 	if req.CoderID != "" {
 		entry, err = s.resolveCoder(ctx, req.CoderID)
 		if err != nil {
-			return nil, nil, 0, nil, err
+			return nil, err
 		}
 	} else {
 		// Default coder: the paper's preselected code, built through the
@@ -256,14 +245,10 @@ func (s *Server) simulateROM(ctx context.Context, req *simulateRequest, wl *work
 		id := sweep.HashBytes([]byte(key))
 		entry, err = s.trainCoderCached(nil, key, id, KindPreselected, 0, nil)
 		if err != nil {
-			return nil, nil, 0, nil, err
+			return nil, err
 		}
 	}
-	rom, err := s.buildROM(ctx, entry, text, req.Workload, req.WordAligned)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	return entry.codes, entry.codec, rom.Ratio(), rom, nil
+	return s.buildROM(ctx, entry, text, req.Workload, req.WordAligned)
 }
 
 // memoryModel maps the request's memory name through the shared resolver
