@@ -81,3 +81,4 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzSimulateHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzLoadStoredCoder$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzReadTrace$$' ./internal/trace
+	$(FUZZ) -fuzz='^FuzzRun$$' ./internal/sim

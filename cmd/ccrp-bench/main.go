@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,80 +34,112 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments to run")
-	workers := flag.Int("j", runtime.NumCPU(), "parallel sweep workers (1 = sequential)")
-	jsonOut := flag.String("json", "", `write experiment datapoints as JSON to this file ("-" for stdout)`)
-	obsFlags := cliutil.RegisterObsFlags(flag.CommandLine)
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the selected experiments and returns the exit
+// status: 0 on success, 2 for a bad command line, 1 when an experiment
+// or an output fails. Every -exp name is checked before any experiment
+// runs or any file is created.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccrp-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiments to run")
+	workers := fs.Int("j", runtime.NumCPU(), "parallel sweep workers (1 = sequential)")
+	jsonOut := fs.String("json", "", `write experiment datapoints as JSON to this file ("-" for stdout)`)
+	obsFlags := cliutil.RegisterObsFlags(fs)
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	cliutil.HandleVersionFlag("ccrp-bench", version)
 
+	names, err := experimentNames(*exp)
+	if err != nil {
+		fmt.Fprintln(stderr, "ccrp-bench:", err)
+		return 2
+	}
+	if err := bench(names, *workers, *jsonOut, obsFlags, stdout); err != nil {
+		fmt.Fprintln(stderr, "ccrp-bench:", err)
+		return 1
+	}
+	return 0
+}
+
+// experimentNames resolves -exp: "all", or a comma-separated list of
+// known experiments.
+func experimentNames(exp string) ([]string, error) {
+	if exp == "all" {
+		return experiments.Experiments, nil
+	}
+	names := strings.Split(exp, ",")
+	for _, name := range names {
+		if _, ok := experiments.Renderer(name); !ok {
+			return nil, fmt.Errorf("unknown experiment %q; have all %v", name, experiments.Experiments)
+		}
+	}
+	return names, nil
+}
+
+// bench runs the named experiments and writes their tables to stdout, or
+// with jsonOut their datapoints, then the observability outputs.
+func bench(names []string, workers int, jsonOut string, obsFlags *cliutil.ObsFlags, stdout io.Writer) (err error) {
 	obs, err := obsFlags.Begin()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer func() {
+		if err != nil {
+			obs.Finish(io.Discard) // close the sink and profiles; the run's error wins
+			return
+		}
+		err = obs.Finish(stdout)
+	}()
 	experiments.SetEngine(&sweep.Engine{
-		Workers:  *workers,
+		Workers:  workers,
 		Registry: obs.Registry,
 		Sink:     obs.Sink,
 		Tracer:   obs.Tracer,
 	})
+	defer experiments.SetEngine(nil)
 
-	var names []string
-	if *exp != "all" {
-		names = strings.Split(*exp, ",")
-	}
-
-	if *jsonOut != "" {
-		w := io.Writer(os.Stdout)
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := experiments.WriteBenchJSON(w, names); err != nil {
-			fatal(err)
-		}
-		if *jsonOut != "-" {
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		finish(obs)
-		return
-	}
-
-	if names == nil {
-		names = experiments.Experiments
+	if jsonOut != "" {
+		return writeJSON(names, jsonOut, stdout)
 	}
 	for _, name := range names {
-		run, ok := experiments.Renderer(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ccrp-bench: unknown experiment %q; have all %v\n", name, experiments.Experiments)
-			os.Exit(2)
+		render, _ := experiments.Renderer(name)
+		if len(names) > 1 {
+			fmt.Fprintf(stdout, "==== %s ====\n", name)
+		}
+		if err := render(stdout); err != nil {
+			return err
 		}
 		if len(names) > 1 {
-			fmt.Printf("==== %s ====\n", name)
-		}
-		if err := run(os.Stdout); err != nil {
-			fatal(err)
-		}
-		if len(names) > 1 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
-	finish(obs)
+	return nil
 }
 
-func finish(obs *cliutil.Obs) {
-	experiments.SetEngine(nil)
-	if err := obs.Finish(os.Stdout); err != nil {
-		fatal(err)
+// writeJSON writes the experiments' datapoints to path, "-" for stdout.
+func writeJSON(names []string, path string, stdout io.Writer) error {
+	if path == "-" {
+		return experiments.WriteBenchJSON(stdout, names)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccrp-bench:", err)
-	os.Exit(1)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := experiments.WriteBenchJSON(f, names); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", path)
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"ccrp/internal/huffman"
 	"ccrp/internal/memory"
+	"ccrp/internal/metrics"
 	"ccrp/internal/trace"
 )
 
@@ -486,6 +487,52 @@ func TestBadMissRateRejected(t *testing.T) {
 	for _, rate := range []float64{0, 1} {
 		if _, err := Price(p, rom, Config{DataCache: true, DCacheMissRate: rate}); err != nil {
 			t.Errorf("miss rate %g: %v", rate, err)
+		}
+	}
+}
+
+// TestDecodeRates: a negative decode rate is rejected with ErrDecodeRate
+// by Price, by Compare, and by an instrumented Replay, which prices each
+// miss as it happens; such rates were once priced at the paper's 2. The
+// valid rates price as they did before the check, 0 as the paper's 2.
+func TestDecodeRates(t *testing.T) {
+	text := riscLikeText(8192, 42)
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := syntheticTrace(len(text), 4096, 5)
+	p, err := Replay(tr, rom, Config{CacheBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		rate   int
+		refill uint64 // CCRP refill cycles, 0 when rejected
+	}{
+		{-1, 0}, {-8, 0}, {0, 12240}, {1, 22480}, {2, 12240}, {4, 7120}, {8, 5805},
+	} {
+		cfg := Config{CacheBytes: 256, DecodeRate: c.rate}
+		cmp, err := Price(p, rom, cfg)
+		if c.refill == 0 {
+			if !errors.Is(err, ErrDecodeRate) {
+				t.Errorf("Price at rate %d = %+v, %v; want ErrDecodeRate", c.rate, cmp, err)
+			}
+			if _, err := Compare(tr, rom, cfg); !errors.Is(err, ErrDecodeRate) {
+				t.Errorf("Compare at rate %d: %v; want ErrDecodeRate", c.rate, err)
+			}
+			cfg.Metrics = metrics.New()
+			if _, err := Replay(tr, rom, cfg); !errors.Is(err, ErrDecodeRate) {
+				t.Errorf("instrumented Replay at rate %d: %v; want ErrDecodeRate", c.rate, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("rate %d: %v", c.rate, err)
+			continue
+		}
+		if cmp.CCRP.RefillCycles != c.refill {
+			t.Errorf("rate %d: %d refill cycles, want %d", c.rate, cmp.CCRP.RefillCycles, c.refill)
 		}
 	}
 }

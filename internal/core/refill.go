@@ -13,12 +13,15 @@ const DecodeBytesPerCycle = 2
 // Rate bytes per cycle (the paper's decoder does 2, one per clock edge),
 // stalling whenever the bits for the next output byte have not arrived.
 type RefillEngine struct {
-	Mem  memory.Model
-	Rate int // decoded bytes per cycle; 0 means DecodeBytesPerCycle
+	Mem memory.Model
+	// Rate is the decoded bytes per cycle; 0 means DecodeBytesPerCycle.
+	// It must not be negative: Price rejects such a Config with
+	// ErrDecodeRate.
+	Rate int
 }
 
 func (e RefillEngine) rate() int {
-	if e.Rate <= 0 {
+	if e.Rate == 0 {
 		return DecodeBytesPerCycle
 	}
 	return e.Rate

@@ -21,7 +21,7 @@ type Config struct {
 	CacheWays  int          // associativity; 0/1 = the paper's direct-mapped
 	CLBEntries int          // 4, 8, or 16
 	Mem        memory.Model // instruction memory timing
-	DecodeRate int          // decoder bytes/cycle; 0 = the paper's 2
+	DecodeRate int          // decoder bytes/cycle; 0 = the paper's 2, negative is rejected
 
 	// DataAccessCycles is the cost of one data access to its random DRAM
 	// (4 cycles in the paper). With DataCache set, §4.2.4's analytical
@@ -127,6 +127,21 @@ var ErrEmptyTrace = errors.New("core: empty trace")
 // [0, 1], NaN included; without DataCache the rate is not read.
 var ErrMissRate = errors.New("core: data-cache miss rate outside [0, 1]")
 
+// ErrDecodeRate is returned by Price for a negative decode rate. A rate
+// of 0 selects the paper's DecodeBytesPerCycle.
+var ErrDecodeRate = errors.New("core: negative decode rate")
+
+// checkPricing reports a pricing parameter no refill can be priced at.
+func (c Config) checkPricing() error {
+	if c.DecodeRate < 0 {
+		return fmt.Errorf("%w: %d", ErrDecodeRate, c.DecodeRate)
+	}
+	if c.DataCache && !(c.DCacheMissRate >= 0 && c.DCacheMissRate <= 1) {
+		return fmt.Errorf("%w: %g", ErrMissRate, c.DCacheMissRate)
+	}
+	return nil
+}
+
 // ErrProfileMismatch is returned by Price for a profile whose line count
 // differs from the ROM's: the profile was replayed over another program.
 var ErrProfileMismatch = errors.New("core: profile does not match the ROM")
@@ -197,6 +212,9 @@ func Replay(tr *trace.Trace, rom *ROM, cfg Config) (*Profile, error) {
 
 	var pr *probe
 	if cfg.Metrics != nil || cfg.Events != nil {
+		if err := cfg.checkPricing(); err != nil {
+			return nil, err
+		}
 		pr = newProbe(cfg, rom, ic, buf)
 	}
 
@@ -241,15 +259,16 @@ func Replay(tr *trace.Trace, rom *ROM, cfg Config) (*Profile, error) {
 // sum over lines of misses × charge, plus one LAT fetch per CLB miss:
 // O(lines) work, all of it integer, so the sum is exactly what pricing
 // each miss as it happens gives. A profile of another program is
-// rejected with ErrProfileMismatch, and a data-cache miss rate outside
-// [0, 1] with ErrMissRate.
+// rejected with ErrProfileMismatch, a negative decode rate with
+// ErrDecodeRate, and a data-cache miss rate outside [0, 1] with
+// ErrMissRate.
 func Price(p *Profile, rom *ROM, cfg Config) (*Comparison, error) {
 	if len(p.LineMisses) != len(rom.Lines) {
 		return nil, fmt.Errorf("%w: %d line counts for %d ROM lines",
 			ErrProfileMismatch, len(p.LineMisses), len(rom.Lines))
 	}
-	if cfg.DataCache && !(cfg.DCacheMissRate >= 0 && cfg.DCacheMissRate <= 1) {
-		return nil, fmt.Errorf("%w: %g", ErrMissRate, cfg.DCacheMissRate)
+	if err := cfg.checkPricing(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	t := newTariff(cfg)

@@ -12,22 +12,57 @@ var (
 	ErrBadSyscall = errors.New("sim: unknown syscall")
 )
 
-// CPU is the machine state an Executor runs against. internal/sim's
-// Machine implements it: memory, the general register file, the PC pair,
-// counters, and host services (syscalls, trace events). ISA-private
-// state — MIPS HI/LO and FP registers, interlock timers — lives inside
-// the Executor, not here.
-type CPU interface {
-	// PC/NPC are the current and next fetch addresses. Backends without
-	// delay slots keep NPC = PC + WordBytes.
-	PC() uint32
-	SetPC(pc uint32)
-	NPC() uint32
-	SetNPC(pc uint32)
+// State is the architectural state an Executor works on directly: the
+// general register file, the PC pair, the run's counters and the text
+// limit. internal/sim's Machine holds one by value and hands it out
+// through CPU.State, so reading a register, advancing the PC or counting
+// a stall is a field access, not an interface call. ISA-private state —
+// MIPS HI/LO and FP registers, interlock timers — lives inside the
+// Executor, not here.
+type State struct {
+	// GPR is the general register file. GPR[0] always reads zero: write
+	// registers through SetReg, which drops writes to it.
+	GPR [32]uint32
 
-	// Reg reads general register r&31; SetReg ignores writes to r0.
-	Reg(r uint8) uint32
-	SetReg(r uint8, v uint32)
+	// PC and NPC are the current and next fetch addresses. Backends
+	// without delay slots keep NPC = PC + WordBytes.
+	PC, NPC uint32
+
+	// Icount is the dynamic instruction count so far (the instruction
+	// being executed is not yet counted); latency models key off it.
+	Icount uint64
+
+	// Stalls counts pipeline stall cycles. Loads and Stores count the
+	// instructions that read or wrote data memory; an executor bumps one
+	// before it performs the access.
+	Stalls, Loads, Stores uint64
+
+	// TextLimit is the first address past the text section: every
+	// fetch lies below it.
+	TextLimit uint32
+
+	// CountClasses is set when the machine records the instruction mix;
+	// an executor calls CPU.CountClass only then.
+	CountClasses bool
+}
+
+// Reg reads general register r&31.
+func (s *State) Reg(r uint8) uint32 { return s.GPR[r&31] }
+
+// SetReg writes general register r&31; writes to register 0 are dropped.
+func (s *State) SetReg(r uint8, v uint32) {
+	if r &= 31; r != 0 {
+		s.GPR[r] = v
+	}
+}
+
+// CPU is the machine an Executor runs against. internal/sim's Machine
+// implements it: the shared State, memory, and host services (syscalls,
+// faults, the instruction-mix counters).
+type CPU interface {
+	// State returns the machine's architectural state. The pointer is
+	// the machine's own and stays valid for its lifetime.
+	State() *State
 
 	// FetchWord reads the instruction word at pc, enforcing text-limit
 	// and alignment checks.
@@ -42,16 +77,9 @@ type CPU interface {
 	StoreHalf(addr uint32, v uint16) error
 	StoreByte(addr uint32, v uint8) error
 
-	// Icount is the dynamic instruction count so far (the instruction
-	// being executed is not yet counted); latency models key off it.
-	Icount() uint64
-
-	// Accounting hooks: stall cycles, per-class instruction counts, and
-	// whether the word just executed read or wrote data memory.
-	AddStalls(n uint64)
+	// CountClass attributes the current instruction to its pipeline
+	// class. Executors call it only when State.CountClasses is set.
 	CountClass(c Class)
-	NoteLoad()
-	NoteStore()
 
 	// Syscall performs the host-service call identified by num with
 	// argument arg (SPIM numbering: 1 print_int, 4 print_string,
@@ -73,10 +101,13 @@ type CPU interface {
 // ISA-private state such as HI/LO or interlock countdowns).
 type Executor interface {
 	// Reset initialises ABI state (stack pointer, globals pointer) on a
-	// freshly constructed machine.
+	// freshly constructed machine whose text is loaded and whose
+	// State.TextLimit is set.
 	Reset(c CPU)
-	// Step executes the instruction at c.PC() — fetch, decode, execute,
-	// advance the PC pair — and performs all accounting via c.
+	// Step executes the instruction at c.State().PC — fetch, decode,
+	// execute, advance the PC pair — and does its accounting in the
+	// State. Executors may decode each text word once per run; a store
+	// into text must reach the next fetch of that word.
 	Step(c CPU) error
 }
 

@@ -29,7 +29,7 @@ type Device struct {
 	Name          string
 	LatencyCycles uint64
 	CyclesPerByte float64
-	DecodeRate    int // decompressor bytes/cycle during page-in; 0 = 2
+	DecodeRate    int // decompressor bytes/cycle during page-in; 0 = 2, negative is rejected
 }
 
 // Flash is a fast NOR-flash-like device: cheap latency, 1 cycle/byte.
@@ -39,7 +39,7 @@ func Flash() Device { return Device{Name: "flash", LatencyCycles: 500, CyclesPer
 func Disk() Device { return Device{Name: "disk", LatencyCycles: 50000, CyclesPerByte: 4} }
 
 func (d Device) rate() int {
-	if d.DecodeRate <= 0 {
+	if d.DecodeRate == 0 {
 		return 2
 	}
 	return d.DecodeRate
@@ -71,6 +71,10 @@ type Store struct {
 
 // ErrBadPage is returned for out-of-range page indices.
 var ErrBadPage = errors.New("pagedvm: page out of range")
+
+// ErrDecodeRate is returned by Simulate for a device with a negative
+// decode rate. A rate of 0 selects 2 bytes per cycle.
+var ErrDecodeRate = errors.New("pagedvm: negative decode rate")
 
 // BuildStore compresses image into pageBytes pages under code.
 func BuildStore(image []byte, code *huffman.Code, pageBytes int) (*Store, error) {
@@ -205,11 +209,15 @@ func (r Result) CycleRatio() float64 {
 // pages the same pages uncompressed. Both systems see the identical
 // fault sequence (page residency does not depend on compression), so the
 // comparison isolates fault cost, as core.Compare does for refills. A
-// page holds at least one trace line (32 bytes). The store is only read,
-// so concurrent Simulate calls may share one.
+// page holds at least one trace line (32 bytes). A device with a
+// negative decode rate is rejected with ErrDecodeRate. The store is only
+// read, so concurrent Simulate calls may share one.
 func Simulate(tr *trace.Trace, store *Store, frames int, dev Device) (*Result, error) {
 	if frames < 1 {
 		return nil, fmt.Errorf("pagedvm: need at least one frame")
+	}
+	if dev.DecodeRate < 0 {
+		return nil, fmt.Errorf("%w: %s at %d", ErrDecodeRate, dev.Name, dev.DecodeRate)
 	}
 	pageBytes := store.PageBytes
 	if pageBytes < trace.LineBytes {

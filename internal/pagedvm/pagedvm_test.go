@@ -1,6 +1,7 @@
 package pagedvm
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,6 +193,34 @@ func TestSimulateErrors(t *testing.T) {
 	// which of its fetches fault.
 	if _, err := Simulate(tr2, testStore(t, image, 16), 2, Flash()); err == nil {
 		t.Error("16-byte pages accepted")
+	}
+}
+
+// TestDecodeRates: Simulate rejects a device with a negative decode rate
+// with ErrDecodeRate; such rates were once priced at 2 bytes per cycle.
+// The valid rates price as they did before the check, 0 as 2.
+func TestDecodeRates(t *testing.T) {
+	store := testStore(t, riscLike(8*4096, 4), 4096)
+	tr := walkTrace(8, 2000, 4096)
+	for _, c := range []struct {
+		rate   int
+		cycles uint64 // compressed fault cycles, 0 when rejected
+	}{
+		{-1, 0}, {-8, 0}, {0, 5719250}, {1, 9192000}, {2, 5719250}, {4, 5719250}, {8, 5719250},
+	} {
+		dev := Flash()
+		dev.DecodeRate = c.rate
+		res, err := Simulate(tr, store, 4, dev)
+		switch {
+		case c.cycles == 0:
+			if !errors.Is(err, ErrDecodeRate) {
+				t.Errorf("rate %d: %+v, %v; want ErrDecodeRate", c.rate, res, err)
+			}
+		case err != nil:
+			t.Errorf("rate %d: %v", c.rate, err)
+		case res.Compressed.FaultCycles != c.cycles:
+			t.Errorf("rate %d: %d fault cycles, want %d", c.rate, res.Compressed.FaultCycles, c.cycles)
+		}
 	}
 }
 

@@ -17,14 +17,48 @@ const (
 func (Backend) NewExecutor() isa.Executor { return &executor{lastLoad: -1} }
 
 type executor struct {
+	st *isa.State // the machine's, from Reset
+
+	// text holds the decoded instruction of each text word, indexed by
+	// address/4. An entry is decoded on the word's first fetch; OpInvalid
+	// marks one not decoded yet, and a store into text resets the entry
+	// it overwrote, so the next fetch decodes what memory then holds.
+	text []Inst
+
 	lastLoad int // rd of the previous instruction if it was a load, else -1
 }
 
-// Reset implements isa.Executor.
+// Reset implements isa.Executor: it sets the ABI registers and sizes
+// the decoded-text table to the machine's text.
 func (x *executor) Reset(c isa.CPU) {
+	x.st = c.State()
+	x.text = make([]Inst, (x.st.TextLimit-asm.TextBase+3)/4)
 	x.lastLoad = -1
-	c.SetReg(RegSP, asm.StackTop)
-	c.SetReg(RegGP, asm.DataBase+0x8000)
+	x.st.SetReg(RegSP, asm.StackTop)
+	x.st.SetReg(RegGP, asm.DataBase+0x8000)
+}
+
+// decode fetches the word at pc, decodes it and fills its text entry. A
+// fetch outside text or an invalid encoding faults instead and fills
+// nothing.
+func (x *executor) decode(c isa.CPU, pc uint32) (Inst, error) {
+	w, err := c.FetchWord(pc)
+	if err != nil {
+		return Inst{}, err
+	}
+	inst := Decode(uint32(w))
+	if inst.Op == OpInvalid {
+		return Inst{}, c.Faultf(isa.ErrInvalidOp, "word %#08x", uint32(w))
+	}
+	x.text[(pc-asm.TextBase)/4] = inst
+	return inst, nil
+}
+
+// invalidate resets the text entry of the word holding addr, if any.
+func (x *executor) invalidate(addr uint32) {
+	if i := (addr - asm.TextBase) / 4; i < uint32(len(x.text)) {
+		x.text[i] = Inst{}
+	}
 }
 
 // usesReg reports whether inst reads register r (for the load-use
@@ -49,37 +83,39 @@ func usesReg(inst Inst, r uint8) bool {
 // instruction. RISC-V has no delay slot, so the PC pair advances in
 // lockstep (NPC = PC + 4 except across taken transfers).
 func (x *executor) Step(c isa.CPU) error {
-	pc := c.PC()
-	w, err := c.FetchWord(pc)
-	if err != nil {
+	s := x.st
+	pc := s.PC
+	var inst Inst
+	var err error
+	if i := (pc - asm.TextBase) / 4; pc&3 == 0 && i < uint32(len(x.text)) && x.text[i].Op != OpInvalid {
+		inst = x.text[i]
+	} else if inst, err = x.decode(c, pc); err != nil {
 		return err
 	}
-	inst := Decode(uint32(w))
-	if inst.Op == OpInvalid {
-		return c.Faultf(isa.ErrInvalidOp, "word %#08x", uint32(w))
+	if s.CountClasses {
+		c.CountClass(inst.Op.Class())
 	}
-	c.CountClass(inst.Op.Class())
 
 	if x.lastLoad >= 0 && usesReg(inst, uint8(x.lastLoad)) {
-		c.AddStalls(1)
+		s.Stalls++
 	}
 	x.lastLoad = -1
 
-	rs1 := c.Reg(inst.Rs1)
-	rs2 := c.Reg(inst.Rs2)
+	rs1 := s.Reg(inst.Rs1)
+	rs2 := s.Reg(inst.Rs2)
 	next := pc + 4
 
 	switch inst.Op {
 	case OpLUI:
-		c.SetReg(inst.Rd, uint32(inst.Imm))
+		s.SetReg(inst.Rd, uint32(inst.Imm))
 	case OpAUIPC:
-		c.SetReg(inst.Rd, pc+uint32(inst.Imm))
+		s.SetReg(inst.Rd, pc+uint32(inst.Imm))
 	case OpJAL:
-		c.SetReg(inst.Rd, pc+4)
+		s.SetReg(inst.Rd, pc+4)
 		next = pc + uint32(inst.Imm)
 	case OpJALR:
 		t := (rs1 + uint32(inst.Imm)) &^ 1
-		c.SetReg(inst.Rd, pc+4)
+		s.SetReg(inst.Rd, pc+4)
 		next = t
 	case OpBEQ:
 		if rs1 == rs2 {
@@ -107,7 +143,7 @@ func (x *executor) Step(c isa.CPU) error {
 		}
 	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
 		addr := rs1 + uint32(inst.Imm)
-		c.NoteLoad()
+		s.Loads++
 		var v uint32
 		switch inst.Op {
 		case OpLB:
@@ -140,13 +176,13 @@ func (x *executor) Step(c isa.CPU) error {
 				return err
 			}
 		}
-		c.SetReg(inst.Rd, v)
+		s.SetReg(inst.Rd, v)
 		if inst.Rd != 0 {
 			x.lastLoad = int(inst.Rd)
 		}
 	case OpSB, OpSH, OpSW:
 		addr := rs1 + uint32(inst.Imm)
-		c.NoteStore()
+		s.Stores++
 		switch inst.Op {
 		case OpSB:
 			err = c.StoreByte(addr, uint8(rs2))
@@ -158,106 +194,107 @@ func (x *executor) Step(c isa.CPU) error {
 		if err != nil {
 			return err
 		}
+		x.invalidate(addr)
 	case OpADDI:
-		c.SetReg(inst.Rd, rs1+uint32(inst.Imm))
+		s.SetReg(inst.Rd, rs1+uint32(inst.Imm))
 	case OpSLTI:
-		c.SetReg(inst.Rd, b2u(int32(rs1) < inst.Imm))
+		s.SetReg(inst.Rd, b2u(int32(rs1) < inst.Imm))
 	case OpSLTIU:
-		c.SetReg(inst.Rd, b2u(rs1 < uint32(inst.Imm)))
+		s.SetReg(inst.Rd, b2u(rs1 < uint32(inst.Imm)))
 	case OpXORI:
-		c.SetReg(inst.Rd, rs1^uint32(inst.Imm))
+		s.SetReg(inst.Rd, rs1^uint32(inst.Imm))
 	case OpORI:
-		c.SetReg(inst.Rd, rs1|uint32(inst.Imm))
+		s.SetReg(inst.Rd, rs1|uint32(inst.Imm))
 	case OpANDI:
-		c.SetReg(inst.Rd, rs1&uint32(inst.Imm))
+		s.SetReg(inst.Rd, rs1&uint32(inst.Imm))
 	case OpSLLI:
-		c.SetReg(inst.Rd, rs1<<uint32(inst.Imm&31))
+		s.SetReg(inst.Rd, rs1<<uint32(inst.Imm&31))
 	case OpSRLI:
-		c.SetReg(inst.Rd, rs1>>uint32(inst.Imm&31))
+		s.SetReg(inst.Rd, rs1>>uint32(inst.Imm&31))
 	case OpSRAI:
-		c.SetReg(inst.Rd, uint32(int32(rs1)>>uint32(inst.Imm&31)))
+		s.SetReg(inst.Rd, uint32(int32(rs1)>>uint32(inst.Imm&31)))
 	case OpADD:
-		c.SetReg(inst.Rd, rs1+rs2)
+		s.SetReg(inst.Rd, rs1+rs2)
 	case OpSUB:
-		c.SetReg(inst.Rd, rs1-rs2)
+		s.SetReg(inst.Rd, rs1-rs2)
 	case OpSLL:
-		c.SetReg(inst.Rd, rs1<<(rs2&31))
+		s.SetReg(inst.Rd, rs1<<(rs2&31))
 	case OpSLT:
-		c.SetReg(inst.Rd, b2u(int32(rs1) < int32(rs2)))
+		s.SetReg(inst.Rd, b2u(int32(rs1) < int32(rs2)))
 	case OpSLTU:
-		c.SetReg(inst.Rd, b2u(rs1 < rs2))
+		s.SetReg(inst.Rd, b2u(rs1 < rs2))
 	case OpXOR:
-		c.SetReg(inst.Rd, rs1^rs2)
+		s.SetReg(inst.Rd, rs1^rs2)
 	case OpSRL:
-		c.SetReg(inst.Rd, rs1>>(rs2&31))
+		s.SetReg(inst.Rd, rs1>>(rs2&31))
 	case OpSRA:
-		c.SetReg(inst.Rd, uint32(int32(rs1)>>(rs2&31)))
+		s.SetReg(inst.Rd, uint32(int32(rs1)>>(rs2&31)))
 	case OpOR:
-		c.SetReg(inst.Rd, rs1|rs2)
+		s.SetReg(inst.Rd, rs1|rs2)
 	case OpAND:
-		c.SetReg(inst.Rd, rs1&rs2)
+		s.SetReg(inst.Rd, rs1&rs2)
 	case OpMUL:
-		c.AddStalls(mulStalls)
-		c.SetReg(inst.Rd, rs1*rs2)
+		s.Stalls += mulStalls
+		s.SetReg(inst.Rd, rs1*rs2)
 	case OpMULH:
-		c.AddStalls(mulStalls)
-		c.SetReg(inst.Rd, uint32(int64(int32(rs1))*int64(int32(rs2))>>32))
+		s.Stalls += mulStalls
+		s.SetReg(inst.Rd, uint32(int64(int32(rs1))*int64(int32(rs2))>>32))
 	case OpMULHSU:
-		c.AddStalls(mulStalls)
-		c.SetReg(inst.Rd, uint32(int64(int32(rs1))*int64(rs2)>>32))
+		s.Stalls += mulStalls
+		s.SetReg(inst.Rd, uint32(int64(int32(rs1))*int64(rs2)>>32))
 	case OpMULHU:
-		c.AddStalls(mulStalls)
-		c.SetReg(inst.Rd, uint32(uint64(rs1)*uint64(rs2)>>32))
+		s.Stalls += mulStalls
+		s.SetReg(inst.Rd, uint32(uint64(rs1)*uint64(rs2)>>32))
 	case OpDIV:
-		c.AddStalls(divStalls)
+		s.Stalls += divStalls
 		switch {
 		case rs2 == 0:
-			c.SetReg(inst.Rd, 0xFFFFFFFF)
+			s.SetReg(inst.Rd, 0xFFFFFFFF)
 		case rs1 == 0x80000000 && rs2 == 0xFFFFFFFF:
-			c.SetReg(inst.Rd, 0x80000000)
+			s.SetReg(inst.Rd, 0x80000000)
 		default:
-			c.SetReg(inst.Rd, uint32(int32(rs1)/int32(rs2)))
+			s.SetReg(inst.Rd, uint32(int32(rs1)/int32(rs2)))
 		}
 	case OpDIVU:
-		c.AddStalls(divStalls)
+		s.Stalls += divStalls
 		if rs2 == 0 {
-			c.SetReg(inst.Rd, 0xFFFFFFFF)
+			s.SetReg(inst.Rd, 0xFFFFFFFF)
 		} else {
-			c.SetReg(inst.Rd, rs1/rs2)
+			s.SetReg(inst.Rd, rs1/rs2)
 		}
 	case OpREM:
-		c.AddStalls(divStalls)
+		s.Stalls += divStalls
 		switch {
 		case rs2 == 0:
-			c.SetReg(inst.Rd, rs1)
+			s.SetReg(inst.Rd, rs1)
 		case rs1 == 0x80000000 && rs2 == 0xFFFFFFFF:
-			c.SetReg(inst.Rd, 0)
+			s.SetReg(inst.Rd, 0)
 		default:
-			c.SetReg(inst.Rd, uint32(int32(rs1)%int32(rs2)))
+			s.SetReg(inst.Rd, uint32(int32(rs1)%int32(rs2)))
 		}
 	case OpREMU:
-		c.AddStalls(divStalls)
+		s.Stalls += divStalls
 		if rs2 == 0 {
-			c.SetReg(inst.Rd, rs1)
+			s.SetReg(inst.Rd, rs1)
 		} else {
-			c.SetReg(inst.Rd, rs1%rs2)
+			s.SetReg(inst.Rd, rs1%rs2)
 		}
 	case OpFENCE:
 		// No memory system to order.
 	case OpECALL:
-		res, hasRes, err := c.Syscall(c.Reg(RegA7), c.Reg(RegA0))
+		res, hasRes, err := c.Syscall(s.Reg(RegA7), s.Reg(RegA0))
 		if err != nil {
 			return err
 		}
 		if hasRes {
-			c.SetReg(RegA0, res)
+			s.SetReg(RegA0, res)
 		}
 	case OpEBREAK:
 		return c.Faultf(isa.ErrInvalidOp, "ebreak")
 	}
 
-	c.SetPC(next)
-	c.SetNPC(next + 4)
+	s.PC = next
+	s.NPC = next + 4
 	return nil
 }
 

@@ -78,26 +78,20 @@ type page [pageBytes]byte
 var zeroPage page
 
 // Machine is one processor plus its 24-bit physical memory. It implements
-// isa.CPU; ISA-private state (HI/LO, FP registers, interlock timers)
-// lives in the executor.
+// isa.CPU: the executor works on the machine's isa.State directly and
+// reaches memory, syscalls and faults through the machine. ISA-private
+// state (HI/LO, FP registers, interlock timers, decoded text) lives in
+// the executor.
 type Machine struct {
 	cfg   Config
+	st    isa.State
 	pages [numPages]*page // nil until first written
-	regs  [32]uint32
 
-	pc  uint32
-	npc uint32
-
-	icount    uint64
-	stalls    uint64
-	loads     uint64
-	stores    uint64
-	inputPos  int
-	trace     *trace.Trace // nil unless cfg.CollectTrace
-	exitCode  int32
-	done      bool
-	textLimit uint32
-	im        *instruments // nil when metrics are disabled
+	inputPos int
+	trace    *trace.Trace // nil unless cfg.CollectTrace
+	exitCode int32
+	done     bool
+	im       *instruments // nil when metrics are disabled
 
 	exec    isa.Executor
 	execErr error // deferred ISA-resolution failure, reported on first step
@@ -112,19 +106,17 @@ func New(prog *asm.Program, cfg Config) *Machine {
 	if cfg.MaxInstr == 0 {
 		cfg.MaxInstr = 100_000_000
 	}
-	m := &Machine{
-		cfg: cfg,
-		pc:  prog.Entry,
-		npc: prog.Entry + 4,
-	}
+	m := &Machine{cfg: cfg}
+	m.st.PC, m.st.NPC = prog.Entry, prog.Entry+4
 	m.load(asm.TextBase, prog.Text)
 	m.load(asm.DataBase, prog.Data)
-	m.textLimit = asm.TextBase + uint32(len(prog.Text))
+	m.st.TextLimit = asm.TextBase + uint32(len(prog.Text))
 	if cfg.CollectTrace {
 		m.trace = &trace.Trace{}
 	}
 	if cfg.Metrics != nil {
 		m.im = newInstruments(cfg.Metrics)
+		m.st.CountClasses = true
 	}
 	arch, err := isa.Lookup(prog.ISA)
 	if err != nil {
@@ -136,40 +128,23 @@ func New(prog *asm.Program, cfg Config) *Machine {
 		m.execErr = fmt.Errorf("sim: ISA %q has no execution backend", arch.Name())
 		return m
 	}
-	m.npc = prog.Entry + uint32(arch.WordBytes())
+	m.st.NPC = prog.Entry + uint32(arch.WordBytes())
 	m.exec = eb.NewExecutor()
 	m.exec.Reset(m)
 	return m
 }
 
+// State returns the machine's architectural state (isa.CPU).
+func (m *Machine) State() *isa.State { return &m.st }
+
 // Reg returns the value of GPR r.
-func (m *Machine) Reg(r uint8) uint32 { return m.regs[r&31] }
+func (m *Machine) Reg(r uint8) uint32 { return m.st.Reg(r) }
 
 // SetReg writes GPR r (writes to register 0 are ignored).
-func (m *Machine) SetReg(r uint8, v uint32) {
-	if r&31 != 0 {
-		m.regs[r&31] = v
-	}
-}
+func (m *Machine) SetReg(r uint8, v uint32) { m.st.SetReg(r, v) }
 
 // PC returns the current program counter.
-func (m *Machine) PC() uint32 { return m.pc }
-
-// SetPC sets the current program counter.
-func (m *Machine) SetPC(pc uint32) { m.pc = pc }
-
-// NPC returns the next fetch address (the delay-slot companion of PC).
-func (m *Machine) NPC() uint32 { return m.npc }
-
-// SetNPC sets the next fetch address.
-func (m *Machine) SetNPC(pc uint32) { m.npc = pc }
-
-// Icount returns the dynamic instruction count, not counting the
-// instruction currently executing.
-func (m *Machine) Icount() uint64 { return m.icount }
-
-// AddStalls attributes n pipeline stall cycles to the run.
-func (m *Machine) AddStalls(n uint64) { m.stalls += n }
+func (m *Machine) PC() uint32 { return m.st.PC }
 
 // CountClass attributes the current instruction to its pipeline class.
 func (m *Machine) CountClass(c isa.Class) {
@@ -177,12 +152,6 @@ func (m *Machine) CountClass(c isa.Class) {
 		m.im.class[c].Inc()
 	}
 }
-
-// NoteLoad records that the current instruction reads data memory.
-func (m *Machine) NoteLoad() { m.loads++ }
-
-// NoteStore records that the current instruction writes data memory.
-func (m *Machine) NoteStore() { m.stores++ }
 
 // Exit halts the machine with the given status code.
 func (m *Machine) Exit(code uint32) {
@@ -192,14 +161,14 @@ func (m *Machine) Exit(code uint32) {
 
 // Faultf builds an execution error annotated with the faulting PC.
 func (m *Machine) Faultf(base error, format string, args ...any) error {
-	return fmt.Errorf("%w at pc=%#08x: %s", base, m.pc, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w at pc=%#08x: %s", base, m.st.PC, fmt.Sprintf(format, args...))
 }
 
 // FetchWord reads the instruction word at pc, enforcing the text limit
 // and word alignment.
 func (m *Machine) FetchWord(pc uint32) (isa.Word, error) {
-	if pc >= m.textLimit || pc&3 != 0 {
-		return 0, m.Faultf(ErrBadAddress, "instruction fetch outside text (limit %#x)", m.textLimit)
+	if pc >= m.st.TextLimit || pc&3 != 0 {
+		return 0, m.Faultf(ErrBadAddress, "instruction fetch outside text (limit %#x)", m.st.TextLimit)
 	}
 	w, err := m.LoadWord(pc)
 	return isa.Word(w), err
@@ -312,41 +281,51 @@ func (m *Machine) step() error {
 	if m.exec == nil {
 		return m.execErr
 	}
-	pc, loads, stores := m.pc, m.loads, m.stores
+	s := &m.st
+	pc, loads, stores := s.PC, s.Loads, s.Stores
 	if err := m.exec.Step(m); err != nil {
 		return err
 	}
 	if m.trace != nil {
-		m.trace.Add(pc, m.loads != loads, m.stores != stores)
+		m.trace.Add(pc, s.Loads != loads, s.Stores != stores)
 	}
-	m.icount++
+	s.Icount++
 	return nil
 }
 
 // Run executes until the program exits (syscall 10/17), an error occurs,
-// or the instruction limit is hit.
+// or the instruction limit is hit. The result's trace holds its runs in
+// an exactly sized slice, so a caller that keeps it keeps no slack.
 func (m *Machine) Run() (*Result, error) {
+	err := m.run()
+	if m.trace != nil && cap(m.trace.Events) > len(m.trace.Events) {
+		m.trace.Events = append(make([]trace.Event, 0, len(m.trace.Events)), m.trace.Events...)
+	}
+	return m.result(), err
+}
+
+func (m *Machine) run() error {
 	for !m.done {
-		if m.icount >= m.cfg.MaxInstr {
-			return m.result(), m.Faultf(ErrMaxInstructions, "%d executed", m.icount)
+		if m.st.Icount >= m.cfg.MaxInstr {
+			return m.Faultf(ErrMaxInstructions, "%d executed", m.st.Icount)
 		}
 		if err := m.step(); err != nil {
-			return m.result(), err
+			return err
 		}
 	}
-	return m.result(), nil
+	return nil
 }
 
 func (m *Machine) result() *Result {
 	r := &Result{
-		Instructions: m.icount,
-		Stalls:       m.stalls,
-		Loads:        m.loads,
-		Stores:       m.stores,
+		Instructions: m.st.Icount,
+		Stalls:       m.st.Stalls,
+		Loads:        m.st.Loads,
+		Stores:       m.st.Stores,
 		ExitCode:     m.exitCode,
 	}
 	if m.trace != nil {
-		r.Trace = &trace.Trace{Events: m.trace.Events, Stalls: m.stalls}
+		r.Trace = &trace.Trace{Events: m.trace.Events, Stalls: m.st.Stalls}
 	}
 	return r
 }
@@ -357,8 +336,8 @@ func (m *Machine) Step() error {
 	if m.done {
 		return nil
 	}
-	if m.icount >= m.cfg.MaxInstr {
-		return m.Faultf(ErrMaxInstructions, "%d executed", m.icount)
+	if m.st.Icount >= m.cfg.MaxInstr {
+		return m.Faultf(ErrMaxInstructions, "%d executed", m.st.Icount)
 	}
 	return m.step()
 }
@@ -367,7 +346,7 @@ func (m *Machine) Step() error {
 func (m *Machine) Done() bool { return m.done }
 
 // Instructions returns the dynamic instruction count so far.
-func (m *Machine) Instructions() uint64 { return m.icount }
+func (m *Machine) Instructions() uint64 { return m.st.Icount }
 
 // Snapshot returns the current result counters without ending the run.
 // Its trace is a copy, because the next step may extend the last run.

@@ -478,6 +478,29 @@ __start:
 	}
 }
 
+// TestRunTraceExactlySized: the trace of a finished run, whether it
+// exited or faulted, holds its runs in an exactly sized slice, so a
+// caller that keeps it keeps no growth slack.
+func TestRunTraceExactlySized(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		cfg Config
+	}{
+		{".text\n__start: li $t0, 3000\nloop: addiu $t0, $t0, -1\nbnez $t0, loop\nnop" + exitSeq, Config{}},
+		{".text\n__start: b __start\nnop", Config{MaxInstr: 5000}},
+	} {
+		p, err := asm.Assemble("t", c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.cfg.CollectTrace = true
+		res, _ := New(p, c.cfg).Run()
+		if n := len(res.Trace.Events); n < 1000 || cap(res.Trace.Events) != n {
+			t.Errorf("trace of %d runs has capacity %d, want %d", n, cap(res.Trace.Events), n)
+		}
+	}
+}
+
 func runErr(t *testing.T, src string, cfg Config) error {
 	t.Helper()
 	p, err := asm.Assemble("t", src)
@@ -532,6 +555,15 @@ func TestErrors(t *testing.T) {
 		err := runErr(t, ".text\n__start: break", Config{})
 		if !errors.Is(err, ErrInvalidOp) {
 			t.Errorf("err = %v", err)
+		}
+	})
+	t.Run("double pair past $f31", func(t *testing.T) {
+		for _, inst := range []string{"add.d $f31, $f0, $f0", "mov.d $f0, $f31",
+			"c.lt.d $f2, $f31", "cvt.d.w $f31, $f0", "cvt.w.d $f0, $f31"} {
+			err := runErr(t, ".text\n__start: "+inst, Config{})
+			if !errors.Is(err, ErrInvalidOp) {
+				t.Errorf("%s: err = %v", inst, err)
+			}
 		}
 	})
 	t.Run("jump into data", func(t *testing.T) {

@@ -72,7 +72,22 @@ func (t *Trace) Add(pc uint32, load, store bool) {
 			return
 		}
 	}
-	t.Events = append(t.Events, Event{PC: pc, N: 1, Loads: one(load), Stores: one(store)})
+	t.start(Event{PC: pc, N: 1, Loads: one(load), Stores: one(store)})
+}
+
+// minRuns is the capacity of a trace's first allocation.
+const minRuns = 1024
+
+// start appends a new run. Events doubles when full: append grows a large
+// slice by about a quarter, so a trace of n runs would allocate about 5n
+// runs in all, where doubling allocates about 2n.
+func (t *Trace) start(e Event) {
+	if n := len(t.Events); n == cap(t.Events) {
+		grown := make([]Event, n, max(2*n, minRuns))
+		copy(grown, t.Events)
+		t.Events = grown
+	}
+	t.Events = append(t.Events, e)
 }
 
 func one(b bool) uint8 {

@@ -1,8 +1,10 @@
 // Package workload provides the benchmark corpus of the reproduction:
-// thirteen MIPS R2000 programs mirroring the paper's test set (the ten
+// fourteen MIPS R2000 programs mirroring the paper's test set (the ten
 // Figure 5 programs plus the simulation-only nasa7/nasa1/tomcatv/fpppp
-// set), each assembled from source by internal/asm and executed by
-// internal/sim to produce instruction traces.
+// set) and three RV32 programs for the RVC comparison. Each is assembled
+// from source by internal/asm on first use, and executed by internal/sim
+// only when its run or trace is asked for, so a caller that needs only
+// the text never simulates.
 //
 // The hand-written core of each program reproduces the dynamic locality
 // of its namesake (loop working sets, dispatch irregularity, straight-line
@@ -35,12 +37,15 @@ type Workload struct {
 
 	buildSrc func() string
 
-	once     sync.Once
-	src      string
-	prog     *asm.Program
-	result   *sim.Result
-	output   string
-	buildErr error
+	asmOnce sync.Once // for Source, Program, Text and StaticBytes
+	src     string
+	prog    *asm.Program
+	asmErr  error
+
+	runOnce sync.Once // for Run and Trace
+	result  *sim.Result
+	output  string
+	runErr  error
 }
 
 // maxWorkloadInstr bounds any corpus program's dynamic length; the
@@ -250,16 +255,40 @@ func Names() []string {
 	return out
 }
 
-// build assembles and executes the workload exactly once.
-func (w *Workload) build() {
-	w.once.Do(func() {
+// assemble composes and assembles the program exactly once.
+func (w *Workload) assemble() {
+	w.asmOnce.Do(func() {
 		w.src = w.buildSrc()
 		prog, err := asm.AssembleFor(w.ISA, w.Name, w.src)
 		if err != nil {
-			w.buildErr = fmt.Errorf("workload %s: %w", w.Name, err)
+			w.asmErr = fmt.Errorf("workload %s: %w", w.Name, err)
 			return
 		}
 		w.prog = prog
+	})
+}
+
+// Source returns the composed assembly source.
+func (w *Workload) Source() string {
+	w.assemble()
+	return w.src
+}
+
+// Program returns the assembled image.
+func (w *Workload) Program() (*asm.Program, error) {
+	w.assemble()
+	return w.prog, w.asmErr
+}
+
+// Run returns the simulation result (with trace) and console output. The
+// program runs on the first call and the result is cached.
+func (w *Workload) Run() (*sim.Result, string, error) {
+	w.runOnce.Do(func() {
+		prog, err := w.Program()
+		if err != nil {
+			w.runErr = err
+			return
+		}
 		var out bytes.Buffer
 		m := sim.New(prog, sim.Config{
 			Stdout:       &out,
@@ -268,30 +297,13 @@ func (w *Workload) build() {
 		})
 		res, err := m.Run()
 		if err != nil {
-			w.buildErr = fmt.Errorf("workload %s: %w", w.Name, err)
+			w.runErr = fmt.Errorf("workload %s: %w", w.Name, err)
 			return
 		}
 		w.result = res
 		w.output = out.String()
 	})
-}
-
-// Source returns the composed assembly source.
-func (w *Workload) Source() string {
-	w.build()
-	return w.src
-}
-
-// Program returns the assembled image.
-func (w *Workload) Program() (*asm.Program, error) {
-	w.build()
-	return w.prog, w.buildErr
-}
-
-// Run returns the cached simulation result (with trace) and console output.
-func (w *Workload) Run() (*sim.Result, string, error) {
-	w.build()
-	return w.result, w.output, w.buildErr
+	return w.result, w.output, w.runErr
 }
 
 // Trace returns the cached instruction trace.

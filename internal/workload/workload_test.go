@@ -1,12 +1,18 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"ccrp/internal/asm"
 	"ccrp/internal/isa"
 	_ "ccrp/internal/mips" // register the default backend
+	"ccrp/internal/sim"
 	"ccrp/internal/trace"
 )
 
@@ -180,5 +186,85 @@ func BenchmarkBuildCorpus(b *testing.B) {
 		if _, err := w.Program(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// corpusRunHash hashes everything a corpus run produces: its trace runs,
+// its instruction, stall, load and store counts, and its console output.
+func corpusRunHash(res *sim.Result, out string) string {
+	var b []byte
+	for _, e := range res.Trace.Events {
+		b = binary.LittleEndian.AppendUint32(b, e.PC)
+		b = append(b, e.N, e.Loads, e.Stores)
+	}
+	for _, n := range []uint64{res.Instructions, res.Stalls, res.Loads, res.Stores, res.Trace.Stalls} {
+		b = binary.LittleEndian.AppendUint64(b, n)
+	}
+	b = append(b, out...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestCorpusRunsPinned pins every run of all 17 corpus programs, both
+// ISAs. The hashes were written by the executors that decoded each word
+// at every fetch, before the text was predecoded, so a change to either
+// executor that moves one fetch, stall, data access or output byte fails
+// here. It reads the cached runs, so it simulates nothing of its own, and
+// checks that each cached trace carries no growth slack.
+func TestCorpusRunsPinned(t *testing.T) {
+	want := map[string]string{
+		"eightq":      "0efeaf6f4a6cc5e714a00848270b49f6c1ffede99d59f005d05dab1a03e14db9",
+		"lloop01":     "7b4ef0c4c18096fcad703a88d53dbd932789fbd2296f3768a62d3091fa41b9a5",
+		"matrix25a":   "55092c94076890663017b87528675ed9064a14eea433f2ac0e44301bc8d80f2c",
+		"tex":         "dd7f8188d450f204c89b0e6fe00ea8a546cc8692b493add838173a0a5525dbda",
+		"pswarp":      "3bf67e23ee8c78daad9f6055bd2c8cf5f6ec9541ce33f631c07bf0d77fb768e0",
+		"yacc":        "9b9e51ee4359ab6db82bb131b9b179ff610d39b57ee578ed11c1b0180090f76f",
+		"who":         "f010b5a5ca86e1dc7bf62d61efc0312d5a0c19a1abd6afe539b84b14d6a32954",
+		"xlisp":       "b6cb995ed32da79dc39541a8d7e2bf7586eb6e01bffdc30a051e74e8ad169e58",
+		"espresso":    "481f09508aa165a978d9445a8f60c5175597d0431b0c76fd361caa8dc7967783",
+		"spim":        "e5c0d487b3250ba0fb193a3fb7cc29677b3ffa8f733ec56b8c80662ed3c0c6f3",
+		"nasa7":       "5046ba78ff5be66ef544e5a323446fa2bbef1ec70a2e55b1ed3038195c9c1b2f",
+		"nasa1":       "d3449d58f9fd9926e03df4fe1560c1b4bca3424ef6fbe1c3f9da3c15bbdf0347",
+		"tomcatv":     "8b8169882fdc6d296efd74d865a966b1d51051bc3158ae8b00c56e47db62cccc",
+		"fpppp":       "9806f9d6cb8d5fb4133a3c404fccbd5d6ffb290fcf19d58efbd81d2cb4293f72",
+		"rv-matrix":   "ce646a2474f3c2a4540dfd121550abe1639defbfc63ba41d88d8ac122a9feff0",
+		"rv-sieve":    "3839903f770b85f93b0963c2c8df51287796d3e380f7c872d7d09f21406cf8aa",
+		"rv-dispatch": "ebdc1e25477634c5b028eeb84acc80763635246b631a3b0ecee405df5ba64c37",
+	}
+	for _, w := range slices.Concat(All(), RISCV()) {
+		res, out, err := w.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if got := corpusRunHash(res, out); got != want[w.Name] {
+			t.Errorf("%s: run hash %s, pinned %s", w.Name, got, want[w.Name])
+		}
+		if ev := res.Trace.Events; cap(ev) != len(ev) {
+			t.Errorf("%s: cached trace of %d runs has capacity %d", w.Name, len(ev), cap(ev))
+		}
+	}
+}
+
+// TestTextWithoutRun: assembling and running are separate, so a program
+// that never exits still yields its image and text, and only Run and
+// Trace report the instruction limit.
+func TestTextWithoutRun(t *testing.T) {
+	w := &Workload{Name: "spin", buildSrc: func() string {
+		return "\t.text\n__start:\n\tnop\n\tnop\n\tnop\n\tnop\n\tnop\n\tnop\n\tb __start\n\tnop\n"
+	}}
+	if _, err := w.Program(); err != nil {
+		t.Fatalf("Program: %v", err)
+	}
+	if text, err := w.Text(); err != nil || len(text) != 32 {
+		t.Fatalf("Text: %d bytes, %v; want 32 bytes", len(text), err)
+	}
+	if _, _, err := w.Run(); !errors.Is(err, sim.ErrMaxInstructions) {
+		t.Errorf("Run: %v, want %v", err, sim.ErrMaxInstructions)
+	}
+	if _, err := w.Trace(); !errors.Is(err, sim.ErrMaxInstructions) {
+		t.Errorf("Trace: %v, want %v", err, sim.ErrMaxInstructions)
+	}
+	if n, err := w.StaticBytes(); err != nil || n != 32 {
+		t.Errorf("StaticBytes after a failed run: %d, %v", n, err)
 	}
 }
