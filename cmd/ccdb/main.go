@@ -41,7 +41,9 @@ func main() {
 	isaName := flag.String("isa", "", "ISA backend for .s input ("+strings.Join(isa.Names(), "|")+"; default "+isa.DefaultName+")")
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
-	cliutil.HandleVersionFlag("ccdb", version)
+	if cliutil.PrintVersion(os.Stdout, "ccdb", version) {
+		return
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ccdb [-isa name] (prog.s | prog.img)")
 		os.Exit(2)

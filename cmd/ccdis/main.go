@@ -35,7 +35,9 @@ func main() {
 	isaName := flag.String("isa", "", "ISA backend for -rom text ("+strings.Join(isa.Names(), "|")+"; default "+isa.DefaultName+")")
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
-	cliutil.HandleVersionFlag("ccdis", version)
+	if cliutil.PrintVersion(os.Stdout, "ccdis", version) {
+		return
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ccdis [-rom [-isa name] [-raw out.bin]] prog.img")
 		os.Exit(2)

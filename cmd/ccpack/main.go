@@ -28,7 +28,9 @@ func main() {
 	wl := flag.String("workload", "", "compress a corpus workload instead of an image file")
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
-	cliutil.HandleVersionFlag("ccpack", version)
+	if cliutil.PrintVersion(os.Stdout, "ccpack", version) {
+		return
+	}
 
 	var text []byte
 	var name string

@@ -55,7 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	cliutil.HandleVersionFlag("ccrp-bench", version)
+	if cliutil.PrintVersion(stdout, "ccrp-bench", version) {
+		return 0
+	}
 
 	names, err := experimentNames(*exp)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ccrp/internal/cliutil"
 )
 
 // TestUnknownExperiment: a bad -exp name is a usage error (exit 2) found
@@ -46,5 +48,16 @@ func TestRendersExperiment(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "Figure 5") {
 		t.Errorf("stdout does not hold the Figure 5 table:\n%s", stdout.String())
+	}
+}
+
+// TestVersion: -version prints to the given stdout and succeeds.
+func TestVersion(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-version"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if want := "ccrp-bench " + cliutil.Version() + "\n"; stdout.String() != want {
+		t.Errorf("stdout %q, want %q", stdout.String(), want)
 	}
 }

@@ -52,7 +52,9 @@ func main() {
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
-	cliutil.HandleVersionFlag("ccrp-router", version)
+	if cliutil.PrintVersion(os.Stdout, "ccrp-router", version) {
+		return
+	}
 
 	var nodes []string
 	for _, n := range strings.Split(*fleet, ",") {

@@ -31,7 +31,9 @@ func main() {
 	stage := flag.String("stage", "", "only report this stage in the stage table")
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
-	cliutil.HandleVersionFlag("ccrp-spans", version)
+	if cliutil.PrintVersion(os.Stdout, "ccrp-spans", version) {
+		return
+	}
 
 	recs, err := readAll(flag.Args())
 	if err != nil {

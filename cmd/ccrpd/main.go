@@ -61,7 +61,9 @@ func main() {
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
 	version := cliutil.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
-	cliutil.HandleVersionFlag("ccrpd", version)
+	if cliutil.PrintVersion(os.Stdout, "ccrpd", version) {
+		return
+	}
 
 	// Tracing is always on: the tail capture behind GET /debug/traces
 	// costs only the slowest-N span trees.

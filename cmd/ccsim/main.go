@@ -92,7 +92,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		return usageError{err}
 	}
-	cliutil.HandleVersionFlag("ccsim", version)
+	if cliutil.PrintVersion(stdout, "ccsim", version) {
+		return nil
+	}
 	usage := func(format string, a ...any) error {
 		err := fmt.Errorf(format, a...)
 		fmt.Fprintln(fs.Output(), err)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ccrp/internal/cliutil"
 )
 
 // TestGolden: the report and the -json document for eightq match the
@@ -90,5 +92,16 @@ func TestBadInput(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%s: printed a report:\n%s", c.name, stdout.String())
 		}
+	}
+}
+
+// TestVersion: -version prints to the given stdout and succeeds.
+func TestVersion(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-version"}, &stdout, &stderr); err != nil {
+		t.Fatalf("%v (stderr %q)", err, stderr.String())
+	}
+	if want := "ccsim " + cliutil.Version() + "\n"; stdout.String() != want {
+		t.Errorf("stdout %q, want %q", stdout.String(), want)
 	}
 }

@@ -70,7 +70,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return usageError{err}
 	}
-	cliutil.HandleVersionFlag("cctrace", version)
+	if cliutil.PrintVersion(stdout, "cctrace", version) {
+		return nil
+	}
 	usage := func(format string, a ...any) error {
 		err := fmt.Errorf(format, a...)
 		fmt.Fprintln(fs.Output(), err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ccrp/internal/cliutil"
 	"ccrp/internal/trace"
 )
 
@@ -106,5 +107,16 @@ func TestBadInput(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%s: printed a report:\n%s", c.name, stdout.String())
 		}
+	}
+}
+
+// TestVersion: -version prints to the given stdout and succeeds.
+func TestVersion(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-version"}, &stdout, &stderr); err != nil {
+		t.Fatalf("%v (stderr %q)", err, stderr.String())
+	}
+	if want := "cctrace " + cliutil.Version() + "\n"; stdout.String() != want {
+		t.Errorf("stdout %q, want %q", stdout.String(), want)
 	}
 }

@@ -15,14 +15,16 @@ const (
 	secData = 1
 )
 
+// stmt is one statement pass 2 must emit: an instruction, or a
+// directive with bytes. Statements are kept by value in one slice, and
+// their operands are substrings of the source held in one shared slice,
+// so a statement allocates nothing of its own.
 type stmt struct {
-	labels  []string
-	op      string // lowercase mnemonic or directive (leading '.')
-	args    []string
-	line    int
-	section int
-	addr    uint32
-	size    int
+	op           string // lowercase mnemonic or directive (leading '.')
+	argLo, argHi int32  // operands: assembler.args[argLo:argHi]
+	addr, size   uint32
+	line         int
+	section      int
 }
 
 // Assemble assembles source for the default ISA backend into a loadable
@@ -44,36 +46,43 @@ func AssembleFor(isaName, name, source string) (*Program, error) {
 	if !ok {
 		return nil, fmt.Errorf("asm: ISA %q has no assembler backend", arch.Name())
 	}
-	stmts, err := parseSource(source)
+	a := &assembler{syms: make(symtab), be: be, wb: arch.WordBytes()}
+	textEnd, dataEnd, err := a.pass1(source)
 	if err != nil {
 		return nil, err
 	}
-	a := &assembler{
-		syms: make(symtab),
-		prog: &Program{Name: name, ISA: arch.Name(), Symbols: make(map[string]uint32)},
-		be:   be,
-		wb:   arch.WordBytes(),
+	p := &Program{
+		Name:    name,
+		ISA:     arch.Name(),
+		Text:    sized(textEnd - TextBase),
+		Data:    sized(dataEnd - DataBase),
+		Symbols: map[string]uint32(a.syms),
 	}
-	if err := a.pass1(stmts); err != nil {
+	if err := a.pass2(p); err != nil {
 		return nil, err
 	}
-	if err := a.pass2(stmts); err != nil {
-		return nil, err
-	}
-	a.prog.Symbols = map[string]uint32(a.syms)
 	if e, ok := a.syms["__start"]; ok {
-		a.prog.Entry = e
+		p.Entry = e
 	} else {
-		a.prog.Entry = TextBase
+		p.Entry = TextBase
 	}
-	return a.prog, nil
+	return p, nil
+}
+
+// sized returns an empty buffer with room for n bytes, or nil for none.
+func sized(n uint32) []byte {
+	if n == 0 {
+		return nil
+	}
+	return make([]byte, 0, n)
 }
 
 type assembler struct {
-	syms symtab
-	prog *Program
-	be   isa.AsmBackend
-	wb   int
+	syms  symtab
+	be    isa.AsmBackend
+	wb    int
+	stmts []stmt
+	args  []string
 }
 
 // symEval evaluates an operand expression against the symbol table. In
@@ -84,42 +93,11 @@ func (a *assembler) symEval(s string) (uint32, error) {
 	return evalExpr(s, a.syms)
 }
 
-// parseSource splits source into statements: comments stripped, labels
-// attached, operands split on top-level commas.
-func parseSource(source string) ([]*stmt, error) {
-	var stmts []*stmt
-	for lineNo, raw := range strings.Split(source, "\n") {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
-		var labels []string
-		for {
-			i := labelEnd(line)
-			if i < 0 {
-				break
-			}
-			labels = append(labels, strings.TrimSpace(line[:i]))
-			line = strings.TrimSpace(line[i+1:])
-		}
-		if line == "" && len(labels) == 0 {
-			continue
-		}
-		st := &stmt{labels: labels, line: lineNo + 1}
-		if line != "" {
-			op := line
-			rest := ""
-			if i := strings.IndexAny(line, " \t"); i >= 0 {
-				op, rest = line[:i], strings.TrimSpace(line[i+1:])
-			}
-			st.op = strings.ToLower(op)
-			st.args = splitOperands(rest)
-		}
-		stmts = append(stmts, st)
-	}
-	return stmts, nil
-}
-
 // stripComment removes a '#' comment, respecting string and char literals.
 func stripComment(line string) string {
+	if strings.IndexByte(line, '#') < 0 {
+		return line
+	}
 	inStr, inChar, esc := false, false, false
 	for i := 0; i < len(line); i++ {
 		c := line[i]
@@ -154,13 +132,13 @@ func labelEnd(line string) int {
 	return -1
 }
 
-// splitOperands splits on commas outside quotes and parentheses.
-func splitOperands(s string) []string {
+// appendOperands appends the operands of s, split on commas outside
+// quotes and parentheses, to dst.
+func appendOperands(dst []string, s string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return nil
+		return dst
 	}
-	var out []string
 	depth := 0
 	inStr, inChar, esc := false, false, false
 	start := 0
@@ -181,91 +159,126 @@ func splitOperands(s string) []string {
 		case c == ')':
 			depth--
 		case c == ',' && depth == 0:
-			out = append(out, strings.TrimSpace(s[start:i]))
+			dst = append(dst, strings.TrimSpace(s[start:i]))
 			start = i + 1
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return append(dst, strings.TrimSpace(s[start:]))
 }
 
-func (a *assembler) pass1(stmts []*stmt) error {
-	text, data := TextBase, DataBase
+// pass1 walks the source once, a line at a time: it strips comments,
+// binds labels and .equ names, sizes every instruction and directive,
+// and keeps the statements pass 2 must emit. It returns each section's
+// end address. The section cursors are 64-bit so that no .space can wrap
+// them past the checks at the end.
+func (a *assembler) pass1(src string) (textEnd, dataEnd uint32, err error) {
+	// Every statement holds a line and every operand but the first
+	// follows a comma, so these bound what the walk appends.
+	lines := strings.Count(src, "\n") + 1
+	a.stmts = make([]stmt, 0, lines)
+	a.args = make([]string, 0, lines+strings.Count(src, ","))
+	text, data := uint64(TextBase), uint64(DataBase)
 	section := secText
-	for _, st := range stmts {
-		st.section = section
+	eval := a.symEval
+	for lineNo := 1; src != ""; lineNo++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		line = strings.TrimSpace(stripComment(line))
 		cur := &text
 		if section == secData {
 			cur = &data
 		}
-		for _, l := range st.labels {
-			if _, dup := a.syms[l]; dup {
-				return errf(st.line, "duplicate symbol %q", l)
+		for {
+			i := labelEnd(line)
+			if i < 0 {
+				break
 			}
-			a.syms[l] = *cur
+			l := line[:i]
+			if _, dup := a.syms[l]; dup {
+				return 0, 0, errf(lineNo, "duplicate symbol %q", l)
+			}
+			a.syms[l] = uint32(*cur)
+			line = strings.TrimSpace(line[i+1:])
 		}
-		if st.op == "" {
+		if line == "" {
 			continue
 		}
+		op, rest := line, ""
+		if i := strings.IndexAny(line, " \t"); i >= 0 {
+			op, rest = line[:i], line[i+1:]
+		}
+		st := stmt{op: strings.ToLower(op), line: lineNo, section: section, addr: uint32(*cur)}
+		st.argLo = int32(len(a.args))
+		a.args = appendOperands(a.args, rest)
+		st.argHi = int32(len(a.args))
+		args := a.args[st.argLo:st.argHi]
 		if strings.HasPrefix(st.op, ".") {
-			adv, newSec, err := a.directiveSize(st, section, *cur)
+			size, newSec, err := a.directiveSize(&st, args, section)
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
 			if newSec != section {
 				section = newSec
-				st.section = newSec
 				continue
 			}
 			// Labels on a directive line bind before the directive's data.
-			st.addr = *cur
-			st.size = adv
-			*cur += uint32(adv)
+			st.size = uint32(size)
+			*cur += uint64(size)
+			if size > 0 {
+				a.stmts = append(a.stmts, st)
+			}
 			continue
 		}
 		if section != secText {
-			return errf(st.line, "instruction %q outside .text", st.op)
+			return 0, 0, errf(lineNo, "instruction %q outside .text", st.op)
 		}
-		size, err := a.be.InstSize(st.op, st.args, a.symEval)
+		size, err := a.be.InstSize(st.op, args, eval)
 		if err != nil {
-			return errf(st.line, "%v", err)
+			return 0, 0, errf(lineNo, "%v", err)
 		}
-		st.addr = *cur
-		st.size = size
-		*cur += uint32(size)
+		st.size = uint32(size)
+		*cur += uint64(size)
+		a.stmts = append(a.stmts, st)
 	}
-	if text > DataBase {
-		return errf(0, "text section too large: ends at %#x, data begins at %#x", text, DataBase)
+	if text > uint64(DataBase) {
+		return 0, 0, errf(0, "text section too large: ends at %#x, data begins at %#x", text, DataBase)
 	}
-	if data > StackTop {
-		return errf(0, "data section too large: ends at %#x", data)
+	if data > uint64(StackTop) {
+		return 0, 0, errf(0, "data section too large: ends at %#x", data)
 	}
-	return nil
+	if text%uint64(a.wb) != 0 {
+		return 0, 0, errf(0, "text section ends at %#x, inside a %d-byte word", text, a.wb)
+	}
+	return uint32(text), uint32(data), nil
 }
 
-func (a *assembler) pass2(stmts []*stmt) error {
-	for _, st := range stmts {
-		if st.op == "" {
-			continue
-		}
+// pass2 encodes the kept statements into p's text and data, reusing one
+// word buffer for every instruction.
+func (a *assembler) pass2(p *Program) error {
+	eval := a.symEval
+	var words []isa.Word
+	for i := range a.stmts {
+		st := &a.stmts[i]
+		args := a.args[st.argLo:st.argHi]
 		if strings.HasPrefix(st.op, ".") {
-			if err := a.emitDirective(st); err != nil {
+			if err := a.emitDirective(p, st, args); err != nil {
 				return err
 			}
 			continue
 		}
-		words, err := a.be.EncodeInst(st.op, st.args, st.addr, a.symEval)
+		var err error
+		words, err = a.be.EncodeInst(words[:0], st.op, args, st.addr, eval)
 		if err != nil {
 			return errf(st.line, "%v", err)
 		}
-		if len(words)*a.wb != st.size {
+		if len(words)*a.wb != int(st.size) {
 			return errf(st.line, "internal: %q sized %d bytes in pass 1 but emitted %d",
 				st.op, st.size, len(words)*a.wb)
 		}
 		for _, w := range words {
 			var b [4]byte
 			binary.LittleEndian.PutUint32(b[:], uint32(w))
-			a.prog.Text = append(a.prog.Text, b[:a.wb]...)
+			p.Text = append(p.Text, b[:a.wb]...)
 		}
 	}
 	return nil
@@ -273,7 +286,7 @@ func (a *assembler) pass2(stmts []*stmt) error {
 
 // directiveSize computes a directive's byte size during pass 1 (and
 // handles .equ / section switches, which take effect immediately).
-func (a *assembler) directiveSize(st *stmt, section int, addr uint32) (size, newSection int, err error) {
+func (a *assembler) directiveSize(st *stmt, args []string, section int) (size, newSection int, err error) {
 	switch st.op {
 	case ".text":
 		return 0, secText, nil
@@ -282,52 +295,52 @@ func (a *assembler) directiveSize(st *stmt, section int, addr uint32) (size, new
 	case ".globl", ".global", ".ent", ".end", ".set", ".file", ".frame":
 		return 0, section, nil
 	case ".equ":
-		if len(st.args) != 2 {
+		if len(args) != 2 {
 			return 0, section, errf(st.line, ".equ needs name, value")
 		}
-		v, err := evalExpr(st.args[1], a.syms)
+		v, err := evalExpr(args[1], a.syms)
 		if err != nil {
-			return 0, section, errf(st.line, ".equ %s: %v", st.args[0], err)
+			return 0, section, errf(st.line, ".equ %s: %v", args[0], err)
 		}
-		name := strings.TrimSpace(st.args[0])
+		name := args[0]
 		if _, dup := a.syms[name]; dup {
 			return 0, section, errf(st.line, "duplicate symbol %q", name)
 		}
 		a.syms[name] = v
 		return 0, section, nil
 	case ".align":
-		if len(st.args) != 1 {
+		if len(args) != 1 {
 			return 0, section, errf(st.line, ".align needs one argument")
 		}
-		n, err := strconv.Atoi(st.args[0])
+		n, err := strconv.Atoi(args[0])
 		if err != nil || n < 0 || n > 16 {
-			return 0, section, errf(st.line, "bad .align %q", st.args[0])
+			return 0, section, errf(st.line, "bad .align %q", args[0])
 		}
 		al := uint32(1) << n
-		pad := int((al - addr%al) % al)
+		pad := int((al - st.addr%al) % al)
 		return pad, section, nil
 	case ".space":
-		if len(st.args) != 1 {
+		if len(args) != 1 {
 			return 0, section, errf(st.line, ".space needs one argument")
 		}
-		n, err := evalExpr(st.args[0], a.syms)
+		n, err := evalExpr(args[0], a.syms)
 		if err != nil {
 			return 0, section, errf(st.line, ".space: %v", err)
 		}
 		return int(n), section, nil
 	case ".byte":
-		return len(st.args), section, nil
+		return len(args), section, nil
 	case ".half":
-		return 2 * len(st.args), section, nil
+		return 2 * len(args), section, nil
 	case ".word":
-		return 4 * len(st.args), section, nil
+		return 4 * len(args), section, nil
 	case ".float":
-		return 4 * len(st.args), section, nil
+		return 4 * len(args), section, nil
 	case ".double":
-		return 8 * len(st.args), section, nil
+		return 8 * len(args), section, nil
 	case ".ascii", ".asciiz":
 		total := 0
-		for _, arg := range st.args {
+		for _, arg := range args {
 			s, err := unquote(arg)
 			if err != nil {
 				return 0, section, errf(st.line, "%v", err)
@@ -342,82 +355,75 @@ func (a *assembler) directiveSize(st *stmt, section int, addr uint32) (size, new
 	return 0, section, errf(st.line, "unknown directive %q", st.op)
 }
 
-// emitDirective appends a data-bearing directive's bytes during pass 2.
-func (a *assembler) emitDirective(st *stmt) error {
-	var out []byte
-	emitInt := func(width int) error {
-		for _, arg := range st.args {
-			v, err := evalExpr(arg, a.syms)
-			if err != nil {
-				return errf(st.line, "%s: %v", st.op, err)
-			}
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], v)
-			out = append(out, b[:width]...)
-		}
-		return nil
+// emitDirective appends a data-bearing directive's bytes to its section
+// during pass 2.
+func (a *assembler) emitDirective(p *Program, st *stmt, args []string) error {
+	out := &p.Data
+	if st.section == secText {
+		out = &p.Text
 	}
+	b := *out
+	start := len(b)
+	var err error
 	switch st.op {
-	case ".text", ".data", ".globl", ".global", ".ent", ".end", ".set",
-		".file", ".frame", ".equ":
-		return nil
 	case ".align", ".space":
-		out = make([]byte, st.size)
+		b = append(b, make([]byte, st.size)...)
 	case ".byte":
-		if err := emitInt(1); err != nil {
-			return err
-		}
+		b, err = a.appendInts(b, st, args, 1)
 	case ".half":
-		if err := emitInt(2); err != nil {
-			return err
-		}
+		b, err = a.appendInts(b, st, args, 2)
 	case ".word":
-		if err := emitInt(4); err != nil {
-			return err
-		}
+		b, err = a.appendInts(b, st, args, 4)
 	case ".float":
-		for _, arg := range st.args {
+		for _, arg := range args {
 			f, err := strconv.ParseFloat(strings.TrimSpace(arg), 32)
 			if err != nil {
 				return errf(st.line, ".float: %v", err)
 			}
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], math.Float32bits(float32(f)))
-			out = append(out, b[:]...)
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(f)))
 		}
 	case ".double":
-		for _, arg := range st.args {
+		for _, arg := range args {
 			f, err := strconv.ParseFloat(strings.TrimSpace(arg), 64)
 			if err != nil {
 				return errf(st.line, ".double: %v", err)
 			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-			out = append(out, b[:]...)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 		}
 	case ".ascii", ".asciiz":
-		for _, arg := range st.args {
+		for _, arg := range args {
 			s, err := unquote(arg)
 			if err != nil {
 				return errf(st.line, "%v", err)
 			}
-			out = append(out, s...)
+			b = append(b, s...)
 			if st.op == ".asciiz" {
-				out = append(out, 0)
+				b = append(b, 0)
 			}
 		}
-	default:
-		return errf(st.line, "unknown directive %q", st.op)
 	}
-	if len(out) != st.size {
-		return errf(st.line, "internal: directive %s sized %d, emitted %d", st.op, st.size, len(out))
+	if err != nil {
+		return err
 	}
-	if st.section == secText {
-		a.prog.Text = append(a.prog.Text, out...)
-	} else {
-		a.prog.Data = append(a.prog.Data, out...)
+	if len(b)-start != int(st.size) {
+		return errf(st.line, "internal: directive %s sized %d, emitted %d", st.op, st.size, len(b)-start)
 	}
+	*out = b
 	return nil
+}
+
+// appendInts appends each operand's value, width bytes little-endian.
+func (a *assembler) appendInts(b []byte, st *stmt, args []string, width int) ([]byte, error) {
+	for _, arg := range args {
+		v, err := evalExpr(arg, a.syms)
+		if err != nil {
+			return b, errf(st.line, "%s: %v", st.op, err)
+		}
+		var w [4]byte
+		binary.LittleEndian.PutUint32(w[:], v)
+		b = append(b, w[:width]...)
+	}
+	return b, nil
 }
 
 // unquote interprets a double-quoted string literal with Go-style escapes.

@@ -5,6 +5,13 @@
 // isa.AsmBackend (MIPS R2000 by default, RV32I via internal/riscv), so
 // pseudo-instruction sets and register syntax are per-backend.
 //
+// The assembler allocates per program, not per line. Pass 1 parses each
+// line once, binding its labels and sizing it, and keeps the statements
+// pass 2 emits as values in one slice whose operands are substrings of
+// the source in one shared slice. Pass 2 encodes each instruction by
+// appending to one reused word buffer (isa.AsmBackend.EncodeInst), into
+// text and data sections sized from the end addresses pass 1 computed.
+//
 // The assembler plays the role of the paper's "traditional RISC compiler
 // and linker": its output is a plain RISC object image whose text section
 // is then handed, unmodified, to the CCRP compression tool.

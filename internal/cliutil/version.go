@@ -3,7 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"runtime/debug"
 )
 
@@ -43,17 +43,19 @@ func Version() string {
 }
 
 // RegisterVersionFlag installs the shared -version flag on fs. Call
-// HandleVersionFlag right after flag parsing.
+// PrintVersion right after flag parsing.
 func RegisterVersionFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("version", false, "print the tool version and exit")
 }
 
-// HandleVersionFlag prints "<tool> <version>" and exits 0 when the
-// -version flag was given; otherwise it is a no-op.
-func HandleVersionFlag(tool string, v *bool) {
+// PrintVersion writes "<tool> <version>" to w when the -version flag was
+// given, and reports whether it did; the command then exits with success
+// without doing anything else. With the flag unset or nil it writes
+// nothing and returns false.
+func PrintVersion(w io.Writer, tool string, v *bool) bool {
 	if v == nil || !*v {
-		return
+		return false
 	}
-	fmt.Printf("%s %s\n", tool, Version())
-	os.Exit(0)
+	fmt.Fprintf(w, "%s %s\n", tool, Version())
+	return true
 }

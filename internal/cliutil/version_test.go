@@ -27,8 +27,17 @@ func TestRegisterVersionFlag(t *testing.T) {
 	if !*v {
 		t.Error("-version flag did not parse to true")
 	}
-	// HandleVersionFlag must be a no-op when the flag is unset or nil.
+	var out strings.Builder
+	if !PrintVersion(&out, "test", v) {
+		t.Error("PrintVersion with the flag set reported false")
+	}
+	if want := "test " + Version() + "\n"; out.String() != want {
+		t.Errorf("PrintVersion wrote %q, want %q", out.String(), want)
+	}
+	// PrintVersion must do nothing when the flag is unset or nil.
+	out.Reset()
 	off := false
-	HandleVersionFlag("test", &off)
-	HandleVersionFlag("test", nil)
+	if PrintVersion(&out, "test", &off) || PrintVersion(&out, "test", nil) || out.Len() != 0 {
+		t.Errorf("PrintVersion without the flag reported true or wrote %q", out.String())
+	}
 }

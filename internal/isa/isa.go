@@ -107,8 +107,11 @@ type AsmBackend interface {
 	// InstSize returns the byte size of op during pass 1. Sizes must
 	// not depend on label values; eval resolves constants only.
 	InstSize(op string, args []string, eval Evaluator) (int, error)
-	// EncodeInst assembles one statement at address addr during pass 2.
-	EncodeInst(op string, args []string, addr uint32, eval Evaluator) ([]Word, error)
+	// EncodeInst assembles one statement at address addr during pass 2
+	// and appends its words to dst, the way strconv.AppendInt appends
+	// digits, so a caller can reuse one buffer for every statement. On
+	// error it returns dst unchanged.
+	EncodeInst(dst []Word, op string, args []string, addr uint32, eval Evaluator) ([]Word, error)
 }
 
 // InstParser is the inverse of Disassemble for a single instruction:

@@ -311,9 +311,14 @@ func TestErrors(t *testing.T) {
 		{"undefined symbol", "j nowhere", "undefined symbol"},
 		{"duplicate label", "a:\na:\n nop", "duplicate"},
 		{"bad register", "add $t0, $q9, $t1", "unknown register"},
+		{"register with junk", "add $t0, $5junk, $t1", "unknown register"},
+		{"FP register with a sign", "add.s $f+2, $f4, $f0", "unknown FP register"},
+		{"FP register with a leading zero", "add.s $f2, $f04, $f0", "unknown FP register"},
+		{"FP register minus zero", "add.s $f2, $f4, $f-0", "unknown FP register"},
 		{"imm range", "addiu $t0, $t0, 40000", "out of 16-bit range"},
 		{"branch range", ".text\nb far\n.space 300000\nfar: nop", "out of range"},
 		{"instr in data", ".data\nadd $t0, $t0, $t0", "outside .text"},
+		{"text ends inside a word", ".text\nnop\n.byte 1", "inside a 4-byte word"},
 		{"unknown op", "frob $t0", "unknown instruction"},
 		{"unknown directive", ".frobnicate 3", "unknown directive"},
 		{"li with forward symbol", ".text\nli $t0, fwd\nfwd: nop", "use la"},
@@ -638,5 +643,12 @@ func TestSectionOverflowChecks(t *testing.T) {
 	// A .space larger than the data segment must be rejected.
 	if _, err := asm.Assemble("t", ".data\n.space 0x1000000\n.text\nnop"); err == nil {
 		t.Error("oversized data accepted")
+	}
+	// So must one that would carry a section past 4 GB: wrapped to a
+	// small address, it passed the checks and pass 2 emitted 4 GB.
+	for _, src := range []string{".data\n.space 0xFFFFFFF0\n", ".text\nnop\n.space 0xFFFFFFFC\nnop\n"} {
+		if _, err := asm.Assemble("t", src); err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("%q: error %v, want a section too large", src, err)
+		}
 	}
 }

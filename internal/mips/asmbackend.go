@@ -2,7 +2,6 @@ package mips
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"ccrp/internal/isa"
@@ -14,13 +13,115 @@ import (
 // data directives, and hands statements here with an expression
 // evaluator closed over its symbol table.
 
+// form is an instruction's operand syntax. Each form has one encoder, in
+// encode below or, for the pseudo-instructions, in pseudo.go.
+type form uint8
+
+const (
+	formR3       form = iota // op rd, rs, rt
+	formShiftV               // op rd, rt, rs
+	formShiftI               // op rd, rt, shamt
+	formImm                  // op rt, rs, imm
+	formMem                  // op rt, off(base) | op rt, symbol
+	formFP3                  // op fd, fs, ft
+	formFP2                  // op fd, fs
+	formFPCmp                // op fs, ft
+	formNone                 // op
+	formBreak                // break [code]
+	formRsRt                 // op rs, rt
+	formDiv                  // op rs, rt | op rd, rs, rt
+	formRd                   // op rd
+	formRs                   // op rs
+	formJALR                 // jalr rs | jalr rd, rs
+	formLUI                  // lui rt, imm
+	formJump                 // op target
+	formBranch2              // op rs, rt, target
+	formBranch1              // op rs, target
+	formBranchFP             // op target
+	formCop1Move             // op rt, fs
+
+	// Pseudo-instructions.
+	formRegZero   // op rd, rs: op rd, rs, $zero
+	formNeg       // op rd, rt: op rd, $zero, rt
+	formLi        // li rt, constant
+	formLa        // la rt, address
+	formB         // b target
+	formBranchZ   // op rs, target: op rs, $zero, target
+	formCmpBranch // op rs, rt, target through $at
+	formMulRem    // op rd, rs, rt through HI/LO
+	formDoubleMem // op ft, off(base) as two word accesses
+)
+
+// mnemonic is one table entry: the operand form and the operation it
+// encodes. For a pseudo-instruction op is the first operation of its
+// expansion (the slt of a compare-and-branch), or unused.
+type mnemonic struct {
+	form form
+	op   Op
+}
+
+// mnemonics holds every mnemonic the assembler accepts, so a statement
+// costs one lookup.
+var mnemonics = map[string]mnemonic{
+	"add": {formR3, OpADD}, "addu": {formR3, OpADDU}, "sub": {formR3, OpSUB}, "subu": {formR3, OpSUBU},
+	"and": {formR3, OpAND}, "or": {formR3, OpOR}, "xor": {formR3, OpXOR}, "nor": {formR3, OpNOR},
+	"slt": {formR3, OpSLT}, "sltu": {formR3, OpSLTU},
+
+	"sllv": {formShiftV, OpSLLV}, "srlv": {formShiftV, OpSRLV}, "srav": {formShiftV, OpSRAV},
+	"sll": {formShiftI, OpSLL}, "srl": {formShiftI, OpSRL}, "sra": {formShiftI, OpSRA},
+
+	"addi": {formImm, OpADDI}, "addiu": {formImm, OpADDIU}, "slti": {formImm, OpSLTI},
+	"sltiu": {formImm, OpSLTIU}, "andi": {formImm, OpANDI}, "ori": {formImm, OpORI}, "xori": {formImm, OpXORI},
+
+	"lb": {formMem, OpLB}, "lbu": {formMem, OpLBU}, "lh": {formMem, OpLH}, "lhu": {formMem, OpLHU},
+	"lw": {formMem, OpLW}, "lwl": {formMem, OpLWL}, "lwr": {formMem, OpLWR},
+	"sb": {formMem, OpSB}, "sh": {formMem, OpSH}, "sw": {formMem, OpSW},
+	"swl": {formMem, OpSWL}, "swr": {formMem, OpSWR},
+	"lwc1": {formMem, OpLWC1}, "swc1": {formMem, OpSWC1},
+	"l.s": {formMem, OpLWC1}, "s.s": {formMem, OpSWC1},
+
+	"add.s": {formFP3, OpADDS}, "add.d": {formFP3, OpADDD}, "sub.s": {formFP3, OpSUBS}, "sub.d": {formFP3, OpSUBD},
+	"mul.s": {formFP3, OpMULS}, "mul.d": {formFP3, OpMULD}, "div.s": {formFP3, OpDIVS}, "div.d": {formFP3, OpDIVD},
+	"abs.s": {formFP2, OpABSS}, "abs.d": {formFP2, OpABSD}, "mov.s": {formFP2, OpMOVS}, "mov.d": {formFP2, OpMOVD},
+	"neg.s": {formFP2, OpNEGS}, "neg.d": {formFP2, OpNEGD},
+	"cvt.s.d": {formFP2, OpCVTSD}, "cvt.s.w": {formFP2, OpCVTSW}, "cvt.d.s": {formFP2, OpCVTDS},
+	"cvt.d.w": {formFP2, OpCVTDW}, "cvt.w.s": {formFP2, OpCVTWS}, "cvt.w.d": {formFP2, OpCVTWD},
+	"c.eq.s": {formFPCmp, OpCEQS}, "c.eq.d": {formFPCmp, OpCEQD}, "c.lt.s": {formFPCmp, OpCLTS},
+	"c.lt.d": {formFPCmp, OpCLTD}, "c.le.s": {formFPCmp, OpCLES}, "c.le.d": {formFPCmp, OpCLED},
+
+	"nop": {formNone, OpSLL}, "syscall": {formNone, OpSYSCALL}, "break": {formBreak, OpBREAK},
+	"mult": {formRsRt, OpMULT}, "multu": {formRsRt, OpMULTU},
+	"div": {formDiv, OpDIV}, "divu": {formDiv, OpDIVU},
+	"mfhi": {formRd, OpMFHI}, "mflo": {formRd, OpMFLO},
+	"mthi": {formRs, OpMTHI}, "mtlo": {formRs, OpMTLO}, "jr": {formRs, OpJR},
+	"jalr": {formJALR, OpJALR}, "lui": {formLUI, OpLUI},
+	"j": {formJump, OpJ}, "jal": {formJump, OpJAL},
+	"beq": {formBranch2, OpBEQ}, "bne": {formBranch2, OpBNE},
+	"blez": {formBranch1, OpBLEZ}, "bgtz": {formBranch1, OpBGTZ}, "bltz": {formBranch1, OpBLTZ},
+	"bgez": {formBranch1, OpBGEZ}, "bltzal": {formBranch1, OpBLTZAL}, "bgezal": {formBranch1, OpBGEZAL},
+	"bc1t": {formBranchFP, OpBC1T}, "bc1f": {formBranchFP, OpBC1F},
+	"mfc1": {formCop1Move, OpMFC1}, "mtc1": {formCop1Move, OpMTC1},
+
+	"move": {formRegZero, OpADDU}, "not": {formRegZero, OpNOR},
+	"neg": {formNeg, OpSUB}, "negu": {formNeg, OpSUBU},
+	"li": {form: formLi}, "la": {form: formLa}, "b": {formB, OpBEQ},
+	"beqz": {formBranchZ, OpBEQ}, "bnez": {formBranchZ, OpBNE},
+	"blt": {formCmpBranch, OpSLT}, "bgt": {formCmpBranch, OpSLT},
+	"ble": {formCmpBranch, OpSLT}, "bge": {formCmpBranch, OpSLT},
+	"bltu": {formCmpBranch, OpSLTU}, "bgtu": {formCmpBranch, OpSLTU},
+	"bleu": {formCmpBranch, OpSLTU}, "bgeu": {formCmpBranch, OpSLTU},
+	"mul": {formMulRem, OpMULT}, "rem": {formMulRem, OpDIV},
+	"l.d": {formDoubleMem, OpLWC1}, "s.d": {formDoubleMem, OpSWC1},
+}
+
 // InstSize returns the byte size of an instruction or pseudo-instruction
 // during pass 1. Sizes must be computable without label values; li
 // therefore requires a constant operand (use la for addresses). eval is
-// the pass-1 evaluator, which rejects symbols.
+// the pass-1 evaluator, which rejects symbols. An unknown mnemonic sizes
+// as one word; EncodeInst reports it in pass 2.
 func (Backend) InstSize(op string, args []string, eval isa.Evaluator) (int, error) {
-	switch op {
-	case "li":
+	switch mnemonics[op].form {
+	case formLi:
 		if len(args) != 2 {
 			return 0, fmt.Errorf("li needs register, constant")
 		}
@@ -32,21 +133,14 @@ func (Backend) InstSize(op string, args []string, eval isa.Evaluator) (int, erro
 			return 4, nil
 		}
 		return 8, nil
-	case "la":
+	case formLa, formCmpBranch, formMulRem, formDoubleMem:
 		return 8, nil
-	case "blt", "bgt", "ble", "bge", "bltu", "bgtu", "bleu", "bgeu":
-		return 8, nil
-	case "mul", "rem":
-		return 8, nil
-	case "div", "divu":
+	case formDiv:
 		if len(args) == 3 {
 			return 8, nil
 		}
 		return 4, nil
-	case "l.d", "s.d":
-		return 8, nil
-	case "lb", "lbu", "lh", "lhu", "lw", "lwl", "lwr",
-		"sb", "sh", "sw", "swl", "swr", "lwc1", "swc1", "l.s", "s.s":
+	case formMem:
 		if len(args) != 2 {
 			return 0, fmt.Errorf("%s needs register, address", op)
 		}
@@ -65,17 +159,28 @@ func (Backend) InstSize(op string, args []string, eval isa.Evaluator) (int, erro
 }
 
 // EncodeInst translates one statement at address addr into machine words
-// during pass 2.
-func (Backend) EncodeInst(op string, args []string, addr uint32, eval isa.Evaluator) ([]isa.Word, error) {
-	e := encoder{op: op, args: args, addr: addr, eval: eval}
-	return e.encode()
+// during pass 2 and appends them to dst. On error it returns dst as it
+// was given.
+func (Backend) EncodeInst(dst []isa.Word, op string, args []string, addr uint32, eval isa.Evaluator) ([]isa.Word, error) {
+	e := encoder{dst: dst, op: op, args: args, addr: addr, eval: eval}
+	out, err := e.encode()
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 type encoder struct {
+	dst  []isa.Word
 	op   string
 	args []string
 	addr uint32
 	eval isa.Evaluator
+}
+
+// emit appends the statement's words to the destination.
+func (e *encoder) emit(ws ...isa.Word) ([]isa.Word, error) {
+	return append(e.dst, ws...), nil
 }
 
 func (e *encoder) errf(format string, args ...any) error {
@@ -117,9 +222,12 @@ func (e *encoder) branchOff(target uint32, base uint32) (uint16, error) {
 func word(i Inst) isa.Word { return isa.Word(Encode(i)) }
 
 func (e *encoder) encode() ([]isa.Word, error) {
-	op := e.op
-
-	if ops, ok := realOp3[op]; ok { // op rd, rs, rt
+	m, ok := mnemonics[e.op]
+	if !ok {
+		return nil, e.errf("unknown instruction")
+	}
+	switch m.form {
+	case formR3: // op rd, rs, rt
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -135,9 +243,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: ops, Rd: rd, Rs: rs, Rt: rt})}, nil
-	}
-	if ops, ok := shiftVOp[op]; ok { // op rd, rt, rs
+		return e.emit(word(Inst{Op: m.op, Rd: rd, Rs: rs, Rt: rt}))
+	case formShiftV: // op rd, rt, rs
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -153,9 +260,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: ops, Rd: rd, Rt: rt, Rs: rs})}, nil
-	}
-	if ops, ok := shiftIOp[op]; ok { // op rd, rt, shamt
+		return e.emit(word(Inst{Op: m.op, Rd: rd, Rt: rt, Rs: rs}))
+	case formShiftI: // op rd, rt, shamt
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -174,9 +280,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if sh > 31 {
 			return nil, e.errf("shift amount %d out of range", sh)
 		}
-		return []isa.Word{word(Inst{Op: ops, Rd: rd, Rt: rt, Shamt: uint8(sh)})}, nil
-	}
-	if ops, ok := immOp[op]; ok { // op rt, rs, imm
+		return e.emit(word(Inst{Op: m.op, Rd: rd, Rt: rt, Shamt: uint8(sh)}))
+	case formImm: // op rt, rs, imm
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -192,16 +297,14 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		signed := op == "addi" || op == "addiu" || op == "slti" || op == "sltiu"
+		signed := m.op == OpADDI || m.op == OpADDIU || m.op == OpSLTI || m.op == OpSLTIU
 		if signed && !fitsInt16(v) || !signed && !fitsUint16(v) {
 			return nil, e.errf("immediate %#x out of 16-bit range", v)
 		}
-		return []isa.Word{word(Inst{Op: ops, Rt: rt, Rs: rs, Imm: uint16(v)})}, nil
-	}
-	if ops, ok := memOp[op]; ok {
-		return e.encodeMem(ops)
-	}
-	if ops, ok := fp3Op[op]; ok { // op fd, fs, ft
+		return e.emit(word(Inst{Op: m.op, Rt: rt, Rs: rs, Imm: uint16(v)}))
+	case formMem:
+		return e.encodeMem(m.op)
+	case formFP3: // op fd, fs, ft
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -217,9 +320,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: ops, Shamt: fd, Rd: fs, Rt: ft})}, nil
-	}
-	if ops, ok := fp2Op[op]; ok { // op fd, fs
+		return e.emit(word(Inst{Op: m.op, Shamt: fd, Rd: fs, Rt: ft}))
+	case formFP2: // op fd, fs
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -231,9 +333,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: ops, Shamt: fd, Rd: fs})}, nil
-	}
-	if ops, ok := fpCmpOp[op]; ok { // op fs, ft
+		return e.emit(word(Inst{Op: m.op, Shamt: fd, Rd: fs}))
+	case formFPCmp: // op fs, ft
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -245,24 +346,18 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: ops, Rd: fs, Rt: ft})}, nil
-	}
-
-	switch op {
-	case "nop", "syscall":
+		return e.emit(word(Inst{Op: m.op, Rd: fs, Rt: ft}))
+	case formNone: // nop is sll $zero, $zero, 0: the zero word
 		if err := e.nargs(0); err != nil {
 			return nil, err
 		}
-		if op == "nop" {
-			return []isa.Word{0}, nil
-		}
-		return []isa.Word{word(Inst{Op: OpSYSCALL})}, nil
-	case "break":
+		return e.emit(word(Inst{Op: m.op}))
+	case formBreak:
 		// Optional code operand (bits 25..6), which the disassembler
 		// always prints.
 		switch len(e.args) {
 		case 0:
-			return []isa.Word{word(Inst{Op: OpBREAK})}, nil
+			return e.emit(word(Inst{Op: OpBREAK}))
 		case 1:
 			code, err := e.expr(0)
 			if err != nil {
@@ -271,10 +366,10 @@ func (e *encoder) encode() ([]isa.Word, error) {
 			if code > 0xFFFFF {
 				return nil, e.errf("break code %#x out of 20-bit range", code)
 			}
-			return []isa.Word{isa.Word(code<<6 | fnBREAK)}, nil
+			return e.emit(isa.Word(code<<6 | fnBREAK))
 		}
 		return nil, e.errf("expected 0 or 1 operands")
-	case "mult", "multu":
+	case formRsRt: // op rs, rt
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -286,14 +381,10 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := OpMULT
-		if op == "multu" {
-			o = OpMULTU
-		}
-		return []isa.Word{word(Inst{Op: o, Rs: rs, Rt: rt})}, nil
-	case "div", "divu":
-		return e.encodeDiv()
-	case "mfhi", "mflo":
+		return e.emit(word(Inst{Op: m.op, Rs: rs, Rt: rt}))
+	case formDiv:
+		return e.encodeDiv(m.op)
+	case formRd: // op rd
 		if err := e.nargs(1); err != nil {
 			return nil, err
 		}
@@ -301,12 +392,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := OpMFHI
-		if op == "mflo" {
-			o = OpMFLO
-		}
-		return []isa.Word{word(Inst{Op: o, Rd: rd})}, nil
-	case "mthi", "mtlo":
+		return e.emit(word(Inst{Op: m.op, Rd: rd}))
+	case formRs: // op rs
 		if err := e.nargs(1); err != nil {
 			return nil, err
 		}
@@ -314,21 +401,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := OpMTHI
-		if op == "mtlo" {
-			o = OpMTLO
-		}
-		return []isa.Word{word(Inst{Op: o, Rs: rs})}, nil
-	case "jr":
-		if err := e.nargs(1); err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(0)
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Word{word(Inst{Op: OpJR, Rs: rs})}, nil
-	case "jalr":
+		return e.emit(word(Inst{Op: m.op, Rs: rs}))
+	case formJALR:
 		rd := uint8(RegRA)
 		var rs uint8
 		var err error
@@ -345,8 +419,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: OpJALR, Rd: rd, Rs: rs})}, nil
-	case "lui":
+		return e.emit(word(Inst{Op: OpJALR, Rd: rd, Rs: rs}))
+	case formLUI:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -361,8 +435,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if !fitsUint16(v) {
 			return nil, e.errf("immediate %#x out of 16-bit range", v)
 		}
-		return []isa.Word{word(Inst{Op: OpLUI, Rt: rt, Imm: uint16(v)})}, nil
-	case "j", "jal":
+		return e.emit(word(Inst{Op: OpLUI, Rt: rt, Imm: uint16(v)}))
+	case formJump: // op target
 		if err := e.nargs(1); err != nil {
 			return nil, err
 		}
@@ -376,12 +450,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if (e.addr+4)&0xF0000000 != v&0xF0000000 {
 			return nil, e.errf("jump target %#x outside current 256MB region", v)
 		}
-		o := OpJ
-		if op == "jal" {
-			o = OpJAL
-		}
-		return []isa.Word{word(Inst{Op: o, Target: v >> 2 & 0x03FFFFFF})}, nil
-	case "beq", "bne":
+		return e.emit(word(Inst{Op: m.op, Target: v >> 2 & 0x03FFFFFF}))
+	case formBranch2: // op rs, rt, target
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -401,12 +471,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := OpBEQ
-		if op == "bne" {
-			o = OpBNE
-		}
-		return []isa.Word{word(Inst{Op: o, Rs: rs, Rt: rt, Imm: off})}, nil
-	case "blez", "bgtz", "bltz", "bgez", "bltzal", "bgezal":
+		return e.emit(word(Inst{Op: m.op, Rs: rs, Rt: rt, Imm: off}))
+	case formBranch1: // op rs, target
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -422,12 +488,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := map[string]Op{
-			"blez": OpBLEZ, "bgtz": OpBGTZ, "bltz": OpBLTZ,
-			"bgez": OpBGEZ, "bltzal": OpBLTZAL, "bgezal": OpBGEZAL,
-		}[op]
-		return []isa.Word{word(Inst{Op: o, Rs: rs, Imm: off})}, nil
-	case "bc1t", "bc1f":
+		return e.emit(word(Inst{Op: m.op, Rs: rs, Imm: off}))
+	case formBranchFP: // op target
 		if err := e.nargs(1); err != nil {
 			return nil, err
 		}
@@ -439,12 +501,8 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := OpBC1T
-		if op == "bc1f" {
-			o = OpBC1F
-		}
-		return []isa.Word{word(Inst{Op: o, Imm: off})}, nil
-	case "mfc1", "mtc1":
+		return e.emit(word(Inst{Op: m.op, Imm: off}))
+	case formCop1Move: // op rt, fs
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -456,58 +514,9 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := OpMFC1
-		if op == "mtc1" {
-			o = OpMTC1
-		}
-		return []isa.Word{word(Inst{Op: o, Rt: rt, Rd: fs})}, nil
+		return e.emit(word(Inst{Op: m.op, Rt: rt, Rd: fs}))
 	}
-	return e.encodePseudo()
-}
-
-var realOp3 = map[string]Op{
-	"add": OpADD, "addu": OpADDU, "sub": OpSUB, "subu": OpSUBU,
-	"and": OpAND, "or": OpOR, "xor": OpXOR, "nor": OpNOR,
-	"slt": OpSLT, "sltu": OpSLTU,
-}
-
-var shiftVOp = map[string]Op{
-	"sllv": OpSLLV, "srlv": OpSRLV, "srav": OpSRAV,
-}
-
-var shiftIOp = map[string]Op{
-	"sll": OpSLL, "srl": OpSRL, "sra": OpSRA,
-}
-
-var immOp = map[string]Op{
-	"addi": OpADDI, "addiu": OpADDIU, "slti": OpSLTI,
-	"sltiu": OpSLTIU, "andi": OpANDI, "ori": OpORI, "xori": OpXORI,
-}
-
-var memOp = map[string]Op{
-	"lb": OpLB, "lbu": OpLBU, "lh": OpLH, "lhu": OpLHU,
-	"lw": OpLW, "lwl": OpLWL, "lwr": OpLWR,
-	"sb": OpSB, "sh": OpSH, "sw": OpSW,
-	"swl": OpSWL, "swr": OpSWR,
-	"lwc1": OpLWC1, "swc1": OpSWC1,
-	"l.s": OpLWC1, "s.s": OpSWC1,
-}
-
-var fp3Op = map[string]Op{
-	"add.s": OpADDS, "add.d": OpADDD, "sub.s": OpSUBS, "sub.d": OpSUBD,
-	"mul.s": OpMULS, "mul.d": OpMULD, "div.s": OpDIVS, "div.d": OpDIVD,
-}
-
-var fp2Op = map[string]Op{
-	"abs.s": OpABSS, "abs.d": OpABSD, "mov.s": OpMOVS, "mov.d": OpMOVD,
-	"neg.s": OpNEGS, "neg.d": OpNEGD,
-	"cvt.s.d": OpCVTSD, "cvt.s.w": OpCVTSW, "cvt.d.s": OpCVTDS,
-	"cvt.d.w": OpCVTDW, "cvt.w.s": OpCVTWS, "cvt.w.d": OpCVTWD,
-}
-
-var fpCmpOp = map[string]Op{
-	"c.eq.s": OpCEQS, "c.eq.d": OpCEQD, "c.lt.s": OpCLTS,
-	"c.lt.d": OpCLTD, "c.le.s": OpCLES, "c.le.d": OpCLED,
+	return e.encodePseudo(m)
 }
 
 // evenFPReg checks whether an FP register number is valid for doubles.
@@ -532,11 +541,11 @@ func parseFReg(s string) (uint8, error) {
 	if !strings.HasPrefix(s, "$f") {
 		return 0, fmt.Errorf("expected FP register, got %q", s)
 	}
-	n, err := strconv.Atoi(s[2:])
-	if err != nil || n < 0 || n > 31 {
+	r, ok := fpRegNumbers[s]
+	if !ok {
 		return 0, fmt.Errorf("unknown FP register %q", s)
 	}
-	return uint8(n), nil
+	return r, nil
 }
 
 // parseMem parses an "offset(base)" memory operand. It reports ok=false

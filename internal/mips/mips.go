@@ -14,7 +14,10 @@
 // conversions, compares, and FP branches).
 package mips
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Word is one 32-bit instruction or data word in memory order.
 type Word uint32
@@ -59,22 +62,26 @@ func RegName(r uint8) string {
 	return fmt.Sprintf("$?%d", r)
 }
 
+// regNumbers maps every accepted GPR name, without the '$', to its
+// number: the conventional names, the alias s8, and the decimal numbers
+// 0 to 31 with no sign or leading zero. fpRegNumbers maps "$f0" to
+// "$f31" the same way.
+var regNumbers, fpRegNumbers = func() (map[string]uint8, map[string]uint8) {
+	gpr := map[string]uint8{"s8": RegFP}
+	fpr := map[string]uint8{}
+	for r := range uint8(32) {
+		gpr[regNames[r]] = r
+		gpr[strconv.Itoa(int(r))] = r
+		fpr[FPRegName(r)] = r
+	}
+	return gpr, fpr
+}()
+
 // RegNumber resolves a register name without the leading '$' — either a
 // conventional name ("sp", "t3", "s8") or a plain number ("29").
 func RegNumber(name string) (uint8, bool) {
-	for i, n := range regNames {
-		if n == name {
-			return uint8(i), true
-		}
-	}
-	if name == "s8" {
-		return RegFP, true
-	}
-	var v int
-	if _, err := fmt.Sscanf(name, "%d", &v); err == nil && v >= 0 && v < 32 && fmt.Sprintf("%d", v) == name {
-		return uint8(v), true
-	}
-	return 0, false
+	r, ok := regNumbers[name]
+	return r, ok
 }
 
 // FPRegName returns the name ("$f12") of FP register r. Out-of-range

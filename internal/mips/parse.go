@@ -37,7 +37,7 @@ func (b Backend) ParseInst(src string, pc uint32) (isa.Word, error) {
 			args[i] = strings.TrimSpace(args[i])
 		}
 	}
-	words, err := b.EncodeInst(op, args, pc, constEval)
+	words, err := b.EncodeInst(nil, op, args, pc, constEval)
 	if err != nil {
 		return 0, err
 	}

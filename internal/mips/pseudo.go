@@ -32,7 +32,7 @@ func (e *encoder) encodeMem(op Op) ([]isa.Word, error) {
 		if !fitsInt16(off) {
 			return nil, e.errf("offset %#x out of 16-bit range", off)
 		}
-		return []isa.Word{word(Inst{Op: op, Rt: rt, Rs: base, Imm: uint16(off)})}, nil
+		return e.emit(word(Inst{Op: op, Rt: rt, Rs: base, Imm: uint16(off)}))
 	}
 	// Symbol form: lui $at, adjusted-hi(addr); op rt, lo(addr)($at).
 	// The load offset is sign-extended, so the high half is adjusted up
@@ -43,19 +43,15 @@ func (e *encoder) encodeMem(op Op) ([]isa.Word, error) {
 	}
 	lo := addr & 0xFFFF
 	hi := (addr + 0x8000) >> 16
-	return []isa.Word{
+	return e.emit(
 		word(Inst{Op: OpLUI, Rt: RegAT, Imm: uint16(hi)}),
 		word(Inst{Op: op, Rt: rt, Rs: RegAT, Imm: uint16(lo)}),
-	}, nil
+	)
 }
 
 // encodeDiv handles both the real two-operand div/divu and the
 // three-operand pseudo (div rd, rs, rt -> div rs, rt; mflo rd).
-func (e *encoder) encodeDiv() ([]isa.Word, error) {
-	op := OpDIV
-	if e.op == "divu" {
-		op = OpDIVU
-	}
+func (e *encoder) encodeDiv(op Op) ([]isa.Word, error) {
 	switch len(e.args) {
 	case 2:
 		rs, err := e.reg(0)
@@ -66,7 +62,7 @@ func (e *encoder) encodeDiv() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: op, Rs: rs, Rt: rt})}, nil
+		return e.emit(word(Inst{Op: op, Rs: rs, Rt: rt}))
 	case 3:
 		rd, err := e.reg(0)
 		if err != nil {
@@ -80,18 +76,18 @@ func (e *encoder) encodeDiv() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{
+		return e.emit(
 			word(Inst{Op: op, Rs: rs, Rt: rt}),
 			word(Inst{Op: OpMFLO, Rd: rd}),
-		}, nil
+		)
 	}
 	return nil, e.errf("expected 2 or 3 operands")
 }
 
 // encodePseudo handles the remaining pseudo-instructions.
-func (e *encoder) encodePseudo() ([]isa.Word, error) {
-	switch e.op {
-	case "move":
+func (e *encoder) encodePseudo(m mnemonic) ([]isa.Word, error) {
+	switch m.form {
+	case formRegZero: // move, not
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -103,21 +99,8 @@ func (e *encoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: OpADDU, Rd: rd, Rs: rs, Rt: RegZero})}, nil
-	case "not":
-		if err := e.nargs(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Word{word(Inst{Op: OpNOR, Rd: rd, Rs: rs, Rt: RegZero})}, nil
-	case "neg", "negu":
+		return e.emit(word(Inst{Op: m.op, Rd: rd, Rs: rs, Rt: RegZero}))
+	case formNeg:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -129,12 +112,8 @@ func (e *encoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := OpSUB
-		if e.op == "negu" {
-			op = OpSUBU
-		}
-		return []isa.Word{word(Inst{Op: op, Rd: rd, Rs: RegZero, Rt: rt})}, nil
-	case "li":
+		return e.emit(word(Inst{Op: m.op, Rd: rd, Rs: RegZero, Rt: rt}))
+	case formLi:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -148,16 +127,16 @@ func (e *encoder) encodePseudo() ([]isa.Word, error) {
 		}
 		switch {
 		case fitsInt16(v):
-			return []isa.Word{word(Inst{Op: OpADDIU, Rt: rt, Rs: RegZero, Imm: uint16(v)})}, nil
+			return e.emit(word(Inst{Op: OpADDIU, Rt: rt, Rs: RegZero, Imm: uint16(v)}))
 		case fitsUint16(v):
-			return []isa.Word{word(Inst{Op: OpORI, Rt: rt, Rs: RegZero, Imm: uint16(v)})}, nil
+			return e.emit(word(Inst{Op: OpORI, Rt: rt, Rs: RegZero, Imm: uint16(v)}))
 		default:
-			return []isa.Word{
+			return e.emit(
 				word(Inst{Op: OpLUI, Rt: rt, Imm: uint16(v >> 16)}),
 				word(Inst{Op: OpORI, Rt: rt, Rs: rt, Imm: uint16(v)}),
-			}, nil
+			)
 		}
-	case "la":
+	case formLa:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -169,11 +148,11 @@ func (e *encoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{
+		return e.emit(
 			word(Inst{Op: OpLUI, Rt: rt, Imm: uint16(v >> 16)}),
 			word(Inst{Op: OpORI, Rt: rt, Rs: rt, Imm: uint16(v)}),
-		}, nil
-	case "b":
+		)
+	case formB:
 		if err := e.nargs(1); err != nil {
 			return nil, err
 		}
@@ -185,8 +164,8 @@ func (e *encoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{word(Inst{Op: OpBEQ, Imm: off})}, nil
-	case "beqz", "bnez":
+		return e.emit(word(Inst{Op: m.op, Imm: off}))
+	case formBranchZ: // beqz, bnez
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -202,14 +181,10 @@ func (e *encoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := OpBEQ
-		if e.op == "bnez" {
-			op = OpBNE
-		}
-		return []isa.Word{word(Inst{Op: op, Rs: rs, Imm: off})}, nil
-	case "blt", "bgt", "ble", "bge", "bltu", "bgtu", "bleu", "bgeu":
-		return e.encodeCmpBranch()
-	case "mul", "rem":
+		return e.emit(word(Inst{Op: m.op, Rs: rs, Imm: off}))
+	case formCmpBranch:
+		return e.encodeCmpBranch(m.op)
+	case formMulRem: // mul through LO, rem through HI
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -226,26 +201,22 @@ func (e *encoder) encodePseudo() ([]isa.Word, error) {
 			return nil, err
 		}
 		moveOp := OpMFLO
-		if e.op == "rem" {
+		if m.op == OpDIV {
 			moveOp = OpMFHI
 		}
-		first := OpMULT
-		if e.op == "rem" {
-			first = OpDIV
-		}
-		return []isa.Word{
-			word(Inst{Op: first, Rs: rs, Rt: rt}),
+		return e.emit(
+			word(Inst{Op: m.op, Rs: rs, Rt: rt}),
 			word(Inst{Op: moveOp, Rd: rd}),
-		}, nil
-	case "l.d", "s.d":
-		return e.encodeDoubleMem()
+		)
+	case formDoubleMem:
+		return e.encodeDoubleMem(m.op)
 	}
 	return nil, e.errf("unknown instruction")
 }
 
 // encodeCmpBranch expands the two-register compare-and-branch pseudos
 // through $at: slt(u) $at, a, b ; bne/beq $at, $zero, target.
-func (e *encoder) encodeCmpBranch() ([]isa.Word, error) {
+func (e *encoder) encodeCmpBranch(sltOp Op) ([]isa.Word, error) {
 	if err := e.nargs(3); err != nil {
 		return nil, err
 	}
@@ -266,10 +237,6 @@ func (e *encoder) encodeCmpBranch() ([]isa.Word, error) {
 	if err != nil {
 		return nil, err
 	}
-	sltOp := OpSLT
-	if e.op[len(e.op)-1] == 'u' {
-		sltOp = OpSLTU
-	}
 	var a, b uint8
 	var brOp Op
 	switch e.op {
@@ -282,16 +249,16 @@ func (e *encoder) encodeCmpBranch() ([]isa.Word, error) {
 	case "ble", "bleu": // !(rt < rs)
 		a, b, brOp = rt, rs, OpBEQ
 	}
-	return []isa.Word{
+	return e.emit(
 		word(Inst{Op: sltOp, Rd: RegAT, Rs: a, Rt: b}),
 		word(Inst{Op: brOp, Rs: RegAT, Rt: RegZero, Imm: off}),
-	}, nil
+	)
 }
 
 // encodeDoubleMem expands l.d/s.d into a pair of single-word FP accesses.
 // Little-endian doubles: the even register holds the low word at the
 // lower address.
-func (e *encoder) encodeDoubleMem() ([]isa.Word, error) {
+func (e *encoder) encodeDoubleMem(op Op) ([]isa.Word, error) {
 	if err := e.nargs(2); err != nil {
 		return nil, err
 	}
@@ -312,12 +279,8 @@ func (e *encoder) encodeDoubleMem() ([]isa.Word, error) {
 	if !fitsInt16(off) || !fitsInt16(off+4) {
 		return nil, e.errf("offset %#x out of 16-bit range", off)
 	}
-	op := OpLWC1
-	if e.op == "s.d" {
-		op = OpSWC1
-	}
-	return []isa.Word{
+	return e.emit(
 		word(Inst{Op: op, Rt: ft, Rs: base, Imm: uint16(off)}),
 		word(Inst{Op: op, Rt: ft + 1, Rs: base, Imm: uint16(off + 4)}),
-	}, nil
+	)
 }

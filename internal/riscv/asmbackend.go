@@ -18,12 +18,79 @@ func fitsInt12(v uint32) bool {
 	return s >= -2048 && s <= 2047
 }
 
+// form is an instruction's operand syntax; each has one encoder in
+// encode below.
+type form uint8
+
+const (
+	formR3     form = iota // op rd, rs1, rs2
+	formImm                // op rd, rs1, imm
+	formShift              // op rd, rs1, shamt
+	formLoad               // op rd, off(base)
+	formStore              // op rs2, off(base)
+	formBranch             // op rs1, rs2, target
+	formUpper              // op rd, imm20
+	formJAL                // jal target | jal rd, target
+	formJALR               // jalr rs1 | jalr rd, off(rs1)
+	formNone               // op
+
+	// Pseudo-instructions.
+	formRet     // ret
+	formLi      // li rd, constant
+	formLa      // la rd, address
+	formRdRs    // op rd, rs: one instruction on rd and rs
+	formJ       // op target: jal zero or ra
+	formJr      // jr rs
+	formBranchZ // op rs, target: a branch against zero
+)
+
+// mnemonic is one table entry: the operand form and the operation it
+// encodes (for a pseudo-instruction, the operation it expands to, where
+// one names it).
+type mnemonic struct {
+	form form
+	op   Op
+}
+
+// mnemonics holds every mnemonic the assembler accepts, so a statement
+// costs one lookup.
+var mnemonics = map[string]mnemonic{
+	"add": {formR3, OpADD}, "sub": {formR3, OpSUB}, "sll": {formR3, OpSLL}, "slt": {formR3, OpSLT},
+	"sltu": {formR3, OpSLTU}, "xor": {formR3, OpXOR}, "srl": {formR3, OpSRL}, "sra": {formR3, OpSRA},
+	"or": {formR3, OpOR}, "and": {formR3, OpAND},
+	"mul": {formR3, OpMUL}, "mulh": {formR3, OpMULH}, "mulhsu": {formR3, OpMULHSU}, "mulhu": {formR3, OpMULHU},
+	"div": {formR3, OpDIV}, "divu": {formR3, OpDIVU}, "rem": {formR3, OpREM}, "remu": {formR3, OpREMU},
+
+	"addi": {formImm, OpADDI}, "slti": {formImm, OpSLTI}, "sltiu": {formImm, OpSLTIU},
+	"xori": {formImm, OpXORI}, "ori": {formImm, OpORI}, "andi": {formImm, OpANDI},
+	"slli": {formShift, OpSLLI}, "srli": {formShift, OpSRLI}, "srai": {formShift, OpSRAI},
+
+	"lb": {formLoad, OpLB}, "lh": {formLoad, OpLH}, "lw": {formLoad, OpLW},
+	"lbu": {formLoad, OpLBU}, "lhu": {formLoad, OpLHU},
+	"sb": {formStore, OpSB}, "sh": {formStore, OpSH}, "sw": {formStore, OpSW},
+
+	"beq": {formBranch, OpBEQ}, "bne": {formBranch, OpBNE}, "blt": {formBranch, OpBLT},
+	"bge": {formBranch, OpBGE}, "bltu": {formBranch, OpBLTU}, "bgeu": {formBranch, OpBGEU},
+
+	"lui": {formUpper, OpLUI}, "auipc": {formUpper, OpAUIPC},
+	"jal": {formJAL, OpJAL}, "jalr": {formJALR, OpJALR},
+	"ecall": {formNone, OpECALL}, "ebreak": {formNone, OpEBREAK}, "fence": {formNone, OpFENCE},
+	"nop": {formNone, OpADDI},
+
+	"ret": {formRet, OpJALR}, "li": {form: formLi}, "la": {form: formLa},
+	"mv": {formRdRs, OpADDI}, "neg": {formRdRs, OpSUB}, "not": {formRdRs, OpXORI},
+	"seqz": {formRdRs, OpSLTIU}, "snez": {formRdRs, OpSLTU},
+	"j": {formJ, OpJAL}, "call": {formJ, OpJAL}, "jr": {formJr, OpJALR},
+	"beqz": {formBranchZ, OpBEQ}, "bnez": {formBranchZ, OpBNE}, "bltz": {formBranchZ, OpBLT},
+	"bgez": {formBranchZ, OpBGE}, "blez": {formBranchZ, OpBGE}, "bgtz": {formBranchZ, OpBLT},
+}
+
 // InstSize returns the byte size of an instruction or pseudo-instruction
 // during pass 1. As on MIPS, li requires a constant operand so its size
 // is known before labels resolve.
 func (Backend) InstSize(op string, args []string, eval isa.Evaluator) (int, error) {
-	switch op {
-	case "li":
+	switch mnemonics[op].form {
+	case formLi:
 		if len(args) != 2 {
 			return 0, fmt.Errorf("li needs register, constant")
 		}
@@ -35,24 +102,38 @@ func (Backend) InstSize(op string, args []string, eval isa.Evaluator) (int, erro
 			return 4, nil
 		}
 		return 8, nil
-	case "la":
+	case formLa:
 		return 8, nil
 	}
 	return 4, nil
 }
 
 // EncodeInst translates one statement at address addr into machine words
-// during pass 2.
-func (Backend) EncodeInst(op string, args []string, addr uint32, eval isa.Evaluator) ([]isa.Word, error) {
-	e := rvEncoder{op: op, args: args, addr: addr, eval: eval}
-	return e.encode()
+// during pass 2 and appends them to dst. On error it returns dst as it
+// was given.
+func (Backend) EncodeInst(dst []isa.Word, op string, args []string, addr uint32, eval isa.Evaluator) ([]isa.Word, error) {
+	e := rvEncoder{dst: dst, op: op, args: args, addr: addr, eval: eval}
+	out, err := e.encode()
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 type rvEncoder struct {
+	dst  []isa.Word
 	op   string
 	args []string
 	addr uint32
 	eval isa.Evaluator
+}
+
+// emit appends the statement's instructions to the destination.
+func (e *rvEncoder) emit(insts ...Inst) ([]isa.Word, error) {
+	for _, i := range insts {
+		e.dst = append(e.dst, isa.Word(Encode(i)))
+	}
+	return e.dst, nil
 }
 
 func (e *rvEncoder) errf(format string, args ...any) error {
@@ -114,42 +195,13 @@ func (e *rvEncoder) branchImm(target uint32, lo, hi int32) (int32, error) {
 	return diff, nil
 }
 
-func rvWord(i Inst) isa.Word { return isa.Word(Encode(i)) }
-
-var rvR3Op = map[string]Op{
-	"add": OpADD, "sub": OpSUB, "sll": OpSLL, "slt": OpSLT,
-	"sltu": OpSLTU, "xor": OpXOR, "srl": OpSRL, "sra": OpSRA,
-	"or": OpOR, "and": OpAND,
-	"mul": OpMUL, "mulh": OpMULH, "mulhsu": OpMULHSU, "mulhu": OpMULHU,
-	"div": OpDIV, "divu": OpDIVU, "rem": OpREM, "remu": OpREMU,
-}
-
-var rvImmOp = map[string]Op{
-	"addi": OpADDI, "slti": OpSLTI, "sltiu": OpSLTIU,
-	"xori": OpXORI, "ori": OpORI, "andi": OpANDI,
-}
-
-var rvShiftOp = map[string]Op{
-	"slli": OpSLLI, "srli": OpSRLI, "srai": OpSRAI,
-}
-
-var rvLoadOp = map[string]Op{
-	"lb": OpLB, "lh": OpLH, "lw": OpLW, "lbu": OpLBU, "lhu": OpLHU,
-}
-
-var rvStoreOp = map[string]Op{
-	"sb": OpSB, "sh": OpSH, "sw": OpSW,
-}
-
-var rvBranchOp = map[string]Op{
-	"beq": OpBEQ, "bne": OpBNE, "blt": OpBLT,
-	"bge": OpBGE, "bltu": OpBLTU, "bgeu": OpBGEU,
-}
-
 func (e *rvEncoder) encode() ([]isa.Word, error) {
-	op := e.op
-
-	if ops, ok := rvR3Op[op]; ok { // op rd, rs1, rs2
+	m, ok := mnemonics[e.op]
+	if !ok {
+		return nil, fmt.Errorf("unknown instruction %q", e.op)
+	}
+	switch m.form {
+	case formR3: // op rd, rs1, rs2
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -165,9 +217,8 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{rvWord(Inst{Op: ops, Rd: rd, Rs1: rs1, Rs2: rs2})}, nil
-	}
-	if ops, ok := rvImmOp[op]; ok { // op rd, rs1, imm
+		return e.emit(Inst{Op: m.op, Rd: rd, Rs1: rs1, Rs2: rs2})
+	case formImm: // op rd, rs1, imm
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -186,9 +237,8 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if !fitsInt12(v) {
 			return nil, e.errf("immediate %d out of 12-bit range", int32(v))
 		}
-		return []isa.Word{rvWord(Inst{Op: ops, Rd: rd, Rs1: rs1, Imm: int32(v)})}, nil
-	}
-	if ops, ok := rvShiftOp[op]; ok { // op rd, rs1, shamt
+		return e.emit(Inst{Op: m.op, Rd: rd, Rs1: rs1, Imm: int32(v)})
+	case formShift: // op rd, rs1, shamt
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -207,9 +257,8 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if sh > 31 {
 			return nil, e.errf("shift amount %d out of range", sh)
 		}
-		return []isa.Word{rvWord(Inst{Op: ops, Rd: rd, Rs1: rs1, Imm: int32(sh)})}, nil
-	}
-	if ops, ok := rvLoadOp[op]; ok { // op rd, off(base)
+		return e.emit(Inst{Op: m.op, Rd: rd, Rs1: rs1, Imm: int32(sh)})
+	case formLoad: // op rd, off(base)
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -221,9 +270,8 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{rvWord(Inst{Op: ops, Rd: rd, Rs1: base, Imm: off})}, nil
-	}
-	if ops, ok := rvStoreOp[op]; ok { // op rs2, off(base)
+		return e.emit(Inst{Op: m.op, Rd: rd, Rs1: base, Imm: off})
+	case formStore: // op rs2, off(base)
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -235,9 +283,8 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{rvWord(Inst{Op: ops, Rs2: rs2, Rs1: base, Imm: off})}, nil
-	}
-	if ops, ok := rvBranchOp[op]; ok { // op rs1, rs2, target
+		return e.emit(Inst{Op: m.op, Rs2: rs2, Rs1: base, Imm: off})
+	case formBranch: // op rs1, rs2, target
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -257,11 +304,8 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{rvWord(Inst{Op: ops, Rs1: rs1, Rs2: rs2, Imm: imm})}, nil
-	}
-
-	switch op {
-	case "lui", "auipc":
+		return e.emit(Inst{Op: m.op, Rs1: rs1, Rs2: rs2, Imm: imm})
+	case formUpper: // op rd, imm20
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -276,13 +320,8 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if v > 0xFFFFF {
 			return nil, e.errf("immediate %#x out of 20-bit range", v)
 		}
-		o := OpLUI
-		if op == "auipc" {
-			o = OpAUIPC
-		}
-		return []isa.Word{rvWord(Inst{Op: o, Rd: rd, Imm: int32(v << 12)})}, nil
-	case "jal":
-		// jal target | jal rd, target
+		return e.emit(Inst{Op: m.op, Rd: rd, Imm: int32(v << 12)})
+	case formJAL: // jal target | jal rd, target
 		rd := RegRA
 		ti := 0
 		var err error
@@ -304,16 +343,15 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{rvWord(Inst{Op: OpJAL, Rd: rd, Imm: imm})}, nil
-	case "jalr":
-		// jalr rs1 | jalr rd, off(rs1)
+		return e.emit(Inst{Op: OpJAL, Rd: rd, Imm: imm})
+	case formJALR: // jalr rs1 | jalr rd, off(rs1)
 		switch len(e.args) {
 		case 1:
 			rs1, err := e.reg(0)
 			if err != nil {
 				return nil, err
 			}
-			return []isa.Word{rvWord(Inst{Op: OpJALR, Rd: RegRA, Rs1: rs1})}, nil
+			return e.emit(Inst{Op: OpJALR, Rd: RegRA, Rs1: rs1})
 		case 2:
 			rd, err := e.reg(0)
 			if err != nil {
@@ -323,33 +361,27 @@ func (e *rvEncoder) encode() ([]isa.Word, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []isa.Word{rvWord(Inst{Op: OpJALR, Rd: rd, Rs1: base, Imm: off})}, nil
+			return e.emit(Inst{Op: OpJALR, Rd: rd, Rs1: base, Imm: off})
 		}
 		return nil, e.errf("expected 1 or 2 operands")
-	case "ecall", "ebreak", "fence", "nop", "ret":
+	case formNone: // nop is addi zero, zero, 0
 		if err := e.nargs(0); err != nil {
 			return nil, err
 		}
-		switch op {
-		case "ecall":
-			return []isa.Word{rvWord(Inst{Op: OpECALL})}, nil
-		case "ebreak":
-			return []isa.Word{rvWord(Inst{Op: OpEBREAK})}, nil
-		case "fence":
-			return []isa.Word{rvWord(Inst{Op: OpFENCE})}, nil
-		case "nop":
-			return []isa.Word{rvWord(Inst{Op: OpADDI})}, nil
-		default: // ret
-			return []isa.Word{rvWord(Inst{Op: OpJALR, Rs1: RegRA})}, nil
-		}
+		return e.emit(Inst{Op: m.op})
 	}
-	return e.encodePseudo()
+	return e.encodePseudo(m)
 }
 
 // encodePseudo handles the standard multi-word and aliasing pseudos.
-func (e *rvEncoder) encodePseudo() ([]isa.Word, error) {
-	switch e.op {
-	case "li":
+func (e *rvEncoder) encodePseudo(m mnemonic) ([]isa.Word, error) {
+	switch m.form {
+	case formRet: // jalr zero, 0(ra)
+		if err := e.nargs(0); err != nil {
+			return nil, err
+		}
+		return e.emit(Inst{Op: m.op, Rs1: RegRA})
+	case formLi:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -361,8 +393,15 @@ func (e *rvEncoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return liWords(rd, v), nil
-	case "la":
+		if fitsInt12(v) {
+			return e.emit(Inst{Op: OpADDI, Rd: rd, Imm: int32(v)})
+		}
+		hi, lo := splitImm(v)
+		return e.emit(
+			Inst{Op: OpLUI, Rd: rd, Imm: int32(hi << 12)},
+			Inst{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo},
+		)
+	case formLa:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -376,11 +415,11 @@ func (e *rvEncoder) encodePseudo() ([]isa.Word, error) {
 		}
 		// Always two words so the size is label-independent.
 		hi, lo := splitImm(v)
-		return []isa.Word{
-			rvWord(Inst{Op: OpLUI, Rd: rd, Imm: int32(hi << 12)}),
-			rvWord(Inst{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo}),
-		}, nil
-	case "mv":
+		return e.emit(
+			Inst{Op: OpLUI, Rd: rd, Imm: int32(hi << 12)},
+			Inst{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo},
+		)
+	case formRdRs:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -392,60 +431,19 @@ func (e *rvEncoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{rvWord(Inst{Op: OpADDI, Rd: rd, Rs1: rs})}, nil
-	case "neg":
-		if err := e.nargs(2); err != nil {
-			return nil, err
+		inst := Inst{Op: m.op, Rd: rd}
+		switch m.op {
+		case OpADDI: // mv: addi rd, rs, 0
+			inst.Rs1 = rs
+		case OpSUB, OpSLTU: // neg: sub rd, zero, rs; snez: sltu rd, zero, rs
+			inst.Rs2 = rs
+		case OpXORI: // not: xori rd, rs, -1
+			inst.Rs1, inst.Imm = rs, -1
+		case OpSLTIU: // seqz: sltiu rd, rs, 1
+			inst.Rs1, inst.Imm = rs, 1
 		}
-		rd, err := e.reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Word{rvWord(Inst{Op: OpSUB, Rd: rd, Rs2: rs})}, nil
-	case "not":
-		if err := e.nargs(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Word{rvWord(Inst{Op: OpXORI, Rd: rd, Rs1: rs, Imm: -1})}, nil
-	case "seqz":
-		if err := e.nargs(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Word{rvWord(Inst{Op: OpSLTIU, Rd: rd, Rs1: rs, Imm: 1})}, nil
-	case "snez":
-		if err := e.nargs(2); err != nil {
-			return nil, err
-		}
-		rd, err := e.reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := e.reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Word{rvWord(Inst{Op: OpSLTU, Rd: rd, Rs2: rs})}, nil
-	case "j", "call":
+		return e.emit(inst)
+	case formJ: // j, call
 		if err := e.nargs(1); err != nil {
 			return nil, err
 		}
@@ -461,8 +459,8 @@ func (e *rvEncoder) encodePseudo() ([]isa.Word, error) {
 		if e.op == "call" {
 			rd = RegRA
 		}
-		return []isa.Word{rvWord(Inst{Op: OpJAL, Rd: rd, Imm: imm})}, nil
-	case "jr":
+		return e.emit(Inst{Op: m.op, Rd: rd, Imm: imm})
+	case formJr:
 		if err := e.nargs(1); err != nil {
 			return nil, err
 		}
@@ -470,8 +468,8 @@ func (e *rvEncoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Word{rvWord(Inst{Op: OpJALR, Rs1: rs})}, nil
-	case "beqz", "bnez", "bltz", "bgez", "blez", "bgtz":
+		return e.emit(Inst{Op: m.op, Rs1: rs})
+	case formBranchZ:
 		if err := e.nargs(2); err != nil {
 			return nil, err
 		}
@@ -487,22 +485,13 @@ func (e *rvEncoder) encodePseudo() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		var inst Inst
-		switch e.op {
-		case "beqz":
-			inst = Inst{Op: OpBEQ, Rs1: rs, Imm: imm}
-		case "bnez":
-			inst = Inst{Op: OpBNE, Rs1: rs, Imm: imm}
-		case "bltz":
-			inst = Inst{Op: OpBLT, Rs1: rs, Imm: imm}
-		case "bgez":
-			inst = Inst{Op: OpBGE, Rs1: rs, Imm: imm}
-		case "blez": // rs <= 0  <=>  0 >= rs  <=>  bge x0, rs
-			inst = Inst{Op: OpBGE, Rs2: rs, Imm: imm}
-		default: // bgtz: rs > 0  <=>  0 < rs  <=>  blt x0, rs
-			inst = Inst{Op: OpBLT, Rs2: rs, Imm: imm}
+		inst := Inst{Op: m.op, Rs1: rs, Imm: imm}
+		// blez: rs <= 0  <=>  0 >= rs  <=>  bge x0, rs
+		// bgtz: rs > 0  <=>  0 < rs  <=>  blt x0, rs
+		if e.op == "blez" || e.op == "bgtz" {
+			inst.Rs1, inst.Rs2 = RegZero, rs
 		}
-		return []isa.Word{rvWord(inst)}, nil
+		return e.emit(inst)
 	}
 	return nil, fmt.Errorf("unknown instruction %q", e.op)
 }
@@ -513,16 +502,6 @@ func splitImm(v uint32) (hi uint32, lo int32) {
 	hi = (v + 0x800) >> 12 & 0xFFFFF
 	lo = int32(v<<20) >> 20
 	return hi, lo
-}
-
-// liWords materialises constant v into rd.
-func liWords(rd uint8, v uint32) []isa.Word {
-	if fitsInt12(v) {
-		return []isa.Word{rvWord(Inst{Op: OpADDI, Rd: rd, Imm: int32(v)})}
-	}
-	hi, lo := splitImm(v)
-	words := []isa.Word{rvWord(Inst{Op: OpLUI, Rd: rd, Imm: int32(hi << 12)})}
-	return append(words, rvWord(Inst{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo}))
 }
 
 // parseRVReg parses a bare register operand ("a0", "x5", "fp").

@@ -31,7 +31,7 @@ func (b Backend) ParseInst(src string, pc uint32) (isa.Word, error) {
 			args = append(args, strings.TrimSpace(a))
 		}
 	}
-	words, err := b.EncodeInst(op, args, pc, rvConstEval)
+	words, err := b.EncodeInst(nil, op, args, pc, rvConstEval)
 	if err != nil {
 		return 0, err
 	}

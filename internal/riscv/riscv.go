@@ -10,6 +10,7 @@ package riscv
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ccrp/internal/isa"
@@ -50,24 +51,25 @@ func FPRegName(r uint8) string {
 	return fmt.Sprintf("?f%d", r)
 }
 
-// RegNumber resolves an ABI name, "fp", or "xN" to a register number.
+// regNumbers maps every accepted register name to its number: the ABI
+// names, the alias fp, and x0 to x31 with no sign or leading zero.
+var regNumbers = func() map[string]uint8 {
+	m := map[string]uint8{"fp": 8}
+	for r := range uint8(32) {
+		m[regNames[r]] = r
+		m["x"+strconv.Itoa(int(r))] = r
+	}
+	return m
+}()
+
+// RegNumber resolves an ABI name, "fp", or "xN" to a register number,
+// ignoring case.
 func RegNumber(name string) (uint8, bool) {
-	name = strings.ToLower(name)
-	for i, n := range regNames {
-		if name == n {
-			return uint8(i), true
-		}
+	r, ok := regNumbers[name]
+	if !ok {
+		r, ok = regNumbers[strings.ToLower(name)]
 	}
-	if name == "fp" {
-		return 8, true
-	}
-	if strings.HasPrefix(name, "x") {
-		var n int
-		if _, err := fmt.Sscanf(name, "x%d", &n); err == nil && n >= 0 && n < 32 {
-			return uint8(n), true
-		}
-	}
-	return 0, false
+	return r, ok
 }
 
 // Backend implements the isa interfaces for RV32I+M.

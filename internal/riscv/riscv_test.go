@@ -88,8 +88,20 @@ func TestRegNames(t *testing.T) {
 	if n, ok := riscv.RegNumber("x13"); !ok || n != 13 {
 		t.Errorf("RegNumber(x13) = %d, %v", n, ok)
 	}
-	if _, ok := riscv.RegNumber("x32"); ok {
-		t.Error("RegNumber(x32) accepted")
+	// Names are case-insensitive, but a number must be canonical decimal.
+	for _, name := range []string{"X13", "ZERO", "Fp", "T0"} {
+		if _, ok := riscv.RegNumber(name); !ok {
+			t.Errorf("RegNumber(%q) rejected", name)
+		}
+	}
+	for _, name := range []string{"x32", "x5junk", "x+5", "x 5", "x05", "x-0", "x", "5", "f0"} {
+		if _, ok := riscv.RegNumber(name); ok {
+			t.Errorf("RegNumber(%q) accepted", name)
+		}
+		src := "\t.text\n\taddi " + name + ", x0, 7\n"
+		if _, err := asm.AssembleFor("rv32", "t.s", src); err == nil || !strings.Contains(err.Error(), "unknown register") {
+			t.Errorf("addi %s, x0, 7: error %v, want an unknown register", name, err)
+		}
 	}
 }
 

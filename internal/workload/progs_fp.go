@@ -438,9 +438,9 @@ fp_loop:
 // scratch array are touched, so repeated execution is deterministic.
 func synthStraightLine(name string, ops int, seed uint64) string {
 	rng := &lcg{s: seed ^ 0xD1B54A32D192ED03}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", name)
-	b.WriteString("\tla $t8, synth_scratch\n")
+	var w srcWriter
+	w.s(name, ":\n")
+	w.s("\tla $t8, synth_scratch\n")
 	// Compiled straight-line code reuses a small register set and a small
 	// pool of addressing constants; the constants themselves carry the
 	// "byte values different from typical R2000 code" the paper blames
@@ -465,22 +465,22 @@ func synthStraightLine(name string, ops int, seed uint64) string {
 		switch r := rng.intn(100); {
 		case r < 12: // addressing constant from the pool
 			k := consts[rng.intn(len(consts))]
-			fmt.Fprintf(&b, "\tlui %s, 0x%04x\n", a, k>>16)
-			fmt.Fprintf(&b, "\tori %s, %s, 0x%04x\n", a, a, k&0xFFFF)
+			w.s("\tlui ", a, ", 0x").x4(k >> 16).s("\n")
+			w.s("\tori ", a, ", ", a, ", 0x").x4(k & 0xFFFF).s("\n")
 		case r < 46:
 			f1, f2, f3 := fregs[rng.intn(4)], fregs[rng.intn(4)], fregs[rng.intn(4)]
 			mn := []string{"add.d", "mul.d", "sub.d"}[rng.intn(3)]
-			fmt.Fprintf(&b, "\t%s $f%d, $f%d, $f%d\n", mn, f1, f2, f3)
+			w.s("\t", mn, " ").fp3(f1, f2, f3)
 		case r < 60:
-			fmt.Fprintf(&b, "\tl.d $f%d, %d($t8)\n", fregs[rng.intn(4)], nextOff())
+			w.s("\tl.d $f").d(fregs[rng.intn(4)]).s(", ").d(nextOff()).s("($t8)\n")
 		case r < 68:
-			fmt.Fprintf(&b, "\ts.d $f%d, %d($t8)\n", fregs[rng.intn(4)], nextOff())
+			w.s("\ts.d $f").d(fregs[rng.intn(4)]).s(", ").d(nextOff()).s("($t8)\n")
 		case r < 86:
-			fmt.Fprintf(&b, "\taddu %s, %s, %s\n", a, c, temps[rng.intn(len(temps))])
+			w.s("\taddu ", a, ", ", c, ", ", temps[rng.intn(len(temps))], "\n")
 		default:
-			fmt.Fprintf(&b, "\txor %s, %s, %s\n", a, c, temps[rng.intn(len(temps))])
+			w.s("\txor ", a, ", ", c, ", ", temps[rng.intn(len(temps))], "\n")
 		}
 	}
-	b.WriteString("\tjr $ra\n\tnop\n")
-	return b.String()
+	w.s("\tjr $ra\n\tnop\n")
+	return w.String()
 }

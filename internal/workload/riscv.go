@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"fmt"
-	"strings"
-
 	_ "ccrp/internal/riscv" // register the rv32 backend
 )
 
@@ -43,7 +40,7 @@ var rvRegistry = []*Workload{
 		buildSrc: func() string {
 			hot := rvSynthFunctions("rvd", 24, 40, 0xD1, 0)
 			return rvWrapMain(rvDispatchText+hot,
-				rvSynthDispatchTable("rvd_table", "rvd", 24),
+				synthDispatchTable("rvd_table", "rvd", 24),
 				rvSynthFunctions("rvdc", 30, 100, 0xD2, 4))
 		},
 	},
@@ -272,30 +269,29 @@ dp_loop:
 // static size and byte histograms for the compression comparison.
 func rvSynthFunctions(prefix string, n, bodyOps int, seed uint64, callPct int) string {
 	rng := &lcg{s: seed ^ 0x9E3779B97F4A7C15}
-	var b strings.Builder
+	var w srcWriter
 	for i := 0; i < n; i++ {
-		emitRVSynthFunc(&b, rng, prefix, i, n, bodyOps, callPct)
+		emitRVSynthFunc(&w, rng, prefix, i, n, bodyOps, callPct)
 	}
-	return b.String()
+	return w.String()
 }
 
-func emitRVSynthFunc(b *strings.Builder, rng *lcg, prefix string, i, n, bodyOps, callPct int) {
-	name := fmt.Sprintf("%s_fn%d", prefix, i)
-	fmt.Fprintf(b, "%s:\n", name)
-	b.WriteString("\taddi sp, sp, -16\n")
-	b.WriteString("\tsw ra, 12(sp)\n")
-	b.WriteString("\tsw s0, 8(sp)\n")
-	b.WriteString("\tsw s1, 4(sp)\n")
-	b.WriteString("\tla s0, synth_scratch\n")
-	b.WriteString("\tmv s1, a0\n")
+func emitRVSynthFunc(w *srcWriter, rng *lcg, prefix string, i, n, bodyOps, callPct int) {
+	w.s(prefix, "_fn").d(i).s(":\n")
+	w.s("\taddi sp, sp, -16\n")
+	w.s("\tsw ra, 12(sp)\n")
+	w.s("\tsw s0, 8(sp)\n")
+	w.s("\tsw s1, 4(sp)\n")
+	w.s("\tla s0, synth_scratch\n")
+	w.s("\tmv s1, a0\n")
 
 	temps := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6"}
 	label := 0
 	pending := -1 // ops until the pending forward label is placed
-	var pendingName string
+	pendingLabel := -1
 	for op := 0; op < bodyOps; op++ {
 		if pending == 0 {
-			fmt.Fprintf(b, "%s:\n", pendingName)
+			w.s(prefix, "_fn").d(i).s("_L").d(pendingLabel).s(":\n")
 			pending = -1
 		} else if pending > 0 {
 			pending--
@@ -306,54 +302,41 @@ func emitRVSynthFunc(b *strings.Builder, rng *lcg, prefix string, i, n, bodyOps,
 		roll := rng.intn(100)
 		switch {
 		case roll < 14:
-			fmt.Fprintf(b, "\tlw %s, %d(s0)\n", a, rng.intn(64)*4)
+			w.s("\tlw ", a, ", ").d(rng.intn(64) * 4).s("(s0)\n")
 		case roll < 22:
-			fmt.Fprintf(b, "\tsw %s, %d(s0)\n", a, rng.intn(64)*4)
+			w.s("\tsw ", a, ", ").d(rng.intn(64) * 4).s("(s0)\n")
 		case roll < 34:
-			fmt.Fprintf(b, "\tadd %s, %s, %s\n", a, c, d)
+			w.s("\tadd ", a, ", ", c, ", ", d, "\n")
 		case roll < 42:
-			fmt.Fprintf(b, "\taddi %s, %s, %d\n", a, c, rng.intn(512)-256)
+			w.s("\taddi ", a, ", ", c, ", ").d(rng.intn(512) - 256).s("\n")
 		case roll < 50:
-			fmt.Fprintf(b, "\t%s %s, %s, %s\n",
-				[]string{"and", "or", "xor", "sub"}[rng.intn(4)], a, c, d)
+			w.s("\t", []string{"and", "or", "xor", "sub"}[rng.intn(4)], " ", a, ", ", c, ", ", d, "\n")
 		case roll < 58:
-			fmt.Fprintf(b, "\t%s %s, %s, %d\n",
-				[]string{"slli", "srli", "srai"}[rng.intn(3)], a, c, rng.intn(31)+1)
+			w.s("\t", []string{"slli", "srli", "srai"}[rng.intn(3)], " ", a, ", ", c, ", ").d(rng.intn(31) + 1).s("\n")
 		case roll < 64:
-			fmt.Fprintf(b, "\tslt %s, %s, %s\n", a, c, d)
+			w.s("\tslt ", a, ", ", c, ", ", d, "\n")
 		case roll < 70:
-			fmt.Fprintf(b, "\tori %s, %s, 0x%x\n", a, c, rng.next()&0xFF)
+			w.s("\tori ", a, ", ", c, ", 0x").x(rng.next() & 0xFF).s("\n")
 		case roll < 78 && pending < 0 && op+4 < bodyOps:
-			pendingName = fmt.Sprintf("%s_L%d", name, label)
+			pendingLabel = label
 			label++
 			br := []string{"beq", "bne"}[rng.intn(2)]
-			fmt.Fprintf(b, "\t%s %s, %s, %s\n", br, a, c, pendingName)
+			w.s("\t", br, " ", a, ", ", c, ", ", prefix, "_fn").d(i).s("_L").d(pendingLabel).s("\n")
 			pending = 2 + rng.intn(3)
 		case roll < 78+callPct && i+1 < n:
 			callee := i + 1 + rng.intn(n-i-1)
-			fmt.Fprintf(b, "\tcall %s_fn%d\n", prefix, callee)
+			w.s("\tcall ", prefix, "_fn").d(callee).s("\n")
 		default:
-			fmt.Fprintf(b, "\tlui %s, 0x%x\n", a, rng.intn(1024)+1)
+			w.s("\tlui ", a, ", 0x").x(uint32(rng.intn(1024) + 1)).s("\n")
 		}
 	}
 	if pending >= 0 {
-		fmt.Fprintf(b, "%s:\n", pendingName)
+		w.s(prefix, "_fn").d(i).s("_L").d(pendingLabel).s(":\n")
 	}
-	b.WriteString("\tmv a0, s1\n")
-	b.WriteString("\tlw ra, 12(sp)\n")
-	b.WriteString("\tlw s0, 8(sp)\n")
-	b.WriteString("\tlw s1, 4(sp)\n")
-	b.WriteString("\taddi sp, sp, 16\n")
-	b.WriteString("\tret\n")
-}
-
-// rvSynthDispatchTable emits a .data table of the n synthesized function
-// addresses for jalr dispatch.
-func rvSynthDispatchTable(label, prefix string, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", label)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "\t.word %s_fn%d\n", prefix, i)
-	}
-	return b.String()
+	w.s("\tmv a0, s1\n")
+	w.s("\tlw ra, 12(sp)\n")
+	w.s("\tlw s0, 8(sp)\n")
+	w.s("\tlw s1, 4(sp)\n")
+	w.s("\taddi sp, sp, 16\n")
+	w.s("\tret\n")
 }

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -39,30 +39,29 @@ const (
 // binaries the paper measured (see DESIGN.md's substitution table).
 func synthFunctions(prefix string, n, bodyOps int, style synthStyle, seed uint64, callPct int) string {
 	rng := &lcg{s: seed ^ 0x9E3779B97F4A7C15}
-	var b strings.Builder
+	var w srcWriter
 	for i := 0; i < n; i++ {
-		emitSynthFunc(&b, rng, prefix, i, n, bodyOps, style, callPct)
+		emitSynthFunc(&w, rng, prefix, i, n, bodyOps, style, callPct)
 	}
-	return b.String()
+	return w.String()
 }
 
-func emitSynthFunc(b *strings.Builder, rng *lcg, prefix string, i, n, bodyOps int, style synthStyle, callPct int) {
-	name := fmt.Sprintf("%s_fn%d", prefix, i)
-	fmt.Fprintf(b, "%s:\n", name)
-	b.WriteString("\taddiu $sp, $sp, -24\n")
-	b.WriteString("\tsw $ra, 0($sp)\n")
-	b.WriteString("\tsw $s0, 4($sp)\n")
-	b.WriteString("\tsw $s1, 8($sp)\n")
-	b.WriteString("\tla $s0, synth_scratch\n")
-	b.WriteString("\tmove $s1, $a0\n")
+func emitSynthFunc(w *srcWriter, rng *lcg, prefix string, i, n, bodyOps int, style synthStyle, callPct int) {
+	w.s(prefix, "_fn").d(i).s(":\n")
+	w.s("\taddiu $sp, $sp, -24\n")
+	w.s("\tsw $ra, 0($sp)\n")
+	w.s("\tsw $s0, 4($sp)\n")
+	w.s("\tsw $s1, 8($sp)\n")
+	w.s("\tla $s0, synth_scratch\n")
+	w.s("\tmove $s1, $a0\n")
 
 	temps := []string{"$t0", "$t1", "$t2", "$t3", "$t4", "$t5", "$t6", "$t7"}
 	label := 0
 	pending := -1 // ops until the pending forward label is placed
-	var pendingName string
+	pendingLabel := -1
 	for op := 0; op < bodyOps; op++ {
 		if pending == 0 {
-			fmt.Fprintf(b, "%s:\n", pendingName)
+			w.s(prefix, "_fn").d(i).s("_L").d(pendingLabel).s(":\n")
 			pending = -1
 		} else if pending > 0 {
 			pending--
@@ -82,78 +81,116 @@ func emitSynthFunc(b *strings.Builder, rng *lcg, prefix string, i, n, bodyOps in
 		switch {
 		case roll < constBias:
 			// fpppp flavor: addressing constants with spread-out bytes.
-			fmt.Fprintf(b, "\tlui %s, 0x%04x\n", a, rng.next()&0xFFFF)
-			fmt.Fprintf(b, "\tori %s, %s, 0x%04x\n", a, a, rng.next()&0xFFFF)
+			w.s("\tlui ", a, ", 0x").x4(rng.next() & 0xFFFF).s("\n")
+			w.s("\tori ", a, ", ", a, ", 0x").x4(rng.next() & 0xFFFF).s("\n")
 		case roll < constBias+fpBias:
 			f1 := rng.intn(8) * 2
 			f2 := rng.intn(8) * 2
 			f3 := rng.intn(8) * 2
 			switch rng.intn(4) {
 			case 0:
-				fmt.Fprintf(b, "\tadd.d $f%d, $f%d, $f%d\n", f1, f2, f3)
+				w.s("\tadd.d ").fp3(f1, f2, f3)
 			case 1:
-				fmt.Fprintf(b, "\tmul.d $f%d, $f%d, $f%d\n", f1, f2, f3)
+				w.s("\tmul.d ").fp3(f1, f2, f3)
 			case 2:
-				fmt.Fprintf(b, "\tsub.d $f%d, $f%d, $f%d\n", f1, f2, f3)
+				w.s("\tsub.d ").fp3(f1, f2, f3)
 			case 3:
-				fmt.Fprintf(b, "\tl.d $f%d, %d($s0)\n", f1, rng.intn(30)*8)
+				w.s("\tl.d $f").d(f1).s(", ").d(rng.intn(30) * 8).s("($s0)\n")
 			}
 		case roll < constBias+fpBias+14:
-			fmt.Fprintf(b, "\tlw %s, %d($s0)\n", a, rng.intn(64)*4)
+			w.s("\tlw ", a, ", ").d(rng.intn(64) * 4).s("($s0)\n")
 		case roll < constBias+fpBias+22:
-			fmt.Fprintf(b, "\tsw %s, %d($s0)\n", a, rng.intn(64)*4)
+			w.s("\tsw ", a, ", ").d(rng.intn(64) * 4).s("($s0)\n")
 		case roll < constBias+fpBias+34:
-			fmt.Fprintf(b, "\taddu %s, %s, %s\n", a, c, d)
+			w.s("\taddu ", a, ", ", c, ", ", d, "\n")
 		case roll < constBias+fpBias+42:
-			fmt.Fprintf(b, "\taddiu %s, %s, %d\n", a, c, rng.intn(512)-256)
+			w.s("\taddiu ", a, ", ", c, ", ").d(rng.intn(512) - 256).s("\n")
 		case roll < constBias+fpBias+50:
-			fmt.Fprintf(b, "\t%s %s, %s, %s\n",
-				[]string{"and", "or", "xor", "subu"}[rng.intn(4)], a, c, d)
+			w.s("\t", []string{"and", "or", "xor", "subu"}[rng.intn(4)], " ", a, ", ", c, ", ", d, "\n")
 		case roll < constBias+fpBias+58:
-			fmt.Fprintf(b, "\t%s %s, %s, %d\n",
-				[]string{"sll", "srl", "sra"}[rng.intn(3)], a, c, rng.intn(31)+1)
+			w.s("\t", []string{"sll", "srl", "sra"}[rng.intn(3)], " ", a, ", ", c, ", ").d(rng.intn(31) + 1).s("\n")
 		case roll < constBias+fpBias+64:
-			fmt.Fprintf(b, "\tslt %s, %s, %s\n", a, c, d)
+			w.s("\tslt ", a, ", ", c, ", ", d, "\n")
 		case roll < constBias+fpBias+70:
-			fmt.Fprintf(b, "\tori %s, %s, 0x%x\n", a, c, rng.next()&0xFF)
+			w.s("\tori ", a, ", ", c, ", 0x").x(rng.next() & 0xFF).s("\n")
 		case roll < constBias+fpBias+78 && pending < 0 && op+4 < bodyOps:
 			// Forward conditional branch over a few instructions.
-			pendingName = fmt.Sprintf("%s_L%d", fmt.Sprintf("%s_fn%d", prefix, i), label)
+			pendingLabel = label
 			label++
 			br := []string{"beq", "bne"}[rng.intn(2)]
-			fmt.Fprintf(b, "\t%s %s, %s, %s\n", br, a, c, pendingName)
-			b.WriteString("\tnop\n")
+			w.s("\t", br, " ", a, ", ", c, ", ", prefix, "_fn").d(i).s("_L").d(pendingLabel).s("\n")
+			w.s("\tnop\n")
 			pending = 2 + rng.intn(3)
 		case roll < constBias+fpBias+78+callPct && i+1 < n:
 			// Call a strictly higher-numbered function (DAG).
 			callee := i + 1 + rng.intn(n-i-1)
-			fmt.Fprintf(b, "\tjal %s_fn%d\n", prefix, callee)
-			b.WriteString("\tnop\n")
+			w.s("\tjal ", prefix, "_fn").d(callee).s("\n")
+			w.s("\tnop\n")
 		default:
-			fmt.Fprintf(b, "\tlui %s, 0x%x\n", a, rng.intn(1024))
+			w.s("\tlui ", a, ", 0x").x(uint32(rng.intn(1024))).s("\n")
 		}
 	}
 	if pending >= 0 {
-		fmt.Fprintf(b, "%s:\n", pendingName)
+		w.s(prefix, "_fn").d(i).s("_L").d(pendingLabel).s(":\n")
 	}
-	b.WriteString("\tmove $v0, $s1\n")
-	b.WriteString("\tlw $ra, 0($sp)\n")
-	b.WriteString("\tlw $s0, 4($sp)\n")
-	b.WriteString("\tlw $s1, 8($sp)\n")
-	b.WriteString("\taddiu $sp, $sp, 24\n")
-	b.WriteString("\tjr $ra\n")
-	b.WriteString("\tnop\n")
+	w.s("\tmove $v0, $s1\n")
+	w.s("\tlw $ra, 0($sp)\n")
+	w.s("\tlw $s0, 4($sp)\n")
+	w.s("\tlw $s1, 8($sp)\n")
+	w.s("\taddiu $sp, $sp, 24\n")
+	w.s("\tjr $ra\n")
+	w.s("\tnop\n")
 }
 
 // synthDispatchTable emits a .data table of the addresses of the n
 // synthesized functions, for indirect (jalr) dispatch loops.
 func synthDispatchTable(label, prefix string, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", label)
+	var w srcWriter
+	w.s(label, ":\n")
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "\t.word %s_fn%d\n", prefix, i)
+		w.s("\t.word ", prefix, "_fn").d(i).s("\n")
 	}
-	return b.String()
+	return w.String()
+}
+
+// srcWriter composes assembly source. Its appends format numbers with
+// strconv into the builder, so emitting a line allocates nothing; fmt
+// would box every operand.
+type srcWriter struct{ strings.Builder }
+
+// s appends each string.
+func (w *srcWriter) s(parts ...string) *srcWriter {
+	for _, p := range parts {
+		w.WriteString(p)
+	}
+	return w
+}
+
+// d appends v in decimal.
+func (w *srcWriter) d(v int) *srcWriter {
+	var buf [20]byte
+	w.Write(strconv.AppendInt(buf[:0], int64(v), 10))
+	return w
+}
+
+// x appends v in lower-case hex.
+func (w *srcWriter) x(v uint32) *srcWriter {
+	var buf [8]byte
+	w.Write(strconv.AppendUint(buf[:0], uint64(v), 16))
+	return w
+}
+
+// x4 appends v in lower-case hex, zero-padded to at least four digits.
+func (w *srcWriter) x4(v uint32) *srcWriter {
+	for shift := 12; shift > 0 && v < 1<<shift; shift -= 4 {
+		w.WriteByte('0')
+	}
+	return w.x(v)
+}
+
+// fp3 appends "$fA, $fB, $fC" and ends the line.
+func (w *srcWriter) fp3(a, b, c int) *srcWriter {
+	return w.s("$f").d(a).s(", $f").d(b).s(", $f").d(c).s("\n")
 }
 
 // synthScratch is the shared writable array all synthesized functions

@@ -189,6 +189,26 @@ func BenchmarkBuildCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkAssembleCorpus assembles all 17 composed corpus sources per
+// op; it measures the assembler alone.
+func BenchmarkAssembleCorpus(b *testing.B) {
+	corpus := slices.Concat(All(), RISCV())
+	var bytes int64
+	for _, w := range corpus {
+		bytes += int64(len(w.Source()))
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range corpus {
+			if _, err := asm.AssembleFor(w.ISA, w.Name, w.Source()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // corpusRunHash hashes everything a corpus run produces: its trace runs,
 // its instruction, stall, load and store counts, and its console output.
 func corpusRunHash(res *sim.Result, out string) string {
@@ -241,6 +261,82 @@ func TestCorpusRunsPinned(t *testing.T) {
 		}
 		if ev := res.Trace.Events; cap(ev) != len(ev) {
 			t.Errorf("%s: cached trace of %d runs has capacity %d", w.Name, len(ev), cap(ev))
+		}
+	}
+}
+
+// imageHash hashes everything an assembled image holds: its text, data,
+// entry, BSS size, and its symbols in SymbolsSorted order.
+func imageHash(p *asm.Program) string {
+	var b []byte
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Text)))
+	b = append(b, p.Text...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Data)))
+	b = append(b, p.Data...)
+	b = binary.LittleEndian.AppendUint32(b, p.Entry)
+	b = binary.LittleEndian.AppendUint32(b, p.BSSSize)
+	for _, name := range p.SymbolsSorted() {
+		b = append(b, name...)
+		b = append(b, 0)
+		b = binary.LittleEndian.AppendUint32(b, p.Symbols[name])
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestCorpusImagesPinned pins the composed source and the assembled image
+// of all 17 corpus programs. The hashes were written by the synthesizers
+// that formatted each line with fmt and by the assembler that kept one
+// heap statement per line, so a change to either that moves one source
+// byte, word, data byte or symbol fails here.
+func TestCorpusImagesPinned(t *testing.T) {
+	want := map[string]struct{ source, image string }{
+		"eightq":      {"035b0c97ca75a13286a29f8e429c10531b0e5a847daa978c292c97e5fff8ac5f", "785388361de88dd2c227df701c4d9ca0eaa5e011ad0a0c56973e8fbc99ade76d"},
+		"lloop01":     {"3572c13ee049fac897ecab1c9caa9b04c34ff69fee4d30f339cebd7af9349bcd", "d86278541021d9bb895741d83458c5654612d07aaf695edaeebafae8a73e0d6f"},
+		"matrix25a":   {"d0d8722c48cc6b3388f1aafb68b33975b8ba438e473b27654d7da2119afedec1", "15a4707c331f039ef847c60b8209061be2d0779bf2af860c0c46e9416e72cf4f"},
+		"tex":         {"3049e6ab308b3fa9557dd2d4264501ad07f1606c1ef43465601ed91b6bc45750", "97e354d688c4f0768461880176c08113ddf62a1bf21025ae50be44e351966abf"},
+		"pswarp":      {"b18812070d2876408adad08d442156fea09ac4e3fdc830ebeb2fbc0a03df34bd", "b127c58ae3844664030b367be6533e05b3c95c9a0005fe500af268d504c2fd40"},
+		"yacc":        {"0e6ab2a75ec267e8188113abdfe7b28593e6a0cfa1ccc5dab6b80375d4302f26", "1ee281cb4c2b6199b851596bf9f466e453d2d43c9fe8d6fc8ea42402e9010094"},
+		"who":         {"fcdc4164320c45d273fb04d84949d7967701f46fbfbbfc22c8e0bd364e3066af", "8ee23a12bb6741842e8928bb93f9045d6b57180d8e9e08779fa000c9be73062e"},
+		"xlisp":       {"d6d8f6dfc1e4425ca69649301c58c2c54661e967308908e350bfe4effd14aa36", "d2af5a3f055946ef0fa579384201fac8cf5e95e88397bb68f5c8d7b3dda38190"},
+		"espresso":    {"58f5334ae2b2913100d8ead5637125f0f9e43c81e8b621e193831a28c63b056d", "8a0df0c88314d213e385b17536c81e29714cbfd3d39eaae87cf215cf79efe9d9"},
+		"spim":        {"588876e2bf39a8a78f57f4f7d01ee9980b6aec3017e3c68b481d1005b845ef95", "1dfd94451d91572b71347487bd839c388048eec6030f05da6fb978e8fc8d5aef"},
+		"nasa7":       {"27829454e49c3a811a24ae9323c0eeb09894669f8c6a8c74a1cbb1262c1fc482", "d35b0cfb1474d9ddba35fce989e26362c252a42710f3bc6b93aa851f18708be7"},
+		"nasa1":       {"fea8bc79ff28b91dd7b273e32e686d83b361946268cf8c8c7d1ca05469353f4e", "d82af2a41da6ba6aaea872da05461ea2110758661dd626d93c2dd98d2fb4de89"},
+		"tomcatv":     {"389b3c3b569dce3fb6491aff8062de1419fb5f49445aa46eea686b4936535a10", "750354276fccc3a1caba4c243d80a95becdb1e7998dc50a9cff774d229aeb64b"},
+		"fpppp":       {"94f0f750b23898da64ff486f421d1c4585a482127fd11e807df4084433d8e87c", "2975e0bdfdd560f26af5dabb6eab79f427f7df7446490db55d4349de5f72413e"},
+		"rv-matrix":   {"b7d8a3948e5446b976fe927957caa87dd242bc831cdef7e0dd5fe8a2454390cd", "f2f63193e7c376fe49fd271d62354e99a4bee5aa7aecc87c8d9e97e4da61be60"},
+		"rv-sieve":    {"94ecd7c95f269919177d7348d78e4f5a67fcde421c95570bd81fc381e48fb307", "92b730d23bbee8ef61e9a32084e084653b7e58b1ec4a7b32b6cee9fc7a7ddc44"},
+		"rv-dispatch": {"dd1214447f940562fd2cb889f8c1fb2d6776d3391d874ca44c8293bfd5137d1c", "dbc0f89068a4dbf42a2c628a3168a93f077ce3e2e3b077389fab2d067360c657"},
+	}
+	for _, w := range slices.Concat(All(), RISCV()) {
+		p, err := w.Program()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		sum := sha256.Sum256([]byte(w.Source()))
+		if got := hex.EncodeToString(sum[:]); got != want[w.Name].source {
+			t.Errorf("%s: source hash %s, pinned %s", w.Name, got, want[w.Name].source)
+		}
+		if got := imageHash(p); got != want[w.Name].image {
+			t.Errorf("%s: image hash %s, pinned %s", w.Name, got, want[w.Name].image)
+		}
+	}
+}
+
+// TestAssembleAllocs: the assembler allocates per program, not per line.
+// Once the corpus assembled with about six allocations a line (4,940 for
+// eightq, 267,644 for espresso).
+func TestAssembleAllocs(t *testing.T) {
+	for _, w := range slices.Concat(All(), RISCV()) {
+		src := w.Source()
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := asm.AssembleFor(w.ISA, w.Name, src); err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+		})
+		if allocs >= 256 {
+			t.Errorf("%s: %.0f allocations to assemble, want under 256", w.Name, allocs)
 		}
 	}
 }
