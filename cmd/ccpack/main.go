@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ccrp/internal/cliutil"
@@ -22,72 +24,94 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "", "output ROM path (omit for stats only)")
-	word := flag.Bool("word", false, "word-align compressed blocks")
-	own := flag.Bool("own", false, "add the program's own bounded code as a second candidate")
-	wl := flag.String("workload", "", "compress a corpus workload instead of an image file")
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
-	if cliutil.PrintVersion(os.Stdout, "ccpack", version) {
-		return
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run parses args, compresses the program and writes its stats line,
+// and with -o the ROM, to stdout. It returns the exit status: 0 on
+// success, 2 for a bad command line, 1 when the program cannot be loaded
+// or compressed or the ROM cannot be written.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccpack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "", "output ROM path (omit for stats only)")
+	word := fs.Bool("word", false, "word-align compressed blocks")
+	own := fs.Bool("own", false, "add the program's own bounded code as a second candidate")
+	wl := fs.String("workload", "", "compress a corpus workload instead of an image file")
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if cliutil.PrintVersion(stdout, "ccpack", version) {
+		return 0
+	}
+	if *wl == "" && fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ccpack [-o out.rom] [-word] [-own] (-workload name | prog.img)")
+		return 2
+	}
+	if err := pack(stdout, *wl, fs.Arg(0), *out, *word, *own); err != nil {
+		fmt.Fprintln(stderr, "ccpack:", err)
+		return 1
+	}
+	return 0
+}
+
+// pack compresses the text of workload wl, or else of the program at
+// path, writes its stats line to w and, with an out path, the ROM there.
+func pack(w io.Writer, wl, path, out string, word, own bool) error {
 	var text []byte
-	var name string
-	switch {
-	case *wl != "":
-		w, err := cliutil.ResolveWorkload(*wl)
+	name := wl
+	if wl != "" {
+		wk, err := cliutil.ResolveWorkload(wl)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		t, err := w.Text()
+		if text, err = wk.Text(); err != nil {
+			return err
+		}
+	} else {
+		prog, err := cliutil.LoadProgram(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		text, name = t, *wl
-	case flag.NArg() == 1:
-		prog, err := cliutil.LoadProgram(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		text, name = prog.Text, flag.Arg(0)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: ccpack [-o out.rom] [-word] [-own] (-workload name | prog.img)")
-		os.Exit(2)
+		text, name = prog.Text, path
 	}
 
 	ownText := []byte(nil)
-	if *own {
+	if own {
 		ownText = text
 	}
 	codes, err := cliutil.Codes(ownText)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	rom, err := core.BuildROM(text, core.Options{Codes: codes, WordAligned: *word})
+	rom, err := core.BuildROM(text, core.Options{Codes: codes, WordAligned: word})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := rom.Verify(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%s: %d bytes -> %d (blocks %d + LAT %d), ratio %.1f%%, %d/%d raw lines\n",
+	fmt.Fprintf(w, "%s: %d bytes -> %d (blocks %d + LAT %d), ratio %.1f%%, %d/%d raw lines\n",
 		name, rom.OriginalSize, rom.CompressedSize(), rom.BlocksSize(), rom.TableSize(),
 		100*rom.Ratio(), rom.RawLines(), len(rom.Lines))
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := rom.WriteFile(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
+	if out == "" {
+		return nil
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccpack:", err)
-	os.Exit(1)
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := rom.WriteFile(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", out)
+	return nil
 }

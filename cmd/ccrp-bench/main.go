@@ -6,12 +6,17 @@
 //
 //	ccrp-bench [-exp all|fig1|fig2|fig5|fig9|tables1-8|tables9-10|tables11-13|ablations|extensions|paging|codepack|rvc[,...]]
 //	           [-j N] [-json out.json]
-//	           [-metrics table|json|prom] [-events ev.jsonl] [-sample N]
+//	           [-metrics table|json|prom] [-spans sp.jsonl]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -j fans the performance sweeps out across N workers (default: all
 // CPUs; -j 1 preserves the sequential order of execution). Results are
 // merged by point index, so the output is byte-identical at any -j.
+//
+// -metrics prints the performance sweeps' totals after the output:
+// i-cache accesses and hits, CLB hits and misses, and the CCRP's refill
+// cycles, each summed over the priced points in point order, so they
+// too read the same at any -j.
 //
 // -json writes every datapoint of the selected experiments as one
 // machine-readable JSON document ("-" for stdout) instead of the rendered
@@ -103,7 +108,6 @@ func bench(names []string, workers int, jsonOut string, obsFlags *cliutil.ObsFla
 	experiments.SetEngine(&sweep.Engine{
 		Workers:  workers,
 		Registry: obs.Registry,
-		Sink:     obs.Sink,
 		Tracer:   obs.Tracer,
 	})
 	defer experiments.SetEngine(nil)

@@ -16,11 +16,11 @@ import (
 func TestUnknownExperiment(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.json")
-	events := filepath.Join(dir, "ev.jsonl")
+	spans := filepath.Join(dir, "sp.jsonl")
 	for _, args := range [][]string{
 		{"-exp", "fig5,nope"},
 		{"-json", "-", "-exp", "nope"},
-		{"-json", out, "-events", events, "-exp", "fig5,nope"},
+		{"-json", out, "-spans", spans, "-exp", "fig5,nope"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -33,10 +33,60 @@ func TestUnknownExperiment(t *testing.T) {
 			t.Errorf("%q: stderr = %q, want it to name the experiment", args, stderr.String())
 		}
 	}
-	for _, f := range []string{out, events} {
+	for _, f := range []string{out, spans} {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
 			t.Errorf("%s exists after a usage error (stat: %v)", filepath.Base(f), err)
 		}
+	}
+}
+
+// TestMetricsIndependentOfWorkers: -metrics prints the performance
+// sweeps' totals, summed in point order, so the whole output of the four
+// sweeps is byte-identical at -j 1 and -j 2.
+func TestMetricsIndependentOfWorkers(t *testing.T) {
+	bench := func(workers string) string {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-exp", "tables1-8,tables9-10,fig9,tables11-13", "-metrics", "prom", "-j", workers}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("-j %s: exit %d, stderr %q", workers, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	seq, par := bench("1"), bench("2")
+	if seq != par {
+		t.Errorf("-j 1 and -j 2 outputs differ (%d vs %d bytes)", len(seq), len(par))
+	}
+	for _, series := range []string{
+		"ccrp_cache_accesses_total 198711125\n",
+		"ccrp_cache_hits_total 182855392\n",
+		"ccrp_clb_hits_total 13361929\n",
+		"ccrp_clb_misses_total 2493804\n",
+		"ccrp_refill_cycles_total 334425159\n",
+	} {
+		if !strings.Contains(seq, series) {
+			t.Errorf("exposition lacks %q", series)
+		}
+	}
+}
+
+// TestEventFlagsRejected: -events and -sample describe one simulated
+// run fetch by fetch; ccrp-bench runs sweeps, so both are usage errors.
+func TestEventFlagsRejected(t *testing.T) {
+	events := filepath.Join(t.TempDir(), "ev.jsonl")
+	for _, args := range [][]string{
+		{"-events", events, "-exp", "fig5"},
+		{"-sample", "1", "-exp", "fig5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: wrote to stdout:\n%s", args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(events); !os.IsNotExist(err) {
+		t.Errorf("event file exists after a usage error (stat: %v)", err)
 	}
 }
 

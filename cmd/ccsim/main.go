@@ -85,6 +85,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	loadTrace := fs.String("trace", "", "drive the comparison from a saved trace (with prog.img for the text)")
 	asJSON := fs.Bool("json", false, "emit the comparison as a single JSON object on stdout")
 	obsFlags := cliutil.RegisterObsFlags(fs)
+	obsFlags.RegisterEventFlags(fs)
 	version := cliutil.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -63,6 +63,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	top := fs.Int("top", 8, "number of hot regions to list")
 	cacheBytes := fs.Int("cache", 1024, "cache size for the instrumented pass (-metrics/-events)")
 	obsFlags := cliutil.RegisterObsFlags(fs)
+	obsFlags.RegisterEventFlags(fs)
 	version := cliutil.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

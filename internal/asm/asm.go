@@ -232,6 +232,9 @@ func (a *assembler) pass1(src string) (textEnd, dataEnd uint32, err error) {
 		if section != secText {
 			return 0, 0, errf(lineNo, "instruction %q outside .text", st.op)
 		}
+		if text%uint64(a.wb) != 0 {
+			return 0, 0, errf(lineNo, "instruction %q at %#x, inside a %d-byte word", st.op, text, a.wb)
+		}
 		size, err := a.be.InstSize(st.op, args, eval)
 		if err != nil {
 			return 0, 0, errf(lineNo, "%v", err)

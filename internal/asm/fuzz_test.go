@@ -18,6 +18,7 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("\t.text\n__start:\n\tli t0, 10\nloop:\n\taddi t0, t0, -1\n\tbnez t0, loop\n\tla a0, v\n\tlw a1, 4(a0)\n\tcall f\n\tecall\nf:\tret\n\t.data\nv:\t.word 1, 2\n")
 	f.Add("\taddi x5junk, x0, 7\n\tadd.s $f+2, $f04, $f-0\n\tadd x05, x-0, x+5\n")
 	f.Add(".data\n.space 0xFFFFFFF0\n")
+	f.Add(".text\n.byte 1\nnop\n.byte 1, 2, 3\n")
 	// The front end's edge cases, on whichever backend runs them.
 	for _, c := range frontEndCases {
 		f.Add(c.src)

@@ -63,9 +63,10 @@ func (c *Cache) Instrument(reg *metrics.Registry) {
 		return
 	}
 	sets := len(c.tags) / c.ways
+	accesses, hits := Counters(reg)
 	im := &instruments{
-		accesses: reg.Counter("ccrp_cache_accesses_total", "instruction cache accesses"),
-		hits:     reg.Counter("ccrp_cache_hits_total", "instruction cache hits"),
+		accesses: accesses,
+		hits:     hits,
 		setMiss:  make([]*metrics.Counter, sets),
 		wayFill:  make([]*metrics.Counter, c.ways),
 	}
@@ -78,6 +79,14 @@ func (c *Cache) Instrument(reg *metrics.Registry) {
 		im.wayFill[i] = wayVec.WithInt(i)
 	}
 	c.im = im
+}
+
+// Counters returns reg's access and hit counters, the totals Instrument
+// keeps, so a caller that sums cache statistics itself reports them
+// under the same names.
+func Counters(reg *metrics.Registry) (accesses, hits *metrics.Counter) {
+	return reg.Counter("ccrp_cache_accesses_total", "instruction cache accesses"),
+		reg.Counter("ccrp_cache_hits_total", "instruction cache hits")
 }
 
 // New builds a direct-mapped cache of sizeBytes with lineBytes lines.

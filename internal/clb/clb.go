@@ -60,14 +60,23 @@ func (c *CLB) Instrument(reg *metrics.Registry) {
 		c.im = nil
 		return
 	}
+	hits, misses := Counters(reg)
 	c.im = &instruments{
-		hits:      reg.Counter("ccrp_clb_hits_total", "CLB probe hits"),
-		misses:    reg.Counter("ccrp_clb_misses_total", "CLB probe misses"),
+		hits:      hits,
+		misses:    misses,
 		evictions: reg.Counter("ccrp_clb_evictions_total", "CLB valid-entry evictions"),
 		evictAge: reg.Histogram("ccrp_clb_eviction_age_probes",
 			"probes since last use of evicted CLB entries",
 			metrics.ExpBuckets(1, 4, 10)),
 	}
+}
+
+// Counters returns reg's probe hit and miss counters, the totals
+// Instrument keeps, so a caller that sums CLB statistics itself reports
+// them under the same names.
+func Counters(reg *metrics.Registry) (hits, misses *metrics.Counter) {
+	return reg.Counter("ccrp_clb_hits_total", "CLB probe hits"),
+		reg.Counter("ccrp_clb_misses_total", "CLB probe misses")
 }
 
 // New returns a CLB with n entries (the paper evaluates 4, 8, and 16).

@@ -1,9 +1,10 @@
 // Package cliutil holds the selection and loading helpers shared by the
 // ccsim, cctrace, and ccpack commands: memory-model, workload, and
 // program/trace resolution, Huffman code-set construction, and the
-// observability flag block (-metrics/-events/-sample/-cpuprofile/
-// -memprofile) wired identically across the CLIs. The daemons (ccrpd,
-// ccrp-router) share its listen-and-drain and tracer helpers (serve.go).
+// observability flag block (-metrics/-spans/-cpuprofile/-memprofile,
+// plus -events/-sample for the commands that simulate one run) wired
+// identically across the CLIs. The daemons (ccrpd, ccrp-router) share
+// its listen-and-drain and tracer helpers (serve.go).
 package cliutil
 
 import (
@@ -104,25 +105,32 @@ func Codes(ownText []byte) ([]*huffman.Code, error) {
 // it after the command's own flags and before flag.Parse.
 type ObsFlags struct {
 	Metrics    *string
-	Events     *string
-	Sample     *uint64
+	Events     *string // nil unless RegisterEventFlags was called
+	Sample     *uint64 // nil unless RegisterEventFlags was called
 	Spans      *string
 	CPUProfile *string
 	MemProfile *string
 }
 
-// RegisterObsFlags installs the shared observability flags on fs
-// (flag.CommandLine for the default set).
+// RegisterObsFlags installs the observability flags every CLI takes,
+// -metrics, -spans, -cpuprofile and -memprofile, on fs (flag.CommandLine
+// for the default set).
 func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 	return &ObsFlags{
 		Metrics: fs.String("metrics", "",
 			fmt.Sprintf("export metrics on stdout: %s", strings.Join(metrics.Formats(), ", "))),
-		Events:     fs.String("events", "", "write the structured JSONL event stream to this file"),
-		Sample:     fs.Uint64("sample", 64, "emit every Nth fetch event (structural events are never sampled)"),
 		Spans:      fs.String("spans", "", "write per-stage tracing spans as JSONL to this file (analyze with ccrp-spans)"),
 		CPUProfile: fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
 		MemProfile: fs.String("memprofile", "", "write a pprof heap profile at exit to this file"),
 	}
+}
+
+// RegisterEventFlags adds -events and -sample to the block: the event
+// stream of a command that simulates one run (ccsim, cctrace), fetch by
+// fetch.
+func (f *ObsFlags) RegisterEventFlags(fs *flag.FlagSet) {
+	f.Events = fs.String("events", "", "write the structured JSONL event stream to this file")
+	f.Sample = fs.Uint64("sample", 64, "emit every Nth fetch event (structural events are never sampled)")
 }
 
 // Obs is the live observability state for one command run.
@@ -150,7 +158,7 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 		}
 		o.Registry = metrics.New()
 	}
-	if *f.Events != "" {
+	if f.Events != nil && *f.Events != "" {
 		ef, err := os.Create(*f.Events)
 		if err != nil {
 			return nil, err

@@ -155,14 +155,25 @@ func TestCodes(t *testing.T) {
 	}
 }
 
+// TestObsFlagsWiring: -events and -sample exist only where
+// RegisterEventFlags added them.
 func TestObsFlagsWiring(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterObsFlags(fs)
+	f.RegisterEventFlags(fs)
 	if err := fs.Parse([]string{"-metrics", "json", "-sample", "7"}); err != nil {
 		t.Fatal(err)
 	}
 	if *f.Metrics != "json" || *f.Sample != 7 || *f.Events != "" {
 		t.Errorf("flag block wired wrong: %+v", f)
+	}
+
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	RegisterObsFlags(fs)
+	for _, name := range []string{"events", "sample"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("RegisterObsFlags registered -%s", name)
+		}
 	}
 }
 
@@ -182,6 +193,7 @@ func TestObsBeginFinish(t *testing.T) {
 	events := filepath.Join(t.TempDir(), "ev.jsonl")
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterObsFlags(fs)
+	f.RegisterEventFlags(fs)
 	if err := fs.Parse([]string{"-events", events, "-sample", "1"}); err != nil {
 		t.Fatal(err)
 	}

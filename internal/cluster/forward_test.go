@@ -18,6 +18,8 @@ type testBackend struct {
 	hits int
 	fail bool // respond 500 when set
 	cut  bool // promise a 200 body, send half of it and hang up
+	hang bool // take the request and never answer it
+	drop bool // hang up before sending any header
 }
 
 // newFleet boots n scripted backends and a forwarder over them. The
@@ -27,12 +29,32 @@ func newFleet(t *testing.T, n int) ([]*testBackend, *Forwarder, *Checker) {
 	t.Helper()
 	backends := make([]*testBackend, n)
 	nodes := make([]string, n)
+	stop := make(chan struct{}) // ends every hung request before the servers close
 	for i := range backends {
 		b := &testBackend{}
 		b.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			b.hits++
 			if b.fail {
 				http.Error(w, "scripted failure", http.StatusInternalServerError)
+				return
+			}
+			if b.hang {
+				// Reading the whole body lets the server notice when
+				// the router gives up and hangs up on it.
+				io.Copy(io.Discard, r.Body)
+				select {
+				case <-r.Context().Done():
+				case <-stop:
+				}
+				return
+			}
+			if b.drop {
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				conn.Close()
 				return
 			}
 			if b.cut {
@@ -53,6 +75,7 @@ func newFleet(t *testing.T, n int) ([]*testBackend, *Forwarder, *Checker) {
 		backends[i] = b
 		nodes[i] = b.node
 	}
+	t.Cleanup(func() { close(stop) }) // cleanups run last-in first-out
 	checker := NewChecker(CheckerConfig{
 		Nodes: nodes,
 		Probe: func(context.Context, string) error { return nil },

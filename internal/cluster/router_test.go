@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ccrp/internal/server"
 	"ccrp/internal/tracing"
@@ -109,15 +110,40 @@ func TestRouterOwnErrorsAndReadiness(t *testing.T) {
 // connection. The client gets the successor's whole 200, never the
 // owner's truncated one, and the owner gets an error count.
 func TestRouterRetriesBodyCutMidway(t *testing.T) {
+	routeAroundOwner(t, "cut-mid-body", func(owner *testBackend, _ *Forwarder) { owner.cut = true })
+}
+
+// TestRouterRetriesHungOwner: an owner that takes the request and never
+// answers fails the attempt when the forwarder's per-attempt deadline
+// passes, and the request moves on to the successor.
+func TestRouterRetriesHungOwner(t *testing.T) {
+	routeAroundOwner(t, "hung-owner", func(owner *testBackend, fwd *Forwarder) {
+		owner.hang = true
+		fwd.cfg.Timeout = 50 * time.Millisecond
+	})
+}
+
+// TestRouterRetriesDroppedConnection: an owner that hangs up before it
+// sends a header has failed the attempt like one that refused the
+// connection.
+func TestRouterRetriesDroppedConnection(t *testing.T) {
+	routeAroundOwner(t, "dropped-connection", func(owner *testBackend, _ *Forwarder) { owner.drop = true })
+}
+
+// routeAroundOwner sends one compress request for coderID through a
+// router whose owning backend breaks as breakOwner scripts it. The client
+// must get the successor's whole 200, and the owner one error count.
+func routeAroundOwner(t *testing.T, coderID string, breakOwner func(owner *testBackend, fwd *Forwarder)) {
+	t.Helper()
 	backends, fwd, checker := newFleet(t, 2)
 	rt := NewRouter(fwd.cfg.Ring, checker, fwd, nil, 1<<10)
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	body := `{"coder_id":"cut-mid-body"}`
+	body := fmt.Sprintf(`{"coder_id":%q}`, coderID)
 	key, _ := server.RouteKey(http.MethodPost, "/v1/compress", []byte(body))
 	order := fwd.cfg.Ring.Order(key)
-	byNode(backends)[order[0]].cut = true
+	breakOwner(byNode(backends)[order[0]], fwd)
 
 	resp, err := http.Post(front.URL+"/v1/compress", "application/json", strings.NewReader(body))
 	if err != nil {

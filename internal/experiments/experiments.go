@@ -21,10 +21,14 @@ import (
 	"fmt"
 	"sync"
 
+	"ccrp/internal/cache"
+	"ccrp/internal/clb"
 	"ccrp/internal/core"
 	"ccrp/internal/huffman"
 	"ccrp/internal/memory"
+	"ccrp/internal/metrics"
 	"ccrp/internal/sweep"
+	"ccrp/internal/tracing"
 	"ccrp/internal/workload"
 )
 
@@ -196,9 +200,7 @@ func missProfile(w *workload.Workload, cacheBytes, ways, clbEntries int) (*core.
 }
 
 // Engine state: the sweep engine every point sweep runs on. Set once at
-// CLI startup (ccrp-bench -j) and read per sweep; the engine itself owns
-// all cross-worker observability, so there is no shared mutable registry
-// between points — the race the old package-global SetObserver had.
+// CLI startup (ccrp-bench -j) and read per sweep.
 var (
 	engMu  sync.Mutex
 	engCur *sweep.Engine
@@ -207,9 +209,10 @@ var (
 // SetEngine attaches a sweep engine to every subsequent point sweep
 // (Tables1to8, Tables9and10, Figure9, Tables11to13, and the -json
 // export). A nil engine restores the default: sequential execution with
-// no instrumentation. It replaces the former SetObserver: metrics and
-// event sinks now travel inside the engine, which hands each worker a
-// private registry and merges them after the sweep.
+// no instrumentation. The engine's Tracer gets a span tree per point.
+// Its Registry gets each sweep's totals, summed over the priced points
+// once the sweep has run: i-cache accesses and hits, CLB hits and
+// misses, and the CCRP's refill cycles.
 func SetEngine(e *sweep.Engine) {
 	engMu.Lock()
 	engCur = e
@@ -222,21 +225,19 @@ func currentEngine() *sweep.Engine {
 	return engCur
 }
 
-// compareConfig computes one workload with the preselected code and the
-// given knobs on a direct-mapped cache, reusing the cached ROM. An
-// uninstrumented point is priced from the cached miss profile of its
-// geometry; an instrumented one (obs.Registry or obs.Sink set) replays
-// its trace through core.Compare, whose probe records every fetch. The
-// train/build/run stages hang off obs.Span (no-ops when tracing is off),
-// so a traced sweep decomposes each point's cost the same way the paper
-// splits coder selection, compression, and execution.
-func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dmiss float64, obs sweep.Obs) (*core.Comparison, error) {
-	w, ok := workload.ByName(name)
+// compareConfig computes one point with the preselected code on a
+// direct-mapped cache, pricing the cached miss profile of its geometry
+// (core.Price) with the cached ROM. The train/build/run stages hang off
+// sp (no-ops when tracing is off), so a traced sweep decomposes each
+// point's cost the same way the paper splits coder selection,
+// compression, and execution.
+func compareConfig(s pointSpec, sp *tracing.Span) (*core.Comparison, error) {
+	w, ok := workload.ByName(s.prog)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", name)
+		return nil, fmt.Errorf("experiments: unknown workload %q", s.prog)
 	}
-	obs.Span.SetAttr("workload", name)
-	tsp := obs.Span.Child(sweep.StageTrain)
+	sp.SetAttr("workload", s.prog)
+	tsp := sp.Child(sweep.StageTrain)
 	_, err := PreselectedCode()
 	if err != nil {
 		tsp.SetError(err)
@@ -244,7 +245,7 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 		return nil, err
 	}
 	tsp.End()
-	bsp := obs.Span.Child(sweep.StageBuild)
+	bsp := sp.Child(sweep.StageBuild)
 	rom, err := preselROM(w)
 	if err != nil {
 		bsp.SetError(err)
@@ -252,18 +253,12 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 		return nil, err
 	}
 	bsp.End()
-	cfg := core.Config{
-		CacheBytes: cacheBytes,
-		CLBEntries: clbEntries,
-		Mem:        mem,
-		Metrics:    obs.Registry,
-		Events:     obs.Sink,
-	}
-	if dmiss < 1 {
+	cfg := core.Config{CacheBytes: s.cacheBytes, CLBEntries: s.clb, Mem: s.mem}
+	if s.dmiss < 1 {
 		cfg.DataCache = true
-		cfg.DCacheMissRate = dmiss
+		cfg.DCacheMissRate = s.dmiss
 	}
-	rsp := obs.Span.Child(sweep.StageRun)
+	rsp := sp.Child(sweep.StageRun)
 	cmp, err := runConfig(w, rom, cfg)
 	if err != nil {
 		rsp.SetError(err)
@@ -274,13 +269,6 @@ func compareConfig(name string, cacheBytes, clbEntries int, mem memory.Model, dm
 
 // runConfig is compareConfig's run stage, over w's image rom.
 func runConfig(w *workload.Workload, rom *core.ROM, cfg core.Config) (*core.Comparison, error) {
-	if cfg.Metrics != nil || cfg.Events != nil {
-		tr, err := w.Trace()
-		if err != nil {
-			return nil, err
-		}
-		return core.Compare(tr, rom, cfg)
-	}
 	p, err := missProfile(w, cfg.CacheBytes, 1, cfg.CLBEntries)
 	if err != nil {
 		return nil, err
@@ -313,12 +301,8 @@ type pointSpec struct {
 	dmiss      float64
 }
 
-// pointObs computes one performance point with the given observer pair.
-func pointObs(s pointSpec, obs sweep.Obs) (PerfPoint, error) {
-	cmp, err := compareConfig(s.prog, s.cacheBytes, s.clb, s.mem, s.dmiss, obs)
-	if err != nil {
-		return PerfPoint{}, err
-	}
+// perfPoint is the row of spec s whose comparison is cmp.
+func perfPoint(s pointSpec, cmp *core.Comparison) PerfPoint {
 	p := PerfPoint{
 		Program:        s.prog,
 		Memory:         s.mem.Name(),
@@ -334,24 +318,66 @@ func pointObs(s pointSpec, obs sweep.Obs) (PerfPoint, error) {
 	if cmp.CCRP.Misses > 0 {
 		p.CLBMissRate = float64(cmp.CCRP.CLBMisses) / float64(cmp.CCRP.Misses)
 	}
-	return p, nil
+	return p
 }
 
 // Point computes one performance point (exported for the benchmark
-// harness and examples). Standalone points run uninstrumented; sweeps
-// attach per-worker observers through the engine instead.
+// harness and examples), untraced and outside any sweep's totals.
 func Point(name string, cacheBytes, clbEntries int, mem memory.Model, dmiss float64) (PerfPoint, error) {
-	return pointObs(pointSpec{name, cacheBytes, clbEntries, mem, dmiss}, sweep.Obs{})
+	s := pointSpec{name, cacheBytes, clbEntries, mem, dmiss}
+	cmp, err := compareConfig(s, nil)
+	if err != nil {
+		return PerfPoint{}, err
+	}
+	return perfPoint(s, cmp), nil
 }
 
 // sweepPoints fans the specs across the current engine's worker pool.
 // Results come back in spec order whatever the worker count, which is
-// what makes -j 1 and -j N output byte-identical.
+// what makes -j 1 and -j N output byte-identical; so are the totals it
+// adds to the engine's registry. Without a registry a point keeps
+// nothing beyond its row.
 func sweepPoints(specs []pointSpec) ([]PerfPoint, error) {
-	return sweep.Map(context.Background(), currentEngine(), len(specs),
-		func(_ context.Context, i int, obs sweep.Obs) (PerfPoint, error) {
-			return pointObs(specs[i], obs)
+	e := currentEngine()
+	var stats []core.Stats // each point's CCRP statistics, for the totals
+	if e != nil && e.Registry != nil {
+		stats = make([]core.Stats, len(specs))
+	}
+	pts, err := sweep.Map(context.Background(), e, len(specs),
+		func(_ context.Context, i int, sp *tracing.Span) (PerfPoint, error) {
+			cmp, err := compareConfig(specs[i], sp)
+			if err != nil {
+				return PerfPoint{}, err
+			}
+			if stats != nil {
+				stats[i] = cmp.CCRP
+			}
+			return perfPoint(specs[i], cmp), nil
 		})
+	if err != nil {
+		return nil, err
+	}
+	if stats != nil {
+		sweepTotals(e.Registry, stats)
+	}
+	return pts, nil
+}
+
+// sweepTotals adds a sweep's totals to reg in point order: the i-cache
+// and CLB counters, under the names cache.Instrument and clb.Instrument
+// give them (every miss probes the CLB), and the CCRP's refill cycles,
+// LAT fetches included. Each is an exact sum over the priced points.
+func sweepTotals(reg *metrics.Registry, stats []core.Stats) {
+	accesses, hits := cache.Counters(reg)
+	clbHits, clbMisses := clb.Counters(reg)
+	refill := reg.Counter("ccrp_refill_cycles_total", "CCRP instruction cache refill cycles, LAT fetches included")
+	for _, s := range stats {
+		accesses.Add(s.Accesses)
+		hits.Add(s.Accesses - s.Misses)
+		clbHits.Add(s.Misses - s.CLBMisses)
+		clbMisses.Add(s.CLBMisses)
+		refill.Add(s.RefillCycles)
+	}
 }
 
 // groupByProgram folds index-ordered sweep results back into the

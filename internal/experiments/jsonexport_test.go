@@ -83,8 +83,8 @@ func TestEveryExperimentRenders(t *testing.T) {
 }
 
 // TestEngineObserver: a registry attached through the sweep engine must
-// see the simulation traffic of experiment runs — merged identically
-// whatever the worker count — and detaching the engine must stop it.
+// get the sweeps' totals, the same whatever the worker count, and
+// detaching the engine must stop them.
 func TestEngineObserver(t *testing.T) {
 	reg := metrics.New()
 	SetEngine(&sweep.Engine{Workers: 1, Registry: reg})
@@ -97,14 +97,14 @@ func TestEngineObserver(t *testing.T) {
 		t.Fatal("engine registry saw no cache accesses")
 	}
 
-	// The same sweep across 8 workers merges to the same counter totals.
+	// The same sweep across 8 workers sums to the same totals.
 	par := metrics.New()
 	SetEngine(&sweep.Engine{Workers: 8, Registry: par})
 	if _, err := Figure9(); err != nil {
 		t.Fatal(err)
 	}
 	if got := par.Counter("ccrp_cache_accesses_total", "").Value(); got != accesses {
-		t.Errorf("parallel merge lost counts: %d, want %d", got, accesses)
+		t.Errorf("8 workers counted %d accesses, want %d", got, accesses)
 	}
 
 	SetEngine(nil)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"sync"
 )
 
 // Standard event types emitted by the instrumented simulator. Fetch
@@ -85,34 +84,6 @@ func (s *JSONLSink) Close() error {
 		}
 	}
 	return s.err
-}
-
-// SyncSink serializes Emit and Close calls onto an inner sink, making a
-// single-threaded sink (JSONLSink, SampledSink) safe to share between the
-// workers of a parallel sweep. Event order across workers is arrival
-// order, which is not deterministic.
-type SyncSink struct {
-	mu    sync.Mutex
-	inner EventSink
-}
-
-// NewSyncSink wraps inner in a mutex.
-func NewSyncSink(inner EventSink) *SyncSink {
-	return &SyncSink{inner: inner}
-}
-
-// Emit forwards e under the lock.
-func (s *SyncSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.Emit(e)
-}
-
-// Close closes the inner sink under the lock.
-func (s *SyncSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner.Close()
 }
 
 // SampledSink forwards fetch events at a 1-in-Every rate and every other

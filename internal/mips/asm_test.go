@@ -319,6 +319,7 @@ func TestErrors(t *testing.T) {
 		{"branch range", ".text\nb far\n.space 300000\nfar: nop", "out of range"},
 		{"instr in data", ".data\nadd $t0, $t0, $t0", "outside .text"},
 		{"text ends inside a word", ".text\nnop\n.byte 1", "inside a 4-byte word"},
+		{"instruction inside a word", ".text\n.byte 1\nnop\n.byte 1, 2, 3", "line 3: instruction \"nop\" at 0x1, inside a 4-byte word"},
 		{"unknown op", "frob $t0", "unknown instruction"},
 		{"unknown directive", ".frobnicate 3", "unknown directive"},
 		{"li with forward symbol", ".text\nli $t0, fwd\nfwd: nop", "use la"},

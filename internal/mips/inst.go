@@ -299,7 +299,9 @@ type encSpec struct {
 	format uint8 // cop1 fmt field
 }
 
-var encTable = map[Op]encSpec{
+// encTable holds each valid Op's encoding, indexed by Op like opTable. A
+// missing entry would encode as SLL, so a test encodes every Op.
+var encTable = [numOps]encSpec{
 	OpSLL:     {0, opcSpecial, fnSLL, 0, 0},
 	OpSRL:     {0, opcSpecial, fnSRL, 0, 0},
 	OpSRA:     {0, opcSpecial, fnSRA, 0, 0},
@@ -403,10 +405,10 @@ var encTable = map[Op]encSpec{
 // immediate, and target fields. Encode panics on an invalid Op (programs
 // should construct Insts from the assembler or Decode).
 func Encode(i Inst) Word {
-	spec, ok := encTable[i.Op]
-	if !ok {
+	if !i.Op.Valid() {
 		panic(fmt.Sprintf("mips: Encode of invalid op %v", i.Op))
 	}
+	spec := &encTable[i.Op]
 	switch spec.kind {
 	case 0: // SPECIAL
 		return Word(uint32(spec.opc)<<26 | uint32(i.Rs)<<21 | uint32(i.Rt)<<16 |

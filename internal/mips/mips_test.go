@@ -188,6 +188,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEveryOpEncodesToItself: every valid Op has an encoding, and
+// decoding it gives the Op back; an Op missing from the encoding table
+// would encode as another. An invalid Op panics.
+func TestEveryOpEncodesToItself(t *testing.T) {
+	for op := Op(1); int(op) < NumOps(); op++ {
+		if !op.Valid() {
+			t.Fatalf("%v: not Valid", op)
+		}
+		w := Encode(Inst{Op: op, Rs: 1, Rt: 2, Rd: 3, Shamt: 4, Imm: 5, Target: 6})
+		if got := Decode(w).Op; got != op {
+			t.Errorf("%v encodes to %#08x, which decodes to %v", op, uint32(w), got)
+		}
+	}
+	for _, op := range []Op{OpInvalid, Op(NumOps())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Encode of %v did not panic", op)
+				}
+			}()
+			Encode(Inst{Op: op})
+		}()
+	}
+}
+
 // Property: Decode never panics and always splits fields consistently.
 func TestDecodeTotality(t *testing.T) {
 	f := func(raw uint32) bool {

@@ -105,6 +105,23 @@ func TestRegNames(t *testing.T) {
 	}
 }
 
+// TestAssembleErrors: sources the rv32 backend must reject, with an
+// error that names the line.
+func TestAssembleErrors(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"instruction inside a word", ".text\n.byte 1\naddi x1, x0, 1\n.byte 1, 2, 3", "line 3: instruction \"addi\" at 0x1, inside a 4-byte word"},
+		{"text ends inside a word", ".text\naddi x1, x0, 1\n.byte 1", "inside a 4-byte word"},
+		{"instruction in data", ".data\naddi x1, x0, 1", "line 2: instruction \"addi\" outside .text"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := asm.AssembleFor("rv32", "t.s", c.src)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %v, want it to contain %q", err, c.want)
+			}
+		})
+	}
+}
+
 // run assembles src for rv32, simulates it, and returns the console
 // output and result.
 func run(t *testing.T, src string) (*sim.Result, string) {

@@ -1,11 +1,11 @@
 // Package sweep is the parallel experiment runner behind the benchmark
 // harness: it fans the points of a parameter sweep out across a bounded
 // worker pool with deterministic result ordering (results are merged by
-// point index, never by arrival), per-point panic recovery, cancellation
-// via context.Context, and safe observability propagation — each worker
-// gets a private metrics registry that is merged into the engine's target
-// registry once the pool has quiesced, so the single-threaded instruments
-// in internal/metrics never see concurrent writers.
+// point index, never by arrival), per-point panic recovery, and
+// cancellation via context.Context. A point's only observability is its
+// tracing span; a sweep's metrics are sums over its results, which the
+// caller adds up in point order once Map returns, so they read the same
+// at any worker count.
 //
 // The package also provides a content-addressed artifact cache with
 // single-flight deduplication (cache.go), so expensive trained artifacts
@@ -35,25 +35,16 @@ type Engine struct {
 	// calling goroutine.
 	Workers int
 
-	// Registry, when set, receives the merged instrumentation of the
-	// whole sweep: each worker records into a private registry and the
-	// engine folds them into Registry (in worker order) after the pool
-	// has quiesced. Counters, counter vectors, and histograms therefore
-	// accumulate exactly as a sequential run would; gauges keep the
-	// last-merged worker's value, which for per-run summary gauges is
-	// one representative point rather than a defined "last" point.
+	// Registry, when set, receives the totals of every sweep run on the
+	// engine. Map does not read it: the experiments package adds each
+	// sweep's totals once its Map has returned, on the calling goroutine
+	// and in point order.
 	Registry *metrics.Registry
 
-	// Sink, when set, receives the structured event stream of every
-	// point. With more than one worker the engine serializes Emit calls
-	// through a metrics.SyncSink; events from different points then
-	// interleave in arrival order, which is not deterministic.
-	Sink metrics.EventSink
-
-	// Tracer, when set, roots one sweep_point span per point; points see
-	// it through Obs.Span and hang their train/build/run child stages off
-	// it. The tracer's span sink is already concurrency-safe, so workers
-	// share it directly.
+	// Tracer, when set, roots one sweep_point span per point; points get
+	// it as their span argument and hang their train/build/run child
+	// stages off it. The tracer's span sink is already concurrency-safe,
+	// so workers share it directly.
 	Tracer *tracing.Tracer
 }
 
@@ -101,19 +92,9 @@ const (
 	StageRun   = "run"         // simulator execution
 )
 
-// Obs is the observability bundle handed to each sweep point: a
-// per-worker registry (nil when the engine has no Registry), the engine's
-// shared, serialized event sink (nil when the engine has no Sink), and
-// the point's root span (nil when the engine has no Tracer). Points pass
-// the first two through to core.Config and hang stage children off Span.
-type Obs struct {
-	Registry *metrics.Registry
-	Sink     metrics.EventSink
-	Span     *tracing.Span
-}
-
 // Map runs fn for every index in [0, n) across the engine's worker pool
 // and returns the results in index order, regardless of completion order.
+// fn gets the point's sweep_point span, nil when the engine has no Tracer.
 //
 // Every point runs exactly once unless ctx is cancelled (points not yet
 // started are skipped; points in flight finish). A point that returns an
@@ -122,7 +103,7 @@ type Obs struct {
 // lowest-indexed failed point (so the reported error is deterministic
 // under any worker count). A ctx cancellation is reported as ctx.Err()
 // when no point failed first.
-func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Context, i int, obs Obs) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Context, i int, sp *tracing.Span) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, nil
@@ -133,20 +114,11 @@ func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Conte
 	errs := make([]error, n)
 	workers := e.workerCount(n)
 
-	sink := e.sink()
-	if sink != nil && workers > 1 {
-		sink = metrics.NewSyncSink(sink)
-	}
-
-	regs := make([]*metrics.Registry, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		if e != nil && e.Registry != nil {
-			regs[wi] = metrics.New()
-		}
+	for range workers {
 		wg.Add(1)
-		go func(wi int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
@@ -155,22 +127,16 @@ func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Conte
 				}
 				sp := e.tracer().Start(StagePoint)
 				sp.SetAttrInt("point", int64(i))
-				obs := Obs{Registry: regs[wi], Sink: sink, Span: sp}
-				results[i], errs[i] = runPoint(ctx, i, obs, fn)
+				results[i], errs[i] = runPoint(ctx, i, sp, fn)
 				if errs[i] != nil {
 					sp.SetError(errs[i])
 				}
 				sp.End()
 			}
-		}(wi)
+		}()
 	}
 	wg.Wait()
 
-	for _, reg := range regs {
-		if reg != nil {
-			e.Registry.Merge(reg)
-		}
-	}
 	for i, err := range errs {
 		if err != nil {
 			return results, fmt.Errorf("sweep: point %d of %d: %w", i, n, err)
@@ -183,21 +149,13 @@ func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Conte
 }
 
 // runPoint executes one point with panic confinement.
-func runPoint[T any](ctx context.Context, i int, obs Obs, fn func(ctx context.Context, i int, obs Obs) (T, error)) (out T, err error) {
+func runPoint[T any](ctx context.Context, i int, sp *tracing.Span, fn func(ctx context.Context, i int, sp *tracing.Span) (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Point: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(ctx, i, obs)
-}
-
-// sink returns the engine's event sink, nil-safe.
-func (e *Engine) sink() metrics.EventSink {
-	if e == nil {
-		return nil
-	}
-	return e.Sink
+	return fn(ctx, i, sp)
 }
 
 // tracer returns the engine's tracer, nil-safe.

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"ccrp/internal/metrics"
+	"ccrp/internal/tracing"
 )
 
 // TestMapOrdersResultsByIndex: results come back in index order even when
@@ -17,7 +18,7 @@ import (
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	e := &Engine{Workers: 8}
 	n := 16
-	out, err := Map(context.Background(), e, n, func(_ context.Context, i int, _ Obs) (int, error) {
+	out, err := Map(context.Background(), e, n, func(_ context.Context, i int, _ *tracing.Span) (int, error) {
 		time.Sleep(time.Duration(n-i) * time.Millisecond) // later indices finish first
 		return i * i, nil
 	})
@@ -35,7 +36,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 // goroutine count's worth of workers and still produce ordered output.
 func TestMapSequentialFallback(t *testing.T) {
 	for _, e := range []*Engine{nil, {Workers: 1}} {
-		out, err := Map(context.Background(), e, 5, func(_ context.Context, i int, _ Obs) (int, error) {
+		out, err := Map(context.Background(), e, 5, func(_ context.Context, i int, _ *tracing.Span) (int, error) {
 			return i, nil
 		})
 		if err != nil {
@@ -54,7 +55,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
 	_, err := Map(context.Background(), &Engine{Workers: workers}, 24,
-		func(_ context.Context, i int, _ Obs) (int, error) {
+		func(_ context.Context, i int, _ *tracing.Span) (int, error) {
 			c := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -80,7 +81,7 @@ func TestMapPanicConfined(t *testing.T) {
 	var ran atomic.Int64
 	n := 10
 	out, err := Map(context.Background(), &Engine{Workers: 4}, n,
-		func(_ context.Context, i int, _ Obs) (int, error) {
+		func(_ context.Context, i int, _ *tracing.Span) (int, error) {
 			if i == 3 {
 				panic("boom")
 			}
@@ -111,7 +112,7 @@ func TestMapPanicConfined(t *testing.T) {
 func TestMapReportsLowestIndexError(t *testing.T) {
 	wantErr := errors.New("bad point")
 	_, err := Map(context.Background(), &Engine{Workers: 8}, 12,
-		func(_ context.Context, i int, _ Obs) (int, error) {
+		func(_ context.Context, i int, _ *tracing.Span) (int, error) {
 			if i == 7 || i == 2 || i == 11 {
 				return 0, fmt.Errorf("%w %d", wantErr, i)
 			}
@@ -133,7 +134,7 @@ func TestMapCancellation(t *testing.T) {
 	var started atomic.Int64
 	n := 100
 	_, err := Map(ctx, &Engine{Workers: 2}, n,
-		func(ctx context.Context, i int, _ Obs) (int, error) {
+		func(ctx context.Context, i int, _ *tracing.Span) (int, error) {
 			if started.Add(1) == 4 {
 				cancel()
 			}
@@ -147,81 +148,58 @@ func TestMapCancellation(t *testing.T) {
 	}
 }
 
-// TestMapMergesWorkerRegistries: counters recorded by per-worker
-// registries merge into the engine registry with sequential totals.
-func TestMapMergesWorkerRegistries(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		reg := metrics.New()
-		e := &Engine{Workers: workers, Registry: reg}
-		n := 37
-		_, err := Map(context.Background(), e, n,
-			func(_ context.Context, i int, obs Obs) (int, error) {
-				if obs.Registry == nil {
-					t.Error("point got no per-worker registry")
-				}
-				if obs.Registry == reg {
-					t.Error("point got the shared target registry (data race)")
-				}
-				obs.Registry.Counter("points_total", "").Inc()
-				obs.Registry.Counter("weight_total", "").Add(uint64(i))
-				obs.Registry.Histogram("h", "", []float64{10, 100}).Observe(float64(i))
-				obs.Registry.CounterVec("by_mod", "", "m").WithInt(i % 3).Inc()
-				return i, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reg.Counter("points_total", "").Value(); got != uint64(n) {
-			t.Errorf("workers=%d: points_total = %d, want %d", workers, got, n)
-		}
-		if got := reg.Counter("weight_total", "").Value(); got != uint64(n*(n-1)/2) {
-			t.Errorf("workers=%d: weight_total = %d, want %d", workers, got, n*(n-1)/2)
-		}
-		if got := reg.Histogram("h", "", []float64{10, 100}).Count(); got != uint64(n) {
-			t.Errorf("workers=%d: histogram count = %d, want %d", workers, got, n)
-		}
-		vec := reg.CounterVec("by_mod", "", "m")
-		var sum uint64
-		for m := 0; m < 3; m++ {
-			sum += vec.WithInt(m).Value()
-		}
-		if sum != uint64(n) {
-			t.Errorf("workers=%d: vec sum = %d, want %d", workers, sum, n)
+// TestMapSpans: with a tracer each point gets its own sweep_point span,
+// tagged with its index and, for a failed point, its error; without one
+// a point gets a nil span.
+func TestMapSpans(t *testing.T) {
+	var buf bytes.Buffer
+	tr := tracing.New(tracing.Config{Sink: tracing.NewJSONLSink(&buf)})
+	n := 20
+	_, err := Map(context.Background(), &Engine{Workers: 4, Tracer: tr}, n,
+		func(_ context.Context, i int, sp *tracing.Span) (int, error) {
+			if sp == nil {
+				t.Error("point got no span despite a tracer")
+			}
+			sp.Child(StageRun).End()
+			if i == 5 {
+				return 0, errors.New("bad point")
+			}
+			return i, nil
+		})
+	if err == nil {
+		t.Fatal("want point 5's error")
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := tracing.ReadRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := map[float64]tracing.Record{}
+	for _, r := range recs {
+		if r.Stage == StagePoint {
+			points[r.Attrs["point"].(float64)] = r
 		}
 	}
-}
+	if len(recs) != 2*n || len(points) != n {
+		t.Fatalf("%d records, %d distinct points; want %d and %d", len(recs), len(points), 2*n, n)
+	}
+	for i, r := range points {
+		if failed := r.Err != ""; failed != (i == 5) {
+			t.Errorf("point %v: err %q", i, r.Err)
+		}
+	}
 
-// countingSink counts Emit calls; not concurrency-safe on purpose, so the
-// race detector verifies the engine serializes it.
-type countingSink struct {
-	events int
-	closed bool
-}
-
-func (s *countingSink) Emit(metrics.Event) { s.events++ }
-func (s *countingSink) Close() error       { s.closed = true; return nil }
-
-// TestMapSerializesSink: a single-threaded sink shared by many workers
-// receives every event (run under -race to prove serialization).
-func TestMapSerializesSink(t *testing.T) {
-	sink := &countingSink{}
-	n := 50
-	_, err := Map(context.Background(), &Engine{Workers: 8, Sink: sink}, n,
-		func(_ context.Context, i int, obs Obs) (int, error) {
-			if obs.Sink == nil {
-				t.Error("point got no sink")
+	_, err = Map(context.Background(), &Engine{Workers: 2}, 3,
+		func(_ context.Context, i int, sp *tracing.Span) (int, error) {
+			if sp != nil {
+				t.Error("point got a span without a tracer")
 			}
-			obs.Sink.Emit(metrics.Event{Type: "test", Seq: uint64(i)})
 			return i, nil
 		})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sink.events != n {
-		t.Errorf("sink saw %d events, want %d", sink.events, n)
-	}
-	if sink.closed {
-		t.Error("engine closed the caller's sink")
 	}
 }
 
@@ -241,7 +219,7 @@ func TestWorkerCount(t *testing.T) {
 // TestMapEmpty: a zero-point sweep returns immediately.
 func TestMapEmpty(t *testing.T) {
 	out, err := Map(context.Background(), &Engine{Workers: 4}, 0,
-		func(_ context.Context, i int, _ Obs) (int, error) { return 0, nil })
+		func(_ context.Context, i int, _ *tracing.Span) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out = %v, err = %v", out, err)
 	}

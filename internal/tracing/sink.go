@@ -36,8 +36,8 @@ type SpanSink interface {
 }
 
 // JSONLSink writes one JSON object per span through a buffer, the span
-// twin of metrics.JSONLSink with the serialization of metrics.SyncSink
-// built in (request goroutines emit concurrently by design).
+// twin of metrics.JSONLSink with a mutex around every Emit and Close
+// (request goroutines and sweep workers emit concurrently by design).
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
