@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
 .PHONY: all build test race vet fmt staticcheck check bench \
-	serve-smoke decode-bench isa-smoke fuzz
+	decode-bench fuzz
 
 all: build
 
@@ -33,22 +33,10 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
 
-# Binary-level serving smoke: ccrpd and ccrp-router flag wiring, a
-# round trip byte-compared against ccpack, one compress through the
-# router, ccrp-spans over the daemon's -trace file, SIGTERM drains.
-serve-smoke:
-	sh scripts/serve_smoke.sh
-
 # Decode-kernel benchmark: the multi-symbol kernel against the canonical
 # oracle, MB/s as Go benchmarks.
 decode-bench:
 	$(GO) test -run=^$$ -bench='BenchmarkDecode(Canonical|Multi)$$' -benchmem ./internal/huffman
-
-# ISA-backend smoke: assemble + simulate the same program on every
-# registered backend (mips, rv32), RVC expansion vector and
-# differential gates, and the cross-backend disassembly round trip.
-isa-smoke:
-	sh scripts/isa_smoke.sh
 
 # Short fuzz pass over every fuzz target in the repository, FUZZTIME
 # each. Patterns are anchored: go test -fuzz needs exactly one match.

@@ -22,8 +22,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -38,44 +40,40 @@ import (
 )
 
 func main() {
-	isaName := flag.String("isa", "", "ISA backend for .s input ("+strings.Join(isa.Names(), "|")+"; default "+isa.DefaultName+")")
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
-	if cliutil.PrintVersion(os.Stdout, "ccdb", version) {
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ccdb [-isa name] (prog.s | prog.img)")
-		os.Exit(2)
-	}
-	prog := load(flag.Arg(0), *isaName)
-	m := sim.New(prog, sim.Config{Stdout: os.Stdout, CollectTrace: false})
-	dbg := &debugger{m: m, prog: prog, arch: isa.MustLookup(prog.ISA), breaks: map[uint32]bool{}}
-	dbg.repl(os.Stdin)
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func load(path, isaName string) *asm.Program {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	if strings.HasSuffix(path, ".s") || strings.HasSuffix(path, ".asm") {
-		p, err := asm.AssembleFor(isaName, path, string(raw))
-		if err != nil {
-			fatal(err)
+// run parses args, loads the program and reads debugger commands from
+// stdin until q or the end of input; the session and the program's own
+// console output go to stdout. It returns the exit status: 0 on success,
+// 2 for a bad command line, 1 when the program cannot be loaded.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccdb", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	isaName := fs.String("isa", "", "ISA backend for .s input ("+strings.Join(isa.Names(), "|")+"; default "+isa.DefaultName+")")
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return p
+		return 2
 	}
-	f, err := os.Open(path)
+	if cliutil.PrintVersion(stdout, "ccdb", version) {
+		return 0
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ccdb [-isa name] (prog.s | prog.img)")
+		return 2
+	}
+	prog, err := cliutil.LoadProgram(fs.Arg(0), *isaName)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "ccdb:", err)
+		return 1
 	}
-	defer f.Close()
-	p, err := asm.ReadImage(f)
-	if err != nil {
-		fatal(err)
-	}
-	return p
+	m := sim.New(prog, sim.Config{Stdout: stdout, CollectTrace: false})
+	dbg := &debugger{m: m, prog: prog, arch: isa.MustLookup(prog.ISA), breaks: map[uint32]bool{}, out: stdout}
+	dbg.repl(stdin)
+	return 0
 }
 
 type debugger struct {
@@ -83,18 +81,19 @@ type debugger struct {
 	prog   *asm.Program
 	arch   isa.ISA
 	breaks map[uint32]bool
+	out    io.Writer
 }
 
-func (d *debugger) repl(in *os.File) {
-	fmt.Printf("ccdb: %s, %d text bytes, entry %#08x. Type 'q' to quit.\n",
+func (d *debugger) repl(in io.Reader) {
+	fmt.Fprintf(d.out, "ccdb: %s, %d text bytes, entry %#08x. Type 'q' to quit.\n",
 		d.prog.Name, len(d.prog.Text), d.prog.Entry)
 	d.showPC()
 	sc := bufio.NewScanner(in)
-	fmt.Print("(ccdb) ")
+	fmt.Fprint(d.out, "(ccdb) ")
 	for sc.Scan() {
 		line := strings.Fields(strings.TrimSpace(sc.Text()))
 		if len(line) == 0 {
-			fmt.Print("(ccdb) ")
+			fmt.Fprint(d.out, "(ccdb) ")
 			continue
 		}
 		switch line[0] {
@@ -120,19 +119,19 @@ func (d *debugger) repl(in *os.File) {
 			d.examine(line[1:])
 		case "i", "info":
 			r := d.m.Snapshot()
-			fmt.Printf("instructions=%d stalls=%d loads=%d stores=%d done=%v\n",
+			fmt.Fprintf(d.out, "instructions=%d stalls=%d loads=%d stores=%d done=%v\n",
 				r.Instructions, r.Stalls, r.Loads, r.Stores, d.m.Done())
 		default:
-			fmt.Println("commands: s [n], c, b [addr], r, f, d [addr], x addr [n], i, q")
+			fmt.Fprintln(d.out, "commands: s [n], c, b [addr], r, f, d [addr], x addr [n], i, q")
 		}
-		fmt.Print("(ccdb) ")
+		fmt.Fprint(d.out, "(ccdb) ")
 	}
 }
 
 func (d *debugger) stepN(n int) {
 	for i := 0; i < n && !d.m.Done(); i++ {
 		if err := d.m.Step(); err != nil {
-			fmt.Printf("fault: %v\n", err)
+			fmt.Fprintf(d.out, "fault: %v\n", err)
 			return
 		}
 	}
@@ -142,11 +141,11 @@ func (d *debugger) stepN(n int) {
 func (d *debugger) cont() {
 	for !d.m.Done() {
 		if err := d.m.Step(); err != nil {
-			fmt.Printf("fault: %v\n", err)
+			fmt.Fprintf(d.out, "fault: %v\n", err)
 			return
 		}
 		if d.breaks[d.m.PC()] {
-			fmt.Printf("breakpoint at %#08x after %d instructions\n", d.m.PC(), d.m.Instructions())
+			fmt.Fprintf(d.out, "breakpoint at %#08x after %d instructions\n", d.m.PC(), d.m.Instructions())
 			break
 		}
 	}
@@ -156,49 +155,49 @@ func (d *debugger) cont() {
 func (d *debugger) breakCmd(args []string) {
 	if len(args) == 0 {
 		if len(d.breaks) == 0 {
-			fmt.Println("no breakpoints")
+			fmt.Fprintln(d.out, "no breakpoints")
 		}
 		for a := range d.breaks {
-			fmt.Printf("  %#08x\n", a)
+			fmt.Fprintf(d.out, "  %#08x\n", a)
 		}
 		return
 	}
 	addr, err := parseAddr(args[0], d.prog)
 	if err != nil {
-		fmt.Println(err)
+		fmt.Fprintln(d.out, err)
 		return
 	}
 	if d.breaks[addr] {
 		delete(d.breaks, addr)
-		fmt.Printf("cleared %#08x\n", addr)
+		fmt.Fprintf(d.out, "cleared %#08x\n", addr)
 	} else {
 		d.breaks[addr] = true
-		fmt.Printf("set %#08x\n", addr)
+		fmt.Fprintf(d.out, "set %#08x\n", addr)
 	}
 }
 
 func (d *debugger) showPC() {
 	if d.m.Done() {
-		fmt.Printf("program exited after %d instructions\n", d.m.Instructions())
+		fmt.Fprintf(d.out, "program exited after %d instructions\n", d.m.Instructions())
 		return
 	}
 	pc := d.m.PC()
 	w, err := d.m.ReadWord(pc)
 	if err != nil {
-		fmt.Printf("pc=%#08x <unreadable>\n", pc)
+		fmt.Fprintf(d.out, "pc=%#08x <unreadable>\n", pc)
 		return
 	}
-	fmt.Printf("%08x  %08x  %s\n", pc, w, d.arch.Disassemble(isa.Word(w), pc))
+	fmt.Fprintf(d.out, "%08x  %08x  %s\n", pc, w, d.arch.Disassemble(isa.Word(w), pc))
 }
 
 func (d *debugger) regs() {
 	for i := 0; i < 32; i += 4 {
 		for j := i; j < i+4; j++ {
-			fmt.Printf("%-5s %08x  ", d.arch.RegName(uint8(j)), d.m.Reg(uint8(j)))
+			fmt.Fprintf(d.out, "%-5s %08x  ", d.arch.RegName(uint8(j)), d.m.Reg(uint8(j)))
 		}
-		fmt.Println()
+		fmt.Fprintln(d.out)
 	}
-	fmt.Printf("hi    %08x  lo    %08x  pc    %08x\n", d.m.HI(), d.m.LO(), d.m.PC())
+	fmt.Fprintf(d.out, "hi    %08x  lo    %08x  pc    %08x\n", d.m.HI(), d.m.LO(), d.m.PC())
 }
 
 func (d *debugger) fregs() {
@@ -209,10 +208,10 @@ func (d *debugger) fregs() {
 			continue
 		}
 		any = true
-		fmt.Printf("%-5s %016x  %g\n", d.arch.FPRegName(uint8(i)), bits, math.Float64frombits(bits))
+		fmt.Fprintf(d.out, "%-5s %016x  %g\n", d.arch.FPRegName(uint8(i)), bits, math.Float64frombits(bits))
 	}
 	if !any {
-		fmt.Println("all FP registers zero")
+		fmt.Fprintln(d.out, "all FP registers zero")
 	}
 }
 
@@ -221,7 +220,7 @@ func (d *debugger) disasm(args []string) {
 	if len(args) > 0 {
 		a, err := parseAddr(args[0], d.prog)
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(d.out, err)
 			return
 		}
 		addr = a
@@ -236,18 +235,18 @@ func (d *debugger) disasm(args []string) {
 		if a == d.m.PC() {
 			marker = "=>"
 		}
-		fmt.Printf("%s %08x  %08x  %s\n", marker, a, w, d.arch.Disassemble(isa.Word(w), a))
+		fmt.Fprintf(d.out, "%s %08x  %08x  %s\n", marker, a, w, d.arch.Disassemble(isa.Word(w), a))
 	}
 }
 
 func (d *debugger) examine(args []string) {
 	if len(args) == 0 {
-		fmt.Println("usage: x addr [bytes]")
+		fmt.Fprintln(d.out, "usage: x addr [bytes]")
 		return
 	}
 	addr, err := parseAddr(args[0], d.prog)
 	if err != nil {
-		fmt.Println(err)
+		fmt.Fprintln(d.out, err)
 		return
 	}
 	n := 64
@@ -255,22 +254,22 @@ func (d *debugger) examine(args []string) {
 		n, _ = strconv.Atoi(args[1])
 	}
 	for off := 0; off < n; off += 16 {
-		fmt.Printf("%08x ", addr+uint32(off))
+		fmt.Fprintf(d.out, "%08x ", addr+uint32(off))
 		var ascii [16]byte
 		for j := 0; j < 16 && off+j < n; j++ {
 			b, err := d.m.PeekByte(addr + uint32(off+j))
 			if err != nil {
-				fmt.Println()
+				fmt.Fprintln(d.out)
 				return
 			}
-			fmt.Printf(" %02x", b)
+			fmt.Fprintf(d.out, " %02x", b)
 			if b >= 0x20 && b < 0x7F {
 				ascii[j] = b
 			} else {
 				ascii[j] = '.'
 			}
 		}
-		fmt.Printf("  |%s|\n", strings.TrimRight(string(ascii[:]), "\x00"))
+		fmt.Fprintf(d.out, "  |%s|\n", strings.TrimRight(string(ascii[:]), "\x00"))
 	}
 }
 
@@ -284,9 +283,4 @@ func parseAddr(s string, p *asm.Program) (uint32, error) {
 		return 0, fmt.Errorf("bad address %q (hex or symbol)", s)
 	}
 	return uint32(v), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccdb:", err)
-	os.Exit(1)
 }

@@ -60,7 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // pack compresses the text of workload wl, or else of the program at
-// path, writes its stats line to w and, with an out path, the ROM there.
+// path, writes the ROM to out when it is set, and then reports the stats
+// line to w, so a ROM that cannot be written leaves w untouched.
 func pack(w io.Writer, wl, path, out string, word, own bool) error {
 	var text []byte
 	name := wl
@@ -73,7 +74,7 @@ func pack(w io.Writer, wl, path, out string, word, own bool) error {
 			return err
 		}
 	} else {
-		prog, err := cliutil.LoadProgram(path)
+		prog, err := cliutil.LoadProgram(path, "")
 		if err != nil {
 			return err
 		}
@@ -95,13 +96,23 @@ func pack(w io.Writer, wl, path, out string, word, own bool) error {
 	if err := rom.Verify(); err != nil {
 		return err
 	}
+	if out != "" {
+		if err := writeROM(rom, out); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(w, "%s: %d bytes -> %d (blocks %d + LAT %d), ratio %.1f%%, %d/%d raw lines\n",
 		name, rom.OriginalSize, rom.CompressedSize(), rom.BlocksSize(), rom.TableSize(),
 		100*rom.Ratio(), rom.RawLines(), len(rom.Lines))
-	if out == "" {
-		return nil
+	if out != "" {
+		fmt.Fprintf(w, "wrote %s\n", out)
 	}
-	f, err := os.Create(out)
+	return nil
+}
+
+// writeROM writes rom to a new file at path and closes it.
+func writeROM(rom *core.ROM, path string) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -109,9 +120,5 @@ func pack(w io.Writer, wl, path, out string, word, own bool) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
+	return f.Close()
 }

@@ -6,12 +6,13 @@
 // Usage:
 //
 //	ccrp-router -fleet host:8642,host:8643,host:8644 [-addr :8640]
-//	            [-probe-interval 500ms] [-probe-timeout 2s]
-//	            [-fail-threshold 3] [-recover-threshold 2]
-//	            [-forward-timeout 30s] [-max-attempts 3] [-backoff 25ms]
-//	            [-max-body 16777216]
-//	            [-trace spans.jsonl] [-trace-tail 16] [-drain 15s]
-//	            [-version]
+//	            [-trace spans.jsonl] [-drain 15s] [-version]
+//
+// Health checking and forwarding use cluster's defaults: a probe every
+// 500 ms with a 2 s deadline, a node down after 3 consecutive failures
+// and up again after 2 probe successes, and up to 3 attempts per request
+// with a 30 s deadline each and backoff from 25 ms. A request body may
+// hold 16 MiB, and GET /debug/traces keeps the 16 slowest request trees.
 //
 // The ring is the serving analogue of the paper's LAT: an indirection
 // table in front of the real storage that turns "which node holds this
@@ -23,37 +24,47 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/cluster"
-	"ccrp/internal/tracing"
 )
 
 func main() {
-	addr := flag.String("addr", ":8640", "listen address")
-	fleet := flag.String("fleet", "", "comma-separated backend host:port list (required)")
-	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "active health-probe interval")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
-	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures that mark a node down")
-	recoverThreshold := flag.Int("recover-threshold", 2, "consecutive probe successes that mark a node up")
-	forwardTimeout := flag.Duration("forward-timeout", 30*time.Second, "per-attempt forward deadline")
-	maxAttempts := flag.Int("max-attempts", 3, "total forward attempts per request across nodes")
-	backoff := flag.Duration("backoff", 25*time.Millisecond, "initial retry backoff (doubles per attempt)")
-	maxBody := flag.Int64("max-body", 16<<20, "request body limit in bytes")
-	traceOut := flag.String("trace", "", "append JSONL span records to this file (- for stderr)")
-	traceTail := flag.Int("trace-tail", tracing.DefaultTailSlow, "slowest request trees retained for GET /debug/traces")
-	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
-	if cliutil.PrintVersion(os.Stdout, "ccrp-router", version) {
-		return
+	os.Exit(run(cliutil.SignalContext(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args and routes to the fleet until ctx is done, then
+// drains. Progress, starting with the "listening on ADDR" line, goes to
+// stderr. It returns the exit status: 0 after -version or a complete
+// drain, 2 for a bad command line, 1 when the router cannot start or its
+// drain fails.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccrp-router", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8640", "listen address")
+	fleet := fs.String("fleet", "", "comma-separated backend host:port list (required)")
+	traceOut := fs.String("trace", "", "append JSONL span records to this file (- for stderr)")
+	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if cliutil.PrintVersion(stdout, "ccrp-router", version) {
+		return 0
 	}
 
 	var nodes []string
@@ -63,61 +74,61 @@ func main() {
 		}
 	}
 	if len(nodes) == 0 {
-		fmt.Fprintln(os.Stderr, "ccrp-router: -fleet requires at least one host:port")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ccrp-router: -fleet requires at least one host:port")
+		return 2
 	}
+	if err := route(ctx, stderr, *addr, nodes, *traceOut, *drain); err != nil {
+		fmt.Fprintf(stderr, "ccrp-router: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
+// route listens on addr and forwards to nodes until ctx is done.
+func route(ctx context.Context, stderr io.Writer, addr string, nodes []string, traceOut string, drain time.Duration) error {
+	ctx, cancel := context.WithCancel(ctx)
+	var probing sync.WaitGroup
+	defer probing.Wait()
+	defer cancel() // stops the health prober before route returns
 	ring := cluster.New(cluster.DefaultReplicas, nodes...)
 	health := cluster.NewChecker(cluster.CheckerConfig{
-		Nodes:            nodes,
-		Interval:         *probeInterval,
-		Timeout:          *probeTimeout,
-		FailThreshold:    *failThreshold,
-		RecoverThreshold: *recoverThreshold,
+		Nodes: nodes,
 		OnTransition: func(node string, up bool) {
 			state := "down"
 			if up {
 				state = "up"
 			}
-			fmt.Fprintf(os.Stderr, "ccrp-router: node %s is %s\n", node, state)
+			fmt.Fprintf(stderr, "ccrp-router: node %s is %s\n", node, state)
 		},
 	})
 	fwd := cluster.NewForwarder(cluster.ForwarderConfig{
-		Ring:        ring,
-		Health:      health,
-		Timeout:     *forwardTimeout,
-		MaxAttempts: *maxAttempts,
-		Backoff:     *backoff,
+		Ring:   ring,
+		Health: health,
 		Client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 32,
 		}},
 	})
-	tracer, err := cliutil.OpenTracer(*traceOut, *traceTail)
+	tracer, err := cliutil.OpenTracer(traceOut, stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer tracer.Close()
-	rt := cluster.NewRouter(ring, health, fwd, tracer, *maxBody)
+	rt := cluster.NewRouter(ring, health, fwd, tracer, 16<<20)
 
-	ctx := cliutil.SignalContext()
 	// One synchronous probe round before the listener opens: a fleet
 	// member that is already dead at boot never takes the first request.
 	health.ProbeRound(ctx)
-	go health.Run(ctx)
+	probing.Add(1)
+	go func() {
+		defer probing.Done()
+		health.Run(ctx)
+	}()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "ccrp-router %s listening on %s, fleet %s (%d/%d up)\n",
+	fmt.Fprintf(stderr, "ccrp-router %s listening on %s, fleet %s (%d/%d up)\n",
 		cliutil.Version(), ln.Addr(), strings.Join(nodes, ","), health.UpCount(), len(nodes))
-	if err := cliutil.Serve(ctx, "ccrp-router", ln, rt.Handler(), *drain, rt.BeginDrain); err != nil {
-		fatal(err)
-	}
-}
-
-// fatal reports err and exits 1.
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ccrp-router: %v\n", err)
-	os.Exit(1)
+	return cliutil.Serve(ctx, stderr, "ccrp-router", ln, rt.Handler(), drain, rt.BeginDrain)
 }

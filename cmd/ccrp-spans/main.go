@@ -15,6 +15,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,60 +27,80 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit the analysis as JSON instead of tables")
-	top := flag.Int("top", 5, "number of slowest traces to break down (0 disables)")
-	stage := flag.String("stage", "", "only report this stage in the stage table")
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
-	if cliutil.PrintVersion(os.Stdout, "ccrp-spans", version) {
-		return
-	}
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	recs, err := readAll(flag.Args())
+// run parses args, analyzes the span records of the named files (stdin
+// for none or "-") and writes the report to stdout. It returns the exit
+// status: 0 on success, 2 for a bad command line, 1 when the records
+// cannot be read or hold nothing to report.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccrp-spans", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit the analysis as JSON instead of tables")
+	top := fs.Int("top", 5, "number of slowest traces to break down (0 disables)")
+	stage := fs.String("stage", "", "only report this stage in the stage table")
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if cliutil.PrintVersion(stdout, "ccrp-spans", version) {
+		return 0
+	}
+	if err := report(stdout, stdin, fs.Args(), *jsonOut, *top, *stage); err != nil {
+		fmt.Fprintf(stderr, "ccrp-spans: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// report analyzes the records of paths and writes the tables, or with
+// asJSON the analysis document, to w.
+func report(w io.Writer, stdin io.Reader, paths []string, asJSON bool, top int, stage string) error {
+	recs, err := readAll(stdin, paths)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(recs) == 0 {
-		fatal(fmt.Errorf("no span records (is tracing enabled? start ccrpd with -trace spans.jsonl)"))
+		return fmt.Errorf("no span records (is tracing enabled? start ccrpd with -trace spans.jsonl)")
 	}
-	a := tracing.Analyze(recs, *top)
+	a := tracing.Analyze(recs, top)
 
-	if *stage != "" {
+	if stage != "" {
 		kept := a.Stages[:0]
 		for _, s := range a.Stages {
-			if s.Stage == *stage {
+			if s.Stage == stage {
 				kept = append(kept, s)
 			}
 		}
 		if len(kept) == 0 {
-			fatal(fmt.Errorf("no spans with stage %q", *stage))
+			return fmt.Errorf("no spans with stage %q", stage)
 		}
 		a.Stages = kept
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if asJSON {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(a); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(a)
 	}
-	render(os.Stdout, a)
+	render(w, a)
+	return nil
 }
 
 // readAll concatenates the span records of every named file, with "-"
 // (or an empty list) meaning stdin.
-func readAll(paths []string) ([]tracing.Record, error) {
+func readAll(stdin io.Reader, paths []string) ([]tracing.Record, error) {
 	if len(paths) == 0 {
 		paths = []string{"-"}
 	}
 	var recs []tracing.Record
 	for _, path := range paths {
-		var r io.Reader
-		if path == "-" {
-			r = os.Stdin
-		} else {
+		r := stdin
+		if path != "-" {
 			f, err := os.Open(path)
 			if err != nil {
 				return nil, err
@@ -144,8 +165,3 @@ func render(w io.Writer, a *tracing.Analysis) {
 
 // ms formats a millisecond value with enough precision for sub-ms stages.
 func ms(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ccrp-spans: %v\n", err)
-	os.Exit(1)
-}

@@ -4,9 +4,12 @@
 //
 // Usage:
 //
-//	ccrpd [-addr :8642] [-store DIR] [-sim-workers N] [-max-body 16777216]
-//	      [-train-timeout 60s] [-compress-timeout 30s] [-sim-timeout 120s]
-//	      [-trace spans.jsonl] [-trace-tail 16] [-drain 15s] [-version]
+//	ccrpd [-addr :8642] [-store DIR] [-trace spans.jsonl] [-drain 15s] [-version]
+//
+// Request limits and deadlines are server.Config's defaults: a 16 MiB
+// body, 60 s to train, 30 s to compress or decompress, 120 s to
+// simulate, and NumCPU concurrent simulate runs. GET /debug/traces keeps
+// the 16 slowest request trees.
 //
 // /v1/decompress expands the lines of one request in turn on the
 // request's goroutine; concurrent requests are what spread decode
@@ -37,53 +40,64 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/server"
-	"ccrp/internal/tracing"
 )
 
 func main() {
-	addr := flag.String("addr", ":8642", "listen address")
-	storeDir := flag.String("store", "", "persist trained coders under this directory and warm-start from it on boot")
-	simWorkers := flag.Int("sim-workers", 0, "concurrent simulate runs (0 = NumCPU)")
-	maxBody := flag.Int64("max-body", 0, "request body limit in bytes (0 = 16 MiB)")
-	trainTimeout := flag.Duration("train-timeout", 0, "POST /v1/coders deadline (0 = 60s)")
-	compressTimeout := flag.Duration("compress-timeout", 0, "compress/decompress deadline (0 = 30s)")
-	simTimeout := flag.Duration("sim-timeout", 0, "POST /v1/simulate deadline (0 = 120s)")
-	traceOut := flag.String("trace", "", "append JSONL span records to this file (- for stderr)")
-	traceTail := flag.Int("trace-tail", tracing.DefaultTailSlow, "slowest request trees retained for GET /debug/traces")
-	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
-	version := cliutil.RegisterVersionFlag(flag.CommandLine)
-	flag.Parse()
-	if cliutil.PrintVersion(os.Stdout, "ccrpd", version) {
-		return
-	}
+	os.Exit(run(cliutil.SignalContext(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run parses args and serves until ctx is done, then drains. Progress,
+// starting with the "listening on ADDR" line, goes to stderr. It returns
+// the exit status: 0 after -version or a complete drain, 2 for a bad
+// command line, 1 when the daemon cannot start or its drain fails.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccrpd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8642", "listen address")
+	storeDir := fs.String("store", "", "persist trained coders under this directory and warm-start from it on boot")
+	traceOut := fs.String("trace", "", "append JSONL span records to this file (- for stderr)")
+	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
+	version := cliutil.RegisterVersionFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if cliutil.PrintVersion(stdout, "ccrpd", version) {
+		return 0
+	}
+	if err := serve(ctx, stderr, *addr, *storeDir, *traceOut, *drain); err != nil {
+		fmt.Fprintf(stderr, "ccrpd: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// serve warm-starts from storeDir when it is set, listens on addr and
+// serves until ctx is done.
+func serve(ctx context.Context, stderr io.Writer, addr, storeDir, traceOut string, drain time.Duration) error {
 	// Tracing is always on: the tail capture behind GET /debug/traces
 	// costs only the slowest-N span trees.
-	tracer, err := cliutil.OpenTracer(*traceOut, *traceTail)
+	tracer, err := cliutil.OpenTracer(traceOut, stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer tracer.Close()
-	cfg := server.Config{
-		MaxBodyBytes:    *maxBody,
-		SimWorkers:      *simWorkers,
-		TrainTimeout:    *trainTimeout,
-		CompressTimeout: *compressTimeout,
-		SimulateTimeout: *simTimeout,
-		Version:         cliutil.Version(),
-		Tracer:          tracer,
-	}
-	if *storeDir != "" {
-		if cfg.Store, err = server.OpenStore(*storeDir); err != nil {
-			fatal(err)
+	cfg := server.Config{Version: cliutil.Version(), Tracer: tracer}
+	if storeDir != "" {
+		if cfg.Store, err = server.OpenStore(storeDir); err != nil {
+			return err
 		}
 	}
 
@@ -92,25 +106,17 @@ func main() {
 		// Warm start before the listener opens: the first request already
 		// sees every stored coder. A failed enumeration is fatal — an
 		// operator who asked for persistence should not silently run cold.
-		n, err := svc.WarmStart(context.Background())
+		n, err := svc.WarmStart(ctx)
 		if err != nil {
-			fatal(fmt.Errorf("warm start: %w", err))
+			return fmt.Errorf("warm start: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "ccrpd: warm start: %d coders from %s\n", n, *storeDir)
+		fmt.Fprintf(stderr, "ccrpd: warm start: %d coders from %s\n", n, storeDir)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "ccrpd %s listening on %s\n", cliutil.Version(), ln.Addr())
-	if err := cliutil.Serve(cliutil.SignalContext(), "ccrpd", ln, svc.Handler(), *drain, svc.BeginDrain); err != nil {
-		fatal(err)
-	}
-}
-
-// fatal reports err and exits 1.
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ccrpd: %v\n", err)
-	os.Exit(1)
+	fmt.Fprintf(stderr, "ccrpd %s listening on %s\n", cliutil.Version(), ln.Addr())
+	return cliutil.Serve(ctx, stderr, "ccrpd", ln, svc.Handler(), drain, svc.BeginDrain)
 }

@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		prog, err := cliutil.LoadProgram(fs.Arg(0))
+		prog, err := cliutil.LoadProgram(fs.Arg(0), "")
 		if err != nil {
 			return err
 		}
@@ -166,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(progress, "executed %d instructions, %d stalls\n", res.Instructions, res.Stalls)
 		tr, name = res.Trace, *wl
 	default:
-		prog, err := cliutil.LoadProgram(fs.Arg(0))
+		prog, err := cliutil.LoadProgram(fs.Arg(0), "")
 		if err != nil {
 			return err
 		}

@@ -11,16 +11,25 @@ import (
 	"ccrp/internal/cliutil"
 )
 
-// TestGolden: the report and the -json document for eightq match the
-// committed output byte for byte. In -json mode the progress line goes
-// to stderr, so stdout is the JSON document alone.
+// TestGolden: the reports and -json documents for eightq, for the sum
+// image of each ISA, and the report for the RV32 workload rv-sieve match
+// the committed output byte for byte. A sum report starts with the
+// program's own console output, 55 on both ISAs. In -json mode the
+// progress line goes to stderr, so stdout is the JSON document alone.
 func TestGolden(t *testing.T) {
+	mips := filepath.Join("..", "ccasm", "testdata", "sum.mips.img")
+	rv32 := filepath.Join("..", "ccasm", "testdata", "sum.rv32.img")
 	for _, c := range []struct {
 		golden, stderr string
 		args           []string
 	}{
 		{"eightq-q", "", []string{"-workload", "eightq", "-q"}},
 		{"eightq-q-json", "executed 357007 instructions, 0 stalls\n", []string{"-workload", "eightq", "-q", "-json"}},
+		{"sum-mips", "", []string{mips}},
+		{"sum-mips-q-json", "executed 72 instructions, 13 stalls\n", []string{"-q", "-json", mips}},
+		{"sum-rv32", "", []string{rv32}},
+		{"sum-rv32-q-json", "executed 47 instructions, 4 stalls\n", []string{"-q", "-json", rv32}},
+		{"rv-sieve-q", "", []string{"-workload", "rv-sieve", "-q"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
 		if err != nil {

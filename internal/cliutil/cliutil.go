@@ -1,5 +1,5 @@
 // Package cliutil holds the selection and loading helpers shared by the
-// ccsim, cctrace, and ccpack commands: memory-model, workload, and
+// ccsim, cctrace, ccpack and ccdb commands: memory-model, workload, and
 // program/trace resolution, Huffman code-set construction, and the
 // observability flag block (-metrics/-spans/-cpuprofile/-memprofile,
 // plus -events/-sample for the commands that simulate one run) wired
@@ -9,6 +9,7 @@ package cliutil
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -53,22 +54,19 @@ func ResolveWorkload(name string) (*workload.Workload, error) {
 	return nil, fmt.Errorf("unknown workload %q (have %v and %v)", name, workload.Names(), rv)
 }
 
-// LoadProgram reads an assembly source (.s/.asm, assembled on the spot)
-// or a binary program image from path.
-func LoadProgram(path string) (*asm.Program, error) {
+// LoadProgram reads the program at path: an assembly source (.s/.asm),
+// assembled on the spot for the ISA backend isaName ("" selects the
+// default), or a binary program image, which names its own ISA. The file
+// is read once, so path may name a pipe.
+func LoadProgram(path, isaName string) (*asm.Program, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if strings.HasSuffix(path, ".s") || strings.HasSuffix(path, ".asm") {
-		return asm.Assemble(path, string(raw))
+		return asm.AssembleFor(isaName, path, string(raw))
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return asm.ReadImage(f)
+	return asm.ReadImage(bytes.NewReader(raw))
 }
 
 // LoadTrace reads a serialized instruction trace from path.
@@ -163,7 +161,7 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.Sink = &metrics.SampledSink{Inner: metrics.NewJSONLSink(ef), Every: *f.Sample}
+		o.Sink = &metrics.SampledSink{Inner: metrics.NewJSONLSink[metrics.Event](ef), Every: *f.Sample}
 	}
 	if *f.Spans != "" {
 		tf, err := os.Create(*f.Spans)
@@ -171,7 +169,7 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 			return nil, err
 		}
 		// The sink owns tf: its Close flushes and closes the file.
-		o.Tracer = tracing.New(tracing.Config{Sink: tracing.NewJSONLSink(tf)})
+		o.Tracer = tracing.New(tracing.Config{Sink: metrics.NewJSONLSink[tracing.Record](tf)})
 	}
 	if *f.CPUProfile != "" {
 		stop, err := StartCPUProfile(*f.CPUProfile)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ccrp/internal/asm"
+	"ccrp/internal/isa"
 	"ccrp/internal/trace"
 	"ccrp/internal/tracing"
 )
@@ -21,17 +22,24 @@ const tinySource = `
 	nop
 `
 
+// TestLoadProgramAssembly: a source assembles for the ISA it is given,
+// and for the default one without.
 func TestLoadProgramAssembly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tiny.s")
-	if err := os.WriteFile(path, []byte(tinySource), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := LoadProgram(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TextWords() != 3 {
-		t.Errorf("assembled %d words, want 3", p.TextWords())
+	for _, c := range []struct{ isa, want, src string }{
+		{"", isa.DefaultName, tinySource},
+		{"rv32", "rv32", ".text\n\taddi t0, zero, 5\n\tecall\n\tnop\n"},
+	} {
+		path := filepath.Join(t.TempDir(), "tiny.s")
+		if err := os.WriteFile(path, []byte(c.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := LoadProgram(path, c.isa)
+		if err != nil {
+			t.Fatalf("isa %q: %v", c.isa, err)
+		}
+		if p.TextWords() != 3 || p.ISA != c.want {
+			t.Errorf("isa %q: assembled %d words for %q, want 3 for %q", c.isa, p.TextWords(), p.ISA, c.want)
+		}
 	}
 }
 
@@ -40,7 +48,7 @@ func TestLoadProgramBadAssembly(t *testing.T) {
 	if err := os.WriteFile(path, []byte(".text\n\tfrobnicate $t0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadProgram(path); err == nil {
+	if _, err := LoadProgram(path, ""); err == nil {
 		t.Error("bad assembly must error")
 	}
 }
@@ -61,7 +69,7 @@ func TestLoadProgramImageRoundTrip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadProgram(path)
+	p, err := LoadProgram(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +79,7 @@ func TestLoadProgramImageRoundTrip(t *testing.T) {
 }
 
 func TestLoadProgramMissing(t *testing.T) {
-	if _, err := LoadProgram(filepath.Join(t.TempDir(), "nope.s")); err == nil {
+	if _, err := LoadProgram(filepath.Join(t.TempDir(), "nope.s"), ""); err == nil {
 		t.Error("missing file must error")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"ccrp/internal/metrics"
 	"ccrp/internal/tracing"
 )
 
@@ -30,7 +31,7 @@ func SignalContext() context.Context {
 // in-flight requests get up to drain to finish. It returns nil after a
 // complete drain, and the listener's error if serving fails first.
 // Progress goes to stderr prefixed with name.
-func Serve(ctx context.Context, name string, ln net.Listener, h http.Handler, drain time.Duration, beginDrain func()) error {
+func Serve(ctx context.Context, stderr io.Writer, name string, ln net.Listener, h http.Handler, drain time.Duration, beginDrain func()) error {
 	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -41,7 +42,7 @@ func Serve(ctx context.Context, name string, ln net.Listener, h http.Handler, dr
 	case <-ctx.Done():
 	}
 	beginDrain()
-	fmt.Fprintf(os.Stderr, "%s: draining for up to %s\n", name, drain)
+	fmt.Fprintf(stderr, "%s: draining for up to %s\n", name, drain)
 	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
@@ -51,27 +52,27 @@ func Serve(ctx context.Context, name string, ln net.Listener, h http.Handler, dr
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s: drained\n", name)
+	fmt.Fprintf(stderr, "%s: drained\n", name)
 	return nil
 }
 
-// OpenTracer builds a daemon's tracer: tail capture of the tailSlow
-// slowest request trees always, plus a JSONL span stream when path is
-// set ("-" for stderr, otherwise appended to the file). Close the tracer
-// at exit to flush the stream.
-func OpenTracer(path string, tailSlow int) (*tracing.Tracer, error) {
-	cfg := tracing.Config{TailSlow: tailSlow}
+// OpenTracer builds a daemon's tracer: tail capture of the slowest
+// request trees always, plus a JSONL span stream when path is set ("-"
+// for stderr, otherwise appended to the file). Close the tracer at exit
+// to flush the stream.
+func OpenTracer(path string, stderr io.Writer) (*tracing.Tracer, error) {
+	var cfg tracing.Config
 	switch path {
 	case "":
 	case "-":
 		// Hide Close from the sink: closing the tracer must not close stderr.
-		cfg.Sink = tracing.NewJSONLSink(struct{ io.Writer }{os.Stderr})
+		cfg.Sink = metrics.NewJSONLSink[tracing.Record](struct{ io.Writer }{stderr})
 	default:
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("trace sink: %w", err)
 		}
-		cfg.Sink = tracing.NewJSONLSink(f) // the sink owns f
+		cfg.Sink = metrics.NewJSONLSink[tracing.Record](f) // the sink owns f
 	}
 	return tracing.New(cfg), nil
 }

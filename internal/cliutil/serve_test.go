@@ -46,7 +46,7 @@ func TestServeDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	served := make(chan error, 1)
-	go func() { served <- cliutil.Serve(ctx, "test", ln, mux, 10*time.Second, beginDrain) }()
+	go func() { served <- cliutil.Serve(ctx, io.Discard, "test", ln, mux, 10*time.Second, beginDrain) }()
 
 	resp, err := http.Get(base + "/readyz")
 	if err != nil {

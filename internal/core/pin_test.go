@@ -43,7 +43,7 @@ func TestInstrumentedOutputPinned(t *testing.T) {
 	}
 	reg := metrics.New()
 	events := sha256.New()
-	sink := metrics.NewJSONLSink(events)
+	sink := metrics.NewJSONLSink[metrics.Event](events)
 	cfg := core.Config{
 		CacheBytes: 1024,
 		CLBEntries: 16,

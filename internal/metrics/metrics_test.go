@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -260,7 +261,7 @@ func TestWriteFormat(t *testing.T) {
 
 func TestJSONLSinkAndSampling(t *testing.T) {
 	var b bytes.Buffer
-	sink := &SampledSink{Inner: NewJSONLSink(&b), Every: 4}
+	sink := &SampledSink{Inner: NewJSONLSink[Event](&b), Every: 4}
 	for i := 0; i < 12; i++ {
 		sink.Emit(Event{Type: EvFetch, Seq: uint64(i), PC: uint32(4 * i), Line: 0, Set: -1})
 	}
@@ -294,6 +295,49 @@ func TestJSONLSinkAndSampling(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Type != EvRefillEnd || last.Cycles != 19 || last.Line != 1 || last.Set != -1 {
 		t.Errorf("refill_end round-trip = %+v", last)
+	}
+}
+
+// TestJSONLSinkConcurrentClose: goroutines may emit at once (spans end
+// on whatever goroutine ran their stage), and a second Close neither
+// fails nor closes the file again.
+func TestJSONLSinkConcurrentClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewJSONLSink[Event](f)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				sink.Emit(Event{Type: EvFetch, Seq: uint64(100*g + i), Line: -1, Set: -1})
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		if err := sink.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+		var e Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", line, err)
+		}
+		seen[e.Seq] = true
+	}
+	if len(seen) != 400 {
+		t.Errorf("%d distinct events written, want 400", len(seen))
 	}
 }
 

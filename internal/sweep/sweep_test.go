@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ccrp/internal/metrics"
 	"ccrp/internal/tracing"
 )
 
@@ -153,7 +154,7 @@ func TestMapCancellation(t *testing.T) {
 // a point gets a nil span.
 func TestMapSpans(t *testing.T) {
 	var buf bytes.Buffer
-	tr := tracing.New(tracing.Config{Sink: tracing.NewJSONLSink(&buf)})
+	tr := tracing.New(tracing.Config{Sink: metrics.NewJSONLSink[tracing.Record](&buf)})
 	n := 20
 	_, err := Map(context.Background(), &Engine{Workers: 4, Tracer: tr}, n,
 		func(_ context.Context, i int, sp *tracing.Span) (int, error) {

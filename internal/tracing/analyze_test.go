@@ -1,49 +1,35 @@
 package tracing
 
 import (
-	"bytes"
-	"math"
+	"fmt"
 	"testing"
 	"time"
 )
 
-// synthetic trace set: two requests and one orphan, with known stage
-// durations so every aggregate is checkable by hand.
-func analyzerFixture(t *testing.T) []Record {
-	t.Helper()
-	var buf bytes.Buffer
-	tr := New(Config{Sink: NewJSONLSink(&buf)})
-	mk := func(rootDur time.Duration, stages map[string]time.Duration) {
-		root := tr.Start("request")
-		for stage, d := range stages {
-			c := root.Child(stage)
-			c.start = c.start.Add(-d)
-			c.End()
-		}
-		root.start = root.start.Add(-rootDur)
-		root.End()
-	}
-	mk(100*time.Millisecond, map[string]time.Duration{
-		"decode_body": 10 * time.Millisecond,
-		"compress":    85 * time.Millisecond,
-	})
-	mk(50*time.Millisecond, map[string]time.Duration{
-		"decode_body": 5 * time.Millisecond,
-		"compress":    40 * time.Millisecond,
-	})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
+// analyzerFixture is two request trees with fixed start times and
+// durations, emitted children first as a tracer does, so every
+// aggregate is checkable by hand: each root holds a decode_body and a
+// longer compress child, and spends 5 ms on its own.
+func analyzerFixture() []Record {
+	const ms = int64(time.Millisecond)
+	var recs []Record
+	for i, c := range []struct{ root, decode, compress int64 }{
+		{100 * ms, 10 * ms, 85 * ms},
+		{50 * ms, 5 * ms, 40 * ms},
+	} {
+		trace := fmt.Sprintf("t%d", i)
+		root, start := trace+"-request", int64(i)*200*ms
+		recs = append(recs,
+			Record{Trace: trace, Span: trace + "-decode", Parent: root, Stage: "decode_body", StartNS: start, DurNS: c.decode},
+			Record{Trace: trace, Span: trace + "-compress", Parent: root, Stage: "compress", StartNS: start + c.decode, DurNS: c.compress},
+			Record{Trace: trace, Span: root, Stage: "request", StartNS: start, DurNS: c.root},
+		)
 	}
 	return recs
 }
 
 func TestAnalyzeStageAttribution(t *testing.T) {
-	recs := analyzerFixture(t)
-	a := Analyze(recs, 1)
+	a := Analyze(analyzerFixture(), 1)
 	if a.Spans != 6 || a.Traces != 2 || a.Roots != 2 {
 		t.Fatalf("spans/traces/roots = %d/%d/%d, want 6/2/2", a.Spans, a.Traces, a.Roots)
 	}
@@ -51,30 +37,21 @@ func TestAnalyzeStageAttribution(t *testing.T) {
 	for _, s := range a.Stages {
 		byStage[s.Stage] = s
 	}
+	// Leaf spans: self == total; the critical path passes through
+	// compress in both traces, so crit == total too.
 	cmp := byStage["compress"]
-	if cmp.Count != 2 {
-		t.Fatalf("compress count = %d, want 2", cmp.Count)
+	if cmp.Count != 2 || cmp.TotalMS != 125 || cmp.SelfMS != 125 || cmp.CritMS != 125 {
+		t.Errorf("compress count/total/self/crit = %d/%g/%g/%g, want 2/125/125/125",
+			cmp.Count, cmp.TotalMS, cmp.SelfMS, cmp.CritMS)
 	}
-	if cmp.TotalMS < 124 || cmp.TotalMS > 126 {
-		t.Errorf("compress total = %g ms, want ~125", cmp.TotalMS)
-	}
-	// Leaf spans: self == total; critical path passes through compress in
-	// both traces, so crit ≈ total too.
-	if math.Abs(cmp.SelfMS-cmp.TotalMS) > 0.01 {
-		t.Errorf("compress self = %g, total = %g; leaves must match", cmp.SelfMS, cmp.TotalMS)
-	}
-	if math.Abs(cmp.CritMS-cmp.TotalMS) > 0.01 {
-		t.Errorf("compress crit = %g, want ~%g", cmp.CritMS, cmp.TotalMS)
-	}
-	// The request root's self time is root minus children: ~5ms both
-	// times. decode_body never sits on the critical path (compress is
-	// always longer).
+	// decode_body never sits on the critical path (compress is always
+	// longer).
 	if dec := byStage["decode_body"]; dec.CritMS != 0 {
 		t.Errorf("decode_body crit = %g, want 0", dec.CritMS)
 	}
-	req := byStage["request"]
-	if req.SelfMS < 8 || req.SelfMS > 12 {
-		t.Errorf("request self = %g ms, want ~10", req.SelfMS)
+	// The request root's self time is root minus children: 5 ms twice.
+	if req := byStage["request"]; req.SelfMS != 10 {
+		t.Errorf("request self = %g ms, want 10", req.SelfMS)
 	}
 	// Stages sort descending by critical-path ownership: compress first.
 	if a.Stages[0].Stage != "compress" {
@@ -85,11 +62,11 @@ func TestAnalyzeStageAttribution(t *testing.T) {
 	if a.Coverage.Roots != 2 {
 		t.Fatalf("coverage roots = %d, want 2", a.Coverage.Roots)
 	}
-	if math.Abs(a.Coverage.MeanFrac-0.925) > 0.01 {
-		t.Errorf("coverage mean = %g, want ~0.925", a.Coverage.MeanFrac)
+	if a.Coverage.MeanFrac != 0.925 {
+		t.Errorf("coverage mean = %g, want 0.925", a.Coverage.MeanFrac)
 	}
 
-	if len(a.Slowest) != 1 || a.Slowest[0].DurMS < 99 {
+	if len(a.Slowest) != 1 || a.Slowest[0].DurMS != 100 {
 		t.Fatalf("slowest = %+v, want the 100ms trace", a.Slowest)
 	}
 	if a.Slowest[0].Stages[0].Stage != "compress" {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Record is the flat JSONL export shape of one finished span. Parent is
@@ -26,65 +25,13 @@ type Record struct {
 // DurMS returns the span duration in milliseconds.
 func (r Record) DurMS() float64 { return float64(r.DurNS) / 1e6 }
 
-// SpanSink consumes finished spans. Implementations must be safe for
-// concurrent Emit calls: unlike the single-threaded simulators behind
-// metrics.EventSink, spans end on whatever request goroutine ran the
-// stage.
+// SpanSink consumes finished spans; metrics.JSONLSink[Record] writes
+// them as JSONL. Implementations must be safe for concurrent Emit calls:
+// unlike the single-threaded simulators behind metrics.EventSink, spans
+// end on whatever request goroutine ran the stage.
 type SpanSink interface {
 	Emit(rec Record)
 	Close() error
-}
-
-// JSONLSink writes one JSON object per span through a buffer, the span
-// twin of metrics.JSONLSink with a mutex around every Emit and Close
-// (request goroutines and sweep workers emit concurrently by design).
-type JSONLSink struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	c   io.Closer
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONLSink wraps w in a buffered, mutex-serialized JSONL encoder. If
-// w is also an io.Closer (a file), Close closes it after flushing.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	s := &JSONLSink{w: bw, enc: json.NewEncoder(bw)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Emit writes the record; the first write error sticks and is returned by
-// Close.
-func (s *JSONLSink) Emit(rec Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(rec)
-}
-
-// Close flushes the buffer and closes the underlying writer if it is a
-// Closer.
-func (s *JSONLSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ferr := s.w.Flush()
-	if s.err == nil {
-		s.err = ferr
-	}
-	if s.c != nil {
-		cerr := s.c.Close()
-		if s.err == nil {
-			s.err = cerr
-		}
-		s.c = nil
-	}
-	return s.err
 }
 
 // ReadRecords parses a span JSONL stream (ccrp-spans' input). Blank lines

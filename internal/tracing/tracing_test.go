@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ccrp/internal/metrics"
 )
 
 // TestDisabledSpansAllocFree is the contract the instrumented request
@@ -69,7 +71,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 
 func TestSpanTreeEmission(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := metrics.NewJSONLSink[Record](&buf)
 	tr := New(Config{Sink: sink})
 
 	root := tr.Start("request")
@@ -124,7 +126,7 @@ func TestSpanTreeEmission(t *testing.T) {
 
 func TestDoubleEndIsIdempotent(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(Config{Sink: NewJSONLSink(&buf)})
+	tr := New(Config{Sink: metrics.NewJSONLSink[Record](&buf)})
 	sp := tr.Start("request")
 	sp.End()
 	sp.End()
@@ -207,7 +209,7 @@ func TestTailCapture(t *testing.T) {
 // concurrent tail capture.
 func TestConcurrentSpanSink(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(Config{Sink: NewJSONLSink(&buf)})
+	tr := New(Config{Sink: metrics.NewJSONLSink[Record](&buf)})
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -50,7 +50,5 @@ stage "go test -race ./..." go test -race ./...
 # ccrpbench is its own module, so the root ./... never builds it; vet
 # and test it against this tree so an API change cannot break it unseen.
 stage "ccrpbench vet+test" sh -c 'cd ccrpbench && GOWORK=off go vet ./... && GOWORK=off go test ./...'
-stage "isa smoke" sh scripts/isa_smoke.sh
-stage "serve smoke" sh scripts/serve_smoke.sh
 
 echo "check: OK"
