@@ -30,8 +30,10 @@ staticcheck:
 check:
 	sh scripts/check.sh
 
+# Every package's Go benchmarks, the root package's end-to-end pipeline
+# among them. The paper's tables are timed by the ccrpbench module.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$
+	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Decode-kernel benchmark: the multi-symbol kernel against the canonical
 # oracle, MB/s as Go benchmarks.

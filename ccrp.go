@@ -204,9 +204,8 @@ func SimulatePaging(tr *Trace, store *PageStore, frames int, dev PagingDevice) (
 // and extension studies, to w in the paper's layout: the experiments
 // ccrp-bench -exp all prints, in its order.
 func RenderAll(w io.Writer) error {
-	for _, name := range experiments.Experiments {
-		render, _ := experiments.Renderer(name)
-		if err := render(w); err != nil {
+	for _, name := range experiments.Names() {
+		if err := experiments.Render(w, name); err != nil {
 			return err
 		}
 	}

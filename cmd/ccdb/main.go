@@ -100,11 +100,7 @@ func (d *debugger) repl(in io.Reader) {
 		case "q", "quit":
 			return
 		case "s", "step":
-			n := 1
-			if len(line) > 1 {
-				n, _ = strconv.Atoi(line[1])
-			}
-			d.stepN(n)
+			d.step(line[1:])
 		case "c", "continue":
 			d.cont()
 		case "b", "break":
@@ -128,7 +124,15 @@ func (d *debugger) repl(in io.Reader) {
 	}
 }
 
-func (d *debugger) stepN(n int) {
+func (d *debugger) step(args []string) {
+	n := 1
+	if len(args) > 0 {
+		var err error
+		if n, err = parseCount(args[0]); err != nil {
+			fmt.Fprintln(d.out, err)
+			return
+		}
+	}
 	for i := 0; i < n && !d.m.Done(); i++ {
 		if err := d.m.Step(); err != nil {
 			fmt.Fprintf(d.out, "fault: %v\n", err)
@@ -251,7 +255,10 @@ func (d *debugger) examine(args []string) {
 	}
 	n := 64
 	if len(args) > 1 {
-		n, _ = strconv.Atoi(args[1])
+		if n, err = parseCount(args[1]); err != nil {
+			fmt.Fprintln(d.out, err)
+			return
+		}
 	}
 	for off := 0; off < n; off += 16 {
 		fmt.Fprintf(d.out, "%08x ", addr+uint32(off))
@@ -283,4 +290,13 @@ func parseAddr(s string, p *asm.Program) (uint32, error) {
 		return 0, fmt.Errorf("bad address %q (hex or symbol)", s)
 	}
 	return uint32(v), nil
+}
+
+// parseCount accepts a positive decimal count.
+func parseCount(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("bad count %q (a positive decimal integer)", s)
+	}
+	return n, nil
 }

@@ -12,8 +12,9 @@ import (
 
 // TestGolden: a scripted session (testdata/session.txt: b, c, r, s 3,
 // i, d, x, q) over each sum image matches what the ccdb binary wrote
-// before it ran in process. The same session over the source, assembled
-// with -isa, differs only in the header, which names the source.
+// before it ran in process, but for the header, which names the image.
+// The same session over the source, assembled with -isa, differs only in
+// the header, which names the source.
 func TestGolden(t *testing.T) {
 	session, err := os.ReadFile(filepath.Join("testdata", "session.txt"))
 	if err != nil {
@@ -39,13 +40,35 @@ func TestGolden(t *testing.T) {
 		if code := run([]string{"-isa", isaName, src}, bytes.NewReader(session), &stdout, &stderr); code != 0 {
 			t.Fatalf("%s: exit %d, stderr %q", src, code, stderr.String())
 		}
-		wantSrc := strings.Replace(string(want), "ccdb: ,", "ccdb: "+src+",", 1)
+		wantSrc := strings.Replace(string(want), "ccdb: "+img+",", "ccdb: "+src+",", 1)
 		if stdout.String() != wantSrc {
 			t.Errorf("-isa %s %s: session differs from the image's:\n%s", isaName, src, stdout.String())
 		}
 		if stderr.Len() != 0 {
 			t.Errorf("%s: stderr %q", name, stderr.String())
 		}
+	}
+}
+
+// TestBadCount: a step or dump count that is not a positive decimal
+// integer is named in a one-line error, and the command does nothing.
+func TestBadCount(t *testing.T) {
+	img := filepath.Join("..", "ccasm", "testdata", "sum.mips.img")
+	var stdout, stderr bytes.Buffer
+	session := "s abc\nx 0 zz\ns 0\nx 0 -3\ni\nq\n"
+	if code := run([]string{img}, strings.NewReader(session), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	want := "ccdb: " + img + ", 108 text bytes, entry 0x00000000. Type 'q' to quit.\n" +
+		"00000000  0c000004  jal 0x00000010\n" +
+		"(ccdb) bad count \"abc\" (a positive decimal integer)\n" +
+		"(ccdb) bad count \"zz\" (a positive decimal integer)\n" +
+		"(ccdb) bad count \"0\" (a positive decimal integer)\n" +
+		"(ccdb) bad count \"-3\" (a positive decimal integer)\n" +
+		"(ccdb) instructions=0 stalls=0 loads=0 stores=0 done=false\n" +
+		"(ccdb) "
+	if stdout.String() != want {
+		t.Errorf("session:\n%s\nwant:\n%s", stdout.String(), want)
 	}
 }
 

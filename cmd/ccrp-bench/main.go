@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"ccrp/internal/cliutil"
@@ -79,13 +80,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 // experimentNames resolves -exp: "all", or a comma-separated list of
 // known experiments.
 func experimentNames(exp string) ([]string, error) {
+	known := experiments.Names()
 	if exp == "all" {
-		return experiments.Experiments, nil
+		return known, nil
 	}
 	names := strings.Split(exp, ",")
 	for _, name := range names {
-		if _, ok := experiments.Renderer(name); !ok {
-			return nil, fmt.Errorf("unknown experiment %q; have all %v", name, experiments.Experiments)
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("unknown experiment %q; have all %v", name, known)
 		}
 	}
 	return names, nil
@@ -116,11 +118,10 @@ func bench(names []string, workers int, jsonOut string, obsFlags *cliutil.ObsFla
 		return writeJSON(names, jsonOut, stdout)
 	}
 	for _, name := range names {
-		render, _ := experiments.Renderer(name)
 		if len(names) > 1 {
 			fmt.Fprintf(stdout, "==== %s ====\n", name)
 		}
-		if err := render(stdout); err != nil {
+		if err := experiments.Render(stdout, name); err != nil {
 			return err
 		}
 		if len(names) > 1 {

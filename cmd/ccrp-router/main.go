@@ -12,7 +12,8 @@
 // 500 ms with a 2 s deadline, a node down after 3 consecutive failures
 // and up again after 2 probe successes, and up to 3 attempts per request
 // with a 30 s deadline each and backoff from 25 ms. A request body may
-// hold 16 MiB, and GET /debug/traces keeps the 16 slowest request trees.
+// hold server.MaxBodyBytes (16 MiB), the limit of every ccrpd, and GET
+// /debug/traces keeps the 16 slowest request trees.
 //
 // The ring is the serving analogue of the paper's LAT: an indirection
 // table in front of the real storage that turns "which node holds this
@@ -113,7 +114,7 @@ func route(ctx context.Context, stderr io.Writer, addr string, nodes []string, t
 		return err
 	}
 	defer tracer.Close()
-	rt := cluster.NewRouter(ring, health, fwd, tracer, 16<<20)
+	rt := cluster.NewRouter(ring, health, fwd, tracer)
 
 	// One synchronous probe round before the listener opens: a fleet
 	// member that is already dead at boot never takes the first request.

@@ -6,10 +6,11 @@
 //
 //	ccrpd [-addr :8642] [-store DIR] [-trace spans.jsonl] [-drain 15s] [-version]
 //
-// Request limits and deadlines are server.Config's defaults: a 16 MiB
-// body, 60 s to train, 30 s to compress or decompress, 120 s to
-// simulate, and NumCPU concurrent simulate runs. GET /debug/traces keeps
-// the 16 slowest request trees.
+// Request limits and deadlines are internal/server's constants: a 16 MiB
+// body (server.MaxBodyBytes), 256 items per :batch request, 60 s to
+// train, 30 s to compress or decompress, 120 s to simulate, and NumCPU
+// concurrent simulate runs. GET /debug/traces keeps the 16 slowest
+// request trees.
 //
 // /v1/decompress expands the lines of one request in turn on the
 // request's goroutine; concurrent requests are what spread decode

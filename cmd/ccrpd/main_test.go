@@ -216,7 +216,7 @@ func TestServe(t *testing.T) {
 	}
 }
 
-// TestFlags: the flags that only restated server.Config's defaults are
+// TestFlags: the flags that only restated the server's limits are
 // gone, so each is a usage error that serves nothing; so is a bad value.
 // An address that cannot be bound exits 1.
 func TestFlags(t *testing.T) {

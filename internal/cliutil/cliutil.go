@@ -56,8 +56,9 @@ func ResolveWorkload(name string) (*workload.Workload, error) {
 
 // LoadProgram reads the program at path: an assembly source (.s/.asm),
 // assembled on the spot for the ISA backend isaName ("" selects the
-// default), or a binary program image, which names its own ISA. The file
-// is read once, so path may name a pipe.
+// default), or a binary program image, which names its own ISA. Either
+// way the program is named path. The file is read once, so path may name
+// a pipe.
 func LoadProgram(path, isaName string) (*asm.Program, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -66,7 +67,12 @@ func LoadProgram(path, isaName string) (*asm.Program, error) {
 	if strings.HasSuffix(path, ".s") || strings.HasSuffix(path, ".asm") {
 		return asm.AssembleFor(isaName, path, string(raw))
 	}
-	return asm.ReadImage(bytes.NewReader(raw))
+	prog, err := asm.ReadImage(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	prog.Name = path
+	return prog, nil
 }
 
 // LoadTrace reads a serialized instruction trace from path.

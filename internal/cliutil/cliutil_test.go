@@ -76,6 +76,9 @@ func TestLoadProgramImageRoundTrip(t *testing.T) {
 	if !bytes.Equal(p.Text, src.Text) || p.Entry != src.Entry {
 		t.Error("image round trip lost program content")
 	}
+	if p.Name != path {
+		t.Errorf("image named %q, want its path %q", p.Name, path)
+	}
 }
 
 func TestLoadProgramMissing(t *testing.T) {

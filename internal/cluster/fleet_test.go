@@ -101,7 +101,7 @@ func bootFleet(t *testing.T) *liveFleet {
 		<-probing
 	})
 	f.fwd = NewForwarder(ForwarderConfig{Ring: f.ring, Health: f.health, MaxAttempts: 4})
-	rt := NewRouter(f.ring, f.health, f.fwd, tracing.New(tracing.Config{Sink: f.rtSpans}), 16<<20)
+	rt := NewRouter(f.ring, f.health, f.fwd, tracing.New(tracing.Config{Sink: f.rtSpans}))
 	f.front = httptest.NewServer(rt.Handler())
 	t.Cleanup(f.front.Close)
 	return f

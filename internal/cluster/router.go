@@ -40,7 +40,6 @@ type Router struct {
 	health   *Checker
 	fwd      *Forwarder
 	tracer   *tracing.Tracer
-	maxBody  int64
 	start    time.Time
 	draining atomic.Bool
 
@@ -61,11 +60,12 @@ type routerMetrics struct {
 
 // NewRouter builds a gateway over ring, routing only to nodes health
 // holds up, forwarding through fwd, recording spans on tracer (nil
-// disables them) and rejecting bodies over maxBody bytes.
-func NewRouter(ring *Ring, health *Checker, fwd *Forwarder, tracer *tracing.Tracer, maxBody int64) *Router {
+// disables them) and rejecting bodies over server.MaxBodyBytes, the
+// limit every backend enforces.
+func NewRouter(ring *Ring, health *Checker, fwd *Forwarder, tracer *tracing.Tracer) *Router {
 	rt := &Router{
 		ring: ring, health: health, fwd: fwd, tracer: tracer,
-		maxBody: maxBody, start: time.Now(), reg: metrics.New(),
+		start: time.Now(), reg: metrics.New(),
 	}
 	rt.inst = routerMetrics{
 		requests:  rt.reg.CounterVec("ccrp_router_requests_total", "requests answered per backend node", "node"),
@@ -126,7 +126,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 // forward runs the routed hop, writes the response and returns the
 // client-visible status.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, tid tracing.TraceID, span *tracing.Span) int {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return rt.fail(w, span, err)

@@ -22,7 +22,7 @@ import (
 func TestRouterOwnErrorsAndReadiness(t *testing.T) {
 	backends, fwd, checker := newFleet(t, 2)
 	sink := &spanSink{}
-	rt := NewRouter(fwd.cfg.Ring, checker, fwd, tracing.New(tracing.Config{Sink: sink}), 64)
+	rt := NewRouter(fwd.cfg.Ring, checker, fwd, tracing.New(tracing.Config{Sink: sink}))
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
@@ -69,7 +69,7 @@ func TestRouterOwnErrorsAndReadiness(t *testing.T) {
 	}
 
 	send(`{}`, http.StatusOK, "")
-	send(strings.Repeat("x", 65), http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge)
+	send(strings.Repeat("x", server.MaxBodyBytes+1), http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge)
 
 	readyz := func(want int) {
 		t.Helper()
@@ -136,7 +136,7 @@ func TestRouterRetriesDroppedConnection(t *testing.T) {
 func routeAroundOwner(t *testing.T, coderID string, breakOwner func(owner *testBackend, fwd *Forwarder)) {
 	t.Helper()
 	backends, fwd, checker := newFleet(t, 2)
-	rt := NewRouter(fwd.cfg.Ring, checker, fwd, nil, 1<<10)
+	rt := NewRouter(fwd.cfg.Ring, checker, fwd, nil)
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 

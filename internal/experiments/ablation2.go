@@ -144,46 +144,31 @@ func DecoderCost() (decoder.Cost, error) {
 	return decoder.CostOf(code)
 }
 
-// RenderExtensions prints the associativity, decoder-rate, block-size,
+// printExtensions prints the associativity, decoder-rate, block-size,
 // and decoder-cost studies.
-func RenderExtensions(w io.Writer) error {
-	assoc, err := AssociativityAblation("espresso")
-	if err != nil {
-		return err
-	}
+func printExtensions(w io.Writer, d extensionData) {
 	fmt.Fprintln(w, "Extension: cache associativity for espresso (EPROM, relative performance)")
 	fmt.Fprintln(w, "  Cache  Ways  Miss Rate  Rel Perf")
-	for _, r := range assoc {
+	for _, r := range d.Associativity {
 		fmt.Fprintf(w, "  %5d  %4d  %8.2f%%  %8.3f\n", r.CacheBytes, r.Ways, 100*r.MissRate, r.RelPerf)
 	}
 	fmt.Fprintln(w)
 
-	rates, err := DecodeRateAblation("espresso")
-	if err != nil {
-		return err
-	}
 	fmt.Fprintln(w, "Extension: decoder rate (espresso, 256B, Burst EPROM)")
 	fmt.Fprintln(w, "  Bytes/cycle  Rel Perf")
-	for _, r := range rates {
+	for _, r := range d.DecodeRate {
 		fmt.Fprintf(w, "  %11d  %8.3f\n", r.Rate, r.RelPerf)
 	}
 	fmt.Fprintln(w)
 
-	blocks, err := BlockSizeAblation()
-	if err != nil {
-		return err
-	}
 	fmt.Fprintln(w, "Extension: compression vs block size (corpus weighted, blocks only)")
 	fmt.Fprintln(w, "  Block  Ratio")
-	for _, r := range blocks {
+	for _, r := range d.BlockSize {
 		fmt.Fprintf(w, "  %5d  %5.1f%%\n", r.BlockBytes, 100*r.Ratio)
 	}
 	fmt.Fprintln(w)
 
-	cost, err := DecoderCost()
-	if err != nil {
-		return err
-	}
+	cost := d.DecoderCost
 	fmt.Fprintf(w, "Decoder hardware cost for the preselected code (§3.4):\n"+
 		"  FSM: %d states (%d-bit state register)\n"+
 		"  CAM: %d entries x %d bits\n"+
@@ -191,5 +176,4 @@ func RenderExtensions(w io.Writer) error {
 		cost.FSMStates, cost.FSMStateBits,
 		cost.CAMEntries, cost.CAMWidthBits,
 		cost.ROMBits, float64(cost.ROMBits)/8192)
-	return nil
 }

@@ -157,28 +157,19 @@ func CodePackPerf() ([]CodePackPerfRow, error) {
 	return rows, nil
 }
 
-// RenderCodePack prints the encoding-scheme comparison.
-func RenderCodePack(w io.Writer) error {
-	rows, err := CodePackStudy()
-	if err != nil {
-		return err
-	}
+// printCodePack prints the encoding-scheme comparison.
+func printCodePack(w io.Writer, d codePackData) {
 	fmt.Fprintln(w, "Extension (§5): byte-Huffman vs CodePack-style halfword dictionaries")
 	fmt.Fprintln(w, "  Program    Byte ratio  CodePack ratio  Byte refill  CodePack refill (burst EPROM cycles/line)")
-	for _, r := range rows {
+	for _, r := range d.Compression {
 		fmt.Fprintf(w, "  %-9s  %9.1f%%  %13.1f%%  %11.1f  %15.1f\n",
 			r.Program, 100*r.ByteHuffman, 100*r.CodePack, r.ByteRefill, r.CPRefill)
 	}
 	fmt.Fprintln(w)
-	perf, err := CodePackPerf()
-	if err != nil {
-		return err
-	}
 	fmt.Fprintln(w, "Trace-driven (256B cache): relative performance and traffic by scheme")
 	fmt.Fprintln(w, "  Program   Memory       Byte rel  CP rel  Byte traffic  CP traffic")
-	for _, r := range perf {
+	for _, r := range d.Performance {
 		fmt.Fprintf(w, "  %-8s  %-11s  %8.3f  %6.3f  %11.1f%%  %9.1f%%\n",
 			r.Program, r.Memory, r.ByteRelPerf, r.CPRelPerf, 100*r.ByteTraffic, 100*r.CPTraffic)
 	}
-	return nil
 }

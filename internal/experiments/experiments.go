@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4) from the reproduction's own corpus, simulator, and CCRP
-// core. Each experiment function returns structured rows; the render
-// functions (render.go) print them in the paper's layout. DESIGN.md maps
-// experiment ids to these functions, and EXPERIMENTS.md records
-// paper-vs-measured values.
+// core. Each experiment function returns structured rows, its
+// datapoints. The experiment table (registry.go) registers each table and
+// figure once, as a name, its data function and a printer of exactly
+// those datapoints in the paper's layout; Render prints one and
+// WriteBenchJSON writes the datapoints. DESIGN.md maps experiment ids to
+// these functions, and EXPERIMENTS.md records paper-vs-measured values.
 //
 // The performance sweeps (Tables 1-10, Figure 9, Tables 11-13) run on the
 // internal/sweep engine: points fan out across a bounded worker pool with

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -89,14 +88,19 @@ func TestFigure5Claims(t *testing.T) {
 	}
 }
 
+// TestLATOverhead: the grouped LAT costs the paper's ~3.125% of every
+// Figure 5 program.
 func TestLATOverhead(t *testing.T) {
-	out, err := LATOverhead()
+	rows, err := LATAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for prog, ov := range out {
-		if math.Abs(ov-0.03125) > 0.002 {
-			t.Errorf("%s: LAT overhead %.4f, want ~3.125%%", prog, ov)
+	if len(rows) != 10 {
+		t.Fatalf("rows = %d, want the 10 Figure 5 programs", len(rows))
+	}
+	for _, r := range rows {
+		if math.Abs(r.GroupedOverhead-0.03125) > 0.002 {
+			t.Errorf("%s: LAT overhead %.4f, want ~3.125%%", r.Program, r.GroupedOverhead)
 		}
 	}
 }
@@ -356,37 +360,6 @@ func TestFigure2Addresses(t *testing.T) {
 		}
 		if comp[i] > orig[i] {
 			t.Error("compressed image larger than original prefix")
-		}
-	}
-}
-
-func TestRenderers(t *testing.T) {
-	var b strings.Builder
-	if err := RenderFigure5(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderFigure1(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderFigure2(&b, "eightq", 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderTables9and10(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderTables11to13(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderAblations(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"Figure 5", "Weighted Average", "Table 9", "Table 10", "Table 11",
-		"Preselected", "CLB", "Ablation",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered output missing %q", want)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // their serialized code table, while the preselected code's table is
 // hardwired in the decoder and costs nothing. Unix compress is whole-file
 // LZW. The LAT is a separate, method-independent 3.125% and is reported
-// by LATOverhead.
+// by LATAblation.
 type Figure5Row struct {
 	Program       string
 	OriginalBytes int
@@ -109,18 +109,4 @@ func blockRatio(text []byte, code *huffman.Code, withTable bool) (float64, error
 		size += (code.TableBits() + 7) / 8
 	}
 	return float64(size) / float64(rom.OriginalSize), nil
-}
-
-// LATOverhead returns the Line Address Table cost as a fraction of
-// original program size for each Figure 5 program (the paper's ~3.125%).
-func LATOverhead() (map[string]float64, error) {
-	out := make(map[string]float64)
-	for _, w := range workload.Figure5Set() {
-		rom, err := preselROM(w)
-		if err != nil {
-			return nil, err
-		}
-		out[w.Name] = float64(rom.TableSize()) / float64(rom.OriginalSize)
-	}
-	return out, nil
 }

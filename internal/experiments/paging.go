@@ -65,17 +65,12 @@ func PagingStudy() ([]PagingRow, error) {
 	return rows, nil
 }
 
-// RenderPaging prints the compressed demand paging study.
-func RenderPaging(w io.Writer) error {
-	rows, err := PagingStudy()
-	if err != nil {
-		return err
-	}
+// printPaging prints the compressed demand paging study.
+func printPaging(w io.Writer, rows []PagingRow) {
 	fmt.Fprintln(w, "Extension (§5): compressed demand paging (espresso code, 4KB pages)")
 	fmt.Fprintln(w, "  Device  Frames  Faults  Store Ratio  Fault-Cycle Ratio")
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-6s  %6d  %6d  %10.1f%%  %17.3f\n",
 			r.Device, r.Frames, r.Faults, 100*r.StoreRatio, r.CycleRatio)
 	}
-	return nil
 }

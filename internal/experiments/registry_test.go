@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"ccrp/internal/metrics"
@@ -41,7 +42,7 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	if doc.Schema != 1 {
 		t.Errorf("schema = %d, want 1", doc.Schema)
 	}
-	for _, name := range Experiments {
+	for _, name := range Names() {
 		if _, ok := doc.Experiments[name]; !ok {
 			t.Errorf("document lacks experiment %q", name)
 		}
@@ -63,22 +64,8 @@ func TestBenchDataUnknownExperiment(t *testing.T) {
 	if _, err := BenchData([]string{"fig99"}); err == nil {
 		t.Error("unknown experiment must error")
 	}
-	if _, ok := Renderer("fig99"); ok {
-		t.Error("unknown experiment has a renderer")
-	}
-}
-
-// TestEveryExperimentRenders: Experiments, the renderers and datapoints
-// name the same experiments, so ccrp-bench -exp all, ccrp.RenderAll and
-// the -json document cannot drift apart.
-func TestEveryExperimentRenders(t *testing.T) {
-	if len(renderers) != len(Experiments) {
-		t.Errorf("%d renderers for %d experiments", len(renderers), len(Experiments))
-	}
-	for _, name := range Experiments {
-		if _, ok := Renderer(name); !ok {
-			t.Errorf("experiment %q has no renderer", name)
-		}
+	if err := Render(io.Discard, "fig99"); err == nil {
+		t.Error("Render printed an unknown experiment")
 	}
 }
 

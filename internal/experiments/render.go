@@ -3,17 +3,14 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ccrp/internal/tablefmt"
 )
 
-// RenderFigure5 prints the Figure 5 compression comparison.
-func RenderFigure5(w io.Writer) error {
-	rows, err := Figure5()
-	if err != nil {
-		return err
-	}
+// printFigure5 prints the Figure 5 compression comparison.
+func printFigure5(w io.Writer, rows []Figure5Row) {
 	t := &tablefmt.Table{
 		Title: "Figure 5 - Four Compression Methods (compressed size, % of original)",
 		Headers: []string{"Program", "Bytes", "Unix compress", "Traditional Huffman",
@@ -24,16 +21,11 @@ func RenderFigure5(w io.Writer) error {
 			tablefmt.Pct(r.Traditional), tablefmt.Pct(r.Bounded), tablefmt.Pct(r.Preselected))
 	}
 	t.Render(w)
-	return nil
 }
 
-// RenderTables1to8 prints the per-program cache sweeps in the paper's
+// printTables1to8 prints the per-program cache sweeps in the paper's
 // Table 1-8 layout.
-func RenderTables1to8(w io.Writer) error {
-	res, err := Tables1to8()
-	if err != nil {
-		return err
-	}
+func printTables1to8(w io.Writer, res map[string][]PerfPoint) {
 	for i, prog := range PerfPrograms {
 		t := &tablefmt.Table{
 			Title: fmt.Sprintf("Table %d: %s - 16 entry CLB, 100%% Data Cache Miss Rate", i+1, prog),
@@ -47,15 +39,10 @@ func RenderTables1to8(w io.Writer) error {
 		t.Render(w)
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
-// RenderTables9and10 prints the CLB-size sweeps.
-func RenderTables9and10(w io.Writer) error {
-	res, err := Tables9and10()
-	if err != nil {
-		return err
-	}
+// printTables9and10 prints the CLB-size sweeps.
+func printTables9and10(w io.Writer, res map[string][]PerfPoint) {
 	for i, prog := range []string{"nasa7", "espresso"} {
 		t := &tablefmt.Table{
 			Title: fmt.Sprintf("Table %d: %s - 100%% Data Cache Miss Rate (relative performance)", 9+i, prog),
@@ -83,20 +70,16 @@ func RenderTables9and10(w io.Writer) error {
 		t.Render(w)
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
-// RenderFigure9 prints the scatter as sorted (miss rate, relative
+// printFigure9 prints the scatter as sorted (miss rate, relative
 // performance) series, one block per memory model.
-func RenderFigure9(w io.Writer) error {
-	pts, err := Figure9()
-	if err != nil {
-		return err
-	}
+func printFigure9(w io.Writer, pts []PerfPoint) {
 	t := &tablefmt.Table{
 		Title:   "Figure 9 - Performance vs. Instruction Cache Miss Rate",
 		Headers: []string{"Memory", "Program", "Cache", "Miss Rate", "Relative Performance"},
 	}
+	pts = slices.Clone(pts)
 	sort.SliceStable(pts, func(i, j int) bool {
 		if pts[i].Memory != pts[j].Memory {
 			return pts[i].Memory < pts[j].Memory
@@ -108,15 +91,10 @@ func RenderFigure9(w io.Writer) error {
 			tablefmt.Pct(p.MissRate), tablefmt.Ratio(p.RelPerf))
 	}
 	t.Render(w)
-	return nil
 }
 
-// RenderTables11to13 prints the data-cache effect tables.
-func RenderTables11to13(w io.Writer) error {
-	res, err := Tables11to13()
-	if err != nil {
-		return err
-	}
+// printTables11to13 prints the data-cache effect tables.
+func printTables11to13(w io.Writer, res map[string][]PerfPoint) {
 	for i, prog := range []string{"nasa7", "espresso", "fpppp"} {
 		t := &tablefmt.Table{
 			Title: fmt.Sprintf("Table %d: %s - Effect of Data Cache Miss Rate (1KB I-cache, 16 entry CLB)",
@@ -129,15 +107,10 @@ func RenderTables11to13(w io.Writer) error {
 		t.Render(w)
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
-// RenderFigure1 prints the block-alignment ablation.
-func RenderFigure1(w io.Writer) error {
-	rows, err := Figure1Alignment()
-	if err != nil {
-		return err
-	}
+// printFigure1 prints the block-alignment ablation.
+func printFigure1(w io.Writer, rows []AlignmentRow) {
 	t := &tablefmt.Table{
 		Title:   "Figure 1 - Block-Bounded Compression: byte vs word alignment (blocks only)",
 		Headers: []string{"Program", "Byte Aligned", "Word Aligned"},
@@ -146,67 +119,50 @@ func RenderFigure1(w io.Writer) error {
 		t.AddRow(r.Program, tablefmt.Pct(r.ByteAligned), tablefmt.Pct(r.WordAligned))
 	}
 	t.Render(w)
-	return nil
 }
 
-// RenderFigure2 prints the line-address randomization illustration.
-func RenderFigure2(w io.Writer, program string, n int) error {
-	orig, comp, err := Figure2Addresses(program, n)
-	if err != nil {
-		return err
-	}
+// printFigure2 prints the line-address randomization illustration.
+func printFigure2(w io.Writer, d figure2Data) {
 	t := &tablefmt.Table{
-		Title:   fmt.Sprintf("Figure 2 - Randomization of Line Addresses (%s)", program),
+		Title:   fmt.Sprintf("Figure 2 - Randomization of Line Addresses (%s)", d.Program),
 		Headers: []string{"Program Address", "Compressed Address", "Delta"},
 	}
-	for i := range orig {
-		t.AddRow(fmt.Sprintf("%08x", orig[i]), fmt.Sprintf("%08x", comp[i]),
-			fmt.Sprintf("%d", int64(orig[i])-int64(comp[i])))
+	for i, orig := range d.Original {
+		comp := d.Compressed[i]
+		t.AddRow(fmt.Sprintf("%08x", orig), fmt.Sprintf("%08x", comp),
+			fmt.Sprintf("%d", int64(orig)-int64(comp)))
 	}
 	t.Render(w)
-	return nil
 }
 
-// RenderAblations prints the extension/ablation studies promised in
+// printAblations prints the extension/ablation studies promised in
 // DESIGN.md §9.
-func RenderAblations(w io.Writer) error {
-	latRows, err := LATAblation()
-	if err != nil {
-		return err
-	}
+func printAblations(w io.Writer, d ablationData) {
 	t := &tablefmt.Table{
 		Title:   "Ablation: LAT encoding (overhead as % of original program)",
 		Headers: []string{"Program", "Grouped 8B entries", "Naive 4B pointers"},
 	}
-	for _, r := range latRows {
+	for _, r := range d.LAT {
 		t.AddRow(r.Program, tablefmt.Pct(r.GroupedOverhead), tablefmt.Pct(r.NaiveOverhead))
 	}
 	t.Render(w)
 	fmt.Fprintln(w)
 
-	mcRows, err := MultiCodeAblation()
-	if err != nil {
-		return err
-	}
 	t = &tablefmt.Table{
 		Title:   "Ablation: multiple preselected codes (total image ratio)",
 		Headers: []string{"Program", "Single code", "Two codes (+tags)"},
 	}
-	for _, r := range mcRows {
+	for _, r := range d.MultiCode {
 		t.AddRow(r.Program, tablefmt.Pct(r.SingleCode), tablefmt.Pct(r.TwoCodes))
 	}
 	t.Render(w)
 	fmt.Fprintln(w)
 
-	ovRows, err := OverlapAblation("espresso")
-	if err != nil {
-		return err
-	}
 	t = &tablefmt.Table{
 		Title:   "Ablation: pipeline overlap during refill (espresso, 256B, Burst EPROM)",
 		Headers: []string{"Overlap Cycles", "Std Cycles", "CCRP Cycles", "Relative Performance"},
 	}
-	for _, r := range ovRows {
+	for _, r := range d.Overlap {
 		t.AddRow(fmt.Sprintf("%d", r.OverlapCycles),
 			fmt.Sprintf("%d", r.CyclesStd), fmt.Sprintf("%d", r.CyclesCCRP),
 			tablefmt.Ratio(r.RelPerf))
@@ -214,17 +170,12 @@ func RenderAblations(w io.Writer) error {
 	t.Render(w)
 	fmt.Fprintln(w)
 
-	isaRows, err := ISAAblation()
-	if err != nil {
-		return err
-	}
 	t = &tablefmt.Table{
 		Title:   "Ablation: preselected code on non-R2000 byte streams",
 		Headers: []string{"Stream", "R2000 Preselected", "Stream-tuned Bounded"},
 	}
-	for _, r := range isaRows {
+	for _, r := range d.ISA {
 		t.AddRow(r.Stream, tablefmt.Pct(r.Preselected), tablefmt.Pct(r.StreamTuned))
 	}
 	t.Render(w)
-	return nil
 }

@@ -96,12 +96,8 @@ func rvcRow(w *workload.Workload) (RVCRow, error) {
 	return row, nil
 }
 
-// RenderRVC prints the CCRP-vs-RVC comparison over the RV32 corpus.
-func RenderRVC(w io.Writer) error {
-	rows, err := RVCComparison()
-	if err != nil {
-		return err
-	}
+// printRVC prints the CCRP-vs-RVC comparison over the RV32 corpus.
+func printRVC(w io.Writer, rows []RVCRow) {
 	t := &tablefmt.Table{
 		Title: "CCRP vs. RISC-V \"C\" Extension (compressed size, % of original)",
 		Headers: []string{"Program", "Bytes", "RVC", "16-bit Forms",
@@ -117,5 +113,4 @@ func RenderRVC(w io.Writer) error {
 	fmt.Fprintln(w, "RVC expansion is a fixed-function, single-cycle decode; the CCRP")
 	fmt.Fprintln(w, "refill engine serially consumes the bit counts shown per instruction")
 	fmt.Fprintln(w, "but compresses every word, not only those with 16-bit forms.")
-	return nil
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRVCComparison(t *testing.T) {
 	rows, err := RVCComparison()
@@ -41,15 +38,3 @@ func TestRVCComparison(t *testing.T) {
 }
 
 func approxEq(a, b float64) bool { d := a - b; return d < 1e-9 && d > -1e-9 }
-
-func TestRenderRVC(t *testing.T) {
-	var b strings.Builder
-	if err := RenderRVC(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"rv-matrix", "rv-sieve", "Weighted Average", "RVC"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("rendered output missing %q", want)
-		}
-	}
-}

@@ -23,8 +23,6 @@ type Model interface {
 	// BurstCycles returns the completion time of an n-word sequential
 	// read, excluding any post-burst penalty.
 	BurstCycles(n int) uint64
-	// RandomCycles returns the cost of one isolated word read.
-	RandomCycles() uint64
 	// PostBurstCycles returns the recovery time after a burst before the
 	// next access can start (DRAM precharge).
 	PostBurstCycles() uint64
@@ -36,7 +34,6 @@ type EPROM struct{}
 func (EPROM) Name() string             { return "EPROM" }
 func (EPROM) WordArrival(i int) uint64 { return 3 * uint64(i+1) }
 func (EPROM) BurstCycles(n int) uint64 { return 3 * uint64(n) }
-func (EPROM) RandomCycles() uint64     { return 3 }
 func (EPROM) PostBurstCycles() uint64  { return 0 }
 
 // BurstEPROM is the burst-mode EPROM model: 3 cycles for the first word,
@@ -51,7 +48,6 @@ func (BurstEPROM) BurstCycles(n int) uint64 {
 	}
 	return 2 + uint64(n)
 }
-func (BurstEPROM) RandomCycles() uint64    { return 3 }
 func (BurstEPROM) PostBurstCycles() uint64 { return 0 }
 
 // SCDRAM is the static-column DRAM model (70 ns 4M-bit parts): 4 cycles
@@ -67,7 +63,6 @@ func (SCDRAM) BurstCycles(n int) uint64 {
 	}
 	return 3 + uint64(n)
 }
-func (SCDRAM) RandomCycles() uint64    { return 4 }
 func (SCDRAM) PostBurstCycles() uint64 { return 2 }
 
 // Models returns the three paper configurations in presentation order.

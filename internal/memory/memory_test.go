@@ -10,8 +10,8 @@ func TestEPROMTiming(t *testing.T) {
 	if m.BurstCycles(8) != 24 {
 		t.Errorf("burst(8) = %d", m.BurstCycles(8))
 	}
-	if m.RandomCycles() != 3 || m.PostBurstCycles() != 0 {
-		t.Error("random/post wrong")
+	if m.PostBurstCycles() != 0 {
+		t.Error("post-burst wrong")
 	}
 }
 
@@ -33,13 +33,10 @@ func TestSCDRAMTiming(t *testing.T) {
 	if m.BurstCycles(8) != 11 || m.PostBurstCycles() != 2 {
 		t.Error("burst/precharge wrong")
 	}
-	if m.RandomCycles() != 4 {
-		t.Error("random wrong")
-	}
 }
 
 // The defining relationship: a full 8-word line refill is much cheaper on
-// burst memories, but a single random word costs about the same.
+// burst memories.
 func TestRelativeOrdering(t *testing.T) {
 	e, b, d := EPROM{}, BurstEPROM{}, SCDRAM{}
 	if !(e.BurstCycles(8) > d.BurstCycles(8) && d.BurstCycles(8) > b.BurstCycles(8)) {

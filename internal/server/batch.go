@@ -48,13 +48,13 @@ type compressBatchResponse struct {
 	Errors int               `json:"errors"`
 }
 
-// checkBatchSize validates an item count against the configured bound.
-func (s *Server) checkBatchSize(n int) error {
+// checkBatchSize validates an item count against maxBatchItems.
+func checkBatchSize(n int) error {
 	if n == 0 {
 		return errBadRequest("items is required and must not be empty")
 	}
-	if n > s.cfg.MaxBatchItems {
-		return errBadRequest("batch of %d items exceeds the %d-item limit", n, s.cfg.MaxBatchItems)
+	if n > maxBatchItems {
+		return errBadRequest("batch of %d items exceeds the %d-item limit", n, maxBatchItems)
 	}
 	return nil
 }
@@ -83,7 +83,7 @@ func (s *Server) handleCompressBatch(w http.ResponseWriter, r *http.Request) err
 	if err := decodeRequest(r, &req); err != nil {
 		return err
 	}
-	if err := s.checkBatchSize(len(req.Items)); err != nil {
+	if err := checkBatchSize(len(req.Items)); err != nil {
 		return err
 	}
 	if req.CoderID == "" {
@@ -161,7 +161,7 @@ func (s *Server) handleDecompressBatch(w http.ResponseWriter, r *http.Request) e
 	if err := decodeRequest(r, &req); err != nil {
 		return err
 	}
-	if err := s.checkBatchSize(len(req.Items)); err != nil {
+	if err := checkBatchSize(len(req.Items)); err != nil {
 		return err
 	}
 

@@ -122,7 +122,7 @@ func TestDecompressBatchRoundTrip(t *testing.T) {
 // TestBatchRequestLevelErrors: problems with the batch itself — not any
 // one item — fail the whole request through the error taxonomy.
 func TestBatchRequestLevelErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchItems: 4})
+	_, ts := newTestServer(t, Config{})
 	id := trainPreselected(t, ts.URL)
 
 	t.Run("empty batch", func(t *testing.T) {
@@ -131,7 +131,7 @@ func TestBatchRequestLevelErrors(t *testing.T) {
 	})
 
 	t.Run("oversized batch", func(t *testing.T) {
-		items := make([]compressBatchItem, 5)
+		items := make([]compressBatchItem, maxBatchItems+1)
 		for i := range items {
 			items[i] = compressBatchItem{Workload: "eightq"}
 		}
@@ -146,7 +146,7 @@ func TestBatchRequestLevelErrors(t *testing.T) {
 	})
 
 	t.Run("oversized decompress batch", func(t *testing.T) {
-		req := decompressBatchRequest{Items: make([]decompressRequest, 5)}
+		req := decompressBatchRequest{Items: make([]decompressRequest, maxBatchItems+1)}
 		resp, body := postJSON(t, ts.URL+"/v1/decompress:batch", req)
 		wantError(t, resp, body, http.StatusBadRequest, CodeBadRequest)
 	})

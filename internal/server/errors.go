@@ -14,7 +14,7 @@ const (
 	CodeBadRequest       = "bad_request"        // 400: malformed JSON, bad base64, invalid field
 	CodeNotFound         = "not_found"          // 404: unknown route, coder id, or workload
 	CodeMethodNotAllowed = "method_not_allowed" // 405: wrong verb on a known route
-	CodePayloadTooLarge  = "payload_too_large"  // 413: body over the configured limit
+	CodePayloadTooLarge  = "payload_too_large"  // 413: body over MaxBodyBytes
 	CodeUnprocessable    = "unprocessable"      // 422: well-formed input the pipeline rejects
 	CodeDeadlineExceeded = "deadline_exceeded"  // 408: per-request deadline expired
 	CodeOverloaded       = "overloaded"         // 429: worker pool saturated past the queue deadline

@@ -66,18 +66,24 @@ const (
 	StageBatchItem  = "batch_item"      // one item of a :batch request
 )
 
-// Config tunes the service. The zero value selects production defaults.
+// Request limits and deadlines, the same for every ccrpd.
+const (
+	// MaxBodyBytes bounds every request body, here and at the
+	// cluster.Router in front of a fleet.
+	MaxBodyBytes = 16 << 20
+	// maxBatchItems bounds the item count of one :batch request.
+	maxBatchItems = 256
+	// The per-route deadlines.
+	trainTimeout    = 60 * time.Second
+	compressTimeout = 30 * time.Second
+	simulateTimeout = 120 * time.Second
+)
+
+// Config is what a caller sets. The zero value serves in memory, with no
+// span recording.
 type Config struct {
-	// MaxBodyBytes bounds every request body; 0 selects 16 MiB.
-	MaxBodyBytes int64
-	// SimWorkers bounds concurrent simulation runs; 0 selects NumCPU.
-	SimWorkers int
-	// TrainTimeout, CompressTimeout, and SimulateTimeout are the
-	// per-route deadlines; 0 selects 60s / 30s / 120s.
-	TrainTimeout    time.Duration
-	CompressTimeout time.Duration
-	SimulateTimeout time.Duration
-	// Version is reported by /healthz (cliutil.Version in cmd/ccrpd).
+	// Version is reported by /healthz (cliutil.Version in cmd/ccrpd);
+	// "" reports "devel".
 	Version string
 	// Tracer, when set, records request-scoped spans: a root span per
 	// request — the request's one record: method, route, status,
@@ -92,35 +98,6 @@ type Config struct {
 	// re-registers every stored coder on boot (cmd/ccrpd's -store flag).
 	// ROM images never persist. nil keeps coders in memory only.
 	Store *Store
-	// MaxBatchItems bounds the item count of one :batch request; 0
-	// selects 256.
-	MaxBatchItems int
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.SimWorkers <= 0 {
-		c.SimWorkers = runtime.NumCPU()
-	}
-	if c.TrainTimeout == 0 {
-		c.TrainTimeout = 60 * time.Second
-	}
-	if c.CompressTimeout == 0 {
-		c.CompressTimeout = 30 * time.Second
-	}
-	if c.SimulateTimeout == 0 {
-		c.SimulateTimeout = 120 * time.Second
-	}
-	if c.Version == "" {
-		c.Version = "devel"
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
-	}
-	return c
 }
 
 // Server is the ccrpd service state. Create with New; serve s.Handler().
@@ -178,13 +155,15 @@ type serverMetrics struct {
 
 // New builds a Server with its routes registered.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	if cfg.Version == "" {
+		cfg.Version = "devel"
+	}
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		cache:    sweep.NewCache(),
 		coders:   make(map[string]*coderEntry),
-		sem:      make(chan struct{}, cfg.SimWorkers),
+		sem:      make(chan struct{}, runtime.NumCPU()),
 		registry: metrics.New(),
 		tracer:   cfg.Tracer,
 		start:    time.Now(),
@@ -215,13 +194,13 @@ func New(cfg Config) *Server {
 		batchItemErrors: s.registry.Counter("ccrpd_batch_item_errors_total", "batch items that failed"),
 	}
 
-	s.route("POST /v1/coders", cfg.TrainTimeout, s.handleTrainCoder)
+	s.route("POST /v1/coders", trainTimeout, s.handleTrainCoder)
 	s.route("GET /v1/coders/{id}", 5*time.Second, s.handleGetCoder)
-	s.route("POST /v1/compress", cfg.CompressTimeout, s.handleCompress)
-	s.route("POST /v1/decompress", cfg.CompressTimeout, s.handleDecompress)
-	s.route("POST /v1/compress:batch", cfg.CompressTimeout, s.handleCompressBatch)
-	s.route("POST /v1/decompress:batch", cfg.CompressTimeout, s.handleDecompressBatch)
-	s.route("POST /v1/simulate", cfg.SimulateTimeout, s.handleSimulate)
+	s.route("POST /v1/compress", compressTimeout, s.handleCompress)
+	s.route("POST /v1/decompress", compressTimeout, s.handleDecompress)
+	s.route("POST /v1/compress:batch", compressTimeout, s.handleCompressBatch)
+	s.route("POST /v1/decompress:batch", compressTimeout, s.handleDecompressBatch)
+	s.route("POST /v1/simulate", simulateTimeout, s.handleSimulate)
 	s.route("GET /v1/artifacts", 5*time.Second, s.handleArtifacts)
 	s.route("GET /healthz", 5*time.Second, s.handleHealthz)
 	s.route("GET /readyz", 5*time.Second, s.handleReadyz)
@@ -349,7 +328,7 @@ func (s *Server) middleware(routeName string, timeout time.Duration, h handlerFu
 			defer cancel()
 			ctx = tracing.ContextWith(ctx, span)
 			r = r.WithContext(ctx)
-			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+			r.Body = http.MaxBytesReader(sw, r.Body, MaxBodyBytes)
 			handlerErr = h(sw, r)
 		}()
 		if handlerErr != nil && !sw.wrote {
@@ -419,7 +398,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Host:          hostinfo.Collect(),
 		Coders:        n,
-		SimWorkers:    s.cfg.SimWorkers,
+		SimWorkers:    cap(s.sem),
 		Inflight:      s.inflight.Load(),
 		Draining:      s.draining.Load(),
 	})

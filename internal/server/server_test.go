@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -99,7 +100,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestErrorTaxonomy(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024})
+	_, ts := newTestServer(t, Config{})
 
 	t.Run("unknown route is typed 404", func(t *testing.T) {
 		resp, err := http.Get(ts.URL + "/v1/nonesuch")
@@ -133,8 +134,8 @@ func TestErrorTaxonomy(t *testing.T) {
 	})
 
 	t.Run("oversized body is typed 413", func(t *testing.T) {
-		big := fmt.Sprintf(`{"kind":"bounded","corpus_b64":[%q]}`,
-			base64.StdEncoding.EncodeToString(make([]byte, 4096)))
+		head, tail := `{"kind":"bounded","corpus_b64":["`, `"]}`
+		big := head + strings.Repeat("A", MaxBodyBytes+1-len(head)-len(tail)) + tail
 		resp, err := http.Post(ts.URL+"/v1/coders", "application/json", strings.NewReader(big))
 		if err != nil {
 			t.Fatal(err)
@@ -421,10 +422,10 @@ func TestDecompressHostileInput(t *testing.T) {
 }
 
 // TestDecompressDeadline pins the line walk's context check: under a
-// route deadline that has passed before the handler runs, a valid
+// request context that has expired before the handler runs, a valid
 // lines-form payload answers 408 deadline_exceeded instead of decoding.
 func TestDecompressDeadline(t *testing.T) {
-	s, ts := newTestServer(t, Config{CompressTimeout: time.Nanosecond})
+	s, ts := newTestServer(t, Config{})
 	id := trainPreselected(t, ts.URL)
 	entry, err := s.coderByID(id)
 	if err != nil {
@@ -443,9 +444,16 @@ func TestDecompressDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
-		CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
-	wantError(t, resp, body, http.StatusRequestTimeout, CodeDeadlineExceeded)
+	raw, err := json.Marshal(decompressRequest{CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/decompress", bytes.NewReader(raw)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	wantError(t, rec.Result(), rec.Body.Bytes(), http.StatusRequestTimeout, CodeDeadlineExceeded)
 }
 
 func TestSimulatePoint(t *testing.T) {
@@ -592,7 +600,7 @@ func TestCompressKeepsOnlyBoundedState(t *testing.T) {
 }
 
 func TestSimulateConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{SimWorkers: 2})
+	_, ts := newTestServer(t, Config{})
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -616,7 +624,7 @@ func TestSimulateConcurrent(t *testing.T) {
 // every response's trace id roots a recorded request span.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	sink := &memSink{}
-	s, ts := newTestServer(t, Config{SimWorkers: 2, Tracer: tracing.New(tracing.Config{Sink: sink})})
+	s, ts := newTestServer(t, Config{Tracer: tracing.New(tracing.Config{Sink: sink})})
 	id := trainPreselected(t, ts.URL)
 	workloads := []string{"eightq", "fpppp", "nasa1", "matrix25a"}
 

@@ -123,7 +123,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		err := Errf(http.StatusTooManyRequests, CodeOverloaded,
-			"no simulate worker within the deadline (%d workers busy)", s.cfg.SimWorkers)
+			"no simulate worker within the deadline (%d workers busy)", cap(s.sem))
 		qspan.SetError(err)
 		qspan.End()
 		return err
