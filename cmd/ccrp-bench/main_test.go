@@ -69,8 +69,8 @@ func TestMetricsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestEventFlagsRejected: -events and -sample describe one simulated
-// run fetch by fetch; ccrp-bench runs sweeps, so both are usage errors.
+// TestEventFlagsRejected: no command has -events or -sample, the flags
+// of a per-fetch event stream; ccrp-bench rejects both as usage errors.
 func TestEventFlagsRejected(t *testing.T) {
 	events := filepath.Join(t.TempDir(), "ev.jsonl")
 	for _, args := range [][]string{

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	ccsim [-cache 1024] [-clb 16] [-mem "Burst EPROM"] [-dmiss 1.0]
-//	      [-json] [-metrics table|json|prom] [-events ev.jsonl] [-sample N]
+//	      [-json] [-metrics table|json|prom]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	      (-workload name | prog.img | prog.s)
 package main
@@ -85,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	loadTrace := fs.String("trace", "", "drive the comparison from a saved trace (with prog.img for the text)")
 	asJSON := fs.Bool("json", false, "emit the comparison as a single JSON object on stdout")
 	obsFlags := cliutil.RegisterObsFlags(fs)
-	obsFlags.RegisterEventFlags(fs)
 	version := cliutil.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -124,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	defer func() {
 		if err != nil {
-			obs.Finish(io.Discard) // close the sink and profiles; the run's error wins
+			obs.Finish(io.Discard) // close the span file and profiles; the run's error wins
 			return
 		}
 		err = obs.Finish(stdout)
@@ -210,16 +209,23 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		CacheBytes: *cacheBytes,
 		CLBEntries: *clbEntries,
 		Mem:        mem,
-		Metrics:    obs.Registry,
-		Events:     obs.Sink,
 	}
 	if *dmiss < 1.0 {
 		cfg.DataCache = true
 		cfg.DCacheMissRate = *dmiss
 	}
-	cmp, err := core.Compare(tr, rom, cfg)
+	profile, err := core.Replay(tr, rom, cfg)
 	if err != nil {
 		return err
+	}
+	cmp, err := core.Price(profile, rom, cfg)
+	if err != nil {
+		return err
+	}
+	if obs.Registry != nil {
+		if err := core.Observe(obs.Registry, tr, profile, rom, cfg); err != nil {
+			return err
+		}
 	}
 
 	if *asJSON {

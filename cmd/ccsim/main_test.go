@@ -72,9 +72,9 @@ func TestBadMissRate(t *testing.T) {
 	}
 }
 
-// TestBadInput: a missing program is a usage error, and an unknown
-// workload or memory model is an error that names it; none prints a
-// report.
+// TestBadInput: a missing program or a flag ccsim lacks (-events and
+// -sample among them) is a usage error, and an unknown workload or
+// memory model is an error that names it; none prints a report.
 func TestBadInput(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -84,6 +84,8 @@ func TestBadInput(t *testing.T) {
 	}{
 		{"no input", nil, true, "want -workload name or one program"},
 		{"unknown flag", []string{"-nonesuch"}, true, "not defined"},
+		{"event stream", []string{"-workload", "eightq", "-events", "x"}, true, "not defined: -events"},
+		{"event sampling", []string{"-workload", "eightq", "-sample", "1"}, true, "not defined: -sample"},
 		{"unknown workload", []string{"-workload", "nonesuch"}, false, "nonesuch"},
 		{"unknown memory", []string{"-workload", "eightq", "-mem", "SRAM"}, false, "SRAM"},
 		{"trace without image", []string{"-trace", "t.trc"}, false, "-trace needs the program image"},

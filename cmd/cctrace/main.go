@@ -6,12 +6,11 @@
 // Usage:
 //
 //	cctrace [-top 8] [-cache 1024] [-metrics table|json|prom]
-//	        [-events ev.jsonl] [-sample N]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	        (-workload name | trace.trc)
 //
-// With -metrics or -events, a cache pass at the -cache geometry is
-// instrumented: per-set miss counters and the fetch/miss event stream.
+// With -metrics, one more cache pass at the -cache geometry counts the
+// accesses, the hits and the misses of every set.
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 
 	"ccrp/internal/cache"
 	"ccrp/internal/cliutil"
-	"ccrp/internal/metrics"
 	"ccrp/internal/trace"
 )
 
@@ -61,9 +59,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	wl := fs.String("workload", "", "analyze a corpus workload's trace")
 	top := fs.Int("top", 8, "number of hot regions to list")
-	cacheBytes := fs.Int("cache", 1024, "cache size for the instrumented pass (-metrics/-events)")
+	cacheBytes := fs.Int("cache", 1024, "cache size of the -metrics pass")
 	obsFlags := cliutil.RegisterObsFlags(fs)
-	obsFlags.RegisterEventFlags(fs)
 	version := cliutil.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -96,15 +93,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if err := report(stdout, *wl, fs.Arg(0), *top, obs, ic); err != nil {
-		obs.Finish(io.Discard) // close the sink and profiles; report's error wins
+		obs.Finish(io.Discard) // close the span file and profiles; report's error wins
 		return err
 	}
 	return obs.Finish(stdout)
 }
 
 // report analyzes the trace of workload wl, or else of the trace file
-// path, listing the top hottest regions. When obs is instrumented it
-// also replays the trace through ic.
+// path, listing the top hottest regions. With a registry in obs it also
+// replays the trace through ic and counts what ic did.
 func report(w io.Writer, wl, path string, top int, obs *cliutil.Obs, ic *cache.Cache) error {
 	var tr *trace.Trace
 	name := wl
@@ -149,26 +146,22 @@ func report(w io.Writer, wl, path string, top int, obs *cliutil.Obs, ic *cache.C
 		fmt.Fprintf(w, "    %5dB  %6.2f%%\n", size, 100*c.Stats().MissRate())
 	}
 
-	// Instrumented pass at the chosen geometry, separate from the sweep
-	// above so per-set counters describe exactly one cache.
-	if obs.Registry != nil || obs.Sink != nil {
-		ic.Instrument(obs.Registry)
-		var seq uint64
+	// A pass at the chosen geometry, separate from the sweep above so the
+	// per-set counts describe exactly one cache.
+	if reg := obs.Registry; reg != nil {
+		setMisses := make([]uint64, ic.Lines()) // direct mapped: a set per line
 		for _, run := range tr.Events {
-			hit := ic.AccessRun(run.PC, uint64(run.N))
-			for i := uint64(0); obs.Sink != nil && i < uint64(run.N); i++ {
-				pc := run.PC + uint32(i)*trace.WordBytes
-				obs.Sink.Emit(metrics.Event{
-					Type: metrics.EvFetch, Seq: seq + i, PC: pc, Line: int(pc / lineBytes), Set: -1,
-				})
-				if i == 0 && !hit { // a run can only miss on its first fetch
-					obs.Sink.Emit(metrics.Event{
-						Type: metrics.EvICacheMiss, Seq: seq, PC: pc,
-						Line: int(pc / lineBytes), Set: ic.Set(pc),
-					})
-				}
+			if !ic.AccessRun(run.PC, uint64(run.N)) {
+				setMisses[ic.Set(run.PC)]++
 			}
-			seq += uint64(run.N)
+		}
+		s := ic.Stats()
+		accesses, hits := cache.Counters(reg)
+		accesses.Add(s.Accesses)
+		hits.Add(s.Accesses - s.Misses)
+		setVec := cache.SetMisses(reg)
+		for set, n := range setMisses {
+			setVec.WithInt(set).Add(n)
 		}
 	}
 

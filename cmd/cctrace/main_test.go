@@ -32,37 +32,26 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
-// TestInstrumentedPassPinned pins the instrumented pass: the report with
-// its Prometheus exposition, and the unsampled fetch/miss event stream.
+// TestInstrumentedPassPinned pins the report with the -metrics pass's
+// Prometheus exposition: the accesses, hits and per-set misses of a
+// 512-byte cache over rv-matrix.
 func TestInstrumentedPassPinned(t *testing.T) {
-	const (
-		wantStdout = "965dbbf98fad0e403710c6048b85ab43213c4f7db71053d833750a672a7be324"
-		wantEvents = "4b732873808bfaf28f13da07dd646b5c40923725bc772996d8b920f077700bae"
-	)
-	events := filepath.Join(t.TempDir(), "ev.jsonl")
+	const want = "d6f08826bca6939eae114b8036701448c391b50205318a8a8f05042c5beb0539"
 	var stdout, stderr bytes.Buffer
-	args := []string{"-workload", "rv-matrix", "-cache", "512", "-metrics", "prom", "-events", events, "-sample", "1"}
+	args := []string{"-workload", "rv-matrix", "-cache", "512", "-metrics", "prom"}
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Fatalf("%v (stderr %q)", err, stderr.String())
 	}
-	ev, err := os.ReadFile(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		what, want string
-		data       []byte
-	}{{"stdout", wantStdout, stdout.Bytes()}, {"event stream", wantEvents, ev}} {
-		sum := sha256.Sum256(c.data)
-		if got := hex.EncodeToString(sum[:]); got != c.want {
-			t.Errorf("%s sha256 = %s, want %s", c.what, got, c.want)
-		}
+	sum := sha256.Sum256(stdout.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("stdout sha256 = %s, want %s", got, want)
 	}
 }
 
-// TestBadInput: a bad command line is a usage error (exit 2); a bad
-// -cache geometry, an empty trace and a version-1 trace file are errors
-// that name the problem (exit 1). None panics or prints a report.
+// TestBadInput: a bad command line, -events and -sample included, is a
+// usage error (exit 2); a bad -cache geometry, an empty trace and a
+// version-1 trace file are errors that name the problem (exit 1). None
+// panics or prints a report.
 func TestBadInput(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.trc")
@@ -90,6 +79,8 @@ func TestBadInput(t *testing.T) {
 		{"negative top", []string{"-workload", "eightq", "-top", "-1"}, true, "-top -1 is negative"},
 		{"no input", nil, true, "want -workload name or one trace file"},
 		{"unknown flag", []string{"-nonesuch"}, true, "not defined"},
+		{"event stream", []string{"-workload", "eightq", "-events", "x"}, true, "not defined: -events"},
+		{"event sampling", []string{"-workload", "eightq", "-sample", "1"}, true, "not defined: -sample"},
 		{"bad cache", []string{"-workload", "eightq", "-cache", "1000", "-metrics", "prom"}, false, "-cache 1000: cache: bad geometry"},
 		{"empty trace", []string{empty}, false, "empty.trc: the trace holds no instructions"},
 		{"version 1 trace", []string{v1}, false, "unsupported version 1"},

@@ -39,54 +39,19 @@ type Cache struct {
 	ways      int
 	lineShift uint
 	idxMask   uint32
-	lineBytes int
 	stats     Stats
-	im        *instruments // nil when metrics are disabled
 }
 
-// instruments are the optional per-geometry observability hooks; the
-// single c.im nil test keeps the disabled hot path free of them.
-type instruments struct {
-	accesses *metrics.Counter
-	hits     *metrics.Counter
-	setMiss  []*metrics.Counter // one per set
-	wayFill  []*metrics.Counter // one per way, counts victim installs
-}
-
-// Instrument registers this cache's counters on reg and enables
-// per-access accounting: total accesses/hits, per-set miss counters, and
-// per-way fill (victim install) counters. A nil registry disables
-// instrumentation again.
-func (c *Cache) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		c.im = nil
-		return
-	}
-	sets := len(c.tags) / c.ways
-	accesses, hits := Counters(reg)
-	im := &instruments{
-		accesses: accesses,
-		hits:     hits,
-		setMiss:  make([]*metrics.Counter, sets),
-		wayFill:  make([]*metrics.Counter, c.ways),
-	}
-	setVec := reg.CounterVec("ccrp_cache_set_misses_total", "instruction cache misses by set index", "set")
-	for i := range im.setMiss {
-		im.setMiss[i] = setVec.WithInt(i)
-	}
-	wayVec := reg.CounterVec("ccrp_cache_way_fills_total", "miss refill installs by victim way", "way")
-	for i := range im.wayFill {
-		im.wayFill[i] = wayVec.WithInt(i)
-	}
-	c.im = im
-}
-
-// Counters returns reg's access and hit counters, the totals Instrument
-// keeps, so a caller that sums cache statistics itself reports them
-// under the same names.
+// Counters returns reg's i-cache access and hit counters, so that every
+// caller that sums cache statistics reports them under the same names.
 func Counters(reg *metrics.Registry) (accesses, hits *metrics.Counter) {
 	return reg.Counter("ccrp_cache_accesses_total", "instruction cache accesses"),
 		reg.Counter("ccrp_cache_hits_total", "instruction cache hits")
+}
+
+// SetMisses returns reg's i-cache miss counters labelled by set index.
+func SetMisses(reg *metrics.Registry) *metrics.CounterVec {
+	return reg.CounterVec("ccrp_cache_set_misses_total", "instruction cache misses by set index", "set")
 }
 
 // New builds a direct-mapped cache of sizeBytes with lineBytes lines.
@@ -109,12 +74,11 @@ func NewAssoc(sizeBytes, lineBytes, ways int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
 	c := &Cache{
-		tags:      make([]uint32, n),
-		valid:     make([]bool, n),
-		used:      make([]uint64, n),
-		ways:      ways,
-		idxMask:   uint32(sets - 1),
-		lineBytes: lineBytes,
+		tags:    make([]uint32, n),
+		valid:   make([]bool, n),
+		used:    make([]uint64, n),
+		ways:    ways,
+		idxMask: uint32(sets - 1),
 	}
 	for 1<<c.lineShift != lineBytes {
 		c.lineShift++
@@ -133,17 +97,6 @@ func MustNew(sizeBytes, lineBytes int) *Cache {
 
 // Lines returns the number of cache lines.
 func (c *Cache) Lines() int { return len(c.tags) }
-
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint32) uint32 {
-	return addr &^ uint32(c.lineBytes-1)
-}
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
 
 // Access simulates a fetch from addr: it returns true on a hit, and on a
 // miss installs the line (the refill itself is costed by the caller).
@@ -164,10 +117,6 @@ func (c *Cache) AccessRun(addr uint32, n uint64) bool {
 		i := set + w
 		if c.valid[i] && c.tags[i] == line {
 			c.used[i] = c.clock
-			if c.im != nil {
-				c.im.accesses.Add(n)
-				c.im.hits.Add(n)
-			}
 			return true
 		}
 		if !c.valid[i] {
@@ -177,33 +126,17 @@ func (c *Cache) AccessRun(addr uint32, n uint64) bool {
 		}
 	}
 	c.stats.Misses++
-	if c.im != nil {
-		c.im.accesses.Add(n)
-		c.im.hits.Add(n - 1)
-		c.im.setMiss[int(line&c.idxMask)].Inc()
-		c.im.wayFill[victim-set].Inc()
-	}
 	c.valid[victim] = true
 	c.tags[victim] = line
 	c.used[victim] = c.clock
 	return false
 }
 
-// Set returns the set index addr maps to (for event emission).
+// Set returns the index of the set that addr maps to, the label of a
+// per-set miss count.
 func (c *Cache) Set(addr uint32) int {
 	return int((addr >> c.lineShift) & c.idxMask)
 }
 
 // Stats returns the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset invalidates the cache and clears statistics, modeling cold start
-// (the paper deliberately includes compulsory start-up misses).
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.used[i] = 0
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}

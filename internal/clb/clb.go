@@ -40,40 +40,10 @@ type CLB struct {
 	slots []slot
 	clock uint64
 	stats Stats
-	im    *instruments // nil when metrics are disabled
 }
 
-// instruments are the optional observability hooks. Eviction age is the
-// probe-clock distance since the victim was last touched — the churn
-// signal that distinguishes a too-small CLB from cold-start misses.
-type instruments struct {
-	hits      *metrics.Counter
-	misses    *metrics.Counter
-	evictions *metrics.Counter
-	evictAge  *metrics.Histogram
-}
-
-// Instrument registers this CLB's counters on reg and enables probe and
-// eviction accounting. A nil registry disables instrumentation again.
-func (c *CLB) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		c.im = nil
-		return
-	}
-	hits, misses := Counters(reg)
-	c.im = &instruments{
-		hits:      hits,
-		misses:    misses,
-		evictions: reg.Counter("ccrp_clb_evictions_total", "CLB valid-entry evictions"),
-		evictAge: reg.Histogram("ccrp_clb_eviction_age_probes",
-			"probes since last use of evicted CLB entries",
-			metrics.ExpBuckets(1, 4, 10)),
-	}
-}
-
-// Counters returns reg's probe hit and miss counters, the totals
-// Instrument keeps, so a caller that sums CLB statistics itself reports
-// them under the same names.
+// Counters returns reg's CLB probe hit and miss counters, so that every
+// caller that sums CLB statistics reports them under the same names.
 func Counters(reg *metrics.Registry) (hits, misses *metrics.Counter) {
 	return reg.Counter("ccrp_clb_hits_total", "CLB probe hits"),
 		reg.Counter("ccrp_clb_misses_total", "CLB probe misses")
@@ -87,9 +57,6 @@ func New(n int) *CLB {
 	return &CLB{slots: make([]slot, n)}
 }
 
-// Size returns the number of entries.
-func (c *CLB) Size() int { return len(c.slots) }
-
 // Lookup probes for the LAT entry with the given index, updating LRU
 // state and statistics.
 func (c *CLB) Lookup(latIndex uint32) (lat.Entry, bool) {
@@ -98,16 +65,10 @@ func (c *CLB) Lookup(latIndex uint32) (lat.Entry, bool) {
 		if c.slots[i].valid && c.slots[i].tag == latIndex {
 			c.slots[i].used = c.clock
 			c.stats.Hits++
-			if c.im != nil {
-				c.im.hits.Inc()
-			}
 			return c.slots[i].entry, true
 		}
 	}
 	c.stats.Misses++
-	if c.im != nil {
-		c.im.misses.Inc()
-	}
 	return lat.Entry{}, false
 }
 
@@ -135,36 +96,8 @@ func (c *CLB) Insert(latIndex uint32, e lat.Entry) {
 			victim = i
 		}
 	}
-	if c.im != nil && c.slots[victim].valid {
-		c.im.evictions.Inc()
-		c.im.evictAge.Observe(float64(c.clock - c.slots[victim].used))
-	}
 	c.slots[victim] = slot{tag: latIndex, entry: e, used: c.clock, valid: true}
-}
-
-// EvictionAge returns the probe-clock age the next Insert would evict at,
-// or false if a free slot remains. Used by the core's event emission.
-func (c *CLB) EvictionAge() (uint64, bool) {
-	victim := 0
-	for i := range c.slots {
-		if !c.slots[i].valid {
-			return 0, false
-		}
-		if c.slots[i].used < c.slots[victim].used {
-			victim = i
-		}
-	}
-	return c.clock - c.slots[victim].used, true
 }
 
 // Stats returns the probe counters.
 func (c *CLB) Stats() Stats { return c.stats }
-
-// Reset invalidates all slots and clears statistics.
-func (c *CLB) Reset() {
-	for i := range c.slots {
-		c.slots[i] = slot{}
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}

@@ -1,10 +1,9 @@
 // Package cliutil holds the selection and loading helpers shared by the
 // ccsim, cctrace, ccpack and ccdb commands: memory-model, workload, and
 // program/trace resolution, Huffman code-set construction, and the
-// observability flag block (-metrics/-spans/-cpuprofile/-memprofile,
-// plus -events/-sample for the commands that simulate one run) wired
-// identically across the CLIs. The daemons (ccrpd, ccrp-router) share
-// its listen-and-drain and tracer helpers (serve.go).
+// observability flag block (-metrics/-spans/-cpuprofile/-memprofile)
+// wired identically across the CLIs. The daemons (ccrpd, ccrp-router)
+// share its listen-and-drain and tracer helpers (serve.go).
 package cliutil
 
 import (
@@ -109,8 +108,6 @@ func Codes(ownText []byte) ([]*huffman.Code, error) {
 // it after the command's own flags and before flag.Parse.
 type ObsFlags struct {
 	Metrics    *string
-	Events     *string // nil unless RegisterEventFlags was called
-	Sample     *uint64 // nil unless RegisterEventFlags was called
 	Spans      *string
 	CPUProfile *string
 	MemProfile *string
@@ -129,26 +126,17 @@ func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 	}
 }
 
-// RegisterEventFlags adds -events and -sample to the block: the event
-// stream of a command that simulates one run (ccsim, cctrace), fetch by
-// fetch.
-func (f *ObsFlags) RegisterEventFlags(fs *flag.FlagSet) {
-	f.Events = fs.String("events", "", "write the structured JSONL event stream to this file")
-	f.Sample = fs.Uint64("sample", 64, "emit every Nth fetch event (structural events are never sampled)")
-}
-
 // Obs is the live observability state for one command run.
 type Obs struct {
 	Registry *metrics.Registry // nil unless -metrics was given
-	Sink     metrics.EventSink // nil unless -events was given
 	Tracer   *tracing.Tracer   // nil unless -spans was given
 	format   string
 	memPath  string
 	stopCPU  func() error
 }
 
-// Begin validates the flags, starts the CPU profile, and opens the event
-// sink. Call Finish (usually deferred through a named error) at exit.
+// Begin validates the flags, opens the span file, and starts the CPU
+// profile. Call Finish (usually deferred through a named error) at exit.
 func (f *ObsFlags) Begin() (*Obs, error) {
 	o := &Obs{format: *f.Metrics, memPath: *f.MemProfile}
 	if o.format != "" {
@@ -161,13 +149,6 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 				o.format, strings.Join(metrics.Formats(), ", "))
 		}
 		o.Registry = metrics.New()
-	}
-	if f.Events != nil && *f.Events != "" {
-		ef, err := os.Create(*f.Events)
-		if err != nil {
-			return nil, err
-		}
-		o.Sink = &metrics.SampledSink{Inner: metrics.NewJSONLSink[metrics.Event](ef), Every: *f.Sample}
 	}
 	if *f.Spans != "" {
 		tf, err := os.Create(*f.Spans)
@@ -187,7 +168,7 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 	return o, nil
 }
 
-// Finish closes the event sink, writes the profiles, and exports the
+// Finish closes the span sink, writes the profiles, and exports the
 // metrics registry to stdout in the selected format.
 func (o *Obs) Finish(stdout io.Writer) error {
 	var first error
@@ -195,9 +176,6 @@ func (o *Obs) Finish(stdout io.Writer) error {
 		if first == nil && err != nil {
 			first = err
 		}
-	}
-	if o.Sink != nil {
-		keep(o.Sink.Close())
 	}
 	if o.Tracer != nil {
 		keep(o.Tracer.Close())

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,25 +167,21 @@ func TestCodes(t *testing.T) {
 	}
 }
 
-// TestObsFlagsWiring: -events and -sample exist only where
-// RegisterEventFlags added them.
+// TestObsFlagsWiring: the block is -metrics, -spans, -cpuprofile and
+// -memprofile, wired to its fields, and nothing else.
 func TestObsFlagsWiring(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterObsFlags(fs)
-	f.RegisterEventFlags(fs)
-	if err := fs.Parse([]string{"-metrics", "json", "-sample", "7"}); err != nil {
+	if err := fs.Parse([]string{"-metrics", "json", "-spans", "sp.jsonl"}); err != nil {
 		t.Fatal(err)
 	}
-	if *f.Metrics != "json" || *f.Sample != 7 || *f.Events != "" {
+	if *f.Metrics != "json" || *f.Spans != "sp.jsonl" || *f.CPUProfile != "" || *f.MemProfile != "" {
 		t.Errorf("flag block wired wrong: %+v", f)
 	}
-
-	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	RegisterObsFlags(fs)
-	for _, name := range []string{"events", "sample"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("RegisterObsFlags registered -%s", name)
-		}
+	var names []string
+	fs.VisitAll(func(fl *flag.Flag) { names = append(names, fl.Name) })
+	if want := []string{"cpuprofile", "memprofile", "metrics", "spans"}; !slices.Equal(names, want) {
+		t.Errorf("registered %v, want %v", names, want)
 	}
 }
 
@@ -200,29 +197,31 @@ func TestObsBeginRejectsBadFormat(t *testing.T) {
 	}
 }
 
+// TestObsBeginFinish: -metrics allocates the registry, and Finish
+// exports it to the writer it is given, in the selected format.
 func TestObsBeginFinish(t *testing.T) {
-	events := filepath.Join(t.TempDir(), "ev.jsonl")
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterObsFlags(fs)
-	f.RegisterEventFlags(fs)
-	if err := fs.Parse([]string{"-events", events, "-sample", "1"}); err != nil {
+	if err := fs.Parse([]string{"-metrics", "prom"}); err != nil {
 		t.Fatal(err)
 	}
 	o, err := f.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Registry != nil {
-		t.Error("registry allocated without -metrics")
+	if o.Registry == nil {
+		t.Fatal("no registry despite -metrics")
 	}
-	if o.Sink == nil {
-		t.Fatal("no event sink despite -events")
+	if o.Tracer != nil {
+		t.Error("tracer started without -spans")
 	}
-	if err := o.Finish(io.Discard); err != nil {
+	o.Registry.Counter("runs_total", "runs").Inc()
+	var out bytes.Buffer
+	if err := o.Finish(&out); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(events); err != nil {
-		t.Errorf("event file missing: %v", err)
+	if want := "# HELP runs_total runs\n# TYPE runs_total counter\nruns_total 1\n"; out.String() != want {
+		t.Errorf("Finish wrote %q, want %q", out.String(), want)
 	}
 }
 

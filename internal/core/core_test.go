@@ -492,9 +492,9 @@ func TestBadMissRateRejected(t *testing.T) {
 }
 
 // TestDecodeRates: a negative decode rate is rejected with ErrDecodeRate
-// by Price, by Compare, and by an instrumented Replay, which prices each
-// miss as it happens; such rates were once priced at the paper's 2. The
-// valid rates price as they did before the check, 0 as the paper's 2.
+// by Price, by Compare, and by Observe, which prices every line too; such
+// rates were once priced at the paper's 2. The valid rates price as they
+// did before the check, 0 as the paper's 2.
 func TestDecodeRates(t *testing.T) {
 	text := riscLikeText(8192, 42)
 	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
@@ -521,9 +521,8 @@ func TestDecodeRates(t *testing.T) {
 			if _, err := Compare(tr, rom, cfg); !errors.Is(err, ErrDecodeRate) {
 				t.Errorf("Compare at rate %d: %v; want ErrDecodeRate", c.rate, err)
 			}
-			cfg.Metrics = metrics.New()
-			if _, err := Replay(tr, rom, cfg); !errors.Is(err, ErrDecodeRate) {
-				t.Errorf("instrumented Replay at rate %d: %v; want ErrDecodeRate", c.rate, err)
+			if err := Observe(metrics.New(), tr, p, rom, cfg); !errors.Is(err, ErrDecodeRate) {
+				t.Errorf("Observe at rate %d: %v; want ErrDecodeRate", c.rate, err)
 			}
 			continue
 		}

@@ -11,20 +11,39 @@ import (
 	"ccrp/internal/huffman"
 	"ccrp/internal/memory"
 	"ccrp/internal/metrics"
+	"ccrp/internal/trace"
 	"ccrp/internal/workload"
 )
 
-// TestInstrumentedOutputPinned pins every byte an instrumented Compare
-// writes: the Prometheus exposition and the unsampled event stream for
-// fpppp (the shortest MIPS trace) at ccsim's defaults. A replay loop
-// that reorders, drops or renumbers a fetch event, or miscounts an
-// access, changes a hash.
-func TestInstrumentedOutputPinned(t *testing.T) {
-	const (
-		wantProm   = "96b1808d6eacd949e48affce6c699f5f4873d142f70b6806e2419c04ca24de62"
-		wantEvents = "8859fe40b9b9e6dbe54fcd25067b6a60cffbfd54fd3e9eae653ad8bff0a94000"
-	)
-	w, _ := workload.ByName("fpppp")
+// observedProm returns the sha256 of the Prometheus exposition that
+// Observe writes for tr replayed over rom under cfg.
+func observedProm(t *testing.T, tr *trace.Trace, rom *core.ROM, cfg core.Config) string {
+	t.Helper()
+	p, err := core.Replay(tr, rom, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	if err := core.Observe(reg, tr, p, rom, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var prom bytes.Buffer
+	if err := reg.WriteFormat(&prom, "prom"); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(prom.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// corpusROM returns the trace of corpus program prog and its text built
+// under the preselected code, byte- or word-aligned.
+func corpusROM(t *testing.T, prog string, wordAligned bool) (*trace.Trace, *core.ROM) {
+	t.Helper()
+	code, err := experiments.PreselectedCode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workload.ByName(prog)
 	tr, err := w.Trace()
 	if err != nil {
 		t.Fatal(err)
@@ -33,39 +52,84 @@ func TestInstrumentedOutputPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := experiments.PreselectedCode()
+	rom, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}, WordAligned: wordAligned})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rom, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{code}})
-	if err != nil {
-		t.Fatal(err)
+	return tr, rom
+}
+
+// TestInstrumentedOutputPinned pins every byte of the exposition that
+// ccsim's -metrics prom writes for fpppp (the shortest MIPS trace) at
+// ccsim's defaults. A profile that miscounts an access or a miss, or a
+// series that moves, changes the hash.
+func TestInstrumentedOutputPinned(t *testing.T) {
+	const want = "d4b2f0f5556b10ec55221927f8914887a57e34c7cf7b12f0c8094850f11d2e2a"
+	tr, rom := corpusROM(t, "fpppp", false)
+	cfg := core.Config{CacheBytes: 1024, CLBEntries: 16, Mem: memory.BurstEPROM{}}
+	if got := observedProm(t, tr, rom, cfg); got != want {
+		t.Errorf("prom exposition sha256 = %s, want %s", got, want)
 	}
-	reg := metrics.New()
-	events := sha256.New()
-	sink := metrics.NewJSONLSink[metrics.Event](events)
-	cfg := core.Config{
-		CacheBytes: 1024,
-		CLBEntries: 16,
-		Mem:        memory.BurstEPROM{},
-		Metrics:    reg,
-		Events:     sink,
+}
+
+// TestObservePinned pins Observe's exposition on four programs, each
+// with a byte- and a word-aligned ROM, under four machines that between
+// them reach raw refills, CLB evictions, 2- and 4-way set mapping, every
+// memory, decode rates 1, 4 and 8, overlap and a data cache. The hashes
+// were written by the per-fetch probe that Observe replaced, with the two
+// series only the probe kept (fills per victim way and the ages of
+// evicted CLB entries) taken out.
+func TestObservePinned(t *testing.T) {
+	configs := []core.Config{
+		{CacheBytes: 256, CacheWays: 1, CLBEntries: 4, Mem: memory.EPROM{}},
+		{CacheBytes: 1024, CacheWays: 2, CLBEntries: 8, Mem: memory.BurstEPROM{}, DecodeRate: 1},
+		{CacheBytes: 2048, CacheWays: 4, CLBEntries: 16, Mem: memory.SCDRAM{}, DecodeRate: 8, OverlapCycles: 6},
+		{CacheBytes: 512, CLBEntries: 16, Mem: memory.BurstEPROM{}, DecodeRate: 4, OverlapCycles: 40,
+			DataCache: true, DCacheMissRate: 0.2},
 	}
-	if _, err := core.Compare(tr, rom, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var prom bytes.Buffer
-	if err := reg.WriteFormat(&prom, "prom"); err != nil {
-		t.Fatal(err)
-	}
-	promSum := sha256.Sum256(prom.Bytes())
-	if got := hex.EncodeToString(promSum[:]); got != wantProm {
-		t.Errorf("prom exposition sha256 = %s, want %s", got, wantProm)
-	}
-	if got := hex.EncodeToString(events.Sum(nil)); got != wantEvents {
-		t.Errorf("event stream sha256 = %s, want %s", got, wantEvents)
+	for _, c := range []struct {
+		prog        string
+		wordAligned bool
+		config      int // index into configs
+		want        string
+	}{
+		{"fpppp", false, 0, "9942c549f61c60fe7d9ded23dd4f650499cc752fa6c08e12a905ad912fde4b6d"},
+		{"fpppp", false, 1, "cd33d18d80fb218c912b71f83fcfd91664c4176a497ffb288f6f6c79c548f0b2"},
+		{"fpppp", false, 2, "d5681c10aa3746f4f5ad3c46323a2995d75809eea000f0d0ab4e4b1cbc8d691a"},
+		{"fpppp", false, 3, "7327266748b09d495cb0d1d99dd7ee6a99c6acd949160d2ef0b43b51208171d7"},
+		{"fpppp", true, 0, "beb386cb31dc545ef25f0654be45be52589f0d16cf014108583c72425c58f8d2"},
+		{"fpppp", true, 1, "54948a9530026b9b3e7725712e68c819672ed96f9716a88bdf08e7c4614984b6"},
+		{"fpppp", true, 2, "4d0a97a24642622e154e030b5e6f0aad9b64f426884da4aae2923f868849704f"},
+		{"fpppp", true, 3, "fbd16ba145602cb1283d5816e35e7d98d5909189e6e0e604ff5fa9683dcf55e3"},
+		{"espresso", false, 0, "a7e284e1329848913f2d580226ec00ba02b05d2ac9164529134e151c712ef3fc"},
+		{"espresso", false, 1, "19d92cb337a6556ee3ca97c9eb6a228d21eb4f69be6dbe245e71408555d1e52e"},
+		{"espresso", false, 2, "bcc98fda41f55009edfa4d31a09cfcb15a950175b06c58ebd515a499dfb9628e"},
+		{"espresso", false, 3, "823a1e5de3975821935a56991cfc4065fdebdc9538872a8bfdcc0024dae9b1b7"},
+		{"espresso", true, 0, "2227491bf5aa0d3af035de47aaf4d0701e3a0e93d4a8098e38ea73458a7b5ed6"},
+		{"espresso", true, 1, "4a27120c23cbb6d393adbc844a96bd8cba3ad35071ada5307eb6b0aec392466e"},
+		{"espresso", true, 2, "01f2e25908da9ef2a688e76414742cbe670d64eaf338f21002d264d2d0d9cc54"},
+		{"espresso", true, 3, "a7c0594fb46ee86645674ad63accc02569a21d44557a51135837cbe8bee5e909"},
+		{"nasa7", false, 0, "2f7445d9242ad4130ad4b2d87091143f2e22b167ebdba049ddd8706677a8db07"},
+		{"nasa7", false, 1, "2fed9434e1d402a9ef8a8299164c29e945620bc369057c2967764f8683fd2151"},
+		{"nasa7", false, 2, "56461fbfb7b8215d548c3cdda0c87b2315290943cc2fb693e8e77b4b6b89dc87"},
+		{"nasa7", false, 3, "57633ab3f6a70ad0aeef8c209cc94a4334333be75de471a9143cc235f9de2969"},
+		{"nasa7", true, 0, "73cc89dbaee057900bfb771ee2cb501c82766438fd85d1753d91be842dde3a6d"},
+		{"nasa7", true, 1, "6ab26bd41c74a61814ba9f67ae32bd659b52b342bde5fce46e243d7ca6def9d7"},
+		{"nasa7", true, 2, "3250bdf777580272a8b35d8832ef66ed759558923b91ed81dd8f5ffe17a52f0f"},
+		{"nasa7", true, 3, "2456f0b5f32a55d2d819a4b5422303123f1cd62e66eba844fe7d64d40f483638"},
+		{"eightq", false, 0, "fad0d00bbb9b278789081d3c541ef20aaba7b0d722fd9d66a756a40e3dc420bf"},
+		{"eightq", false, 1, "bdba29bb92f8269cf1541715b269916ff6cea6f28803375aed58b53562041063"},
+		{"eightq", false, 2, "f6e02d9a05de40affa8608f28c0e9cb20057455ed33580fabf813815b7d20df3"},
+		{"eightq", false, 3, "8bfd6af95770918e11bd5c28325c9ab20e5db7837bfe38b89c47667889cc7394"},
+		{"eightq", true, 0, "589765d58b2a4424d16c8065627111b8969941f659893753b80a22453f5c2be2"},
+		{"eightq", true, 1, "3b7341980ab837cae2790da6f16c71bdd25532b8770158def80321fe94cb3d1b"},
+		{"eightq", true, 2, "9a5ad49572637f1438b7ea9bc75f19cc9ef0af826915d5749826f9ddec35de60"},
+		{"eightq", true, 3, "969f06fee4b672eb20227575e14ada516e95ca09a3eea68d675ee9073b5e72d6"},
+	} {
+		tr, rom := corpusROM(t, c.prog, c.wordAligned)
+		if got := observedProm(t, tr, rom, configs[c.config]); got != c.want {
+			t.Errorf("%s word-aligned %v config %d: prom sha256 = %s, want %s",
+				c.prog, c.wordAligned, c.config, got, c.want)
+		}
 	}
 }

@@ -57,15 +57,12 @@ func TestTraceSaveLoadCycleIdentical(t *testing.T) {
 	}
 }
 
-// countSink counts events without retaining them.
-type countSink struct{ n int }
-
-func (s *countSink) Emit(metrics.Event) { s.n++ }
-func (s *countSink) Close() error       { return nil }
-
-// TestInstrumentationDoesNotPerturb: attaching the metrics registry and
-// an event sink must not change a single cycle of the Comparison, and
-// the instruments must agree with the Stats the model already reports.
+// TestInstrumentationDoesNotPerturb: observing a run's profile leaves it
+// as it was, so pricing it gives Compare's Comparison, and the series
+// Observe records agree with that Comparison: the accesses, hits and
+// misses, the CLB misses, one refill observation per miss, the refill
+// cycles (the histogram's sum plus one LAT fetch per CLB miss), and the
+// per-line fetches, which add up to the accesses.
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	text := riscLikeText(8192, 7)
 	tr := syntheticTrace(len(text), 4096, 50)
@@ -79,18 +76,20 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	p, err := Replay(tr, rom, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := metrics.New()
-	sink := &countSink{}
-	cfg.Metrics, cfg.Events = reg, sink
-	instr, err := Compare(tr, rom, cfg)
+	if err := Observe(reg, tr, p, rom, cfg); err != nil {
+		t.Fatal(err)
+	}
+	instr, err := Price(p, rom, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain.Standard, instr.Standard) || !reflect.DeepEqual(plain.CCRP, instr.CCRP) {
-		t.Error("instrumented run produced different stats than the plain run")
-	}
-	if sink.n == 0 {
-		t.Error("event sink saw no events")
+		t.Error("the observed profile priced to different stats than Compare's")
 	}
 
 	if got := reg.Counter("ccrp_cache_accesses_total", "").Value(); got != instr.Standard.Accesses {
@@ -103,8 +102,21 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	if got := reg.Counter("ccrp_clb_misses_total", "").Value(); got != instr.CCRP.CLBMisses {
 		t.Errorf("CLB miss counter = %d, want %d", got, instr.CCRP.CLBMisses)
 	}
-	if got := reg.Histogram("ccrp_refill_cycles", "", nil).Count(); got != instr.CCRP.Misses {
+	refills := reg.Histogram("ccrp_refill_cycles", "", nil)
+	if got := refills.Count(); got != instr.CCRP.Misses {
 		t.Errorf("refill histogram count = %d, want one observation per miss (%d)",
 			got, instr.CCRP.Misses)
+	}
+	latFetches := reg.Counter("ccrp_lat_fetches_total", "").Value()
+	if got := uint64(refills.Sum()) + latFetches*newTariff(cfg.withDefaults()).latFetch; got != instr.CCRP.RefillCycles {
+		t.Errorf("refill histogram sum plus LAT fetches = %d cycles, want %d", got, instr.CCRP.RefillCycles)
+	}
+	lines := reg.CounterVec("ccrp_line_fetches_total", "", "line")
+	var fetches uint64
+	for li := range rom.Lines {
+		fetches += lines.WithInt(li).Value()
+	}
+	if fetches != instr.Standard.Accesses {
+		t.Errorf("per-line fetches add up to %d, want %d accesses", fetches, instr.Standard.Accesses)
 	}
 }

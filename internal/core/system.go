@@ -8,7 +8,6 @@ import (
 	"ccrp/internal/clb"
 	"ccrp/internal/lat"
 	"ccrp/internal/memory"
-	"ccrp/internal/metrics"
 	"ccrp/internal/trace"
 )
 
@@ -37,15 +36,6 @@ type Config struct {
 	// processor to continue during memory delays" extension; 0 = the
 	// paper's blocking model).
 	OverlapCycles uint64
-
-	// Metrics, when set, receives per-set cache miss counters, CLB churn,
-	// refill-cycle and line-size histograms, the per-line fetch heatmap,
-	// and derived gauges. Nil (the default) disables all instrumentation.
-	Metrics *metrics.Registry
-	// Events, when set, receives the structured event stream (fetch,
-	// icache_miss, clb_*, lat_fetch, refill_start/refill_end). Wrap in a
-	// metrics.SampledSink to thin the per-instruction fetch events.
-	Events metrics.EventSink
 }
 
 // withDefaults fills unset fields with the paper's base parameters.
@@ -189,10 +179,6 @@ type Profile struct {
 // supplies the line and LAT-group indices; every ROM of the traced
 // program gives the same profile.
 //
-// With cfg.Metrics or cfg.Events set, Replay also runs the probe, which
-// prices each miss as it happens under cfg's memory, decoder and overlap
-// parameters, so every instrument and event sees the refill it records.
-//
 // The pass visits the trace's runs: a run's first fetch may miss, and its
 // other fetches hit the line that fetch left resident.
 func Replay(tr *trace.Trace, rom *ROM, cfg Config) (*Profile, error) {
@@ -200,56 +186,43 @@ func Replay(tr *trace.Trace, rom *ROM, cfg Config) (*Profile, error) {
 	if tr == nil || len(tr.Events) == 0 {
 		return nil, ErrEmptyTrace
 	}
-	ic, err := cache.NewAssoc(cfg.CacheBytes, LineSize, cfg.CacheWays)
+	ic, err := cfg.newCache()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CLBEntries < 0 {
-		return nil, fmt.Errorf("core: CLB size %d must be positive", cfg.CLBEntries)
-	}
 	buf := clb.New(cfg.CLBEntries)
 	p := &Profile{LineMisses: make([]uint64, len(rom.Lines)), Stalls: tr.Stalls}
-
-	var pr *probe
-	if cfg.Metrics != nil || cfg.Events != nil {
-		if err := cfg.checkPricing(); err != nil {
-			return nil, err
-		}
-		pr = newProbe(cfg, rom, ic, buf)
-	}
-
-	// seq numbers fetches, so it ends at the instruction count.
-	var seq uint64
 	for _, run := range tr.Events {
-		pc, n := run.PC, uint64(run.N)
 		p.DataAccesses += uint64(run.Loads) + uint64(run.Stores)
-		if pr != nil { // fetches is not inlined: an uninstrumented run skips the call
-			pr.fetches(seq, pc, 1)
+		if ic.AccessRun(run.PC, uint64(run.N)) {
+			continue
 		}
-		if !ic.AccessRun(pc, n) {
-			li, err := rom.LineIndex(pc)
-			if err != nil {
-				return nil, fmt.Errorf("core: trace fetch %#x outside program text: %w", pc, err)
-			}
-			p.LineMisses[li]++
-			latIdx := pc / lat.GroupSpan
-			_, hit := buf.Lookup(latIdx)
-			pr.miss(seq, pc, ic.Set(pc), hit)
-			if !hit {
-				p.CLBMisses++
-				pr.latFetch(seq, pc)
-				buf.Insert(latIdx, rom.Table.Entries[latIdx])
-			}
-			pr.refill(seq, pc, li)
+		li, err := rom.LineIndex(run.PC)
+		if err != nil {
+			return nil, fmt.Errorf("core: trace fetch %#x outside program text: %w", run.PC, err)
 		}
-		if pr != nil {
-			pr.fetches(seq+1, pc+trace.WordBytes, n-1)
+		p.LineMisses[li]++
+		latIdx := run.PC / lat.GroupSpan
+		if _, hit := buf.Lookup(latIdx); !hit {
+			p.CLBMisses++
+			buf.Insert(latIdx, rom.Table.Entries[latIdx])
 		}
-		seq += n
 	}
-	pr.finish()
 	p.Accesses = ic.Stats().Accesses
 	return p, nil
+}
+
+// newCache checks cfg's geometry, the i-cache's and the CLB's, and
+// builds the i-cache.
+func (c Config) newCache() (*cache.Cache, error) {
+	ic, err := cache.NewAssoc(c.CacheBytes, LineSize, c.CacheWays)
+	if err != nil {
+		return nil, err
+	}
+	if c.CLBEntries < 0 {
+		return nil, fmt.Errorf("core: CLB size %d must be positive", c.CLBEntries)
+	}
+	return ic, nil
 }
 
 // Price adds up both systems' costs from a miss profile under cfg's

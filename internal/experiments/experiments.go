@@ -366,8 +366,8 @@ func sweepPoints(specs []pointSpec) ([]PerfPoint, error) {
 }
 
 // sweepTotals adds a sweep's totals to reg in point order: the i-cache
-// and CLB counters, under the names cache.Instrument and clb.Instrument
-// give them (every miss probes the CLB), and the CCRP's refill cycles,
+// and CLB counters, under the names cache.Counters and clb.Counters give
+// them (every miss probes the CLB), and the CCRP's refill cycles,
 // LAT fetches included. Each is an exact sum over the priced points.
 func sweepTotals(reg *metrics.Registry, stats []core.Stats) {
 	accesses, hits := cache.Counters(reg)

@@ -113,13 +113,13 @@ func ablations() (d ablationData, err error) {
 	return d, err
 }
 
-// extensionData bundles the future-work extension studies. The
-// decoder's hardware cost is printed but not part of the -json document.
+// extensionData bundles the future-work extension studies and the
+// decoder's hardware cost.
 type extensionData struct {
 	Associativity []AssocRow     `json:"associativity"`
 	DecodeRate    []RateRow      `json:"decode_rate"`
 	BlockSize     []BlockSizeRow `json:"block_size"`
-	DecoderCost   decoder.Cost   `json:"-"`
+	DecoderCost   decoder.Cost   `json:"decoder_cost"`
 }
 
 func extensions() (d extensionData, err error) {

@@ -1,18 +1,18 @@
-// Package metrics is the simulator-wide observability registry: named
-// counters, gauges, and fixed-bucket histograms with near-zero overhead
-// when disabled, plus a sampled structured-event stream (events.go) and
-// text/JSON/Prometheus exporters (export.go).
+// Package metrics is the observability registry of the simulators and
+// daemons: named counters, gauges, and fixed-bucket histograms, with
+// text/JSON/Prometheus exporters (export.go) and a buffered JSONL writer
+// (jsonl.go) that tracing writes its spans through.
 //
 // The design mirrors the paper's experimental method: every aggregate in
-// Tables 1-13 and Figures 1-9 is a sum over per-fetch events, and this
-// package exposes the intermediate sums (per-set cache misses, CLB
-// eviction churn, refill-cycle distributions, per-line fetch heatmaps)
-// that the final Stats struct collapses away.
+// Tables 1-13 and Figures 1-9 is a sum over a trace's misses, and
+// core.Observe exports the intermediate sums (per-set cache misses, CLB
+// evictions, refill-cycle distributions, per-line fetch counts) that the
+// final Stats struct collapses away, from the same miss profile that
+// core.Price prices.
 //
-// Disabled instrumentation is free by construction: a nil *Registry
-// returns nil instruments, and every instrument method is a no-op on a
-// nil receiver, so hot paths guard with a single pointer test and
-// allocate nothing (verified by TestDisabledInstrumentsAllocFree).
+// A nil *Registry returns nil instruments, and every instrument method is
+// a no-op on a nil receiver, so a disabled instrument costs one pointer
+// test and allocates nothing (verified by TestDisabledInstrumentsAllocFree).
 // The package depends only on the standard library.
 package metrics
 

@@ -206,9 +206,10 @@ func (e *encoder) expr(i int) (uint32, error) {
 
 // branchOff computes the 16-bit word offset for a branch at address base
 // (the address of the branch word itself, which may be the second word
-// of a pseudo expansion).
+// of a pseudo expansion). The difference wraps modulo 2^32, as the PC
+// adder does, so a target below address 0 is reachable.
 func (e *encoder) branchOff(target uint32, base uint32) (uint16, error) {
-	diff := int64(target) - int64(base+4)
+	diff := int32(target - (base + 4))
 	if diff&3 != 0 {
 		return 0, e.errf("branch target %#x not word aligned", target)
 	}

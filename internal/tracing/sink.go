@@ -27,8 +27,7 @@ func (r Record) DurMS() float64 { return float64(r.DurNS) / 1e6 }
 
 // SpanSink consumes finished spans; metrics.JSONLSink[Record] writes
 // them as JSONL. Implementations must be safe for concurrent Emit calls:
-// unlike the single-threaded simulators behind metrics.EventSink, spans
-// end on whatever request goroutine ran the stage.
+// spans end on whatever request goroutine ran the stage.
 type SpanSink interface {
 	Emit(rec Record)
 	Close() error
