@@ -66,7 +66,9 @@ type (
 	Code = huffman.Code
 	// ROM is a compressed program image: blocks plus Line Address Table.
 	ROM = core.ROM
-	// ROMOptions configures ROM compression (codes or codec, alignment).
+	// ROMOptions configures ROM compression: Huffman codes or one other
+	// codec, and alignment. BuildROM codes every line through the list of
+	// LineCodecs they resolve to.
 	ROMOptions = core.Options
 	// SystemConfig describes one simulated machine (cache, CLB, memory,
 	// decoder); the program image it runs is a ROM.
@@ -90,8 +92,10 @@ type (
 	PagingResult = pagedvm.Result
 	// PageStore is a page-compressed program image.
 	PageStore = pagedvm.Store
-	// LineCodec abstracts the per-line compression scheme, letting
-	// downstream users plug their own coder into the CCRP pipeline.
+	// LineCodec is one per-line compression scheme: BuildROM sizes,
+	// encodes, decodes and prices every line through a list of them (the
+	// Huffman codes, or ROMOptions.Codec), so downstream users can plug
+	// their own coder into the CCRP pipeline.
 	LineCodec = core.LineCodec
 	// CodePackCoder is the CodePack-style halfword-dictionary coder.
 	CodePackCoder = codepack.Coder
@@ -177,8 +181,9 @@ func Tables11to13() (map[string][]PerfPoint, error) { return experiments.Tables1
 func NewHuffmanCodec(code *Code) LineCodec { return core.NewHuffmanCodec(code) }
 
 // TrainCodePack builds a CodePack-style coder from instruction images
-// (the §5 "more sophisticated encoding" successor scheme). The result
-// satisfies LineCodec and plugs into BuildROM via ROMOptions.Codec.
+// (the §5 "more sophisticated encoding" successor scheme). The result is
+// a LineCodec: set as ROMOptions.Codec, it codes every line of the ROM in
+// place of the Huffman codes.
 func TrainCodePack(images ...[]byte) (*CodePackCoder, error) {
 	return codepack.Train(images...)
 }

@@ -13,6 +13,10 @@
 // CPUs; -j 1 preserves the sequential order of execution). Results are
 // merged by point index, so the output is byte-identical at any -j.
 //
+// -spans appends one sweep_point span per point of a performance sweep,
+// with its train, build and run children, as JSONL to a file ("-" for
+// stderr), for ccrp-spans to analyze.
+//
 // -metrics prints the performance sweeps' totals after the output:
 // i-cache accesses and hits, CLB hits and misses, and the CCRP's refill
 // cycles, each summed over the priced points in point order, so they
@@ -37,6 +41,7 @@ import (
 	"ccrp/internal/cliutil"
 	"ccrp/internal/experiments"
 	"ccrp/internal/sweep"
+	"ccrp/internal/tracing"
 )
 
 func main() {
@@ -53,6 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "all", "comma-separated experiments to run")
 	workers := fs.Int("j", runtime.NumCPU(), "parallel sweep workers (1 = sequential)")
 	jsonOut := fs.String("json", "", `write experiment datapoints as JSON to this file ("-" for stdout)`)
+	spans := fs.String("spans", "", `append per-stage tracing spans as JSONL to this file ("-" for stderr; analyze with ccrp-spans)`)
 	obsFlags := cliutil.RegisterObsFlags(fs)
 	version := cliutil.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccrp-bench:", err)
 		return 2
 	}
-	if err := bench(names, *workers, *jsonOut, obsFlags, stdout); err != nil {
+	if err := bench(names, *workers, *jsonOut, *spans, obsFlags, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "ccrp-bench:", err)
 		return 1
 	}
@@ -95,14 +101,25 @@ func experimentNames(exp string) ([]string, error) {
 
 // bench runs the named experiments and writes their tables to stdout, or
 // with jsonOut their datapoints, then the observability outputs.
-func bench(names []string, workers int, jsonOut string, obsFlags *cliutil.ObsFlags, stdout io.Writer) (err error) {
+func bench(names []string, workers int, jsonOut, spans string, obsFlags *cliutil.ObsFlags, stdout, stderr io.Writer) (err error) {
+	var tracer *tracing.Tracer
+	if spans != "" {
+		if tracer, err = cliutil.OpenTracer(spans, stderr); err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := tracer.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
 	obs, err := obsFlags.Begin()
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
-			obs.Finish(io.Discard) // close the sink and profiles; the run's error wins
+			obs.Finish(io.Discard) // stop the profiles; the run's error wins
 			return
 		}
 		err = obs.Finish(stdout)
@@ -110,7 +127,7 @@ func bench(names []string, workers int, jsonOut string, obsFlags *cliutil.ObsFla
 	experiments.SetEngine(&sweep.Engine{
 		Workers:  workers,
 		Registry: obs.Registry,
-		Tracer:   obs.Tracer,
+		Tracer:   tracer,
 	})
 	defer experiments.SetEngine(nil)
 

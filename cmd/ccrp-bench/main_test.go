@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ccrp/internal/cliutil"
+	"ccrp/internal/sweep"
+	"ccrp/internal/tracing"
 )
 
 // TestUnknownExperiment: a bad -exp name is a usage error (exit 2) found
@@ -40,13 +43,14 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestMetricsIndependentOfWorkers: -metrics prints the performance
-// sweeps' totals, summed in point order, so the whole output of the four
-// sweeps is byte-identical at -j 1 and -j 2.
+// TestMetricsIndependentOfWorkers: sweep results merge by point index
+// and -metrics sums the sweeps' totals in point order, so the four
+// sweeps' full-precision -json document and their exposition are
+// byte-identical at -j 1 and -j 2.
 func TestMetricsIndependentOfWorkers(t *testing.T) {
 	bench := func(workers string) string {
 		var stdout, stderr bytes.Buffer
-		args := []string{"-exp", "tables1-8,tables9-10,fig9,tables11-13", "-metrics", "prom", "-j", workers}
+		args := []string{"-exp", "tables1-8,tables9-10,fig9,tables11-13", "-json", "-", "-metrics", "prom", "-j", workers}
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("-j %s: exit %d, stderr %q", workers, code, stderr.String())
 		}
@@ -87,6 +91,51 @@ func TestEventFlagsRejected(t *testing.T) {
 	}
 	if _, err := os.Stat(events); !os.IsNotExist(err) {
 		t.Errorf("event file exists after a usage error (stat: %v)", err)
+	}
+}
+
+// sweepPoints counts the sweep_point records in a span stream.
+func sweepPoints(t *testing.T, r io.Reader) int {
+	t.Helper()
+	recs, err := tracing.ReadRecords(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, rec := range recs {
+		if rec.Stage == sweep.StagePoint {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSpans: -spans appends one sweep_point record per point of a sweep
+// to its file, flushed when the run ends, and "-" streams the same
+// records to stderr instead.
+func TestSpans(t *testing.T) {
+	spans := filepath.Join(t.TempDir(), "sp.jsonl")
+	var counts []int
+	for range 2 {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-exp", "fig9", "-spans", spans}, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d, stderr %q", code, stderr.String())
+		}
+		data, err := os.ReadFile(spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, sweepPoints(t, bytes.NewReader(data)))
+	}
+	if counts[0] == 0 || counts[1] != 2*counts[0] {
+		t.Errorf("sweep_point records: %d after one run, %d after two; want n > 0, then 2n", counts[0], counts[1])
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "fig9", "-spans", "-"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-spans -: exit %d, stderr %q", code, stderr.String())
+	}
+	if n := sweepPoints(t, &stderr); n != counts[0] {
+		t.Errorf("-spans - wrote %d sweep_point records to stderr, want %d", n, counts[0])
 	}
 }
 

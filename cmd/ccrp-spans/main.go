@@ -1,5 +1,5 @@
 // Command ccrp-spans analyzes the JSONL span streams written by ccrpd
-// -trace and the -spans flag of the batch CLIs: it reconstructs span
+// -trace, ccrp-router -trace and ccrp-bench -spans: it reconstructs span
 // trees, aggregates per-stage latency percentiles, self time, and
 // critical-path attribution, and reports how much of each request's
 // end-to-end time the instrumented stages explain.

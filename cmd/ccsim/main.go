@@ -123,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	defer func() {
 		if err != nil {
-			obs.Finish(io.Discard) // close the span file and profiles; the run's error wins
+			obs.Finish(io.Discard) // stop the profiles; the run's error wins
 			return
 		}
 		err = obs.Finish(stdout)

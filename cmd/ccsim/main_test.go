@@ -86,6 +86,7 @@ func TestBadInput(t *testing.T) {
 		{"unknown flag", []string{"-nonesuch"}, true, "not defined"},
 		{"event stream", []string{"-workload", "eightq", "-events", "x"}, true, "not defined: -events"},
 		{"event sampling", []string{"-workload", "eightq", "-sample", "1"}, true, "not defined: -sample"},
+		{"span file", []string{"-workload", "eightq", "-spans", "x"}, true, "not defined: -spans"},
 		{"unknown workload", []string{"-workload", "nonesuch"}, false, "nonesuch"},
 		{"unknown memory", []string{"-workload", "eightq", "-mem", "SRAM"}, false, "SRAM"},
 		{"trace without image", []string{"-trace", "t.trc"}, false, "-trace needs the program image"},

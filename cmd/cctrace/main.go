@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if err := report(stdout, *wl, fs.Arg(0), *top, obs, ic); err != nil {
-		obs.Finish(io.Discard) // close the span file and profiles; report's error wins
+		obs.Finish(io.Discard) // stop the profiles; report's error wins
 		return err
 	}
 	return obs.Finish(stdout)

@@ -81,6 +81,7 @@ func TestBadInput(t *testing.T) {
 		{"unknown flag", []string{"-nonesuch"}, true, "not defined"},
 		{"event stream", []string{"-workload", "eightq", "-events", "x"}, true, "not defined: -events"},
 		{"event sampling", []string{"-workload", "eightq", "-sample", "1"}, true, "not defined: -sample"},
+		{"span file", []string{"-workload", "eightq", "-spans", "x"}, true, "not defined: -spans"},
 		{"bad cache", []string{"-workload", "eightq", "-cache", "1000", "-metrics", "prom"}, false, "-cache 1000: cache: bad geometry"},
 		{"empty trace", []string{empty}, false, "empty.trc: the trace holds no instructions"},
 		{"version 1 trace", []string{v1}, false, "unsupported version 1"},

@@ -1,8 +1,8 @@
 // Package cliutil holds the selection and loading helpers shared by the
 // ccsim, cctrace, ccpack and ccdb commands: memory-model, workload, and
 // program/trace resolution, Huffman code-set construction, and the
-// observability flag block (-metrics/-spans/-cpuprofile/-memprofile)
-// wired identically across the CLIs. The daemons (ccrpd, ccrp-router)
+// observability flag block (-metrics/-cpuprofile/-memprofile) wired
+// identically across the CLIs. The daemons (ccrpd, ccrp-router)
 // share its listen-and-drain and tracer helpers (serve.go).
 package cliutil
 
@@ -21,7 +21,6 @@ import (
 	"ccrp/internal/memory"
 	"ccrp/internal/metrics"
 	"ccrp/internal/trace"
-	"ccrp/internal/tracing"
 	"ccrp/internal/workload"
 )
 
@@ -108,19 +107,17 @@ func Codes(ownText []byte) ([]*huffman.Code, error) {
 // it after the command's own flags and before flag.Parse.
 type ObsFlags struct {
 	Metrics    *string
-	Spans      *string
 	CPUProfile *string
 	MemProfile *string
 }
 
 // RegisterObsFlags installs the observability flags every CLI takes,
-// -metrics, -spans, -cpuprofile and -memprofile, on fs (flag.CommandLine
-// for the default set).
+// -metrics, -cpuprofile and -memprofile, on fs (flag.CommandLine for the
+// default set).
 func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 	return &ObsFlags{
 		Metrics: fs.String("metrics", "",
 			fmt.Sprintf("export metrics on stdout: %s", strings.Join(metrics.Formats(), ", "))),
-		Spans:      fs.String("spans", "", "write per-stage tracing spans as JSONL to this file (analyze with ccrp-spans)"),
 		CPUProfile: fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
 		MemProfile: fs.String("memprofile", "", "write a pprof heap profile at exit to this file"),
 	}
@@ -129,14 +126,13 @@ func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 // Obs is the live observability state for one command run.
 type Obs struct {
 	Registry *metrics.Registry // nil unless -metrics was given
-	Tracer   *tracing.Tracer   // nil unless -spans was given
 	format   string
 	memPath  string
 	stopCPU  func() error
 }
 
-// Begin validates the flags, opens the span file, and starts the CPU
-// profile. Call Finish (usually deferred through a named error) at exit.
+// Begin validates the flags and starts the CPU profile. Call Finish
+// (usually deferred through a named error) at exit.
 func (f *ObsFlags) Begin() (*Obs, error) {
 	o := &Obs{format: *f.Metrics, memPath: *f.MemProfile}
 	if o.format != "" {
@@ -150,14 +146,6 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 		}
 		o.Registry = metrics.New()
 	}
-	if *f.Spans != "" {
-		tf, err := os.Create(*f.Spans)
-		if err != nil {
-			return nil, err
-		}
-		// The sink owns tf: its Close flushes and closes the file.
-		o.Tracer = tracing.New(tracing.Config{Sink: metrics.NewJSONLSink[tracing.Record](tf)})
-	}
 	if *f.CPUProfile != "" {
 		stop, err := StartCPUProfile(*f.CPUProfile)
 		if err != nil {
@@ -168,17 +156,14 @@ func (f *ObsFlags) Begin() (*Obs, error) {
 	return o, nil
 }
 
-// Finish closes the span sink, writes the profiles, and exports the
-// metrics registry to stdout in the selected format.
+// Finish writes the profiles and exports the metrics registry to stdout
+// in the selected format.
 func (o *Obs) Finish(stdout io.Writer) error {
 	var first error
 	keep := func(err error) {
 		if first == nil && err != nil {
 			first = err
 		}
-	}
-	if o.Tracer != nil {
-		keep(o.Tracer.Close())
 	}
 	if o.stopCPU != nil {
 		keep(o.stopCPU())

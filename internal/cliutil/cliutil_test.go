@@ -3,7 +3,6 @@ package cliutil
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,7 +12,6 @@ import (
 	"ccrp/internal/asm"
 	"ccrp/internal/isa"
 	"ccrp/internal/trace"
-	"ccrp/internal/tracing"
 )
 
 const tinySource = `
@@ -167,20 +165,21 @@ func TestCodes(t *testing.T) {
 	}
 }
 
-// TestObsFlagsWiring: the block is -metrics, -spans, -cpuprofile and
-// -memprofile, wired to its fields, and nothing else.
+// TestObsFlagsWiring: the block is -metrics, -cpuprofile and
+// -memprofile, wired to its fields, and nothing else. -spans is not in
+// it: only ccrp-bench opens spans, and it registers the flag itself.
 func TestObsFlagsWiring(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterObsFlags(fs)
-	if err := fs.Parse([]string{"-metrics", "json", "-spans", "sp.jsonl"}); err != nil {
+	if err := fs.Parse([]string{"-metrics", "json"}); err != nil {
 		t.Fatal(err)
 	}
-	if *f.Metrics != "json" || *f.Spans != "sp.jsonl" || *f.CPUProfile != "" || *f.MemProfile != "" {
+	if *f.Metrics != "json" || *f.CPUProfile != "" || *f.MemProfile != "" {
 		t.Errorf("flag block wired wrong: %+v", f)
 	}
 	var names []string
 	fs.VisitAll(func(fl *flag.Flag) { names = append(names, fl.Name) })
-	if want := []string{"cpuprofile", "memprofile", "metrics", "spans"}; !slices.Equal(names, want) {
+	if want := []string{"cpuprofile", "memprofile", "metrics"}; !slices.Equal(names, want) {
 		t.Errorf("registered %v, want %v", names, want)
 	}
 }
@@ -212,9 +211,6 @@ func TestObsBeginFinish(t *testing.T) {
 	if o.Registry == nil {
 		t.Fatal("no registry despite -metrics")
 	}
-	if o.Tracer != nil {
-		t.Error("tracer started without -spans")
-	}
 	o.Registry.Counter("runs_total", "runs").Inc()
 	var out bytes.Buffer
 	if err := o.Finish(&out); err != nil {
@@ -222,41 +218,5 @@ func TestObsBeginFinish(t *testing.T) {
 	}
 	if want := "# HELP runs_total runs\n# TYPE runs_total counter\nruns_total 1\n"; out.String() != want {
 		t.Errorf("Finish wrote %q, want %q", out.String(), want)
-	}
-}
-
-// TestObsSpansFinish pins the -spans lifecycle: Finish flushes the span
-// sink exactly once (the sink owns the file; a second close used to make
-// every -spans run exit non-zero with "file already closed") and the
-// file holds the emitted records.
-func TestObsSpansFinish(t *testing.T) {
-	spans := filepath.Join(t.TempDir(), "sp.jsonl")
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := RegisterObsFlags(fs)
-	if err := fs.Parse([]string{"-spans", spans}); err != nil {
-		t.Fatal(err)
-	}
-	o, err := f.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Tracer == nil {
-		t.Fatal("no tracer despite -spans")
-	}
-	o.Tracer.Start("sweep_point").End()
-	if err := o.Finish(io.Discard); err != nil {
-		t.Fatalf("Finish() = %v, want nil", err)
-	}
-	sf, err := os.Open(spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Close()
-	recs, err := tracing.ReadRecords(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Stage != "sweep_point" {
-		t.Errorf("span file holds %+v, want one sweep_point record", recs)
 	}
 }

@@ -12,9 +12,10 @@
 // with the same bounded Huffman machinery as the base scheme, so the
 // decoder cost argument (§3.4) carries over.
 //
-// The coder plugs into the same block-bounded pipeline: EncodeLine and
-// DecodeLine work on 32-byte cache lines, and BitLengths exposes the
-// per-output-byte bit counts the refill engine's streaming model needs.
+// The coder plugs into the same block-bounded pipeline as a
+// core.LineCodec: EncodeLine and DecodeLine work on 32-byte cache lines,
+// and BitLengths gives the per-output-byte bit counts that size each
+// line and drive the refill engine's streaming model.
 package codepack
 
 import (
@@ -27,6 +28,7 @@ import (
 
 	"ccrp/internal/bitio"
 	"ccrp/internal/huffman"
+	"ccrp/internal/lat"
 )
 
 // tableSize is the dictionary size per half; index 255 is the escape.
@@ -224,37 +226,24 @@ func (c *Coder) DecodeLineInto(dst, comp []byte) error {
 	return nil
 }
 
-// EncodedBits returns the exact compressed size of line in bits.
-func (c *Coder) EncodedBits(line []byte) (int, error) {
-	if len(line)%4 != 0 {
-		return 0, fmt.Errorf("codepack: line length %d not word aligned", len(line))
+// BitLengths attributes the encoded bits of one cache line to its output
+// bytes (core.LineCodec): each halfword's bits are charged to its two
+// bytes, so they sum to the line's exact encoded size.
+func (c *Coder) BitLengths(line []byte) (lens [lat.LineSize]uint8, err error) {
+	if len(line) != lat.LineSize {
+		return lens, fmt.Errorf("codepack: line length %d, want %d", len(line), lat.LineSize)
 	}
-	total := 0
-	for off := 0; off < len(line); off += 4 {
-		word := binary.LittleEndian.Uint32(line[off:])
-		total += c.upper.halfBits(uint16(word >> 16))
-		total += c.lower.halfBits(uint16(word))
-	}
-	return total, nil
-}
-
-// BitLengths attributes encoded bits to output bytes for the refill
-// engine's streaming model: each halfword's bits are charged to its two
-// bytes.
-func (c *Coder) BitLengths(line []byte) ([]int, error) {
-	if len(line)%4 != 0 {
-		return nil, fmt.Errorf("codepack: line length %d not word aligned", len(line))
-	}
-	lens := make([]int, len(line))
 	for off := 0; off < len(line); off += 4 {
 		word := binary.LittleEndian.Uint32(line[off:])
 		hb := c.upper.halfBits(uint16(word >> 16))
 		lb := c.lower.halfBits(uint16(word))
 		// Little-endian layout: bytes 0,1 are the low half, 2,3 the high.
-		lens[off] = lb / 2
-		lens[off+1] = lb - lb/2
-		lens[off+2] = hb / 2
-		lens[off+3] = hb - hb/2
+		// A half takes at most a 255-bit codeword and a 16-bit literal,
+		// so each byte's share fits.
+		lens[off] = uint8(lb / 2)
+		lens[off+1] = uint8(lb - lb/2)
+		lens[off+2] = uint8(hb / 2)
+		lens[off+3] = uint8(hb - hb/2)
 	}
 	return lens, nil
 }

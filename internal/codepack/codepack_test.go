@@ -82,38 +82,41 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
-func TestEncodedBitsExact(t *testing.T) {
-	c, corpus := trained(t)
-	line := corpus[:32]
-	bits, err := c.EncodedBits(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := c.EncodeLine(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (bits + 7) / 8; len(enc) != want {
-		t.Errorf("EncodedBits says %d bytes, encoder produced %d", want, len(enc))
-	}
+// encodedBits is a line's encoded size, the sum of its BitLengths.
+func encodedBits(t *testing.T, c *Coder, line []byte) int {
+	t.Helper()
 	lens, err := c.BitLengths(line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := 0
+	bits := 0
 	for _, l := range lens {
-		sum += l
+		bits += int(l)
 	}
-	if sum != bits {
-		t.Errorf("BitLengths sum %d != EncodedBits %d", sum, bits)
+	return bits
+}
+
+// TestEncodedBitsExact: a line's BitLengths sum to the size the encoder
+// writes, the size core.BuildROM stores the line at.
+func TestEncodedBitsExact(t *testing.T) {
+	c, corpus := trained(t)
+	for off := 0; off+32 <= 2048; off += 32 {
+		line := corpus[off : off+32]
+		enc, err := c.EncodeLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (encodedBits(t, c, line) + 7) / 8; len(enc) != want {
+			t.Errorf("line at %#x: BitLengths sum to %d bytes, encoder produced %d", off, want, len(enc))
+		}
 	}
 }
 
 func TestCompressesTypicalCode(t *testing.T) {
 	c, corpus := trained(t)
-	bits, err := c.EncodedBits(corpus)
-	if err != nil {
-		t.Fatal(err)
+	bits := 0
+	for off := 0; off+32 <= len(corpus); off += 32 {
+		bits += encodedBits(t, c, corpus[off:off+32])
 	}
 	ratio := float64(bits) / float64(len(corpus)*8)
 	if ratio >= 0.80 {
@@ -139,8 +142,7 @@ func TestEscapesStillDecode(t *testing.T) {
 	if !bytes.Equal(dec, line) {
 		t.Fatal("escape-only line corrupted")
 	}
-	bits, _ := c.EncodedBits(line)
-	if bits <= 16*16 {
+	if bits := encodedBits(t, c, line); bits <= 16*16 {
 		t.Errorf("escape-only line coded in %d bits; must exceed 256 raw bits", bits)
 	}
 }
@@ -156,11 +158,8 @@ func TestErrors(t *testing.T) {
 	if _, err := c.DecodeLine([]byte{0xFF}, 32); err == nil {
 		t.Error("truncated stream accepted")
 	}
-	if _, err := c.EncodedBits(make([]byte, 3)); err == nil {
-		t.Error("unaligned EncodedBits accepted")
-	}
 	if _, err := c.BitLengths(make([]byte, 3)); err == nil {
-		t.Error("unaligned BitLengths accepted")
+		t.Error("short BitLengths line accepted")
 	}
 	if _, err := Train(); err == nil {
 		t.Error("empty corpus accepted")

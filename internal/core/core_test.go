@@ -230,7 +230,7 @@ func TestRawRefillMatchesStandard(t *testing.T) {
 func TestCompressedRefillMinimum(t *testing.T) {
 	// With bits arriving faster than the decoder drains them, the refill
 	// takes exactly 16 cycles + first-word access time (§3.4).
-	bitLens := make([]int, 32)
+	bitLens := make([]uint8, 32)
 	for i := range bitLens {
 		bitLens[i] = 4 // 128 bits = 16 stored bytes
 	}
@@ -247,7 +247,7 @@ func TestCompressedRefillMinimum(t *testing.T) {
 func TestCompressedRefillBeatsStandardOnEPROM(t *testing.T) {
 	// On slow EPROM, fetching fewer bytes dominates: a 16-byte block
 	// refills faster than the 24-cycle standard refill.
-	bitLens := make([]int, 32)
+	bitLens := make([]uint8, 32)
 	for i := range bitLens {
 		bitLens[i] = 4
 	}
@@ -261,7 +261,7 @@ func TestCompressedRefillBeatsStandardOnEPROM(t *testing.T) {
 func TestCompressedRefillStallsOnSlowMemory(t *testing.T) {
 	// A barely-compressed block on EPROM is fetch-bound, slower than the
 	// decode minimum.
-	bitLens := make([]int, 32)
+	bitLens := make([]uint8, 32)
 	for i := range bitLens {
 		bitLens[i] = 7 // 224 bits = 28 bytes, 7 words
 	}
@@ -279,9 +279,9 @@ func TestRefillMonotoneInSize(t *testing.T) {
 	e := RefillEngine{Mem: memory.EPROM{}}
 	prev := uint64(0)
 	for bytes := 4; bytes <= 28; bytes += 4 {
-		bitLens := make([]int, 32)
+		bitLens := make([]uint8, 32)
 		for i := range bitLens {
-			bitLens[i] = bytes * 8 / 32
+			bitLens[i] = uint8(bytes * 8 / 32)
 		}
 		got := e.CompressedLineCycles(bitLens, bytes)
 		if got < prev {
@@ -695,7 +695,7 @@ func BenchmarkCompare(b *testing.B) {
 }
 
 func TestDecodeRateEffect(t *testing.T) {
-	bitLens := make([]int, 32)
+	bitLens := make([]uint8, 32)
 	for i := range bitLens {
 		bitLens[i] = 6 // 192 bits = 24 stored bytes
 	}
@@ -748,20 +748,11 @@ func TestAssociativityHelpsConflictHeavyTrace(t *testing.T) {
 	}
 }
 
-// A minimal codec that doubles as a test of the LineCodec plug point:
-// XOR with a constant plus a 2-byte header (so it always "compresses" to
-// 30 bytes when the line has at least 4 trailing zero... actually it
-// stores 24 bytes by dropping the last 8 if they are zero).
+// A minimal codec that doubles as a test of the LineCodec plug point: a
+// one-byte count followed by the line with its trailing zeros dropped.
 type testCodec struct{}
 
 func (testCodec) Name() string { return "test" }
-func (testCodec) EncodedBits(line []byte) (int, error) {
-	n := len(line)
-	for n > 0 && line[n-1] == 0 {
-		n--
-	}
-	return (n + 1) * 8, nil
-}
 func (testCodec) EncodeLine(line []byte) ([]byte, error) {
 	n := len(line)
 	for n > 0 && line[n-1] == 0 {
@@ -782,8 +773,7 @@ func (testCodec) DecodeLineInto(dst, comp []byte) error {
 	clear(dst[n:])
 	return nil
 }
-func (testCodec) BitLengths(line []byte) ([]int, error) {
-	lens := make([]int, len(line))
+func (testCodec) BitLengths(line []byte) (lens [LineSize]uint8, err error) {
 	n := len(line)
 	for n > 0 && line[n-1] == 0 {
 		n--
@@ -806,7 +796,9 @@ var errBitLengths = errors.New("no per-byte bit attribution")
 // to output bytes, so the refill model cannot price its lines.
 type brokenBitsCodec struct{ testCodec }
 
-func (brokenBitsCodec) BitLengths([]byte) ([]int, error) { return nil, errBitLengths }
+func (brokenBitsCodec) BitLengths([]byte) ([LineSize]uint8, error) {
+	return [LineSize]uint8{}, errBitLengths
+}
 
 // TestBuildROMRejectsCodecWithoutBitLengths: a codec whose BitLengths
 // fails is a build error naming the line, not a ROM whose refills of
@@ -820,6 +812,39 @@ func TestBuildROMRejectsCodecWithoutBitLengths(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line at 0x0") {
 		t.Errorf("BuildROM error %q does not name the line address", err)
+	}
+}
+
+// shortBitsCodec encodes like testCodec but its BitLengths declare one
+// byte less than the encoding takes.
+type shortBitsCodec struct{ testCodec }
+
+func (c shortBitsCodec) BitLengths(line []byte) ([LineSize]uint8, error) {
+	lens, err := c.testCodec.BitLengths(line)
+	for i := range lens {
+		if lens[i] >= 8 {
+			lens[i] -= 8
+			break
+		}
+	}
+	return lens, err
+}
+
+// TestBuildROMRejectsEncodingLongerThanBitLengths: a codec whose encoding
+// outgrows the size its BitLengths declare is a build error naming the
+// line, not a block cut to the declared size that only Verify catches.
+func TestBuildROMRejectsEncodingLongerThanBitLengths(t *testing.T) {
+	text := make([]byte, 2*LineSize)
+	for i := range LineSize {
+		text[i] = byte(i + 1) // line 0 declares 32 bytes and is stored raw
+	}
+	text[LineSize] = 1 // line 1 encodes to 2 bytes and declares 1
+	_, err := BuildROM(text, Options{Codec: shortBitsCodec{}})
+	if err == nil {
+		t.Fatal("BuildROM accepted an encoding longer than its BitLengths")
+	}
+	if !strings.Contains(err.Error(), "line at 0x20") || !strings.Contains(err.Error(), "encoded 2 bytes") {
+		t.Errorf("BuildROM error %q does not name line 0x20 and its encoded size", err)
 	}
 }
 

@@ -133,3 +133,46 @@ func TestObservePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestLineCyclesAllocFree: pricing a refill allocates nothing on any line
+// of a Huffman ROM or of a CodePack ROM, because every codec hands the
+// bit lengths a line streams by back by value.
+func TestLineCyclesAllocFree(t *testing.T) {
+	presel, err := experiments.PreselectedCode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := experiments.CodePackCoder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workload.ByName("espresso")
+	text, err := w.Text()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.RefillEngine{Mem: memory.BurstEPROM{}}
+	for _, c := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"Huffman", core.Options{Codes: []*huffman.Code{presel}}},
+		{"CodePack", core.Options{Codec: cp}},
+	} {
+		rom, err := core.BuildROM(text, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rom.RawLines() == len(rom.Lines) {
+			t.Fatalf("%s ROM has no compressed line; test premise broken", c.name)
+		}
+		n := testing.AllocsPerRun(10, func() {
+			for i := range rom.Lines {
+				e.LineCycles(rom, i)
+			}
+		})
+		if n != 0 {
+			t.Errorf("LineCycles over the %d lines of a %s ROM allocates %v times, want 0", len(rom.Lines), c.name, n)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ccrp/internal/memory"
 )
 
@@ -43,13 +45,13 @@ func (e RefillEngine) RawLineCycles(lineBytes int) uint64 {
 // word containing bit position cum(k) have arrived. At the paper's 2
 // bytes/cycle the minimum for a 32-byte line is therefore 16 cycles plus
 // the first word's access time, as in §3.4.
-func (e RefillEngine) CompressedLineCycles(bitLens []int, storedBytes int) uint64 {
+func (e RefillEngine) CompressedLineCycles(bitLens []uint8, storedBytes int) uint64 {
 	rate := uint64(e.rate())
 	words := (storedBytes + 3) / 4
 	cum := 0
 	var t uint64 // ticks of 1/rate cycle
 	for _, n := range bitLens {
-		cum += n
+		cum += int(n)
 		wordIdx := (cum - 1) / 32
 		if wordIdx >= words {
 			wordIdx = words - 1 // padding bits live in the last stored word
@@ -64,15 +66,22 @@ func (e RefillEngine) CompressedLineCycles(bitLens []int, storedBytes int) uint6
 }
 
 // LineCycles dispatches on the block kind and returns the refill time of
-// ROM line i, excluding CLB effects and post-burst recovery. Huffman
-// lines are priced without allocating.
+// ROM line i, excluding CLB effects and post-burst recovery. A compressed
+// line streams by the bit lengths of the codec that coded it, and is
+// priced without allocating.
 func (e RefillEngine) LineCycles(r *ROM, i int) uint64 {
 	l := r.Lines[i]
 	if l.Raw {
 		return e.RawLineCycles(len(l.Stored))
 	}
-	var lens [LineSize]int
-	return e.CompressedLineCycles(r.bitLengths(i, &lens), len(l.Stored))
+	lens, err := r.codecs[l.CodeIdx].BitLengths(l.Orig)
+	if err != nil {
+		// BuildROM sized the line from these lengths, so only a codec
+		// that changes its answer gets here; pricing the refill at zero
+		// cycles would hide it.
+		panic(fmt.Sprintf("core: line %d: codec BitLengths failed after BuildROM accepted it: %v", i, err))
+	}
+	return e.CompressedLineCycles(lens[:], len(l.Stored))
 }
 
 // LATFetchCycles is the CLB refill penalty: reading one 8-byte LAT entry

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"ccrp/internal/huffman"
 	"ccrp/internal/lat"
@@ -17,7 +18,9 @@ import (
 // LineSize is the instruction cache line / compression block size.
 const LineSize = lat.LineSize
 
-// Options configures ROM compression.
+// Options configures ROM compression. BuildROM resolves it into one list
+// of LineCodecs, each of Codes through NewHuffmanCodec, or Codec alone,
+// and codes every line through that list.
 type Options struct {
 	// Codes are the candidate Huffman codes. With one code this is the
 	// paper's base scheme (typically the Preselected Bounded Huffman
@@ -25,10 +28,10 @@ type Options struct {
 	// per-block tag selects the code at refill time (§2.2's multi-code
 	// extension). Raw storage is always available as the bypass case.
 	Codes []*huffman.Code
-	// Codec, when set, replaces Codes with an alternative per-line
-	// compression scheme (e.g. the CodePack-style coder); raw bypass and
-	// LAT handling are unchanged. Codec images cannot be serialized with
-	// WriteFile (their tables live in the codec, not the ROM format).
+	// Codec, when set, replaces Codes with one other per-line scheme
+	// (e.g. the CodePack-style coder). WriteFile serializes only ROMs
+	// whose codecs are all Huffman codes: another codec's tables live in
+	// the codec, not the ROM format.
 	Codec LineCodec
 	// WordAligned rounds each stored block up to a 4-byte boundary,
 	// simplifying the fetch hardware at a small compression cost
@@ -41,7 +44,7 @@ type Line struct {
 	Orig    []byte // the 32 original instruction bytes
 	Stored  []byte // bytes as stored in instruction memory
 	Raw     bool   // stored uncompressed (decoder bypass)
-	CodeIdx int    // index into Options.Codes, -1 when raw
+	CodeIdx int    // index of the codec that coded the line, -1 when raw
 }
 
 // ROM is a compressed program image: the packed blocks followed by the
@@ -51,25 +54,33 @@ type ROM struct {
 	Table        *lat.Table
 	Blocks       []byte // packed block region (starts at address 0)
 	OriginalSize int    // padded text size
-	opts         Options
+	codecs       []LineCodec
+	wordAligned  bool
 }
 
-// ErrNoCodes is returned when Options.Codes is empty.
+// ErrNoCodes is returned when Options has neither Codes nor a Codec.
 var ErrNoCodes = errors.New("core: at least one Huffman code is required")
 
 // BuildROM compresses an R2000 text image line by line.
 func BuildROM(text []byte, opts Options) (*ROM, error) {
-	if len(opts.Codes) == 0 && opts.Codec == nil {
+	codecs := []LineCodec{opts.Codec}
+	if opts.Codec == nil {
+		codecs = make([]LineCodec, len(opts.Codes))
+		for i, code := range opts.Codes {
+			codecs[i] = NewHuffmanCodec(code)
+		}
+	}
+	if len(codecs) == 0 {
 		return nil, ErrNoCodes
 	}
 	padded := make([]byte, (len(text)+LineSize-1)/LineSize*LineSize)
 	copy(padded, text)
 
-	rom := &ROM{OriginalSize: len(padded), opts: opts}
+	rom := &ROM{OriginalSize: len(padded), codecs: codecs, wordAligned: opts.WordAligned}
 	var blockLens []int
 	for off := 0; off < len(padded); off += LineSize {
 		orig := padded[off : off+LineSize]
-		line, err := compressLine(orig, opts)
+		line, err := rom.compressLine(orig)
 		if err != nil {
 			return nil, fmt.Errorf("core: line at %#x: %w", off, err)
 		}
@@ -85,58 +96,48 @@ func BuildROM(text []byte, opts Options) (*ROM, error) {
 	return rom, nil
 }
 
-// compressLine encodes one block with every candidate code and keeps the
-// smallest result, falling back to raw storage when nothing shrinks it
-// below the line size.
-func compressLine(orig []byte, opts Options) (Line, error) {
-	best := Line{Orig: orig, Stored: orig, Raw: true, CodeIdx: -1}
-	if opts.Codec != nil {
-		bits, err := opts.Codec.EncodedBits(orig)
+// compressLine sizes a block under every codec from its BitLengths and
+// encodes it under the first that stores it smallest, falling back to
+// raw storage when none shrinks it below the line size.
+func (r *ROM) compressLine(orig []byte) (Line, error) {
+	best, exact, size := -1, 0, LineSize
+	for ci, codec := range r.codecs {
+		lens, err := codec.BitLengths(orig)
+		if errors.Is(err, huffman.ErrNoCodeword) {
+			continue // the codec cannot represent some byte; try others or raw
+		}
 		if err != nil {
 			return Line{}, err
 		}
-		n := (bits + 7) / 8
-		if opts.WordAligned {
-			n = (n + 3) / 4 * 4
+		nbits := 0
+		for _, l := range lens {
+			nbits += int(l)
 		}
-		if n >= LineSize {
-			return best, nil
+		n := (nbits + 7) / 8
+		stored := n
+		if r.wordAligned {
+			stored = (n + 3) / 4 * 4
 		}
-		// The refill model streams a compressed line by its per-byte bit
-		// lengths; a codec that cannot attribute them would make every
-		// refill of this line free.
-		if _, err := opts.Codec.BitLengths(orig); err != nil {
-			return Line{}, err
+		if stored < size {
+			best, exact, size = ci, n, stored
 		}
-		enc, err := opts.Codec.EncodeLine(orig)
-		if err != nil {
-			return Line{}, err
-		}
-		stored := make([]byte, n)
-		copy(stored, enc)
-		return Line{Orig: orig, Stored: stored, Raw: false, CodeIdx: 0}, nil
 	}
-	for ci, code := range opts.Codes {
-		bits, err := code.EncodedBits(orig)
-		if err != nil {
-			continue // code cannot represent some byte; try others or raw
-		}
-		n := (bits + 7) / 8
-		if opts.WordAligned {
-			n = (n + 3) / 4 * 4
-		}
-		if n >= LineSize || n >= len(best.Stored) && !best.Raw {
-			continue
-		}
-		enc, err := code.EncodeToBytes(orig)
-		if err != nil {
-			return Line{}, err
-		}
-		stored := make([]byte, n)
-		copy(stored, enc)
-		best = Line{Orig: orig, Stored: stored, Raw: false, CodeIdx: ci}
+	if best < 0 {
+		return Line{Orig: orig, Stored: orig, Raw: true, CodeIdx: -1}, nil
 	}
-	return best, nil
+	codec := r.codecs[best]
+	enc, err := codec.EncodeLine(orig)
+	if err != nil {
+		return Line{}, err
+	}
+	// The LAT records the size the bit lengths give; a longer encoding
+	// would be cut short and priced as shorter than it is.
+	if len(enc) > exact {
+		return Line{}, fmt.Errorf("codec %q encoded %d bytes, its BitLengths sum to %d", codec.Name(), len(enc), exact)
+	}
+	stored := make([]byte, size)
+	copy(stored, enc)
+	return Line{Orig: orig, Stored: stored, CodeIdx: best}, nil
 }
 
 // BlocksSize returns the packed compressed block bytes.
@@ -148,15 +149,12 @@ func (r *ROM) TableSize() int { return r.Table.Size() }
 // TagBits returns the per-image cost in bits of the per-block code-select
 // tags; zero for a single code (the raw flag lives in the LAT for free).
 func (r *ROM) TagBits() int {
-	if len(r.opts.Codes) <= 1 {
-		return 0
-	}
-	bits := 1
-	for 1<<bits < len(r.opts.Codes) {
-		bits++
-	}
-	return bits * len(r.Lines)
+	return int(tagWidth(len(r.codecs))) * len(r.Lines)
 }
+
+// tagWidth is the bits of one code-select tag among n codes: enough to
+// number them, so none for a single code.
+func tagWidth(n int) uint { return uint(bits.Len(uint(max(n-1, 0)))) }
 
 // CompressedSize returns the total instruction memory footprint: blocks,
 // LAT, and code-select tags. Code tables are accounted separately by the
@@ -193,11 +191,10 @@ func (r *ROM) DecompressLine(i int) ([]byte, error) {
 }
 
 // DecompressLineInto expands block i into dst, which must be exactly
-// LineSize bytes. This is the zero-allocation form of DecompressLine:
-// hot callers (the serving decompress path, Verify, page expansion) own
-// the buffer, so nothing on the decode path touches the heap. Huffman
-// blocks expand through the code's memoized multi-symbol decoder
-// (huffman.Code.Multi), proven byte-identical to the canonical one.
+// LineSize bytes, through the codec that coded it. This is the
+// zero-allocation form of DecompressLine: hot callers (the serving
+// decompress path, Verify, page expansion) own the buffer, so nothing on
+// the decode path touches the heap.
 func (r *ROM) DecompressLineInto(i int, dst []byte) error {
 	if i < 0 || i >= len(r.Lines) {
 		return fmt.Errorf("core: line %d out of range", i)
@@ -213,13 +210,7 @@ func (r *ROM) DecompressLineInto(i int, dst []byte) error {
 		}
 		return nil
 	}
-	var err error
-	if r.opts.Codec != nil {
-		err = r.opts.Codec.DecodeLineInto(dst, l.Stored)
-	} else {
-		err = r.opts.Codes[l.CodeIdx].Multi().DecodeInto(dst, l.Stored)
-	}
-	if err != nil {
+	if err := r.codecs[l.CodeIdx].DecodeLineInto(dst, l.Stored); err != nil {
 		return fmt.Errorf("core: line %d: %w", i, err)
 	}
 	return nil
@@ -240,33 +231,6 @@ func (r *ROM) Verify() error {
 		}
 	}
 	return nil
-}
-
-// bitLengths returns the per-output-byte encoded bit counts for block i,
-// which drive the refill engine's streaming model. Huffman blocks fill
-// dst, so pricing a refill allocates nothing; codec blocks return the
-// codec's own slice. Raw blocks return nil.
-func (r *ROM) bitLengths(i int, dst *[LineSize]int) []int {
-	l := r.Lines[i]
-	if l.Raw {
-		return nil
-	}
-	if r.opts.Codec != nil {
-		lens, err := r.opts.Codec.BitLengths(l.Orig)
-		if err != nil {
-			// BuildROM rejects every line whose BitLengths fails, so
-			// only a codec that changes its answer gets here; a silent
-			// nil would price the refill at zero cycles.
-			panic(fmt.Sprintf("core: line %d: codec BitLengths failed after BuildROM accepted it: %v", i, err))
-		}
-		return lens
-	}
-	code := r.opts.Codes[l.CodeIdx]
-	lens := dst[:len(l.Orig)]
-	for k, b := range l.Orig {
-		lens[k] = code.Len(b)
-	}
-	return lens
 }
 
 // RawLines counts blocks stored uncompressed.

@@ -30,11 +30,17 @@ const (
 // ErrBadROMFile is returned when parsing a malformed ROM file.
 var ErrBadROMFile = errors.New("core: malformed ROM file")
 
-// WriteFile serializes the ROM image. Images built with a custom Codec
-// are not serializable: their decode tables live in the codec.
+// WriteFile serializes the ROM image. Only a ROM whose codecs are all
+// Huffman codes is serializable: another codec's decode tables live in
+// the codec, not the file.
 func (r *ROM) WriteFile(w io.Writer) error {
-	if r.opts.Codec != nil {
-		return fmt.Errorf("core: cannot serialize a ROM built with codec %q", r.opts.Codec.Name())
+	codes := make([]*huffman.Code, len(r.codecs))
+	for i, c := range r.codecs {
+		hc, ok := c.(HuffmanCodec)
+		if !ok {
+			return fmt.Errorf("core: cannot serialize a ROM built with codec %q", c.Name())
+		}
+		codes[i] = hc.code
 	}
 	latBytes := r.Table.Bytes()
 	var hdr [28]byte
@@ -43,33 +49,23 @@ func (r *ROM) WriteFile(w io.Writer) error {
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(r.OriginalSize))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(r.Blocks)))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(latBytes)))
-	flags := uint32(len(r.opts.Codes))
-	if r.opts.WordAligned {
+	flags := uint32(len(codes))
+	if r.wordAligned {
 		flags |= 1 << 16
 	}
 	binary.LittleEndian.PutUint32(hdr[20:], flags)
-	// Per-line code tags (omitted for a single code).
-	var tagBytes []byte
-	if len(r.opts.Codes) > 1 {
-		var tw bitio.Writer
-		width := uint(1)
-		for 1<<width < len(r.opts.Codes) {
-			width++
-		}
-		for _, l := range r.Lines {
-			idx := l.CodeIdx
-			if idx < 0 {
-				idx = 0 // raw lines are flagged in the LAT; tag unused
-			}
-			tw.WriteBits(uint64(idx), width)
-		}
-		tagBytes = tw.Bytes()
+	// Per-line code tags, zero bits wide for a single code.
+	var tw bitio.Writer
+	width := tagWidth(len(codes))
+	for _, l := range r.Lines {
+		tw.WriteBits(uint64(max(l.CodeIdx, 0)), width) // raw lines are flagged in the LAT; tag unused
 	}
+	tagBytes := tw.Bytes()
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(tagBytes)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	for _, code := range r.opts.Codes {
+	for _, code := range codes {
 		blob, err := code.MarshalBinary()
 		if err != nil {
 			return err
@@ -120,8 +116,8 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	if origSize%LineSize != 0 {
 		return nil, fmt.Errorf("%w: original size %d is not a multiple of the %d-byte line", ErrBadROMFile, origSize, LineSize)
 	}
-	opts := Options{WordAligned: flags&(1<<16) != 0}
-	for i := 0; i < nCodes; i++ {
+	codecs := make([]LineCodec, nCodes)
+	for i := range codecs {
 		var sz [4]byte
 		if _, err := io.ReadFull(rd, sz[:]); err != nil {
 			return nil, fmt.Errorf("%w: code table %d: %v", ErrBadROMFile, i, err)
@@ -138,7 +134,7 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: code table %d: %v", ErrBadROMFile, i, err)
 		}
-		opts.Codes = append(opts.Codes, code)
+		codecs[i] = NewHuffmanCodec(code)
 	}
 	tags := make([]byte, tagLen)
 	if _, err := io.ReadFull(rd, tags); err != nil {
@@ -158,12 +154,10 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	}
 	table.Blocks = origSize / LineSize
 
-	rom := &ROM{Table: table, Blocks: blocks, OriginalSize: origSize, opts: opts}
+	rom := &ROM{Table: table, Blocks: blocks, OriginalSize: origSize,
+		codecs: codecs, wordAligned: flags&(1<<16) != 0}
 	tagReader := bitio.NewReader(tags)
-	tagWidth := uint(1)
-	for 1<<tagWidth < nCodes {
-		tagWidth++
-	}
+	width := tagWidth(nCodes)
 	for i := 0; i < table.Blocks; i++ {
 		addr, length, raw, err := table.Lookup(uint32(i * LineSize))
 		if err != nil {
@@ -174,16 +168,12 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		}
 		stored := blocks[addr : int(addr)+length]
 		line := Line{Stored: stored, Raw: raw, CodeIdx: -1}
-		if nCodes > 1 {
-			idx, err := tagReader.ReadBits(tagWidth)
-			if err != nil {
-				return nil, fmt.Errorf("%w: tag %d: %v", ErrBadROMFile, i, err)
-			}
-			if !raw {
-				line.CodeIdx = int(idx)
-			}
-		} else if !raw {
-			line.CodeIdx = 0
+		idx, err := tagReader.ReadBits(width)
+		if err != nil {
+			return nil, fmt.Errorf("%w: tag %d: %v", ErrBadROMFile, i, err)
+		}
+		if !raw {
+			line.CodeIdx = int(idx)
 		}
 		if line.CodeIdx >= nCodes {
 			return nil, fmt.Errorf("%w: block %d selects code %d of %d", ErrBadROMFile, i, line.CodeIdx, nCodes)

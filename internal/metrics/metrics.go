@@ -150,27 +150,34 @@ func LinearBuckets(start, step float64, n int) []float64 {
 	return out
 }
 
-// CounterVec is a family of counters distinguished by one label
-// (e.g. per-cache-set miss counters labelled by set index). Children are
-// created on first use and exported in label-sorted order.
-type CounterVec struct {
+// labelVec is a family of instruments distinguished by one label.
+// Children are created on first use and exported in label-sorted order.
+type labelVec[T Counter | Gauge] struct {
 	label    string
-	index    map[string]*Counter
+	index    map[string]*T
 	order    []string
 	numLabel bool // every label value so far parsed as an integer
 }
 
-// With returns the child counter for the label value, creating it if
-// needed. It returns nil (a no-op counter) on a nil receiver, so callers
-// may cache children unconditionally.
-func (v *CounterVec) With(value string) *Counter {
+// CounterVec is a family of counters distinguished by one label (e.g.
+// per-cache-set miss counters labelled by set index).
+type CounterVec = labelVec[Counter]
+
+// GaugeVec is a family of gauges distinguished by one label (e.g.
+// per-backend up/down state labelled by node address).
+type GaugeVec = labelVec[Gauge]
+
+// With returns the child instrument for the label value, creating it if
+// needed. It returns nil (a no-op instrument) on a nil receiver, so
+// callers may cache children unconditionally.
+func (v *labelVec[T]) With(value string) *T {
 	if v == nil {
 		return nil
 	}
 	if c, ok := v.index[value]; ok {
 		return c
 	}
-	c := &Counter{}
+	c := new(T)
 	v.index[value] = c
 	v.order = append(v.order, value)
 	if _, err := strconv.Atoi(value); err != nil {
@@ -180,7 +187,7 @@ func (v *CounterVec) With(value string) *Counter {
 }
 
 // WithInt is With for integer label values.
-func (v *CounterVec) WithInt(value int) *Counter {
+func (v *labelVec[T]) WithInt(value int) *T {
 	if v == nil {
 		return nil
 	}
@@ -189,52 +196,7 @@ func (v *CounterVec) WithInt(value int) *Counter {
 
 // labels returns the label values, numerically sorted when every value is
 // an integer, lexically otherwise.
-func (v *CounterVec) labels() []string {
-	out := append([]string(nil), v.order...)
-	if v.numLabel {
-		sort.Slice(out, func(i, j int) bool {
-			a, _ := strconv.Atoi(out[i])
-			b, _ := strconv.Atoi(out[j])
-			return a < b
-		})
-	} else {
-		sort.Strings(out)
-	}
-	return out
-}
-
-// GaugeVec is a family of gauges distinguished by one label (e.g.
-// per-backend up/down state labelled by node address). Children are
-// created on first use and exported in label-sorted order.
-type GaugeVec struct {
-	label    string
-	index    map[string]*Gauge
-	order    []string
-	numLabel bool // every label value so far parsed as an integer
-}
-
-// With returns the child gauge for the label value, creating it if
-// needed. It returns nil (a no-op gauge) on a nil receiver, so callers
-// may cache children unconditionally.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	if g, ok := v.index[value]; ok {
-		return g
-	}
-	g := &Gauge{}
-	v.index[value] = g
-	v.order = append(v.order, value)
-	if _, err := strconv.Atoi(value); err != nil {
-		v.numLabel = false
-	}
-	return g
-}
-
-// labels returns the label values, numerically sorted when every value is
-// an integer, lexically otherwise.
-func (v *GaugeVec) labels() []string {
+func (v *labelVec[T]) labels() []string {
 	out := append([]string(nil), v.order...)
 	if v.numLabel {
 		sort.Slice(out, func(i, j int) bool {

@@ -33,8 +33,9 @@ type coderEntry struct {
 	Kind        string
 	Bound       int
 	CorpusBytes int
-	codes       []*huffman.Code // byte-Huffman kinds
-	codec       core.LineCodec  // codepack
+	// codec codes every line of the coder's ROMs: a core.HuffmanCodec
+	// for the byte-Huffman kinds, a *codepack.Coder for codepack.
+	codec core.LineCodec
 }
 
 // coderInfo is the wire shape describing a coder.
@@ -54,12 +55,12 @@ func (e *coderEntry) info(cached bool) coderInfo {
 		ID: e.ID, Kind: e.Kind, Bound: e.Bound,
 		CorpusBytes: e.CorpusBytes, Cached: cached,
 	}
-	if len(e.codes) > 0 {
-		info.MaxCodeLen = e.codes[0].MaxLen()
-		info.TableBits = e.codes[0].TableBits()
-	}
-	if cp, ok := e.codec.(*codepack.Coder); ok {
-		info.DictBytes = cp.DictionaryBytes()
+	switch c := e.codec.(type) {
+	case core.HuffmanCodec:
+		info.MaxCodeLen = c.Code().MaxLen()
+		info.TableBits = c.Code().TableBits()
+	case *codepack.Coder:
+		info.DictBytes = c.DictionaryBytes()
 	}
 	return info
 }
@@ -152,7 +153,7 @@ func buildCoder(id, kind string, bound int, corpus [][]byte) (*coderEntry, error
 		if err != nil {
 			return nil, err
 		}
-		e.codes = []*huffman.Code{code}
+		e.codec = core.NewHuffmanCodec(code)
 	case KindHuffman, KindBounded:
 		h := huffman.HistogramOf(corpus...)
 		// Smooth so every byte value stays encodable: a service coder
@@ -169,7 +170,7 @@ func buildCoder(id, kind string, bound int, corpus [][]byte) (*coderEntry, error
 		if err != nil {
 			return nil, errUnprocessable("training %s code: %v", kind, err)
 		}
-		e.codes = []*huffman.Code{code}
+		e.codec = core.NewHuffmanCodec(code)
 	case KindCodePack:
 		coder, err := codepack.Train(corpus...)
 		if err != nil {
@@ -320,9 +321,12 @@ func (s *Server) resolveCoder(ctx context.Context, id string) (*coderEntry, erro
 
 // romOptions builds the core compression options for a coder.
 func (e *coderEntry) romOptions(wordAligned bool) core.Options {
-	return core.Options{Codes: e.codes, Codec: e.codec, WordAligned: wordAligned}
+	return core.Options{Codec: e.codec, WordAligned: wordAligned}
 }
 
 // serializable reports whether the coder's ROMs can be written as CROM
-// files (codec tables live outside the ROM format).
-func (e *coderEntry) serializable() bool { return e.codec == nil }
+// files: only a Huffman code's tables travel in the ROM format.
+func (e *coderEntry) serializable() bool {
+	_, ok := e.codec.(core.HuffmanCodec)
+	return ok
+}

@@ -300,7 +300,7 @@ func (s *Server) decompressLines(ctx context.Context, req *decompressRequest) ([
 		dst := out[i*core.LineSize : (i+1)*core.LineSize]
 		if l.Raw {
 			copy(dst, stored)
-		} else if err := entry.decodeLineInto(dst, stored); err != nil {
+		} else if err := entry.codec.DecodeLineInto(dst, stored); err != nil {
 			err := errUnprocessable("line %d: %v", i, err)
 			sp.SetError(err)
 			return nil, err
@@ -331,16 +331,4 @@ func checkLines(lines []lineInfo, blockBytes int) error {
 		return errUnprocessable("line %d: %d bytes of blocks_b64 follow the last line", len(lines)-1, blockBytes-off)
 	}
 	return nil
-}
-
-// decodeLineInto expands one stored block into a full cache line held by
-// the caller — the zero-allocation unit of the decompress path.
-func (e *coderEntry) decodeLineInto(dst, stored []byte) error {
-	if e.codec != nil {
-		return e.codec.DecodeLineInto(dst, stored)
-	}
-	// Single-code byte-Huffman; multi-code images need per-line tags and
-	// travel as CROM files instead. Decode runs through the multi-symbol
-	// table-driven kernel (byte-identical to the canonical decoder).
-	return e.codes[0].Multi().DecodeInto(dst, stored)
 }

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"ccrp/internal/codepack"
+	"ccrp/internal/core"
 	"ccrp/internal/huffman"
 	"ccrp/internal/metrics"
 	"ccrp/internal/sweep"
@@ -32,15 +33,15 @@ import (
 const artifactClassCoder = "coder"
 
 // coderEntryWire is the gob shape of a persisted coderEntry. The
-// in-memory entry holds live *huffman.Code and core.LineCodec values;
-// on disk those travel in their own binary forms and are rebuilt on
+// in-memory entry holds a live core.LineCodec; on disk its Huffman code
+// or CodePack coder travels in its own binary form and is rebuilt on
 // decode, so a restored coder is byte-identical in behavior.
 type coderEntryWire struct {
 	ID          string
 	Kind        string
 	Bound       int
 	CorpusBytes int
-	Codes       [][]byte // huffman.Code.MarshalBinary, in order
+	Codes       [][]byte // huffman.Code.MarshalBinary: one, for the Huffman kinds
 	CodePack    []byte   // codepack.Coder.MarshalBinary, when Kind == codepack
 }
 
@@ -48,23 +49,18 @@ func encodeCoderEntry(e *coderEntry) ([]byte, error) {
 	wire := coderEntryWire{
 		ID: e.ID, Kind: e.Kind, Bound: e.Bound, CorpusBytes: e.CorpusBytes,
 	}
-	for _, code := range e.codes {
-		blob, err := code.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("coder %s: %w", e.ID, err)
-		}
-		wire.Codes = append(wire.Codes, blob)
+	var err error
+	switch c := e.codec.(type) {
+	case core.HuffmanCodec:
+		wire.Codes = make([][]byte, 1)
+		wire.Codes[0], err = c.Code().MarshalBinary()
+	case *codepack.Coder:
+		wire.CodePack, err = c.MarshalBinary()
+	default:
+		err = fmt.Errorf("codec %T is not persistable", e.codec)
 	}
-	if e.codec != nil {
-		cp, ok := e.codec.(*codepack.Coder)
-		if !ok {
-			return nil, fmt.Errorf("coder %s: codec %T is not persistable", e.ID, e.codec)
-		}
-		blob, err := cp.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("coder %s: %w", e.ID, err)
-		}
-		wire.CodePack = blob
+	if err != nil {
+		return nil, fmt.Errorf("coder %s: %w", e.ID, err)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
@@ -85,22 +81,22 @@ func decodeCoderEntry(blob []byte) (*coderEntry, error) {
 		ID: wire.ID, Kind: wire.Kind,
 		Bound: wire.Bound, CorpusBytes: wire.CorpusBytes,
 	}
-	for i, blob := range wire.Codes {
-		code, err := huffman.UnmarshalCode(blob)
+	switch {
+	case len(wire.Codes) == 1 && wire.CodePack == nil:
+		code, err := huffman.UnmarshalCode(wire.Codes[0])
 		if err != nil {
-			return nil, fmt.Errorf("stored coder %s: code %d: %w", wire.ID, i, err)
+			return nil, fmt.Errorf("stored coder %s: code: %w", wire.ID, err)
 		}
-		e.codes = append(e.codes, code)
-	}
-	if wire.CodePack != nil {
+		e.codec = core.NewHuffmanCodec(code)
+	case len(wire.Codes) == 0 && wire.CodePack != nil:
 		cp, err := codepack.UnmarshalCoder(wire.CodePack)
 		if err != nil {
 			return nil, fmt.Errorf("stored coder %s: %w", wire.ID, err)
 		}
 		e.codec = cp
-	}
-	if len(e.codes) == 0 && e.codec == nil {
-		return nil, fmt.Errorf("stored coder %s: no codes and no codec", wire.ID)
+	default:
+		return nil, fmt.Errorf("stored coder %s: %d codes and %d CodePack bytes, want one code or one CodePack coder",
+			wire.ID, len(wire.Codes), len(wire.CodePack))
 	}
 	return e, nil
 }

@@ -38,6 +38,16 @@ func counterValue(t *testing.T, s *Server, name string) string {
 	return ""
 }
 
+// codeLengths returns the codeword lengths of a Huffman-kind coder.
+func codeLengths(t *testing.T, e *coderEntry) [256]uint8 {
+	t.Helper()
+	hc, ok := e.codec.(core.HuffmanCodec)
+	if !ok {
+		t.Fatalf("coder %s holds %T, want a Huffman code", e.ID, e.codec)
+	}
+	return hc.Code().Lengths()
+}
+
 // TestCoderEntryCodecRoundTrip: every coder kind survives the store
 // codec with behavior intact.
 func TestCoderEntryCodecRoundTrip(t *testing.T) {
@@ -71,21 +81,21 @@ func TestCoderEntryCodecRoundTrip(t *testing.T) {
 				back.Bound != orig.Bound || back.CorpusBytes != orig.CorpusBytes {
 				t.Fatalf("restored entry metadata differs: %+v vs %+v", back, orig)
 			}
+			enc, err := orig.codec.EncodeLine(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := make([]byte, core.LineSize)
+			if err := back.codec.DecodeLineInto(dec, enc); err != nil || !bytes.Equal(dec, line) {
+				t.Fatalf("restored %T decode = (%x, %v), want original line", back.codec, dec, err)
+			}
 			if kind == KindCodePack {
 				if _, ok := back.codec.(*codepack.Coder); !ok {
 					t.Fatalf("restored codec is %T", back.codec)
 				}
-				enc, err := orig.codec.EncodeLine(line)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dec := make([]byte, core.LineSize)
-				if err := back.decodeLineInto(dec, enc); err != nil || !bytes.Equal(dec, line) {
-					t.Fatalf("restored codepack decode = (%x, %v), want original line", dec, err)
-				}
 				return
 			}
-			if orig.codes[0].Lengths() != back.codes[0].Lengths() {
+			if codeLengths(t, orig) != codeLengths(t, back) {
 				t.Fatal("restored code lengths differ")
 			}
 		})
@@ -304,7 +314,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != id || back.Kind != KindPreselected || back.codes[0].Lengths() != orig.codes[0].Lengths() {
+	if back.ID != id || back.Kind != KindPreselected || codeLengths(t, back) != codeLengths(t, orig) {
 		t.Fatalf("loaded coder %+v differs from the saved one", back)
 	}
 	arts, err := st.list()
