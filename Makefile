@@ -49,6 +49,7 @@ decode-bench:
 FUZZTIME ?= 10s
 FUZZ = $(GO) test -run=^$$ -fuzztime=$(FUZZTIME)
 fuzz:
+	$(FUZZ) -fuzz='^FuzzWriter$$' ./internal/bitio
 	$(FUZZ) -fuzz='^FuzzReadROMFile$$' ./internal/core
 	$(FUZZ) -fuzz='^FuzzDecodeLine$$' ./internal/codepack
 	$(FUZZ) -fuzz='^FuzzTrainEncodeDecode$$' ./internal/codepack

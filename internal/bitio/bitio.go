@@ -9,6 +9,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -17,14 +18,22 @@ import (
 // the underlying buffer.
 var ErrShortStream = errors.New("bitio: read past end of stream")
 
-// Writer accumulates bits MSB-first into an in-memory buffer.
+// Writer accumulates bits MSB-first into an in-memory buffer. Bits
+// collect in a 64-bit accumulator and reach the buffer eight bytes at a
+// time, so a write costs a few shifts, not a loop over its bits.
 //
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	cur  byte // partially filled byte
-	nCur uint // number of valid bits in cur (0..7)
+	acc  uint64 // pending bits, left-aligned: the oldest is bit 63
+	nAcc uint   // number of pending bits in acc (0..63)
 }
+
+// NewWriter returns a Writer that appends to dst: Bytes returns dst
+// extended by the written bits, in dst's own array while its capacity
+// lasts, so an encoder can write into a caller's buffer without
+// allocating.
+func NewWriter(dst []byte) *Writer { return &Writer{buf: dst} }
 
 // WriteBits appends the low n bits of v, most significant of those n first.
 // n must be in [0, 64].
@@ -32,15 +41,17 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
 		panic(fmt.Sprintf("bitio: WriteBits width %d out of range", n))
 	}
-	for i := n; i > 0; i-- {
-		bit := byte(v>>(i-1)) & 1
-		w.cur = w.cur<<1 | bit
-		w.nCur++
-		if w.nCur == 8 {
-			w.buf = append(w.buf, w.cur)
-			w.cur, w.nCur = 0, 0
-		}
+	v <<= 64 - n // left-align the n bits; for n = 0 this leaves nothing
+	w.acc |= v >> w.nAcc
+	if w.nAcc+n < 64 {
+		w.nAcc += n
+		return
 	}
+	// The accumulator is full: emit it and keep the bits of v that did
+	// not fit (none when nAcc was 0, as Go shifts a uint64 by 64 to 0).
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
+	w.acc = v << (64 - w.nAcc)
+	w.nAcc = w.nAcc + n - 64
 }
 
 // WriteBit appends a single bit (any nonzero b counts as 1).
@@ -53,34 +64,32 @@ func (w *Writer) WriteBit(b byte) {
 
 // WriteBytes appends whole bytes, bit-aligned or not.
 func (w *Writer) WriteBytes(p []byte) {
-	if w.nCur == 0 {
-		w.buf = append(w.buf, p...)
-		return
-	}
 	for _, b := range p {
 		w.WriteBits(uint64(b), 8)
 	}
 }
 
-// Len returns the number of bits written so far.
-func (w *Writer) Len() int { return len(w.buf)*8 + int(w.nCur) }
+// Len returns the number of bits written so far, counting a NewWriter's
+// dst as written.
+func (w *Writer) Len() int { return len(w.buf)*8 + int(w.nAcc) }
 
-// Bytes flushes the partial byte (zero-padded on the right) and returns the
-// accumulated buffer. The writer remains usable; further writes continue
-// from the unpadded bit position, so call Bytes only when finished.
+// Bytes flushes the pending bits (the last byte zero-padded on the right)
+// and returns the accumulated buffer, without copying it. The writer remains usable;
+// further writes continue from the unpadded bit position and may
+// overwrite the padded tail of a slice Bytes returned, so call Bytes only
+// when finished.
 func (w *Writer) Bytes() []byte {
-	if w.nCur == 0 {
-		return w.buf
+	out := w.buf
+	for i := uint(0); i < w.nAcc; i += 8 {
+		out = append(out, byte(w.acc>>(56-i)))
 	}
-	out := make([]byte, len(w.buf), len(w.buf)+1)
-	copy(out, w.buf)
-	return append(out, w.cur<<(8-w.nCur))
+	return out
 }
 
 // Reset discards all written bits.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.cur, w.nCur = 0, 0
+	w.acc, w.nAcc = 0, 0
 }
 
 // Reader consumes bits MSB-first from a byte slice.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -224,7 +223,7 @@ type healthzBody struct {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthzBody{
+	server.WriteJSON(w, http.StatusOK, healthzBody{
 		Status:        "ok",
 		Version:       cliutil.Version(),
 		UptimeSeconds: time.Since(rt.start).Seconds(),
@@ -238,14 +237,14 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // least one node up and drain not begun.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if rt.health.UpCount() == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no backends"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no backends"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -264,13 +263,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.tracer.TailSnapshot())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	server.WriteJSON(w, http.StatusOK, rt.tracer.TailSnapshot())
 }

@@ -13,7 +13,7 @@
 // decoder cost argument (§3.4) carries over.
 //
 // The coder plugs into the same block-bounded pipeline as a
-// core.LineCodec: EncodeLine and DecodeLine work on 32-byte cache lines,
+// core.LineCodec: AppendLine and DecodeLine work on 32-byte cache lines,
 // and BitLengths gives the per-output-byte bit counts that size each
 // line and drive the refill engine's streaming model.
 package codepack
@@ -46,9 +46,28 @@ type Coder struct {
 }
 
 type halfCoder struct {
-	table []uint16         // index -> halfword
-	index map[uint16]uint8 // halfword -> index
-	code  *huffman.Code    // over the 256-symbol index alphabet
+	table []uint16        // index -> halfword
+	index *[1 << 16]uint8 // halfword -> index+1, 0 when not in table
+	code  *huffman.Code   // over the 256-symbol index alphabet
+}
+
+// newHalfCoder indexes a dictionary of at most tableSize distinct
+// halfwords, so that sizing and encoding a halfword is one array load.
+func newHalfCoder(table []uint16, code *huffman.Code) (halfCoder, error) {
+	h := halfCoder{table: table, index: new([1 << 16]uint8), code: code}
+	for i, hw := range table {
+		if prev, ok := h.lookup(hw); ok {
+			return halfCoder{}, fmt.Errorf("halfword %#x at indices %d and %d", hw, prev, i)
+		}
+		h.index[hw] = uint8(i + 1)
+	}
+	return h, nil
+}
+
+// lookup returns hw's dictionary index, if it has one.
+func (h *halfCoder) lookup(hw uint16) (uint8, bool) {
+	i := h.index[hw]
+	return i - 1, i != 0
 }
 
 // Train builds a coder from a corpus of instruction text images (the
@@ -93,39 +112,29 @@ func trainHalf(counts map[uint16]uint64) (halfCoder, error) {
 		}
 		return entries[i].hw < entries[j].hw
 	})
-	if len(entries) > tableSize {
-		entries = entries[:tableSize]
-	}
-	h := halfCoder{index: make(map[uint16]uint8, len(entries))}
+	dict := min(len(entries), tableSize)
 	var hist huffman.Histogram
-	var escaped uint64
-	for i, e := range entries {
-		h.table = append(h.table, e.hw)
-		h.index[e.hw] = uint8(i)
-		hist[i] = e.n
+	hist[escape] = 1 // the escape must always have a codeword
+	for _, e := range entries[dict:] {
+		hist[escape] += e.n // halfwords outside the dictionary escape
 	}
-	for hw, n := range counts {
-		if _, ok := h.index[hw]; !ok {
-			escaped += n
-		}
-	}
-	hist[escape] = escaped + 1 // the escape must always have a codeword
-	// Smooth the dictionary symbols so every index decodes even if its
-	// training count was tiny.
-	for i := 0; i < len(h.table); i++ {
-		hist[i]++
+	table := make([]uint16, dict)
+	for i, e := range entries[:dict] {
+		table[i] = e.hw
+		// Smooth the dictionary symbols so every index decodes even if
+		// its training count was tiny.
+		hist[i] = e.n + 1
 	}
 	code, err := huffman.BuildBounded(&hist, 16)
 	if err != nil {
 		return halfCoder{}, err
 	}
-	h.code = code
-	return h, nil
+	return newHalfCoder(table, code)
 }
 
 // encodeHalf appends one halfword's codeword (and escape literal).
 func (h *halfCoder) encodeHalf(w *bitio.Writer, hw uint16) error {
-	if idx, ok := h.index[hw]; ok {
+	if idx, ok := h.lookup(hw); ok {
 		bits, n := h.code.Codeword(idx)
 		if n == 0 {
 			return fmt.Errorf("codepack: dictionary index %d lost its codeword", idx)
@@ -144,7 +153,7 @@ func (h *halfCoder) encodeHalf(w *bitio.Writer, hw uint16) error {
 
 // halfBits returns the encoded size of one halfword in bits.
 func (h *halfCoder) halfBits(hw uint16) int {
-	if idx, ok := h.index[hw]; ok {
+	if idx, ok := h.lookup(hw); ok {
 		return h.code.Len(idx)
 	}
 	return h.code.Len(byte(escape)) + 16
@@ -173,19 +182,20 @@ func (h *halfCoder) decodeHalf(r *bitio.Reader) (uint16, error) {
 	return h.table[sym], nil
 }
 
-// EncodeLine compresses one 32-byte instruction line (8 words).
-func (c *Coder) EncodeLine(line []byte) ([]byte, error) {
+// AppendLine compresses one 32-byte instruction line (8 words) and
+// appends it to dst (core.LineCodec).
+func (c *Coder) AppendLine(dst, line []byte) ([]byte, error) {
 	if len(line)%4 != 0 {
-		return nil, fmt.Errorf("codepack: line length %d not word aligned", len(line))
+		return dst, fmt.Errorf("codepack: line length %d not word aligned", len(line))
 	}
-	var w bitio.Writer
+	w := bitio.NewWriter(dst)
 	for off := 0; off < len(line); off += 4 {
 		word := binary.LittleEndian.Uint32(line[off:])
-		if err := c.upper.encodeHalf(&w, uint16(word>>16)); err != nil {
-			return nil, err
+		if err := c.upper.encodeHalf(w, uint16(word>>16)); err != nil {
+			return dst, err
 		}
-		if err := c.lower.encodeHalf(&w, uint16(word)); err != nil {
-			return nil, err
+		if err := c.lower.encodeHalf(w, uint16(word)); err != nil {
+			return dst, err
 		}
 	}
 	return w.Bytes(), nil
@@ -259,7 +269,7 @@ func (c *Coder) DictionaryBytes() int {
 
 // coderWire is the gob shape of a serialized Coder: the two dictionaries
 // plus their entropy codes (via huffman.Code's own binary form). The
-// index maps are derived state and are rebuilt on decode.
+// index tables are derived state and are rebuilt on decode.
 type coderWire struct {
 	Upper, Lower halfWire
 }
@@ -298,7 +308,7 @@ func (h *halfCoder) wire() (halfWire, error) {
 
 // UnmarshalCoder reconstructs a Coder serialized by MarshalBinary. The
 // result encodes and decodes byte-identically to the original: the
-// dictionaries, index maps, and canonical codes are fully determined by
+// dictionaries, index tables, and canonical codes are fully determined by
 // the wire form.
 func UnmarshalCoder(p []byte) (*Coder, error) {
 	var wire coderWire
@@ -325,13 +335,9 @@ func (w halfWire) coder() (halfCoder, error) {
 	if err != nil {
 		return halfCoder{}, fmt.Errorf("codepack: unmarshal code: %w", err)
 	}
-	h := halfCoder{table: w.Table, index: make(map[uint16]uint8, len(w.Table)), code: code}
-	for i, hw := range w.Table {
-		if prev, ok := h.index[hw]; ok {
-			return halfCoder{}, fmt.Errorf("codepack: unmarshal: halfword %#x at indices %d and %d",
-				hw, prev, i)
-		}
-		h.index[hw] = uint8(i)
+	h, err := newHalfCoder(w.Table, code)
+	if err != nil {
+		return halfCoder{}, fmt.Errorf("codepack: unmarshal: %w", err)
 	}
 	return h, nil
 }

@@ -43,7 +43,7 @@ func TestRoundTripLine(t *testing.T) {
 	c, corpus := trained(t)
 	for off := 0; off+32 <= 2048; off += 32 {
 		line := corpus[off : off+32]
-		enc, err := c.EncodeLine(line)
+		enc, err := c.AppendLine(nil, line)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestRoundTripQuick(t *testing.T) {
 		for i, w := range words {
 			binary.LittleEndian.PutUint32(line[i*4:], w)
 		}
-		enc, err := c.EncodeLine(line)
+		enc, err := c.AppendLine(nil, line)
 		if err != nil {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestEncodedBitsExact(t *testing.T) {
 	c, corpus := trained(t)
 	for off := 0; off+32 <= 2048; off += 32 {
 		line := corpus[off : off+32]
-		enc, err := c.EncodeLine(line)
+		enc, err := c.AppendLine(nil, line)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestEscapesStillDecode(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		binary.LittleEndian.PutUint32(line[i*4:], 0xF00D0000+uint32(i)*0x01010101)
 	}
-	enc, err := c.EncodeLine(line)
+	enc, err := c.AppendLine(nil, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestEscapesStillDecode(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	c, _ := trained(t)
-	if _, err := c.EncodeLine(make([]byte, 30)); err == nil {
+	if _, err := c.AppendLine(nil, make([]byte, 30)); err == nil {
 		t.Error("unaligned line accepted")
 	}
 	if _, err := c.DecodeLine(nil, 30); err == nil {
@@ -169,12 +169,12 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeLine(b *testing.B) {
+func BenchmarkAppendLine(b *testing.B) {
 	c, corpus := trained(b)
 	line := corpus[:32]
 	b.SetBytes(32)
 	for i := 0; i < b.N; i++ {
-		if _, err := c.EncodeLine(line); err != nil {
+		if _, err := c.AppendLine(nil, line); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func BenchmarkEncodeLine(b *testing.B) {
 
 func BenchmarkDecodeLine(b *testing.B) {
 	c, corpus := trained(b)
-	enc, err := c.EncodeLine(corpus[:32])
+	enc, err := c.AppendLine(nil, corpus[:32])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestCoderMarshalRoundTrip(t *testing.T) {
 	}
 	for off := 0; off+32 <= len(text); off += 32 {
 		line := text[off : off+32]
-		a, err := orig.EncodeLine(line)
+		a, err := orig.AppendLine(nil, line)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.EncodeLine(line)
+		b, err := back.AppendLine(nil, line)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func FuzzDecodeLine(f *testing.F) {
 	for i := range line {
 		line[i] = byte(i * 7)
 	}
-	enc, err := coder.EncodeLine(line)
+	enc, err := coder.AppendLine(nil, line)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func FuzzDecodeLine(f *testing.F) {
 		}
 		// Anything that decodes must re-encode to a prefix-compatible
 		// stream: decode(encode(out)) is out again.
-		re, err := coder.EncodeLine(out)
+		re, err := coder.AppendLine(nil, out)
 		if err != nil {
 			t.Fatalf("re-encoding accepted output: %v", err)
 		}
@@ -88,9 +88,9 @@ func FuzzTrainEncodeDecode(f *testing.F) {
 		}
 		line := make([]byte, 32)
 		copy(line, corpus)
-		enc, err := coder.EncodeLine(line)
+		enc, err := coder.AppendLine(nil, line)
 		if err != nil {
-			t.Fatalf("EncodeLine on trained corpus line: %v", err)
+			t.Fatalf("AppendLine on trained corpus line: %v", err)
 		}
 		dec, err := coder.DecodeLine(enc, len(line))
 		if err != nil {
@@ -105,7 +105,7 @@ func FuzzTrainEncodeDecode(f *testing.F) {
 // FuzzUnmarshalCoder hardens the store-facing decode of a serialized
 // coder: arbitrary bytes either fail to unmarshal or give a coder that
 // decodes arbitrary lines with at worst an error, and whose every
-// successful EncodeLine decodes back to the line.
+// successful AppendLine decodes back to the line.
 func FuzzUnmarshalCoder(f *testing.F) {
 	blob, err := fuzzCoder(f).MarshalBinary()
 	if err != nil {
@@ -125,12 +125,12 @@ func FuzzUnmarshalCoder(f *testing.F) {
 		line = line[:min(len(line), 64)/4*4]
 		dst := make([]byte, len(line))
 		_ = c.DecodeLineInto(dst, line) // arbitrary bytes: an error at worst
-		enc, err := c.EncodeLine(line)
+		enc, err := c.AppendLine(nil, line)
 		if err != nil {
 			return
 		}
 		if err := c.DecodeLineInto(dst, enc); err != nil || !bytes.Equal(dst, line) {
-			t.Fatalf("EncodeLine(%x) = %x decodes to (%x, %v)", line, enc, dst, err)
+			t.Fatalf("AppendLine(%x) = %x decodes to (%x, %v)", line, enc, dst, err)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"ccrp/internal/bitio"
 	"ccrp/internal/huffman"
 )
 
@@ -23,9 +24,11 @@ type LineCodec interface {
 	// a buffer handed to an interface method escapes to the heap, and
 	// pricing a refill must not allocate.
 	BitLengths(line []byte) ([LineSize]uint8, error)
-	// EncodeLine compresses one cache line into no more bytes than its
-	// BitLengths sum to.
-	EncodeLine(line []byte) ([]byte, error)
+	// AppendLine compresses one cache line, appends it to dst and
+	// returns the extended slice, as append does, in no more bytes than
+	// its BitLengths sum to. BuildROM hands it the block region with
+	// room for exactly those bytes, so the line lands in its slot.
+	AppendLine(dst, line []byte) ([]byte, error)
 	// DecodeLineInto expands a compressed line into dst (len(dst)
 	// bytes), which the caller owns, so the decode path stays off the
 	// heap.
@@ -60,8 +63,12 @@ func (h HuffmanCodec) BitLengths(line []byte) (lens [LineSize]uint8, err error) 
 	return lens, nil
 }
 
-func (h HuffmanCodec) EncodeLine(line []byte) ([]byte, error) {
-	return h.code.EncodeToBytes(line)
+func (h HuffmanCodec) AppendLine(dst, line []byte) ([]byte, error) {
+	w := bitio.NewWriter(dst)
+	if err := h.code.Encode(w, line); err != nil {
+		return dst, err
+	}
+	return w.Bytes(), nil
 }
 
 // DecodeLineInto expands through the code's memoized multi-symbol

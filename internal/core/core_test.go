@@ -753,13 +753,12 @@ func TestAssociativityHelpsConflictHeavyTrace(t *testing.T) {
 type testCodec struct{}
 
 func (testCodec) Name() string { return "test" }
-func (testCodec) EncodeLine(line []byte) ([]byte, error) {
+func (testCodec) AppendLine(dst, line []byte) ([]byte, error) {
 	n := len(line)
 	for n > 0 && line[n-1] == 0 {
 		n--
 	}
-	out := append([]byte{byte(n)}, line[:n]...)
-	return out, nil
+	return append(append(dst, byte(n)), line[:n]...), nil
 }
 func (testCodec) DecodeLineInto(dst, comp []byte) error {
 	if len(comp) == 0 {

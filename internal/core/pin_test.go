@@ -176,3 +176,61 @@ func TestLineCyclesAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestImageAllocsPerImage: BuildROM sizes every line before it allocates
+// the block region once and encodes each line into its slot, and
+// ReadROMFile sizes its line headers from the header, so building or
+// reading an image allocates as often for espresso as for eightq, which
+// has a fraction of its lines: neither allocates per line.
+func TestImageAllocsPerImage(t *testing.T) {
+	presel, err := experiments.PreselectedCode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := experiments.CodePackCoder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type allocs struct{ lines, huffman, codepack, read float64 }
+	measure := func(prog string) allocs {
+		w, _ := workload.ByName(prog)
+		text, err := w.Text()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.Options{Codes: []*huffman.Code{presel}}
+		rom, err := core.BuildROM(text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := rom.WriteFile(&file); err != nil {
+			t.Fatal(err)
+		}
+		a := allocs{lines: float64(len(rom.Lines))}
+		a.huffman = testing.AllocsPerRun(5, func() {
+			if _, err := core.BuildROM(text, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		a.codepack = testing.AllocsPerRun(5, func() {
+			if _, err := core.BuildROM(text, core.Options{Codec: cp}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		a.read = testing.AllocsPerRun(5, func() {
+			if _, err := core.ReadROMFile(bytes.NewReader(file.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return a
+	}
+	small, large := measure("eightq"), measure("espresso")
+	if large.lines < 4*small.lines {
+		t.Fatalf("espresso has %v lines, eightq %v; test premise broken", large.lines, small.lines)
+	}
+	if small.huffman != large.huffman || small.codepack != large.codepack || small.read != large.read {
+		t.Errorf("allocations (Huffman build, CodePack build, read) = (%v, %v, %v) for eightq, (%v, %v, %v) for espresso, want equal",
+			small.huffman, small.codepack, small.read, large.huffman, large.codepack, large.read)
+	}
+}

@@ -38,29 +38,31 @@ func (e RefillEngine) RawLineCycles(lineBytes int) uint64 {
 
 // CompressedLineCycles is the refill time of a compressed block.
 // bitLens[k] is the encoded length of output byte k; storedBytes is the
-// block's stored size (word-rounded when the image is word aligned).
+// block's stored size (word-rounded when the image is word aligned), and
+// must be in [1, LineSize], as every compressed block's is.
 //
 // The model works in decode ticks of 1/Rate cycle: output byte k
 // completes one tick after both (a) the previous byte and (b) the memory
 // word containing bit position cum(k) have arrived. At the paper's 2
 // bytes/cycle the minimum for a 32-byte line is therefore 16 cycles plus
 // the first word's access time, as in §3.4.
+//
+// The block is stored in at most 8 words, so their arrival times are
+// asked of the memory once each, into a stack array, not once per output
+// byte.
 func (e RefillEngine) CompressedLineCycles(bitLens []uint8, storedBytes int) uint64 {
 	rate := uint64(e.rate())
 	words := (storedBytes + 3) / 4
+	var arrive [LineSize / 4]uint64 // in ticks
+	for w := range words {
+		arrive[w] = rate * e.Mem.WordArrival(w)
+	}
 	cum := 0
 	var t uint64 // ticks of 1/rate cycle
 	for _, n := range bitLens {
 		cum += int(n)
-		wordIdx := (cum - 1) / 32
-		if wordIdx >= words {
-			wordIdx = words - 1 // padding bits live in the last stored word
-		}
-		avail := rate * e.Mem.WordArrival(wordIdx)
-		if avail > t {
-			t = avail
-		}
-		t++ // the decode tick itself
+		wordIdx := min((cum-1)/32, words-1) // padding bits live in the last stored word
+		t = max(t, arrive[wordIdx]) + 1     // the decode tick itself
 	}
 	return (t + rate - 1) / rate
 }

@@ -41,19 +41,22 @@ type Options struct {
 
 // Line is one compressed (or raw) instruction block.
 type Line struct {
-	Orig    []byte // the 32 original instruction bytes
-	Stored  []byte // bytes as stored in instruction memory
+	Orig    []byte // the 32 original instruction bytes, a slice of Text()
+	Stored  []byte // bytes as stored in instruction memory, a slice of Blocks
 	Raw     bool   // stored uncompressed (decoder bypass)
 	CodeIdx int    // index of the codec that coded the line, -1 when raw
 }
 
 // ROM is a compressed program image: the packed blocks followed by the
-// Line Address Table, as laid out in embedded instruction memory.
+// Line Address Table, as laid out in embedded instruction memory. It
+// holds each block once, in Blocks, and the text once, in the padded
+// image that Text returns.
 type ROM struct {
 	Lines        []Line
 	Table        *lat.Table
 	Blocks       []byte // packed block region (starts at address 0)
 	OriginalSize int    // padded text size
+	text         []byte // the padded text, OriginalSize bytes
 	codecs       []LineCodec
 	wordAligned  bool
 }
@@ -61,7 +64,9 @@ type ROM struct {
 // ErrNoCodes is returned when Options has neither Codes nor a Codec.
 var ErrNoCodes = errors.New("core: at least one Huffman code is required")
 
-// BuildROM compresses an R2000 text image line by line.
+// BuildROM compresses an R2000 text image line by line. It sizes every
+// line first, so the block region is allocated once at its exact length,
+// and then encodes each chosen line into its slot of it.
 func BuildROM(text []byte, opts Options) (*ROM, error) {
 	codecs := []LineCodec{opts.Codec}
 	if opts.Codec == nil {
@@ -76,18 +81,47 @@ func BuildROM(text []byte, opts Options) (*ROM, error) {
 	padded := make([]byte, (len(text)+LineSize-1)/LineSize*LineSize)
 	copy(padded, text)
 
-	rom := &ROM{OriginalSize: len(padded), codecs: codecs, wordAligned: opts.WordAligned}
-	var blockLens []int
-	for off := 0; off < len(padded); off += LineSize {
-		orig := padded[off : off+LineSize]
-		line, err := rom.compressLine(orig)
+	n := len(padded) / LineSize
+	rom := &ROM{Lines: make([]Line, n), OriginalSize: len(padded), text: padded,
+		codecs: codecs, wordAligned: opts.WordAligned}
+	blockLens := make([]int, n)
+	encLens := make([]int, n) // a coded line's bytes before word alignment
+	total := 0
+	for i := range rom.Lines {
+		orig := padded[i*LineSize : (i+1)*LineSize]
+		best, exact, size, err := rom.sizeLine(orig)
 		if err != nil {
-			return nil, fmt.Errorf("core: line at %#x: %w", off, err)
+			return nil, fmt.Errorf("core: line at %#x: %w", i*LineSize, err)
 		}
-		rom.Lines = append(rom.Lines, line)
-		rom.Blocks = append(rom.Blocks, line.Stored...)
-		blockLens = append(blockLens, len(line.Stored))
+		rom.Lines[i] = Line{Orig: orig, Raw: best < 0, CodeIdx: best}
+		blockLens[i], encLens[i] = size, exact
+		total += size
 	}
+	blocks := make([]byte, 0, total)
+	for i := range rom.Lines {
+		l := &rom.Lines[i]
+		off := len(blocks)
+		if l.Raw {
+			blocks = append(blocks, l.Orig...)
+		} else {
+			codec := rom.codecs[l.CodeIdx]
+			var err error
+			if blocks, err = codec.AppendLine(blocks, l.Orig); err != nil {
+				return nil, fmt.Errorf("core: line at %#x: %w", i*LineSize, err)
+			}
+			// The LAT records the size the bit lengths give; a longer
+			// encoding would spill into the next slot and be priced as
+			// shorter than it is.
+			if enc := len(blocks) - off; enc > encLens[i] {
+				return nil, fmt.Errorf("core: line at %#x: codec %q encoded %d bytes, its BitLengths sum to %d",
+					i*LineSize, codec.Name(), enc, encLens[i])
+			}
+		}
+		end := off + blockLens[i] // a word-aligned slot ends in zeros
+		blocks = blocks[:end]
+		l.Stored = blocks[off:end:end]
+	}
+	rom.Blocks = blocks
 	table, err := lat.Build(blockLens, 0)
 	if err != nil {
 		return nil, err
@@ -96,18 +130,20 @@ func BuildROM(text []byte, opts Options) (*ROM, error) {
 	return rom, nil
 }
 
-// compressLine sizes a block under every codec from its BitLengths and
-// encodes it under the first that stores it smallest, falling back to
-// raw storage when none shrinks it below the line size.
-func (r *ROM) compressLine(orig []byte) (Line, error) {
-	best, exact, size := -1, 0, LineSize
+// sizeLine sizes a block under every codec from its BitLengths and picks
+// the first that stores it smallest: it returns that codec's index, the
+// line's encoded bytes and its stored size (word-rounded when the image
+// is word aligned). The index is -1, and the size LineSize, when no codec
+// shrinks the line below the line size and it is stored raw.
+func (r *ROM) sizeLine(orig []byte) (best, exact, size int, err error) {
+	best, size = -1, LineSize
 	for ci, codec := range r.codecs {
 		lens, err := codec.BitLengths(orig)
 		if errors.Is(err, huffman.ErrNoCodeword) {
 			continue // the codec cannot represent some byte; try others or raw
 		}
 		if err != nil {
-			return Line{}, err
+			return 0, 0, 0, err
 		}
 		nbits := 0
 		for _, l := range lens {
@@ -122,22 +158,7 @@ func (r *ROM) compressLine(orig []byte) (Line, error) {
 			best, exact, size = ci, n, stored
 		}
 	}
-	if best < 0 {
-		return Line{Orig: orig, Stored: orig, Raw: true, CodeIdx: -1}, nil
-	}
-	codec := r.codecs[best]
-	enc, err := codec.EncodeLine(orig)
-	if err != nil {
-		return Line{}, err
-	}
-	// The LAT records the size the bit lengths give; a longer encoding
-	// would be cut short and priced as shorter than it is.
-	if len(enc) > exact {
-		return Line{}, fmt.Errorf("codec %q encoded %d bytes, its BitLengths sum to %d", codec.Name(), len(enc), exact)
-	}
-	stored := make([]byte, size)
-	copy(stored, enc)
-	return Line{Orig: orig, Stored: stored, CodeIdx: best}, nil
+	return best, exact, size, nil
 }
 
 // BlocksSize returns the packed compressed block bytes.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -152,13 +151,19 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
 	}
+	// Every line needs a LAT entry, so a header claiming more lines than
+	// the table covers is malformed, and the line headers below are
+	// sized by what the file holds.
+	if lines := origSize / LineSize; lines > table.Blocks {
+		return nil, fmt.Errorf("%w: %d lines, the LAT covers %d", ErrBadROMFile, lines, table.Blocks)
+	}
 	table.Blocks = origSize / LineSize
 
-	rom := &ROM{Table: table, Blocks: blocks, OriginalSize: origSize,
-		codecs: codecs, wordAligned: flags&(1<<16) != 0}
+	rom := &ROM{Lines: make([]Line, table.Blocks), Table: table, Blocks: blocks,
+		OriginalSize: origSize, codecs: codecs, wordAligned: flags&(1<<16) != 0}
 	tagReader := bitio.NewReader(tags)
 	width := tagWidth(nCodes)
-	for i := 0; i < table.Blocks; i++ {
+	for i := range rom.Lines {
 		addr, length, raw, err := table.Lookup(uint32(i * LineSize))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
@@ -178,14 +183,14 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		if line.CodeIdx >= nCodes {
 			return nil, fmt.Errorf("%w: block %d selects code %d of %d", ErrBadROMFile, i, line.CodeIdx, nCodes)
 		}
-		rom.Lines = append(rom.Lines, line)
+		rom.Lines[i] = line
 	}
 	// Expand every block into one contiguous text image; each Orig
 	// aliases its slice of the image, so loading a large ROM costs one
-	// allocation for the text plus the line headers.
-	text := make([]byte, table.Blocks*LineSize)
+	// allocation for the text plus one for the line headers.
+	rom.text = make([]byte, origSize)
 	for i := range rom.Lines {
-		orig := text[i*LineSize : (i+1)*LineSize]
+		orig := rom.text[i*LineSize : (i+1)*LineSize]
 		if err := rom.DecompressLineInto(i, orig); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
 		}
@@ -194,13 +199,7 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	return rom, nil
 }
 
-// Text reassembles the original program text from the (decompressed)
-// lines.
-func (r *ROM) Text() []byte {
-	var buf bytes.Buffer
-	buf.Grow(r.OriginalSize)
-	for i := range r.Lines {
-		buf.Write(r.Lines[i].Orig)
-	}
-	return buf.Bytes()
-}
+// Text returns the original program text, padded to whole lines: the
+// image every Line.Orig is a slice of, not a copy. It is read-only; a
+// caller that modifies it changes the ROM's lines.
+func (r *ROM) Text() []byte { return r.text }

@@ -116,7 +116,10 @@ type Table struct {
 // Build constructs a table from per-line stored block lengths (each 1..32,
 // where 32 means raw) laid out consecutively starting at firstBlockAddr.
 func Build(blockLens []int, firstBlockAddr uint32) (*Table, error) {
-	t := &Table{Blocks: len(blockLens)}
+	t := &Table{
+		Entries: make([]Entry, 0, (len(blockLens)+LinesPerEntry-1)/LinesPerEntry),
+		Blocks:  len(blockLens),
+	}
 	addr := firstBlockAddr
 	for i := 0; i < len(blockLens); i += LinesPerEntry {
 		e := Entry{Base: addr}

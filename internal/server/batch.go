@@ -15,7 +15,6 @@ package server
 
 import (
 	"context"
-	"encoding/base64"
 	"net/http"
 
 	"ccrp/internal/tracing"
@@ -177,10 +176,7 @@ func (s *Server) handleDecompressBatch(w http.ResponseWriter, r *http.Request) e
 			resp.Items[i] = batchDecompressed{Error: api}
 			resp.Errors++
 		} else {
-			resp.Items[i] = batchDecompressed{Result: &decompressResponse{
-				TextB64:       base64.StdEncoding.EncodeToString(text),
-				OriginalBytes: len(text),
-			}}
+			resp.Items[i] = batchDecompressed{Result: &decompressResponse{TextB64: text, OriginalBytes: len(text)}}
 			bytesOut += uint64(len(text))
 		}
 		sp.End()

@@ -30,7 +30,9 @@ type lineInfo struct {
 
 // compressResponse reports the compressed image. ROMB64 is the CROM file
 // (cmd/ccpack's on-disk format, byte-identical) for serializable coders;
-// BlocksB64 plus Lines always suffice for /v1/decompress.
+// BlocksB64 plus Lines always suffice for /v1/decompress. The []byte
+// fields hold raw bytes, which encoding/json writes as standard base64
+// strings, as the requests' string fields carry them back.
 type compressResponse struct {
 	CoderID         string     `json:"coder_id"`
 	OriginalBytes   int        `json:"original_bytes"`
@@ -40,8 +42,8 @@ type compressResponse struct {
 	Ratio           float64    `json:"ratio"`
 	RawLines        int        `json:"raw_lines"`
 	Lines           []lineInfo `json:"lines"`
-	BlocksB64       string     `json:"blocks_b64"`
-	ROMB64          string     `json:"rom_b64,omitempty"`
+	BlocksB64       []byte     `json:"blocks_b64"`
+	ROMB64          []byte     `json:"rom_b64,omitempty"`
 }
 
 // resolveText produces the program text image of a request under a
@@ -147,10 +149,10 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 
-	// The encode span opens before response construction: base64-packing
-	// the blocks and serializing the CROM image dominate the write path
-	// for large programs, and unattributed time here would show up as a
-	// coverage gap in ccrp-spans.
+	// The encode span opens before response construction: serializing
+	// the CROM image and base64-packing it with the blocks dominate the
+	// write path for large programs, and unattributed time here would
+	// show up as a coverage gap in ccrp-spans.
 	sp := tracing.FromContext(r.Context()).Child(StageEncode)
 	defer sp.End()
 	resp, err := compressResult(entry, req.CoderID, rom)
@@ -163,12 +165,13 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
 	s.inst.bytesIn.Add(uint64(len(text)))
 	s.metricsMu.Unlock()
 
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	return nil
 }
 
 // compressResult packs a built ROM into the wire shape, including the
-// base64 block image and (for serializable coders) the CROM file.
+// block image and (for serializable coders) the CROM file. BlocksB64 is
+// the ROM's own block region, not a copy: a built ROM is immutable.
 func compressResult(entry *coderEntry, coderID string, rom *core.ROM) (*compressResponse, error) {
 	resp := &compressResponse{
 		CoderID:         coderID,
@@ -178,17 +181,18 @@ func compressResult(entry *coderEntry, coderID string, rom *core.ROM) (*compress
 		LATBytes:        rom.TableSize(),
 		Ratio:           rom.Ratio(),
 		RawLines:        rom.RawLines(),
-		BlocksB64:       base64.StdEncoding.EncodeToString(rom.Blocks),
+		Lines:           make([]lineInfo, len(rom.Lines)),
+		BlocksB64:       rom.Blocks,
 	}
-	for _, l := range rom.Lines {
-		resp.Lines = append(resp.Lines, lineInfo{Len: len(l.Stored), Raw: l.Raw})
+	for i, l := range rom.Lines {
+		resp.Lines[i] = lineInfo{Len: len(l.Stored), Raw: l.Raw}
 	}
 	if entry.serializable() {
 		var buf bytes.Buffer
 		if err := rom.WriteFile(&buf); err != nil {
 			return nil, err
 		}
-		resp.ROMB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
+		resp.ROMB64 = buf.Bytes()
 	}
 	return resp, nil
 }
@@ -204,8 +208,10 @@ type decompressRequest struct {
 	Lines     []lineInfo `json:"lines,omitempty"`
 }
 
+// decompressResponse carries the recovered text as raw bytes; the wire
+// holds them as a base64 string, as in compressResponse.
 type decompressResponse struct {
-	TextB64       string `json:"text_b64"`
+	TextB64       []byte `json:"text_b64"`
 	OriginalBytes int    `json:"original_bytes"`
 }
 
@@ -250,14 +256,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 	s.inst.bytesOut.Add(uint64(len(text)))
 	s.metricsMu.Unlock()
 
-	// As in handleCompress, the encode span covers the base64 packing of
-	// the recovered text, not just the JSON write.
-	sp := tracing.FromContext(r.Context()).Child(StageEncode)
-	writeJSON(w, http.StatusOK, decompressResponse{
-		TextB64:       base64.StdEncoding.EncodeToString(text),
-		OriginalBytes: len(text),
-	})
-	sp.End()
+	traceJSON(w, r, decompressResponse{TextB64: text, OriginalBytes: len(text)})
 	return nil
 }
 

@@ -70,19 +70,21 @@ func asAPIError(err error) *APIError {
 	return Errf(http.StatusInternalServerError, CodeInternal, "%v", err)
 }
 
-// writeJSON serializes v with the given status. Encoding failures after
-// the header is out cannot be reported to the client.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON serializes v with the given status as one line of compact
+// JSON, which the encoder builds once in its pooled buffer and writes
+// to w whole; []byte fields go out base64-encoded from that same
+// buffer. ccrpd and ccrp-router write every JSON body through it.
+// Encoding failures after the header is out cannot be reported to the
+// client.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // WriteError serializes err through the taxonomy (ccrp-router writes
 // its own gateway errors through it too).
 func WriteError(w http.ResponseWriter, err error) {
 	api := asAPIError(err)
-	writeJSON(w, api.Status, errorBody{Error: api})
+	WriteJSON(w, api.Status, errorBody{Error: api})
 }

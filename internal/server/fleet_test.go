@@ -4,6 +4,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"os"
@@ -184,7 +185,7 @@ func TestSharedStoreCoderResolution(t *testing.T) {
 	}
 	outA := decodeAs[compressResponse](t, bodyA)
 	outB := decodeAs[compressResponse](t, bodyB)
-	if outA.BlocksB64 != outB.BlocksB64 || outA.ROMB64 != outB.ROMB64 {
+	if !bytes.Equal(outA.BlocksB64, outB.BlocksB64) || !bytes.Equal(outA.ROMB64, outB.ROMB64) {
 		t.Fatal("node B's output differs from node A's for the same coder id")
 	}
 	if got := counterValue(t, sB, "ccrpd_coder_builds_total"); got != "0" {

@@ -98,8 +98,8 @@ func FuzzDecompressHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
 	var comp compressResponse
 	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)}, &comp)
-	seed(f, decompressRequest{CoderID: coderPlaceholder, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
-	seed(f, decompressRequest{ROMB64: comp.ROMB64})
+	seed(f, decompressRequest{CoderID: coderPlaceholder, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines})
+	seed(f, decompressRequest{ROMB64: b64(comp.ROMB64)})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
@@ -118,9 +118,9 @@ func FuzzDecompressHandler(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 body %s does not parse: %v", rec.Body, err)
 		}
-		text, err := base64.StdEncoding.DecodeString(resp.TextB64)
-		if err != nil || len(text) != resp.OriginalBytes || len(text)%core.LineSize != 0 {
-			t.Fatalf("200 with %d text bytes (original_bytes %d, err %v)", len(text), resp.OriginalBytes, err)
+		text := resp.TextB64
+		if len(text) != resp.OriginalBytes || len(text)%core.LineSize != 0 {
+			t.Fatalf("200 with %d text bytes (original_bytes %d)", len(text), resp.OriginalBytes)
 		}
 		if req.ROMB64 != "" {
 			return
@@ -201,13 +201,12 @@ func FuzzCompressHandler(f *testing.F) {
 		}
 		var dec decompressResponse
 		fh.mustPost(t, "/v1/decompress", decompressRequest{
-			CoderID: comp.CoderID, BlocksB64: comp.BlocksB64, Lines: comp.Lines}, &dec)
-		got, err := base64.StdEncoding.DecodeString(dec.TextB64)
+			CoderID: comp.CoderID, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines}, &dec)
 		want := make([]byte, (len(text)+core.LineSize-1)/core.LineSize*core.LineSize)
 		copy(want, text)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("blocks and lines decode to %d bytes (err %v), want the %d submitted bytes padded to %d",
-				len(got), err, len(text), len(want))
+		if !bytes.Equal(dec.TextB64, want) {
+			t.Fatalf("blocks and lines decode to %d bytes, want the %d submitted bytes padded to %d",
+				len(dec.TextB64), len(text), len(want))
 		}
 	})
 }
@@ -298,10 +297,10 @@ func FuzzDecompressBatchHandler(f *testing.F) {
 	var comp compressResponse
 	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)}, &comp)
 	seed(f, decompressBatchRequest{Items: []decompressRequest{
-		{ROMB64: comp.ROMB64},
-		{CoderID: coderPlaceholder, BlocksB64: comp.BlocksB64, Lines: comp.Lines},
+		{ROMB64: b64(comp.ROMB64)},
+		{CoderID: coderPlaceholder, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines},
 		{ROMB64: "bm90IGEgcm9tIGF0IGFsbA=="},
-		{CoderID: "nope", BlocksB64: comp.BlocksB64, Lines: comp.Lines},
+		{CoderID: "nope", BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines},
 		{}}})
 
 	f.Fuzz(func(t *testing.T, body []byte) {

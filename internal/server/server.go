@@ -392,7 +392,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	s.codersMu.Lock()
 	n := len(s.coders)
 	s.codersMu.Unlock()
-	writeJSON(w, http.StatusOK, healthzBody{
+	WriteJSON(w, http.StatusOK, healthzBody{
 		Status:        "ok",
 		Version:       s.cfg.Version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -426,10 +426,10 @@ type readyzBody struct {
 // service — a draining process is alive but must not receive new work.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, readyzBody{Status: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, readyzBody{Status: "draining"})
 		return nil
 	}
-	writeJSON(w, http.StatusOK, readyzBody{Status: "ready"})
+	WriteJSON(w, http.StatusOK, readyzBody{Status: "ready"})
 	return nil
 }
 
@@ -447,7 +447,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 // errored requests since boot. With no tracer configured the snapshot is
 // empty rather than an error, so dashboards can poll unconditionally.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, http.StatusOK, s.tracer.TailSnapshot())
+	WriteJSON(w, http.StatusOK, s.tracer.TailSnapshot())
 	return nil
 }
 
@@ -455,6 +455,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
 // last stage of every successful request.
 func traceJSON(w http.ResponseWriter, r *http.Request, v any) {
 	sp := tracing.FromContext(r.Context()).Child(StageEncode)
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 	sp.End()
 }

@@ -60,6 +60,10 @@ func decodeAs[T any](t *testing.T, body []byte) T {
 	return v
 }
 
+// b64 is the wire form of a response's []byte field in a request's
+// base64 string field.
+func b64(p []byte) string { return base64.StdEncoding.EncodeToString(p) }
+
 // wantError asserts a response carries the given taxonomy code.
 func wantError(t *testing.T, resp *http.Response, body []byte, status int, code string) {
 	t.Helper()
@@ -257,20 +261,16 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	if sum != comp.BlocksBytes {
 		t.Errorf("per-line lengths sum to %d, want blocks_bytes %d", sum, comp.BlocksBytes)
 	}
-	if comp.ROMB64 == "" {
+	if len(comp.ROMB64) == 0 {
 		t.Fatal("preselected coder produced no serialized ROM")
 	}
 
 	// Round trip via the self-describing CROM image.
-	resp, body = postJSON(t, ts.URL+"/v1/decompress", decompressRequest{ROMB64: comp.ROMB64})
+	resp, body = postJSON(t, ts.URL+"/v1/decompress", decompressRequest{ROMB64: b64(comp.ROMB64)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompress: %d %s", resp.StatusCode, body)
 	}
-	dec := decodeAs[decompressResponse](t, body)
-	got, err := base64.StdEncoding.DecodeString(dec.TextB64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := decodeAs[decompressResponse](t, body).TextB64
 	want := make([]byte, comp.OriginalBytes) // padded to the line size
 	copy(want, text)
 	if !bytes.Equal(got, want) {
@@ -279,15 +279,11 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 
 	// Round trip via blocks + per-line records (the codec path's shape).
 	resp, body = postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
-		CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
+		CoderID: id, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompress by lines: %d %s", resp.StatusCode, body)
 	}
-	dec = decodeAs[decompressResponse](t, body)
-	got, err = base64.StdEncoding.DecodeString(dec.TextB64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = decodeAs[decompressResponse](t, body).TextB64
 	if !bytes.Equal(got, want) {
 		t.Fatal("blocks round trip is not byte-identical")
 	}
@@ -311,12 +307,12 @@ func TestCompressCodePackRoundTrip(t *testing.T) {
 		t.Fatalf("compress: %d %s", resp.StatusCode, body)
 	}
 	comp := decodeAs[compressResponse](t, body)
-	if comp.ROMB64 != "" {
+	if len(comp.ROMB64) != 0 {
 		t.Error("codec ROM unexpectedly claims CROM serializability")
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
-		CoderID: info.ID, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
+		CoderID: info.ID, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompress: %d %s", resp.StatusCode, body)
 	}
@@ -360,10 +356,7 @@ func TestDecompressHostileInput(t *testing.T) {
 		t.Fatalf("compress: %d %s", resp.StatusCode, body)
 	}
 	comp := decodeAs[compressResponse](t, body)
-	blocks, err := base64.StdEncoding.DecodeString(comp.BlocksB64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocks := comp.BlocksB64
 	// The first compressed line's stored bytes, for the overlong cases.
 	var stored []byte
 	for i, off := 0, 0; stored == nil; i++ {
@@ -401,7 +394,7 @@ func TestDecompressHostileInput(t *testing.T) {
 
 	t.Run("batch fails only the bad item", func(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/decompress:batch", decompressBatchRequest{Items: []decompressRequest{
-			{CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines},
+			{CoderID: id, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines},
 			{CoderID: id, BlocksB64: base64.StdEncoding.EncodeToString(make([]byte, 5)),
 				Lines: []lineInfo{{Len: 5, Raw: true}}},
 		}})
@@ -444,7 +437,7 @@ func TestDecompressDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(decompressRequest{CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines})
+	raw, err := json.Marshal(decompressRequest{CoderID: id, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +623,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 
 	var (
 		mu     sync.Mutex
-		blocks = map[string]string{}
+		blocks = map[string][]byte{}
 		traces []string
 	)
 	// post decodes one 200 answer; unlike postJSON it is safe to call
@@ -679,14 +672,14 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			blocks[wl] = comp.BlocksB64
 		}
 		mu.Unlock()
-		if seen && prev != comp.BlocksB64 {
+		if seen && !bytes.Equal(prev, comp.BlocksB64) {
 			return fmt.Errorf("compress of %s changed between requests", wl)
 		}
 		if n%3 == 0 {
 			return nil
 		}
 		var dec decompressResponse
-		if err := post("/v1/decompress", decompressRequest{CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines}, &dec); err != nil {
+		if err := post("/v1/decompress", decompressRequest{CoderID: id, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines}, &dec); err != nil {
 			return err
 		}
 		w, _ := workload.ByName(wl)
@@ -694,13 +687,9 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := base64.StdEncoding.DecodeString(dec.TextB64)
-		if err != nil {
-			return err
-		}
 		want := make([]byte, comp.OriginalBytes)
 		copy(want, text)
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(dec.TextB64, want) {
 			return fmt.Errorf("round trip of %s is not byte-identical", wl)
 		}
 		return nil

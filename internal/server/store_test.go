@@ -81,7 +81,7 @@ func TestCoderEntryCodecRoundTrip(t *testing.T) {
 				back.Bound != orig.Bound || back.CorpusBytes != orig.CorpusBytes {
 				t.Fatalf("restored entry metadata differs: %+v vs %+v", back, orig)
 			}
-			enc, err := orig.codec.EncodeLine(line)
+			enc, err := orig.codec.AppendLine(nil, line)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 		t.Fatalf("warm compress: %d %s", resp.StatusCode, body)
 	}
 	second := decodeAs[compressResponse](t, body)
-	if first.ROMB64 != second.ROMB64 || first.BlocksB64 != second.BlocksB64 {
+	if !bytes.Equal(first.ROMB64, second.ROMB64) || !bytes.Equal(first.BlocksB64, second.BlocksB64) {
 		t.Fatal("compressed bytes differ across a restart")
 	}
 
@@ -186,7 +186,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 		t.Fatalf("warm batch = %d items, %d errors; want 2 items, 0 errors", len(batch.Items), batch.Errors)
 	}
 	for i, it := range batch.Items {
-		if it.Result == nil || it.Result.BlocksB64 != second.BlocksB64 {
+		if it.Result == nil || !bytes.Equal(it.Result.BlocksB64, second.BlocksB64) {
 			t.Errorf("warm batch item %d differs from the single-request result", i)
 		}
 	}

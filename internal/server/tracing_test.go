@@ -161,7 +161,7 @@ func TestRequestSpansCoverStages(t *testing.T) {
 	}
 	comp := decodeAs[compressResponse](t, body)
 	resp, body = postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
-		CoderID: id, BlocksB64: comp.BlocksB64, Lines: comp.Lines,
+		CoderID: id, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompress: %d %s", resp.StatusCode, body)
