@@ -72,4 +72,5 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzSimulateHandler$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzLoadStoredCoder$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzReadTrace$$' ./internal/trace
+	$(FUZZ) -fuzz='^FuzzRecorder$$' ./internal/trace
 	$(FUZZ) -fuzz='^FuzzRun$$' ./internal/sim

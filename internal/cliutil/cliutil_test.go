@@ -87,9 +87,10 @@ func TestLoadProgramMissing(t *testing.T) {
 }
 
 func TestLoadTrace(t *testing.T) {
-	tr := &trace.Trace{}
-	tr.Add(0x1000, false, false)
-	tr.Add(0x1004, true, false)
+	var rec trace.Recorder
+	rec.Add(0x1000, false, false)
+	rec.Add(0x1004, true, false)
+	tr := rec.Trace(0)
 	path := filepath.Join(t.TempDir(), "run.trace")
 	f, err := os.Create(path)
 	if err != nil {

@@ -312,16 +312,16 @@ func TestLATFetchCycles(t *testing.T) {
 // syntheticTrace walks the first n bytes of text in a loop, marking every
 // fourth instruction as a load.
 func syntheticTrace(textBytes, loopBytes, iterations int) *trace.Trace {
-	tr := &trace.Trace{}
+	var rec trace.Recorder
 	if loopBytes > textBytes {
 		loopBytes = textBytes
 	}
 	for it := 0; it < iterations; it++ {
 		for pc := 0; pc < loopBytes; pc += 4 {
-			tr.Add(uint32(pc), pc/4%4 == 3, false)
+			rec.Add(uint32(pc), pc/4%4 == 3, false)
 		}
 	}
-	return tr
+	return rec.Trace(0)
 }
 
 func compareWith(t *testing.T, cfg Config, loopBytes int) *Comparison {
@@ -441,8 +441,9 @@ func TestCompareErrors(t *testing.T) {
 	if _, err := Compare(&trace.Trace{}, rom, Config{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Errorf("empty trace err = %v", err)
 	}
-	tr := &trace.Trace{}
-	tr.Add(0x10000, false, false)
+	var rec trace.Recorder
+	rec.Add(0x10000, false, false)
+	tr := rec.Trace(0)
 	if _, err := Compare(tr, rom, Config{}); err == nil {
 		t.Error("out-of-text fetch accepted")
 	}
@@ -623,10 +624,10 @@ func TestReplayRejectsFetchOutsideText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &trace.Trace{}
-	tr.Add(0, false, false)
-	tr.Add(0x10000, false, false)
-	_, err = Replay(tr, rom, Config{})
+	var rec trace.Recorder
+	rec.Add(0, false, false)
+	rec.Add(0x10000, false, false)
+	_, err = Replay(rec.Trace(0), rom, Config{})
 	if err == nil || !strings.Contains(err.Error(), "trace fetch 0x10000 outside program text") {
 		t.Errorf("Replay = %v, want the outside-text error for 0x10000", err)
 	}
@@ -726,11 +727,12 @@ func TestAssociativityHelpsConflictHeavyTrace(t *testing.T) {
 	text := riscLikeText(8192, 77)
 	code := testCode(t, text)
 	// Ping-pong between two conflicting regions.
-	tr := &trace.Trace{}
+	var rec trace.Recorder
 	for i := 0; i < 2000; i++ {
-		tr.Add(uint32(i%8)*4, false, false)
-		tr.Add(4096+uint32(i%8)*4, false, false)
+		rec.Add(uint32(i%8)*4, false, false)
+		rec.Add(4096+uint32(i%8)*4, false, false)
 	}
+	tr := rec.Trace(0)
 	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{code}})
 	if err != nil {
 		t.Fatal(err)
@@ -873,11 +875,11 @@ func TestCodecPlugPoint(t *testing.T) {
 		t.Error("codec ROM serialized")
 	}
 	// And must run through the system simulator.
-	tr := &trace.Trace{}
+	var rec trace.Recorder
 	for i := 0; i < 1000; i++ {
-		tr.Add(uint32(i%64)*4, false, false)
+		rec.Add(uint32(i%64)*4, false, false)
 	}
-	cmp, err := Compare(tr, rom, Config{CacheBytes: 256, Mem: memory.EPROM{}})
+	cmp, err := Compare(rec.Trace(0), rom, Config{CacheBytes: 256, Mem: memory.EPROM{}})
 	if err != nil {
 		t.Fatal(err)
 	}

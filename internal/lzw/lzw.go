@@ -35,46 +35,43 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 		return nil, fmt.Errorf("lzw: maxBits %d out of range [%d,24]", maxBits, minBits)
 	}
 	var w bitio.Writer
-	dict := make(map[string]int, 1<<12)
-	reset := func() {
-		for k := range dict {
-			delete(dict, k)
-		}
-		for i := 0; i < 256; i++ {
-			dict[string([]byte{byte(i)})] = i
-		}
-	}
-	reset()
+	// dict maps a string one byte longer than a known one to its code,
+	// keyed by the known string's code and the byte: code<<8 | byte. The
+	// 256 one-byte strings are implicit, each its own byte value.
+	dict := make(map[uint32]int, 1<<12)
 	next := firstFree
 	width := uint(minBits)
-	cur := []byte{}
 	emit := func(code int) {
 		w.WriteBits(uint64(code), width)
 	}
+	cur := -1 // the code of the string matched so far; -1 before the first byte
 	for _, b := range data {
-		ext := append(cur, b)
-		if _, ok := dict[string(ext)]; ok {
-			cur = ext
+		if cur < 0 {
+			cur = int(b)
 			continue
 		}
-		emit(dict[string(cur)])
+		key := uint32(cur)<<8 | uint32(b)
+		if code, ok := dict[key]; ok {
+			cur = code
+			continue
+		}
+		emit(cur)
 		if next < 1<<maxBits {
-			dict[string(ext)] = next
+			dict[key] = next
 			next++
 			if next > 1<<width && width < uint(maxBits) {
 				width++
 			}
 		} else {
 			emit(clearCode)
-			reset()
+			clear(dict)
 			next = firstFree
 			width = minBits
 		}
-		cur = cur[:0]
-		cur = append(cur, b)
+		cur = int(b)
 	}
-	if len(cur) > 0 {
-		emit(dict[string(cur)])
+	if cur >= 0 {
+		emit(cur)
 		// The decoder adds its entry for this code only on reading it,
 		// one step behind the encoder, and may widen there; write the
 		// end code at the width it will read.

@@ -100,12 +100,12 @@ func TestBadPageSize(t *testing.T) {
 
 // walkTrace touches pages in a loop larger than the frame pool.
 func walkTrace(pages, touches, pageBytes int) *trace.Trace {
-	tr := &trace.Trace{}
+	var rec trace.Recorder
 	for i := 0; i < touches; i++ {
 		page := i % pages
-		tr.Add(uint32(page*pageBytes+(i%32)*4), false, false)
+		rec.Add(uint32(page*pageBytes+(i%32)*4), false, false)
 	}
-	return tr
+	return rec.Trace(0)
 }
 
 func TestSimulateBasics(t *testing.T) {
@@ -180,9 +180,9 @@ func TestLRUResidency(t *testing.T) {
 func TestSimulateErrors(t *testing.T) {
 	image := riscLike(4096, 6)
 	store := testStore(t, image, 4096)
-	tr := &trace.Trace{}
-	tr.Add(100000, false, false)
-	if _, err := Simulate(tr, store, 2, Flash()); err == nil {
+	var rec trace.Recorder
+	rec.Add(100000, false, false)
+	if _, err := Simulate(rec.Trace(0), store, 2, Flash()); err == nil {
 		t.Error("fetch outside image accepted")
 	}
 	tr2 := walkTrace(1, 10, 4096)

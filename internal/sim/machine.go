@@ -88,7 +88,8 @@ type Machine struct {
 	pages [numPages]*page // nil until first written
 
 	inputPos int
-	trace    *trace.Trace // nil unless cfg.CollectTrace
+	rec      *trace.Recorder // nil unless cfg.CollectTrace
+	final    *trace.Trace    // the trace of a run that exited, once Run has returned it
 	exitCode int32
 	done     bool
 	im       *instruments // nil when metrics are disabled
@@ -112,7 +113,7 @@ func New(prog *asm.Program, cfg Config) *Machine {
 	m.load(asm.DataBase, prog.Data)
 	m.st.TextLimit = asm.TextBase + uint32(len(prog.Text))
 	if cfg.CollectTrace {
-		m.trace = &trace.Trace{}
+		m.rec = &trace.Recorder{}
 	}
 	if cfg.Metrics != nil {
 		m.im = newInstruments(cfg.Metrics)
@@ -286,8 +287,8 @@ func (m *Machine) step() error {
 	if err := m.exec.Step(m); err != nil {
 		return err
 	}
-	if m.trace != nil {
-		m.trace.Add(pc, s.Loads != loads, s.Stores != stores)
+	if m.rec != nil {
+		m.rec.Add(pc, s.Loads != loads, s.Stores != stores)
 	}
 	s.Icount++
 	return nil
@@ -295,11 +296,16 @@ func (m *Machine) step() error {
 
 // Run executes until the program exits (syscall 10/17), an error occurs,
 // or the instruction limit is hit. The result's trace holds its runs in
-// an exactly sized slice, so a caller that keeps it keeps no slack.
+// an exactly sized slice, so a caller that keeps it keeps no slack. Once
+// the program has exited its recording is finished: the recorder's
+// blocks go back to their pool, and a later Run returns the same runs.
+// A run stopped by an error could still be stepped on, so its trace is a
+// snapshot and the recording goes on.
 func (m *Machine) Run() (*Result, error) {
 	err := m.run()
-	if m.trace != nil && cap(m.trace.Events) > len(m.trace.Events) {
-		m.trace.Events = append(make([]trace.Event, 0, len(m.trace.Events)), m.trace.Events...)
+	if m.done && m.rec != nil {
+		m.final = m.rec.Trace(m.st.Stalls)
+		m.rec = nil
 	}
 	return m.result(), err
 }
@@ -324,8 +330,11 @@ func (m *Machine) result() *Result {
 		Stores:       m.st.Stores,
 		ExitCode:     m.exitCode,
 	}
-	if m.trace != nil {
-		r.Trace = &trace.Trace{Events: m.trace.Events, Stalls: m.st.Stalls}
+	switch {
+	case m.final != nil:
+		r.Trace = &trace.Trace{Events: m.final.Events, Stalls: m.final.Stalls}
+	case m.rec != nil:
+		r.Trace = m.rec.Snapshot(m.st.Stalls)
 	}
 	return r
 }
@@ -349,10 +358,11 @@ func (m *Machine) Done() bool { return m.done }
 func (m *Machine) Instructions() uint64 { return m.st.Icount }
 
 // Snapshot returns the current result counters without ending the run.
-// Its trace is a copy, because the next step may extend the last run.
+// Its trace is a copy of the runs so far, the open one included, and
+// shares no memory with the machine or with any other result.
 func (m *Machine) Snapshot() *Result {
 	r := m.result()
-	if r.Trace != nil {
+	if m.final != nil {
 		r.Trace.Events = slices.Clone(r.Trace.Events)
 	}
 	return r

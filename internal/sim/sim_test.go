@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -480,7 +481,8 @@ __start:
 
 // TestRunTraceExactlySized: the trace of a finished run, whether it
 // exited or faulted, holds its runs in an exactly sized slice, so a
-// caller that keeps it keeps no growth slack.
+// caller that keeps it keeps no growth slack. A second Run returns the
+// same runs, and a Snapshot a copy of them that shares no memory.
 func TestRunTraceExactlySized(t *testing.T) {
 	for _, c := range []struct {
 		src string
@@ -494,9 +496,18 @@ func TestRunTraceExactlySized(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.cfg.CollectTrace = true
-		res, _ := New(p, c.cfg).Run()
+		m := New(p, c.cfg)
+		res, _ := m.Run()
 		if n := len(res.Trace.Events); n < 1000 || cap(res.Trace.Events) != n {
 			t.Errorf("trace of %d runs has capacity %d, want %d", n, cap(res.Trace.Events), n)
+		}
+		again, _ := m.Run()
+		snap := m.Snapshot()
+		if !slices.Equal(again.Trace.Events, res.Trace.Events) || !slices.Equal(snap.Trace.Events, res.Trace.Events) {
+			t.Errorf("second Run or Snapshot returned other runs")
+		}
+		if &snap.Trace.Events[0] == &res.Trace.Events[0] {
+			t.Errorf("snapshot shares its runs with Run's trace")
 		}
 	}
 }

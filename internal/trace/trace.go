@@ -8,6 +8,12 @@
 // fetched is a hit that changes no cache, CLB or page state: a consumer
 // decides once per run and counts the run's other fetches as hits. The
 // fetch addresses themselves are PC, PC+4, … and regenerate from the run.
+//
+// A Recorder builds every trace, the simulator's and Read's alike. It
+// keeps the open run itself and writes finished runs into fixed-size
+// blocks taken from a package pool, so recording never copies a run to
+// grow a slice. Trace then copies the blocks into one exactly sized
+// slice and returns them to the pool for the next recording.
 package trace
 
 import (
@@ -15,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Run geometry. Both registered ISAs fetch 4-byte words, and a run stays
@@ -35,7 +42,7 @@ type Event struct {
 	Stores uint8
 }
 
-// check reports why e is not a run Add could have produced.
+// check reports why e is not a run Recorder.Add could have produced.
 func (e Event) check() error {
 	switch {
 	case e.N == 0 || e.N > MaxRun:
@@ -51,43 +58,103 @@ func (e Event) check() error {
 }
 
 // Trace is a complete execution trace plus the summary counters the
-// performance model needs. Events holds the runs in execution order;
-// producers extend it through Add.
+// performance model needs. Events holds the runs in execution order, in
+// a slice of exactly their number; a Recorder builds it.
 type Trace struct {
 	Events []Event
 	Stalls uint64 // pipeline stall cycles attributed by the simulator
 }
 
-// Add records one executed instruction, fetched from the word-aligned
-// pc, that read (load) or wrote (store) data memory. It extends the last
-// run when pc is the next word of that run's line, and starts a new run
-// otherwise.
-func (t *Trace) Add(pc uint32, load, store bool) {
-	if n := len(t.Events); n > 0 {
-		r := &t.Events[n-1]
-		if pc == r.PC+uint32(r.N)*WordBytes && pc/LineBytes == r.PC/LineBytes {
-			r.N++
-			r.Loads += one(load)
-			r.Stores += one(store)
-			return
-		}
-	}
-	t.start(Event{PC: pc, N: 1, Loads: one(load), Stores: one(store)})
+// blockRuns is the number of runs in one recorder block (64 KiB).
+const blockRuns = 8192
+
+// blockPool holds empty recorder blocks, each of capacity blockRuns.
+var blockPool = sync.Pool{New: func() any {
+	b := make([]Event, 0, blockRuns)
+	return &b
+}}
+
+// Recorder builds a trace one executed instruction at a time. The zero
+// value is an empty recorder ready to use; a Recorder must not be copied
+// once used, and is not safe for concurrent use.
+type Recorder struct {
+	open   Event      // the run Add extends; N is 0 while there is none
+	block  []Event    // the block being filled: *blocks[len(blocks)-1]
+	blocks []*[]Event // blocks from blockPool in order; all but the last are full
 }
 
-// minRuns is the capacity of a trace's first allocation.
-const minRuns = 1024
-
-// start appends a new run. Events doubles when full: append grows a large
-// slice by about a quarter, so a trace of n runs would allocate about 5n
-// runs in all, where doubling allocates about 2n.
-func (t *Trace) start(e Event) {
-	if n := len(t.Events); n == cap(t.Events) {
-		grown := make([]Event, n, max(2*n, minRuns))
-		copy(grown, t.Events)
-		t.Events = grown
+// Add records one executed instruction, fetched from the word-aligned
+// pc, that read (load) or wrote (store) data memory. It extends the open
+// run when pc is the next word of that run's line, and starts a new run
+// otherwise. Before the first Add the open run is empty (N == 0 at PC
+// 0): the extension test then passes only for pc 0, and extending the
+// empty run starts the run at 0, as a new run would.
+func (r *Recorder) Add(pc uint32, load, store bool) {
+	o := &r.open
+	if pc == o.PC+uint32(o.N)*WordBytes && pc/LineBytes == o.PC/LineBytes {
+		o.N++
+		o.Loads += one(load)
+		o.Stores += one(store)
+		return
 	}
-	t.Events = append(t.Events, e)
+	if o.N != 0 {
+		r.push(*o)
+	}
+	*o = Event{PC: pc, N: 1, Loads: one(load), Stores: one(store)}
+}
+
+// push appends a finished run to the current block.
+func (r *Recorder) push(e Event) {
+	if len(r.block) == cap(r.block) {
+		r.grow()
+	}
+	r.block = append(r.block, e)
+}
+
+// grow takes the next block from the pool.
+func (r *Recorder) grow() {
+	b := blockPool.Get().(*[]Event)
+	r.blocks = append(r.blocks, b)
+	r.block = (*b)[:0]
+}
+
+// Snapshot returns the runs recorded so far, the open one included, in a
+// slice of exactly their number that shares no memory with the recorder.
+// Recording goes on: a later Add may still extend the open run.
+func (r *Recorder) Snapshot(stalls uint64) *Trace {
+	full := r.blocks
+	if len(full) > 0 {
+		full = full[:len(full)-1] // the last block is r.block
+	}
+	n := len(full)*blockRuns + len(r.block)
+	if r.open.N != 0 {
+		n++
+	}
+	ev := make([]Event, 0, n)
+	for _, b := range full {
+		ev = append(ev, (*b)[:blockRuns]...)
+	}
+	ev = append(ev, r.block...)
+	if r.open.N != 0 {
+		ev = append(ev, r.open)
+	}
+	return &Trace{Events: ev, Stalls: stalls}
+}
+
+// Trace returns the runs recorded so far as Snapshot does, then returns
+// the recorder's blocks to the pool and empties it.
+func (r *Recorder) Trace(stalls uint64) *Trace {
+	t := r.Snapshot(stalls)
+	r.free()
+	return t
+}
+
+// free returns the recorder's blocks to the pool and empties it.
+func (r *Recorder) free() {
+	for _, b := range r.blocks {
+		blockPool.Put(b)
+	}
+	*r = Recorder{}
 }
 
 func one(b bool) uint8 {
@@ -154,15 +221,14 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// maxPrealloc caps the runs Read allocates before any has arrived.
-// The header's count is a claim, not a size: the slice grows as records
-// are read, so a short file cannot make Read allocate for runs it does
-// not hold.
-const maxPrealloc = 1 << 12
+// chunkRuns is the number of records Read decodes per read call.
+const chunkRuns = 1024
 
 // Read deserializes a trace written by WriteTo. Every run must be one
-// Add could have produced; a version-1 file (one record per fetch) is
-// rejected.
+// Recorder.Add could have produced; a version-1 file (one record per
+// fetch) is rejected. The header's run count is a claim, not a size:
+// Read reads at most chunkRuns records at a time into a Recorder, so a
+// short file cannot make it allocate for runs it does not hold.
 func Read(r io.Reader) (*Trace, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -178,20 +244,26 @@ func Read(r io.Reader) (*Trace, error) {
 	if n > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible run count %d", ErrBadTrace, n)
 	}
-	t := &Trace{
-		Events: make([]Event, 0, min(n, maxPrealloc)),
-		Stalls: binary.LittleEndian.Uint64(hdr[16:]),
-	}
-	var rec [recLen]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
+	var rec Recorder
+	buf := make([]byte, recLen*min(n, chunkRuns))
+	for i := uint64(0); i < n; {
+		got, err := io.ReadFull(r, buf[:recLen*min(n-i, chunkRuns)])
+		for b := buf[:got-got%recLen]; len(b) > 0; b = b[recLen:] {
+			e := Event{PC: binary.LittleEndian.Uint32(b), N: b[4], Loads: b[5], Stores: b[6]}
+			if err := e.check(); err != nil {
+				rec.free()
+				return nil, fmt.Errorf("%w: run %d: %v", ErrBadTrace, i, err)
+			}
+			rec.push(e)
+			i++
+		}
+		if err != nil {
+			if err == io.ErrUnexpectedEOF && got%recLen == 0 {
+				err = io.EOF // the first missing run has no byte
+			}
+			rec.free()
 			return nil, fmt.Errorf("%w: run %d: %v", ErrBadTrace, i, err)
 		}
-		e := Event{PC: binary.LittleEndian.Uint32(rec[0:]), N: rec[4], Loads: rec[5], Stores: rec[6]}
-		if err := e.check(); err != nil {
-			return nil, fmt.Errorf("%w: run %d: %v", ErrBadTrace, i, err)
-		}
-		t.Events = append(t.Events, e)
 	}
-	return t, nil
+	return rec.Trace(binary.LittleEndian.Uint64(hdr[16:])), nil
 }
