@@ -26,7 +26,8 @@ fmt:
 staticcheck:
 	$(GO) run $(STATICCHECK) ./...
 
-# The full hygiene gate: build + vet + gofmt + staticcheck + race tests.
+# The full hygiene gate, what CI runs: build + vet + gofmt + staticcheck
+# + race tests + every example + the ccrpbench module's vet and tests.
 check:
 	sh scripts/check.sh
 

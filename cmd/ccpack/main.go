@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/core"
@@ -48,8 +49,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cliutil.PrintVersion(stdout, "ccpack", version) {
 		return 0
 	}
-	if *wl == "" && fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: ccpack [-o out.rom] [-word] [-own] (-workload name | prog.img)")
+	const usage = "usage: ccpack [-o out.rom] [-word] [-own] (-workload name | prog.img)"
+	switch {
+	case *wl != "" && fs.NArg() > 0:
+		fmt.Fprintf(stderr, "ccpack: -workload %s and %s are two inputs; want one\n%s\n",
+			*wl, strings.Join(fs.Args(), " "), usage)
+		return 2
+	case *wl == "" && fs.NArg() != 1:
+		fmt.Fprintln(stderr, usage)
 		return 2
 	}
 	if err := pack(stdout, *wl, fs.Arg(0), *out, *word, *own); err != nil {

@@ -101,6 +101,35 @@ func TestFailures(t *testing.T) {
 	}
 }
 
+// TestBadInput: a workload beside an image is two inputs, a usage error
+// (exit 2) that names both; ccpack packs neither, so it prints no stats
+// line and writes no ROM.
+func TestBadInput(t *testing.T) {
+	rom := filepath.Join(t.TempDir(), "out.rom")
+	img := filepath.Join("..", "ccasm", "testdata", "sum.mips.img")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "eightq", "/nonexistent.img"}, "-workload eightq and /nonexistent.img"},
+		{[]string{"-o", rom, "-workload", "eightq", img}, "-workload eightq and " + img},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%q: stderr %q, want it to contain %q", c.args, stderr.String(), c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: stdout %q", c.args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(rom); !os.IsNotExist(err) {
+		t.Errorf("-o %s: the ROM was written (stat: %v)", rom, err)
+	}
+}
+
 // TestVersion: -version prints to the given stdout and succeeds.
 func TestVersion(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"ccrp/internal/cliutil"
 	"ccrp/internal/core"
@@ -105,7 +106,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if !(*dmiss >= 0 && *dmiss <= 1) {
 		return usage("-dmiss %g outside [0, 1]", *dmiss)
 	}
-	if *loadTrace == "" && *wl == "" && fs.NArg() != 1 {
+	switch {
+	case *loadTrace != "" && *wl != "":
+		return usage("-trace %s and -workload %s are two inputs; want one", *loadTrace, *wl)
+	case *wl != "" && fs.NArg() > 0:
+		return usage("-workload %s and %s are two inputs; want one", *wl, strings.Join(fs.Args(), " "))
+	case *loadTrace == "" && *wl == "" && fs.NArg() != 1:
 		return usage("want -workload name or one program")
 	}
 	progress := stdout

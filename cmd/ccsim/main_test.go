@@ -72,9 +72,10 @@ func TestBadMissRate(t *testing.T) {
 	}
 }
 
-// TestBadInput: a missing program or a flag ccsim lacks (-events and
-// -sample among them) is a usage error, and an unknown workload or
-// memory model is an error that names it; none prints a report.
+// TestBadInput: a missing program, two inputs (a workload beside an
+// image or a trace) or a flag ccsim lacks (-events and -sample among
+// them) is a usage error, and an unknown workload or memory model is an
+// error that names it; none prints a report.
 func TestBadInput(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -90,6 +91,8 @@ func TestBadInput(t *testing.T) {
 		{"unknown workload", []string{"-workload", "nonesuch"}, false, "nonesuch"},
 		{"unknown memory", []string{"-workload", "eightq", "-mem", "SRAM"}, false, "SRAM"},
 		{"trace without image", []string{"-trace", "t.trc"}, false, "-trace needs the program image"},
+		{"workload and image", []string{"-workload", "eightq", "prog.img"}, true, "-workload eightq and prog.img"},
+		{"trace and workload", []string{"-trace", "t.trc", "-workload", "eightq", "prog.img"}, true, "-trace t.trc and -workload eightq"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(c.args, &stdout, &stderr)

@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"ccrp/internal/cache"
 	"ccrp/internal/cliutil"
@@ -80,7 +81,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *top < 0 {
 		return usage("-top %d is negative", *top)
 	}
-	if *wl == "" && fs.NArg() != 1 {
+	switch {
+	case *wl != "" && fs.NArg() > 0:
+		return usage("-workload %s and %s are two inputs; want one", *wl, strings.Join(fs.Args(), " "))
+	case *wl == "" && fs.NArg() != 1:
 		return usage("want -workload name or one trace file")
 	}
 	ic, err := cache.New(*cacheBytes, lineBytes)

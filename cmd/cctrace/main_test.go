@@ -48,10 +48,10 @@ func TestInstrumentedPassPinned(t *testing.T) {
 	}
 }
 
-// TestBadInput: a bad command line, -events and -sample included, is a
-// usage error (exit 2); a bad -cache geometry, an empty trace and a
-// version-1 trace file are errors that name the problem (exit 1). None
-// panics or prints a report.
+// TestBadInput: a bad command line, -events, -sample and a workload
+// beside a trace file included, is a usage error (exit 2); a bad -cache
+// geometry, an empty trace and a version-1 trace file are errors that
+// name the problem (exit 1). None panics or prints a report.
 func TestBadInput(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.trc")
@@ -78,6 +78,7 @@ func TestBadInput(t *testing.T) {
 	}{
 		{"negative top", []string{"-workload", "eightq", "-top", "-1"}, true, "-top -1 is negative"},
 		{"no input", nil, true, "want -workload name or one trace file"},
+		{"workload and file", []string{"-workload", "eightq", "t.trc"}, true, "-workload eightq and t.trc"},
 		{"unknown flag", []string{"-nonesuch"}, true, "not defined"},
 		{"event stream", []string{"-workload", "eightq", "-events", "x"}, true, "not defined: -events"},
 		{"event sampling", []string{"-workload", "eightq", "-sample", "1"}, true, "not defined: -sample"},

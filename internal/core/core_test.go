@@ -101,9 +101,9 @@ func TestRawFallback(t *testing.T) {
 		t.Errorf("raw lines = %d of %d", rom.RawLines(), len(rom.Lines))
 	}
 	// No encoded block may ever exceed its original size (§2.2).
-	for i, l := range rom.Lines {
-		if len(l.Stored) > LineSize {
-			t.Errorf("line %d stored %d bytes", i, len(l.Stored))
+	for i := range rom.Lines {
+		if n := len(rom.Stored(i)); n > LineSize {
+			t.Errorf("line %d stored %d bytes", i, n)
 		}
 	}
 	if err := rom.Verify(); err != nil {
@@ -125,9 +125,9 @@ func TestWordAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range wordROM.Lines {
-		if len(l.Stored)%4 != 0 {
-			t.Errorf("word-aligned line %d has %d bytes", i, len(l.Stored))
+	for i := range wordROM.Lines {
+		if n := len(wordROM.Stored(i)); n%4 != 0 {
+			t.Errorf("word-aligned line %d has %d bytes", i, n)
 		}
 	}
 	if wordROM.BlocksSize() < byteROM.BlocksSize() {
@@ -571,8 +571,8 @@ func TestCompareAllocsIndependentOfMisses(t *testing.T) {
 	}
 
 	li := -1
-	for i, l := range rom.Lines {
-		if !l.Raw {
+	for i := range rom.Lines {
+		if !rom.Raw(i) {
 			li = i
 			break
 		}

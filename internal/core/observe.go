@@ -81,9 +81,9 @@ func Observe(reg *metrics.Registry, tr *trace.Trace, p *Profile, rom *ROM, cfg C
 	clbRatio := reg.Gauge("ccrp_clb_hit_ratio", "CLB probe hit ratio")
 	fetchVec := reg.CounterVec("ccrp_line_fetches_total",
 		"instruction fetches by ROM line index", "line")
-	for li, l := range rom.Lines {
+	for li := range rom.Lines {
 		fetchVec.WithInt(li).Add(fetched[li])
-		storedHist.Observe(float64(len(l.Stored)))
+		storedHist.Observe(float64(rom.storedLen(li)))
 	}
 
 	t := newTariff(cfg)
@@ -96,7 +96,7 @@ func Observe(reg *metrics.Registry, tr *trace.Trace, p *Profile, rom *ROM, cfg C
 		for range n {
 			refillHist.Observe(float64(cycles))
 		}
-		if rom.Lines[li].Raw {
+		if rom.Raw(li) {
 			rawRefills.Add(n)
 		} else if cycles > 0 {
 			decBytes += n * LineSize

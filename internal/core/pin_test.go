@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ccrp/internal/core"
@@ -232,5 +234,54 @@ func TestImageAllocsPerImage(t *testing.T) {
 	if small.huffman != large.huffman || small.codepack != large.codepack || small.read != large.read {
 		t.Errorf("allocations (Huffman build, CodePack build, read) = (%v, %v, %v) for eightq, (%v, %v, %v) for espresso, want equal",
 			small.huffman, small.codepack, small.read, large.huffman, large.codepack, large.read)
+	}
+}
+
+// TestReadROMFileLineBytes: reading a ROM file allocates, beyond the
+// text, blocks and LAT the file holds, at most 16 bytes per line, since
+// a line keeps only its code tag and its block is located through the
+// LAT. The slope is taken between eightq and espresso under one code,
+// so the code table and its decoder, the same for both, cancel out.
+func TestReadROMFileLineBytes(t *testing.T) {
+	presel, err := experiments.PreselectedCode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type sample struct{ lines, extra float64 }
+	measure := func(prog string) sample {
+		w, _ := workload.ByName(prog)
+		text, err := w.Text()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rom, err := core.BuildROM(text, core.Options{Codes: []*huffman.Code{presel}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := rom.WriteFile(&file); err != nil {
+			t.Fatal(err)
+		}
+		read := func() {
+			if _, err := core.ReadROMFile(bytes.NewReader(file.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read() // any one-time set-up is not the file's
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		held := rom.OriginalSize + rom.BlocksSize() + rom.TableSize()
+		return sample{float64(len(rom.Lines)), float64(after.TotalAlloc-before.TotalAlloc) - float64(held)}
+	}
+	small, large := measure("eightq"), measure("espresso")
+	if large.lines < 4*small.lines {
+		t.Fatalf("espresso has %v lines, eightq %v; test premise broken", large.lines, small.lines)
+	}
+	if slope := (large.extra - small.extra) / (large.lines - small.lines); slope > 16 {
+		t.Errorf("ReadROMFile allocates %.1f bytes per line beyond the text, blocks and LAT, want at most 16 (eightq %.0f bytes over %v lines, espresso %.0f over %v)",
+			slope, small.extra, small.lines, large.extra, large.lines)
 	}
 }

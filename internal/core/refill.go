@@ -68,22 +68,23 @@ func (e RefillEngine) CompressedLineCycles(bitLens []uint8, storedBytes int) uin
 }
 
 // LineCycles dispatches on the block kind and returns the refill time of
-// ROM line i, excluding CLB effects and post-burst recovery. A compressed
-// line streams by the bit lengths of the codec that coded it, and is
-// priced without allocating.
+// ROM line i, excluding CLB effects and post-burst recovery. The kind
+// and stored size are the line's LAT length; a compressed line streams
+// by the bit lengths of the codec that coded it, and is priced without
+// allocating.
 func (e RefillEngine) LineCycles(r *ROM, i int) uint64 {
-	l := r.Lines[i]
-	if l.Raw {
-		return e.RawLineCycles(len(l.Stored))
+	stored := r.storedLen(i)
+	if r.Raw(i) {
+		return e.RawLineCycles(stored)
 	}
-	lens, err := r.codecs[l.CodeIdx].BitLengths(l.Orig)
+	lens, err := r.codecs[r.Lines[i].CodeIdx].BitLengths(r.orig(i))
 	if err != nil {
 		// BuildROM sized the line from these lengths, so only a codec
 		// that changes its answer gets here; pricing the refill at zero
 		// cycles would hide it.
 		panic(fmt.Sprintf("core: line %d: codec BitLengths failed after BuildROM accepted it: %v", i, err))
 	}
-	return e.CompressedLineCycles(lens[:], len(l.Stored))
+	return e.CompressedLineCycles(lens[:], stored)
 }
 
 // LATFetchCycles is the CLB refill penalty: reading one 8-byte LAT entry
@@ -97,7 +98,7 @@ func (e RefillEngine) LATFetchCycles() uint64 {
 // whole words, since the bus performs word accesses even for byte-aligned
 // blocks (§4.1).
 func LineTrafficBytes(r *ROM, i int) uint64 {
-	return uint64((len(r.Lines[i].Stored) + 3) / 4 * 4)
+	return uint64((r.storedLen(i) + 3) / 4 * 4)
 }
 
 // tariff is what each refill costs under one configuration's memory

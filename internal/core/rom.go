@@ -39,18 +39,18 @@ type Options struct {
 	WordAligned bool
 }
 
-// Line is one compressed (or raw) instruction block.
+// Line is one instruction block's code-select tag, the field the ROM
+// file stores per line. Where the block is stored, and whether raw, is
+// the LAT's to say (Stored, Raw); its original bytes are its LineSize
+// bytes of Text.
 type Line struct {
-	Orig    []byte // the 32 original instruction bytes, a slice of Text()
-	Stored  []byte // bytes as stored in instruction memory, a slice of Blocks
-	Raw     bool   // stored uncompressed (decoder bypass)
-	CodeIdx int    // index of the codec that coded the line, -1 when raw
+	CodeIdx int // index of the codec that coded the line, -1 when raw
 }
 
 // ROM is a compressed program image: the packed blocks followed by the
 // Line Address Table, as laid out in embedded instruction memory. It
-// holds each block once, in Blocks, and the text once, in the padded
-// image that Text returns.
+// holds each block once, in Blocks, located only through Table, and the
+// text once, in the padded image that Text returns.
 type ROM struct {
 	Lines        []Line
 	Table        *lat.Table
@@ -88,25 +88,27 @@ func BuildROM(text []byte, opts Options) (*ROM, error) {
 	encLens := make([]int, n) // a coded line's bytes before word alignment
 	total := 0
 	for i := range rom.Lines {
-		orig := padded[i*LineSize : (i+1)*LineSize]
-		best, exact, size, err := rom.sizeLine(orig)
+		best, exact, size, err := rom.sizeLine(rom.orig(i))
 		if err != nil {
 			return nil, fmt.Errorf("core: line at %#x: %w", i*LineSize, err)
 		}
-		rom.Lines[i] = Line{Orig: orig, Raw: best < 0, CodeIdx: best}
+		rom.Lines[i].CodeIdx = best
 		blockLens[i], encLens[i] = size, exact
 		total += size
 	}
+	table, err := lat.Build(blockLens, 0)
+	if err != nil {
+		return nil, err
+	}
+	rom.Table = table
 	blocks := make([]byte, 0, total)
-	for i := range rom.Lines {
-		l := &rom.Lines[i]
+	for i, l := range rom.Lines {
 		off := len(blocks)
-		if l.Raw {
-			blocks = append(blocks, l.Orig...)
+		if rom.Raw(i) {
+			blocks = append(blocks, rom.orig(i)...)
 		} else {
 			codec := rom.codecs[l.CodeIdx]
-			var err error
-			if blocks, err = codec.AppendLine(blocks, l.Orig); err != nil {
+			if blocks, err = codec.AppendLine(blocks, rom.orig(i)); err != nil {
 				return nil, fmt.Errorf("core: line at %#x: %w", i*LineSize, err)
 			}
 			// The LAT records the size the bit lengths give; a longer
@@ -117,16 +119,9 @@ func BuildROM(text []byte, opts Options) (*ROM, error) {
 					i*LineSize, codec.Name(), enc, encLens[i])
 			}
 		}
-		end := off + blockLens[i] // a word-aligned slot ends in zeros
-		blocks = blocks[:end]
-		l.Stored = blocks[off:end:end]
+		blocks = blocks[:off+blockLens[i]] // a word-aligned slot ends in zeros
 	}
 	rom.Blocks = blocks
-	table, err := lat.Build(blockLens, 0)
-	if err != nil {
-		return nil, err
-	}
-	rom.Table = table
 	return rom, nil
 }
 
@@ -192,6 +187,41 @@ func (r *ROM) Ratio() float64 {
 	return float64(r.CompressedSize()) / float64(r.OriginalSize)
 }
 
+// entry returns the LAT entry that locates line i and the line's slot
+// in it.
+func (r *ROM) entry(i int) (lat.Entry, int) {
+	_ = r.Lines[i] // a line past the program panics; the last entry's spare slots are no line's
+	ei, slot := r.Table.EntryFor(uint32(i * LineSize))
+	return r.Table.Entries[ei], slot
+}
+
+// Raw reports whether line i is stored uncompressed, the decoder bypass:
+// its LAT length code is 0.
+func (r *ROM) Raw(i int) bool {
+	e, slot := r.entry(i)
+	return e.IsRaw(slot)
+}
+
+// storedLen returns the bytes line i is stored in, from its LAT length
+// alone.
+func (r *ROM) storedLen(i int) int {
+	e, slot := r.entry(i)
+	return e.BlockLength(slot)
+}
+
+// Stored returns line i as stored in instruction memory, the slice of
+// Blocks its LAT entry locates: the entry's base plus the lengths of the
+// lines before it in the entry, as the CLB's address unit computes it.
+func (r *ROM) Stored(i int) []byte {
+	e, slot := r.entry(i)
+	addr := int(e.BlockAddress(slot))
+	end := addr + e.BlockLength(slot)
+	return r.Blocks[addr:end:end]
+}
+
+// orig returns the LineSize original bytes of line i, a slice of Text.
+func (r *ROM) orig(i int) []byte { return r.text[i*LineSize : (i+1)*LineSize] }
+
 // LineIndex returns the block index holding program address addr.
 func (r *ROM) LineIndex(addr uint32) (int, error) {
 	i := int(addr / LineSize)
@@ -223,15 +253,12 @@ func (r *ROM) DecompressLineInto(i int, dst []byte) error {
 	if len(dst) != LineSize {
 		return fmt.Errorf("core: line buffer is %d bytes, want %d", len(dst), LineSize)
 	}
-	l := r.Lines[i]
-	if l.Raw {
-		n := copy(dst, l.Stored)
-		for j := n; j < LineSize; j++ {
-			dst[j] = 0
-		}
+	stored := r.Stored(i)
+	if r.Raw(i) {
+		copy(dst, stored) // a raw block is the line's LineSize bytes
 		return nil
 	}
-	if err := r.codecs[l.CodeIdx].DecodeLineInto(dst, l.Stored); err != nil {
+	if err := r.codecs[r.Lines[i].CodeIdx].DecodeLineInto(dst, stored); err != nil {
 		return fmt.Errorf("core: line %d: %w", i, err)
 	}
 	return nil
@@ -247,7 +274,7 @@ func (r *ROM) Verify() error {
 		if err := r.DecompressLineInto(i, buf); err != nil {
 			return err
 		}
-		if !bytes.Equal(buf, r.Lines[i].Orig) {
+		if !bytes.Equal(buf, r.orig(i)) {
 			return fmt.Errorf("core: line %d decompresses incorrectly", i)
 		}
 	}
@@ -257,8 +284,8 @@ func (r *ROM) Verify() error {
 // RawLines counts blocks stored uncompressed.
 func (r *ROM) RawLines() int {
 	n := 0
-	for _, l := range r.Lines {
-		if l.Raw {
+	for i := range r.Lines {
+		if r.Raw(i) {
 			n++
 		}
 	}

@@ -88,8 +88,9 @@ func (r *ROM) WriteFile(w io.Writer) error {
 	return err
 }
 
-// ReadROMFile reconstructs a ROM image, decompressing every block to
-// recover the original line contents (and thereby verifying the file).
+// ReadROMFile reconstructs a ROM image, locating every block through the
+// LAT and decompressing it to recover the original line contents (and
+// thereby verifying the file).
 func ReadROMFile(rd io.Reader) (*ROM, error) {
 	var hdr [28]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
@@ -159,47 +160,40 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	}
 	table.Blocks = origSize / LineSize
 
+	// Each line's LAT slot must lie inside the block region and its tag
+	// must select a code; the line then expands into its slice of one
+	// contiguous text image, so loading a large ROM costs one allocation
+	// for the text plus one for the line tags.
 	rom := &ROM{Lines: make([]Line, table.Blocks), Table: table, Blocks: blocks,
-		OriginalSize: origSize, codecs: codecs, wordAligned: flags&(1<<16) != 0}
+		OriginalSize: origSize, text: make([]byte, origSize), codecs: codecs,
+		wordAligned: flags&(1<<16) != 0}
 	tagReader := bitio.NewReader(tags)
 	width := tagWidth(nCodes)
 	for i := range rom.Lines {
-		addr, length, raw, err := table.Lookup(uint32(i * LineSize))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
-		}
-		if int(addr)+length > len(blocks) {
+		e, slot := rom.entry(i)
+		if int(e.BlockAddress(slot))+e.BlockLength(slot) > len(blocks) {
 			return nil, fmt.Errorf("%w: block %d outside block region", ErrBadROMFile, i)
 		}
-		stored := blocks[addr : int(addr)+length]
-		line := Line{Stored: stored, Raw: raw, CodeIdx: -1}
 		idx, err := tagReader.ReadBits(width)
 		if err != nil {
 			return nil, fmt.Errorf("%w: tag %d: %v", ErrBadROMFile, i, err)
 		}
-		if !raw {
-			line.CodeIdx = int(idx)
+		rom.Lines[i].CodeIdx = -1
+		if !e.IsRaw(slot) {
+			if int(idx) >= nCodes {
+				return nil, fmt.Errorf("%w: block %d selects code %d of %d", ErrBadROMFile, i, idx, nCodes)
+			}
+			rom.Lines[i].CodeIdx = int(idx)
 		}
-		if line.CodeIdx >= nCodes {
-			return nil, fmt.Errorf("%w: block %d selects code %d of %d", ErrBadROMFile, i, line.CodeIdx, nCodes)
-		}
-		rom.Lines[i] = line
-	}
-	// Expand every block into one contiguous text image; each Orig
-	// aliases its slice of the image, so loading a large ROM costs one
-	// allocation for the text plus one for the line headers.
-	rom.text = make([]byte, origSize)
-	for i := range rom.Lines {
-		orig := rom.text[i*LineSize : (i+1)*LineSize]
-		if err := rom.DecompressLineInto(i, orig); err != nil {
+		if err := rom.DecompressLineInto(i, rom.orig(i)); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
 		}
-		rom.Lines[i].Orig = orig
 	}
 	return rom, nil
 }
 
-// Text returns the original program text, padded to whole lines: the
-// image every Line.Orig is a slice of, not a copy. It is read-only; a
-// caller that modifies it changes the ROM's lines.
+// Text returns the original program text, padded to whole lines: line i
+// is its LineSize bytes at i*LineSize. The ROM holds it once and returns
+// it, not a copy; it is read-only, and a caller that modifies it changes
+// the ROM's lines.
 func (r *ROM) Text() []byte { return r.text }

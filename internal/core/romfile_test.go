@@ -63,7 +63,7 @@ func TestROMFileMultiCodeRoundTrip(t *testing.T) {
 		t.Fatal("multi-code round trip corrupted text")
 	}
 	for i := range got.Lines {
-		if got.Lines[i].Raw != rom.Lines[i].Raw || got.Lines[i].CodeIdx != rom.Lines[i].CodeIdx {
+		if got.Raw(i) != rom.Raw(i) || got.Lines[i] != rom.Lines[i] || !bytes.Equal(got.Stored(i), rom.Stored(i)) {
 			t.Fatalf("line %d metadata changed: %+v vs %+v", i, got.Lines[i], rom.Lines[i])
 		}
 	}

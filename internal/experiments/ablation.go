@@ -61,11 +61,13 @@ func Figure2Addresses(program string, n int) (orig []uint32, compressed []uint32
 	if n > len(rom.Lines) {
 		n = len(rom.Lines)
 	}
-	addr := uint32(0)
 	for i := 0; i < n; i++ {
+		addr, _, _, err := rom.Table.Lookup(uint32(i * core.LineSize))
+		if err != nil {
+			return nil, nil, err
+		}
 		orig = append(orig, uint32(i*core.LineSize))
 		compressed = append(compressed, addr)
-		addr += uint32(len(rom.Lines[i].Stored))
 	}
 	return orig, compressed, nil
 }

@@ -1,9 +1,9 @@
 // Package isa defines the instruction-set-architecture abstraction the
 // rest of the reproduction is built on: word decode and classification,
 // register naming, disassembly, and the optional capabilities — assembler
-// backend, executor, single-instruction parser — that let the generic
-// assembler (internal/asm) and simulator (internal/sim) drive any
-// registered backend.
+// backend, executor, contract words — that let the generic assembler
+// (internal/asm) and simulator (internal/sim) drive any registered
+// backend.
 //
 // The CCRP scheme itself is ISA-agnostic: it compresses opaque
 // instruction bytes in 32-byte blocks. What needs the ISA is everything
@@ -114,17 +114,10 @@ type AsmBackend interface {
 	EncodeInst(dst []Word, op string, args []string, addr uint32, eval Evaluator) ([]Word, error)
 }
 
-// InstParser is the inverse of Disassemble for a single instruction:
-// parse one line of the backend's own disassembly syntax at address pc.
-// Backends that implement it (and WordEnumerator) inherit the
-// encode → disassemble → reassemble round-trip contract test for free.
-type InstParser interface {
-	ParseInst(src string, pc uint32) (Word, error)
-}
-
 // WordEnumerator yields a representative set of valid instruction words
 // for contract tests: every operation, varied register and immediate
-// fields.
+// fields. Each word must disassemble to a line that the assembler
+// encodes back to that word.
 type WordEnumerator interface {
 	ContractWords() []Word
 }

@@ -17,7 +17,6 @@ var (
 	_ isa.ISA            = Backend{}
 	_ isa.AsmBackend     = Backend{}
 	_ isa.ExecBackend    = Backend{}
-	_ isa.InstParser     = Backend{}
 	_ isa.WordEnumerator = Backend{}
 )
 

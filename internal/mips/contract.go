@@ -1,69 +1,6 @@
 package mips
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"ccrp/internal/isa"
-)
-
-// ParseInst implements isa.InstParser: parse one line of this package's
-// own disassembly syntax at address pc, the inverse of Disassemble. It
-// reuses the assembler backend with a constants-only evaluator (the
-// disassembler prints targets as absolute hex, never as symbols).
-func (b Backend) ParseInst(src string, pc uint32) (isa.Word, error) {
-	src = strings.TrimSpace(src)
-	if src == "" {
-		return 0, fmt.Errorf("mips: empty instruction")
-	}
-	op := src
-	rest := ""
-	if i := strings.IndexAny(src, " \t"); i >= 0 {
-		op, rest = src[:i], strings.TrimSpace(src[i+1:])
-	}
-	op = strings.ToLower(op)
-	if op == ".word" {
-		v, err := constEval(rest)
-		if err != nil {
-			return 0, err
-		}
-		return isa.Word(v), nil
-	}
-	var args []string
-	if rest != "" {
-		args = strings.Split(rest, ",")
-		for i := range args {
-			args[i] = strings.TrimSpace(args[i])
-		}
-	}
-	words, err := b.EncodeInst(nil, op, args, pc, constEval)
-	if err != nil {
-		return 0, err
-	}
-	if len(words) != 1 {
-		return 0, fmt.Errorf("mips: %q is a %d-word expansion, not one instruction", src, len(words))
-	}
-	return words[0], nil
-}
-
-// constEval evaluates the literal forms the disassembler emits: decimal
-// (possibly negative) and 0x hex.
-func constEval(expr string) (uint32, error) {
-	s := strings.TrimSpace(expr)
-	neg := strings.HasPrefix(s, "-")
-	if neg {
-		s = strings.TrimSpace(s[1:])
-	}
-	v, err := strconv.ParseUint(s, 0, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad constant %q", expr)
-	}
-	if neg {
-		return uint32(-int64(v)), nil
-	}
-	return uint32(v), nil
-}
+import "ccrp/internal/isa"
 
 // ContractWords implements isa.WordEnumerator: a representative valid
 // word for every operation (plus nop and negative-immediate variants),

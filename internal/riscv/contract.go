@@ -1,63 +1,6 @@
 package riscv
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"ccrp/internal/isa"
-)
-
-// ParseInst implements isa.InstParser: the inverse of Disassemble for a
-// single statement at address pc.
-func (b Backend) ParseInst(src string, pc uint32) (isa.Word, error) {
-	src = strings.TrimSpace(src)
-	sp := strings.IndexFunc(src, func(r rune) bool { return r == ' ' || r == '\t' })
-	op, rest := src, ""
-	if sp >= 0 {
-		op, rest = src[:sp], strings.TrimSpace(src[sp+1:])
-	}
-	op = strings.ToLower(op)
-	if op == ".word" {
-		v, err := strconv.ParseUint(rest, 0, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad .word operand %q", rest)
-		}
-		return isa.Word(v), nil
-	}
-	var args []string
-	if rest != "" {
-		for _, a := range strings.Split(rest, ",") {
-			args = append(args, strings.TrimSpace(a))
-		}
-	}
-	words, err := b.EncodeInst(nil, op, args, pc, rvConstEval)
-	if err != nil {
-		return 0, err
-	}
-	if len(words) != 1 {
-		return 0, fmt.Errorf("%q is a %d-word pseudo, not one instruction", src, len(words))
-	}
-	return words[0], nil
-}
-
-// rvConstEval evaluates the numeric operands disassembly produces.
-func rvConstEval(s string) (uint32, error) {
-	s = strings.TrimSpace(s)
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
-	}
-	v, err := strconv.ParseUint(s, 0, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad constant %q", s)
-	}
-	if neg {
-		return -uint32(v), nil
-	}
-	return uint32(v), nil
-}
+import "ccrp/internal/isa"
 
 // ContractWords implements isa.WordEnumerator: a representative valid
 // encoding of every operation with varied fields.

@@ -2,6 +2,8 @@ package riscv_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -309,12 +311,16 @@ func TestInfoClassification(t *testing.T) {
 		{"lw a0, 0(sp)", 0, func(i isa.Info) bool { return i.IsLoad }, "load"},
 		{"sw a0, 0(sp)", 0, func(i isa.Info) bool { return i.IsStore }, "store"},
 	}
-	parser := be.(isa.InstParser)
 	for _, c := range cases {
-		w, err := parser.ParseInst(c.src, c.pc)
+		// The line assembled at its pc, which must encode one word.
+		prog, err := asm.AssembleFor("rv32", "t.s", fmt.Sprintf(".text\n.space %d\n%s\n", c.pc, c.src))
 		if err != nil {
 			t.Fatalf("%s: %v", c.desc, err)
 		}
+		if n := len(prog.Text) - int(c.pc); n != 4 {
+			t.Fatalf("%s: %q assembles to %d bytes, want one word", c.desc, c.src, n)
+		}
+		w := isa.Word(binary.LittleEndian.Uint32(prog.Text[c.pc:]))
 		info := be.Decode(w, c.pc)
 		if !info.Valid || !c.chk(info) {
 			t.Errorf("%s: info = %+v", c.desc, info)

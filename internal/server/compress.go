@@ -184,8 +184,8 @@ func compressResult(entry *coderEntry, coderID string, rom *core.ROM) (*compress
 		Lines:           make([]lineInfo, len(rom.Lines)),
 		BlocksB64:       rom.Blocks,
 	}
-	for i, l := range rom.Lines {
-		resp.Lines[i] = lineInfo{Len: len(l.Stored), Raw: l.Raw}
+	for i := range rom.Lines {
+		resp.Lines[i] = lineInfo{Len: len(rom.Stored(i)), Raw: rom.Raw(i)}
 	}
 	if entry.serializable() {
 		var buf bytes.Buffer

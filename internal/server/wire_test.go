@@ -103,8 +103,8 @@ func TestWireBodies(t *testing.T) {
 	want(t, "decompress text_b64", field(t, dec, "text_b64"), rom.Text())
 
 	var lines []lineInfo
-	for _, l := range rom.Lines {
-		lines = append(lines, lineInfo{Len: len(l.Stored), Raw: l.Raw})
+	for i := range rom.Lines {
+		lines = append(lines, lineInfo{Len: len(rom.Stored(i)), Raw: rom.Raw(i)})
 	}
 	decBatch := post(t, "/v1/decompress:batch", decompressBatchRequest{Items: []decompressRequest{
 		{ROMB64: b64(file.Bytes())},

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repo-wide hygiene gate: build, vet, format, lint, and the full test
-# suite under the race detector. Run from the repository root (make
-# check). Any failing stage aborts the run with exit code 1 and names
-# itself, so CI logs and local runs point straight at the broken gate.
+# Repo-wide hygiene gate, the stages CI runs: build, vet, format, lint,
+# the full test suite under the race detector, every example, and the
+# ccrpbench module. Run from the repository root (make check). Any
+# failing stage aborts the run with exit code 1 and names itself, so CI
+# logs and local runs point straight at the broken gate.
 set -eu
 # pipefail surfaces failures on the left side of pipes; it is not in
 # POSIX sh everywhere, so probe for it instead of assuming bash.
@@ -47,6 +48,8 @@ else
 fi
 
 stage "go test -race ./..." go test -race ./...
+# CI's smoke job runs every example; a non-zero exit fails the stage.
+stage "examples" sh -c 'for d in examples/*/; do echo "-- $d"; go run "./$d" >/dev/null || exit 1; done'
 # ccrpbench is its own module, so the root ./... never builds it; vet
 # and test it against this tree so an API change cannot break it unseen.
 stage "ccrpbench vet+test" sh -c 'cd ccrpbench && GOWORK=off go vet ./... && GOWORK=off go test ./...'
