@@ -111,6 +111,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return usage("-trace %s and -workload %s are two inputs; want one", *loadTrace, *wl)
 	case *wl != "" && fs.NArg() > 0:
 		return usage("-workload %s and %s are two inputs; want one", *wl, strings.Join(fs.Args(), " "))
+	case *loadTrace != "" && fs.NArg() != 1:
+		return usage("-trace %s needs one program image for the text section, got %d", *loadTrace, fs.NArg())
 	case *loadTrace == "" && *wl == "" && fs.NArg() != 1:
 		return usage("want -workload name or one program")
 	}
@@ -140,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	var name string
 	switch {
 	case *loadTrace != "":
-		if fs.NArg() != 1 {
-			return fmt.Errorf("-trace needs the program image for the text section")
-		}
 		loaded, err := cliutil.LoadTrace(*loadTrace)
 		if err != nil {
 			return err

@@ -73,9 +73,10 @@ func TestBadMissRate(t *testing.T) {
 }
 
 // TestBadInput: a missing program, two inputs (a workload beside an
-// image or a trace) or a flag ccsim lacks (-events and -sample among
-// them) is a usage error, and an unknown workload or memory model is an
-// error that names it; none prints a report.
+// image or a trace), a trace without exactly one image or a flag ccsim
+// lacks (-events and -sample among them) is a usage error, and an
+// unknown workload or memory model is an error that names it; none
+// prints a report.
 func TestBadInput(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -90,7 +91,8 @@ func TestBadInput(t *testing.T) {
 		{"span file", []string{"-workload", "eightq", "-spans", "x"}, true, "not defined: -spans"},
 		{"unknown workload", []string{"-workload", "nonesuch"}, false, "nonesuch"},
 		{"unknown memory", []string{"-workload", "eightq", "-mem", "SRAM"}, false, "SRAM"},
-		{"trace without image", []string{"-trace", "t.trc"}, false, "-trace needs the program image"},
+		{"trace without image", []string{"-trace", "t.trc"}, true, "-trace t.trc needs one program image for the text section, got 0"},
+		{"trace and two images", []string{"-trace", "t.trc", "a.img", "b.img"}, true, "-trace t.trc needs one program image for the text section, got 2"},
 		{"workload and image", []string{"-workload", "eightq", "prog.img"}, true, "-workload eightq and prog.img"},
 		{"trace and workload", []string{"-trace", "t.trc", "-workload", "eightq", "prog.img"}, true, "-trace t.trc and -workload eightq"},
 	} {

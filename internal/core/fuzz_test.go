@@ -32,6 +32,9 @@ func FuzzReadROMFile(f *testing.F) {
 	corrupted := append([]byte(nil), buf.Bytes()...)
 	corrupted[40] ^= 0xFF
 	f.Add(corrupted)
+	unlocated := unlocatedROMFiles(f)
+	f.Add(unlocated["junk after the blocks"])
+	f.Add(unlocated["spare LAT entry"])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rom, err := ReadROMFile(bytes.NewReader(data))

@@ -72,7 +72,7 @@ func referenceCompare(tr *trace.Trace, rom *ROM, cfg Config) (*Comparison, error
 	std.Accesses, ccrp.Accesses = cs.Accesses, cs.Accesses
 	std.Misses, ccrp.Misses = cs.Misses, cs.Misses
 
-	dataCost := uint64(float64(dataAccesses) * float64(cfg.DataAccessCycles) * cfg.DCacheMissRate)
+	dataCost := uint64(float64(dataAccesses) * float64(dataAccessCycles) * cfg.DCacheMissRate)
 	std.DataCycles, ccrp.DataCycles = dataCost, dataCost
 
 	std.Cycles = std.BaseCycles + std.RefillCycles + std.DataCycles

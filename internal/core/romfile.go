@@ -152,16 +152,19 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
 	}
-	// Every line needs a LAT entry, so a header claiming more lines than
-	// the table covers is malformed, and the line headers below are
-	// sized by what the file holds.
-	if lines := origSize / LineSize; lines > table.Blocks {
-		return nil, fmt.Errorf("%w: %d lines, the LAT covers %d", ErrBadROMFile, lines, table.Blocks)
+	// The LAT has exactly one entry per eight lines, so a header claiming
+	// more lines than the table covers is malformed, as is a spare entry,
+	// and the line headers below are sized by what the file holds.
+	lines := origSize / LineSize
+	if want := (lines + lat.LinesPerEntry - 1) / lat.LinesPerEntry; len(table.Entries) != want {
+		return nil, fmt.Errorf("%w: %d lines need %d LAT entries, the file holds %d", ErrBadROMFile, lines, want, len(table.Entries))
 	}
-	table.Blocks = origSize / LineSize
+	table.Blocks = lines
 
-	// Each line's LAT slot must lie inside the block region and its tag
-	// must select a code; the line then expands into its slice of one
+	// The blocks lie end to end from the start of the block region to its
+	// end, so each entry's base is where the previous entry's blocks end
+	// and the last line's block ends the region. Each line's tag must
+	// select a code; the line then expands into its slice of one
 	// contiguous text image, so loading a large ROM costs one allocation
 	// for the text plus one for the line tags.
 	rom := &ROM{Lines: make([]Line, table.Blocks), Table: table, Blocks: blocks,
@@ -169,9 +172,13 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		wordAligned: flags&(1<<16) != 0}
 	tagReader := bitio.NewReader(tags)
 	width := tagWidth(nCodes)
+	end := 0 // where the previous line's block ends
 	for i := range rom.Lines {
 		e, slot := rom.entry(i)
-		if int(e.BlockAddress(slot))+e.BlockLength(slot) > len(blocks) {
+		if slot == 0 && int(e.Base) != end {
+			return nil, fmt.Errorf("%w: LAT entry %d starts at %#x, not where the blocks before it end (%#x)", ErrBadROMFile, i/lat.LinesPerEntry, e.Base, end)
+		}
+		if end += e.BlockLength(slot); end > len(blocks) {
 			return nil, fmt.Errorf("%w: block %d outside block region", ErrBadROMFile, i)
 		}
 		idx, err := tagReader.ReadBits(width)
@@ -188,6 +195,9 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		if err := rom.DecompressLineInto(i, rom.orig(i)); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
 		}
+	}
+	if end != len(blocks) {
+		return nil, fmt.Errorf("%w: %d bytes after the last block", ErrBadROMFile, len(blocks)-end)
 	}
 	return rom, nil
 }

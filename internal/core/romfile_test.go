@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ccrp/internal/huffman"
+	"ccrp/internal/lat"
 )
 
 func TestROMFileRoundTrip(t *testing.T) {
@@ -108,6 +109,59 @@ func TestReadROMFileRejectsGarbage(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrBadROMFile) || grew > 1<<20 {
 			t.Errorf("4 GiB length at offset %d: err = %v after allocating %d bytes, want ErrBadROMFile before allocating", off, err, grew)
+		}
+	}
+}
+
+// withRegions returns file, a WriteFile output of rom, with its block
+// region and LAT replaced and the header's two lengths to match.
+func withRegions(file []byte, rom *ROM, blocks, latBytes []byte) []byte {
+	prefix := len(file) - len(rom.Blocks) - rom.Table.Size()
+	out := bytes.Clone(file[:prefix])
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(blocks)))
+	binary.LittleEndian.PutUint32(out[16:], uint32(len(latBytes)))
+	out = append(out, blocks...)
+	return append(out, latBytes...)
+}
+
+// unlocatedROMFiles returns rewrites of a WriteFile output that still
+// decode line for line but hold bytes their LAT does not locate: 100
+// junk bytes after the last block, a spare entry past the last line's,
+// and four junk bytes between the first entry's blocks and the second's.
+func unlocatedROMFiles(t testing.TB) map[string][]byte {
+	text := riscLikeText(512, 23) // 16 lines, two LAT entries
+	rom, err := BuildROM(text, Options{Codes: []*huffman.Code{testCode(t, text)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rom.WriteFile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file, latBytes := buf.Bytes(), rom.Table.Bytes()
+	junk := bytes.Repeat([]byte{0xA5}, 100)
+
+	spare := lat.Entry{Base: uint32(len(rom.Blocks))}.Encode()
+
+	second := rom.Table.Entries[1]
+	gapped := append(bytes.Clone(rom.Blocks[:second.Base]), junk[:4]...)
+	gapped = append(gapped, rom.Blocks[second.Base:]...)
+	second.Base += 4
+	moved := second.Encode()
+	return map[string][]byte{
+		"junk after the blocks": withRegions(file, rom, append(bytes.Clone(rom.Blocks), junk...), latBytes),
+		"spare LAT entry":       withRegions(file, rom, rom.Blocks, append(bytes.Clone(latBytes), spare[:]...)),
+		"gap between entries":   withRegions(file, rom, gapped, append(bytes.Clone(latBytes[:lat.EntryBytes]), moved[:]...)),
+	}
+}
+
+// TestReadROMFileRejectsUnlocatedBytes: a ROM file holds only what its
+// LAT locates. Each rewrite still decodes every line to its text, but
+// ReadROMFile rejects it.
+func TestReadROMFileRejectsUnlocatedBytes(t *testing.T) {
+	for name, file := range unlocatedROMFiles(t) {
+		if _, err := ReadROMFile(bytes.NewReader(file)); !errors.Is(err, ErrBadROMFile) {
+			t.Errorf("%s: err = %v, want ErrBadROMFile", name, err)
 		}
 	}
 }

@@ -22,14 +22,12 @@ type Config struct {
 	Mem        memory.Model // instruction memory timing
 	DecodeRate int          // decoder bytes/cycle; 0 = the paper's 2, negative is rejected
 
-	// DataAccessCycles is the cost of one data access to its random DRAM
-	// (4 cycles in the paper). With DataCache set, §4.2.4's analytical
-	// model applies instead: hits are free and only the DCacheMissRate
-	// fraction of accesses pays DataAccessCycles. Without DataCache every
-	// access pays full cost (the paper's base configuration).
-	DataAccessCycles uint64
-	DataCache        bool
-	DCacheMissRate   float64
+	// Every data access costs dataAccessCycles. With DataCache set,
+	// §4.2.4's analytical model applies instead: hits are free and only
+	// the DCacheMissRate fraction of accesses pays. Without DataCache
+	// every access pays full cost (the paper's base configuration).
+	DataCache      bool
+	DCacheMissRate float64
 
 	// OverlapCycles lets the processor pipeline continue for up to this
 	// many cycles into each line refill (the paper's §5 "allow the
@@ -37,6 +35,10 @@ type Config struct {
 	// paper's blocking model).
 	OverlapCycles uint64
 }
+
+// dataAccessCycles is the cost of one access to the random DRAM that
+// holds data, the paper's 4 cycles.
+const dataAccessCycles = 4
 
 // withDefaults fills unset fields with the paper's base parameters.
 func (c Config) withDefaults() Config {
@@ -51,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Mem == nil {
 		c.Mem = memory.BurstEPROM{}
-	}
-	if c.DataAccessCycles == 0 {
-		c.DataAccessCycles = 4
 	}
 	if !c.DataCache {
 		c.DCacheMissRate = 1.0
@@ -268,7 +267,7 @@ func Price(p *Profile, rom *ROM, cfg Config) (*Comparison, error) {
 	std.Accesses, ccrp.Accesses = p.Accesses, p.Accesses
 	std.Misses, ccrp.Misses = misses, misses
 
-	dataCost := uint64(float64(p.DataAccesses) * float64(cfg.DataAccessCycles) * cfg.DCacheMissRate)
+	dataCost := uint64(float64(p.DataAccesses) * float64(dataAccessCycles) * cfg.DCacheMissRate)
 	std.DataCycles, ccrp.DataCycles = dataCost, dataCost
 
 	std.Cycles = std.BaseCycles + std.RefillCycles + std.DataCycles

@@ -14,15 +14,18 @@ import (
 // evaluator closed over its symbol table.
 
 // form is an instruction's operand syntax. Each form has one encoder, in
-// encode below or, for the pseudo-instructions, in pseudo.go.
+// encode below or, for the pseudo-instructions, in pseudo.go, and each
+// machine form one rendering in Disassemble.
 type form uint8
 
 const (
 	formR3       form = iota // op rd, rs, rt
 	formShiftV               // op rd, rt, rs
 	formShiftI               // op rd, rt, shamt
-	formImm                  // op rt, rs, imm
+	formImm                  // op rt, rs, imm (sign-extended)
+	formImmU                 // op rt, rs, imm (zero-extended)
 	formMem                  // op rt, off(base) | op rt, symbol
+	formMemFP                // op ft, off(base) | op ft, symbol
 	formFP3                  // op fd, fs, ft
 	formFP2                  // op fd, fs
 	formFPCmp                // op fs, ft
@@ -61,58 +64,27 @@ type mnemonic struct {
 }
 
 // mnemonics holds every mnemonic the assembler accepts, so a statement
-// costs one lookup.
-var mnemonics = map[string]mnemonic{
-	"add": {formR3, OpADD}, "addu": {formR3, OpADDU}, "sub": {formR3, OpSUB}, "subu": {formR3, OpSUBU},
-	"and": {formR3, OpAND}, "or": {formR3, OpOR}, "xor": {formR3, OpXOR}, "nor": {formR3, OpNOR},
-	"slt": {formR3, OpSLT}, "sltu": {formR3, OpSLTU},
-
-	"sllv": {formShiftV, OpSLLV}, "srlv": {formShiftV, OpSRLV}, "srav": {formShiftV, OpSRAV},
-	"sll": {formShiftI, OpSLL}, "srl": {formShiftI, OpSRL}, "sra": {formShiftI, OpSRA},
-
-	"addi": {formImm, OpADDI}, "addiu": {formImm, OpADDIU}, "slti": {formImm, OpSLTI},
-	"sltiu": {formImm, OpSLTIU}, "andi": {formImm, OpANDI}, "ori": {formImm, OpORI}, "xori": {formImm, OpXORI},
-
-	"lb": {formMem, OpLB}, "lbu": {formMem, OpLBU}, "lh": {formMem, OpLH}, "lhu": {formMem, OpLHU},
-	"lw": {formMem, OpLW}, "lwl": {formMem, OpLWL}, "lwr": {formMem, OpLWR},
-	"sb": {formMem, OpSB}, "sh": {formMem, OpSH}, "sw": {formMem, OpSW},
-	"swl": {formMem, OpSWL}, "swr": {formMem, OpSWR},
-	"lwc1": {formMem, OpLWC1}, "swc1": {formMem, OpSWC1},
-	"l.s": {formMem, OpLWC1}, "s.s": {formMem, OpSWC1},
-
-	"add.s": {formFP3, OpADDS}, "add.d": {formFP3, OpADDD}, "sub.s": {formFP3, OpSUBS}, "sub.d": {formFP3, OpSUBD},
-	"mul.s": {formFP3, OpMULS}, "mul.d": {formFP3, OpMULD}, "div.s": {formFP3, OpDIVS}, "div.d": {formFP3, OpDIVD},
-	"abs.s": {formFP2, OpABSS}, "abs.d": {formFP2, OpABSD}, "mov.s": {formFP2, OpMOVS}, "mov.d": {formFP2, OpMOVD},
-	"neg.s": {formFP2, OpNEGS}, "neg.d": {formFP2, OpNEGD},
-	"cvt.s.d": {formFP2, OpCVTSD}, "cvt.s.w": {formFP2, OpCVTSW}, "cvt.d.s": {formFP2, OpCVTDS},
-	"cvt.d.w": {formFP2, OpCVTDW}, "cvt.w.s": {formFP2, OpCVTWS}, "cvt.w.d": {formFP2, OpCVTWD},
-	"c.eq.s": {formFPCmp, OpCEQS}, "c.eq.d": {formFPCmp, OpCEQD}, "c.lt.s": {formFPCmp, OpCLTS},
-	"c.lt.d": {formFPCmp, OpCLTD}, "c.le.s": {formFPCmp, OpCLES}, "c.le.d": {formFPCmp, OpCLED},
-
-	"nop": {formNone, OpSLL}, "syscall": {formNone, OpSYSCALL}, "break": {formBreak, OpBREAK},
-	"mult": {formRsRt, OpMULT}, "multu": {formRsRt, OpMULTU},
-	"div": {formDiv, OpDIV}, "divu": {formDiv, OpDIVU},
-	"mfhi": {formRd, OpMFHI}, "mflo": {formRd, OpMFLO},
-	"mthi": {formRs, OpMTHI}, "mtlo": {formRs, OpMTLO}, "jr": {formRs, OpJR},
-	"jalr": {formJALR, OpJALR}, "lui": {formLUI, OpLUI},
-	"j": {formJump, OpJ}, "jal": {formJump, OpJAL},
-	"beq": {formBranch2, OpBEQ}, "bne": {formBranch2, OpBNE},
-	"blez": {formBranch1, OpBLEZ}, "bgtz": {formBranch1, OpBGTZ}, "bltz": {formBranch1, OpBLTZ},
-	"bgez": {formBranch1, OpBGEZ}, "bltzal": {formBranch1, OpBLTZAL}, "bgezal": {formBranch1, OpBGEZAL},
-	"bc1t": {formBranchFP, OpBC1T}, "bc1f": {formBranchFP, OpBC1F},
-	"mfc1": {formCop1Move, OpMFC1}, "mtc1": {formCop1Move, OpMTC1},
-
-	"move": {formRegZero, OpADDU}, "not": {formRegZero, OpNOR},
-	"neg": {formNeg, OpSUB}, "negu": {formNeg, OpSUBU},
-	"li": {form: formLi}, "la": {form: formLa}, "b": {formB, OpBEQ},
-	"beqz": {formBranchZ, OpBEQ}, "bnez": {formBranchZ, OpBNE},
-	"blt": {formCmpBranch, OpSLT}, "bgt": {formCmpBranch, OpSLT},
-	"ble": {formCmpBranch, OpSLT}, "bge": {formCmpBranch, OpSLT},
-	"bltu": {formCmpBranch, OpSLTU}, "bgtu": {formCmpBranch, OpSLTU},
-	"bleu": {formCmpBranch, OpSLTU}, "bgeu": {formCmpBranch, OpSLTU},
-	"mul": {formMulRem, OpMULT}, "rem": {formMulRem, OpDIV},
-	"l.d": {formDoubleMem, OpLWC1}, "s.d": {formDoubleMem, OpSWC1},
-}
+// costs one lookup: each operation's name and form from opTable, and
+// the pseudo-instructions and aliases listed here.
+var mnemonics = func() map[string]mnemonic {
+	m := map[string]mnemonic{
+		"nop": {formNone, OpSLL}, "l.s": {formMemFP, OpLWC1}, "s.s": {formMemFP, OpSWC1},
+		"move": {formRegZero, OpADDU}, "not": {formRegZero, OpNOR},
+		"neg": {formNeg, OpSUB}, "negu": {formNeg, OpSUBU},
+		"li": {form: formLi}, "la": {form: formLa}, "b": {formB, OpBEQ},
+		"beqz": {formBranchZ, OpBEQ}, "bnez": {formBranchZ, OpBNE},
+		"blt": {formCmpBranch, OpSLT}, "bgt": {formCmpBranch, OpSLT},
+		"ble": {formCmpBranch, OpSLT}, "bge": {formCmpBranch, OpSLT},
+		"bltu": {formCmpBranch, OpSLTU}, "bgtu": {formCmpBranch, OpSLTU},
+		"bleu": {formCmpBranch, OpSLTU}, "bgeu": {formCmpBranch, OpSLTU},
+		"mul": {formMulRem, OpMULT}, "rem": {formMulRem, OpDIV},
+		"l.d": {formDoubleMem, OpLWC1}, "s.d": {formDoubleMem, OpSWC1},
+	}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		m[opTable[op].name] = mnemonic{opTable[op].form, op}
+	}
+	return m
+}()
 
 // InstSize returns the byte size of an instruction or pseudo-instruction
 // during pass 1. Sizes must be computable without label values; li
@@ -140,7 +112,7 @@ func (Backend) InstSize(op string, args []string, eval isa.Evaluator) (int, erro
 			return 8, nil
 		}
 		return 4, nil
-	case formMem:
+	case formMem, formMemFP:
 		if len(args) != 2 {
 			return 0, fmt.Errorf("%s needs register, address", op)
 		}
@@ -282,7 +254,7 @@ func (e *encoder) encode() ([]isa.Word, error) {
 			return nil, e.errf("shift amount %d out of range", sh)
 		}
 		return e.emit(word(Inst{Op: m.op, Rd: rd, Rt: rt, Shamt: uint8(sh)}))
-	case formImm: // op rt, rs, imm
+	case formImm, formImmU: // op rt, rs, imm
 		if err := e.nargs(3); err != nil {
 			return nil, err
 		}
@@ -298,13 +270,12 @@ func (e *encoder) encode() ([]isa.Word, error) {
 		if err != nil {
 			return nil, err
 		}
-		signed := m.op == OpADDI || m.op == OpADDIU || m.op == OpSLTI || m.op == OpSLTIU
-		if signed && !fitsInt16(v) || !signed && !fitsUint16(v) {
+		if m.form == formImm && !fitsInt16(v) || m.form == formImmU && !fitsUint16(v) {
 			return nil, e.errf("immediate %#x out of 16-bit range", v)
 		}
 		return e.emit(word(Inst{Op: m.op, Rt: rt, Rs: rs, Imm: uint16(v)}))
-	case formMem:
-		return e.encodeMem(m.op)
+	case formMem, formMemFP:
+		return e.encodeMem(m.op, m.form == formMemFP)
 	case formFP3: // op fd, fs, ft
 		if err := e.nargs(3); err != nil {
 			return nil, err
@@ -367,7 +338,7 @@ func (e *encoder) encode() ([]isa.Word, error) {
 			if code > 0xFFFFF {
 				return nil, e.errf("break code %#x out of 20-bit range", code)
 			}
-			return e.emit(isa.Word(code<<6 | fnBREAK))
+			return e.emit(word(Inst{Op: OpBREAK}) | isa.Word(code<<6))
 		}
 		return nil, e.errf("expected 0 or 1 operands")
 	case formRsRt: // op rs, rt

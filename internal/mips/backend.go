@@ -4,10 +4,9 @@ import "ccrp/internal/isa"
 
 // Backend implements isa.ISA for the MIPS R2000, plus the optional
 // capabilities: the assembler backend (asmbackend.go), the simulator
-// executor (exec.go), and the single-instruction parser / contract word
-// enumerator (parse.go). It registers itself under the name "mips",
-// which is also the isa package default; consumers link it in with a
-// blank import.
+// executor (exec.go), and the contract word enumerator (contract.go).
+// It registers itself under the name "mips", which is also the isa
+// package default; consumers link it in with a blank import.
 type Backend struct{}
 
 func init() { isa.Register(Backend{}) }

@@ -14,7 +14,7 @@ func (Backend) ContractWords() []isa.Word {
 		out = append(out, isa.Word(Encode(i)))
 	}
 	// nop (sll $0,$0,0) and a raw BREAK with a non-zero code field.
-	out = append(out, 0, isa.Word(uint32(0x7)<<6|fnBREAK))
+	out = append(out, 0, isa.Word(Encode(Inst{Op: OpBREAK})|0x7<<6))
 	return out
 }
 

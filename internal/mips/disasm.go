@@ -3,68 +3,64 @@ package mips
 import "fmt"
 
 // Disassemble renders the instruction at address pc in conventional MIPS
-// assembler syntax. Branch and jump targets are printed as absolute hex
+// assembler syntax, the operand form the assembler reads for its
+// operation. Branch and jump targets are printed as absolute hex
 // addresses computed from pc.
 func Disassemble(w Word, pc uint32) string {
 	i := Decode(w)
-	switch i.Op {
-	case OpInvalid:
+	if i.Op == OpInvalid {
 		return fmt.Sprintf(".word 0x%08x", uint32(w))
-	case OpSLL:
+	}
+	r, f := RegName, FPRegName
+	switch opTable[i.Op].form {
+	case formR3:
+		return fmt.Sprintf("%s %s, %s, %s", i.Op, r(i.Rd), r(i.Rs), r(i.Rt))
+	case formShiftV:
+		return fmt.Sprintf("%s %s, %s, %s", i.Op, r(i.Rd), r(i.Rt), r(i.Rs))
+	case formShiftI:
 		if w == 0 {
 			return "nop"
 		}
-		return fmt.Sprintf("sll %s, %s, %d", RegName(i.Rd), RegName(i.Rt), i.Shamt)
-	case OpSRL, OpSRA:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, RegName(i.Rd), RegName(i.Rt), i.Shamt)
-	case OpSLLV, OpSRLV, OpSRAV:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, RegName(i.Rd), RegName(i.Rt), RegName(i.Rs))
-	case OpJR:
-		return fmt.Sprintf("jr %s", RegName(i.Rs))
-	case OpJALR:
+		return fmt.Sprintf("%s %s, %s, %d", i.Op, r(i.Rd), r(i.Rt), i.Shamt)
+	case formImm:
+		return fmt.Sprintf("%s %s, %s, %d", i.Op, r(i.Rt), r(i.Rs), i.SImm())
+	case formImmU:
+		return fmt.Sprintf("%s %s, %s, 0x%x", i.Op, r(i.Rt), r(i.Rs), i.ZImm())
+	case formLUI:
+		return fmt.Sprintf("%s %s, 0x%x", i.Op, r(i.Rt), i.ZImm())
+	case formMem:
+		return fmt.Sprintf("%s %s, %d(%s)", i.Op, r(i.Rt), i.SImm(), r(i.Rs))
+	case formMemFP:
+		return fmt.Sprintf("%s %s, %d(%s)", i.Op, f(i.Rt), i.SImm(), r(i.Rs))
+	case formFP3:
+		return fmt.Sprintf("%s %s, %s, %s", i.Op, f(i.Fd()), f(i.Fs()), f(i.Ft()))
+	case formFP2:
+		return fmt.Sprintf("%s %s, %s", i.Op, f(i.Fd()), f(i.Fs()))
+	case formFPCmp:
+		return fmt.Sprintf("%s %s, %s", i.Op, f(i.Fs()), f(i.Ft()))
+	case formBreak:
+		return fmt.Sprintf("%s 0x%x", i.Op, uint32(w)>>6&0xFFFFF)
+	case formRsRt, formDiv:
+		return fmt.Sprintf("%s %s, %s", i.Op, r(i.Rs), r(i.Rt))
+	case formRd:
+		return fmt.Sprintf("%s %s", i.Op, r(i.Rd))
+	case formRs:
+		return fmt.Sprintf("%s %s", i.Op, r(i.Rs))
+	case formJALR:
 		if i.Rd == RegRA {
-			return fmt.Sprintf("jalr %s", RegName(i.Rs))
+			return fmt.Sprintf("%s %s", i.Op, r(i.Rs))
 		}
-		return fmt.Sprintf("jalr %s, %s", RegName(i.Rd), RegName(i.Rs))
-	case OpSYSCALL:
-		return "syscall"
-	case OpBREAK:
-		return fmt.Sprintf("break 0x%x", uint32(w)>>6&0xFFFFF)
-	case OpMFHI, OpMFLO:
-		return fmt.Sprintf("%s %s", i.Op, RegName(i.Rd))
-	case OpMTHI, OpMTLO:
-		return fmt.Sprintf("%s %s", i.Op, RegName(i.Rs))
-	case OpMULT, OpMULTU, OpDIV, OpDIVU:
-		return fmt.Sprintf("%s %s, %s", i.Op, RegName(i.Rs), RegName(i.Rt))
-	case OpADD, OpADDU, OpSUB, OpSUBU, OpAND, OpOR, OpXOR, OpNOR, OpSLT, OpSLTU:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, RegName(i.Rd), RegName(i.Rs), RegName(i.Rt))
-	case OpBLTZ, OpBGEZ, OpBLTZAL, OpBGEZAL, OpBLEZ, OpBGTZ:
-		return fmt.Sprintf("%s %s, 0x%08x", i.Op, RegName(i.Rs), i.BranchTarget(pc))
-	case OpJ, OpJAL:
+		return fmt.Sprintf("%s %s, %s", i.Op, r(i.Rd), r(i.Rs))
+	case formJump:
 		return fmt.Sprintf("%s 0x%08x", i.Op, i.JumpTarget(pc))
-	case OpBEQ, OpBNE:
-		return fmt.Sprintf("%s %s, %s, 0x%08x", i.Op, RegName(i.Rs), RegName(i.Rt), i.BranchTarget(pc))
-	case OpADDI, OpADDIU, OpSLTI, OpSLTIU:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, RegName(i.Rt), RegName(i.Rs), i.SImm())
-	case OpANDI, OpORI, OpXORI:
-		return fmt.Sprintf("%s %s, %s, 0x%x", i.Op, RegName(i.Rt), RegName(i.Rs), i.ZImm())
-	case OpLUI:
-		return fmt.Sprintf("lui %s, 0x%x", RegName(i.Rt), i.ZImm())
-	case OpLB, OpLH, OpLWL, OpLW, OpLBU, OpLHU, OpLWR, OpSB, OpSH, OpSWL, OpSW, OpSWR:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, RegName(i.Rt), i.SImm(), RegName(i.Rs))
-	case OpLWC1, OpSWC1:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, FPRegName(i.Rt), i.SImm(), RegName(i.Rs))
-	case OpMFC1, OpMTC1:
-		return fmt.Sprintf("%s %s, %s", i.Op, RegName(i.Rt), FPRegName(i.Rd))
-	case OpBC1F, OpBC1T:
+	case formBranch2:
+		return fmt.Sprintf("%s %s, %s, 0x%08x", i.Op, r(i.Rs), r(i.Rt), i.BranchTarget(pc))
+	case formBranch1:
+		return fmt.Sprintf("%s %s, 0x%08x", i.Op, r(i.Rs), i.BranchTarget(pc))
+	case formBranchFP:
 		return fmt.Sprintf("%s 0x%08x", i.Op, i.BranchTarget(pc))
-	case OpADDS, OpADDD, OpSUBS, OpSUBD, OpMULS, OpMULD, OpDIVS, OpDIVD:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, FPRegName(i.Fd()), FPRegName(i.Fs()), FPRegName(i.Ft()))
-	case OpABSS, OpABSD, OpMOVS, OpMOVD, OpNEGS, OpNEGD,
-		OpCVTSD, OpCVTSW, OpCVTDS, OpCVTDW, OpCVTWS, OpCVTWD:
-		return fmt.Sprintf("%s %s, %s", i.Op, FPRegName(i.Fd()), FPRegName(i.Fs()))
-	case OpCEQS, OpCEQD, OpCLTS, OpCLTD, OpCLES, OpCLED:
-		return fmt.Sprintf("%s %s, %s", i.Op, FPRegName(i.Fs()), FPRegName(i.Ft()))
+	case formCop1Move:
+		return fmt.Sprintf("%s %s, %s", i.Op, r(i.Rt), f(i.Rd))
 	}
-	return fmt.Sprintf(".word 0x%08x", uint32(w))
+	return i.Op.String() // formNone: syscall
 }

@@ -62,6 +62,37 @@ func (i Inst) IsStore() bool { return i.Op.Class() == ClassStore }
 // IsMemOp reports whether the instruction accesses data memory.
 func (i Inst) IsMemOp() bool { return i.IsLoad() || i.IsStore() }
 
+// decoder holds the lookups Decode selects an operation by, built from
+// opTable: the operation each primary opcode selects, and under SPECIAL,
+// REGIMM and COP1 the operation each selecting field does.
+var decoder = func() (d struct {
+	opcode, special [64]Op
+	regimm          [32]Op
+	cop1            [32][64]Op // by rs, then funct
+	bc1             [2]Op
+}) {
+	for op := OpInvalid + 1; op < numOps; op++ {
+		e := &opTable[op]
+		switch e.lay {
+		case laySpecial:
+			d.special[e.sel] = op
+		case layRegimm:
+			d.regimm[e.sel] = op
+		case layI, layJ:
+			d.opcode[e.sel] = op
+		case layCop1: // whatever the funct bits hold
+			for fn := range d.cop1[e.sel] {
+				d.cop1[e.sel][fn] = op
+			}
+		case layCop1Fmt:
+			d.cop1[e.sel][e.funct] = op
+		case layBC1:
+			d.bc1[e.sel] = op
+		}
+	}
+	return d
+}()
+
 // Decode decodes a raw instruction word. Unrecognized encodings decode to
 // Op == OpInvalid with the fields still split out.
 func Decode(w Word) Inst {
@@ -74,359 +105,49 @@ func Decode(w Word) Inst {
 		Imm:    uint16(w & 0xFFFF),
 		Target: uint32(w & 0x03FFFFFF),
 	}
-	opc := uint8(w >> 26)
-	switch opc {
+	switch opc := w >> 26; opc {
 	case opcSpecial:
-		i.Op = specialOp(uint8(w & 0x3F))
+		i.Op = decoder.special[w&0x3F]
 	case opcRegimm:
-		switch i.Rt {
-		case riBLTZ:
-			i.Op = OpBLTZ
-		case riBGEZ:
-			i.Op = OpBGEZ
-		case riBLTZAL:
-			i.Op = OpBLTZAL
-		case riBGEZAL:
-			i.Op = OpBGEZAL
-		}
-	case opcJ:
-		i.Op = OpJ
-	case opcJAL:
-		i.Op = OpJAL
-	case opcBEQ:
-		i.Op = OpBEQ
-	case opcBNE:
-		i.Op = OpBNE
-	case opcBLEZ:
-		i.Op = OpBLEZ
-	case opcBGTZ:
-		i.Op = OpBGTZ
-	case opcADDI:
-		i.Op = OpADDI
-	case opcADDIU:
-		i.Op = OpADDIU
-	case opcSLTI:
-		i.Op = OpSLTI
-	case opcSLTIU:
-		i.Op = OpSLTIU
-	case opcANDI:
-		i.Op = OpANDI
-	case opcORI:
-		i.Op = OpORI
-	case opcXORI:
-		i.Op = OpXORI
-	case opcLUI:
-		i.Op = OpLUI
+		i.Op = decoder.regimm[i.Rt]
 	case opcCOP1:
-		i.Op = cop1Op(w)
-	case opcLB:
-		i.Op = OpLB
-	case opcLH:
-		i.Op = OpLH
-	case opcLWL:
-		i.Op = OpLWL
-	case opcLW:
-		i.Op = OpLW
-	case opcLBU:
-		i.Op = OpLBU
-	case opcLHU:
-		i.Op = OpLHU
-	case opcLWR:
-		i.Op = OpLWR
-	case opcSB:
-		i.Op = OpSB
-	case opcSH:
-		i.Op = OpSH
-	case opcSWL:
-		i.Op = OpSWL
-	case opcSW:
-		i.Op = OpSW
-	case opcSWR:
-		i.Op = OpSWR
-	case opcLWC1:
-		i.Op = OpLWC1
-	case opcSWC1:
-		i.Op = OpSWC1
+		if i.Rs == rsBC1 {
+			i.Op = decoder.bc1[w>>16&1]
+		} else {
+			i.Op = decoder.cop1[i.Rs][w&0x3F]
+		}
+	default:
+		i.Op = decoder.opcode[opc]
 	}
 	return i
 }
 
-func specialOp(fn uint8) Op {
-	switch fn {
-	case fnSLL:
-		return OpSLL
-	case fnSRL:
-		return OpSRL
-	case fnSRA:
-		return OpSRA
-	case fnSLLV:
-		return OpSLLV
-	case fnSRLV:
-		return OpSRLV
-	case fnSRAV:
-		return OpSRAV
-	case fnJR:
-		return OpJR
-	case fnJALR:
-		return OpJALR
-	case fnSYSCALL:
-		return OpSYSCALL
-	case fnBREAK:
-		return OpBREAK
-	case fnMFHI:
-		return OpMFHI
-	case fnMTHI:
-		return OpMTHI
-	case fnMFLO:
-		return OpMFLO
-	case fnMTLO:
-		return OpMTLO
-	case fnMULT:
-		return OpMULT
-	case fnMULTU:
-		return OpMULTU
-	case fnDIV:
-		return OpDIV
-	case fnDIVU:
-		return OpDIVU
-	case fnADD:
-		return OpADD
-	case fnADDU:
-		return OpADDU
-	case fnSUB:
-		return OpSUB
-	case fnSUBU:
-		return OpSUBU
-	case fnAND:
-		return OpAND
-	case fnOR:
-		return OpOR
-	case fnXOR:
-		return OpXOR
-	case fnNOR:
-		return OpNOR
-	case fnSLT:
-		return OpSLT
-	case fnSLTU:
-		return OpSLTU
-	}
-	return OpInvalid
-}
-
-func cop1Op(w Word) Op {
-	rs := uint8(w >> 21 & 0x1F)
-	switch rs {
-	case copMF:
-		return OpMFC1
-	case copMT:
-		return OpMTC1
-	case copBC:
-		if w>>16&1 == 1 {
-			return OpBC1T
-		}
-		return OpBC1F
-	case fmtS, fmtD, fmtW:
-		return cop1FmtOp(rs, uint8(w&0x3F))
-	}
-	return OpInvalid
-}
-
-func cop1FmtOp(format, fn uint8) Op {
-	type key struct{ f, fn uint8 }
-	switch (key{format, fn}) {
-	case key{fmtS, fnFADD}:
-		return OpADDS
-	case key{fmtD, fnFADD}:
-		return OpADDD
-	case key{fmtS, fnFSUB}:
-		return OpSUBS
-	case key{fmtD, fnFSUB}:
-		return OpSUBD
-	case key{fmtS, fnFMUL}:
-		return OpMULS
-	case key{fmtD, fnFMUL}:
-		return OpMULD
-	case key{fmtS, fnFDIV}:
-		return OpDIVS
-	case key{fmtD, fnFDIV}:
-		return OpDIVD
-	case key{fmtS, fnFABS}:
-		return OpABSS
-	case key{fmtD, fnFABS}:
-		return OpABSD
-	case key{fmtS, fnFMOV}:
-		return OpMOVS
-	case key{fmtD, fnFMOV}:
-		return OpMOVD
-	case key{fmtS, fnFNEG}:
-		return OpNEGS
-	case key{fmtD, fnFNEG}:
-		return OpNEGD
-	case key{fmtD, fnCVTS}:
-		return OpCVTSD
-	case key{fmtW, fnCVTS}:
-		return OpCVTSW
-	case key{fmtS, fnCVTD}:
-		return OpCVTDS
-	case key{fmtW, fnCVTD}:
-		return OpCVTDW
-	case key{fmtS, fnCVTW}:
-		return OpCVTWS
-	case key{fmtD, fnCVTW}:
-		return OpCVTWD
-	case key{fmtS, fnCEQ}:
-		return OpCEQS
-	case key{fmtD, fnCEQ}:
-		return OpCEQD
-	case key{fmtS, fnCLT}:
-		return OpCLTS
-	case key{fmtD, fnCLT}:
-		return OpCLTD
-	case key{fmtS, fnCLE}:
-		return OpCLES
-	case key{fmtD, fnCLE}:
-		return OpCLED
-	}
-	return OpInvalid
-}
-
-// encSpec describes how an Op maps back to instruction word bits.
-type encSpec struct {
-	kind   uint8 // 0 special, 1 regimm, 2 opcode-only, 3 cop1-rs, 4 cop1-fmt, 5 cop1-bc
-	opc    uint8
-	funct  uint8
-	rt     uint8 // regimm rt / bc1 tf bit
-	format uint8 // cop1 fmt field
-}
-
-// encTable holds each valid Op's encoding, indexed by Op like opTable. A
-// missing entry would encode as SLL, so a test encodes every Op.
-var encTable = [numOps]encSpec{
-	OpSLL:     {0, opcSpecial, fnSLL, 0, 0},
-	OpSRL:     {0, opcSpecial, fnSRL, 0, 0},
-	OpSRA:     {0, opcSpecial, fnSRA, 0, 0},
-	OpSLLV:    {0, opcSpecial, fnSLLV, 0, 0},
-	OpSRLV:    {0, opcSpecial, fnSRLV, 0, 0},
-	OpSRAV:    {0, opcSpecial, fnSRAV, 0, 0},
-	OpJR:      {0, opcSpecial, fnJR, 0, 0},
-	OpJALR:    {0, opcSpecial, fnJALR, 0, 0},
-	OpSYSCALL: {0, opcSpecial, fnSYSCALL, 0, 0},
-	OpBREAK:   {0, opcSpecial, fnBREAK, 0, 0},
-	OpMFHI:    {0, opcSpecial, fnMFHI, 0, 0},
-	OpMTHI:    {0, opcSpecial, fnMTHI, 0, 0},
-	OpMFLO:    {0, opcSpecial, fnMFLO, 0, 0},
-	OpMTLO:    {0, opcSpecial, fnMTLO, 0, 0},
-	OpMULT:    {0, opcSpecial, fnMULT, 0, 0},
-	OpMULTU:   {0, opcSpecial, fnMULTU, 0, 0},
-	OpDIV:     {0, opcSpecial, fnDIV, 0, 0},
-	OpDIVU:    {0, opcSpecial, fnDIVU, 0, 0},
-	OpADD:     {0, opcSpecial, fnADD, 0, 0},
-	OpADDU:    {0, opcSpecial, fnADDU, 0, 0},
-	OpSUB:     {0, opcSpecial, fnSUB, 0, 0},
-	OpSUBU:    {0, opcSpecial, fnSUBU, 0, 0},
-	OpAND:     {0, opcSpecial, fnAND, 0, 0},
-	OpOR:      {0, opcSpecial, fnOR, 0, 0},
-	OpXOR:     {0, opcSpecial, fnXOR, 0, 0},
-	OpNOR:     {0, opcSpecial, fnNOR, 0, 0},
-	OpSLT:     {0, opcSpecial, fnSLT, 0, 0},
-	OpSLTU:    {0, opcSpecial, fnSLTU, 0, 0},
-
-	OpBLTZ:   {1, opcRegimm, 0, riBLTZ, 0},
-	OpBGEZ:   {1, opcRegimm, 0, riBGEZ, 0},
-	OpBLTZAL: {1, opcRegimm, 0, riBLTZAL, 0},
-	OpBGEZAL: {1, opcRegimm, 0, riBGEZAL, 0},
-
-	OpJ:   {2, opcJ, 0, 0, 0},
-	OpJAL: {2, opcJAL, 0, 0, 0},
-
-	OpBEQ:   {2, opcBEQ, 0, 0, 0},
-	OpBNE:   {2, opcBNE, 0, 0, 0},
-	OpBLEZ:  {2, opcBLEZ, 0, 0, 0},
-	OpBGTZ:  {2, opcBGTZ, 0, 0, 0},
-	OpADDI:  {2, opcADDI, 0, 0, 0},
-	OpADDIU: {2, opcADDIU, 0, 0, 0},
-	OpSLTI:  {2, opcSLTI, 0, 0, 0},
-	OpSLTIU: {2, opcSLTIU, 0, 0, 0},
-	OpANDI:  {2, opcANDI, 0, 0, 0},
-	OpORI:   {2, opcORI, 0, 0, 0},
-	OpXORI:  {2, opcXORI, 0, 0, 0},
-	OpLUI:   {2, opcLUI, 0, 0, 0},
-
-	OpLB:   {2, opcLB, 0, 0, 0},
-	OpLH:   {2, opcLH, 0, 0, 0},
-	OpLWL:  {2, opcLWL, 0, 0, 0},
-	OpLW:   {2, opcLW, 0, 0, 0},
-	OpLBU:  {2, opcLBU, 0, 0, 0},
-	OpLHU:  {2, opcLHU, 0, 0, 0},
-	OpLWR:  {2, opcLWR, 0, 0, 0},
-	OpSB:   {2, opcSB, 0, 0, 0},
-	OpSH:   {2, opcSH, 0, 0, 0},
-	OpSWL:  {2, opcSWL, 0, 0, 0},
-	OpSW:   {2, opcSW, 0, 0, 0},
-	OpSWR:  {2, opcSWR, 0, 0, 0},
-	OpLWC1: {2, opcLWC1, 0, 0, 0},
-	OpSWC1: {2, opcSWC1, 0, 0, 0},
-
-	OpMFC1: {3, opcCOP1, 0, 0, copMF},
-	OpMTC1: {3, opcCOP1, 0, 0, copMT},
-	OpBC1F: {5, opcCOP1, 0, 0, 0},
-	OpBC1T: {5, opcCOP1, 0, 1, 0},
-
-	OpADDS:  {4, opcCOP1, fnFADD, 0, fmtS},
-	OpADDD:  {4, opcCOP1, fnFADD, 0, fmtD},
-	OpSUBS:  {4, opcCOP1, fnFSUB, 0, fmtS},
-	OpSUBD:  {4, opcCOP1, fnFSUB, 0, fmtD},
-	OpMULS:  {4, opcCOP1, fnFMUL, 0, fmtS},
-	OpMULD:  {4, opcCOP1, fnFMUL, 0, fmtD},
-	OpDIVS:  {4, opcCOP1, fnFDIV, 0, fmtS},
-	OpDIVD:  {4, opcCOP1, fnFDIV, 0, fmtD},
-	OpABSS:  {4, opcCOP1, fnFABS, 0, fmtS},
-	OpABSD:  {4, opcCOP1, fnFABS, 0, fmtD},
-	OpMOVS:  {4, opcCOP1, fnFMOV, 0, fmtS},
-	OpMOVD:  {4, opcCOP1, fnFMOV, 0, fmtD},
-	OpNEGS:  {4, opcCOP1, fnFNEG, 0, fmtS},
-	OpNEGD:  {4, opcCOP1, fnFNEG, 0, fmtD},
-	OpCVTSD: {4, opcCOP1, fnCVTS, 0, fmtD},
-	OpCVTSW: {4, opcCOP1, fnCVTS, 0, fmtW},
-	OpCVTDS: {4, opcCOP1, fnCVTD, 0, fmtS},
-	OpCVTDW: {4, opcCOP1, fnCVTD, 0, fmtW},
-	OpCVTWS: {4, opcCOP1, fnCVTW, 0, fmtS},
-	OpCVTWD: {4, opcCOP1, fnCVTW, 0, fmtD},
-	OpCEQS:  {4, opcCOP1, fnCEQ, 0, fmtS},
-	OpCEQD:  {4, opcCOP1, fnCEQ, 0, fmtD},
-	OpCLTS:  {4, opcCOP1, fnCLT, 0, fmtS},
-	OpCLTD:  {4, opcCOP1, fnCLT, 0, fmtD},
-	OpCLES:  {4, opcCOP1, fnCLE, 0, fmtS},
-	OpCLED:  {4, opcCOP1, fnCLE, 0, fmtD},
-}
-
-// Encode assembles the instruction fields of i into a machine word.
-// The Raw field is ignored; the result is built from Op plus the register,
-// immediate, and target fields. Encode panics on an invalid Op (programs
-// should construct Insts from the assembler or Decode).
+// Encode assembles the instruction fields of i into a machine word: the
+// fields i.Op's row fixes, and the operand fields its layout places, each
+// cut to its width. The Raw field is ignored. Encode panics on an invalid
+// Op (programs should construct Insts from the assembler or Decode).
 func Encode(i Inst) Word {
 	if !i.Op.Valid() {
 		panic(fmt.Sprintf("mips: Encode of invalid op %v", i.Op))
 	}
-	spec := &encTable[i.Op]
-	switch spec.kind {
-	case 0: // SPECIAL
-		return Word(uint32(spec.opc)<<26 | uint32(i.Rs)<<21 | uint32(i.Rt)<<16 |
-			uint32(i.Rd)<<11 | uint32(i.Shamt)<<6 | uint32(spec.funct))
-	case 1: // REGIMM
-		return Word(uint32(spec.opc)<<26 | uint32(i.Rs)<<21 | uint32(spec.rt)<<16 | uint32(i.Imm))
-	case 2: // plain opcode: I or J format
-		if i.Op == OpJ || i.Op == OpJAL {
-			return Word(uint32(spec.opc)<<26 | i.Target&0x03FFFFFF)
-		}
-		return Word(uint32(spec.opc)<<26 | uint32(i.Rs)<<21 | uint32(i.Rt)<<16 | uint32(i.Imm))
-	case 3: // MFC1/MTC1: rt = GPR, rd = FPR
-		return Word(uint32(spec.opc)<<26 | uint32(spec.format)<<21 | uint32(i.Rt)<<16 | uint32(i.Rd)<<11)
-	case 4: // COP1 fmt arithmetic
-		return Word(uint32(spec.opc)<<26 | uint32(spec.format)<<21 | uint32(i.Rt)<<16 |
-			uint32(i.Rd)<<11 | uint32(i.Shamt)<<6 | uint32(spec.funct))
-	case 5: // BC1F/BC1T
-		return Word(uint32(spec.opc)<<26 | uint32(copBC)<<21 | uint32(spec.rt)<<16 | uint32(i.Imm))
+	e := &opTable[i.Op]
+	sel := uint32(e.sel)
+	rs, rt := uint32(i.Rs&0x1F)<<21, uint32(i.Rt&0x1F)<<16
+	rd, shamt := uint32(i.Rd&0x1F)<<11, uint32(i.Shamt&0x1F)<<6
+	imm := uint32(i.Imm)
+	switch e.lay {
+	case laySpecial:
+		return Word(opcSpecial<<26 | rs | rt | rd | shamt | sel)
+	case layRegimm:
+		return Word(opcRegimm<<26 | rs | sel<<16 | imm)
+	case layI:
+		return Word(sel<<26 | rs | rt | imm)
+	case layJ:
+		return Word(sel<<26 | i.Target&0x03FFFFFF)
+	case layCop1:
+		return Word(opcCOP1<<26 | sel<<21 | rt | rd)
+	case layBC1:
+		return Word(opcCOP1<<26 | rsBC1<<21 | sel<<16 | imm)
 	}
-	panic("mips: unreachable encode kind")
+	return Word(opcCOP1<<26 | sel<<21 | rt | rd | shamt | uint32(e.funct)) // layCop1Fmt
 }

@@ -2,10 +2,13 @@
 // architecture: instruction word encoding and decoding, register naming,
 // instruction classification, and a disassembler.
 //
-// The package is the single source of truth for the ISA; the assembler
-// (internal/asm) and the functional simulator (internal/sim) are both built
-// on its tables, which keeps encode and execute in agreement by
-// construction.
+// One table (opTable, ops.go) is the single source of truth for the
+// ISA: a row per operation gives its mnemonic, pipeline class, assembler
+// operand form and encoding, and Decode, Encode, Disassemble, the
+// operation names and classes and the assembler's machine mnemonics are
+// all derived from it. The assembler (internal/asm) and the functional
+// simulator (internal/sim) are both built on it, which keeps encode and
+// execute in agreement by construction.
 //
 // Coverage is the MIPS-I user-mode subset an embedded R2000 program uses:
 // all integer ALU, shift, multiply/divide, load/store (including unaligned
@@ -93,101 +96,3 @@ func FPRegName(r uint8) string {
 	}
 	return fmt.Sprintf("$?f%d", r)
 }
-
-// Primary opcode field values (bits 31..26).
-const (
-	opcSpecial = 0x00
-	opcRegimm  = 0x01
-	opcJ       = 0x02
-	opcJAL     = 0x03
-	opcBEQ     = 0x04
-	opcBNE     = 0x05
-	opcBLEZ    = 0x06
-	opcBGTZ    = 0x07
-	opcADDI    = 0x08
-	opcADDIU   = 0x09
-	opcSLTI    = 0x0A
-	opcSLTIU   = 0x0B
-	opcANDI    = 0x0C
-	opcORI     = 0x0D
-	opcXORI    = 0x0E
-	opcLUI     = 0x0F
-	opcCOP1    = 0x11
-	opcLB      = 0x20
-	opcLH      = 0x21
-	opcLWL     = 0x22
-	opcLW      = 0x23
-	opcLBU     = 0x24
-	opcLHU     = 0x25
-	opcLWR     = 0x26
-	opcSB      = 0x28
-	opcSH      = 0x29
-	opcSWL     = 0x2A
-	opcSW      = 0x2B
-	opcSWR     = 0x2E
-	opcLWC1    = 0x31
-	opcSWC1    = 0x39
-)
-
-// SPECIAL funct field values (bits 5..0).
-const (
-	fnSLL     = 0x00
-	fnSRL     = 0x02
-	fnSRA     = 0x03
-	fnSLLV    = 0x04
-	fnSRLV    = 0x06
-	fnSRAV    = 0x07
-	fnJR      = 0x08
-	fnJALR    = 0x09
-	fnSYSCALL = 0x0C
-	fnBREAK   = 0x0D
-	fnMFHI    = 0x10
-	fnMTHI    = 0x11
-	fnMFLO    = 0x12
-	fnMTLO    = 0x13
-	fnMULT    = 0x18
-	fnMULTU   = 0x19
-	fnDIV     = 0x1A
-	fnDIVU    = 0x1B
-	fnADD     = 0x20
-	fnADDU    = 0x21
-	fnSUB     = 0x22
-	fnSUBU    = 0x23
-	fnAND     = 0x24
-	fnOR      = 0x25
-	fnXOR     = 0x26
-	fnNOR     = 0x27
-	fnSLT     = 0x2A
-	fnSLTU    = 0x2B
-)
-
-// REGIMM rt field values.
-const (
-	riBLTZ   = 0x00
-	riBGEZ   = 0x01
-	riBLTZAL = 0x10
-	riBGEZAL = 0x11
-)
-
-// COP1 rs (format) field values.
-const (
-	copMF  = 0x00 // MFC1
-	copMT  = 0x04 // MTC1
-	copBC  = 0x08 // BC1F/BC1T
-	fmtS   = 0x10 // single precision
-	fmtD   = 0x11 // double precision
-	fmtW   = 0x14 // fixed-point word
-	fnFADD = 0x00
-	fnFSUB = 0x01
-	fnFMUL = 0x02
-	fnFDIV = 0x03
-	fnFABS = 0x05
-	fnFMOV = 0x06
-	fnFNEG = 0x07
-	fnCVTS = 0x20
-	fnCVTD = 0x21
-	fnCVTW = 0x24
-	fnCEQ  = 0x32
-	fnCLT  = 0x3C
-	fnCLE  = 0x3E
-)

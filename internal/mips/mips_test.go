@@ -36,15 +36,17 @@ func TestRegNames(t *testing.T) {
 	}
 }
 
+// TestOpByNameRoundTrip: the assembler resolves every operation's
+// mnemonic to that operation, and no unknown one.
 func TestOpByNameRoundTrip(t *testing.T) {
 	for op := Op(1); int(op) < NumOps(); op++ {
-		got, ok := OpByName(op.String())
-		if !ok || got != op {
-			t.Errorf("OpByName(%q) = %v,%v, want %v", op.String(), got, ok, op)
+		got, ok := mnemonics[op.String()]
+		if !ok || got.op != op {
+			t.Errorf("mnemonics[%q] = %v,%v, want %v", op.String(), got.op, ok, op)
 		}
 	}
-	if _, ok := OpByName("frobnicate"); ok {
-		t.Error("OpByName accepted unknown mnemonic")
+	if _, ok := mnemonics["frobnicate"]; ok {
+		t.Error("mnemonics accepted unknown mnemonic")
 	}
 }
 

@@ -9,11 +9,11 @@ import "ccrp/internal/isa"
 
 // encodeMem handles loads and stores, in both the direct "rt, off(base)"
 // form and the symbol form "rt, sym(+off)", which expands through $at.
-func (e *encoder) encodeMem(op Op) ([]isa.Word, error) {
+// The rt of an FP access (isFP) is an FP register.
+func (e *encoder) encodeMem(op Op, isFP bool) ([]isa.Word, error) {
 	if err := e.nargs(2); err != nil {
 		return nil, err
 	}
-	isFP := op == OpLWC1 || op == OpSWC1
 	var rt uint8
 	var err error
 	if isFP {

@@ -19,7 +19,7 @@ func fitsInt12(v uint32) bool {
 }
 
 // form is an instruction's operand syntax; each has one encoder in
-// encode below.
+// encode below, and each machine form one rendering in Disassemble.
 type form uint8
 
 const (
@@ -53,37 +53,23 @@ type mnemonic struct {
 }
 
 // mnemonics holds every mnemonic the assembler accepts, so a statement
-// costs one lookup.
-var mnemonics = map[string]mnemonic{
-	"add": {formR3, OpADD}, "sub": {formR3, OpSUB}, "sll": {formR3, OpSLL}, "slt": {formR3, OpSLT},
-	"sltu": {formR3, OpSLTU}, "xor": {formR3, OpXOR}, "srl": {formR3, OpSRL}, "sra": {formR3, OpSRA},
-	"or": {formR3, OpOR}, "and": {formR3, OpAND},
-	"mul": {formR3, OpMUL}, "mulh": {formR3, OpMULH}, "mulhsu": {formR3, OpMULHSU}, "mulhu": {formR3, OpMULHU},
-	"div": {formR3, OpDIV}, "divu": {formR3, OpDIVU}, "rem": {formR3, OpREM}, "remu": {formR3, OpREMU},
-
-	"addi": {formImm, OpADDI}, "slti": {formImm, OpSLTI}, "sltiu": {formImm, OpSLTIU},
-	"xori": {formImm, OpXORI}, "ori": {formImm, OpORI}, "andi": {formImm, OpANDI},
-	"slli": {formShift, OpSLLI}, "srli": {formShift, OpSRLI}, "srai": {formShift, OpSRAI},
-
-	"lb": {formLoad, OpLB}, "lh": {formLoad, OpLH}, "lw": {formLoad, OpLW},
-	"lbu": {formLoad, OpLBU}, "lhu": {formLoad, OpLHU},
-	"sb": {formStore, OpSB}, "sh": {formStore, OpSH}, "sw": {formStore, OpSW},
-
-	"beq": {formBranch, OpBEQ}, "bne": {formBranch, OpBNE}, "blt": {formBranch, OpBLT},
-	"bge": {formBranch, OpBGE}, "bltu": {formBranch, OpBLTU}, "bgeu": {formBranch, OpBGEU},
-
-	"lui": {formUpper, OpLUI}, "auipc": {formUpper, OpAUIPC},
-	"jal": {formJAL, OpJAL}, "jalr": {formJALR, OpJALR},
-	"ecall": {formNone, OpECALL}, "ebreak": {formNone, OpEBREAK}, "fence": {formNone, OpFENCE},
-	"nop": {formNone, OpADDI},
-
-	"ret": {formRet, OpJALR}, "li": {form: formLi}, "la": {form: formLa},
-	"mv": {formRdRs, OpADDI}, "neg": {formRdRs, OpSUB}, "not": {formRdRs, OpXORI},
-	"seqz": {formRdRs, OpSLTIU}, "snez": {formRdRs, OpSLTU},
-	"j": {formJ, OpJAL}, "call": {formJ, OpJAL}, "jr": {formJr, OpJALR},
-	"beqz": {formBranchZ, OpBEQ}, "bnez": {formBranchZ, OpBNE}, "bltz": {formBranchZ, OpBLT},
-	"bgez": {formBranchZ, OpBGE}, "blez": {formBranchZ, OpBGE}, "bgtz": {formBranchZ, OpBLT},
-}
+// costs one lookup: each operation's name and form from opTable, and
+// the pseudo-instructions listed here.
+var mnemonics = func() map[string]mnemonic {
+	m := map[string]mnemonic{
+		"nop": {formNone, OpADDI},
+		"ret": {formRet, OpJALR}, "li": {form: formLi}, "la": {form: formLa},
+		"mv": {formRdRs, OpADDI}, "neg": {formRdRs, OpSUB}, "not": {formRdRs, OpXORI},
+		"seqz": {formRdRs, OpSLTIU}, "snez": {formRdRs, OpSLTU},
+		"j": {formJ, OpJAL}, "call": {formJ, OpJAL}, "jr": {formJr, OpJALR},
+		"beqz": {formBranchZ, OpBEQ}, "bnez": {formBranchZ, OpBNE}, "bltz": {formBranchZ, OpBLT},
+		"bgez": {formBranchZ, OpBGE}, "blez": {formBranchZ, OpBGE}, "bgtz": {formBranchZ, OpBLT},
+	}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		m[opTable[op].name] = mnemonic{opTable[op].form, op}
+	}
+	return m
+}()
 
 // InstSize returns the byte size of an instruction or pseudo-instruction
 // during pass 1. As on MIPS, li requires a constant operand so its size

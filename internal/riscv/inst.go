@@ -77,59 +77,90 @@ const (
 	numOps
 )
 
-var opTable = [numOps]struct {
-	name  string
-	class isa.Class
-}{
-	OpInvalid: {"invalid", isa.ClassSys},
-	OpLUI:     {"lui", isa.ClassALU},
-	OpAUIPC:   {"auipc", isa.ClassALU},
-	OpJAL:     {"jal", isa.ClassJump},
-	OpJALR:    {"jalr", isa.ClassJump},
-	OpBEQ:     {"beq", isa.ClassBranch},
-	OpBNE:     {"bne", isa.ClassBranch},
-	OpBLT:     {"blt", isa.ClassBranch},
-	OpBGE:     {"bge", isa.ClassBranch},
-	OpBLTU:    {"bltu", isa.ClassBranch},
-	OpBGEU:    {"bgeu", isa.ClassBranch},
-	OpLB:      {"lb", isa.ClassLoad},
-	OpLH:      {"lh", isa.ClassLoad},
-	OpLW:      {"lw", isa.ClassLoad},
-	OpLBU:     {"lbu", isa.ClassLoad},
-	OpLHU:     {"lhu", isa.ClassLoad},
-	OpSB:      {"sb", isa.ClassStore},
-	OpSH:      {"sh", isa.ClassStore},
-	OpSW:      {"sw", isa.ClassStore},
-	OpADDI:    {"addi", isa.ClassALU},
-	OpSLTI:    {"slti", isa.ClassALU},
-	OpSLTIU:   {"sltiu", isa.ClassALU},
-	OpXORI:    {"xori", isa.ClassALU},
-	OpORI:     {"ori", isa.ClassALU},
-	OpANDI:    {"andi", isa.ClassALU},
-	OpSLLI:    {"slli", isa.ClassShift},
-	OpSRLI:    {"srli", isa.ClassShift},
-	OpSRAI:    {"srai", isa.ClassShift},
-	OpADD:     {"add", isa.ClassALU},
-	OpSUB:     {"sub", isa.ClassALU},
-	OpSLL:     {"sll", isa.ClassShift},
-	OpSLT:     {"slt", isa.ClassALU},
-	OpSLTU:    {"sltu", isa.ClassALU},
-	OpXOR:     {"xor", isa.ClassALU},
-	OpSRL:     {"srl", isa.ClassShift},
-	OpSRA:     {"sra", isa.ClassShift},
-	OpOR:      {"or", isa.ClassALU},
-	OpAND:     {"and", isa.ClassALU},
-	OpMUL:     {"mul", isa.ClassMulDiv},
-	OpMULH:    {"mulh", isa.ClassMulDiv},
-	OpMULHSU:  {"mulhsu", isa.ClassMulDiv},
-	OpMULHU:   {"mulhu", isa.ClassMulDiv},
-	OpDIV:     {"div", isa.ClassMulDiv},
-	OpDIVU:    {"divu", isa.ClassMulDiv},
-	OpREM:     {"rem", isa.ClassMulDiv},
-	OpREMU:    {"remu", isa.ClassMulDiv},
-	OpFENCE:   {"fence", isa.ClassSys},
-	OpECALL:   {"ecall", isa.ClassSys},
-	OpEBREAK:  {"ebreak", isa.ClassSys},
+// layout is an instruction format: the fields an operation fixes and the
+// operand fields its word carries.
+type layout uint8
+
+const (
+	layR     layout = iota // opcode, funct3, funct7; rd, rs1, rs2
+	layI                   // opcode, funct3; rd, rs1, imm[11:0]
+	layShift               // opcode, funct3, funct7; rd, rs1, shamt
+	layS                   // opcode, funct3; rs1, rs2, imm[11:0]
+	layB                   // opcode, funct3; rs1, rs2, imm[12:1]
+	layU                   // opcode; rd, imm[31:12]
+	layJ                   // opcode; rd, imm[20:1]
+	laySys                 // the whole word: opcode, funct3 and, for funct7, the funct12 in bits 31:20
+)
+
+// fixedMask is the mask of the bits each layout's operations fix.
+var fixedMask = [...]uint32{
+	layR: 0xFE00707F, layI: 0x707F, layShift: 0xFE00707F, layS: 0x707F,
+	layB: 0x707F, layU: 0x7F, layJ: 0x7F, laySys: 0xFFFFFFFF,
+}
+
+// opInfo is one operation: its mnemonic, pipeline class, assembler
+// operand form and encoding. Decode, Encode, Disassemble, String, Class
+// and the assembler's machine mnemonics all derive from these rows.
+type opInfo struct {
+	name   string
+	class  isa.Class
+	form   form
+	lay    layout
+	opc    uint8
+	funct3 uint8
+	funct7 uint16 // laySys: the funct12
+}
+
+var opTable = [numOps]opInfo{
+	OpInvalid: {name: "invalid", class: isa.ClassSys},
+	OpLUI:     {"lui", isa.ClassALU, formUpper, layU, opcLUI, 0, 0},
+	OpAUIPC:   {"auipc", isa.ClassALU, formUpper, layU, opcAUIPC, 0, 0},
+	OpJAL:     {"jal", isa.ClassJump, formJAL, layJ, opcJAL, 0, 0},
+	OpJALR:    {"jalr", isa.ClassJump, formJALR, layI, opcJALR, 0, 0},
+	OpBEQ:     {"beq", isa.ClassBranch, formBranch, layB, opcBranch, 0, 0},
+	OpBNE:     {"bne", isa.ClassBranch, formBranch, layB, opcBranch, 1, 0},
+	OpBLT:     {"blt", isa.ClassBranch, formBranch, layB, opcBranch, 4, 0},
+	OpBGE:     {"bge", isa.ClassBranch, formBranch, layB, opcBranch, 5, 0},
+	OpBLTU:    {"bltu", isa.ClassBranch, formBranch, layB, opcBranch, 6, 0},
+	OpBGEU:    {"bgeu", isa.ClassBranch, formBranch, layB, opcBranch, 7, 0},
+	OpLB:      {"lb", isa.ClassLoad, formLoad, layI, opcLoad, 0, 0},
+	OpLH:      {"lh", isa.ClassLoad, formLoad, layI, opcLoad, 1, 0},
+	OpLW:      {"lw", isa.ClassLoad, formLoad, layI, opcLoad, 2, 0},
+	OpLBU:     {"lbu", isa.ClassLoad, formLoad, layI, opcLoad, 4, 0},
+	OpLHU:     {"lhu", isa.ClassLoad, formLoad, layI, opcLoad, 5, 0},
+	OpSB:      {"sb", isa.ClassStore, formStore, layS, opcStore, 0, 0},
+	OpSH:      {"sh", isa.ClassStore, formStore, layS, opcStore, 1, 0},
+	OpSW:      {"sw", isa.ClassStore, formStore, layS, opcStore, 2, 0},
+	OpADDI:    {"addi", isa.ClassALU, formImm, layI, opcOpImm, 0, 0},
+	OpSLTI:    {"slti", isa.ClassALU, formImm, layI, opcOpImm, 2, 0},
+	OpSLTIU:   {"sltiu", isa.ClassALU, formImm, layI, opcOpImm, 3, 0},
+	OpXORI:    {"xori", isa.ClassALU, formImm, layI, opcOpImm, 4, 0},
+	OpORI:     {"ori", isa.ClassALU, formImm, layI, opcOpImm, 6, 0},
+	OpANDI:    {"andi", isa.ClassALU, formImm, layI, opcOpImm, 7, 0},
+	OpSLLI:    {"slli", isa.ClassShift, formShift, layShift, opcOpImm, 1, 0},
+	OpSRLI:    {"srli", isa.ClassShift, formShift, layShift, opcOpImm, 5, 0},
+	OpSRAI:    {"srai", isa.ClassShift, formShift, layShift, opcOpImm, 5, 0x20},
+	OpADD:     {"add", isa.ClassALU, formR3, layR, opcOp, 0, 0},
+	OpSUB:     {"sub", isa.ClassALU, formR3, layR, opcOp, 0, 0x20},
+	OpSLL:     {"sll", isa.ClassShift, formR3, layR, opcOp, 1, 0},
+	OpSLT:     {"slt", isa.ClassALU, formR3, layR, opcOp, 2, 0},
+	OpSLTU:    {"sltu", isa.ClassALU, formR3, layR, opcOp, 3, 0},
+	OpXOR:     {"xor", isa.ClassALU, formR3, layR, opcOp, 4, 0},
+	OpSRL:     {"srl", isa.ClassShift, formR3, layR, opcOp, 5, 0},
+	OpSRA:     {"sra", isa.ClassShift, formR3, layR, opcOp, 5, 0x20},
+	OpOR:      {"or", isa.ClassALU, formR3, layR, opcOp, 6, 0},
+	OpAND:     {"and", isa.ClassALU, formR3, layR, opcOp, 7, 0},
+	OpMUL:     {"mul", isa.ClassMulDiv, formR3, layR, opcOp, 0, 1},
+	OpMULH:    {"mulh", isa.ClassMulDiv, formR3, layR, opcOp, 1, 1},
+	OpMULHSU:  {"mulhsu", isa.ClassMulDiv, formR3, layR, opcOp, 2, 1},
+	OpMULHU:   {"mulhu", isa.ClassMulDiv, formR3, layR, opcOp, 3, 1},
+	OpDIV:     {"div", isa.ClassMulDiv, formR3, layR, opcOp, 4, 1},
+	OpDIVU:    {"divu", isa.ClassMulDiv, formR3, layR, opcOp, 5, 1},
+	OpREM:     {"rem", isa.ClassMulDiv, formR3, layR, opcOp, 6, 1},
+	OpREMU:    {"remu", isa.ClassMulDiv, formR3, layR, opcOp, 7, 1},
+	OpFENCE:   {"fence", isa.ClassSys, formNone, layI, opcMiscM, 0, 0},
+	OpECALL:   {"ecall", isa.ClassSys, formNone, laySys, opcSystem, 0, 0},
+	OpEBREAK:  {"ebreak", isa.ClassSys, formNone, laySys, opcSystem, 0, 1},
 }
 
 // String returns the mnemonic.
@@ -184,248 +215,124 @@ func immJ(w uint32) int32 {
 		int32(w>>20&0x7FE)
 }
 
-// Decode decodes one 32-bit word. Invalid encodings produce OpInvalid.
-func Decode(w uint32) Inst {
-	rd := uint8(w >> 7 & 0x1F)
-	rs1 := uint8(w >> 15 & 0x1F)
-	rs2 := uint8(w >> 20 & 0x1F)
-	f3 := w >> 12 & 7
-	f7 := w >> 25
-	switch w & 0x7F {
-	case opcLUI:
-		return Inst{Op: OpLUI, Rd: rd, Imm: immU(w)}
-	case opcAUIPC:
-		return Inst{Op: OpAUIPC, Rd: rd, Imm: immU(w)}
-	case opcJAL:
-		return Inst{Op: OpJAL, Rd: rd, Imm: immJ(w)}
-	case opcJALR:
-		if f3 == 0 {
-			return Inst{Op: OpJALR, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		}
-	case opcBranch:
-		ops := [8]Op{OpBEQ, OpBNE, 0, 0, OpBLT, OpBGE, OpBLTU, OpBGEU}
-		if op := ops[f3]; op != OpInvalid {
-			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB(w)}
-		}
-	case opcLoad:
-		ops := [8]Op{OpLB, OpLH, OpLW, 0, OpLBU, OpLHU, 0, 0}
-		if op := ops[f3]; op != OpInvalid {
-			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		}
-	case opcStore:
-		ops := [8]Op{OpSB, OpSH, OpSW, 0, 0, 0, 0, 0}
-		if op := ops[f3]; op != OpInvalid {
-			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immS(w)}
-		}
-	case opcOpImm:
-		switch f3 {
-		case 0:
-			return Inst{Op: OpADDI, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		case 1:
-			if f7 == 0 {
-				return Inst{Op: OpSLLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}
-			}
-		case 2:
-			return Inst{Op: OpSLTI, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		case 3:
-			return Inst{Op: OpSLTIU, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		case 4:
-			return Inst{Op: OpXORI, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		case 5:
-			if f7 == 0 {
-				return Inst{Op: OpSRLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}
-			}
-			if f7 == 0x20 {
-				return Inst{Op: OpSRAI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}
-			}
-		case 6:
-			return Inst{Op: OpORI, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		case 7:
-			return Inst{Op: OpANDI, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		}
-	case opcOp:
-		switch f7 {
-		case 0:
-			ops := [8]Op{OpADD, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpOR, OpAND}
-			return Inst{Op: ops[f3], Rd: rd, Rs1: rs1, Rs2: rs2}
-		case 0x20:
-			if f3 == 0 {
-				return Inst{Op: OpSUB, Rd: rd, Rs1: rs1, Rs2: rs2}
-			}
-			if f3 == 5 {
-				return Inst{Op: OpSRA, Rd: rd, Rs1: rs1, Rs2: rs2}
-			}
-		case 1: // M extension
-			ops := [8]Op{OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU}
-			return Inst{Op: ops[f3], Rd: rd, Rs1: rs1, Rs2: rs2}
-		}
-	case opcMiscM:
-		if f3 == 0 {
-			return Inst{Op: OpFENCE, Rd: rd, Rs1: rs1, Imm: immI(w)}
-		}
-	case opcSystem:
-		if f3 == 0 && rd == 0 && rs1 == 0 {
-			switch w >> 20 {
-			case 0:
-				return Inst{Op: OpECALL}
-			case 1:
-				return Inst{Op: OpEBREAK}
-			}
-		}
-	}
-	return Inst{Op: OpInvalid}
+// decodeKey gathers the bits that tell operations apart once their rows'
+// other fixed bits are checked: opcode bits 6:2, funct3, and bits 30, 25
+// and 20 (funct7's SUB/SRA and M-extension bits, and EBREAK's funct12).
+func decodeKey(w uint32) uint32 {
+	return w>>2&0x1F | w>>7&0xE0 | w>>22&0x100 | w>>16&0x200 | w>>10&0x400
 }
 
-// Encode produces the 32-bit word for inst. It panics on OpInvalid
-// (programming error, same contract as the MIPS encoder).
+// decoder maps each decodeKey to the one operation whose fixed bits can
+// match a word with that key, and fixed holds each operation's fixed
+// bits (mask) and their values (match); both are built from opTable.
+var decoder, fixed = func() (d [1 << 11]Op, f [numOps]struct{ mask, match uint32 }) {
+	for op := OpInvalid + 1; op < numOps; op++ {
+		e := &opTable[op]
+		funct7At := 25
+		if e.lay == laySys {
+			funct7At = 20 // the funct12
+		}
+		f[op].mask = fixedMask[e.lay]
+		f[op].match = uint32(e.funct7)<<funct7At | uint32(e.funct3)<<12 | uint32(e.opc)
+		km, kv := decodeKey(f[op].mask), decodeKey(f[op].match)
+		for k := range d {
+			if uint32(k)&km != kv {
+				continue
+			}
+			if d[k] != OpInvalid {
+				panic(fmt.Sprintf("riscv: %v and %v share decode key %#x", d[k], op, k))
+			}
+			d[k] = op
+		}
+	}
+	return d, f
+}()
+
+// Decode decodes one 32-bit word. Invalid encodings produce OpInvalid.
+// The operand fields its layout does not carry are zero.
+func Decode(w uint32) Inst {
+	op := decoder[decodeKey(w)]
+	if op == OpInvalid || w&fixed[op].mask != fixed[op].match {
+		return Inst{}
+	}
+	rd, rs1, rs2 := uint8(w>>7&0x1F), uint8(w>>15&0x1F), uint8(w>>20&0x1F)
+	switch opTable[op].lay {
+	case layR:
+		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}
+	case layI:
+		return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI(w)}
+	case layShift:
+		return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(rs2)}
+	case layS:
+		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immS(w)}
+	case layB:
+		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB(w)}
+	case layU:
+		return Inst{Op: op, Rd: rd, Imm: immU(w)}
+	case layJ:
+		return Inst{Op: op, Rd: rd, Imm: immJ(w)}
+	}
+	return Inst{Op: op} // laySys
+}
+
+// Encode produces the 32-bit word for inst: the bits its row fixes and
+// the operand fields its layout carries, registers cut to five bits and
+// the immediate to its field. It panics on OpInvalid (programming error,
+// same contract as the MIPS encoder).
 func Encode(inst Inst) uint32 {
-	rd := uint32(inst.Rd & 31)
-	rs1 := uint32(inst.Rs1 & 31)
-	rs2 := uint32(inst.Rs2 & 31)
+	if inst.Op == OpInvalid || inst.Op >= numOps {
+		panic(fmt.Sprintf("riscv: cannot encode op %v", inst.Op))
+	}
+	rd := uint32(inst.Rd&31) << 7
+	rs1 := uint32(inst.Rs1&31) << 15
+	rs2 := uint32(inst.Rs2&31) << 20
 	imm := uint32(inst.Imm)
-	enc := func(opc, f3, f7 uint32) uint32 {
-		return f7<<25 | rs2<<20 | rs1<<15 | f3<<12 | rd<<7 | opc
+	w := fixed[inst.Op].match
+	switch opTable[inst.Op].lay {
+	case layR:
+		return w | rs2 | rs1 | rd
+	case layI:
+		return w | imm<<20 | rs1 | rd
+	case layShift:
+		return w | imm&0x1F<<20 | rs1 | rd
+	case layS:
+		return w | imm>>5&0x7F<<25 | rs2 | rs1 | imm&0x1F<<7
+	case layB:
+		return w | imm>>12&1<<31 | imm>>5&0x3F<<25 | rs2 | rs1 | imm>>1&0xF<<8 | imm>>11&1<<7
+	case layU:
+		return w | imm&0xFFFFF000 | rd
+	case layJ:
+		return w | imm>>20&1<<31 | imm>>1&0x3FF<<21 | imm>>11&1<<20 | imm>>12&0xFF<<12 | rd
 	}
-	encI := func(opc, f3 uint32) uint32 {
-		return imm<<20 | rs1<<15 | f3<<12 | rd<<7 | opc
-	}
-	encS := func(f3 uint32) uint32 {
-		return imm>>5&0x7F<<25 | rs2<<20 | rs1<<15 | f3<<12 | imm&0x1F<<7 | opcStore
-	}
-	encB := func(f3 uint32) uint32 {
-		return imm>>12&1<<31 | imm>>5&0x3F<<25 | rs2<<20 | rs1<<15 |
-			f3<<12 | imm>>1&0xF<<8 | imm>>11&1<<7 | opcBranch
-	}
-	switch inst.Op {
-	case OpLUI:
-		return imm&0xFFFFF000 | rd<<7 | opcLUI
-	case OpAUIPC:
-		return imm&0xFFFFF000 | rd<<7 | opcAUIPC
-	case OpJAL:
-		return imm>>20&1<<31 | imm>>1&0x3FF<<21 | imm>>11&1<<20 |
-			imm>>12&0xFF<<12 | rd<<7 | opcJAL
-	case OpJALR:
-		return encI(opcJALR, 0)
-	case OpBEQ:
-		return encB(0)
-	case OpBNE:
-		return encB(1)
-	case OpBLT:
-		return encB(4)
-	case OpBGE:
-		return encB(5)
-	case OpBLTU:
-		return encB(6)
-	case OpBGEU:
-		return encB(7)
-	case OpLB:
-		return encI(opcLoad, 0)
-	case OpLH:
-		return encI(opcLoad, 1)
-	case OpLW:
-		return encI(opcLoad, 2)
-	case OpLBU:
-		return encI(opcLoad, 4)
-	case OpLHU:
-		return encI(opcLoad, 5)
-	case OpSB:
-		return encS(0)
-	case OpSH:
-		return encS(1)
-	case OpSW:
-		return encS(2)
-	case OpADDI:
-		return encI(opcOpImm, 0)
-	case OpSLTI:
-		return encI(opcOpImm, 2)
-	case OpSLTIU:
-		return encI(opcOpImm, 3)
-	case OpXORI:
-		return encI(opcOpImm, 4)
-	case OpORI:
-		return encI(opcOpImm, 6)
-	case OpANDI:
-		return encI(opcOpImm, 7)
-	case OpSLLI:
-		return imm&0x1F<<20 | rs1<<15 | 1<<12 | rd<<7 | opcOpImm
-	case OpSRLI:
-		return imm&0x1F<<20 | rs1<<15 | 5<<12 | rd<<7 | opcOpImm
-	case OpSRAI:
-		return 0x20<<25 | imm&0x1F<<20 | rs1<<15 | 5<<12 | rd<<7 | opcOpImm
-	case OpADD:
-		return enc(opcOp, 0, 0)
-	case OpSUB:
-		return enc(opcOp, 0, 0x20)
-	case OpSLL:
-		return enc(opcOp, 1, 0)
-	case OpSLT:
-		return enc(opcOp, 2, 0)
-	case OpSLTU:
-		return enc(opcOp, 3, 0)
-	case OpXOR:
-		return enc(opcOp, 4, 0)
-	case OpSRL:
-		return enc(opcOp, 5, 0)
-	case OpSRA:
-		return enc(opcOp, 5, 0x20)
-	case OpOR:
-		return enc(opcOp, 6, 0)
-	case OpAND:
-		return enc(opcOp, 7, 0)
-	case OpMUL:
-		return enc(opcOp, 0, 1)
-	case OpMULH:
-		return enc(opcOp, 1, 1)
-	case OpMULHSU:
-		return enc(opcOp, 2, 1)
-	case OpMULHU:
-		return enc(opcOp, 3, 1)
-	case OpDIV:
-		return enc(opcOp, 4, 1)
-	case OpDIVU:
-		return enc(opcOp, 5, 1)
-	case OpREM:
-		return enc(opcOp, 6, 1)
-	case OpREMU:
-		return enc(opcOp, 7, 1)
-	case OpFENCE:
-		return encI(opcMiscM, 0)
-	case OpECALL:
-		return opcSystem
-	case OpEBREAK:
-		return 1<<20 | opcSystem
-	}
-	panic(fmt.Sprintf("riscv: cannot encode op %v", inst.Op))
+	return w // laySys
 }
 
 // Disassemble renders the word at pc in the syntax the assembler backend
-// accepts (branch and jal targets are absolute hex addresses).
+// accepts, the operand form of its operation (branch and jal targets are
+// absolute hex addresses).
 func Disassemble(w uint32, pc uint32) string {
 	inst := Decode(w)
-	r := RegName
-	switch inst.Op {
-	case OpInvalid:
+	if inst.Op == OpInvalid {
 		return fmt.Sprintf(".word 0x%08x", w)
-	case OpLUI, OpAUIPC:
-		return fmt.Sprintf("%s %s, 0x%x", inst.Op, r(inst.Rd), uint32(inst.Imm)>>12)
-	case OpJAL:
-		return fmt.Sprintf("jal %s, 0x%08x", r(inst.Rd), pc+uint32(inst.Imm))
-	case OpJALR:
-		return fmt.Sprintf("jalr %s, %d(%s)", r(inst.Rd), inst.Imm, r(inst.Rs1))
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		return fmt.Sprintf("%s %s, %s, 0x%08x", inst.Op, r(inst.Rs1), r(inst.Rs2), pc+uint32(inst.Imm))
-	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
-		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rd), inst.Imm, r(inst.Rs1))
-	case OpSB, OpSH, OpSW:
-		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rs2), inst.Imm, r(inst.Rs1))
-	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI,
-		OpSLLI, OpSRLI, OpSRAI:
-		return fmt.Sprintf("%s %s, %s, %d", inst.Op, r(inst.Rd), r(inst.Rs1), inst.Imm)
-	case OpFENCE:
-		return "fence"
-	case OpECALL, OpEBREAK:
-		return inst.Op.String()
-	default: // R-type
-		return fmt.Sprintf("%s %s, %s, %s", inst.Op, r(inst.Rd), r(inst.Rs1), r(inst.Rs2))
 	}
+	r := RegName
+	switch opTable[inst.Op].form {
+	case formR3:
+		return fmt.Sprintf("%s %s, %s, %s", inst.Op, r(inst.Rd), r(inst.Rs1), r(inst.Rs2))
+	case formImm, formShift:
+		return fmt.Sprintf("%s %s, %s, %d", inst.Op, r(inst.Rd), r(inst.Rs1), inst.Imm)
+	case formLoad:
+		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rd), inst.Imm, r(inst.Rs1))
+	case formStore:
+		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rs2), inst.Imm, r(inst.Rs1))
+	case formBranch:
+		return fmt.Sprintf("%s %s, %s, 0x%08x", inst.Op, r(inst.Rs1), r(inst.Rs2), pc+uint32(inst.Imm))
+	case formUpper:
+		return fmt.Sprintf("%s %s, 0x%x", inst.Op, r(inst.Rd), uint32(inst.Imm)>>12)
+	case formJAL:
+		return fmt.Sprintf("%s %s, 0x%08x", inst.Op, r(inst.Rd), pc+uint32(inst.Imm))
+	case formJALR:
+		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rd), inst.Imm, r(inst.Rs1))
+	}
+	return inst.Op.String() // formNone: fence, ecall, ebreak
 }

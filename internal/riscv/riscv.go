@@ -1,7 +1,12 @@
 // Package riscv is the RV32I(+M) backend of the ISA abstraction layer:
 // word decode/encode, disassembly, an assembler backend for internal/asm,
 // an executor for internal/sim, and an RVC (compressed-instruction)
-// expander. The RVC expander is the point of the exercise: RISC-V's "C"
+// expander. One table (opTable, inst.go) holds a row per operation with
+// its mnemonic, pipeline class, assembler operand form and encoding;
+// Decode, Encode, Disassemble, the operation names and classes and the
+// assembler's machine mnemonics are all derived from it.
+//
+// The RVC expander is the point of the exercise: RISC-V's "C"
 // extension is the ISA-level answer to the code-size problem the paper
 // attacks with block-bounded Huffman compression, and having both in one
 // tree lets the experiments compare CCRP ratios against native 16-bit
@@ -94,24 +99,18 @@ func (Backend) WordBytes() int { return 4 }
 // Decode implements isa.ISA.
 func (Backend) Decode(w isa.Word, pc uint32) isa.Info {
 	inst := Decode(uint32(w))
+	c := inst.Op.Class()
 	info := isa.Info{
 		Valid:    inst.Op != OpInvalid,
-		Class:    inst.Op.Class(),
+		Class:    c,
 		Mnemonic: inst.Op.String(),
+		IsBranch: c == isa.ClassBranch,
+		IsJump:   c == isa.ClassJump,
+		IsLoad:   c == isa.ClassLoad,
+		IsStore:  c == isa.ClassStore,
 	}
-	switch inst.Op {
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		info.IsBranch = true
+	if info.IsBranch || inst.Op == OpJAL {
 		info.Target, info.TargetKnown = pc+uint32(inst.Imm), true
-	case OpJAL:
-		info.IsJump = true
-		info.Target, info.TargetKnown = pc+uint32(inst.Imm), true
-	case OpJALR:
-		info.IsJump = true
-	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
-		info.IsLoad = true
-	case OpSB, OpSH, OpSW:
-		info.IsStore = true
 	}
 	return info
 }
