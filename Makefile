@@ -71,6 +71,7 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzCompressBatchHandler$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzDecompressBatchHandler$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzSimulateHandler$$' ./internal/server
+	$(FUZZ) -fuzz='^FuzzDecodeRequest$$' ./internal/server
 	$(FUZZ) -fuzz='^FuzzLoadStoredCoder$$' -fuzzminimizetime=1s ./internal/server
 	$(FUZZ) -fuzz='^FuzzReadTrace$$' ./internal/trace
 	$(FUZZ) -fuzz='^FuzzRecorder$$' ./internal/trace

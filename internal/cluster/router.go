@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -125,8 +124,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 // forward runs the routed hop, writes the response and returns the
 // client-visible status.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, tid tracing.TraceID, span *tracing.Span) int {
-	r.Body = http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		return rt.fail(w, span, err)
 	}

@@ -88,12 +88,12 @@ func BuildROM(text []byte, opts Options) (*ROM, error) {
 	encLens := make([]int, n) // a coded line's bytes before word alignment
 	total := 0
 	for i := range rom.Lines {
-		best, exact, size, err := rom.sizeLine(rom.orig(i))
+		best, nbits, size, err := rom.sizeLine(rom.orig(i))
 		if err != nil {
 			return nil, fmt.Errorf("core: line at %#x: %w", i*LineSize, err)
 		}
 		rom.Lines[i].CodeIdx = best
-		blockLens[i], encLens[i] = size, exact
+		blockLens[i], encLens[i] = size, (nbits+7)/8
 		total += size
 	}
 	table, err := lat.Build(blockLens, 0)
@@ -127,10 +127,10 @@ func BuildROM(text []byte, opts Options) (*ROM, error) {
 
 // sizeLine sizes a block under every codec from its BitLengths and picks
 // the first that stores it smallest: it returns that codec's index, the
-// line's encoded bytes and its stored size (word-rounded when the image
-// is word aligned). The index is -1, and the size LineSize, when no codec
-// shrinks the line below the line size and it is stored raw.
-func (r *ROM) sizeLine(orig []byte) (best, exact, size int, err error) {
+// line's encoded bits and its stored size in bytes (word-rounded when the
+// image is word aligned). The index is -1, and the size LineSize, when no
+// codec shrinks the line below the line size and it is stored raw.
+func (r *ROM) sizeLine(orig []byte) (best, nbits, size int, err error) {
 	best, size = -1, LineSize
 	for ci, codec := range r.codecs {
 		lens, err := codec.BitLengths(orig)
@@ -140,20 +140,19 @@ func (r *ROM) sizeLine(orig []byte) (best, exact, size int, err error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		nbits := 0
+		bits := 0
 		for _, l := range lens {
-			nbits += int(l)
+			bits += int(l)
 		}
-		n := (nbits + 7) / 8
-		stored := n
+		stored := (bits + 7) / 8
 		if r.wordAligned {
-			stored = (n + 3) / 4 * 4
+			stored = (stored + 3) / 4 * 4
 		}
 		if stored < size {
-			best, exact, size = ci, n, stored
+			best, nbits, size = ci, bits, stored
 		}
 	}
-	return best, exact, size, nil
+	return best, nbits, size, nil
 }
 
 // BlocksSize returns the packed compressed block bytes.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,7 +91,10 @@ func (r *ROM) WriteFile(w io.Writer) error {
 
 // ReadROMFile reconstructs a ROM image, locating every block through the
 // LAT and decompressing it to recover the original line contents (and
-// thereby verifying the file).
+// thereby verifying the file). It accepts only the file WriteFile writes
+// for BuildROM's image of that text under the file's codes and
+// alignment: every line is coded as BuildROM's sizing picks (canonical),
+// and every bit no field uses is zero.
 func ReadROMFile(rd io.Reader) (*ROM, error) {
 	var hdr [28]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
@@ -108,13 +112,17 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 	flags := binary.LittleEndian.Uint32(hdr[20:])
 	tagLen := int(binary.LittleEndian.Uint32(hdr[24:]))
 	nCodes := int(flags & 0xFFFF)
-	if nCodes < 1 || nCodes > 16 || max(origSize, blockLen, latLen, tagLen) > maxROMSection {
+	if nCodes < 1 || nCodes > 16 || flags>>17 != 0 || max(origSize, blockLen, latLen, tagLen) > maxROMSection {
 		return nil, fmt.Errorf("%w: implausible header", ErrBadROMFile)
 	}
 	// BuildROM always pads the text to whole lines, so any other size
 	// is a malformed file, not a short last line.
 	if origSize%LineSize != 0 {
 		return nil, fmt.Errorf("%w: original size %d is not a multiple of the %d-byte line", ErrBadROMFile, origSize, LineSize)
+	}
+	lines, width := origSize/LineSize, tagWidth(nCodes)
+	if want := (lines*int(width) + 7) / 8; tagLen != want {
+		return nil, fmt.Errorf("%w: %d bytes of code tags, %d lines need %d", ErrBadROMFile, tagLen, lines, want)
 	}
 	codecs := make([]LineCodec, nCodes)
 	for i := range codecs {
@@ -133,6 +141,9 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		code, err := huffman.UnmarshalCode(blob)
 		if err != nil {
 			return nil, fmt.Errorf("%w: code table %d: %v", ErrBadROMFile, i, err)
+		}
+		if canon, err := code.MarshalBinary(); err != nil || !bytes.Equal(canon, blob) {
+			return nil, fmt.Errorf("%w: code table %d is not as WriteFile writes it", ErrBadROMFile, i)
 		}
 		codecs[i] = NewHuffmanCodec(code)
 	}
@@ -153,11 +164,14 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
 	}
 	// The LAT has exactly one entry per eight lines, so a header claiming
-	// more lines than the table covers is malformed, as is a spare entry,
-	// and the line headers below are sized by what the file holds.
-	lines := origSize / LineSize
+	// more lines than the table covers is malformed, as is a spare entry
+	// or a length in a slot past the last line, and the line headers
+	// below are sized by what the file holds.
 	if want := (lines + lat.LinesPerEntry - 1) / lat.LinesPerEntry; len(table.Entries) != want {
 		return nil, fmt.Errorf("%w: %d lines need %d LAT entries, the file holds %d", ErrBadROMFile, lines, want, len(table.Entries))
+	}
+	if used := lines % lat.LinesPerEntry; used != 0 && !zeroFrom(table.Entries[len(table.Entries)-1].Lens[used:], 0) {
+		return nil, fmt.Errorf("%w: the last LAT entry holds lengths past the last line", ErrBadROMFile)
 	}
 	table.Blocks = lines
 
@@ -171,7 +185,6 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		OriginalSize: origSize, text: make([]byte, origSize), codecs: codecs,
 		wordAligned: flags&(1<<16) != 0}
 	tagReader := bitio.NewReader(tags)
-	width := tagWidth(nCodes)
 	end := 0 // where the previous line's block ends
 	for i := range rom.Lines {
 		e, slot := rom.entry(i)
@@ -195,11 +208,63 @@ func ReadROMFile(rd io.Reader) (*ROM, error) {
 		if err := rom.DecompressLineInto(i, rom.orig(i)); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadROMFile, err)
 		}
+		if err := rom.canonical(i, idx); err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadROMFile, i, err)
+		}
 	}
 	if end != len(blocks) {
 		return nil, fmt.Errorf("%w: %d bytes after the last block", ErrBadROMFile, len(blocks)-end)
 	}
+	if !zeroFrom(tags, lines*int(width)) {
+		return nil, fmt.Errorf("%w: bits after the last code tag are set", ErrBadROMFile)
+	}
 	return rom, nil
+}
+
+// canonical checks line i, decoded, against how BuildROM stores its
+// text: coded by the codec sizeLine picks, or raw (code tag 0) when it
+// picks none, in the stored size it gives, and with every bit after the
+// last codeword zero, word-alignment bytes included. tag is the line's
+// code tag in the file.
+func (r *ROM) canonical(i int, tag uint64) error {
+	best, nbits, size, err := r.sizeLine(r.orig(i))
+	coding := func(idx int) string {
+		if idx < 0 {
+			return "raw"
+		}
+		return fmt.Sprintf("with code %d", idx)
+	}
+	switch {
+	case err != nil:
+		return err
+	case best != r.Lines[i].CodeIdx:
+		return fmt.Errorf("stored %s, BuildROM stores it %s", coding(r.Lines[i].CodeIdx), coding(best))
+	case best < 0 && tag != 0:
+		return fmt.Errorf("raw, with code tag %d", tag)
+	case r.storedLen(i) != size:
+		return fmt.Errorf("stored in %d bytes, BuildROM stores it in %d", r.storedLen(i), size)
+	case best >= 0 && !zeroFrom(r.Stored(i), nbits):
+		return fmt.Errorf("bits after its last codeword are set")
+	}
+	return nil
+}
+
+// zeroFrom reports whether every bit of p from bit n on (MSB first, as
+// bitio writes) is zero.
+func zeroFrom(p []byte, n int) bool {
+	rest := p[n/8:]
+	if n%8 != 0 {
+		if rest[0]<<(n%8) != 0 {
+			return false
+		}
+		rest = rest[1:]
+	}
+	for _, b := range rest {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Text returns the original program text, padded to whole lines: line i

@@ -30,8 +30,8 @@ type compressBatchRequest struct {
 
 // compressBatchItem is one text source, same rules as /v1/compress.
 type compressBatchItem struct {
-	TextB64  string `json:"text_b64,omitempty"`
-	Workload string `json:"workload,omitempty"`
+	TextB64  b64Field `json:"text_b64,omitempty"`
+	Workload string   `json:"workload,omitempty"`
 }
 
 // batchCompressed is one item's outcome: exactly one of Result or Error
@@ -79,7 +79,7 @@ func batchItemErr(ctx context.Context, i int, err error) *APIError {
 
 func (s *Server) handleCompressBatch(w http.ResponseWriter, r *http.Request) error {
 	var req compressBatchRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		return err
 	}
 	if err := checkBatchSize(len(req.Items)); err != nil {
@@ -157,7 +157,7 @@ type decompressBatchResponse struct {
 
 func (s *Server) handleDecompressBatch(w http.ResponseWriter, r *http.Request) error {
 	var req decompressBatchRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		return err
 	}
 	if err := checkBatchSize(len(req.Items)); err != nil {

@@ -82,7 +82,7 @@ func TestDecompressBatchRoundTrip(t *testing.T) {
 
 	req := decompressBatchRequest{Items: []decompressRequest{
 		{ROMB64: b64(comp.ROMB64)},
-		{ROMB64: "!!! not base64 !!!"}, // item 1 fails
+		{ROMB64: b64Field("!!! not base64 !!!")}, // item 1 fails
 		{CoderID: id, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines},
 	}}
 	resp, body = postJSON(t, ts.URL+"/v1/decompress:batch", req)

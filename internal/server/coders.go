@@ -2,10 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"sort"
 
@@ -69,38 +66,17 @@ func (e *coderEntry) info(cached bool) coderInfo {
 // inline base64 images and named corpus workloads; "preselected" needs
 // neither (its corpus is fixed by the paper).
 type trainRequest struct {
-	Kind      string   `json:"kind"`
-	Bound     int      `json:"bound,omitempty"`      // bounded only; default 16
-	CorpusB64 []string `json:"corpus_b64,omitempty"` // raw text images, base64
-	Workloads []string `json:"workloads,omitempty"`  // corpus programs by name
-}
-
-// decodeRequest parses a JSON body into v with unknown-field rejection,
-// mapping failures onto the error taxonomy. The parse runs under a
-// decode_body span so JSON cost is attributable per request.
-func decodeRequest(r *http.Request, v any) error {
-	sp := tracing.FromContext(r.Context()).Child(StageDecodeBody)
-	defer sp.End()
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		sp.SetError(err)
-		if _, ok := err.(*http.MaxBytesError); ok {
-			return err // let asAPIError map it to 413
-		}
-		if err == io.EOF {
-			return errBadRequest("empty request body")
-		}
-		return errBadRequest("invalid JSON body: %v", err)
-	}
-	return nil
+	Kind      string     `json:"kind"`
+	Bound     int        `json:"bound,omitempty"`      // bounded only; default 16
+	CorpusB64 []b64Field `json:"corpus_b64,omitempty"` // raw text images, base64
+	Workloads []string   `json:"workloads,omitempty"`  // corpus programs by name
 }
 
 // gatherCorpus resolves the training corpus of a request.
 func gatherCorpus(req *trainRequest) ([][]byte, error) {
 	var corpus [][]byte
 	for i, enc := range req.CorpusB64 {
-		img, err := base64.StdEncoding.DecodeString(enc)
+		img, err := enc.decode()
 		if err != nil {
 			return nil, errBadRequest("corpus_b64[%d]: invalid base64: %v", i, err)
 		}
@@ -215,7 +191,7 @@ func normalizeTrain(req *trainRequest) (key, id string, corpus [][]byte, err err
 
 func (s *Server) handleTrainCoder(w http.ResponseWriter, r *http.Request) error {
 	var req trainRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		return err
 	}
 	key, id, corpus, err := normalizeTrain(&req)

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"net/http"
 
 	"ccrp/internal/core"
@@ -15,10 +14,10 @@ import (
 // compressRequest is the POST /v1/compress body. Exactly one text source
 // must be set: an inline base64 image or a named corpus workload.
 type compressRequest struct {
-	CoderID     string `json:"coder_id"`
-	TextB64     string `json:"text_b64,omitempty"`
-	Workload    string `json:"workload,omitempty"`
-	WordAligned bool   `json:"word_aligned,omitempty"`
+	CoderID     string   `json:"coder_id"`
+	TextB64     b64Field `json:"text_b64,omitempty"`
+	Workload    string   `json:"workload,omitempty"`
+	WordAligned bool     `json:"word_aligned,omitempty"`
 }
 
 // lineInfo is one LAT-ready per-line record: the stored length in bytes
@@ -50,7 +49,7 @@ type compressResponse struct {
 // text_resolve span: the first touch of a named workload assembles and
 // runs it to build the image (later touches hit the sync.Once cache),
 // a cost that would otherwise be invisible root time.
-func (s *Server) resolveText(ctx context.Context, textB64, workloadName string) ([]byte, error) {
+func (s *Server) resolveText(ctx context.Context, textB64 b64Field, workloadName string) ([]byte, error) {
 	sp := tracing.FromContext(ctx).Child(StageText)
 	defer sp.End()
 	text, err := s.resolveTextImage(textB64, workloadName)
@@ -62,12 +61,12 @@ func (s *Server) resolveText(ctx context.Context, textB64, workloadName string) 
 	return text, nil
 }
 
-func (s *Server) resolveTextImage(textB64, workloadName string) ([]byte, error) {
+func (s *Server) resolveTextImage(textB64 b64Field, workloadName string) ([]byte, error) {
 	switch {
-	case textB64 != "" && workloadName != "":
+	case len(textB64) != 0 && workloadName != "":
 		return nil, errBadRequest("text_b64 and workload are mutually exclusive")
-	case textB64 != "":
-		text, err := base64.StdEncoding.DecodeString(textB64)
+	case len(textB64) != 0:
+		text, err := textB64.decode()
 		if err != nil {
 			return nil, errBadRequest("text_b64: invalid base64: %v", err)
 		}
@@ -130,7 +129,7 @@ func (s *Server) buildROM(ctx context.Context, entry *coderEntry, text []byte, w
 
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
 	var req compressRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		return err
 	}
 	if req.CoderID == "" {
@@ -202,9 +201,9 @@ func compressResult(entry *coderEntry, coderID string, rom *core.ROM) (*compress
 // coder id plus the packed blocks and per-line records from a compress
 // response.
 type decompressRequest struct {
-	ROMB64    string     `json:"rom_b64,omitempty"`
+	ROMB64    b64Field   `json:"rom_b64,omitempty"`
 	CoderID   string     `json:"coder_id,omitempty"`
-	BlocksB64 string     `json:"blocks_b64,omitempty"`
+	BlocksB64 b64Field   `json:"blocks_b64,omitempty"`
 	Lines     []lineInfo `json:"lines,omitempty"`
 }
 
@@ -220,10 +219,10 @@ type decompressResponse struct {
 // shared by the single and :batch endpoints.
 func (s *Server) decompressOne(ctx context.Context, req *decompressRequest) ([]byte, error) {
 	switch {
-	case req.ROMB64 != "":
+	case len(req.ROMB64) != 0:
 		sp := tracing.FromContext(ctx).Child(StageDecompress)
 		defer sp.End()
-		blob, err := base64.StdEncoding.DecodeString(req.ROMB64)
+		blob, err := req.ROMB64.decode()
 		if err != nil {
 			return nil, errBadRequest("rom_b64: invalid base64: %v", err)
 		}
@@ -244,7 +243,7 @@ func (s *Server) decompressOne(ctx context.Context, req *decompressRequest) ([]b
 
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error {
 	var req decompressRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		return err
 	}
 	text, err := s.decompressOne(r.Context(), &req)
@@ -274,7 +273,7 @@ func (s *Server) decompressLines(ctx context.Context, req *decompressRequest) ([
 	}
 	sp := tracing.FromContext(ctx).Child(StageDecompress)
 	defer sp.End()
-	blocks, err := base64.StdEncoding.DecodeString(req.BlocksB64)
+	blocks, err := req.BlocksB64.decode()
 	if err != nil {
 		return nil, errBadRequest("blocks_b64: invalid base64: %v", err)
 	}

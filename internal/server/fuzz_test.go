@@ -5,10 +5,12 @@ import (
 	"cmp"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ccrp/internal/cliutil"
@@ -75,6 +77,18 @@ func seed(f *testing.F, req any) {
 	f.Add(raw)
 }
 
+// parseBody is the handlers' parse of a request body, written with
+// json.Decoder: the body is one JSON value, and no key at any depth names
+// an unknown field.
+func parseBody(body []byte, v any) error {
+	if !json.Valid(body) {
+		return errors.New("the body is not one JSON value")
+	}
+	jd := json.NewDecoder(bytes.NewReader(body))
+	jd.DisallowUnknownFields()
+	return jd.Decode(v)
+}
+
 // wantTyped4xx fails unless rec is a 4xx whose body is a typed error.
 func wantTyped4xx(t *testing.T, rec *httptest.ResponseRecorder) {
 	t.Helper()
@@ -97,7 +111,7 @@ var fuzzText = bytes.Repeat([]byte{0x27, 0xbd, 0xff, 0xe8, 0xaf, 0xbf, 0x00, 0x1
 func FuzzDecompressHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
 	var comp compressResponse
-	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)}, &comp)
+	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: b64(fuzzText)}, &comp)
 	seed(f, decompressRequest{CoderID: coderPlaceholder, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines})
 	seed(f, decompressRequest{ROMB64: b64(comp.ROMB64)})
 
@@ -108,10 +122,8 @@ func FuzzDecompressHandler(f *testing.F) {
 			wantTyped4xx(t, rec)
 			return
 		}
-		// The handler reads the first JSON value of the body; so does
-		// this check.
 		var req decompressRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := parseBody(body, &req); err != nil {
 			t.Fatalf("200 for a body that does not parse: %v", err)
 		}
 		var resp decompressResponse
@@ -122,7 +134,7 @@ func FuzzDecompressHandler(f *testing.F) {
 		if len(text) != resp.OriginalBytes || len(text)%core.LineSize != 0 {
 			t.Fatalf("200 with %d text bytes (original_bytes %d)", len(text), resp.OriginalBytes)
 		}
-		if req.ROMB64 != "" {
+		if len(req.ROMB64) != 0 {
 			return
 		}
 		if len(text) != len(req.Lines)*core.LineSize {
@@ -138,7 +150,7 @@ func FuzzDecompressHandler(f *testing.F) {
 			}
 			sum += l.Len
 		}
-		if blocks, _ := base64.StdEncoding.DecodeString(req.BlocksB64); sum != len(blocks) {
+		if blocks, _ := base64.StdEncoding.DecodeString(string(req.BlocksB64)); sum != len(blocks) {
 			t.Fatalf("200 for line records of %d bytes over %d block bytes", sum, len(blocks))
 		}
 	})
@@ -154,7 +166,7 @@ func FuzzDecompressHandler(f *testing.F) {
 func FuzzCompressHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
 	limit := fh.s.cache.Len() + 2*len(workload.Names())
-	seed(f, compressRequest{CoderID: coderPlaceholder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)})
+	seed(f, compressRequest{CoderID: coderPlaceholder, TextB64: b64(fuzzText)})
 	seed(f, compressRequest{CoderID: coderPlaceholder, Workload: "eightq"})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -163,12 +175,8 @@ func FuzzCompressHandler(f *testing.F) {
 		if n := fh.s.cache.Len(); n > limit {
 			t.Fatalf("artifact cache holds %d entries, over the bound %d", n, limit)
 		}
-		// The handler's own decoding: the first JSON value, no unknown
-		// fields.
 		var req compressRequest
-		jd := json.NewDecoder(bytes.NewReader(body))
-		jd.DisallowUnknownFields()
-		parsed := jd.Decode(&req) == nil
+		parsed := parseBody(body, &req) == nil
 		if parsed && req.CoderID != "" && req.CoderID != fh.coder {
 			var eb errorBody
 			if rec.Code != http.StatusNotFound || json.Unmarshal(rec.Body.Bytes(), &eb) != nil ||
@@ -190,7 +198,7 @@ func FuzzCompressHandler(f *testing.F) {
 			w, _ := workload.ByName(req.Workload)
 			text, err = w.Text()
 		} else {
-			text, err = base64.StdEncoding.DecodeString(req.TextB64)
+			text, err = base64.StdEncoding.DecodeString(string(req.TextB64))
 		}
 		if err != nil {
 			t.Fatalf("200 for a text that does not resolve: %v", err)
@@ -212,25 +220,23 @@ func FuzzCompressHandler(f *testing.F) {
 }
 
 // wantBatchAnswer checks a :batch route's answer to body: a non-200 is
-// a typed 4xx; a 200 is for a body whose first JSON value decodes into
-// req, unknown fields refused as the handler refuses them, and answers
-// each of its items with exactly one of result or error, every error
-// carrying a client-error code, and errors counting the error items.
+// a typed 4xx; a 200 is for a body that parses into req as the handler
+// parses it (parseBody), and answers each of its items with exactly one
+// of result or error, every error carrying a client-error code, and
+// errors counting the error items.
 func wantBatchAnswer(t *testing.T, rec *httptest.ResponseRecorder, body []byte, req any) {
 	t.Helper()
 	if rec.Code != http.StatusOK {
 		wantTyped4xx(t, rec)
 		return
 	}
-	jd := json.NewDecoder(bytes.NewReader(body))
-	jd.DisallowUnknownFields()
-	if err := jd.Decode(req); err != nil {
+	if err := parseBody(body, req); err != nil {
 		t.Fatalf("200 for a body that does not parse: %v", err)
 	}
 	var shape struct {
 		Items []json.RawMessage `json:"items"`
 	}
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&shape); err != nil {
+	if err := json.Unmarshal(body, &shape); err != nil {
 		t.Fatal(err)
 	}
 	var resp struct {
@@ -274,9 +280,9 @@ func wantBatchAnswer(t *testing.T, rec *httptest.ResponseRecorder, body []byte, 
 func FuzzCompressBatchHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
 	limit := fh.s.cache.Len() + 2*len(workload.Names())
-	text := base64.StdEncoding.EncodeToString(fuzzText)
+	text := b64(fuzzText)
 	seed(f, compressBatchRequest{CoderID: coderPlaceholder, Items: []compressBatchItem{
-		{TextB64: text}, {Workload: "eightq"}, {TextB64: "!!!"}, {TextB64: text, Workload: "eightq"}}})
+		{TextB64: text}, {Workload: "eightq"}, {TextB64: b64Field("!!!")}, {TextB64: text, Workload: "eightq"}}})
 	seed(f, compressBatchRequest{CoderID: coderPlaceholder, WordAligned: true, Items: []compressBatchItem{{Workload: "nonesuch"}, {}}})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -295,11 +301,11 @@ func FuzzCompressBatchHandler(f *testing.F) {
 func FuzzDecompressBatchHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
 	var comp compressResponse
-	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: base64.StdEncoding.EncodeToString(fuzzText)}, &comp)
+	fh.mustPost(f, "/v1/compress", compressRequest{CoderID: fh.coder, TextB64: b64(fuzzText)}, &comp)
 	seed(f, decompressBatchRequest{Items: []decompressRequest{
 		{ROMB64: b64(comp.ROMB64)},
 		{CoderID: coderPlaceholder, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines},
-		{ROMB64: "bm90IGEgcm9tIGF0IGFsbA=="},
+		{ROMB64: b64Field("bm90IGEgcm9tIGF0IGFsbA==")},
 		{CoderID: "nope", BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines},
 		{}}})
 
@@ -307,6 +313,69 @@ func FuzzDecompressBatchHandler(f *testing.F) {
 		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
 		rec := fh.post("/v1/decompress:batch", body)
 		wantBatchAnswer(t, rec, body, &decompressBatchRequest{})
+	})
+}
+
+// stringFields returns t with each b64Field in it, at any depth, a
+// string: the type FuzzDecodeRequest's reference decoder fills.
+func stringFields(t reflect.Type) reflect.Type {
+	switch {
+	case t == reflect.TypeFor[b64Field]():
+		return reflect.TypeFor[string]()
+	case t.Kind() == reflect.Slice:
+		return reflect.SliceOf(stringFields(t.Elem()))
+	case t.Kind() == reflect.Pointer:
+		return reflect.PointerTo(stringFields(t.Elem()))
+	case t.Kind() == reflect.Struct:
+		fields := make([]reflect.StructField, t.NumField())
+		for i := range fields {
+			fields[i] = t.Field(i)
+			fields[i].Type = stringFields(fields[i].Type)
+		}
+		return reflect.StructOf(fields)
+	}
+	return t
+}
+
+// FuzzDecodeRequest holds the handlers' body parse (unmarshalRequest) to
+// json.Decoder with DisallowUnknownFields, over every request type, each
+// base64 field a plain string for the Decoder. On a body that is one
+// JSON value both accept or both refuse it, and an accepted body decodes
+// to the same request on both sides; any other body is refused.
+func FuzzDecodeRequest(f *testing.F) {
+	types := []reflect.Type{
+		reflect.TypeFor[trainRequest](),
+		reflect.TypeFor[compressRequest](),
+		reflect.TypeFor[compressBatchRequest](),
+		reflect.TypeFor[decompressRequest](),
+		reflect.TypeFor[decompressBatchRequest](),
+		reflect.TypeFor[simulateRequest](),
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, typ := range types {
+			got := reflect.New(typ).Interface()
+			err := unmarshalRequest(body, got)
+			if !json.Valid(body) {
+				if err == nil {
+					t.Fatalf("%v: accepted a body that is not one JSON value", typ)
+				}
+				continue
+			}
+			want := reflect.New(stringFields(typ)).Interface()
+			jd := json.NewDecoder(bytes.NewReader(body))
+			jd.DisallowUnknownFields()
+			if wantErr := jd.Decode(want); (err == nil) != (wantErr == nil) {
+				t.Fatalf("%v: err %v, json.Decoder's %v", typ, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			g, gerr := json.Marshal(got)
+			w, werr := json.Marshal(want)
+			if gerr != nil || werr != nil || !bytes.Equal(g, w) {
+				t.Fatalf("%v: decoded %s (%v), json.Decoder %s (%v)", typ, g, gerr, w, werr)
+			}
+		}
 	})
 }
 
@@ -333,7 +402,7 @@ func FuzzSimulateHandler(f *testing.F) {
 			return
 		}
 		var req simulateRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := parseBody(body, &req); err != nil {
 			t.Fatalf("200 for a body that does not parse: %v", err)
 		}
 		var resp simulateResponse

@@ -53,7 +53,7 @@ const TraceHeader = "X-Ccrp-Trace-Id"
 // appears.
 const (
 	StageRequest    = "request"         // root span, one per request
-	StageDecodeBody = "decode_body"     // JSON body parse
+	StageDecodeBody = "decode_body"     // body read and JSON parse
 	StageText       = "text_resolve"    // program-image resolution (first touch builds the workload)
 	StageCoderGet   = "coder_resolve"   // coder-id lookup
 	StageCoderTrain = "coder_train"     // coder build (or artifact-cache hit)
@@ -281,9 +281,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // middleware wraps h with the production stack: panic confinement, the
-// request-size limit, the per-route deadline, trace propagation, and
-// metrics. Order matters: the recover must be outermost so even
-// instrumentation bugs produce a typed 500 rather than a dropped
+// per-route deadline, trace propagation, and metrics; the request-size
+// limit is ReadBody's. Order matters: the recover must be outermost so
+// even instrumentation bugs produce a typed 500 rather than a dropped
 // connection.
 //
 // Every request gets a trace id, stamped on the response header whether
@@ -328,7 +328,6 @@ func (s *Server) middleware(routeName string, timeout time.Duration, h handlerFu
 			defer cancel()
 			ctx = tracing.ContextWith(ctx, span)
 			r = r.WithContext(ctx)
-			r.Body = http.MaxBytesReader(sw, r.Body, MaxBodyBytes)
 			handlerErr = h(sw, r)
 		}()
 		if handlerErr != nil && !sw.wrote {

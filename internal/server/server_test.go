@@ -62,7 +62,7 @@ func decodeAs[T any](t *testing.T, body []byte) T {
 
 // b64 is the wire form of a response's []byte field in a request's
 // base64 string field.
-func b64(p []byte) string { return base64.StdEncoding.EncodeToString(p) }
+func b64(p []byte) b64Field { return b64Field(base64.StdEncoding.EncodeToString(p)) }
 
 // wantError asserts a response carries the given taxonomy code.
 func wantError(t *testing.T, resp *http.Response, body []byte, status int, code string) {
@@ -243,7 +243,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	text = bytes.Repeat(text, 8)
 
 	resp, body := postJSON(t, ts.URL+"/v1/compress", compressRequest{
-		CoderID: id, TextB64: base64.StdEncoding.EncodeToString(text)})
+		CoderID: id, TextB64: b64(text)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compress: %d %s", resp.StatusCode, body)
 	}
@@ -328,14 +328,14 @@ func TestDecompressHostileInput(t *testing.T) {
 
 	t.Run("garbage ROM blob", func(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
-			ROMB64: base64.StdEncoding.EncodeToString([]byte("not a rom at all"))})
+			ROMB64: b64([]byte("not a rom at all"))})
 		wantError(t, resp, body, http.StatusUnprocessableEntity, CodeUnprocessable)
 	})
 
 	t.Run("line lengths overrun blocks", func(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
 			CoderID:   id,
-			BlocksB64: base64.StdEncoding.EncodeToString([]byte{0xFF}),
+			BlocksB64: b64([]byte{0xFF}),
 			Lines:     []lineInfo{{Len: 1000}}})
 		wantError(t, resp, body, http.StatusUnprocessableEntity, CodeUnprocessable)
 	})
@@ -343,7 +343,7 @@ func TestDecompressHostileInput(t *testing.T) {
 	t.Run("negative line length", func(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
 			CoderID:   id,
-			BlocksB64: base64.StdEncoding.EncodeToString([]byte{0xFF}),
+			BlocksB64: b64([]byte{0xFF}),
 			Lines:     []lineInfo{{Len: -5}}})
 		wantError(t, resp, body, http.StatusUnprocessableEntity, CodeUnprocessable)
 	})
@@ -368,7 +368,7 @@ func TestDecompressHostileInput(t *testing.T) {
 	rejectLines := func(t *testing.T, blocks []byte, lines []lineInfo, line int) {
 		t.Helper()
 		resp, body := postJSON(t, ts.URL+"/v1/decompress", decompressRequest{
-			CoderID: id, BlocksB64: base64.StdEncoding.EncodeToString(blocks), Lines: lines})
+			CoderID: id, BlocksB64: b64(blocks), Lines: lines})
 		wantError(t, resp, body, http.StatusUnprocessableEntity, CodeUnprocessable)
 		if e := decodeAs[errorBody](t, body).Error; e == nil || !strings.Contains(e.Message, fmt.Sprintf("line %d:", line)) {
 			t.Errorf("error %s does not name line %d", body, line)
@@ -395,7 +395,7 @@ func TestDecompressHostileInput(t *testing.T) {
 	t.Run("batch fails only the bad item", func(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/decompress:batch", decompressBatchRequest{Items: []decompressRequest{
 			{CoderID: id, BlocksB64: b64(comp.BlocksB64), Lines: comp.Lines},
-			{CoderID: id, BlocksB64: base64.StdEncoding.EncodeToString(make([]byte, 5)),
+			{CoderID: id, BlocksB64: b64(make([]byte, 5)),
 				Lines: []lineInfo{{Len: 5, Raw: true}}},
 		}})
 		if resp.StatusCode != http.StatusOK {
@@ -535,7 +535,7 @@ func TestCompressKeepsOnlyBoundedState(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pre := trainPreselected(t, ts.URL)
 	resp, body := postJSON(t, ts.URL+"/v1/coders", trainRequest{Kind: KindHuffman,
-		CorpusB64: []string{base64.StdEncoding.EncodeToString([]byte("a small client corpus"))}})
+		CorpusB64: []b64Field{b64([]byte("a small client corpus"))}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("train huffman: %d %s", resp.StatusCode, body)
 	}
@@ -543,10 +543,10 @@ func TestCompressKeepsOnlyBoundedState(t *testing.T) {
 	base := s.cache.Len()
 
 	rng := rand.New(rand.NewSource(16))
-	text := func() string {
+	text := func() b64Field {
 		b := make([]byte, 64+rng.Intn(1024))
 		rng.Read(b)
-		return base64.StdEncoding.EncodeToString(b)
+		return b64(b)
 	}
 	for i := 0; i < 64; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/compress", compressRequest{CoderID: pre, TextB64: text()})

@@ -61,7 +61,7 @@ type simulateResponse struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	var req simulateRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		return err
 	}
 	if req.Workload == "" {

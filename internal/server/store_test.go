@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -420,7 +419,7 @@ func TestStoreRejectsCorruptFiles(t *testing.T) {
 			_, ts1 := newTestServer(t, Config{Store: st})
 			id := trainPreselected(t, ts1.URL)
 			resp, body := postJSON(t, ts1.URL+"/v1/coders", trainRequest{
-				Kind: KindHuffman, CorpusB64: []string{base64.StdEncoding.EncodeToString(corpus)}})
+				Kind: KindHuffman, CorpusB64: []b64Field{b64(corpus)}})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("train huffman: %d %s", resp.StatusCode, body)
 			}

@@ -227,13 +227,16 @@ func TestRecorderBlocks(t *testing.T) {
 // only the trace's exact slice and a constant (8 KiB covers the slice's
 // rounding up to whole pages and the list of blocks, where one more
 // block would be 64 KiB), and Read of a 100K-run file at most 1.1 times
-// the runs it returns. The garbage collector is off, so the pool keeps
-// the blocks of the first pass.
+// the runs it returns. The garbage collector is off and one P runs, as
+// in testing.AllocsPerRun, so the pool keeps the blocks of the first
+// pass where the second finds them: a block put on one P's private slot
+// is not seen from another.
 func TestRecorderAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops blocks at random under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 100_000
 	record := func() *Trace {
 		var rec Recorder
