@@ -164,7 +164,7 @@ func MemoryModels() []MemoryModel { return memory.Models() }
 // Workloads returns the benchmark corpus.
 func Workloads() []*Workload { return workload.All() }
 
-// WorkloadByName finds one corpus program.
+// WorkloadByName finds one corpus program, R2000 or RV32.
 func WorkloadByName(name string) (*Workload, bool) { return workload.ByName(name) }
 
 // Figure5Workloads returns the ten Figure 5 programs in the paper's order.

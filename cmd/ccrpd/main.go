@@ -17,18 +17,20 @@
 // across CPUs.
 //
 // A trained coder stays resident for the process lifetime; it is a
-// resource the client that trained it owns. The ROM of a named workload
-// is built once per coder and alignment and shared; text a client sends
-// is compressed for that request alone and kept nowhere, so memory does
-// not grow with compress traffic.
+// resource the client that trained it owns. A training that fails is
+// answered and not kept. The ROM of a named workload is built once per
+// coder and alignment and shared; text a client sends is compressed for
+// that request alone and kept nowhere, so memory does not grow with
+// compress traffic.
 //
 // With -store, trained coders persist under DIR (server.Store), one file
-// per coder id, and the daemon warm-starts on boot: every stored coder is
-// verified, re-registered, and served without retraining — the serving
-// analogue of the paper's ROMs surviving power cycles. An id this node
-// has not registered is looked up in DIR by its file name before a 404,
-// so nodes sharing DIR serve each other's coders. ROM images never
-// persist; they rebuild from the coder on demand.
+// per coder id, and survive a restart — the serving analogue of the
+// paper's ROMs surviving power cycles. A coder this process does not
+// hold is read from DIR by its file name on first use, verified, and
+// then held, so a restarted daemon serves every stored coder without
+// retraining, and nodes sharing DIR serve each other's coders. A DIR
+// that cannot be created or listed stops the daemon at boot. ROM images
+// never persist; they rebuild from the coder on demand.
 //
 // -trace streams every finished span as JSONL; each request's root span
 // is its record (method, route, status, duration, error code, trace id).
@@ -65,7 +67,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccrpd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8642", "listen address")
-	storeDir := fs.String("store", "", "persist trained coders under this directory and warm-start from it on boot")
+	storeDir := fs.String("store", "", "persist trained coders under this directory, and read each from it on first use after a restart")
 	traceOut := fs.String("trace", "", "append JSONL span records to this file (- for stderr)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
 	version := cliutil.RegisterVersionFlag(fs)
@@ -85,7 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// serve warm-starts from storeDir when it is set, listens on addr and
+// serve opens the store in storeDir when it is set, listens on addr and
 // serves until ctx is done.
 func serve(ctx context.Context, stderr io.Writer, addr, storeDir, traceOut string, drain time.Duration) error {
 	// Tracing is always on: the tail capture behind GET /debug/traces
@@ -103,17 +105,6 @@ func serve(ctx context.Context, stderr io.Writer, addr, storeDir, traceOut strin
 	}
 
 	svc := server.New(cfg)
-	if cfg.Store != nil {
-		// Warm start before the listener opens: the first request already
-		// sees every stored coder. A failed enumeration is fatal — an
-		// operator who asked for persistence should not silently run cold.
-		n, err := svc.WarmStart(ctx)
-		if err != nil {
-			return fmt.Errorf("warm start: %w", err)
-		}
-		fmt.Fprintf(stderr, "ccrpd: warm start: %d coders from %s\n", n, storeDir)
-	}
-
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

@@ -54,21 +54,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	w.nAcc = w.nAcc + n - 64
 }
 
-// WriteBit appends a single bit (any nonzero b counts as 1).
-func (w *Writer) WriteBit(b byte) {
-	if b != 0 {
-		b = 1
-	}
-	w.WriteBits(uint64(b), 1)
-}
-
-// WriteBytes appends whole bytes, bit-aligned or not.
-func (w *Writer) WriteBytes(p []byte) {
-	for _, b := range p {
-		w.WriteBits(uint64(b), 8)
-	}
-}
-
 // Len returns the number of bits written so far, counting a NewWriter's
 // dst as written.
 func (w *Writer) Len() int { return len(w.buf)*8 + int(w.nAcc) }
@@ -177,13 +162,3 @@ func (r *Reader) Reset(p []byte) {
 // Skip it lets table-driven decoders run their hot loop directly over
 // the bytes while keeping the Reader's position authoritative.
 func (r *Reader) Data() []byte { return r.buf }
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }
-
-// AlignByte advances to the next byte boundary (a no-op if already aligned).
-func (r *Reader) AlignByte() {
-	if rem := r.pos & 7; rem != 0 {
-		r.pos += 8 - rem
-	}
-}

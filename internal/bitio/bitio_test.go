@@ -11,7 +11,7 @@ func TestWriteReadSingleBits(t *testing.T) {
 	var w Writer
 	pattern := []byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
 	for _, b := range pattern {
-		w.WriteBit(b)
+		w.WriteBits(uint64(b), 1)
 	}
 	if got := w.Len(); got != len(pattern) {
 		t.Fatalf("Len = %d, want %d", got, len(pattern))
@@ -51,24 +51,6 @@ func TestBytesPadsWithoutMutating(t *testing.T) {
 	w.WriteBits(0b1111111, 7)
 	if got := w.Bytes(); !bytes.Equal(got, []byte{0xFF}) {
 		t.Fatalf("after continuation Bytes = %x, want ff", got)
-	}
-}
-
-func TestWriteBytesAligned(t *testing.T) {
-	var w Writer
-	w.WriteBytes([]byte{0xDE, 0xAD})
-	if got := w.Bytes(); !bytes.Equal(got, []byte{0xDE, 0xAD}) {
-		t.Fatalf("aligned WriteBytes = %x", got)
-	}
-}
-
-func TestWriteBytesUnaligned(t *testing.T) {
-	var w Writer
-	w.WriteBits(0b1111, 4)
-	w.WriteBytes([]byte{0x00})
-	w.WriteBits(0b0000, 4)
-	if got := w.Bytes(); !bytes.Equal(got, []byte{0xF0, 0x00}) {
-		t.Fatalf("unaligned WriteBytes = %x, want f000", got)
 	}
 }
 
@@ -122,25 +104,22 @@ func TestPeekBits(t *testing.T) {
 	}
 }
 
+// TestSkipAndAlign: Skip moves the read position by whole bits, so
+// skipping the rest of a byte aligns the reader to the next one.
 func TestSkipAndAlign(t *testing.T) {
 	r := NewReader([]byte{0x00, 0xAB})
 	if err := r.Skip(3); err != nil {
 		t.Fatal(err)
 	}
-	r.AlignByte()
-	if r.Pos() != 8 {
-		t.Fatalf("pos after align = %d, want 8", r.Pos())
-	}
-	r.AlignByte() // idempotent on boundary
-	if r.Pos() != 8 {
-		t.Fatalf("pos after second align = %d, want 8", r.Pos())
+	if err := r.Skip(8 - uint(r.Pos()%8)); err != nil || r.Pos() != 8 {
+		t.Fatalf("pos after skipping to the byte boundary = %d (%v), want 8", r.Pos(), err)
 	}
 	v, err := r.ReadBits(8)
 	if err != nil || v != 0xAB {
 		t.Fatalf("got %x, %v", v, err)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("remaining = %d", r.Remaining())
+	if r.Pos() != 16 {
+		t.Fatalf("pos at the end = %d, want 16", r.Pos())
 	}
 	if err := r.Skip(1); err != ErrShortStream {
 		t.Fatalf("skip past end err = %v", err)
@@ -213,7 +192,9 @@ func TestBytesRoundTripQuick(t *testing.T) {
 		s := uint(shift % 8)
 		var w Writer
 		w.WriteBits(0, s)
-		w.WriteBytes(p)
+		for _, b := range p {
+			w.WriteBits(uint64(b), 8)
+		}
 		r := NewReader(w.Bytes())
 		if err := r.Skip(s); err != nil {
 			return len(p) == 0 && s == 0
@@ -250,7 +231,7 @@ func BenchmarkReaderReadBits(b *testing.B) {
 	b.ResetTimer()
 	r := NewReader(buf)
 	for i := 0; i < b.N; i++ {
-		if r.Remaining() < 13 {
+		if r.Pos()+13 > len(buf)*8 {
 			r = NewReader(buf)
 		}
 		if _, err := r.ReadBits(13); err != nil {

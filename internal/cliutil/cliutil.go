@@ -42,14 +42,7 @@ func ResolveWorkload(name string) (*workload.Workload, error) {
 	if w, ok := workload.ByName(name); ok {
 		return w, nil
 	}
-	if w, ok := workload.RISCVByName(name); ok {
-		return w, nil
-	}
-	rv := make([]string, 0, len(workload.RISCV()))
-	for _, w := range workload.RISCV() {
-		rv = append(rv, w.Name)
-	}
-	return nil, fmt.Errorf("unknown workload %q (have %v and %v)", name, workload.Names(), rv)
+	return nil, fmt.Errorf("unknown workload %q (have %v)", name, workload.Names())
 }
 
 // LoadProgram reads the program at path: an assembly source (.s/.asm),

@@ -21,11 +21,12 @@ import (
 )
 
 // compressBatchRequest is the POST /v1/compress:batch body: one coder,
-// N text sources.
+// N text sources, at most 256 (the max tag, which decodeRequest
+// enforces before it allocates the items).
 type compressBatchRequest struct {
 	CoderID     string              `json:"coder_id"`
 	WordAligned bool                `json:"word_aligned,omitempty"`
-	Items       []compressBatchItem `json:"items"`
+	Items       []compressBatchItem `json:"items" max:"256"`
 }
 
 // compressBatchItem is one text source, same rules as /v1/compress.
@@ -47,13 +48,11 @@ type compressBatchResponse struct {
 	Errors int               `json:"errors"`
 }
 
-// checkBatchSize validates an item count against maxBatchItems.
+// checkBatchSize refuses a batch of no items; decodeRequest has
+// refused one of too many.
 func checkBatchSize(n int) error {
 	if n == 0 {
 		return errBadRequest("items is required and must not be empty")
-	}
-	if n > maxBatchItems {
-		return errBadRequest("batch of %d items exceeds the %d-item limit", n, maxBatchItems)
 	}
 	return nil
 }
@@ -139,9 +138,9 @@ func (s *Server) compressBatchItem(ctx context.Context, entry *coderEntry, coder
 
 // decompressBatchRequest is the POST /v1/decompress:batch body: N
 // independent decompress payloads (each a CROM image or
-// coder_id+blocks+lines, same rules as /v1/decompress).
+// coder_id+blocks+lines, same rules as /v1/decompress), at most 256.
 type decompressBatchRequest struct {
-	Items []decompressRequest `json:"items"`
+	Items []decompressRequest `json:"items" max:"256"`
 }
 
 // batchDecompressed is one item's outcome.

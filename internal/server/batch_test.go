@@ -3,6 +3,10 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"ccrp/internal/tracing"
@@ -126,13 +130,28 @@ func TestBatchRequestLevelErrors(t *testing.T) {
 		wantError(t, resp, body, http.StatusBadRequest, CodeBadRequest)
 	})
 
+	// The limit is 256 items, the max tag on both requests' items.
 	t.Run("oversized batch", func(t *testing.T) {
-		items := make([]compressBatchItem, maxBatchItems+1)
+		items := make([]compressBatchItem, 257)
 		for i := range items {
 			items[i] = compressBatchItem{Workload: "eightq"}
 		}
 		resp, body := postJSON(t, ts.URL+"/v1/compress:batch", compressBatchRequest{CoderID: id, Items: items})
 		wantError(t, resp, body, http.StatusBadRequest, CodeBadRequest)
+		if !bytes.Contains(body, []byte("257 items")) {
+			t.Errorf("error %s does not name the item count", body)
+		}
+	})
+
+	t.Run("full batch", func(t *testing.T) {
+		items := make([]compressBatchItem, 256)
+		for i := range items {
+			items[i] = compressBatchItem{Workload: "eightq"}
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/compress:batch", compressBatchRequest{CoderID: id, Items: items})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("256 items: %d %s", resp.StatusCode, body)
+		}
 	})
 
 	t.Run("unknown coder fails the batch", func(t *testing.T) {
@@ -142,10 +161,48 @@ func TestBatchRequestLevelErrors(t *testing.T) {
 	})
 
 	t.Run("oversized decompress batch", func(t *testing.T) {
-		req := decompressBatchRequest{Items: make([]decompressRequest, maxBatchItems+1)}
+		req := decompressBatchRequest{Items: make([]decompressRequest, 257)}
 		resp, body := postJSON(t, ts.URL+"/v1/decompress:batch", req)
 		wantError(t, resp, body, http.StatusBadRequest, CodeBadRequest)
+		if !bytes.Contains(body, []byte("257 items")) {
+			t.Errorf("error %s does not name the item count", body)
+		}
 	})
+}
+
+// TestBatchLimitBeforeDecode: a :batch body over the item limit is
+// refused before its items are decoded, so it costs about its own
+// size. A 1 MiB body of empty items, posted in process to both routes,
+// allocates at most twice its length before the 400: the body read
+// once, and what the request and its answer need.
+func TestBatchLimitBeforeDecode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	body := []byte(`{"items":[{}` + strings.Repeat(`,{}`, 349520) + `]}`)
+	s := New(Config{})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, route := range []string{"/v1/decompress:batch", "/v1/compress:batch"} {
+		post := func() (*httptest.ResponseRecorder, uint64) {
+			r := httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.Handler().ServeHTTP(rec, r)
+			runtime.ReadMemStats(&after)
+			return rec, after.TotalAlloc - before.TotalAlloc
+		}
+		post() // fills the body reader's pool
+		rec, alloc := post()
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "349521 items") {
+			t.Fatalf("%s: %d %s, want a 400 naming the 349521 items", route, rec.Code, rec.Body)
+		}
+		if limit := uint64(2 * len(body)); alloc > limit {
+			t.Errorf("%s: %d-byte body allocated %d bytes before its 400, over %d", route, len(body), alloc, limit)
+		}
+		t.Logf("%s: %d-byte body allocated %d bytes", route, len(body), alloc)
+	}
 }
 
 // TestBatchItemSpans pins the per-item tracing contract: a mixed batch

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strconv"
 	"sync"
 	"unicode/utf8"
 
@@ -62,7 +63,8 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // a key that names no field of the struct it would fill, at any depth,
 // is refused as json.Decoder.DisallowUnknownFields refuses it. v's
 // base64 fields keep the body's own bytes (b64Field), and every slice is
-// allocated once at its element count.
+// allocated once at its element count; an array longer than its field's
+// max tag allows is refused before anything is allocated for it.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
 	sp := tracing.FromContext(r.Context()).Child(StageDecodeBody)
 	defer sp.End()
@@ -83,7 +85,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
 
 // unmarshalRequest decodes body into v: json.Unmarshal fills v, after a
 // walk of the same bytes beside v's type has sized v's slices and found
-// any unknown key.
+// any unknown key or over-long array.
 func unmarshalRequest(body []byte, v any) error {
 	if len(bytes.Trim(body, " \t\r\n")) == 0 {
 		return errBadRequest("empty request body")
@@ -91,6 +93,9 @@ func unmarshalRequest(body []byte, v any) error {
 	rv := reflect.ValueOf(v).Elem()
 	wk := walker{data: body}
 	wk.value(shapeOf(rv.Type()), rv)
+	if wk.err != nil {
+		return wk.err
+	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return errBadRequest("invalid JSON body: %v", err)
 	}
@@ -160,6 +165,9 @@ type shape struct {
 	// sizes reports that walking a value of this shape allocates
 	// something in it: it is a slice, or a struct holding one.
 	sizes bool
+	// max is the most elements a slice field's array may hold, from the
+	// field's max tag; 0 allows any number.
+	max int
 }
 
 type shapeKind uint8
@@ -192,7 +200,8 @@ func shapeOf(t reflect.Type) *shape {
 
 // buildShape follows encoding/json: a type whose pointer is a
 // json.Unmarshaler decodes itself, a struct field is named by its tag,
-// "-" and unexported fields are ignored. The walker follows no embedded
+// "-" and unexported fields are ignored. A slice field's max tag bounds
+// its array's length. The walker follows no embedded
 // struct (whose fields encoding/json promotes), map or array, and no
 // request type holds one, so meeting one is a bug.
 func buildShape(t reflect.Type) *shape {
@@ -214,6 +223,13 @@ func buildShape(t reflect.Type) *shape {
 				name = []byte(f.Name)
 			}
 			fs := buildShape(f.Type)
+			if m := f.Tag.Get("max"); m != "" {
+				n, err := strconv.Atoi(m)
+				if err != nil || n < 1 || fs.kind != shapeSlice {
+					panic("server: bad max tag on " + t.String() + "." + f.Name)
+				}
+				fs.max = n
+			}
 			s.fields = append(s.fields, shapeField{name: name, index: i, shape: fs})
 			s.sizes = s.sizes || fs.sizes
 		}
@@ -248,12 +264,14 @@ func (s *shape) field(key []byte) *shapeField {
 // names no field of its struct, and gives each slice its array's
 // element count, so that Unmarshal fills it in place. It does not
 // validate: at bytes that are not JSON it stops (a method returns
-// false), and Unmarshal reports them. A zero reflect.Value walks by type
-// alone, as under a pointer, which Unmarshal allocates itself.
+// false), and Unmarshal reports them. It stops too at an array longer
+// than its shape's max, with err set. A zero reflect.Value walks by
+// type alone, as under a pointer, which Unmarshal allocates itself.
 type walker struct {
 	data    []byte
 	pos     int
 	unknown []byte // the first unknown key, unquoted
+	err     error  // the over-long array that stopped the walk
 }
 
 // skipped shapes a value the walker steps over, such as an unknown key's.
@@ -324,10 +342,15 @@ func (w *walker) object(s *shape, v reflect.Value) bool {
 // array walks an array into a slice of its element count. When the
 // elements size nothing themselves, the array is walked once and the
 // slice made after, with room for them; otherwise it is counted first
-// and each element walked in its place.
+// and each element walked in its place. An array over s.max makes
+// nothing.
 func (w *walker) array(s *shape, v reflect.Value) bool {
 	start := w.pos
 	n, ok := w.elements(s.elem, nil)
+	if ok && s.max > 0 && n > s.max {
+		w.err = errBadRequest("%d items exceed the %d-item limit", n, s.max)
+		return false
+	}
 	switch {
 	case !ok || !v.IsValid():
 	case !s.elem.sizes:

@@ -44,7 +44,7 @@ type coderInfo struct {
 	MaxCodeLen  int    `json:"max_code_len,omitempty"` // longest codeword, bits
 	TableBits   int    `json:"table_bits,omitempty"`   // serialized code-table cost
 	DictBytes   int    `json:"dict_bytes,omitempty"`   // codepack dictionary cost
-	Cached      bool   `json:"cached"`                 // true when this request hit the cache
+	Cached      bool   `json:"cached"`                 // true when the coder was held before this request
 }
 
 func (e *coderEntry) info(cached bool) coderInfo {
@@ -97,9 +97,9 @@ func gatherCorpus(req *trainRequest) ([][]byte, error) {
 	return corpus, nil
 }
 
-// coderKey derives the content-addressed cache key (and id) of a train
-// request: kind, bound, and the corpus content. Identical corpora train
-// once no matter how they were supplied.
+// coderKey derives the content-addressed key of a train request, whose
+// hash is the coder id: kind, bound, and the corpus content. Identical
+// corpora train once no matter how they were supplied.
 func coderKey(kind string, bound int, corpus [][]byte) string {
 	parts := []any{"coder", kind, bound}
 	hashes := make([]string, len(corpus))
@@ -161,7 +161,7 @@ func buildCoder(id, kind string, bound int, corpus [][]byte) (*coderEntry, error
 }
 
 // normalizeTrain validates a train request, resolves its corpus, and
-// derives the content-addressed cache key and public coder id. Shared
+// derives the content-addressed key and public coder id. Shared
 // by the train handler and the router's route-key derivation, so the
 // gateway and the backend agree byte-for-byte on which node owns the
 // coder a train request will produce.
@@ -199,9 +199,7 @@ func (s *Server) handleTrainCoder(w http.ResponseWriter, r *http.Request) error 
 		return err
 	}
 
-	s.codersMu.Lock()
-	_, cached := s.coders[id]
-	s.codersMu.Unlock()
+	_, cached := sweep.Peek[*coderEntry](s.coders, id)
 
 	sp := tracing.FromContext(r.Context()).Child(StageCoderTrain)
 	sp.SetAttr("kind", req.Kind)
@@ -218,13 +216,12 @@ func (s *Server) handleTrainCoder(w http.ResponseWriter, r *http.Request) error 
 	return nil
 }
 
-// trainCoderCached resolves (or builds) a trained coder: the artifact
-// cache first, then the disk store, then a real build that is written
-// through. A failed write loses only durability, never the coder. Either
-// way the entry is registered under its id for later requests. sp may
-// be the nil span.
+// trainCoderCached resolves (or builds) a trained coder: the registry
+// first, then the disk store, then a real build that is written through.
+// A failed write loses only durability, never the coder; a failed build
+// is answered and not kept. sp may be the nil span.
 func (s *Server) trainCoderCached(sp *tracing.Span, key, id, kind string, bound int, corpus [][]byte) (*coderEntry, error) {
-	entry, err := sweep.Get(s.cache, key, func() (*coderEntry, error) {
+	return sweep.Get(s.coders, id, func() (*coderEntry, error) {
 		stored, err := s.fromStore(id)
 		if err == nil {
 			return stored, nil
@@ -243,13 +240,6 @@ func (s *Server) trainCoderCached(sp *tracing.Span, key, id, kind string, bound 
 		}
 		return built, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.codersMu.Lock()
-	s.coders[id] = entry
-	s.codersMu.Unlock()
-	return entry, nil
 }
 
 func (s *Server) handleGetCoder(w http.ResponseWriter, r *http.Request) error {
@@ -262,11 +252,9 @@ func (s *Server) handleGetCoder(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// coderByID resolves a coder id registered earlier in this process.
+// coderByID returns the coder id if the registry holds it.
 func (s *Server) coderByID(id string) (*coderEntry, error) {
-	s.codersMu.Lock()
-	entry, ok := s.coders[id]
-	s.codersMu.Unlock()
+	entry, ok := sweep.Peek[*coderEntry](s.coders, id)
 	if !ok {
 		return nil, Errf(http.StatusNotFound, CodeNotFound,
 			"unknown coder id %q (train it with POST /v1/coders)", id)
@@ -275,20 +263,24 @@ func (s *Server) coderByID(id string) (*coderEntry, error) {
 }
 
 // resolveCoder is coderByID under a coder_resolve span, the instrumented
-// path the request handlers share. A registry miss falls back to the
-// disk store before 404ing: when fleet members share a store, a coder
-// trained through one node resolves on any peer — which is what lets a
-// router fail a coder's traffic over to the ring successor without the
-// client ever seeing "unknown coder". The fallback opens at most the
-// one file the id names, and a malformed id opens none.
+// path the request handlers share. A registry miss reads the disk store
+// before 404ing, and puts what it read in the registry, unless another
+// request put the coder there meanwhile: that one wins. So a restarted
+// node reads each stored coder once, on first use, and when fleet
+// members share a store, a coder trained through one node resolves on
+// any peer — which is what lets a router fail a coder's traffic over to
+// the ring successor without the client ever seeing "unknown coder".
+// The read opens at most the one file the id names, and a malformed id
+// opens none.
 func (s *Server) resolveCoder(ctx context.Context, id string) (*coderEntry, error) {
 	sp := tracing.FromContext(ctx).Child(StageCoderGet)
 	defer sp.End()
 	entry, err := s.coderByID(id)
 	if err != nil {
-		if restored, err := s.fromStore(id); err == nil {
+		restored, serr := s.fromStore(id)
+		if serr == nil {
 			sp.SetAttrInt("store_restored", 1)
-			return restored, nil
+			return sweep.Get(s.coders, id, func() (*coderEntry, error) { return restored, nil })
 		}
 		sp.SetError(err)
 	}

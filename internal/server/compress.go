@@ -91,9 +91,9 @@ func (s *Server) resolveTextImage(textB64 b64Field, workloadName string) ([]byte
 }
 
 // buildROM compresses text under the coder, under a compress span. A
-// named workload's ROM is memoized in the artifact cache by (coder,
-// alignment, workload), a key set bounded by the corpus times the
-// trained coders: concurrent identical requests share one build, and
+// named workload's ROM is memoized in s.roms by (coder, alignment,
+// workload), a key set bounded by the corpus times the held coders:
+// concurrent identical requests share one build, and
 // simulate reuses compress's ROMs. Built ROMs are immutable, which is
 // what makes the sharing sound. Client text (workloadName "") is
 // compressed for its request alone and kept nowhere, so memory does not
@@ -117,7 +117,7 @@ func (s *Server) buildROM(ctx context.Context, entry *coderEntry, text []byte, w
 	var rom *core.ROM
 	var err error
 	if workloadName != "" {
-		rom, err = sweep.Get(s.cache, sweep.Key("rom", entry.ID, wordAligned, workloadName), build)
+		rom, err = sweep.Get(s.roms, sweep.Key(entry.ID, wordAligned, workloadName), build)
 	} else {
 		rom, err = build()
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"ccrp/internal/cliutil"
@@ -27,7 +28,7 @@ const coderPlaceholder = "@coder"
 
 // fuzzHarness is a server holding a trained preselected coder, driven in
 // process: the handler fuzz targets post to it. Its store is a temporary
-// directory, so every coder id the server has not registered reaches the
+// directory, so every coder id the server does not hold reaches the
 // store's id-to-file lookup.
 type fuzzHarness struct {
 	s     *Server
@@ -160,20 +161,20 @@ func FuzzDecompressHandler(f *testing.F) {
 // harness. A 200's blocks_b64 and lines decode through /v1/decompress to
 // the submitted text, zero-padded to whole lines; any other answer is a
 // typed 4xx, and a 404 not_found for any coder_id but the harness's,
-// however it is spelled. Client text is kept nowhere, so the artifact
-// cache never holds more than its set-up entries plus one ROM per named
-// (workload, alignment).
+// however it is spelled. Client text is kept nowhere, so the server
+// never holds more than its set-up coder plus one ROM per named
+// (workload, alignment); the names are both corpora's, R2000 and RV32.
 func FuzzCompressHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
-	limit := fh.s.cache.Len() + 2*len(workload.Names())
+	limit := held(fh.s) + 2*len(workload.Names())
 	seed(f, compressRequest{CoderID: coderPlaceholder, TextB64: b64(fuzzText)})
 	seed(f, compressRequest{CoderID: coderPlaceholder, Workload: "eightq"})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
 		rec := fh.post("/v1/compress", body)
-		if n := fh.s.cache.Len(); n > limit {
-			t.Fatalf("artifact cache holds %d entries, over the bound %d", n, limit)
+		if n := held(fh.s); n > limit {
+			t.Fatalf("server holds %d coders and ROMs, over the bound %d", n, limit)
 		}
 		var req compressRequest
 		parsed := parseBody(body, &req) == nil
@@ -276,10 +277,10 @@ func wantBatchAnswer(t *testing.T, rec *httptest.ResponseRecorder, body []byte, 
 // the harness. A request-level problem (bad JSON, no items, too many, a
 // missing or unknown coder) is a typed 4xx; a 200 answers every item,
 // each with a result or a typed error. Client text is kept nowhere, so
-// the artifact cache stays within FuzzCompressHandler's bound.
+// the server stays within FuzzCompressHandler's bound.
 func FuzzCompressBatchHandler(f *testing.F) {
 	fh := newFuzzHarness(f)
-	limit := fh.s.cache.Len() + 2*len(workload.Names())
+	limit := held(fh.s) + 2*len(workload.Names())
 	text := b64(fuzzText)
 	seed(f, compressBatchRequest{CoderID: coderPlaceholder, Items: []compressBatchItem{
 		{TextB64: text}, {Workload: "eightq"}, {TextB64: b64Field("!!!")}, {TextB64: text, Workload: "eightq"}}})
@@ -288,8 +289,8 @@ func FuzzCompressBatchHandler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		body = bytes.ReplaceAll(body, []byte(coderPlaceholder), []byte(fh.coder))
 		rec := fh.post("/v1/compress:batch", body)
-		if n := fh.s.cache.Len(); n > limit {
-			t.Fatalf("artifact cache holds %d entries, over the bound %d", n, limit)
+		if n := held(fh.s); n > limit {
+			t.Fatalf("server holds %d coders and ROMs, over the bound %d", n, limit)
 		}
 		wantBatchAnswer(t, rec, body, &compressBatchRequest{})
 	})
@@ -337,11 +338,27 @@ func stringFields(t reflect.Type) reflect.Type {
 	return t
 }
 
+// overMax reports whether a field of the struct v points to holds more
+// elements than its max tag allows.
+func overMax(v any) bool {
+	rv := reflect.ValueOf(v).Elem()
+	for i := range rv.NumField() {
+		if m := rv.Type().Field(i).Tag.Get("max"); m != "" {
+			if n, _ := strconv.Atoi(m); rv.Field(i).Len() > n {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FuzzDecodeRequest holds the handlers' body parse (unmarshalRequest) to
 // json.Decoder with DisallowUnknownFields, over every request type, each
 // base64 field a plain string for the Decoder. On a body that is one
-// JSON value both accept or both refuse it, and an accepted body decodes
-// to the same request on both sides; any other body is refused.
+// JSON value both accept or both refuse it, but for one the Decoder
+// fills with more items than a field's max tag allows, which the parse
+// refuses; an accepted body decodes to the same request on both sides.
+// Any other body is refused.
 func FuzzDecodeRequest(f *testing.F) {
 	types := []reflect.Type{
 		reflect.TypeFor[trainRequest](),
@@ -364,7 +381,11 @@ func FuzzDecodeRequest(f *testing.F) {
 			want := reflect.New(stringFields(typ)).Interface()
 			jd := json.NewDecoder(bytes.NewReader(body))
 			jd.DisallowUnknownFields()
-			if wantErr := jd.Decode(want); (err == nil) != (wantErr == nil) {
+			wantErr := jd.Decode(want)
+			if wantErr == nil && overMax(want) {
+				wantErr = errors.New("an array over its max tag")
+			}
+			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%v: err %v, json.Decoder's %v", typ, err, wantErr)
 			}
 			if err != nil {

@@ -6,10 +6,11 @@
 // The service layers directly over the existing engine:
 //
 //   - POST /v1/coders trains or fetches a coder (huffman | bounded |
-//     preselected | codepack) from an uploaded corpus. Coders are built
-//     through the content-addressed single-flight artifact cache from
-//     internal/sweep, so concurrent identical requests share one build
-//     and a retrained coder is byte-for-byte the CLI's.
+//     preselected | codepack) from an uploaded corpus. The server holds
+//     each coder once, by its content-addressed id, in a single-flight
+//     internal/sweep cache: concurrent identical requests share one
+//     build, a failed build is answered and not kept, and a retrained
+//     coder is byte-for-byte the CLI's.
 //   - POST /v1/compress and /v1/decompress run block-bounded line
 //     compression of whole text images, returning LAT-ready per-line
 //     lengths, the compression ratio, and (for Huffman coders) the
@@ -62,7 +63,6 @@ const (
 	StageSimQueue   = "sim_queue"       // waiting for a simulate worker slot
 	StageSimRun     = "sim_run"         // trace-driven simulation
 	StageEncode     = "encode_response" // response JSON marshalling
-	StageStoreLoad  = "store_load"      // boot-time warm start from the artifact store
 	StageBatchItem  = "batch_item"      // one item of a :batch request
 )
 
@@ -71,8 +71,6 @@ const (
 	// MaxBodyBytes bounds every request body, here and at the
 	// cluster.Router in front of a fleet.
 	MaxBodyBytes = 16 << 20
-	// maxBatchItems bounds the item count of one :batch request.
-	maxBatchItems = 256
 	// The per-route deadlines.
 	trainTimeout    = 60 * time.Second
 	compressTimeout = 30 * time.Second
@@ -93,10 +91,11 @@ type Config struct {
 	// of it.
 	Tracer *tracing.Tracer
 	// Store, when set, persists trained coders across restarts: training
-	// checks it before building and writes through after, an id missing
-	// from the registry is looked up in it before a 404, and WarmStart
-	// re-registers every stored coder on boot (cmd/ccrpd's -store flag).
-	// ROM images never persist. nil keeps coders in memory only.
+	// checks it before building and writes through after, and an id the
+	// server does not hold is read from it before a 404, so a restarted
+	// server reads each stored coder once, on first use (cmd/ccrpd's
+	// -store flag). ROM images never persist. nil keeps coders in memory
+	// only.
 	Store *Store
 }
 
@@ -104,15 +103,14 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
-	cache *sweep.Cache // single-flight artifacts: coders and the ROMs of named workloads
 	start time.Time
 
-	// coders indexes trained coders by content-addressed id. The cache
-	// deduplicates builds; this map only resolves ids for later requests.
-	// Both keep a coder for the process lifetime, unbounded: a trained
-	// coder is a resource its client owns, like the id it holds.
-	codersMu sync.Mutex
-	coders   map[string]*coderEntry
+	// coders is the one place a coder is held, by content-addressed id:
+	// trained here, or read from the store on first use. It keeps a
+	// coder for the process lifetime, unbounded: a trained coder is a
+	// resource its client owns, like the id it holds.
+	coders *sweep.Cache
+	roms   *sweep.Cache // the ROMs of named workloads (buildROM)
 
 	sem chan struct{} // simulate worker pool
 
@@ -142,12 +140,11 @@ type serverMetrics struct {
 	uptime    *metrics.Gauge
 	inflight  *metrics.Gauge
 
-	storeHits       *metrics.Counter // artifacts served from the disk store
-	storeMisses     *metrics.Counter // store probes that fell through to a build
-	storeWrites     *metrics.Counter // freshly built artifacts persisted
-	storeCorrupt    *metrics.Counter // stored artifacts rejected by verification
-	storeWarmCoders *metrics.Gauge   // coders registered by the boot warm start
-	storeBytes      *metrics.Gauge   // payload bytes resident in the disk store
+	storeHits    *metrics.Counter // artifacts served from the disk store
+	storeMisses  *metrics.Counter // store probes that fell through to a build
+	storeWrites  *metrics.Counter // freshly built artifacts persisted
+	storeCorrupt *metrics.Counter // stored artifacts rejected by verification
+	storeBytes   *metrics.Gauge   // payload bytes resident in the disk store
 
 	batchItems      *metrics.Counter // items processed across :batch requests
 	batchItemErrors *metrics.Counter // items that failed inside a :batch request
@@ -161,8 +158,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
-		cache:    sweep.NewCache(),
-		coders:   make(map[string]*coderEntry),
+		coders:   sweep.NewCache(),
+		roms:     sweep.NewCache(),
 		sem:      make(chan struct{}, runtime.NumCPU()),
 		registry: metrics.New(),
 		tracer:   cfg.Tracer,
@@ -183,12 +180,11 @@ func New(cfg Config) *Server {
 		uptime:   s.registry.Gauge("ccrpd_uptime_seconds", "seconds since server start"),
 		inflight: s.registry.Gauge("ccrpd_inflight_requests", "requests currently being served"),
 
-		storeHits:       s.registry.Counter("ccrpd_store_hits_total", "artifacts served from the disk store"),
-		storeMisses:     s.registry.Counter("ccrpd_store_misses_total", "store probes that fell through to a build"),
-		storeWrites:     s.registry.Counter("ccrpd_store_writes_total", "freshly built artifacts persisted to the store"),
-		storeCorrupt:    s.registry.Counter("ccrpd_store_corrupt_total", "stored artifacts rejected by verification"),
-		storeWarmCoders: s.registry.Gauge("ccrpd_store_warm_coders", "coders registered by the boot warm start"),
-		storeBytes:      s.registry.Gauge("ccrpd_store_bytes", "artifact payload bytes resident in the disk store"),
+		storeHits:    s.registry.Counter("ccrpd_store_hits_total", "artifacts served from the disk store"),
+		storeMisses:  s.registry.Counter("ccrpd_store_misses_total", "store probes that fell through to a build"),
+		storeWrites:  s.registry.Counter("ccrpd_store_writes_total", "freshly built artifacts persisted to the store"),
+		storeCorrupt: s.registry.Counter("ccrpd_store_corrupt_total", "stored artifacts rejected by verification"),
+		storeBytes:   s.registry.Gauge("ccrpd_store_bytes", "artifact payload bytes resident in the disk store"),
 
 		batchItems:      s.registry.Counter("ccrpd_batch_items_total", "items processed across batch requests"),
 		batchItemErrors: s.registry.Counter("ccrpd_batch_item_errors_total", "batch items that failed"),
@@ -388,15 +384,12 @@ type healthzBody struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	s.codersMu.Lock()
-	n := len(s.coders)
-	s.codersMu.Unlock()
 	WriteJSON(w, http.StatusOK, healthzBody{
 		Status:        "ok",
 		Version:       s.cfg.Version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Host:          hostinfo.Collect(),
-		Coders:        n,
+		Coders:        s.coders.Len(),
 		SimWorkers:    cap(s.sem),
 		Inflight:      s.inflight.Load(),
 		Draining:      s.draining.Load(),

@@ -76,6 +76,10 @@ func wantError(t *testing.T, resp *http.Response, body []byte, status int, code 
 	}
 }
 
+// held counts what the server keeps: its coders and named workloads'
+// ROMs.
+func held(s *Server) int { return s.coders.Len() + s.roms.Len() }
+
 // trainPreselected trains the default coder and returns its id.
 func trainPreselected(t *testing.T, url string) string {
 	t.Helper()
@@ -235,6 +239,48 @@ func TestTrainCoderCachedAndSingleFlight(t *testing.T) {
 	}
 }
 
+// TestFailedTrainingsNotKept: a training that fails is answered and not
+// kept, so failures cannot grow the server's state: 2,000 unknown kinds
+// (400) and 2,000 CodePack trainings on corpora too short to train
+// (422), each under its own id, leave the coders held and /healthz's
+// count where they were.
+func TestFailedTrainingsNotKept(t *testing.T) {
+	s := New(Config{})
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	healthzCoders := func() int {
+		rec := serve(http.MethodGet, "/healthz", nil)
+		return decodeAs[healthzBody](t, rec.Body.Bytes()).Coders
+	}
+	if rec := serve(http.MethodPost, "/v1/coders", []byte(`{"kind":"preselected"}`)); rec.Code != http.StatusOK {
+		t.Fatalf("train preselected: %d %s", rec.Code, rec.Body)
+	}
+	base, baseHealthz := held(s), healthzCoders()
+	if baseHealthz != 1 {
+		t.Fatalf("/healthz reports %d coders after one training, want 1", baseHealthz)
+	}
+	for i := 0; i < 2000; i++ {
+		body := fmt.Sprintf(`{"kind":"kind-%d","corpus_b64":["AAAA"]}`, i)
+		if rec := serve(http.MethodPost, "/v1/coders", []byte(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("unknown kind %d: %d %s, want 400", i, rec.Code, rec.Body)
+		}
+		body = fmt.Sprintf(`{"kind":"codepack","corpus_b64":[%q]}`,
+			base64.StdEncoding.EncodeToString([]byte{byte(i >> 8), byte(i)}))
+		if rec := serve(http.MethodPost, "/v1/coders", []byte(body)); rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("codepack on 2 bytes %d: %d %s, want 422", i, rec.Code, rec.Body)
+		}
+	}
+	if got := held(s); got != base {
+		t.Errorf("server holds %d coders and ROMs after 4,000 failed trainings, want %d as before", got, base)
+	}
+	if got := healthzCoders(); got != baseHealthz {
+		t.Errorf("/healthz reports %d coders after 4,000 failed trainings, want %d", got, baseHealthz)
+	}
+}
+
 func TestCompressDecompressRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := trainPreselected(t, ts.URL)
@@ -286,6 +332,48 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	got = decodeAs[decompressResponse](t, body).TextB64
 	if !bytes.Equal(got, want) {
 		t.Fatal("blocks round trip is not byte-identical")
+	}
+}
+
+// TestWorkloadsOfBothCorpora: every route that takes a workload name
+// takes the RV32 ports' names as it takes the R2000 programs', as the
+// CLIs do, and an RV32 program's ROM decompresses to its text.
+func TestWorkloadsOfBothCorpora(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := trainPreselected(t, ts.URL)
+	for _, row := range []struct {
+		route string
+		req   any
+	}{
+		{"/v1/coders", trainRequest{Kind: KindHuffman, Workloads: []string{"rv-sieve", "eightq"}}},
+		{"/v1/simulate", simulateRequest{Workload: "rv-sieve"}},
+	} {
+		resp, body := postJSON(t, ts.URL+row.route, row.req)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %+v: %d %s", row.route, row.req, resp.StatusCode, body)
+		}
+	}
+	w, ok := workload.ByName("rv-sieve")
+	if !ok {
+		t.Fatal("workload.ByName does not find rv-sieve")
+	}
+	text, err := w.Text()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/compress", compressRequest{CoderID: id, Workload: "rv-sieve"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress rv-sieve: %d %s", resp.StatusCode, body)
+	}
+	comp := decodeAs[compressResponse](t, body)
+	resp, body = postJSON(t, ts.URL+"/v1/decompress", decompressRequest{ROMB64: b64(comp.ROMB64)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("decompress rv-sieve: %d %s", resp.StatusCode, body)
+	}
+	want := make([]byte, comp.OriginalBytes)
+	copy(want, text)
+	if got := decodeAs[decompressResponse](t, body).TextB64; !bytes.Equal(got, want) {
+		t.Error("rv-sieve's ROM does not decompress to its text")
 	}
 }
 
@@ -528,7 +616,7 @@ func TestSimulateAfterTrainSharesCacheSlot(t *testing.T) {
 
 // TestCompressKeepsOnlyBoundedState: client text is compressed per
 // request and kept nowhere, so distinct text_b64 bodies, single or
-// batched, leave the artifact cache as they found it; a named workload's
+// batched, leave the coders and ROMs held as they found them; a named workload's
 // ROM is memoized once per (coder, workload, alignment), however often
 // compress and simulate ask for it.
 func TestCompressKeepsOnlyBoundedState(t *testing.T) {
@@ -540,7 +628,7 @@ func TestCompressKeepsOnlyBoundedState(t *testing.T) {
 		t.Fatalf("train huffman: %d %s", resp.StatusCode, body)
 	}
 	huff := decodeAs[coderInfo](t, body).ID
-	base := s.cache.Len()
+	base := held(s)
 
 	rng := rand.New(rand.NewSource(16))
 	text := func() b64Field {
@@ -564,8 +652,8 @@ func TestCompressKeepsOnlyBoundedState(t *testing.T) {
 			t.Fatalf("compress:batch %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
-	if got := s.cache.Len(); got != base {
-		t.Fatalf("cache holds %d entries after 128 distinct client texts, want %d as before", got, base)
+	if got := held(s); got != base {
+		t.Fatalf("server holds %d coders and ROMs after 128 distinct client texts, want %d as before", got, base)
 	}
 
 	want := base
@@ -584,8 +672,8 @@ func TestCompressKeepsOnlyBoundedState(t *testing.T) {
 				t.Fatalf("simulate eightq: %d %s", resp.StatusCode, body)
 			}
 			want++
-			if got := s.cache.Len(); got != want {
-				t.Fatalf("cache holds %d entries after the eightq ROM of coder %.8s (word_aligned %v), want %d",
+			if got := held(s); got != want {
+				t.Fatalf("server holds %d coders and ROMs after the eightq ROM of coder %.8s (word_aligned %v), want %d",
 					got, coder, aligned, want)
 			}
 		}

@@ -1,21 +1,22 @@
 // Persistence: the durable-artifact side of ccrpd. In the paper the
 // code is trained once, offline, and survives every power cycle. This
 // file gives the daemon's trained coders the same property: written
-// through to a Store, verified on the way back in, and re-registered on
-// boot so a restarted daemon serves its whole coder catalogue without a
-// single retrain. ROM images do not persist: a named workload's ROM
-// rebuilds from its coder in milliseconds on first use, and client text
-// is compressed per request (Server.buildROM).
+// through to a Store, and verified on the way back in, so a restarted
+// daemon serves its whole coder catalogue without a single retrain. A
+// stored coder is read on first use, once, as the paper's CLB is filled
+// on a miss from the LAT. ROM images do not persist: a named workload's
+// ROM rebuilds from its coder in milliseconds on first use, and client
+// text is compressed per request (Server.buildROM).
 package server
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,12 +138,22 @@ type storeHeader struct {
 var errNotStored = errors.New("coder not in store")
 
 // OpenStore opens the coder store in dir, creating the directory if
-// needed.
+// needed. It reads one name from the directory, so a directory that
+// cannot be listed fails here, at boot, and not on the first request
+// that reads a coder.
 func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory name")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	if _, err := f.Readdirnames(1); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	return &Store{dir: dir}, nil
@@ -299,27 +310,23 @@ func (st *Store) header(id string) (storeHeader, error) {
 	return parseStoreHeader(id, line[:len(line)-1])
 }
 
-// fromStore loads the coder id from the store and registers it, the one
-// path training, the fleet-sharing fallback in resolveCoder and warm
-// start share. It counts a store hit, or a corrupt file; errNotStored
-// (also the answer without a store) counts neither.
+// fromStore reads the coder id from the store, the one way from disk to
+// memory, which training and resolveCoder share. It counts a store hit,
+// or a corrupt file; errNotStored (also the answer without a store)
+// counts neither.
 func (s *Server) fromStore(id string) (*coderEntry, error) {
 	if s.cfg.Store == nil {
 		return nil, errNotStored
 	}
 	entry, err := s.cfg.Store.load(id)
-	if errors.Is(err, errNotStored) {
-		return nil, err
-	}
-	if err != nil {
+	switch {
+	case errors.Is(err, errNotStored):
+	case err != nil:
 		s.count(s.inst.storeCorrupt)
-		return nil, err
+	default:
+		s.count(s.inst.storeHits)
 	}
-	s.count(s.inst.storeHits)
-	s.codersMu.Lock()
-	s.coders[id] = entry
-	s.codersMu.Unlock()
-	return entry, nil
+	return entry, err
 }
 
 // count increments one registry counter; instruments are
@@ -328,41 +335,4 @@ func (s *Server) count(c *metrics.Counter) {
 	s.metricsMu.Lock()
 	c.Inc()
 	s.metricsMu.Unlock()
-}
-
-// WarmStart loads every stored coder into the registry, the boot-time
-// analogue of the paper's "the ROM is already written": after it
-// returns, a request for any previously trained coder id resolves
-// without a build. Damaged files are skipped (and counted as corrupt);
-// they will be rebuilt on first demand. Returns the number of coders
-// registered.
-//
-// The pass runs under a store_load span so boot cost shows up in the
-// same stage vocabulary as request cost.
-func (s *Server) WarmStart(ctx context.Context) (int, error) {
-	if s.cfg.Store == nil {
-		return 0, nil
-	}
-	sp := s.tracer.Start(StageStoreLoad)
-	defer sp.End()
-	arts, err := s.cfg.Store.list()
-	if err != nil {
-		sp.SetError(err)
-		return 0, err
-	}
-	loaded := 0
-	for _, a := range arts {
-		if err := ctx.Err(); err != nil {
-			sp.SetError(err)
-			return loaded, err
-		}
-		if _, err := s.fromStore(a.ID); err == nil {
-			loaded++
-		}
-	}
-	sp.SetAttrInt("coders", int64(loaded))
-	s.metricsMu.Lock()
-	s.inst.storeWarmCoders.Set(float64(loaded))
-	s.metricsMu.Unlock()
-	return loaded, nil
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -109,8 +108,9 @@ func TestCoderEntryCodecRoundTrip(t *testing.T) {
 
 // TestWarmStartServesWithoutRetraining is the restart-survival property
 // end to end: train on daemon A with a store, boot daemon B on the same
-// store, and B must serve the coder id — and identical compressed bytes
-// — with zero coder builds.
+// store, and B must serve the coder ids — each read from the store once,
+// on first use — and identical compressed bytes, single and batched,
+// with zero coder builds.
 func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir)
@@ -145,13 +145,6 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, ts2 := newTestServer(t, Config{Store: store2})
-	n, err := s2.WarmStart(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("warm start registered %d coders, want 2", n)
-	}
 
 	// The ids resolve without retraining.
 	for _, cid := range []string{id, cpID} {
@@ -193,19 +186,67 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	if got := counterValue(t, s2, "ccrpd_coder_builds_total"); got != "0" {
 		t.Fatalf("second life built %s coders, want 0", got)
 	}
-	if got := counterValue(t, s2, "ccrpd_store_warm_coders"); got != "2" {
-		t.Fatalf("warm gauge = %s, want 2", got)
-	}
 	if got := counterValue(t, s2, "ccrpd_store_corrupt_total"); got != "0" {
 		t.Errorf("clean restart counted %s corrupt artifacts, want 0", got)
 	}
-	if got, _ := strconv.Atoi(counterValue(t, s2, "ccrpd_store_hits_total")); got < 2 {
-		t.Errorf("second life took %d store hits, want >= 2", got)
+	if got := counterValue(t, s2, "ccrpd_store_hits_total"); got != "2" {
+		t.Errorf("second life took %s store hits, want 2: one per coder", got)
 	}
 }
 
-// TestWarmStartSkipsCorruptArtifacts: a damaged store entry is counted,
-// skipped, and rebuilt on demand — never served.
+// TestStoredCoderReadOnce: after a restart on a store, a stored coder is
+// read once, on first use, whichever request uses it first and however
+// many use it after: compress by its id, train the same corpus, GET the
+// id.
+func TestStoredCoderReadOnce(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []trainRequest{{Kind: KindPreselected}, {Kind: KindCodePack, Workloads: []string{"eightq"}}}
+	_, ts1 := newTestServer(t, Config{Store: st})
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		resp, body := postJSON(t, ts1.URL+"/v1/coders", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("train %s: %d %s", req.Kind, resp.StatusCode, body)
+		}
+		ids[i] = decodeAs[coderInfo](t, body).ID
+	}
+	ts1.Close()
+
+	s2, ts2 := newTestServer(t, Config{Store: st})
+	for i, req := range reqs {
+		if resp, body := postJSON(t, ts2.URL+"/v1/compress", compressRequest{CoderID: ids[i], Workload: "eightq"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("compress with stored %s coder: %d %s", req.Kind, resp.StatusCode, body)
+		}
+		resp, body := postJSON(t, ts2.URL+"/v1/coders", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("retrain %s: %d %s", req.Kind, resp.StatusCode, body)
+		}
+		if info := decodeAs[coderInfo](t, body); info.ID != ids[i] || !info.Cached {
+			t.Errorf("retrain %s = id %s cached %v, want id %s cached true", req.Kind, info.ID, info.Cached, ids[i])
+		}
+		get, err := http.Get(ts2.URL + "/v1/coders/" + ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		get.Body.Close()
+		if get.StatusCode != http.StatusOK {
+			t.Fatalf("GET stored %s coder: %d", req.Kind, get.StatusCode)
+		}
+	}
+	if got := counterValue(t, s2, "ccrpd_store_hits_total"); got != "2" {
+		t.Errorf("store hits = %s for 2 stored coders, want 2: one read per coder", got)
+	}
+	if got := counterValue(t, s2, "ccrpd_coder_builds_total"); got != "0" {
+		t.Errorf("builds = %s, want 0", got)
+	}
+}
+
+// TestWarmStartSkipsCorruptArtifacts: after a restart, a damaged store
+// entry is counted on first access, never served, and repaired by
+// training.
 func TestWarmStartSkipsCorruptArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir)
@@ -243,11 +284,13 @@ func TestWarmStartSkipsCorruptArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, ts2 := newTestServer(t, Config{Store: store2})
-	if n, err := s2.WarmStart(context.Background()); err != nil || n != 0 {
-		t.Fatalf("warm start over a corrupt store = (%d, %v), want (0, nil)", n, err)
+	if got := counterValue(t, s2, "ccrpd_store_corrupt_total"); got != "0" {
+		t.Fatalf("corruption counted before any access: %s", got)
 	}
-	if got := counterValue(t, s2, "ccrpd_store_corrupt_total"); got == "0" {
-		t.Fatal("corruption was not counted")
+	resp, body := postJSON(t, ts2.URL+"/v1/compress", compressRequest{CoderID: id, Workload: "eightq"})
+	wantError(t, resp, body, http.StatusNotFound, CodeNotFound)
+	if got := counterValue(t, s2, "ccrpd_store_corrupt_total"); got != "1" {
+		t.Fatalf("corrupt count after the first access = %s, want 1", got)
 	}
 	// Training again rebuilds (build counter moves) and repairs the store.
 	if got := trainPreselected(t, ts2.URL); got != id {
@@ -255,6 +298,12 @@ func TestWarmStartSkipsCorruptArtifacts(t *testing.T) {
 	}
 	if got := counterValue(t, s2, "ccrpd_coder_builds_total"); got != "1" {
 		t.Fatalf("rebuild count = %s, want 1", got)
+	}
+	if _, err := store2.load(id); err != nil {
+		t.Fatalf("the rebuild did not repair the file: %v", err)
+	}
+	if resp, body := postJSON(t, ts2.URL+"/v1/compress", compressRequest{CoderID: id, Workload: "eightq"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress after the rebuild: %d %s", resp.StatusCode, body)
 	}
 }
 
@@ -328,6 +377,24 @@ func TestStoreRoundTrip(t *testing.T) {
 	files, _ := os.ReadDir(dir)
 	if len(files) != 1 || files[0].Name() != id+storeExt {
 		t.Errorf("store files = %v, want only %s%s", files, id, storeExt)
+	}
+}
+
+// TestOpenStoreRefusesUnlistableDirectory: a store directory that
+// cannot be listed fails OpenStore, so ccrpd stops at boot and not at
+// the first request that reads a coder. Root lists a directory of mode
+// 000, so the test runs only as another user.
+func TestOpenStoreRefusesUnlistableDirectory(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("root can list a directory of mode 000")
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := os.Mkdir(dir, 0o000); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(dir, 0o755) })
+	if _, err := OpenStore(dir); err == nil {
+		t.Fatal("OpenStore accepted a directory it cannot list")
 	}
 }
 
@@ -445,18 +512,23 @@ func TestStoreRejectsCorruptFiles(t *testing.T) {
 				}
 			}
 
-			// The rebuild repaired the file: a fresh node warm-starts
-			// both coders and trains nothing.
+			// The rebuild repaired the file: a fresh node reads both
+			// coders on first use and trains nothing.
 			s3, ts3 := newTestServer(t, Config{Store: st})
-			if n, err := s3.WarmStart(context.Background()); err != nil || n != 2 {
-				t.Fatalf("warm start over the repaired store = (%d, %v), want (2, nil)", n, err)
+			for _, cid := range []string{id, other} {
+				if resp, body := postJSON(t, ts3.URL+"/v1/compress", compressRequest{CoderID: cid, Workload: "eightq"}); resp.StatusCode != http.StatusOK {
+					t.Fatalf("repaired store: compress with %s: %d %s", cid, resp.StatusCode, body)
+				}
 			}
 			trainPreselected(t, ts3.URL)
-			if got := counterValue(t, s3, "ccrpd_coder_builds_total"); got != "0" {
-				t.Errorf("repaired store: %s builds, want 0", got)
-			}
-			if got := counterValue(t, s3, "ccrpd_store_corrupt_total"); got != "0" {
-				t.Errorf("repaired store: %s corrupt files, want 0", got)
+			for name, want := range map[string]string{
+				"ccrpd_coder_builds_total":  "0",
+				"ccrpd_store_corrupt_total": "0",
+				"ccrpd_store_hits_total":    "2",
+			} {
+				if got := counterValue(t, s3, name); got != want {
+					t.Errorf("repaired store: %s = %s, want %s", name, got, want)
+				}
 			}
 		})
 	}
@@ -493,8 +565,8 @@ func TestStoreSaveFailureIsNotFatal(t *testing.T) {
 // TestStoreV1Compatibility pins the file format: testdata/store-v1
 // holds a preselected coder and a codepack coder trained on eightq,
 // written by ccrpd -store before the store moved into this package. A
-// node warm-starts both without a build, and compresses byte-identically
-// to a node that trains them afresh.
+// node on that store reads each on first use, builds neither, and
+// compresses byte-identically to a node that trains them afresh.
 func TestStoreV1Compatibility(t *testing.T) {
 	dir := t.TempDir()
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "store-v1", "*"+storeExt))
@@ -509,9 +581,6 @@ func TestStoreV1Compatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm, tsWarm := newTestServer(t, Config{Store: st})
-	if n, err := warm.WarmStart(context.Background()); err != nil || n != 2 {
-		t.Fatalf("warm start over the v1 store = (%d, %v), want (2, nil)", n, err)
-	}
 
 	_, tsFresh := newTestServer(t, Config{})
 	for _, req := range []trainRequest{
@@ -536,6 +605,9 @@ func TestStoreV1Compatibility(t *testing.T) {
 	}
 	if got := counterValue(t, warm, "ccrpd_coder_builds_total"); got != "0" {
 		t.Errorf("warm node ran %s builds, want 0", got)
+	}
+	if got := counterValue(t, warm, "ccrpd_store_hits_total"); got != "2" {
+		t.Errorf("warm node read %s stored coders, want 2", got)
 	}
 }
 

@@ -1,10 +1,8 @@
 package sweep
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -16,13 +14,11 @@ import (
 // so a trained coder is never trained twice even when many sweep workers
 // request it at once.
 //
-// Values are cached unconditionally. Errors are cached only when they
-// are deterministic in the key — a build that fails because its input is
-// malformed will fail identically forever, so the failure is as
-// permanent as a success. A build cut short by a cancelled context or an
-// expired deadline delivers its failure to the waiters of that flight
-// but is NOT cached: the next caller of the key retries the build
-// instead of inheriting a poisoned entry.
+// Only what was built is kept. A build that fails — with an error, a
+// panic, a cancelled context or an expired deadline — answers the
+// callers that shared its flight and is then dropped, so the next caller
+// of the key builds again and no caller can fill the cache with
+// failures.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -47,8 +43,8 @@ func (c *Cache) Len() int {
 }
 
 // do returns the cached artifact for key, building it with build on first
-// use. A panic inside build is converted into a cached *PanicError so
-// that waiting callers are released rather than deadlocked.
+// use. A panic inside build becomes a *PanicError, so that waiting
+// callers are released rather than deadlocked.
 func (c *Cache) do(key string, build func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -66,15 +62,9 @@ func (c *Cache) do(key string, build func() (any, error)) (any, error) {
 				e.err = fmt.Errorf("sweep: building %q: %w",
 					key, &PanicError{Value: r})
 			}
-			if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-				// Deliver the failure to this flight's waiters but do not
-				// cache it: a cancelled or deadline-expired build says
-				// nothing about the key, and caching it would poison the
-				// key for the process lifetime.
+			if e.err != nil {
 				c.mu.Lock()
-				if c.entries[key] == e {
-					delete(c.entries, key)
-				}
+				delete(c.entries, key)
 				c.mu.Unlock()
 			}
 			close(e.done)
@@ -99,6 +89,21 @@ func Get[T any](c *Cache, key string, build func() (T, error)) (T, error) {
 		return zero, fmt.Errorf("sweep: cache key %q holds %T, not %T", key, v, zero)
 	}
 	return out, nil
+}
+
+// Peek returns the artifact of type T that key holds, without building
+// it or waiting for a build in flight.
+func Peek[T any](c *Cache, key string) (out T, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[key]; e != nil {
+		select {
+		case <-e.done: // a failed build leaves the map before done closes
+			out, ok = e.val.(T)
+		default:
+		}
+	}
+	return out, ok
 }
 
 // Key derives a cache key from its parts. Byte slices are content-

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCacheSingleFlight: many concurrent requests for one key run the
@@ -64,29 +66,102 @@ func TestCacheDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestCacheCachesErrors: a failed build is as cached as a successful one
-// — deterministic builders fail deterministically.
-func TestCacheCachesErrors(t *testing.T) {
-	c := NewCache()
-	wantErr := errors.New("train failed")
-	var builds atomic.Int64
-	for i := 0; i < 3; i++ {
-		_, err := Get(c, "k", func() (int, error) {
-			builds.Add(1)
-			return 0, wantErr
-		})
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("err = %v", err)
+// failFlight has n concurrent callers Get key from c through one build
+// that fails with err, and fails t unless every caller got err and fewer
+// builds ran than there were callers. As in x/sync's singleflight tests,
+// the callers get a moment to join the flight before the build returns;
+// one that comes later finds the failure dropped and builds on its own,
+// so sharing is required, not that every caller shared.
+func failFlight(t *testing.T, c *Cache, key string, err error, n int) {
+	t.Helper()
+	var builds, started atomic.Int64
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			started.Add(1)
+			_, errs[g] = Get(c, key, func() (int, error) {
+				builds.Add(1)
+				<-release
+				return 0, err
+			})
+		}(g)
+	}
+	for started.Load() != int64(n) {
+		runtime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	for g, got := range errs {
+		if !errors.Is(got, err) {
+			t.Fatalf("caller %d: err = %v, want %v", g, got, err)
 		}
 	}
-	if b := builds.Load(); b != 1 {
-		t.Errorf("failing build ran %d times, want 1", b)
+	if b := builds.Load(); b >= int64(n) {
+		t.Fatalf("%d callers ran %d builds: none shared a flight", n, b)
 	}
 }
 
-// TestCacheTransientErrorsRetry: a cancelled or deadline-expired build
-// failure is delivered to its waiters but not memoized — the next caller
-// rebuilds. Deterministic failures stay cached.
+// TestCacheCachesErrors: a failed build's error is cached for its flight
+// and no longer. Concurrent callers of one failing build share that build
+// and its error; then the cache holds nothing, Peek finds nothing, and
+// the next call builds again.
+func TestCacheCachesErrors(t *testing.T) {
+	c := NewCache()
+	failFlight(t, c, "k", errors.New("train failed"), 8)
+	if n := c.Len(); n != 0 {
+		t.Fatalf("cache holds %d keys after a failed build, want 0", n)
+	}
+	if _, ok := Peek[int](c, "k"); ok {
+		t.Fatal("Peek found a failed build")
+	}
+	builds := 0
+	v, err := Get(c, "k", func() (int, error) { builds++; return 7, nil })
+	if err != nil || v != 7 || builds != 1 {
+		t.Fatalf("next Get = (%d, %v) after %d builds, want (7, nil) from one build", v, err, builds)
+	}
+}
+
+// TestCachePeek: Peek returns a finished artifact of the asked type and
+// never builds, waits for a build in flight or finds a failed one.
+func TestCachePeek(t *testing.T) {
+	c := NewCache()
+	if _, ok := Peek[int](c, "k"); ok {
+		t.Fatal("Peek found an absent key")
+	}
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Get(c, "k", func() (int, error) { <-release; return 7, nil })
+	}()
+	for c.Len() == 0 {
+		runtime.Gosched()
+	}
+	if _, ok := Peek[int](c, "k"); ok {
+		t.Fatal("Peek found a build in flight")
+	}
+	close(release)
+	<-done
+	if v, ok := Peek[int](c, "k"); !ok || v != 7 {
+		t.Fatalf("Peek = (%d, %v), want (7, true)", v, ok)
+	}
+	if _, ok := Peek[string](c, "k"); ok {
+		t.Fatal("Peek found an int as a string")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache holds %d keys, want 1: Peek must not build", c.Len())
+	}
+}
+
+// TestCacheTransientErrorsRetry: a failed build is delivered to the
+// callers that joined its flight but not memoized — the next caller
+// rebuilds. A cancelled or deadline-expired build always failed so; a
+// deterministic error now does too, and stays cached for its flight only.
 func TestCacheTransientErrorsRetry(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -94,36 +169,18 @@ func TestCacheTransientErrorsRetry(t *testing.T) {
 	}{
 		{"context.Canceled", context.Canceled},
 		{"wrapped deadline", fmt.Errorf("store write: %w", context.DeadlineExceeded)},
+		{"deterministic error stays cached", errors.New("malformed corpus")}, // for its flight only
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCache()
+			failFlight(t, c, "k", tc.err, 4)
 			builds := 0
-			if _, err := Get(c, "k", func() (int, error) { builds++; return 0, tc.err }); !errors.Is(err, tc.err) {
-				t.Fatalf("first Get = %v, want %v", err, tc.err)
-			}
 			v, err := Get(c, "k", func() (int, error) { builds++; return 7, nil })
-			if err != nil || v != 7 {
-				t.Fatalf("retry Get = (%d, %v), want (7, nil)", v, err)
-			}
-			if builds != 2 {
-				t.Fatalf("build ran %d times, want 2 (transient failure retried)", builds)
+			if err != nil || v != 7 || builds != 1 {
+				t.Fatalf("retry Get = (%d, %v) after %d builds, want (7, nil) from one build", v, err, builds)
 			}
 		})
 	}
-
-	t.Run("deterministic error stays cached", func(t *testing.T) {
-		c := NewCache()
-		builds := 0
-		permanent := errors.New("malformed corpus")
-		for i := 0; i < 3; i++ {
-			if _, err := Get(c, "k", func() (int, error) { builds++; return 0, permanent }); !errors.Is(err, permanent) {
-				t.Fatalf("Get = %v, want the cached permanent error", err)
-			}
-		}
-		if builds != 1 {
-			t.Fatalf("build ran %d times, want 1 (permanent failure cached)", builds)
-		}
-	})
 }
 
 // TestCacheBuildPanic: a panicking build releases waiters with an error

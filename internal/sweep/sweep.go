@@ -7,11 +7,11 @@
 // caller adds up in point order once Map returns, so they read the same
 // at any worker count.
 //
-// The package also provides a content-addressed artifact cache with
-// single-flight deduplication (cache.go), so expensive trained artifacts
-// — Huffman codes, CodePack dictionaries, compressed ROM images — are
-// built once per unique (coder, corpus, configuration) triple no matter
-// how many sweep points or concurrent workers need them.
+// The package also provides a content-addressed single-flight artifact
+// cache (cache.go): an expensive artifact — a Huffman code, a CodePack
+// dictionary, a compressed ROM image — is built once per key however
+// many sweep points or workers need it, and a failed build is answered
+// and dropped, never kept. Peek reads the cache without building.
 package sweep
 
 import (

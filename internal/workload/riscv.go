@@ -49,16 +49,6 @@ var rvRegistry = []*Workload{
 // RISCV returns the RV32 corpus in presentation order.
 func RISCV() []*Workload { return rvRegistry }
 
-// RISCVByName finds an RV32 workload.
-func RISCVByName(name string) (*Workload, bool) {
-	for _, w := range rvRegistry {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return nil, false
-}
-
 // rvWrapMain composes a complete RV32 program: entry stub, core text
 // (defining main), runtime, cold padding, and the data sections.
 func rvWrapMain(coreText, coreData, padText string) string {

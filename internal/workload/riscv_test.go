@@ -38,11 +38,10 @@ func TestRISCVRegistry(t *testing.T) {
 			t.Errorf("%s: ISA = %q, want rv32", w.Name, w.ISA)
 		}
 	}
-	if _, ok := RISCVByName("rv-matrix"); !ok {
-		t.Error("RISCVByName(rv-matrix) failed")
-	}
-	if _, ok := RISCVByName("eightq"); ok {
-		t.Error("RISCVByName accepted a MIPS workload name")
+	for _, w := range RISCV() {
+		if got, ok := ByName(w.Name); !ok || got != w {
+			t.Errorf("ByName(%s) = %v, %v; want the RV32 workload", w.Name, got, ok)
+		}
 	}
 }
 
@@ -91,7 +90,7 @@ func TestRISCVDeterministicBuilds(t *testing.T) {
 		return rvWrapMain(rvMatrixText, rvMatrixData,
 			rvSynthFunctions("rvm", 40, 100, 0x2A, 4))
 	}}
-	w, _ := RISCVByName("rv-matrix")
+	w, _ := ByName("rv-matrix")
 	if a.Source() != w.Source() {
 		t.Error("synthesized RV32 source not deterministic")
 	}

@@ -16,6 +16,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -236,9 +237,13 @@ func Figure5Set() []*Workload {
 	return out
 }
 
-// ByName finds a workload.
+// both is every workload of both corpora, the R2000 set (All) and then
+// the RV32 ports (RISCV): what ByName searches and Names lists.
+var both = slices.Concat(registry, rvRegistry)
+
+// ByName finds a workload of either corpus.
 func ByName(name string) (*Workload, bool) {
-	for _, w := range registry {
+	for _, w := range both {
 		if w.Name == name {
 			return w, true
 		}
@@ -246,10 +251,10 @@ func ByName(name string) (*Workload, bool) {
 	return nil, false
 }
 
-// Names lists all workload names.
+// Names lists the workloads of both corpora, the R2000 set first.
 func Names() []string {
-	out := make([]string, len(registry))
-	for i, w := range registry {
+	out := make([]string, len(both))
+	for i, w := range both {
 		out[i] = w.Name
 	}
 	return out
