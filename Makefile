@@ -64,6 +64,7 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzMultiVsHardwareModels$$' ./internal/decoder
 	$(FUZZ) -fuzz='^FuzzAssemble$$' ./internal/asm
 	$(FUZZ) -fuzz='^FuzzReadImage$$' ./internal/asm
+	$(FUZZ) -fuzz='^FuzzDisassemblyRoundTrip$$' ./internal/isa
 	$(FUZZ) -fuzz='^FuzzDecompress$$' ./internal/lzw
 	$(FUZZ) -fuzz='^FuzzRoundTrip$$' ./internal/lzw
 	$(FUZZ) -fuzz='^FuzzDecompressHandler$$' ./internal/server

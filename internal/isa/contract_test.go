@@ -78,6 +78,42 @@ func TestDisassemblyRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDisassemblyRoundTrip extends TestDisassemblyRoundTrip from the
+// contract words to any word: a word the backend's Decode marks valid
+// must disassemble at pc 0x1000 to a line that assembles to exactly one
+// word with the same mnemonic and the same disassembly. That word may
+// differ from the fuzzed one in fields the disassembly does not show.
+// The word is the first four bytes of w, little-endian and zero-padded;
+// rv32 picks the backend.
+func FuzzDisassemblyRoundTrip(f *testing.F) {
+	const pc = 0x1000
+	f.Fuzz(func(t *testing.T, w []byte, rv32 bool) {
+		var b [4]byte
+		copy(b[:], w)
+		word := isa.Word(binary.LittleEndian.Uint32(b[:]))
+		name := "mips"
+		if rv32 {
+			name = "rv32"
+		}
+		arch := isa.MustLookup(name)
+		info := arch.Decode(word, pc)
+		if !info.Valid {
+			return
+		}
+		text := arch.Disassemble(word, pc)
+		back, err := reassemble(name, text, pc)
+		if err != nil {
+			t.Fatalf("%s: reassemble %q (from %#08x): %v", name, text, uint32(word), err)
+		}
+		if m := arch.Decode(back, pc).Mnemonic; m != info.Mnemonic {
+			t.Errorf("%s: %#08x (%s) -> %q -> %#08x (%s)", name, uint32(word), info.Mnemonic, text, uint32(back), m)
+		}
+		if again := arch.Disassemble(back, pc); again != text {
+			t.Errorf("%s: %#08x -> %q -> %#08x -> %q", name, uint32(word), text, uint32(back), again)
+		}
+	})
+}
+
 // reassemble assembles one line for the named ISA at address pc and
 // returns the one word it encodes to.
 func reassemble(isaName, line string, pc uint32) (isa.Word, error) {

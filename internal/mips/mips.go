@@ -6,7 +6,9 @@
 // ISA: a row per operation gives its mnemonic, pipeline class, assembler
 // operand form and encoding, and Decode, Encode, Disassemble, the
 // operation names and classes and the assembler's machine mnemonics are
-// all derived from it. The assembler (internal/asm) and the functional
+// all derived from it. A second table, operands (operand.go), gives each
+// operand form one operand list, which the assembler backend parses and
+// Disassemble prints. The assembler (internal/asm) and the functional
 // simulator (internal/sim) are both built on it, which keeps encode and
 // execute in agreement by construction.
 //

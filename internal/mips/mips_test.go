@@ -57,6 +57,8 @@ func TestDecodeGolden(t *testing.T) {
 		want string
 	}{
 		{0x00000000, "nop"},                      // sll $zero,$zero,0
+		{0x00200000, "nop"},                      // rs is unused: the line reassembles to 0
+		{0x00000002, "srl $zero, $zero, 0"},      // only sll renders as nop
 		{0x012A4020, "add $t0, $t1, $t2"},        // 000000 01001 01010 01000 00000 100000
 		{0x012A4022, "sub $t0, $t1, $t2"},        // funct 0x22
 		{0x8D280004, "lw $t0, 4($t1)"},           // 100011 01001 01000 imm=4

@@ -243,8 +243,8 @@ var opTable = [numOps]opInfo{
 
 	OpMFC1: {"mfc1", ClassFPU, formCop1Move, layCop1, 0x00, 0},
 	OpMTC1: {"mtc1", ClassFPU, formCop1Move, layCop1, 0x04, 0},
-	OpBC1F: {"bc1f", ClassFPBr, formBranchFP, layBC1, 0, 0},
-	OpBC1T: {"bc1t", ClassFPBr, formBranchFP, layBC1, 1, 0},
+	OpBC1F: {"bc1f", ClassFPBr, formBranch0, layBC1, 0, 0},
+	OpBC1T: {"bc1t", ClassFPBr, formBranch0, layBC1, 1, 0},
 
 	OpADDS:  {"add.s", ClassFPU, formFP3, layCop1Fmt, fmtS, 0x00},
 	OpADDD:  {"add.d", ClassFPU, formFP3, layCop1Fmt, fmtD, 0x00},

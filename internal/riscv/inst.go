@@ -308,31 +308,19 @@ func Encode(inst Inst) uint32 {
 }
 
 // Disassemble renders the word at pc in the syntax the assembler backend
-// accepts, the operand form of its operation (branch and jal targets are
-// absolute hex addresses).
+// accepts: its operation's operand row, with branch and jal targets as
+// absolute hex addresses.
 func Disassemble(w uint32, pc uint32) string {
 	inst := Decode(w)
 	if inst.Op == OpInvalid {
 		return fmt.Sprintf(".word 0x%08x", w)
 	}
-	r := RegName
-	switch opTable[inst.Op].form {
-	case formR3:
-		return fmt.Sprintf("%s %s, %s, %s", inst.Op, r(inst.Rd), r(inst.Rs1), r(inst.Rs2))
-	case formImm, formShift:
-		return fmt.Sprintf("%s %s, %s, %d", inst.Op, r(inst.Rd), r(inst.Rs1), inst.Imm)
-	case formLoad:
-		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rd), inst.Imm, r(inst.Rs1))
-	case formStore:
-		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rs2), inst.Imm, r(inst.Rs1))
-	case formBranch:
-		return fmt.Sprintf("%s %s, %s, 0x%08x", inst.Op, r(inst.Rs1), r(inst.Rs2), pc+uint32(inst.Imm))
-	case formUpper:
-		return fmt.Sprintf("%s %s, 0x%x", inst.Op, r(inst.Rd), uint32(inst.Imm)>>12)
-	case formJAL:
-		return fmt.Sprintf("%s %s, 0x%08x", inst.Op, r(inst.Rd), pc+uint32(inst.Imm))
-	case formJALR:
-		return fmt.Sprintf("%s %s, %d(%s)", inst.Op, r(inst.Rd), inst.Imm, r(inst.Rs1))
+	var buf [40]byte
+	b := append(buf[:0], inst.Op.String()...)
+	sep := " "
+	for _, o := range operands[opTable[inst.Op].form] {
+		b = appendOperand(append(b, sep...), o, inst, pc)
+		sep = ", "
 	}
-	return inst.Op.String() // formNone: fence, ecall, ebreak
+	return string(b)
 }

@@ -4,7 +4,9 @@
 // expander. One table (opTable, inst.go) holds a row per operation with
 // its mnemonic, pipeline class, assembler operand form and encoding;
 // Decode, Encode, Disassemble, the operation names and classes and the
-// assembler's machine mnemonics are all derived from it.
+// assembler's machine mnemonics are all derived from it, and a second
+// table, operands (operand.go), gives each operand form one operand list,
+// which the assembler backend parses and Disassemble prints.
 //
 // The RVC expander is the point of the exercise: RISC-V's "C"
 // extension is the ISA-level answer to the code-size problem the paper

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"sort"
 
@@ -72,15 +73,38 @@ type trainRequest struct {
 	Workloads []string   `json:"workloads,omitempty"`  // corpus programs by name
 }
 
-// gatherCorpus resolves the training corpus of a request.
+// gatherCorpus resolves the training corpus of a request. Each image
+// may appear once: a workload named twice, or an image whose content
+// repeats another's, inline or named, is a bad request, since the
+// repeat adds cost and no training data. Names are checked before any
+// text is resolved.
 func gatherCorpus(req *trainRequest) ([][]byte, error) {
+	named := make(map[string]bool, len(req.Workloads))
+	for i, name := range req.Workloads {
+		if named[name] {
+			return nil, errBadRequest("workloads[%d]: workload %q is named twice", i, name)
+		}
+		named[name] = true
+	}
 	var corpus [][]byte
+	seen := make(map[string]string, len(req.CorpusB64)+len(req.Workloads)) // content hash -> where
+	add := func(img []byte, where string) error {
+		h := sweep.HashBytes(img)
+		if first, dup := seen[h]; dup {
+			return errBadRequest("%s repeats the image of %s", where, first)
+		}
+		seen[h] = where
+		corpus = append(corpus, img)
+		return nil
+	}
 	for i, enc := range req.CorpusB64 {
 		img, err := enc.decode()
 		if err != nil {
 			return nil, errBadRequest("corpus_b64[%d]: invalid base64: %v", i, err)
 		}
-		corpus = append(corpus, img)
+		if err := add(img, fmt.Sprintf("corpus_b64[%d]", i)); err != nil {
+			return nil, err
+		}
 	}
 	for _, name := range req.Workloads {
 		w, ok := workload.ByName(name)
@@ -92,7 +116,9 @@ func gatherCorpus(req *trainRequest) ([][]byte, error) {
 		if err != nil {
 			return nil, errUnprocessable("workload %q failed to build: %v", name, err)
 		}
-		corpus = append(corpus, text)
+		if err := add(text, fmt.Sprintf("workload %q", name)); err != nil {
+			return nil, err
+		}
 	}
 	return corpus, nil
 }
@@ -252,36 +278,30 @@ func (s *Server) handleGetCoder(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// coderByID returns the coder id if the registry holds it.
-func (s *Server) coderByID(id string) (*coderEntry, error) {
-	entry, ok := sweep.Peek[*coderEntry](s.coders, id)
-	if !ok {
-		return nil, Errf(http.StatusNotFound, CodeNotFound,
-			"unknown coder id %q (train it with POST /v1/coders)", id)
-	}
-	return entry, nil
-}
-
-// resolveCoder is coderByID under a coder_resolve span, the instrumented
-// path the request handlers share. A registry miss reads the disk store
-// before 404ing, and puts what it read in the registry, unless another
-// request put the coder there meanwhile: that one wins. So a restarted
-// node reads each stored coder once, on first use, and when fleet
-// members share a store, a coder trained through one node resolves on
-// any peer — which is what lets a router fail a coder's traffic over to
-// the ring successor without the client ever seeing "unknown coder".
-// The read opens at most the one file the id names, and a malformed id
-// opens none.
+// resolveCoder returns coder id under a coder_resolve span, the
+// instrumented path the request handlers share. A registry miss reads
+// the disk store inside the registry's single flight, so concurrent
+// first uses read a stored coder once, and a lookup that meets the id's
+// training in flight waits for it. A restarted node thus reads each
+// stored coder once, on first use, and when fleet members share a
+// store, a coder trained through one node resolves on any peer — which
+// is what lets a router fail a coder's traffic over to the ring
+// successor without the client ever seeing "unknown coder". The read
+// opens at most the one file the id names, and a malformed id opens
+// none.
 func (s *Server) resolveCoder(ctx context.Context, id string) (*coderEntry, error) {
 	sp := tracing.FromContext(ctx).Child(StageCoderGet)
 	defer sp.End()
-	entry, err := s.coderByID(id)
-	if err != nil {
-		restored, serr := s.fromStore(id)
-		if serr == nil {
-			sp.SetAttrInt("store_restored", 1)
-			return sweep.Get(s.coders, id, func() (*coderEntry, error) { return restored, nil })
+	entry, err := sweep.Get(s.coders, id, func() (*coderEntry, error) {
+		stored, err := s.fromStore(id)
+		if err != nil {
+			return nil, Errf(http.StatusNotFound, CodeNotFound,
+				"unknown coder id %q (train it with POST /v1/coders)", id)
 		}
+		sp.SetAttrInt("store_restored", 1)
+		return stored, nil
+	})
+	if err != nil {
 		sp.SetError(err)
 	}
 	return entry, err

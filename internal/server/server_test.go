@@ -281,6 +281,52 @@ func TestFailedTrainingsNotKept(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsRepeatedCorpus: a training corpus names each image
+// once. A body that names one workload 1,000 times, one image sent
+// twice, and an image sent inline and by name are bad requests that
+// build nothing and keep nothing.
+func TestTrainRejectsRepeatedCorpus(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	w, _ := workload.ByName("eightq")
+	text, err := w.Text()
+	if err != nil {
+		t.Fatal(err)
+	}
+	many := make([]string, 1000)
+	for i := range many {
+		many[i] = "espresso"
+	}
+	for _, c := range []struct {
+		name string
+		req  trainRequest
+		want string
+	}{
+		{"workload named 1000 times", trainRequest{Kind: KindHuffman, Workloads: many}, `workloads[1]: workload "espresso" is named twice`},
+		{"image sent twice", trainRequest{Kind: KindCodePack, CorpusB64: []b64Field{b64(text), b64(text)}}, "corpus_b64[1] repeats the image of corpus_b64[0]"},
+		{"image inline and named", trainRequest{Kind: KindHuffman, CorpusB64: []b64Field{b64(text)}, Workloads: []string{"eightq"}}, `workload "eightq" repeats the image of corpus_b64[0]`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+"/v1/coders", c.req)
+			wantError(t, resp, body, http.StatusBadRequest, CodeBadRequest)
+			if eb := decodeAs[errorBody](t, body); eb.Error == nil || eb.Error.Message != c.want {
+				t.Errorf("body %s, want the message %q", body, c.want)
+			}
+		})
+	}
+	if got := counterValue(t, s, "ccrpd_coder_builds_total"); got != "0" {
+		t.Errorf("builds = %s, want 0", got)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if h := decodeAs[healthzBody](t, body); h.Coders != 0 {
+		t.Errorf("healthz coders = %d, want 0", h.Coders)
+	}
+}
+
 func TestCompressDecompressRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := trainPreselected(t, ts.URL)
@@ -508,7 +554,7 @@ func TestDecompressHostileInput(t *testing.T) {
 func TestDecompressDeadline(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	id := trainPreselected(t, ts.URL)
-	entry, err := s.coderByID(id)
+	entry, err := s.resolveCoder(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccrp/internal/codepack"
@@ -241,6 +242,48 @@ func TestStoredCoderReadOnce(t *testing.T) {
 	}
 	if got := counterValue(t, s2, "ccrpd_coder_builds_total"); got != "0" {
 		t.Errorf("builds = %s, want 0", got)
+	}
+}
+
+// TestStoredCoderReadOnceConcurrently: concurrent first uses of a
+// stored coder share one store read. Each of 20 rounds starts a fresh
+// server over one store and sends 8 GETs of a CodePack coder at once.
+func TestStoredCoderReadOnceConcurrently(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Store: st})
+	resp, body := postJSON(t, ts.URL+"/v1/coders", trainRequest{Kind: KindCodePack, Workloads: []string{"eightq"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("train: %d %s", resp.StatusCode, body)
+	}
+	id := decodeAs[coderInfo](t, body).ID
+	ts.Close()
+
+	for round := range 20 {
+		s, ts := newTestServer(t, Config{Store: st})
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				get, err := http.Get(ts.URL + "/v1/coders/" + id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				get.Body.Close()
+				if get.StatusCode != http.StatusOK {
+					t.Errorf("GET stored coder: %d", get.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+		ts.Close()
+		if got := counterValue(t, s, "ccrpd_store_hits_total"); got != "1" {
+			t.Fatalf("round %d: store hits = %s for 8 concurrent GETs, want 1", round, got)
+		}
 	}
 }
 
