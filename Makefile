@@ -27,7 +27,8 @@ staticcheck:
 	$(GO) run $(STATICCHECK) ./...
 
 # The full hygiene gate, what CI runs: build + vet + gofmt + staticcheck
-# + race tests + every example + the ccrpbench module's vet and tests.
+# + race tests + every example + the ccrpbench module's vet and tests
+# + every fuzz target for 2 s (CI's fuzz job gives each 5 s).
 check:
 	sh scripts/check.sh
 

@@ -8,11 +8,12 @@
 //	ccrp-router -fleet host:8642,host:8643,host:8644 [-addr :8640]
 //	            [-trace spans.jsonl] [-drain 15s] [-version]
 //
-// Health checking and forwarding use cluster's defaults: a probe every
-// 500 ms with a 2 s deadline, a node down after 3 consecutive failures
-// and up again after 2 probe successes, and up to 3 attempts per request
-// with a 30 s deadline each and backoff from 25 ms. A request body may
-// hold server.MaxBodyBytes (16 MiB), the limit of every ccrpd, and GET
+// -fleet names each node once. The ring is built once from it, and the
+// probe and retry policy are cluster's constants: a probe every 500 ms
+// with a 2 s deadline, a node down after 3 consecutive failures and up
+// again after 2 probe successes, and up to 3 attempts per request with
+// a 30 s deadline each and backoff from 25 ms. A request body may hold
+// server.MaxBodyBytes (16 MiB), the limit of every ccrpd, and GET
 // /debug/traces keeps the 16 slowest request trees.
 //
 // The ring is the serving analogue of the paper's LAT: an indirection
@@ -31,10 +32,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"ccrp/internal/cliutil"
@@ -70,9 +70,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var nodes []string
 	for _, n := range strings.Split(*fleet, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			nodes = append(nodes, n)
+		if n = strings.TrimSpace(n); n == "" {
+			continue
 		}
+		if slices.Contains(nodes, n) {
+			fmt.Fprintf(stderr, "ccrp-router: -fleet names %s twice\n", n)
+			return 2
+		}
+		nodes = append(nodes, n)
 	}
 	if len(nodes) == 0 {
 		fmt.Fprintln(stderr, "ccrp-router: -fleet requires at least one host:port")
@@ -87,49 +92,34 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 // route listens on addr and forwards to nodes until ctx is done.
 func route(ctx context.Context, stderr io.Writer, addr string, nodes []string, traceOut string, drain time.Duration) error {
-	ctx, cancel := context.WithCancel(ctx)
-	var probing sync.WaitGroup
-	defer probing.Wait()
-	defer cancel() // stops the health prober before route returns
-	ring := cluster.New(cluster.DefaultReplicas, nodes...)
-	health := cluster.NewChecker(cluster.CheckerConfig{
-		Nodes: nodes,
-		OnTransition: func(node string, up bool) {
-			state := "down"
-			if up {
-				state = "up"
-			}
-			fmt.Fprintf(stderr, "ccrp-router: node %s is %s\n", node, state)
-		},
-	})
-	fwd := cluster.NewForwarder(cluster.ForwarderConfig{
-		Ring:   ring,
-		Health: health,
-		Client: &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 32,
-		}},
-	})
 	tracer, err := cliutil.OpenTracer(traceOut, stderr)
 	if err != nil {
 		return err
 	}
 	defer tracer.Close()
-	rt := cluster.NewRouter(ring, health, fwd, tracer)
+	rt := cluster.NewRouter(nodes, tracer, func(node string, up bool) {
+		state := "down"
+		if up {
+			state = "up"
+		}
+		fmt.Fprintf(stderr, "ccrp-router: node %s is %s\n", node, state)
+	})
 
-	// One synchronous probe round before the listener opens: a fleet
-	// member that is already dead at boot never takes the first request.
-	health.ProbeRound(ctx)
-	probing.Add(1)
+	// Probe every node once before the listener opens, then each interval.
+	ctx, cancel := context.WithCancel(ctx)
+	rt.ProbeRound(ctx)
+	probing := make(chan struct{})
 	go func() {
-		defer probing.Done()
-		health.Run(ctx)
+		defer close(probing)
+		rt.Run(ctx)
 	}()
+	defer func() { cancel(); <-probing }() // stop the prober before route returns
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "ccrp-router %s listening on %s, fleet %s (%d/%d up)\n",
-		cliutil.Version(), ln.Addr(), strings.Join(nodes, ","), health.UpCount(), len(nodes))
+		cliutil.Version(), ln.Addr(), strings.Join(nodes, ","), rt.UpCount(), len(nodes))
 	return cliutil.Serve(ctx, stderr, "ccrp-router", ln, rt.Handler(), drain, rt.BeginDrain)
 }

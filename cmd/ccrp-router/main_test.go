@@ -156,8 +156,11 @@ func TestRoute(t *testing.T) {
 	}
 }
 
-// TestFlags: the flags that only restated cluster's defaults are gone,
-// so each is a usage error that routes nothing; so is a missing -fleet.
+// TestFlags: the flags that only restated cluster's constants are gone,
+// so each is a usage error that routes nothing; so is a missing -fleet,
+// and a -fleet that names a node twice. The context is already done, so
+// a row that wrongly starts the router drains at once instead of
+// serving.
 func TestFlags(t *testing.T) {
 	type usage struct {
 		args   []string
@@ -166,14 +169,17 @@ func TestFlags(t *testing.T) {
 	cases := []usage{
 		{nil, "-fleet requires at least one host:port"},
 		{[]string{"-fleet", " , "}, "-fleet requires at least one host:port"},
+		{[]string{"-addr", "127.0.0.1:0", "-fleet", "127.0.0.1:1, 127.0.0.1:1,127.0.0.1:2"}, "-fleet names 127.0.0.1:1 twice"},
 	}
 	for _, f := range []string{"probe-interval", "probe-timeout", "fail-threshold", "recover-threshold",
 		"forward-timeout", "max-attempts", "backoff", "max-body", "trace-tail"} {
 		cases = append(cases, usage{[]string{"-fleet", "127.0.0.1:1", "-" + f, "1"}, "flag provided but not defined: -" + f})
 	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run(context.Background(), c.args, &stdout, &stderr); code != 2 {
+		if code := run(done, c.args, &stdout, &stderr); code != 2 {
 			t.Errorf("%q: exit %d, want 2", c.args, code)
 		}
 		if !strings.Contains(stderr.String(), c.stderr) {

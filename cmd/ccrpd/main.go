@@ -97,7 +97,7 @@ func serve(ctx context.Context, stderr io.Writer, addr, storeDir, traceOut strin
 		return err
 	}
 	defer tracer.Close()
-	cfg := server.Config{Version: cliutil.Version(), Tracer: tracer}
+	cfg := server.Config{Tracer: tracer}
 	if storeDir != "" {
 		if cfg.Store, err = server.OpenStore(storeDir); err != nil {
 			return err

@@ -55,9 +55,7 @@ func (s *spanSink) trace(tid string) []tracing.Record {
 // liveFleet is one in-process deployment: backends by node address,
 // their span sinks, and the router in front.
 type liveFleet struct {
-	ring     *Ring
-	health   *Checker
-	fwd      *Forwarder
+	rt       *Router
 	front    *httptest.Server
 	backends map[string]*httptest.Server
 	spans    map[string]*spanSink
@@ -86,23 +84,21 @@ func bootFleet(t *testing.T) *liveFleet {
 		nodes = append(nodes, node)
 		f.backends[node], f.spans[node] = ts, sink
 	}
-	f.ring = New(DefaultReplicas, nodes...)
-	// Probes are slower than the load, so a killed node is ejected by
-	// failed forwards, which the router's metrics attribute to it.
-	f.health = NewChecker(CheckerConfig{Nodes: nodes, Interval: 200 * time.Millisecond})
+	// The router runs the production policy. Probes are slower than
+	// the load, so a killed node is ejected by failed forwards, which
+	// the router's metrics attribute to it.
+	f.rt = NewRouter(nodes, tracing.New(tracing.Config{Sink: f.rtSpans}), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	probing := make(chan struct{})
 	go func() {
-		f.health.Run(ctx)
+		f.rt.Run(ctx)
 		close(probing)
 	}()
 	t.Cleanup(func() {
 		cancel()
 		<-probing
 	})
-	f.fwd = NewForwarder(ForwarderConfig{Ring: f.ring, Health: f.health, MaxAttempts: 4})
-	rt := NewRouter(f.ring, f.health, f.fwd, tracing.New(tracing.Config{Sink: f.rtSpans}))
-	f.front = httptest.NewServer(rt.Handler())
+	f.front = httptest.NewServer(f.rt.Handler())
 	t.Cleanup(f.front.Close)
 	return f
 }
@@ -226,7 +222,7 @@ func TestFleetFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := f.ring.Owner(coder.ID); owner != want {
+	if want := f.rt.ring.owner(coder.ID); owner != want {
 		t.Fatalf("coder trained on %q, ring owner is %q", owner, want)
 	}
 	eightq, _ := workload.ByName("eightq")
@@ -335,7 +331,7 @@ func TestFleetFailover(t *testing.T) {
 		victim.CloseClientConnections()
 		var hz healthzBody
 		getJSON(t, f.front.URL+"/healthz", &hz)
-		return hz.NodesUp == 2 && !f.health.Healthy(owner)
+		return hz.NodesUp == 2 && !f.rt.health.healthy(owner)
 	})
 	atKill := ops.Load()
 	waitFor(t, "load to keep flowing after the ejection", func() bool { return ops.Load() > atKill+8 })
@@ -347,7 +343,7 @@ func TestFleetFailover(t *testing.T) {
 
 	// The ring settles on the successor, which restores the coder from
 	// the shared store: identical bytes, no coder build.
-	successor := f.fwd.Candidates(coder.ID)[0]
+	successor := f.rt.candidates(coder.ID)[0]
 	var after compressOut
 	node, tid, err := f.post("/v1/compress", compressReq, &after)
 	if err != nil {

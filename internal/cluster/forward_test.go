@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ccrp/internal/tracing"
 )
 
 // testBackend is one scripted fleet member.
@@ -22,10 +24,11 @@ type testBackend struct {
 	drop bool // hang up before sending any header
 }
 
-// newFleet boots n scripted backends and a forwarder over them. The
-// checker's probe always succeeds so health changes only via passive
-// reports (active probing is covered by the checker tests).
-func newFleet(t *testing.T, n int) ([]*testBackend, *Forwarder, *Checker) {
+// newFleet boots n scripted backends and a router over them, recording
+// spans on tracer. Nothing probes, so health changes only via passive
+// reports (active probing is covered by the checker tests), and retries
+// back off for 1 ms.
+func newFleet(t *testing.T, n int, tracer *tracing.Tracer) ([]*testBackend, *Router) {
 	t.Helper()
 	backends := make([]*testBackend, n)
 	nodes := make([]string, n)
@@ -76,16 +79,9 @@ func newFleet(t *testing.T, n int) ([]*testBackend, *Forwarder, *Checker) {
 		nodes[i] = b.node
 	}
 	t.Cleanup(func() { close(stop) }) // cleanups run last-in first-out
-	checker := NewChecker(CheckerConfig{
-		Nodes: nodes,
-		Probe: func(context.Context, string) error { return nil },
-	})
-	fwd := NewForwarder(ForwarderConfig{
-		Ring:    New(0, nodes...),
-		Health:  checker,
-		Backoff: time.Millisecond,
-	})
-	return backends, fwd, checker
+	rt := NewRouter(nodes, tracer, nil)
+	rt.backoff = time.Millisecond
+	return backends, rt
 }
 
 func byNode(backends []*testBackend) map[string]*testBackend {
@@ -98,27 +94,27 @@ func byNode(backends []*testBackend) map[string]*testBackend {
 
 // doKey forwards one GET for key and returns the answering node name
 // from the response body.
-func doKey(t *testing.T, fwd *Forwarder, key string) (*Result, string) {
+func doKey(t *testing.T, rt *Router, key string) (*result, string) {
 	t.Helper()
-	res, err := fwd.Do(context.Background(), key, http.MethodGet, "/v1/thing", nil, nil)
+	res, err := rt.do(context.Background(), key, http.MethodGet, "/v1/thing", nil, nil)
 	if err != nil {
 		t.Fatalf("forward %q: %v", key, err)
 	}
-	return res, string(res.Body)
+	return res, string(res.body)
 }
 
 // TestForwardStickiness: the same key lands on the same (owner) node on
 // every request while the fleet is healthy.
 func TestForwardStickiness(t *testing.T) {
-	backends, fwd, _ := newFleet(t, 3)
-	owner := fwd.cfg.Ring.Owner("coder-abc")
+	backends, rt := newFleet(t, 3, nil)
+	owner := rt.ring.owner("coder-abc")
 	for i := 0; i < 5; i++ {
-		res, servedBy := doKey(t, fwd, "coder-abc")
-		if servedBy != owner || res.Node != owner {
-			t.Fatalf("request %d served by %s (result says %s), want owner %s", i, servedBy, res.Node, owner)
+		res, servedBy := doKey(t, rt, "coder-abc")
+		if servedBy != owner || res.node != owner {
+			t.Fatalf("request %d served by %s (result says %s), want owner %s", i, servedBy, res.node, owner)
 		}
-		if res.FailedOver() {
-			t.Fatalf("request %d failed over on a healthy fleet: %+v", i, res.Attempts)
+		if len(res.attempts) != 1 {
+			t.Fatalf("request %d failed over on a healthy fleet: %+v", i, res.attempts)
 		}
 	}
 	m := byNode(backends)
@@ -131,27 +127,27 @@ func TestForwardStickiness(t *testing.T) {
 // ring's next node for the same key, reports the failure to the health
 // checker, and the client still sees a 200.
 func TestFailoverOn5xx(t *testing.T) {
-	backends, fwd, checker := newFleet(t, 3)
+	backends, rt := newFleet(t, 3, nil)
 	key := "coder-failover"
-	order := fwd.cfg.Ring.Order(key)
+	order := rt.ring.order(key)
 	m := byNode(backends)
 	m[order[0]].fail = true
 
-	res, servedBy := doKey(t, fwd, key)
-	if res.Status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 after failover", res.Status)
+	res, servedBy := doKey(t, rt, key)
+	if res.status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 after failover", res.status)
 	}
 	if servedBy != order[1] {
 		t.Fatalf("served by %s, want the ring successor %s (order %v)", servedBy, order[1], order)
 	}
-	if !res.FailedOver() || len(res.Attempts) != 2 {
-		t.Fatalf("attempts = %+v, want owner 5xx then successor 200", res.Attempts)
+	if len(res.attempts) != 2 {
+		t.Fatalf("attempts = %+v, want owner 5xx then successor 200", res.attempts)
 	}
-	if res.Attempts[0].Status != http.StatusInternalServerError {
-		t.Errorf("first attempt status = %d, want 500", res.Attempts[0].Status)
+	if res.attempts[0].status != http.StatusInternalServerError {
+		t.Errorf("first attempt status = %d, want 500", res.attempts[0].status)
 	}
 	// The failure fed the health state machine.
-	snap := checker.Snapshot()
+	snap := rt.health.snapshot()
 	for _, st := range snap {
 		if st.Node == order[0] && st.ConsecFail != 1 {
 			t.Errorf("owner consecutive failures = %d, want 1", st.ConsecFail)
@@ -160,52 +156,52 @@ func TestFailoverOn5xx(t *testing.T) {
 }
 
 // TestFailoverOnConnectionError: a dead listener (the kill -9 case)
-// fails over to the next healthy node, and after FailThreshold such
+// fails over to the next healthy node, and after failThreshold such
 // failures the node is ejected so later requests skip it entirely.
 func TestFailoverOnConnectionError(t *testing.T) {
-	backends, fwd, checker := newFleet(t, 3)
+	backends, rt := newFleet(t, 3, nil)
 	key := "coder-dead-node"
-	order := fwd.cfg.Ring.Order(key)
+	order := rt.ring.order(key)
 	m := byNode(backends)
 	m[order[0]].ts.Close() // kill the owner
 
 	for i := 0; i < 3; i++ {
-		res, servedBy := doKey(t, fwd, key)
+		res, servedBy := doKey(t, rt, key)
 		if servedBy != order[1] {
 			t.Fatalf("request %d served by %s, want %s", i, servedBy, order[1])
 		}
-		if !res.FailedOver() {
+		if len(res.attempts) < 2 {
 			t.Fatalf("request %d did not record the failover", i)
 		}
 	}
-	if checker.Healthy(order[0]) {
+	if rt.health.healthy(order[0]) {
 		t.Fatal("dead node still healthy after 3 connection failures")
 	}
 	// Ejected: the next request goes straight to the successor, no
 	// failed attempt first.
-	res, servedBy := doKey(t, fwd, key)
-	if servedBy != order[1] || res.FailedOver() {
+	res, servedBy := doKey(t, rt, key)
+	if servedBy != order[1] || len(res.attempts) != 1 {
 		t.Fatalf("post-ejection request: served by %s, attempts %+v; want direct hit on %s",
-			servedBy, res.Attempts, order[1])
+			servedBy, res.attempts, order[1])
 	}
 }
 
 // TestAllNodes5xx: when every candidate answers 5xx the client receives
 // the backend's own last 5xx response, not a synthesized gateway error.
 func TestAllNodes5xx(t *testing.T) {
-	backends, fwd, _ := newFleet(t, 2)
+	backends, rt := newFleet(t, 2, nil)
 	for _, b := range backends {
 		b.fail = true
 	}
-	res, err := fwd.Do(context.Background(), "k", http.MethodGet, "/v1/thing", nil, nil)
+	res, err := rt.do(context.Background(), "k", http.MethodGet, "/v1/thing", nil, nil)
 	if err != nil {
-		t.Fatalf("Do: %v (a relayed 5xx is not a transport error)", err)
+		t.Fatalf("do: %v (a relayed 5xx is not a transport error)", err)
 	}
-	if res.Status != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want the backend's 500", res.Status)
+	if res.status != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want the backend's 500", res.status)
 	}
-	if len(res.Attempts) != 3 {
-		t.Errorf("attempts = %d, want MaxAttempts (3)", len(res.Attempts))
+	if len(res.attempts) != maxAttempts {
+		t.Errorf("attempts = %d, want maxAttempts (3)", len(res.attempts))
 	}
 }
 
@@ -213,82 +209,40 @@ func TestAllNodes5xx(t *testing.T) {
 // order; with the whole fleet down the full ring order returns as a
 // last resort.
 func TestCandidatesHealthFilter(t *testing.T) {
-	_, fwd, checker := newFleet(t, 3)
+	_, rt := newFleet(t, 3, nil)
 	key := "coder-xyz"
-	order := fwd.cfg.Ring.Order(key)
+	order := rt.ring.order(key)
 
 	for i := 0; i < 3; i++ {
-		checker.ReportFailure(order[0], context.DeadlineExceeded)
+		rt.health.reportFailure(order[0], context.DeadlineExceeded, false)
 	}
-	cands := fwd.Candidates(key)
+	cands := rt.candidates(key)
 	if len(cands) != 2 || cands[0] != order[1] {
 		t.Fatalf("candidates = %v, want %v without the down owner", cands, order[1:])
 	}
 
 	for _, n := range order[1:] {
 		for i := 0; i < 3; i++ {
-			checker.ReportFailure(n, context.DeadlineExceeded)
+			rt.health.reportFailure(n, context.DeadlineExceeded, false)
 		}
 	}
-	cands = fwd.Candidates(key)
+	cands = rt.candidates(key)
 	if len(cands) != 3 {
 		t.Fatalf("all-down candidates = %v, want the full ring order %v", cands, order)
 	}
 }
 
-// TestBackoffDelayCap: the per-retry delay doubles from Backoff but
-// never exceeds MaxBackoff, including attempt counts whose uncapped
-// shift would overflow time.Duration.
-func TestBackoffDelayCap(t *testing.T) {
-	fwd := NewForwarder(ForwarderConfig{
-		Ring:       New(0, "n1"),
-		Health:     NewChecker(CheckerConfig{Nodes: []string{"n1"}}),
-		Backoff:    10 * time.Millisecond,
-		MaxBackoff: 80 * time.Millisecond,
-	})
-	want := []time.Duration{
-		10 * time.Millisecond, // attempt 1
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		80 * time.Millisecond,
-		80 * time.Millisecond, // capped from here on
-	}
-	for i, w := range want {
-		if got := fwd.backoffDelay(i + 1); got != w {
-			t.Errorf("backoffDelay(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-	// 64+ doublings overflow int64; the cap must still hold.
-	for _, attempt := range []int{63, 64, 100} {
-		if got := fwd.backoffDelay(attempt); got != 80*time.Millisecond {
-			t.Errorf("backoffDelay(%d) = %v, want the cap", attempt, got)
-		}
-	}
-	// The default cap engages when the config leaves it zero.
-	def := NewForwarder(ForwarderConfig{
-		Ring:   New(0, "n1"),
-		Health: NewChecker(CheckerConfig{Nodes: []string{"n1"}}),
-	})
-	if def.cfg.MaxBackoff != 2*time.Second {
-		t.Errorf("default MaxBackoff = %v, want 2s", def.cfg.MaxBackoff)
-	}
-	if got := def.backoffDelay(100); got != 2*time.Second {
-		t.Errorf("default backoffDelay(100) = %v, want 2s", got)
-	}
-}
-
-// TestBackoffContextCancel: a context cancelled while Do sleeps between
+// TestBackoffContextCancel: a context cancelled while do sleeps between
 // retries aborts the wait promptly instead of serving out the delay.
 func TestBackoffContextCancel(t *testing.T) {
-	backends, fwd, _ := newFleet(t, 1)
+	backends, rt := newFleet(t, 1, nil)
 	backends[0].fail = true
-	fwd.cfg.Backoff = 10 * time.Second // would stall the second attempt
-	fwd.cfg.MaxBackoff = 10 * time.Second
+	rt.backoff = 10 * time.Second // would stall the second attempt
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := fwd.Do(ctx, "k", http.MethodGet, "/v1/thing", nil, nil)
+		_, err := rt.do(ctx, "k", http.MethodGet, "/v1/thing", nil, nil)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the first attempt fail and the backoff start
@@ -296,10 +250,10 @@ func TestBackoffContextCancel(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != context.Canceled {
-			t.Fatalf("Do returned %v, want context.Canceled", err)
+			t.Fatalf("do returned %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Do still sleeping after cancel; backoff ignored the context")
+		t.Fatal("do still sleeping after cancel; backoff ignored the context")
 	}
 }
 
@@ -313,14 +267,11 @@ func TestForwardPropagatesHeadersAndBody(t *testing.T) {
 		gotBody = string(b)
 	}))
 	defer ts.Close()
-	node := strings.TrimPrefix(ts.URL, "http://")
-	checker := NewChecker(CheckerConfig{Nodes: []string{node},
-		Probe: func(context.Context, string) error { return nil }})
-	fwd := NewForwarder(ForwarderConfig{Ring: New(0, node), Health: checker})
+	rt := NewRouter([]string{strings.TrimPrefix(ts.URL, "http://")}, nil, nil)
 
 	hdr := http.Header{}
 	hdr.Set("X-Ccrp-Trace-Id", "0123456789abcdef0123456789abcdef")
-	if _, err := fwd.Do(context.Background(), "k", http.MethodPost, "/v1/compress?x=1", hdr, []byte(`{"a":1}`)); err != nil {
+	if _, err := rt.do(context.Background(), "k", http.MethodPost, "/v1/compress?x=1", hdr, []byte(`{"a":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	if gotTrace != "0123456789abcdef0123456789abcdef" {

@@ -8,35 +8,20 @@ import (
 	"time"
 )
 
-// CheckerConfig tunes a Checker. The zero value of every field selects
-// a production default.
-type CheckerConfig struct {
-	// Nodes is the fleet membership (host:port per node). Required.
-	Nodes []string
-	// Interval between active probe rounds; 0 selects 500ms.
-	Interval time.Duration
-	// Timeout bounds one probe; 0 selects 2s.
-	Timeout time.Duration
-	// FailThreshold is the consecutive-failure count that marks an up
-	// node down; 0 selects 3.
-	FailThreshold int
-	// RecoverThreshold is the consecutive active-probe success count
-	// that marks a down node up again; 0 selects 2.
-	RecoverThreshold int
-	// Probe checks one node, returning nil when it is ready to serve.
-	// nil selects the HTTP default: GET http://node/readyz must answer
-	// 200 within Timeout, so a draining ccrpd (readyz 503) leaves the
-	// rotation before its listener closes.
-	Probe func(ctx context.Context, node string) error
-	// OnTransition, when set, is called on every up/down flip (not for
-	// the initial states). Called from Run's goroutine and from
-	// ReportFailure callers; must not block.
-	OnTransition func(node string, up bool)
-}
+// The probe policy. A node is probed every probeInterval, each probe
+// with a probeTimeout deadline; it goes down after failThreshold
+// consecutive probe or forward failures and comes back up after
+// recoverThreshold consecutive probe successes.
+const (
+	probeInterval    = 500 * time.Millisecond
+	probeTimeout     = 2 * time.Second
+	failThreshold    = 3
+	recoverThreshold = 2
+)
 
 // nodeHealth is one node's state machine. Nodes start up — the fleet is
 // presumed serving at boot, and the first probe round corrects any
-// optimism within one Interval.
+// optimism within one probeInterval.
 type nodeHealth struct {
 	up         bool
 	consecFail int // probe or forward failures since the last success
@@ -46,8 +31,8 @@ type nodeHealth struct {
 	flips      int // up/down transitions since boot
 }
 
-// NodeStatus is the exported snapshot of one node's health.
-type NodeStatus struct {
+// nodeStatus is one node's entry in the router's /healthz fleet list.
+type nodeStatus struct {
 	Node       string    `json:"node"`
 	Up         bool      `json:"up"`
 	ConsecFail int       `json:"consecutive_failures,omitempty"`
@@ -56,56 +41,50 @@ type NodeStatus struct {
 	Flips      int       `json:"transitions,omitempty"`
 }
 
-// Checker tracks per-node up/down state from two signals: active
+// checker tracks per-node up/down state from two signals: active
 // readiness probes on a fixed interval, and passive failure reports
 // from the forwarding path. Passive reports share the consecutive-
 // failure counter, so a kill -9'd backend is ejected after
-// FailThreshold failed forwards without waiting out a probe round;
-// recovery, by contrast, requires RecoverThreshold consecutive *active*
+// failThreshold failed forwards without waiting out a probe round;
+// recovery, by contrast, requires recoverThreshold consecutive *active*
 // probe successes, so a flapping node must prove itself before taking
 // traffic again.
-type Checker struct {
-	cfg CheckerConfig
+type checker struct {
+	nodes []string
+	// probe checks one node, returning nil when it is ready to serve:
+	// httpProbe, or a scripted probe in tests.
+	probe func(ctx context.Context, node string) error
+	// onTransition, when set, is called on every up/down flip (not for
+	// the initial states), from run's goroutine and from forwarding
+	// goroutines; it must not block.
+	onTransition func(node string, up bool)
 
 	mu    sync.Mutex
 	state map[string]*nodeHealth
 }
 
-// NewChecker builds a checker with every node initially up. Call Run to
-// start active probing.
-func NewChecker(cfg CheckerConfig) *Checker {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
+// newChecker builds a checker over distinct nodes, every one initially
+// up. Call run to start active probing.
+func newChecker(nodes []string, onTransition func(node string, up bool)) *checker {
+	c := &checker{
+		nodes: nodes, probe: httpProbe, onTransition: onTransition,
+		state: make(map[string]*nodeHealth, len(nodes)),
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.RecoverThreshold <= 0 {
-		cfg.RecoverThreshold = 2
-	}
-	if cfg.Probe == nil {
-		client := &http.Client{Timeout: cfg.Timeout}
-		cfg.Probe = func(ctx context.Context, node string) error {
-			return httpProbe(ctx, client, node)
-		}
-	}
-	c := &Checker{cfg: cfg, state: make(map[string]*nodeHealth, len(cfg.Nodes))}
-	for _, n := range cfg.Nodes {
+	for _, n := range nodes {
 		c.state[n] = &nodeHealth{up: true}
 	}
 	return c
 }
 
-// httpProbe is the default readiness probe.
-func httpProbe(ctx context.Context, client *http.Client, node string) error {
+// httpProbe is the readiness probe: GET http://node/readyz must answer
+// 200 within the probe's deadline, so a draining ccrpd (readyz 503)
+// leaves the rotation before its listener closes.
+func httpProbe(ctx context.Context, node string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+node+"/readyz", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -116,14 +95,13 @@ func httpProbe(ctx context.Context, client *http.Client, node string) error {
 	return nil
 }
 
-// Run probes every node each Interval until ctx is done. One round
-// probes nodes sequentially — fleets are small and probes cheap; a
-// hung node costs at most Timeout per round.
-func (c *Checker) Run(ctx context.Context) {
-	ticker := time.NewTicker(c.cfg.Interval)
+// run probes every node now and then each probeInterval until ctx is
+// done.
+func (c *checker) run(ctx context.Context) {
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	for {
-		c.ProbeRound(ctx)
+		c.probeRound(ctx)
 		select {
 		case <-ctx.Done():
 			return
@@ -132,15 +110,16 @@ func (c *Checker) Run(ctx context.Context) {
 	}
 }
 
-// ProbeRound actively probes every node once (exported so tests and the
-// router's startup can force a round without waiting an interval).
-func (c *Checker) ProbeRound(ctx context.Context) {
-	for _, node := range c.cfg.Nodes {
+// probeRound actively probes every node once. One round probes nodes
+// sequentially — fleets are small and probes cheap; a hung node costs
+// at most probeTimeout per round.
+func (c *checker) probeRound(ctx context.Context) {
+	for _, node := range c.nodes {
 		if ctx.Err() != nil {
 			return
 		}
-		pctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-		err := c.cfg.Probe(pctx, node)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+		err := c.probe(pctx, node)
 		cancel()
 		if err != nil {
 			c.reportFailure(node, err, true)
@@ -150,16 +129,9 @@ func (c *Checker) ProbeRound(ctx context.Context) {
 	}
 }
 
-// ReportFailure feeds a forwarding failure (connect error or 5xx) into
-// the node's state machine.
-func (c *Checker) ReportFailure(node string, err error) { c.reportFailure(node, err, false) }
-
-// ReportSuccess feeds a successful forward into the node's state
-// machine: it clears the failure streak but does not count toward
-// recovery (only active probes do).
-func (c *Checker) ReportSuccess(node string) { c.reportSuccess(node, false) }
-
-func (c *Checker) reportFailure(node string, err error, probed bool) {
+// reportFailure feeds a failed probe, or a forwarding failure (connect
+// error or 5xx), into the node's state machine.
+func (c *checker) reportFailure(node string, err error, probed bool) {
 	c.mu.Lock()
 	st, ok := c.state[node]
 	if !ok {
@@ -174,18 +146,21 @@ func (c *Checker) reportFailure(node string, err error, probed bool) {
 	if probed {
 		st.lastProbe = time.Now()
 	}
-	flipped := st.up && st.consecFail >= c.cfg.FailThreshold
+	flipped := st.up && st.consecFail >= failThreshold
 	if flipped {
 		st.up = false
 		st.flips++
 	}
 	c.mu.Unlock()
-	if flipped && c.cfg.OnTransition != nil {
-		c.cfg.OnTransition(node, false)
+	if flipped && c.onTransition != nil {
+		c.onTransition(node, false)
 	}
 }
 
-func (c *Checker) reportSuccess(node string, probed bool) {
+// reportSuccess feeds a good probe or a successful forward into the
+// node's state machine. Both clear the failure streak; only probes
+// count toward recovery.
+func (c *checker) reportSuccess(node string, probed bool) {
 	c.mu.Lock()
 	st, ok := c.state[node]
 	if !ok {
@@ -198,28 +173,28 @@ func (c *Checker) reportSuccess(node string, probed bool) {
 		st.lastProbe = time.Now()
 		st.lastErr = ""
 	}
-	flipped := !st.up && probed && st.consecOK >= c.cfg.RecoverThreshold
+	flipped := !st.up && probed && st.consecOK >= recoverThreshold
 	if flipped {
 		st.up = true
 		st.flips++
 	}
 	c.mu.Unlock()
-	if flipped && c.cfg.OnTransition != nil {
-		c.cfg.OnTransition(node, true)
+	if flipped && c.onTransition != nil {
+		c.onTransition(node, true)
 	}
 }
 
-// Healthy reports whether the node is currently up. Unknown nodes are
+// healthy reports whether the node is currently up. Unknown nodes are
 // unhealthy.
-func (c *Checker) Healthy(node string) bool {
+func (c *checker) healthy(node string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.state[node]
 	return ok && st.up
 }
 
-// UpCount returns how many nodes are currently up.
-func (c *Checker) UpCount() int {
+// upCount returns how many nodes are currently up.
+func (c *checker) upCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
@@ -231,14 +206,14 @@ func (c *Checker) UpCount() int {
 	return n
 }
 
-// Snapshot returns every node's status in membership order.
-func (c *Checker) Snapshot() []NodeStatus {
+// snapshot returns every node's status in membership order.
+func (c *checker) snapshot() []nodeStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]NodeStatus, 0, len(c.cfg.Nodes))
-	for _, node := range c.cfg.Nodes {
+	out := make([]nodeStatus, 0, len(c.nodes))
+	for _, node := range c.nodes {
 		st := c.state[node]
-		out = append(out, NodeStatus{
+		out = append(out, nodeStatus{
 			Node: node, Up: st.up,
 			ConsecFail: st.consecFail,
 			LastErr:    st.lastErr,

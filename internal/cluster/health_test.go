@@ -29,64 +29,60 @@ func (p *scriptProbe) probe(_ context.Context, node string) error {
 	return nil
 }
 
-func newTestChecker(nodes ...string) (*Checker, *scriptProbe, *[]string) {
+// newTestChecker builds a checker whose probe is p's script.
+func newTestChecker(nodes ...string) (*checker, *scriptProbe, *[]string) {
 	p := &scriptProbe{fail: map[string]bool{}}
 	var transitions []string
-	c := NewChecker(CheckerConfig{
-		Nodes:            nodes,
-		FailThreshold:    3,
-		RecoverThreshold: 2,
-		Probe:            p.probe,
-		OnTransition: func(node string, up bool) {
-			state := "down"
-			if up {
-				state = "up"
-			}
-			transitions = append(transitions, node+"="+state)
-		},
+	c := newChecker(nodes, func(node string, up bool) {
+		state := "down"
+		if up {
+			state = "up"
+		}
+		transitions = append(transitions, node+"="+state)
 	})
+	c.probe = p.probe
 	return c, p, &transitions
 }
 
 // TestCheckerStateMachine drives the full lifecycle: up at boot, down
-// after FailThreshold consecutive probe failures, and up again only
-// after RecoverThreshold consecutive successes.
+// after failThreshold (3) consecutive probe failures, and up again only
+// after recoverThreshold (2) consecutive successes.
 func TestCheckerStateMachine(t *testing.T) {
 	c, p, transitions := newTestChecker("a:1", "b:1")
 	ctx := context.Background()
 
-	if !c.Healthy("a:1") || !c.Healthy("b:1") {
+	if !c.healthy("a:1") || !c.healthy("b:1") {
 		t.Fatal("nodes must start healthy")
 	}
-	if c.Healthy("unknown:1") {
+	if c.healthy("unknown:1") {
 		t.Fatal("unknown node reported healthy")
 	}
 
 	p.set("a:1", true)
-	c.ProbeRound(ctx)
-	c.ProbeRound(ctx)
-	if !c.Healthy("a:1") {
-		t.Fatal("a went down before FailThreshold consecutive failures")
+	c.probeRound(ctx)
+	c.probeRound(ctx)
+	if !c.healthy("a:1") {
+		t.Fatal("a went down before failThreshold consecutive failures")
 	}
-	c.ProbeRound(ctx)
-	if c.Healthy("a:1") {
+	c.probeRound(ctx)
+	if c.healthy("a:1") {
 		t.Fatal("a still healthy after 3 consecutive probe failures")
 	}
-	if c.Healthy("b:1") != true {
+	if c.healthy("b:1") != true {
 		t.Fatal("b must stay healthy while a fails")
 	}
-	if c.UpCount() != 1 {
-		t.Fatalf("UpCount = %d, want 1", c.UpCount())
+	if c.upCount() != 1 {
+		t.Fatalf("upCount = %d, want 1", c.upCount())
 	}
 
 	// One good probe is not recovery; two are.
 	p.set("a:1", false)
-	c.ProbeRound(ctx)
-	if c.Healthy("a:1") {
-		t.Fatal("a recovered after a single good probe (RecoverThreshold=2)")
+	c.probeRound(ctx)
+	if c.healthy("a:1") {
+		t.Fatal("a recovered after a single good probe (recoverThreshold=2)")
 	}
-	c.ProbeRound(ctx)
-	if !c.Healthy("a:1") {
+	c.probeRound(ctx)
+	if !c.healthy("a:1") {
 		t.Fatal("a did not recover after 2 consecutive good probes")
 	}
 
@@ -105,35 +101,35 @@ func TestCheckerPassiveFailures(t *testing.T) {
 	c, p, _ := newTestChecker("a:1")
 	ctx := context.Background()
 
-	c.ReportFailure("a:1", errors.New("connection refused"))
-	c.ReportFailure("a:1", errors.New("connection refused"))
-	c.ReportSuccess("a:1") // clears the streak
-	c.ReportFailure("a:1", errors.New("connection refused"))
-	c.ReportFailure("a:1", errors.New("connection refused"))
-	if !c.Healthy("a:1") {
+	c.reportFailure("a:1", errors.New("connection refused"), false)
+	c.reportFailure("a:1", errors.New("connection refused"), false)
+	c.reportSuccess("a:1", false) // clears the streak
+	c.reportFailure("a:1", errors.New("connection refused"), false)
+	c.reportFailure("a:1", errors.New("connection refused"), false)
+	if !c.healthy("a:1") {
 		t.Fatal("node down after a broken failure streak")
 	}
-	c.ReportFailure("a:1", errors.New("connection refused"))
-	if c.Healthy("a:1") {
+	c.reportFailure("a:1", errors.New("connection refused"), false)
+	if c.healthy("a:1") {
 		t.Fatal("node still up after 3 consecutive forwarding failures")
 	}
 
 	// Forward successes alone never recover a down node.
-	c.ReportSuccess("a:1")
-	c.ReportSuccess("a:1")
-	c.ReportSuccess("a:1")
-	if c.Healthy("a:1") {
+	c.reportSuccess("a:1", false)
+	c.reportSuccess("a:1", false)
+	c.reportSuccess("a:1", false)
+	if c.healthy("a:1") {
 		t.Fatal("down node recovered from passive successes alone")
 	}
 	p.set("a:1", false)
-	c.ProbeRound(ctx)
-	c.ProbeRound(ctx)
-	if !c.Healthy("a:1") {
+	c.probeRound(ctx)
+	c.probeRound(ctx)
+	if !c.healthy("a:1") {
 		t.Fatal("down node did not recover from active probes")
 	}
 
-	// Snapshot carries the bookkeeping for /healthz and metrics.
-	snap := c.Snapshot()
+	// snapshot carries the bookkeeping for /healthz and metrics.
+	snap := c.snapshot()
 	if len(snap) != 1 || snap[0].Node != "a:1" || !snap[0].Up || snap[0].Flips != 2 {
 		t.Errorf("snapshot = %+v, want a:1 up with 2 transitions", snap)
 	}
@@ -143,11 +139,11 @@ func TestCheckerPassiveFailures(t *testing.T) {
 // streak is shared, so 2 forward failures + 1 probe failure eject.
 func TestCheckerMixedSignals(t *testing.T) {
 	c, p, _ := newTestChecker("a:1")
-	c.ReportFailure("a:1", errors.New("5xx"))
-	c.ReportFailure("a:1", errors.New("5xx"))
+	c.reportFailure("a:1", errors.New("5xx"), false)
+	c.reportFailure("a:1", errors.New("5xx"), false)
 	p.set("a:1", true)
-	c.ProbeRound(context.Background())
-	if c.Healthy("a:1") {
+	c.probeRound(context.Background())
+	if c.healthy("a:1") {
 		t.Fatal("mixed probe+forward failure streak did not eject the node")
 	}
 }

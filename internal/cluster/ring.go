@@ -1,17 +1,19 @@
-// Package cluster is the fleet-serving layer of the stack: a
+// Package cluster is the fleet-serving layer of the stack: Router, a
+// gateway over a fixed list of ccrpd nodes. It routes each request by a
 // consistent-hash ring that assigns content-addressed coder ids to
-// ccrpd nodes, an active health checker with per-node up/down state
-// machines, and a forwarding client with deadlines, bounded retries,
-// and failover. cmd/ccrp-router composes the three into a gateway.
+// nodes, keeps per-node up/down state from active probes and forwarding
+// outcomes, and forwards with deadlines, bounded retries and failover.
+// cmd/ccrp-router only parses flags around it.
 //
 // The design replays the paper's central indirection one level up. On
 // the embedded core, the LAT maps a fetch address to wherever its
 // compressed block actually lives in ROM; here, the ring maps a coder
 // id to whichever node owns its trained artifacts, so one expensive
 // build (a trained coder, a compressed image) serves the whole fleet
-// instead of being redone per node. Like the LAT, the mapping is pure
-// and deterministic: the same key always resolves to the same healthy
-// node, and membership changes move only the keys they must.
+// instead of being redone per node. Like the LAT, the ring is built
+// once and then only read: the same key always resolves to the same
+// healthy node, and a fleet list that gains a node at restart moves
+// only the keys the new node takes.
 package cluster
 
 import (
@@ -21,23 +23,21 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per physical node. 128
-// points per node keeps the ring's load spread within a few percent of
-// uniform for small fleets (see TestRingDistribution) at a memory cost
-// of one (hash, index) pair per point.
-const DefaultReplicas = 128
+// replicas is the virtual-node count per node. 128 points per node
+// keeps the ring's load spread within a few percent of uniform for
+// small fleets (see TestRingDistribution) at a memory cost of one
+// (hash, index) pair per point.
+const replicas = 128
 
-// Ring is a consistent-hash ring over a set of named nodes. Every node
-// owns Replicas points on a 64-bit circle; a key belongs to the first
-// point clockwise from its own hash. Build the membership with Add (or
-// New's initial list); lookups are read-only and safe to share between
-// goroutines once membership is settled, which is how the router uses
-// it — membership is fixed at boot, health is tracked separately, and
-// lookups skip unhealthy nodes by walking the ring order.
-type Ring struct {
-	replicas int
-	nodes    []string // sorted member names
-	points   []point  // sorted by hash
+// ring is a consistent-hash ring over a fixed set of named nodes. Every
+// node owns replicas points on a 64-bit circle; a key belongs to the
+// first point clockwise from its own hash. It is built once and only
+// read after, so lookups are safe to share between goroutines; health
+// is tracked separately, and routing skips unhealthy nodes by walking
+// the ring order.
+type ring struct {
+	nodes  []string // sorted member names
+	points []point  // sorted by hash
 }
 
 // point is one virtual node: a position on the circle and the index of
@@ -47,66 +47,14 @@ type point struct {
 	node int
 }
 
-// New builds a ring with the given virtual-node count (0 selects
-// DefaultReplicas) and initial members.
-func New(replicas int, nodes ...string) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	r := &Ring{replicas: replicas}
-	for _, n := range nodes {
-		r.Add(n)
-	}
-	return r
-}
-
-// hash64 maps a string onto the circle. SHA-256 (truncated) rather than
-// a fast non-cryptographic hash: ring placement must be identical
-// across processes, architectures, and releases — the fleet's analogue
-// of the LAT being part of the ROM image — and the coder ids being
-// hashed are themselves SHA-256 hex, so keys are cheap to hash and
-// adversarial clustering is not a concern.
-func hash64(s string) uint64 {
-	sum := sha256.Sum256([]byte(s))
-	return binary.BigEndian.Uint64(sum[:8])
-}
-
-// Add inserts a node and its virtual points. Adding a present node is a
-// no-op. Not safe to call concurrently with lookups.
-func (r *Ring) Add(node string) {
-	for _, n := range r.nodes {
-		if n == node {
-			return
-		}
-	}
-	r.nodes = append(r.nodes, node)
+// newRing builds the ring over nodes, which must be distinct. Points
+// are derived only from node names, so the ring's shape is independent
+// of the order nodes are listed in.
+func newRing(nodes []string) *ring {
+	r := &ring{nodes: append([]string(nil), nodes...)}
 	sort.Strings(r.nodes)
-	r.rebuild()
-}
-
-// Remove deletes a node and its virtual points. Removing an absent node
-// is a no-op. Not safe to call concurrently with lookups.
-func (r *Ring) Remove(node string) {
-	kept := r.nodes[:0]
-	for _, n := range r.nodes {
-		if n != node {
-			kept = append(kept, n)
-		}
-	}
-	if len(kept) == len(r.nodes) {
-		return
-	}
-	r.nodes = kept
-	r.rebuild()
-}
-
-// rebuild regenerates the point list from the member set. Points are
-// derived only from node names, so the ring's shape is independent of
-// insertion order.
-func (r *Ring) rebuild() {
-	r.points = r.points[:0]
 	for ni, node := range r.nodes {
-		for i := 0; i < r.replicas; i++ {
+		for i := 0; i < replicas; i++ {
 			r.points = append(r.points, point{
 				hash: hash64(fmt.Sprintf("%s#%d", node, i)),
 				node: ni,
@@ -121,19 +69,23 @@ func (r *Ring) rebuild() {
 		// by node name so the ring stays deterministic regardless.
 		return r.nodes[r.points[i].node] < r.nodes[r.points[j].node]
 	})
+	return r
 }
 
-// Nodes returns the members in sorted order.
-func (r *Ring) Nodes() []string {
-	return append([]string(nil), r.nodes...)
+// hash64 maps a string onto the circle. SHA-256 (truncated) rather than
+// a fast non-cryptographic hash: ring placement must be identical
+// across processes, architectures, and releases — the fleet's analogue
+// of the LAT being part of the ROM image — and the coder ids being
+// hashed are themselves SHA-256 hex, so keys are cheap to hash and
+// adversarial clustering is not a concern.
+func hash64(s string) uint64 {
+	sum := sha256.Sum256([]byte(s))
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Owner returns the node owning key: the first virtual point clockwise
+// owner returns the node owning key: the first virtual point clockwise
 // from the key's hash. Empty string on an empty ring.
-func (r *Ring) Owner(key string) string {
+func (r *ring) owner(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
@@ -142,7 +94,7 @@ func (r *Ring) Owner(key string) string {
 
 // search finds the index of the first point at or after the key's hash,
 // wrapping past the top of the circle.
-func (r *Ring) search(key string) int {
+func (r *ring) search(key string) int {
 	h := hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -151,12 +103,12 @@ func (r *Ring) search(key string) int {
 	return i
 }
 
-// Order returns every member in the key's failover order: the owner
+// order returns every member in the key's failover order: the owner
 // first, then each further distinct node in clockwise ring order. This
-// is the routing contract the forwarder walks — when the owner is down,
+// is the routing contract the router walks — when the owner is down,
 // the key's requests all agree on the same next node, so failover
 // traffic stays as concentrated as primary traffic.
-func (r *Ring) Order(key string) []string {
+func (r *ring) order(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}

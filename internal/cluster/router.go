@@ -34,9 +34,11 @@ const (
 // itself failed the request, error_code; its forward child records the
 // owner, the attempts and the node that answered.
 type Router struct {
-	ring     *Ring
-	health   *Checker
-	fwd      *Forwarder
+	ring     *ring
+	health   *checker
+	client   *http.Client
+	timeout  time.Duration // per forwarded attempt: attemptTimeout
+	backoff  time.Duration // before the second attempt: firstBackoff
 	tracer   *tracing.Tracer
 	start    time.Time
 	draining atomic.Bool
@@ -56,14 +58,24 @@ type routerMetrics struct {
 	uptime    *metrics.Gauge
 }
 
-// NewRouter builds a gateway over ring, routing only to nodes health
-// holds up, forwarding through fwd, recording spans on tracer (nil
-// disables them) and rejecting bodies over server.MaxBodyBytes, the
-// limit every backend enforces.
-func NewRouter(ring *Ring, health *Checker, fwd *Forwarder, tracer *tracing.Tracer) *Router {
+// NewRouter builds a gateway over nodes, which must be distinct
+// host:port addresses: the ring over them, built once, a health checker
+// that holds every node up until probes or forwards say otherwise, and
+// the client that forwards. It records spans on tracer (nil disables
+// them), calls onTransition (when set; it must not block) on every
+// up/down flip of a node, and rejects bodies over server.MaxBodyBytes,
+// the limit every backend enforces. Call ProbeRound and Run to start
+// probing.
+func NewRouter(nodes []string, tracer *tracing.Tracer, onTransition func(node string, up bool)) *Router {
 	rt := &Router{
-		ring: ring, health: health, fwd: fwd, tracer: tracer,
-		start: time.Now(), reg: metrics.New(),
+		ring:    newRing(nodes),
+		health:  newChecker(nodes, onTransition),
+		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}},
+		timeout: attemptTimeout,
+		backoff: firstBackoff,
+		tracer:  tracer,
+		start:   time.Now(),
+		reg:     metrics.New(),
 	}
 	rt.inst = routerMetrics{
 		requests:  rt.reg.CounterVec("ccrp_router_requests_total", "requests answered per backend node", "node"),
@@ -92,8 +104,17 @@ func (rt *Router) Handler() http.Handler {
 // BeginDrain flips the router's /readyz to 503 for the drain window.
 func (rt *Router) BeginDrain() { rt.draining.Store(true) }
 
+// ProbeRound probes every node's /readyz once.
+func (rt *Router) ProbeRound(ctx context.Context) { rt.health.probeRound(ctx) }
+
+// Run probes every node now and then every 500 ms until ctx is done.
+func (rt *Router) Run(ctx context.Context) { rt.health.run(ctx) }
+
+// UpCount returns how many nodes are in rotation.
+func (rt *Router) UpCount() int { return rt.health.upCount() }
+
 // hopHeaders are stripped before forwarding (RFC 9110 connection-
-// scoped fields; the forwarder manages its own connections).
+// scoped fields; the router's client manages its own connections).
 var hopHeaders = []string{
 	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
 	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
@@ -142,52 +163,52 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, tid tracing.Tr
 	hdr.Set(server.TraceHeader, tid.String())
 
 	fsp := span.Child(stageForward)
-	fsp.SetAttr("owner", rt.ring.Owner(key))
-	res, err := rt.fwd.Do(r.Context(), key, r.Method, r.URL.RequestURI(), hdr, body)
+	fsp.SetAttr("owner", rt.ring.owner(key))
+	res, err := rt.do(r.Context(), key, r.Method, r.URL.RequestURI(), hdr, body)
 	rt.recordAttempts(res, fsp)
 	if err != nil {
 		fsp.SetError(err)
 		fsp.End()
 		return rt.fail(w, span, err)
 	}
-	fsp.SetAttr("node", res.Node)
+	fsp.SetAttr("node", res.node)
 	fsp.End()
 
 	out := w.Header()
-	for k, vs := range res.Header {
+	for k, vs := range res.header {
 		if k == server.TraceHeader {
 			continue // already stamped; the backend echoes the same id
 		}
 		out[k] = vs
 	}
-	out.Set(BackendHeader, res.Node)
-	w.WriteHeader(res.Status)
-	_, _ = w.Write(res.Body) // a client gone mid-write has no one to tell
+	out.Set(BackendHeader, res.node)
+	w.WriteHeader(res.status)
+	_, _ = w.Write(res.body) // a client gone mid-write has no one to tell
 
 	rt.mu.Lock()
-	rt.inst.requests.With(res.Node).Inc()
+	rt.inst.requests.With(res.node).Inc()
 	rt.mu.Unlock()
-	return res.Status
+	return res.status
 }
 
 // recordAttempts attributes every failed try to its node — in metrics
 // and on the forward span — whether or not the request recovered.
-func (rt *Router) recordAttempts(res *Result, fsp *tracing.Span) {
+func (rt *Router) recordAttempts(res *result, fsp *tracing.Span) {
 	if res == nil {
 		return
 	}
-	fsp.SetAttrInt("attempts", int64(len(res.Attempts)))
+	fsp.SetAttrInt("attempts", int64(len(res.attempts)))
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for i, a := range res.Attempts {
-		failed := a.Err != nil || a.Status >= 500
+	for i, a := range res.attempts {
+		failed := a.err != nil || a.status >= 500
 		if failed {
-			rt.inst.errors.With(a.Node).Inc()
+			rt.inst.errors.With(a.node).Inc()
 		}
 		// A failover is a request that left a failing node for a later
 		// candidate; the last attempt (successful or not) stays put.
-		if failed && i < len(res.Attempts)-1 {
-			rt.inst.failovers.With(a.Node).Inc()
+		if failed && i < len(res.attempts)-1 {
+			rt.inst.failovers.With(a.node).Inc()
 		}
 	}
 }
@@ -217,7 +238,7 @@ type healthzBody struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	RingNodes     int          `json:"ring_nodes"`
 	NodesUp       int          `json:"nodes_up"`
-	Fleet         []NodeStatus `json:"fleet"`
+	Fleet         []nodeStatus `json:"fleet"`
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -225,9 +246,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		Version:       cliutil.Version(),
 		UptimeSeconds: time.Since(rt.start).Seconds(),
-		RingNodes:     rt.ring.Len(),
-		NodesUp:       rt.health.UpCount(),
-		Fleet:         rt.health.Snapshot(),
+		RingNodes:     len(rt.ring.nodes),
+		NodesUp:       rt.health.upCount(),
+		Fleet:         rt.health.snapshot(),
 	})
 }
 
@@ -238,7 +259,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	if rt.health.UpCount() == 0 {
+	if rt.health.upCount() == 0 {
 		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no backends"})
 		return
 	}
@@ -249,7 +270,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for _, st := range rt.health.Snapshot() {
+	for _, st := range rt.health.snapshot() {
 		up := 0.0
 		if st.Up {
 			up = 1.0

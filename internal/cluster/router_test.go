@@ -20,9 +20,8 @@ import (
 // trace id is adopted; /readyz follows drain and fleet health; and
 // /debug/traces serves the errored request trees.
 func TestRouterOwnErrorsAndReadiness(t *testing.T) {
-	backends, fwd, checker := newFleet(t, 2)
 	sink := &spanSink{}
-	rt := NewRouter(fwd.cfg.Ring, checker, fwd, tracing.New(tracing.Config{Sink: sink}))
+	backends, rt := newFleet(t, 2, tracing.New(tracing.Config{Sink: sink}))
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
@@ -89,8 +88,8 @@ func TestRouterOwnErrorsAndReadiness(t *testing.T) {
 	}
 	send(`{}`, http.StatusBadGateway, "bad_gateway")
 	for _, b := range backends {
-		for checker.Healthy(b.node) {
-			checker.ReportFailure(b.node, nil)
+		for rt.health.healthy(b.node) {
+			rt.health.reportFailure(b.node, nil, false)
 		}
 	}
 	readyz(http.StatusServiceUnavailable) // no backends up
@@ -110,16 +109,16 @@ func TestRouterOwnErrorsAndReadiness(t *testing.T) {
 // connection. The client gets the successor's whole 200, never the
 // owner's truncated one, and the owner gets an error count.
 func TestRouterRetriesBodyCutMidway(t *testing.T) {
-	routeAroundOwner(t, "cut-mid-body", func(owner *testBackend, _ *Forwarder) { owner.cut = true })
+	routeAroundOwner(t, "cut-mid-body", func(owner *testBackend, _ *Router) { owner.cut = true })
 }
 
 // TestRouterRetriesHungOwner: an owner that takes the request and never
-// answers fails the attempt when the forwarder's per-attempt deadline
+// answers fails the attempt when the router's per-attempt deadline
 // passes, and the request moves on to the successor.
 func TestRouterRetriesHungOwner(t *testing.T) {
-	routeAroundOwner(t, "hung-owner", func(owner *testBackend, fwd *Forwarder) {
+	routeAroundOwner(t, "hung-owner", func(owner *testBackend, rt *Router) {
 		owner.hang = true
-		fwd.cfg.Timeout = 50 * time.Millisecond
+		rt.timeout = 50 * time.Millisecond
 	})
 }
 
@@ -127,23 +126,22 @@ func TestRouterRetriesHungOwner(t *testing.T) {
 // sends a header has failed the attempt like one that refused the
 // connection.
 func TestRouterRetriesDroppedConnection(t *testing.T) {
-	routeAroundOwner(t, "dropped-connection", func(owner *testBackend, _ *Forwarder) { owner.drop = true })
+	routeAroundOwner(t, "dropped-connection", func(owner *testBackend, _ *Router) { owner.drop = true })
 }
 
 // routeAroundOwner sends one compress request for coderID through a
 // router whose owning backend breaks as breakOwner scripts it. The client
 // must get the successor's whole 200, and the owner one error count.
-func routeAroundOwner(t *testing.T, coderID string, breakOwner func(owner *testBackend, fwd *Forwarder)) {
+func routeAroundOwner(t *testing.T, coderID string, breakOwner func(owner *testBackend, rt *Router)) {
 	t.Helper()
-	backends, fwd, checker := newFleet(t, 2)
-	rt := NewRouter(fwd.cfg.Ring, checker, fwd, nil)
+	backends, rt := newFleet(t, 2, nil)
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
 	body := fmt.Sprintf(`{"coder_id":%q}`, coderID)
 	key, _ := server.RouteKey(http.MethodPost, "/v1/compress", []byte(body))
-	order := fwd.cfg.Ring.Order(key)
-	breakOwner(byNode(backends)[order[0]], fwd)
+	order := rt.ring.order(key)
+	breakOwner(byNode(backends)[order[0]], rt)
 
 	resp, err := http.Post(front.URL+"/v1/compress", "application/json", strings.NewReader(body))
 	if err != nil {

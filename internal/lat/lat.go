@@ -180,14 +180,6 @@ func (t *Table) Bytes() []byte {
 // Size returns the table's storage cost in bytes.
 func (t *Table) Size() int { return len(t.Entries) * EntryBytes }
 
-// Overhead returns the table size as a fraction of original program size.
-func (t *Table) Overhead(originalBytes int) float64 {
-	if originalBytes == 0 {
-		return 0
-	}
-	return float64(t.Size()) / float64(originalBytes)
-}
-
 // Parse reconstructs a table from its serialized form.
 func Parse(b []byte) (*Table, error) {
 	if len(b)%EntryBytes != 0 {

@@ -193,7 +193,7 @@ func TestOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.Overhead(64 * LineSize); got != 0.03125 {
+	if got := float64(tab.Size()) / float64(64*LineSize); got != 0.03125 {
 		t.Errorf("overhead = %v, want 0.03125", got)
 	}
 	// The naive pointer-per-block scheme costs 12.5%.

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ccrp/internal/cliutil"
 	"ccrp/internal/hostinfo"
 	"ccrp/internal/metrics"
 	"ccrp/internal/sweep"
@@ -80,9 +81,6 @@ const (
 // Config is what a caller sets. The zero value serves in memory, with no
 // span recording.
 type Config struct {
-	// Version is reported by /healthz (cliutil.Version in cmd/ccrpd);
-	// "" reports "devel".
-	Version string
 	// Tracer, when set, records request-scoped spans: a root span per
 	// request — the request's one record: method, route, status,
 	// duration, error code and trace id — plus the stage children the
@@ -101,9 +99,10 @@ type Config struct {
 
 // Server is the ccrpd service state. Create with New; serve s.Handler().
 type Server struct {
-	cfg   Config
-	mux   *http.ServeMux
-	start time.Time
+	cfg     Config
+	mux     *http.ServeMux
+	start   time.Time
+	version string // reported by /healthz: cliutil.Version
 
 	// coders is the one place a coder is held, by content-addressed id:
 	// trained here, or read from the store on first use. It keeps a
@@ -152,12 +151,10 @@ type serverMetrics struct {
 
 // New builds a Server with its routes registered.
 func New(cfg Config) *Server {
-	if cfg.Version == "" {
-		cfg.Version = "devel"
-	}
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
+		version:  cliutil.Version(),
 		coders:   sweep.NewCache(),
 		roms:     sweep.NewCache(),
 		sem:      make(chan struct{}, runtime.NumCPU()),
@@ -221,9 +218,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the root handler for an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Registry exposes the server's metrics registry (tests and embedding).
-func (s *Server) Registry() *metrics.Registry { return s.registry }
 
 // handlerFunc is a route handler that reports failures as errors; the
 // middleware owns serialization, logging, and instrumentation.
@@ -386,7 +380,7 @@ type healthzBody struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	WriteJSON(w, http.StatusOK, healthzBody{
 		Status:        "ok",
-		Version:       s.cfg.Version,
+		Version:       s.version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Host:          hostinfo.Collect(),
 		Coders:        s.coders.Len(),
@@ -403,9 +397,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 // /healthz, which stays 200 for the whole drain window) keep being
 // served.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // readyzBody is the /readyz response shape.
 type readyzBody struct {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"ccrp/internal/cliutil"
 	"ccrp/internal/core"
 	"ccrp/internal/experiments"
 	"ccrp/internal/huffman"
@@ -91,7 +92,7 @@ func trainPreselected(t *testing.T, url string) string {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts := newTestServer(t, Config{Version: "test-1"})
+	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
 	}
 	h := decodeAs[healthzBody](t, body)
-	if h.Status != "ok" || h.Version != "test-1" || h.Host.GoVersion == "" {
+	if h.Status != "ok" || h.Version != cliutil.Version() || h.Host.GoVersion == "" {
 		t.Errorf("healthz body = %+v", h)
 	}
 }

@@ -154,7 +154,6 @@ type attrKind uint8
 const (
 	attrStr attrKind = iota
 	attrInt
-	attrFloat
 )
 
 // Attr is one key/value annotation on a span.
@@ -163,7 +162,6 @@ type Attr struct {
 	kind attrKind
 	s    string
 	i    int64
-	f    float64
 }
 
 // Value returns the attribute value as the JSON-facing any.
@@ -171,8 +169,6 @@ func (a Attr) Value() any {
 	switch a.kind {
 	case attrInt:
 		return a.i
-	case attrFloat:
-		return a.f
 	default:
 		return a.s
 	}
@@ -204,14 +200,6 @@ func (s *Span) TraceID() TraceID {
 		return TraceID{}
 	}
 	return s.trace
-}
-
-// Stage returns the span's stage name; empty on a nil span.
-func (s *Span) Stage() string {
-	if s == nil {
-		return ""
-	}
-	return s.stage
 }
 
 // Child starts a sub-span named stage. Returns nil on a nil receiver, so
@@ -251,16 +239,6 @@ func (s *Span) SetAttrInt(key string, value int64) {
 	}
 	s.mu.Lock()
 	s.attrs = append(s.attrs, Attr{Key: key, kind: attrInt, i: value})
-	s.mu.Unlock()
-}
-
-// SetAttrFloat annotates the span with a float value.
-func (s *Span) SetAttrFloat(key string, value float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, kind: attrFloat, f: value})
 	s.mu.Unlock()
 }
 

@@ -27,7 +27,6 @@ func TestDisabledSpansAllocFree(t *testing.T) {
 		child := sp.Child("stage")
 		child.SetAttr("k", "v")
 		child.SetAttrInt("n", 7)
-		child.SetAttrFloat("f", 1.5)
 		child.SetError(errDisabled)
 		child.End()
 		sp.End()

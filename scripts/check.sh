@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo-wide hygiene gate, the stages CI runs: build, vet, format, lint,
-# the full test suite under the race detector, every example, and the
-# ccrpbench module. Run from the repository root (make check). Any
+# the full test suite under the race detector, every example, the
+# ccrpbench module, and every fuzz target beyond its seeds (2 s each
+# here, 5 s in CI). Run from the repository root (make check). Any
 # failing stage aborts the run with exit code 1 and names itself, so CI
 # logs and local runs point straight at the broken gate.
 set -eu
@@ -53,5 +54,7 @@ stage "examples" sh -c 'for d in examples/*/; do echo "-- $d"; go run "./$d" >/d
 # ccrpbench is its own module, so the root ./... never builds it; vet
 # and test it against this tree so an API change cannot break it unseen.
 stage "ccrpbench vet+test" sh -c 'cd ccrpbench && GOWORK=off go vet ./... && GOWORK=off go test ./...'
+# CI's fuzz job; 2 s per target keeps the 27 targets near two minutes.
+stage "make fuzz FUZZTIME=2s" make fuzz FUZZTIME=2s
 
 echo "check: OK"
